@@ -4,7 +4,7 @@ machine-verified Turan/Laguerre-type inequalities.
 The package has three layers:
 
 * exact integers: ``qtable`` computes q(n) (partitions into distinct
-  parts) by big-integer dynamic programming;
+  parts) by Gauss's theta recurrence in big integers;
 * certified numerics: ``intervals``/``enclosures`` provide dyadic
   interval arithmetic with outward rounding, ``ring``/``coeffs`` the
   exact expansion coefficients in Q[pi^±1, sqrt3], and ``bounds`` the
@@ -83,11 +83,8 @@ from .qtable import (
     check_turan3,
     compute_q_table,
     compute_q_table_odd_parts,
-    compute_q_table_packed,
     load_or_build,
-    load_q_table,
     q_enumerate,
-    save_q_table,
 )
 from .ring import RingElem, ring_eval
 

@@ -172,9 +172,9 @@ def _pred_a(table: QTable, n: int, prec: int) -> bool:
 
 def _pred_a_companion(table: QTable, n: int, prec: int) -> bool:
     # 4 (1 + pi^2/(32 n^3)) q(n) q(n+2) > q(n-1) q(n+3) + 3 q(n+1)^2
-    q = table.values
-    p_term = q[n] * q[n + 2]
-    base = 4 * p_term - (q[n - 1] * q[n + 3] + 3 * q[n + 1] ** 2)
+    qm1, q0, q1, q2, q3 = table.window(n - 1, 5)
+    p_term = q0 * q2
+    base = 4 * p_term - (qm1 * q3 + 3 * q1**2)
 
     def iv(p):
         return _pi_pow(2, p).mul(
@@ -191,9 +191,9 @@ def _pred_b(table: QTable, n: int, prec: int) -> bool:
 def _pred_b_companion(table: QTable, n: int, prec: int) -> bool:
     # (1 + pi^3/(288 sqrt3 n^{9/2})) (2 q(n)q(n+1)q(n+2) + q(n-1)q(n+1)q(n+3))
     #   > q(n+1)^3 + q(n-1)q(n+2)^2 + q(n)^2 q(n+3)
-    q = table.values
-    pos = 2 * q[n] * q[n + 1] * q[n + 2] + q[n - 1] * q[n + 1] * q[n + 3]
-    base = pos - (q[n + 1] ** 3 + q[n - 1] * q[n + 2] ** 2 + q[n] ** 2 * q[n + 3])
+    qm1, q0, q1, q2, q3 = table.window(n - 1, 5)
+    pos = 2 * q0 * q1 * q2 + qm1 * q1 * q3
+    base = pos - (q1**3 + qm1 * q2**2 + q0**2 * q3)
 
     def iv(p):
         # pi^3/(288 sqrt3 n^{9/2}) = pi^3 sqrt3 / (864 n^4 sqrt(n))
@@ -207,20 +207,20 @@ def _pred_b_companion(table: QTable, n: int, prec: int) -> bool:
     return _decide_sign(iv, prec) > 0
 
 
+def _turan_gaps(table: QTable, n: int) -> tuple[int, int, int]:
+    """Second-order Turan expressions at n, n-1 and n+1."""
+    qm2, qm1, q0, q1, q2 = table.window(n - 2, 5)
+    return q0**2 - qm1 * q1, qm1**2 - qm2 * q0, q1**2 - q0 * q2
+
+
 def _pred_double_turan(table: QTable, n: int, prec: int) -> bool:
-    q = table.values
-    gap = q[n] ** 2 - q[n - 1] * q[n + 1]
-    left = q[n - 1] ** 2 - q[n - 2] * q[n]
-    right = q[n + 1] ** 2 - q[n] * q[n + 2]
+    gap, left, right = _turan_gaps(table, n)
     return gap * gap > left * right
 
 
 def _pred_double_turan_companion(table: QTable, n: int, prec: int) -> bool:
     # gap^2 < left * right * (1 + pi/(2 sqrt3 n^{3/2}))
-    q = table.values
-    gap = q[n] ** 2 - q[n - 1] * q[n + 1]
-    left = q[n - 1] ** 2 - q[n - 2] * q[n]
-    right = q[n + 1] ** 2 - q[n] * q[n + 2]
+    gap, left, right = _turan_gaps(table, n)
     base = left * right - gap * gap
 
     def iv(p):
@@ -236,16 +236,16 @@ def _pred_double_turan_companion(table: QTable, n: int, prec: int) -> bool:
 
 
 def _pred_laguerre3(table: QTable, n: int, prec: int) -> bool:
-    q = table.values
-    return 10 * q[n + 3] ** 2 + 6 * q[n + 1] * q[n + 5] > 15 * q[n + 2] * q[n + 4] + q[n] * q[n + 6]
+    q0, q1, q2, q3, q4, q5, q6 = table.window(n, 7)
+    return 10 * q3**2 + 6 * q1 * q5 > 15 * q2 * q4 + q0 * q6
 
 
 def _pred_laguerre3_companion(table: QTable, n: int, prec: int) -> bool:
     # 10 q(n+3)^2 + 6 q(n+1) q(n+5)
     #   < (15 q(n+2) q(n+4) + q(n) q(n+6)) (1 + 5 pi^3/(256 sqrt3 n^{9/2}))
-    q = table.values
-    pos = 15 * q[n + 2] * q[n + 4] + q[n] * q[n + 6]
-    base = pos - (10 * q[n + 3] ** 2 + 6 * q[n + 1] * q[n + 5])
+    q0, q1, q2, q3, q4, q5, q6 = table.window(n, 7)
+    pos = 15 * q2 * q4 + q0 * q6
+    base = pos - (10 * q3**2 + 6 * q1 * q5)
 
     def iv(p):
         # 5 pi^3/(256 sqrt3 n^{9/2}) = 5 pi^3 sqrt3/(768 n^4 sqrt n)

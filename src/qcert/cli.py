@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``qtable``        -- build/load the exact q(n) table, print values
+* ``qtable``        -- build the exact q(n) table, print values
 * ``bounds``        -- certified envelope rows `n,s,N,q_exact,lower,upper`
 * ``coeffs``        -- exact expansion coefficients as ring expressions
 * ``verify``        -- end-to-end verification of one theorem (JSON report)
@@ -65,7 +65,6 @@ GLOBAL_DEFAULTS = {
     "n_max": 20000,
     "precision": 192,
     "format": "json",
-    "cache": None,
     "max_depth": 60,
     "no_timing": False,
 }
@@ -82,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="working precision in bits (default 192)")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--cache", default=argparse.SUPPRESS,
-                        help="q-table cache file path")
     common.add_argument("--max-depth", type=int, default=argparse.SUPPRESS,
                         help="bisection depth limit (default 60)")
     common.add_argument("--no-timing", action="store_true", default=argparse.SUPPRESS,
@@ -145,7 +142,7 @@ def _get_table(args, needed: int):
     if args.n_max < needed:
         print(f"error: --n-max {args.n_max} is below the required {needed}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return load_or_build(args.n_max, cache_path=args.cache)
+    return load_or_build(args.n_max)
 
 
 def cmd_qtable(args) -> int:

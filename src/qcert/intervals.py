@@ -476,28 +476,3 @@ def _coerce(value) -> Interval:
     if isinstance(value, Dyadic):
         return Interval(value, value)
     raise TypeError(f"cannot mix Interval with {type(value).__name__}")
-
-
-# Spec-facing functional aliases.
-def iv_add(a: Interval, b: Interval, prec: int | None = None) -> Interval:
-    return a.add(b, prec)
-
-
-def iv_sub(a: Interval, b: Interval, prec: int | None = None) -> Interval:
-    return a.sub(b, prec)
-
-
-def iv_mul(a: Interval, b: Interval, prec: int | None = None) -> Interval:
-    return a.mul(b, prec)
-
-
-def iv_div(a: Interval, b: Interval, prec: int | None = None) -> Interval:
-    return a.div(b, prec)
-
-
-def iv_neg(a: Interval) -> Interval:
-    return a.neg()
-
-
-def iv_pow_int(a: Interval, k: int, prec: int | None = None) -> Interval:
-    return a.pow_int(k, prec)

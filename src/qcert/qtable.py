@@ -4,63 +4,35 @@ q(n) counts partitions of n into strictly decreasing positive parts
 (generating function prod_{k>=1} (1+x^k)); q(9) = 8.  Everything here is
 exact big-integer arithmetic.
 
-Two constructions of the full table are provided:
+``load_or_build`` is the one production builder: Gauss's theta
+recurrence, O(n_max^{3/2}) big-integer additions.  The other
+constructions are independent oracles that the tests compare it with:
 
 * ``compute_q_table`` -- the reference 0/1-knapsack DP: for k = 1..n_max
   update values[n] += values[n-k] with n descending, so each part is
   used at most once.
-* ``compute_q_table_packed`` -- the same recurrence, with the whole
-  table packed into one big integer of fixed-width limbs; round k is a
-  single shift-add-mask.  Identical output, about an order of magnitude
-  faster for large tables.
-
-``q_enumerate`` is the deliberately naive independent oracle (explicit
-recursion over strictly decreasing parts, no memoization), capped at
-n <= 60.
+* ``compute_q_table_odd_parts`` -- Euler's identity: partitions into odd
+  parts, a complete-knapsack DP.
+* ``q_enumerate`` -- deliberately naive explicit recursion over strictly
+  decreasing parts, no memoization, capped at n <= 60.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
+from math import isqrt
 
 __all__ = [
     "QTable",
+    "load_or_build",
     "compute_q_table",
-    "compute_q_table_packed",
     "compute_q_table_odd_parts",
     "q_enumerate",
     "check_log_concavity",
     "check_turan3",
-    "save_q_table",
-    "load_q_table",
-    "load_or_build",
-    "default_cache_path",
-    "CACHE_FILE_NAME",
-    "CACHE_ENV_VAR",
 ]
 
-CACHE_FILE_NAME = "qtable-v1.txt"
-CACHE_ENV_VAR = "QCERT_CACHE_DIR"
-
 ENUMERATION_LIMIT = 60
-
-
-def _pack_width_bits(n_max: int) -> int:
-    """Provably sufficient limb width for the packed builder.
-
-    q(n) < exp(pi sqrt(n/3)) for n >= 1 (evaluate the generating
-    function at x = e^-t: q(n) <= exp(nt + pi^2/(12t)), minimized at
-    t = pi/sqrt(12n)), and every intermediate DP coefficient is at most
-    the final q at the same index.  45325/10000 > pi/ln 2 and
-    isqrt(n//3)+1 >= sqrt(n/3) make the bound integer-only; rounded up
-    to whole bytes for the unpacking slicing.
-    """
-    from math import isqrt
-
-    bits = (45325 * (isqrt(n_max // 3) + 1)) // 10000 + 3
-    return ((bits + 7) // 8) * 8
 
 
 @dataclass(frozen=True)
@@ -75,12 +47,40 @@ class QTable:
             raise ValueError("table length does not match n_max")
 
     def __getitem__(self, n: int) -> int:
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"q({n}) outside table 0..{self.n_max}")
         return self.values[n]
 
     def window(self, n: int, count: int) -> tuple[int, ...]:
         if n < 0 or n + count - 1 > self.n_max:
             raise IndexError(f"window [{n}, {n + count - 1}] outside table 0..{self.n_max}")
         return self.values[n : n + count]
+
+
+def load_or_build(n_max: int) -> QTable:
+    """Build q(0..n_max) by Gauss's theta recurrence; always builds.
+
+    Gauss's identity prod(1+x^k) * sum_{k in Z} (-1)^k x^{k^2} =
+    prod(1-x^k), with Euler's pentagonal theorem for the right-hand
+    side, gives q(n) = e(n) - 2 sum_{k>=1} (-1)^k q(n-k^2), where
+    e(n) = (-1)^j if n = j(3j-1)/2 for some integer j and 0 otherwise
+    (Andrews, The Theory of Partitions, ch. 1-2).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    values = [0] * (n_max + 1)  # starts as e(n)
+    j = 0
+    while j * (3 * j - 1) // 2 <= n_max:
+        for p in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):  # j and -j
+            if p <= n_max:
+                values[p] = (-1) ** j
+        j += 1
+    for n in range(1, n_max + 1):
+        r = isqrt(n)
+        odd = sum(values[n - k * k] for k in range(1, r + 1, 2))
+        even = sum(values[n - k * k] for k in range(2, r + 1, 2))
+        values[n] += 2 * (odd - even)
+    return QTable(n_max, tuple(values))
 
 
 def compute_q_table(n_max: int) -> QTable:
@@ -97,33 +97,6 @@ def compute_q_table(n_max: int) -> QTable:
         for n in range(n_max, k - 1, -1):
             values[n] += values[n - k]
     return QTable(n_max, tuple(values))
-
-
-def compute_q_table_packed(n_max: int, width: int | None = None) -> QTable:
-    """Same DP with the table packed into one integer (width-bit limbs).
-
-    Round k adds the k-limb-shifted snapshot of the table to itself,
-    which performs exactly the reference update values[n] += values[n-k]
-    for every n at once (the shifted copy is the pre-round table, as in
-    the descending loop).  No limb can overflow: every intermediate
-    coefficient is at most q(n_max), which fits the width chosen by
-    _pack_width_bits.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if width is None:
-        width = _pack_width_bits(n_max)
-    mask = (1 << ((n_max + 1) * width)) - 1
-    packed = 1
-    for k in range(1, n_max + 1):
-        packed = (packed + (packed << (k * width))) & mask
-    raw = packed.to_bytes((n_max + 1) * width // 8, "little")
-    stride = width // 8
-    values = tuple(
-        int.from_bytes(raw[i * stride : (i + 1) * stride], "little")
-        for i in range(n_max + 1)
-    )
-    return QTable(n_max, values)
 
 
 def compute_q_table_odd_parts(n_max: int) -> QTable:
@@ -179,75 +152,3 @@ def check_turan3(table: QTable, lo: int, hi: int) -> list[int]:
         if not lhs > rhs:
             out.append(n)
     return out
-
-
-# -- disk cache ------------------------------------------------------------
-
-
-def save_q_table(table: QTable, path: str | Path) -> None:
-    """Newline-delimited decimal values behind a `qtable v1 <n_max>` header."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(f"qtable v1 {table.n_max}\n")
-        fh.write("\n".join(str(v) for v in table.values))
-        fh.write("\n")
-
-
-def load_q_table(path: str | Path) -> QTable:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "qtable" or header[1] != "v1":
-            raise ValueError(f"{path}: not a qtable v1 cache file")
-        n_max = int(header[2])
-        values = tuple(int(line) for line in fh if line.strip())
-    if len(values) != n_max + 1:
-        raise ValueError(f"{path}: expected {n_max + 1} values, found {len(values)}")
-    table = QTable(n_max, values)
-    _validate(table, path)
-    return table
-
-
-def _validate(table: QTable, path) -> None:
-    v = table.values
-    if v[0] != 1 or any(x <= 0 for x in v[: min(10, len(v))]):
-        raise ValueError(f"{path}: corrupt table (bad leading values)")
-    spots = range(0, table.n_max, max(1, table.n_max // 64))
-    for n in spots:
-        if n + 1 <= table.n_max and v[n + 1] < v[n]:
-            raise ValueError(f"{path}: corrupt table (q not non-decreasing at {n})")
-        if n >= 4 and n + 1 <= table.n_max and v[n + 1] <= v[n]:
-            raise ValueError(f"{path}: corrupt table (q not increasing at {n})")
-    if table.n_max >= 9 and v[9] != 8:
-        raise ValueError(f"{path}: corrupt table (q(9) != 8)")
-
-
-def default_cache_path(cache_dir: str | Path | None = None) -> Path:
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
-    if cache_dir is None:
-        cache_dir = Path.home() / ".cache" / "qcert"
-    return Path(cache_dir) / CACHE_FILE_NAME
-
-
-def load_or_build(n_max: int, cache_path: str | Path | None = None, write: bool = True) -> QTable:
-    """Return a table covering n_max, from cache when possible.
-
-    A cached table larger than n_max is reused as-is; smaller or missing
-    caches trigger a rebuild (packed builder beyond 2048 entries).
-    """
-    path = Path(cache_path) if cache_path is not None else default_cache_path()
-    if path.exists():
-        try:
-            table = load_q_table(path)
-            if table.n_max >= n_max:
-                return table
-        except (ValueError, OSError):
-            pass  # fall through to rebuild
-    table = compute_q_table_packed(n_max) if n_max > 2048 else compute_q_table(n_max)
-    if write:
-        try:
-            save_q_table(table, path)
-        except OSError:
-            pass  # cache is best-effort
-    return table

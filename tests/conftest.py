@@ -17,7 +17,7 @@ def table2k():
 
 @pytest.fixture(scope="session")
 def table20k():
-    """Full table for verification runs; disk-cached between sessions."""
+    """Full table for verification runs, built once per session."""
     return load_or_build(FULL_TABLE_SIZE)
 
 

@@ -224,6 +224,15 @@ class TestExactRegime:
         # the companion double-Turan statement fails exactly at 348
         assert exact_verify("double-turan-companion", table20k, 344, 400) == [348]
 
+    def test_reads_outside_table_raise(self, table2k):
+        # n = 0 and n = 1 need q(-2) and q(-1), which must not wrap to the table's end
+        with pytest.raises(IndexError):
+            exact_verify("double-turan", table2k, -2, 3)
+        with pytest.raises(IndexError):
+            theorem_predicate("double-turan", table2k, 1)
+        with pytest.raises(IndexError):
+            table2k[-1]
+
     def test_sharpness_witnesses(self, table20k):
         for tid, witness in SHARPNESS_WITNESSES.items():
             below = sharpness_scan(tid, table20k)

@@ -12,30 +12,25 @@ def run(capsys, *argv):
 
 
 class TestQtable:
-    def test_single_value(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "--cache", str(tmp_path / "t.txt"),
-                           "--n-max", "64", "qtable", "--n", "9")
+    def test_single_value(self, capsys):
+        code, out, _ = run(capsys, "--n-max", "64", "qtable", "--n", "9")
         assert code == EXIT_PASS
         assert json.loads(out) == {"9": "8"}
-        code, out, _ = run(capsys, "--cache", str(tmp_path / "t.txt"),
-                           "--n-max", "64", "qtable", "--n", "0")
+        code, out, _ = run(capsys, "--n-max", "64", "qtable", "--n", "0")
         assert code == EXIT_PASS and json.loads(out) == {"0": "1"}
 
-    def test_range_text(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "--cache", str(tmp_path / "t.txt"),
-                           "--n-max", "64", "qtable", "--range", "0..9",
+    def test_range_text(self, capsys):
+        code, out, _ = run(capsys, "--n-max", "64", "qtable", "--range", "0..9",
                            "--format", "text", "--check-enumeration")
         assert code == EXIT_PASS
         assert out.strip() == "1,1,1,2,2,3,4,5,6,8"
 
-    def test_requires_exactly_one_selector(self, capsys, tmp_path):
-        code, _, err = run(capsys, "--cache", str(tmp_path / "t.txt"),
-                           "--n-max", "64", "qtable")
+    def test_requires_exactly_one_selector(self, capsys):
+        code, _, err = run(capsys, "--n-max", "64", "qtable")
         assert code == EXIT_USAGE and "exactly one" in err
 
-    def test_n_max_too_small(self, capsys, tmp_path):
-        code, _, err = run(capsys, "--cache", str(tmp_path / "t.txt"),
-                           "--n-max", "5", "qtable", "--n", "9")
+    def test_n_max_too_small(self, capsys):
+        code, _, err = run(capsys, "--n-max", "5", "qtable", "--n", "9")
         assert code == EXIT_USAGE and "--n-max" in err
 
 

@@ -1,4 +1,6 @@
-"""Exact q(n): construction equivalences, oracles, scans, disk cache."""
+"""Exact q(n): construction equivalences, oracles, scans."""
+
+import hashlib
 
 import pytest
 
@@ -7,11 +9,13 @@ from qcert.qtable import (
     check_turan3,
     compute_q_table,
     compute_q_table_odd_parts,
-    compute_q_table_packed,
-    load_q_table,
+    load_or_build,
     q_enumerate,
-    save_q_table,
 )
+
+# SHA-256 of the comma-joined decimal q(0..20000) as built by the packed
+# limb DP that the theta recurrence replaced
+TABLE_20K_SHA256 = "a4e10c27ef082dc343674cfb9c76c32bfaeff7919bcf4f6b511802335ba436ef"
 
 # q(0..9), with q(9) = 8 as the canonical anchor
 FIRST_TEN = (1, 1, 1, 2, 2, 3, 4, 5, 6, 8)
@@ -47,10 +51,13 @@ def test_dp_matches_enumeration_to_60():
         assert t[n] == q_enumerate(n), n
 
 
-def test_packed_matches_reference():
-    a = compute_q_table(600)
-    b = compute_q_table_packed(600)
-    assert a.values == b.values
+def test_load_or_build_matches_reference(table2k):
+    assert load_or_build(2000).values == table2k.values
+
+
+def test_full_table_matches_packed_builder(table20k):
+    digest = hashlib.sha256(",".join(map(str, table20k.values)).encode()).hexdigest()
+    assert digest == TABLE_20K_SHA256
 
 
 def test_odd_parts_identity(table2k):
@@ -91,37 +98,3 @@ def test_window_accessor(table2k):
     assert table2k.window(5, 5) == (3, 4, 5, 6, 8)
     with pytest.raises(IndexError):
         table2k.window(1999, 5)
-
-
-class TestCache:
-    def test_round_trip_bit_identical(self, tmp_path):
-        t = compute_q_table(321)
-        path = tmp_path / "qtable-v1.txt"
-        save_q_table(t, path)
-        again = load_q_table(path)
-        assert again.n_max == 321 and again.values == t.values
-        # byte-stable: saving the loaded table reproduces the file
-        path2 = tmp_path / "copy.txt"
-        save_q_table(again, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_header_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("something v2 9\n1\n")
-        with pytest.raises(ValueError):
-            load_q_table(p)
-
-    def test_truncated_rejected(self, tmp_path):
-        p = tmp_path / "short.txt"
-        p.write_text("qtable v1 9\n1\n1\n1\n")
-        with pytest.raises(ValueError):
-            load_q_table(p)
-
-    def test_corrupt_value_rejected(self, tmp_path):
-        t = compute_q_table(60)
-        values = list(t.values)
-        values[9] = 7  # silently wrong count
-        p = tmp_path / "corrupt.txt"
-        p.write_text("qtable v1 60\n" + "\n".join(map(str, values)) + "\n")
-        with pytest.raises(ValueError):
-            load_q_table(p)
