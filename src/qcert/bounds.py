@@ -36,7 +36,7 @@ from .enclosures import (
     enclose_log,
     enclose_pi,
 )
-from .intervals import DEFAULT_PRECISION, Dyadic, Interval
+from .intervals import DEFAULT_PRECISION, Dyadic, Interval, horner
 from .ring import RingElem
 
 __all__ = [
@@ -369,12 +369,8 @@ class BoundPoly:
         treats the error coefficient as a box containing the exact
         radius; that happens there, not here.)
         """
-        p = self.prec
         signed = self.err if self.side > 0 else -self.err
-        acc = Interval(signed, signed)
-        for c in reversed(self.coeff_ivs):
-            acc = acc.mul(x, p).add(c, p)
-        return acc
+        return horner(self.coeff_ivs + (Interval.point(signed),), x, self.prec)
 
 
 ZERO_D = Dyadic(0)

@@ -33,7 +33,7 @@ from math import comb
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
-from .intervals import Dyadic, Interval
+from .intervals import Dyadic, Interval, horner
 from .qtable import QTable
 from .ring import RingElem, ring_eval
 
@@ -285,7 +285,9 @@ class HybridPoly:
     """Polynomial in x whose coefficient k is ring_parts[k] + err(k),
     err a (possibly zero) interval correction.  Contains the exact
     shifted inequality polynomial whenever the corrections contain the
-    exact error radii."""
+    exact error radii.  Products keep the exact ring_parts only up to
+    their first error box, the furthest the certifier strips symbolic
+    zeros; ring_ivs encloses the ring part at every degree."""
 
     __slots__ = ("ring_parts", "ring_ivs", "errs", "prec")
 
@@ -303,7 +305,18 @@ class HybridPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.ring_parts) - 1
+        return len(self.ring_ivs) - 1
+
+    def _exact_len(self, n: int) -> int:
+        """Length of the exact prefix, as seen from a result of length n."""
+        k = len(self.ring_parts)
+        return k if k < len(self.ring_ivs) else n
+
+    def _nonzero(self) -> list[tuple[int, RingElem | None, Interval]]:
+        """(degree, exact part or None, enclosure) where the ring part may be nonzero."""
+        k = len(self.ring_parts)
+        return [(d, self.ring_parts[d] if d < k else None, iv) for d, iv in enumerate(self.ring_ivs)
+                if not (self.ring_parts[d].is_zero if d < k else iv.lo.is_zero and iv.hi.is_zero)]
 
     @staticmethod
     def from_envelope(s: int, N: int, side: int, prec: int, tight: bool = False) -> "HybridPoly":
@@ -335,20 +348,7 @@ class HybridPoly:
 
     def mul(self, other: "HybridPoly") -> "HybridPoly":
         p = self.prec
-        n1, n2 = len(self.ring_parts), len(other.ring_parts)
-        ring_out = [RingElem() for _ in range(n1 + n2 - 1)]
-        ivs_out = [Interval.point(0) for _ in range(n1 + n2 - 1)]
-        for i, a in enumerate(self.ring_parts):
-            if a.is_zero:
-                continue
-            aiv = self.ring_ivs[i]
-            for j, b in enumerate(other.ring_parts):
-                if b.is_zero:
-                    continue
-                ring_out[i + j] = ring_out[i + j] + a * b
-                # interval convolution: contains the exact ring product,
-                # far cheaper than re-evaluating the huge product elements
-                ivs_out[i + j] = ivs_out[i + j].add(aiv.mul(other.ring_ivs[j], p), p)
+        n_out = len(self.ring_ivs) + len(other.ring_ivs) - 1
         errs_out: dict[int, Interval] = {}
 
         def bump(d: int, iv: Interval):
@@ -366,17 +366,31 @@ class HybridPoly:
         for i, e1 in self.errs.items():
             for j, e2 in other.errs.items():
                 bump(i + j, e1.mul(e2, p))
+        first_box = min(errs_out, default=n_out)
+        exact = min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1)
+        ring_out = [RingElem() for _ in range(exact)]
+        ivs_out = [Interval.point(0) for _ in range(n_out)]
+        rhs = other._nonzero()
+        for i, a, aiv in self._nonzero():
+            for j, b, biv in rhs:
+                if i + j < exact:
+                    ring_out[i + j] = ring_out[i + j] + a * b
+                # interval convolution: contains the exact ring product,
+                # far cheaper than re-evaluating the huge product elements
+                ivs_out[i + j] = ivs_out[i + j].add(aiv.mul(biv, p), p)
         return HybridPoly(ring_out, errs_out, p, ivs_out)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
         p = self.prec
-        n = max(len(self.ring_parts), len(other.ring_parts))
+        n = max(len(self.ring_ivs), len(other.ring_ivs))
+        exact = min(self._exact_len(n), other._exact_len(n))
         ring_out = []
         ivs_out = []
         for d in range(n):
-            a = self.ring_parts[d] if d < len(self.ring_parts) else RingElem()
-            b = other.ring_parts[d] if d < len(other.ring_parts) else RingElem()
-            ring_out.append(a + b)
+            if d < exact:
+                a = self.ring_parts[d] if d < len(self.ring_parts) else RingElem()
+                b = other.ring_parts[d] if d < len(other.ring_parts) else RingElem()
+                ring_out.append(a + b)
             aiv = self.ring_ivs[d] if d < len(self.ring_ivs) else Interval.point(0)
             biv = other.ring_ivs[d] if d < len(other.ring_ivs) else Interval.point(0)
             ivs_out.append(aiv.add(biv, p))
@@ -425,10 +439,7 @@ class IneqPoly:
     window: int         # largest envelope floor among the shifts involved
 
     def eval_iv(self, x: Interval) -> Interval:
-        acc = Interval.point(0)
-        for c in reversed(self.poly.coeff_intervals()):
-            acc = acc.mul(x, self.prec).add(c, self.prec)
-        return acc
+        return horner(self.poly.coeff_intervals(), x, self.prec)
 
 
 def _companion_factor(monomials: dict[int, tuple[int, int, Fraction]], prec: int) -> HybridPoly:
@@ -571,6 +582,8 @@ class Certificate:
     reason: str = ""
     negative_witness: tuple[float, float] | None = None
     reduced_coeffs: list[Interval] = field(default_factory=list, repr=False)
+    # rounding may be all that keeps the sign undecided: worth a higher precision
+    rounding_limited: bool = False
 
     @property
     def proved(self) -> bool:
@@ -603,17 +616,26 @@ def certify_positive(
     Strategy: (i) strip leading coefficients that are symbolic ring
     zeros with no correction box; (ii) require the next coefficient
     to be certifiably positive; (iii) adaptive bisection of [0, x0]
-    with interval Horner on the reduced polynomial.  A certified
-    negative leaf is an honest counterexample for the whole coefficient
-    family; exhausted depth is inconclusive, never proved.
+    with interval Horner on the reduced polynomial, splitting an
+    undecided box only while both its endpoints are certifiably positive
+    (no box around a point does better than the point).  A certified
+    negative value is an honest counterexample for the whole coefficient
+    family; a point value that is not positive ends the trial, flagged
+    rounding_limited unless the correction boxes alone explain it.
+    Exhausted depth is inconclusive, never proved.
     """
     if x0 > ineq.x0:
         raise ValueError(f"x0={float(x0)} beyond validity radius {float(ineq.x0)}")
     prec = ineq.prec
+    poly = ineq.poly
     n_star = _n_of_x(x0)
-    coeffs = ineq.poly.coeff_intervals()
+    coeffs = poly.coeff_intervals()
     d = 0
-    while d < len(coeffs) and ineq.poly.ring_parts[d].is_zero and d not in ineq.poly.errs:
+    while d < len(coeffs) and d not in poly.errs:
+        if d >= len(poly.ring_parts):
+            raise ArithmeticError(f"symbolic zeros run past the exact prefix at x^{d}")
+        if not poly.ring_parts[d].is_zero:
+            break
         d += 1
     base = Certificate(
         status="inconclusive",
@@ -629,32 +651,49 @@ def certify_positive(
         return base
     reduced = coeffs[d:]
     base.reduced_coeffs = reduced
+    box_widths = [
+        Interval.point(poly.errs[k].width if k in poly.errs else Dyadic(0))
+        for k in range(d, len(coeffs))
+    ]
+
+    def hidden_by_rounding(x: Dyadic, value: Interval) -> bool:
+        # The family's values at x fill a subinterval of `value` as wide
+        # as the boxes make it, so its lowest member is <= value.hi - width.
+        return value.hi > horner(box_widths, Interval.point(x), prec).lo
+
     if not reduced[0].is_positive:
         base.reason = f"constant term after stripping x^{d} is not certifiably positive"
+        base.rounding_limited = hidden_by_rounding(Dyadic(0), reduced[0])
         return base
-
-    def horner(x: Interval) -> Interval:
-        acc = Interval.point(0)
-        for c in reversed(reduced):
-            acc = acc.mul(x, prec).add(c, prec)
-        return acc
 
     stack: list[tuple[Dyadic, Dyadic, int]] = [(Dyadic(0), x0, 0)]
     subdivisions = 0
     while stack:
         a, b, depth = stack.pop()
-        value = horner(Interval(a, b))
+        value = horner(reduced, Interval(a, b), prec)
         if value.is_positive:
             continue
+        base.subdivision_count = subdivisions
         if value.is_negative:
             base.reason = "certified negative leaf"
             base.negative_witness = (float(a), float(b))
-            base.subdivision_count = subdivisions
+            return base
+        for x in (a, b):
+            point = horner(reduced, Interval.point(x), prec)
+            if point.is_positive:
+                continue
+            if point.is_negative:
+                base.reason = "certified negative leaf"
+                base.negative_witness = (float(x), float(x))
+                return base
+            base.rounding_limited = hidden_by_rounding(x, point)
+            verdict = "rounding hides the sign" if base.rounding_limited else "boxed family not positive"
+            base.reason = f"{verdict} at x={float(x)}"
             return base
         if depth >= max_depth:
             base.reason = f"sign undecided at depth {max_depth} on [{float(a)}, {float(b)}]"
             base.max_depth_hit = True
-            base.subdivision_count = subdivisions
+            base.rounding_limited = True
             return base
         mid = (a + b).scale(-1)
         subdivisions += 1
@@ -680,8 +719,8 @@ def certify_inequality(
     max_prec: int = MAX_PREC,
 ) -> Certificate:
     """Certify positivity for all n >= n_star (default: the envelope
-    validity window), escalating precision while the result is
-    inconclusive without a negative witness."""
+    validity window), doubling the precision only while rounding may be
+    what keeps the result inconclusive (Certificate.rounding_limited)."""
     p = prec
     while True:
         ineq = build_ineq(ineq_id, p)
@@ -693,7 +732,7 @@ def certify_inequality(
         x0 = ineq.x0 if target == ineq.window else _x_upper(target, p)
         cert = certify_positive(ineq, x0, max_depth)
         cert.n_star = max(cert.n_star, target)
-        if cert.proved or cert.negative_witness is not None or p >= max_prec:
+        if cert.proved or not cert.rounding_limited or p >= max_prec:
             return cert
         p *= 2
 

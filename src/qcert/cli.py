@@ -244,9 +244,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cert = certify_inequality(
-        args.ineq, n_star=args.n_star, prec=args.precision, max_depth=args.max_depth
-    )
+    try:
+        cert = certify_inequality(
+            args.ineq, n_star=args.n_star, prec=args.precision, max_depth=args.max_depth
+        )
+    except ValueError as exc:  # n_star below the window
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = cert.to_json_dict()
     out["ineq"] = args.ineq
     out["theorem"] = INEQUALITIES[args.ineq]

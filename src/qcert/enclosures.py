@@ -29,7 +29,7 @@ from .intervals import (
     DomainError,
     Dyadic,
     Interval,
-    get_precision,
+    resolve_precision,
 )
 
 __all__ = [
@@ -69,7 +69,7 @@ def _atan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
 
 def enclose_pi(prec: int | None = None) -> Interval:
     """Interval containing pi, width <= 2**(4-prec)."""
-    prec = prec or get_precision()
+    prec = resolve_precision(prec)
     cached = _PI_CACHE.get(prec)
     if cached is None:
         lo5, hi5 = _atan_inv_bounds(5, prec)
@@ -117,7 +117,7 @@ def _exp_point(d: Dyadic, prec: int) -> Interval:
 
 
 def enclose_exp(x: Interval, prec: int | None = None) -> Interval:
-    prec = prec or get_precision()
+    prec = resolve_precision(prec)
     return Interval(_exp_point(x.lo, prec).lo, _exp_point(x.hi, prec).hi)
 
 
@@ -166,14 +166,14 @@ def _log_point(d: Dyadic, prec: int) -> Interval:
 
 
 def enclose_log(x: Interval, prec: int | None = None) -> Interval:
-    prec = prec or get_precision()
+    prec = resolve_precision(prec)
     if x.lo.sign <= 0:
         raise DomainError(f"log domain requires lo > 0, got {x}")
     return Interval(_log_point(x.lo, prec).lo, _log_point(x.hi, prec).hi)
 
 
 def enclose_cosh(x: Interval, prec: int | None = None) -> Interval:
-    prec = prec or get_precision()
+    prec = resolve_precision(prec)
 
     def cosh_point(d: Dyadic) -> Interval:
         e = _exp_point(d, prec + 8)
@@ -191,7 +191,7 @@ def enclose_cosh(x: Interval, prec: int | None = None) -> Interval:
 
 
 def enclose_sinh(x: Interval, prec: int | None = None) -> Interval:
-    prec = prec or get_precision()
+    prec = resolve_precision(prec)
 
     def sinh_point(d: Dyadic) -> Interval:
         e = _exp_point(d, prec + 8)
@@ -230,7 +230,7 @@ def _bessel_i1_point(d: Dyadic, prec: int) -> Interval:
 
 def enclose_bessel_i1(x: Interval, prec: int | None = None) -> Interval:
     """I1 on [lo, hi] with lo >= 0; the series is increasing there."""
-    prec = prec or get_precision()
+    prec = resolve_precision(prec)
     if x.lo.sign < 0:
         raise DomainError(f"bessel_i1 domain requires lo >= 0, got {x}")
     return Interval(_bessel_i1_point(x.lo, prec).lo, _bessel_i1_point(x.hi, prec).hi)

@@ -30,6 +30,8 @@ __all__ = [
     "Interval",
     "DomainError",
     "get_precision",
+    "horner",
+    "resolve_precision",
     "workprec",
 ]
 
@@ -48,13 +50,20 @@ def get_precision() -> int:
     return getattr(_state, "prec", DEFAULT_PRECISION)
 
 
+def resolve_precision(prec: int | None) -> int:
+    """The thread's precision for None; otherwise prec, at least MIN_PRECISION."""
+    if prec is None:
+        return get_precision()
+    if prec < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
+    return prec
+
+
 @contextmanager
 def workprec(bits: int):
     """Set the per-thread default precision for interval operators."""
-    if bits < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {bits}")
     old = get_precision()
-    _state.prec = bits
+    _state.prec = resolve_precision(bits)
     try:
         yield
     finally:
@@ -311,7 +320,7 @@ class Interval:
 
     @staticmethod
     def from_fraction(value: Fraction | int, prec: int | None = None) -> "Interval":
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         if isinstance(value, int) or value.denominator == 1:
             return Interval.point(int(value))
         return Interval(
@@ -326,14 +335,14 @@ class Interval:
     # -- arithmetic -----------------------------------------------------
 
     def add(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         return Interval(
             (self.lo + other.lo).round(prec, up=False),
             (self.hi + other.hi).round(prec, up=True),
         )
 
     def sub(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         return Interval(
             (self.lo - other.hi).round(prec, up=False),
             (self.hi - other.lo).round(prec, up=True),
@@ -343,7 +352,7 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def mul(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -356,7 +365,7 @@ class Interval:
         )
 
     def div(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         if other.lo.sign <= 0 <= other.hi.sign:
             raise DomainError(f"division by interval containing zero: {other}")
         quotients = [
@@ -369,7 +378,7 @@ class Interval:
 
     def pow_int(self, k: int, prec: int | None = None) -> "Interval":
         """Integer power; even powers of straddling intervals floor at 0."""
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         if k == 0:
             return Interval.point(1)
         if k < 0:
@@ -389,7 +398,7 @@ class Interval:
         return result
 
     def sqrt(self, prec: int | None = None) -> "Interval":
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         if self.lo.sign < 0:
             raise DomainError(f"sqrt of interval with negative endpoint: {self}")
         lo, _ = _sqrt_dir(self.lo.man, self.lo.exp, prec)
@@ -464,6 +473,14 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"Interval[{float(self.lo)!r}, {float(self.hi)!r}]"
+
+
+def horner(coeffs, x: Interval, prec: int) -> Interval:
+    """Enclosure of sum_k coeffs[k] * x**k by interval Horner."""
+    acc = Interval.point(0)
+    for c in reversed(coeffs):
+        acc = acc.mul(x, prec).add(c, prec)
+    return acc
 
 
 def _coerce(value) -> Interval:

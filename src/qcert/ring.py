@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .enclosures import enclose_pi
-from .intervals import Interval, get_precision
+from .intervals import Interval, resolve_precision
 
 __all__ = ["RingElem", "ring_eval"]
 
@@ -154,7 +154,7 @@ class RingElem:
 
     def eval_iv(self, prec: int | None = None) -> Interval:
         """Interval containing the exact real value of this element."""
-        prec = prec or get_precision()
+        prec = resolve_precision(prec)
         if not self.terms:
             return Interval.point(0)
         pi = enclose_pi(prec)

@@ -2,6 +2,7 @@
 crossover search, and agreement between the certified and exact regimes.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -49,6 +50,28 @@ SHARPNESS_WITNESSES = {
 LEADING_DEGREES = {
     "ineq1": 6, "ineq2": 7, "ineq3": 9, "ineq4": 10,
     "ineq5": 9, "ineq6": 10, "ineq-L3": 9, "ineq-c-L3": 10,
+}
+
+# Frozen at 192 bits from the expansion that kept exact ring products
+# at every degree: (ineq_id, tight) -> (SHA-256 of the coefficient
+# enclosures' endpoints as fractions, leading zero degree, degree).
+POLY_PINS = {
+    ("ineq-L3", False): ("1dabf039c3b20a0373c3817bf65d90c191602b484e1b2d09fd703c8e8f36f772", 9, 50),
+    ("ineq-L3", True): ("a422e93518a910f30b525149d3b3242538e88b80c069f57751e7f312df16ba0f", 9, 50),
+    ("ineq-c-L3", False): ("59aef76a50e224db21f916f1067caf33286689a52b8c2dbea668991d60096e13", 10, 59),
+    ("ineq-c-L3", True): ("46ae7cfcdb1905bea0e522ae738c1e8d4fd1fad4052579a6c12818624f893809", 10, 59),
+    ("ineq1", False): ("b68c3893d6072b63716e9c0a1c71109f7e3e8851d6923982d9ede85afc1a72b4", 6, 30),
+    ("ineq1", True): ("7571139c105ccd2f673e01668a68915bda8d0739774371699868158f88c88fc5", 6, 30),
+    ("ineq2", False): ("7e3403703531f054e2893f439ecb7ea47022c09f4ecc365fddb645b3189ba3ca", 7, 37),
+    ("ineq2", True): ("3c146ac472f74343de5d57152fd5527b8a0e997cd5d3b287c89017f5745b742e", 7, 37),
+    ("ineq3", False): ("ee8591b02907815173714642bd98ceb23a8382d7b954ff372a66f539eb81dabd", 9, 75),
+    ("ineq3", True): ("4c2f203b76384c59342c669db840d3ff05c50eb97adbcdd09ae038352b5e172f", 9, 75),
+    ("ineq4", False): ("2590961351703c5336d43b3f47b2b5a035a37068971ad5dae88f0aa1c79c13c9", 10, 85),
+    ("ineq4", True): ("943c2b88af381df2b45eef93acdf95d8bb4e3c38e93fd3b4c9eec65c6488392d", 10, 85),
+    ("ineq5", False): ("8de0ad2fd079230ca772c43f2ec814dcf45b7f2b42a9306b12b72ccf3fed8bf8", 9, 60),
+    ("ineq5", True): ("d87340bedb08799b323a969ea3f069c9917896af3e28cb33bed782b515ffcd42", 9, 60),
+    ("ineq6", False): ("bbde4596e432220358f60dc83f80dc0ab93c3b9c1f15f30571e01a0d2f6b424d", 10, 64),
+    ("ineq6", True): ("78746591ac2882e69ef761aa212430ba0e1c83f45a73cd24cf3eeb6e93419928", 10, 64),
 }
 
 
@@ -138,6 +161,30 @@ class TestCertifyPositive:
         cert = certify_positive(ineq, ineq.x0)
         assert not cert.proved
 
+    def test_boxed_family_stops_without_escalating(self):
+        # ineq2 is negative near its window for the whole boxed family:
+        # the trial stops at a point, at the starting precision
+        cert = certify_inequality("ineq2")
+        assert cert.status == "inconclusive" and cert.prec == 192
+        assert cert.reason.startswith("boxed family not positive at x=")
+        assert cert.negative_witness is None and not cert.rounding_limited
+
+    def test_rounding_hides_sign(self):
+        # 1 - (1 - 2^-300) x is 2^-300 at x = 1: invisible at 192 bits
+        c1 = RingElem.from_rational(F(1, 2**300) - 1)
+        monomials = {0: RingElem.from_rational(1), 1: c1}
+        cert = certify_positive(_toy_ineq(monomials, F(1)), Dyadic(1))
+        assert not cert.proved and cert.rounding_limited
+        assert cert.reason.startswith("rounding hides the sign at x=")
+        assert certify_positive(_toy_ineq(monomials, F(1), 384), Dyadic(1)).proved
+
+    def test_stripping_past_exact_prefix_raises(self):
+        # exact part kept for x^0 only, nothing known about x^1
+        poly = HybridPoly([RingElem()], {}, 192, [Interval.point(0), Interval.point(1)])
+        ineq = IneqPoly("toy", "toy", 1, 192, poly, Dyadic(1), 1)
+        with pytest.raises(ArithmeticError):
+            certify_positive(ineq, Dyadic(1))
+
     def test_tight_ring_cancellation(self):
         # (pi sqrt3)(pi^-1 sqrt3) - 3 + x^2: symbolic zero at degree 0
         c0 = RingElem({(1, 1): F(1)}) * RingElem({(-1, 1): F(1)}) + RingElem.from_rational(-3)
@@ -176,6 +223,19 @@ class TestIneqBuild:
     def test_window(self):
         assert build_ineq("ineq1").window == 5019
         assert build_ineq("ineq-L3").window == 18502
+
+
+class TestPolynomialPins:
+    @pytest.mark.parametrize("key", sorted(POLY_PINS))
+    def test_expansion_unchanged(self, key):
+        ineq_id, tight = key
+        ineq = build_ineq(ineq_id, 192, tight)
+        digest = hashlib.sha256()
+        for iv in ineq.poly.coeff_intervals():
+            lo, hi = iv.to_fractions()
+            digest.update(f"{lo} {hi};".encode())
+        lead = certify_positive(ineq, ineq.x0).leading_zero_degree
+        assert (digest.hexdigest(), lead, ineq.poly.degree) == POLY_PINS[key]
 
 
 class TestCrossovers:

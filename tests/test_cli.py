@@ -95,6 +95,11 @@ class TestVerifyAndCertify:
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["status"] == "inconclusive"
 
+    def test_certify_below_window_usage_error(self, capsys):
+        code, out, err = run(capsys, "certify", "ineq1", "--n-star", "100")
+        assert code == EXIT_USAGE and out == ""
+        assert "error: n_star=100 below envelope validity window 5019" in err
+
     def test_verify_json_and_determinism(self, capsys, table20k):
         code1, out1, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")
         code2, out2, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")

@@ -111,6 +111,13 @@ class TestIntervalArithmetic:
             w256 = (iv(Fraction(1, 3), 300) * iv(Fraction(1, 7), 300)).width
         assert w256.to_fraction() < w64.to_fraction()
 
+    def test_zero_precision_rejected(self):
+        # 0 bits is an error, not a request for the default precision
+        with pytest.raises(ValueError):
+            Interval.from_fraction(Fraction(1, 3), 0)
+        with pytest.raises(ValueError):
+            iv(Fraction(1, 3)).mul(iv(Fraction(1, 7)), 0)
+
     def test_containment_randomized(self):
         # 1000 random rational pairs: the exact result is inside, for
         # every operation at several precisions
