@@ -67,7 +67,6 @@ from .enclosures import (
     enclose_log,
     enclose_pi,
     enclose_sinh,
-    enclose_sqrt,
 )
 from .intervals import (
     DEFAULT_PRECISION,
@@ -86,6 +85,6 @@ from .qtable import (
     load_or_build,
     q_enumerate,
 )
-from .ring import RingElem, ring_eval
+from .ring import RingElem
 
 __version__ = "1.0.0"

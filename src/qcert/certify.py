@@ -1,21 +1,22 @@
 """Machine verification of the eight inequality theorems.
 
 Each theorem about q(n) (quartic-invariant positivity, double Turan,
-order-3 Laguerre, and their companions) is verified in two regimes that
-meet with no gap:
+order-3 Laguerre, and their companions) is stated once, as an expression
+tree over q(n+k) (THEOREMS), and verified in two regimes that meet with
+no gap:
 
-* certified regime: the inequality, rewritten through the L/U envelopes
-  in the variable x = n^{-1/2}, becomes a polynomial with exact ring
+* certified regime: the tree, rewritten through the L/U envelopes in the
+  variable x = n^{-1/2}, becomes a polynomial with exact ring
   coefficients plus interval corrections from the error radii.  Its
   positivity on (0, x0] is proved by stripping symbolically-zero
   leading coefficients (exact ring zero test) and adaptive interval
   bisection -- never by floating point, and "inconclusive" is never
-  reported as proved.
-* exact regime: below the certified crossover the theorem's literal
-  statement is checked value-by-value with big integers; companion
-  factors involving pi and square roots are decided by interval
-  refinement (they can never be exactly zero, so refinement
-  terminates).
+  reported as proved.  Side lemmas from the same tree prove the factors
+  of every product positive; companion slacks are checked in rationals.
+* exact regime: below the certified crossover the same tree is evaluated
+  value-by-value with big integers; a companion factor involving pi and
+  square roots is decided by comparing integers against a rational
+  bracket of its squared constant, which never ties.
 
 The certified crossover n_star is searched upward from the envelope
 validity window and is capped by the seam recorded for each theorem
@@ -28,24 +29,30 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
 from .intervals import Dyadic, Interval, horner
 from .qtable import QTable
-from .ring import RingElem, ring_eval
+from .ring import RingElem
 
 __all__ = [
     "invariant_a",
     "invariant_b",
     "invariant_i",
     "laguerre",
+    "Q",
+    "Sum",
+    "Mul",
+    "Sq",
+    "Companion",
     "TheoremSpec",
     "THEOREMS",
     "INEQUALITIES",
     "IneqPoly",
+    "expand_statement",
     "build_ineq",
     "Certificate",
     "certify_positive",
@@ -93,38 +100,148 @@ def laguerre(m: int, table: QTable, n: int) -> Fraction:
     return Fraction(total, 2)
 
 
-# -- sign decisions with interval refinement ---------------------------------
+# -- theorem statements ---------------------------------------------------------
+
+# Each theorem is written once, as an expression tree over the leaves
+# q(n0 + s), n0 = n - shift.  Exactly, a tree evaluates to integers A, B
+# with the statement's value A + B t, t = r pi^i sqrt3^j n^{-a/2} the
+# companion term (B = 0 without one).  As an envelope it expands to a
+# hybrid polynomial in x = n0^{-1/2}: a leaf becomes L(s) at positive
+# polarity and U(s) at negative polarity, and a negative weight flips the
+# polarity.  Sums fold left and products evaluate in the order written,
+# which fixes every rounding of the expansion.
 
 
-def _decide_sign(make_iv, prec: int = DEFAULT_PREC, max_prec: int = MAX_PREC) -> int:
-    """Sign of a nonzero real given by certified enclosures at any
-    precision.  Doubles precision until the enclosure clears zero."""
-    p = prec
-    while True:
-        iv = make_iv(p)
-        if iv.is_positive:
-            return 1
-        if iv.is_negative:
-            return -1
-        if p >= max_prec:
-            raise ArithmeticError("sign undecided at maximum precision")
-        p *= 2
+def _paren(node, pol: int) -> str:
+    text = node.show(pol)
+    return f"({text})" if isinstance(node, Sum) else text
 
 
-def _pi_pow(k: int, prec: int) -> Interval:
-    return enclose_pi(prec).pow_int(k, prec)
+class Q:
+    """Leaf q(n0 + s)."""
+
+    children = ()
+
+    def __init__(self, s: int):
+        self.s = s
+
+    def exact(self, q):
+        return q[self.s], 0
+
+    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
+        return HybridPoly.from_envelope(self.s, ex.N, -pol, ex.prec, ex.tight)
+
+    def show(self, pol: int) -> str:
+        return f"{'L' if pol > 0 else 'U'}{self.s}"
 
 
-def _sqrt3(prec: int) -> Interval:
-    return Interval.point(3).sqrt(prec)
+class Sum:
+    """Integer-weighted terms, left-folded in the order written."""
+
+    def __init__(self, *terms: tuple[int, object]):
+        self.terms = terms
+        self.children = tuple(t for _, t in terms)
+
+    def exact(self, q):
+        a = b = 0
+        for w, t in self.terms:
+            ta, tb = t.exact(q)
+            a += w * ta
+            b += w * tb
+        return a, b
+
+    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
+        total = None
+        for w, t in self.terms:
+            p = ex(t, pol if w > 0 else -pol)
+            p = p if w == 1 else p.neg() if w == -1 else p.scale_int(w)
+            total = p if total is None else total.add(p)
+        return total
+
+    def show(self, pol: int) -> str:
+        parts = []
+        for w, t in self.terms:
+            coef = "" if abs(w) == 1 else f"{abs(w)} "
+            parts.append(("- " if w < 0 else "+ ") + coef + _paren(t, pol if w > 0 else -pol))
+        return " ".join(parts).removeprefix("+ ")
 
 
-# -- theorem table ------------------------------------------------------------
+class Mul:
+    """Binary product, evaluated as written."""
 
-# The shifted certified inequality for each theorem is a signed
-# combination of products of lower (L) / upper (U) envelopes at shifts
-# s, optionally multiplied by a companion factor that is an exact
-# polynomial in x (ring-element coefficients at fixed degrees).
+    def __init__(self, a, b):
+        self.children = (a, b)
+
+    def exact(self, q):
+        a1, b1 = self.children[0].exact(q)
+        a2, b2 = self.children[1].exact(q)
+        return a1 * a2, a1 * b2 + b1 * a2
+
+    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
+        return ex(self.children[0], pol).mul(ex(self.children[1], pol))
+
+    def show(self, pol: int) -> str:
+        return " ".join(_paren(c, pol) for c in self.children)
+
+
+class Sq(Mul):
+    """Square: the product of a term with itself."""
+
+    def __init__(self, x):
+        super().__init__(x, x)
+
+    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
+        x = ex(self.children[0], pol)
+        return x.mul(x)
+
+    def show(self, pol: int) -> str:
+        return f"{_paren(self.children[0], pol)}^2"
+
+
+class Companion:
+    """body (1 + t), t = r pi^i sqrt3^j n^{-a/2} in statement coordinates.
+
+    In the envelope variable n = n0 + shift, so t = c x^a (1 + shift x^2)^{-a/2}
+    with c = r pi^i sqrt3^j.  Bernoulli's inequality (1 + y)^{-a/2} >= 1 - (a/2) y
+    bounds t below by c x^a - slack x^{a+1} on (0, x0] whenever
+    slack >= c (a/2) shift x0, which the expansion checks in rationals.
+    """
+
+    def __init__(self, body, r: Fraction, i: int, j: int, a: int, slack: Fraction = Fraction(0)):
+        self.children = (body,)
+        self.r, self.i, self.j, self.a, self.slack = Fraction(r), i, j, a, Fraction(slack)
+        self.coeff = RingElem.monomial(i, j, r)
+
+    def exact(self, q):
+        a, _ = self.children[0].exact(q)
+        return a, a
+
+    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
+        if pol < 0:
+            raise ValueError("a companion factor is bounded from below only")
+        c_hi = self.coeff.eval_iv(ex.prec).hi.to_fraction()
+        need = c_hi * self.a * ex.shift * ex.x0.to_fraction() / 2
+        if self.slack < need:
+            raise ValueError(f"companion slack {self.slack} below c (a/2) shift x0 = {float(need):.4g}")
+        factor = {0: RingElem.from_rational(1), self.a: self.coeff}
+        if self.slack:
+            factor[self.a + 1] = RingElem.from_rational(-self.slack)
+        return HybridPoly.from_ring_monomials(factor, ex.prec).mul(ex(self.children[0], pol))
+
+    def show(self, pol: int) -> str:
+        slack = f" - {self.slack} x^{self.a + 1}" if self.slack else ""
+        return f"(1 + {self.coeff.as_string()} x^{self.a}{slack}) {_paren(self.children[0], pol)}"
+
+
+def _nodes(node):
+    yield node
+    for c in node.children:
+        yield from _nodes(c)
+
+
+def _turan(k: int) -> Sum:
+    """q(n0+k)^2 - q(n0+k-1) q(n0+k+1)."""
+    return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
 
 
 @dataclass(frozen=True)
@@ -134,148 +251,112 @@ class TheoremSpec:
     threshold: int           # stated bound: the statement holds for n >= threshold
     shift: int               # reindex used by the certified form (n -> n+shift)
     N: int                   # truncation order of the envelopes
-    shifts: tuple[int, ...]  # envelope shifts appearing in the inequality
+    statement: object        # expression tree: the statement is "value > 0"
     ineq_id: str
-    crossover_paper: int     # the quantifier-elimination cutoff reported alongside
     exact_range: tuple[int, int]  # recorded finite range, in shifted coordinates
     scan_floor: int          # smallest n (statement coordinates) where the predicate is defined
+
+    def __post_init__(self):  # a t^2 term would not fit the exact value A + B t
+        if sum(isinstance(n, Companion) for n in _nodes(self.statement)) > 1:
+            raise ValueError(f"{self.id}: at most one companion, and none under a square")
 
     @property
     def seam(self) -> int:
         """One past the recorded exact range: cap for the certified crossover."""
         return self.exact_range[1] + 1
 
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        """Envelope shifts: the leaves of the statement."""
+        return tuple(sorted({n.s for n in _nodes(self.statement) if isinstance(n, Q)}))
+
+    @cached_property
+    def companion(self) -> Companion | None:
+        return next((n for n in _nodes(self.statement) if isinstance(n, Companion)), None)
+
 
 THEOREMS: dict[str, TheoremSpec] = {
     t.id: t
     for t in [
-        TheoremSpec("A", "1.2", 230, 1, 14, (0, 1, 2, 3, 4), "ineq1", 2469, (229, 5018), 1),
-        TheoremSpec("A-companion", "1.3", 279, 1, 14, (0, 1, 2, 3, 4), "ineq2", 5885, (278, 5884), 1),
-        TheoremSpec("B", "1.4", 272, 1, 24, (0, 1, 2, 3, 4), "ineq3", 9800, (271, 18501), 1),
-        TheoremSpec("B-companion", "1.5", 309, 1, 24, (0, 1, 2, 3, 4), "ineq4", 18225, (308, 18501), 1),
-        TheoremSpec("double-turan", "1.6", 273, 2, 14, (0, 1, 2, 3, 4), "ineq5", 3153, (271, 5018), 2),
-        TheoremSpec("double-turan-companion", "1.7", 346, 2, 14, (0, 1, 2, 3, 4), "ineq6", 7056, (344, 7055), 2),
-        TheoremSpec("laguerre3", "1.8", 651, 0, 24, (0, 1, 2, 3, 4, 5, 6), "ineq-L3", 12884, (651, 18501), 0),
-        TheoremSpec("laguerre3-companion", "1.9", 715, 0, 24, (0, 1, 2, 3, 4, 5, 6), "ineq-c-L3", 17880, (715, 18501), 1),
+        # A(q(n-1), ..., q(n+3)) > 0
+        TheoremSpec("A", "1.2", 230, 1, 14,
+                    Sum((1, Mul(Q(0), Q(4))), (3, Sq(Q(2))), (-4, Mul(Q(1), Q(3)))),
+                    "ineq1", (229, 5018), 1),
+        # 4 (1 + pi^2/(32 n^3)) q(n) q(n+2) > q(n-1) q(n+3) + 3 q(n+1)^2
+        TheoremSpec("A-companion", "1.3", 279, 1, 14,
+                    Sum((4, Companion(Mul(Q(1), Q(3)), Fraction(1, 32), 2, 0, 6, slack=1)),
+                        (-1, Mul(Q(0), Q(4))), (-3, Sq(Q(2)))),
+                    "ineq2", (278, 5884), 1),
+        # B(q(n-1), ..., q(n+3)) > 0
+        TheoremSpec("B", "1.4", 272, 1, 24,
+                    Sum((1, Mul(Sq(Q(2)), Q(2))), (1, Mul(Q(0), Sq(Q(3)))), (1, Mul(Sq(Q(1)), Q(4))),
+                        (-1, Mul(Mul(Q(0), Q(2)), Q(4))), (-2, Mul(Mul(Q(1), Q(2)), Q(3)))),
+                    "ineq3", (271, 18501), 1),
+        # (1 + pi^3/(288 sqrt3 n^{9/2})) (2 q(n)q(n+1)q(n+2) + q(n-1)q(n+1)q(n+3))
+        #   > q(n+1)^3 + q(n-1)q(n+2)^2 + q(n)^2 q(n+3);  pi^3/(288 sqrt3) = pi^3 sqrt3/864
+        TheoremSpec("B-companion", "1.5", 309, 1, 24,
+                    Sum((1, Companion(Sum((1, Mul(Mul(Q(0), Q(2)), Q(4))), (2, Mul(Mul(Q(1), Q(2)), Q(3)))),
+                                      Fraction(1, 864), 3, 1, 9, slack=Fraction(1, 4))),
+                        (-1, Mul(Sq(Q(2)), Q(2))), (-1, Mul(Q(0), Sq(Q(3)))), (-1, Mul(Sq(Q(1)), Q(4)))),
+                    "ineq4", (308, 18501), 1),
+        # T(n)^2 > T(n-1) T(n+1), T(n) = q(n)^2 - q(n-1) q(n+1)
+        TheoremSpec("double-turan", "1.6", 273, 2, 14,
+                    Sum((1, Sq(_turan(2))), (-1, Mul(_turan(1), _turan(3)))),
+                    "ineq5", (271, 5018), 2),
+        # T(n)^2 < T(n-1) T(n+1) (1 + pi/(2 sqrt3 n^{3/2}));  pi/(2 sqrt3) = pi sqrt3/6
+        TheoremSpec("double-turan-companion", "1.7", 346, 2, 14,
+                    Sum((1, Mul(Companion(_turan(1), Fraction(1, 6), 1, 1, 3, slack=1), _turan(3))),
+                        (-1, Sq(_turan(2)))),
+                    "ineq6", (344, 7055), 2),
+        # 10 q(n+3)^2 + 6 q(n+1) q(n+5) > 15 q(n+2) q(n+4) + q(n) q(n+6)
+        TheoremSpec("laguerre3", "1.8", 651, 0, 24,
+                    Sum((10, Sq(Q(3))), (6, Mul(Q(1), Q(5))), (-15, Mul(Q(2), Q(4))), (-1, Mul(Q(0), Q(6)))),
+                    "ineq-L3", (651, 18501), 0),
+        # 10 q(n+3)^2 + 6 q(n+1) q(n+5) < (15 q(n+2) q(n+4) + q(n) q(n+6))
+        #   (1 + 5 pi^3/(256 sqrt3 n^{9/2}));  5 pi^3/(256 sqrt3) = 5 pi^3 sqrt3/768
+        TheoremSpec("laguerre3-companion", "1.9", 715, 0, 24,
+                    Sum((1, Companion(Sum((15, Mul(Q(2), Q(4))), (1, Mul(Q(0), Q(6)))), Fraction(5, 768), 3, 1, 9)),
+                        (-10, Sq(Q(3))), (-6, Mul(Q(1), Q(5)))),
+                    "ineq-c-L3", (715, 18501), 1),
     ]
 }
 
 INEQUALITIES: dict[str, str] = {t.ineq_id: t.id for t in THEOREMS.values()}
 
 
-# -- exact predicates in statement coordinates --------------------------------
+# -- the exact predicate: integer sign decisions ---------------------------------
 
 
-def _pred_a(table: QTable, n: int, prec: int) -> bool:
-    return invariant_a(*table.window(n - 1, 5)) > 0
-
-
-def _pred_a_companion(table: QTable, n: int, prec: int) -> bool:
-    # 4 (1 + pi^2/(32 n^3)) q(n) q(n+2) > q(n-1) q(n+3) + 3 q(n+1)^2
-    qm1, q0, q1, q2, q3 = table.window(n - 1, 5)
-    p_term = q0 * q2
-    base = 4 * p_term - (qm1 * q3 + 3 * q1**2)
-
-    def iv(p):
-        return _pi_pow(2, p).mul(
-            Interval.from_fraction(Fraction(p_term, 8 * n**3), p), p
-        ) + base
-
-    return _decide_sign(iv, prec) > 0
-
-
-def _pred_b(table: QTable, n: int, prec: int) -> bool:
-    return invariant_b(*table.window(n - 1, 5)) > 0
-
-
-def _pred_b_companion(table: QTable, n: int, prec: int) -> bool:
-    # (1 + pi^3/(288 sqrt3 n^{9/2})) (2 q(n)q(n+1)q(n+2) + q(n-1)q(n+1)q(n+3))
-    #   > q(n+1)^3 + q(n-1)q(n+2)^2 + q(n)^2 q(n+3)
-    qm1, q0, q1, q2, q3 = table.window(n - 1, 5)
-    pos = 2 * q0 * q1 * q2 + qm1 * q1 * q3
-    base = pos - (q1**3 + qm1 * q2**2 + q0**2 * q3)
-
-    def iv(p):
-        # pi^3/(288 sqrt3 n^{9/2}) = pi^3 sqrt3 / (864 n^4 sqrt(n))
-        factor = (
-            _pi_pow(3, p)
-            .mul(_sqrt3(p), p)
-            .div(Interval.point(n).sqrt(p).mul(Interval.point(864 * n**4), p), p)
-        )
-        return factor.mul(Interval.from_fraction(pos, p), p) + base
-
-    return _decide_sign(iv, prec) > 0
-
-
-def _turan_gaps(table: QTable, n: int) -> tuple[int, int, int]:
-    """Second-order Turan expressions at n, n-1 and n+1."""
-    qm2, qm1, q0, q1, q2 = table.window(n - 2, 5)
-    return q0**2 - qm1 * q1, qm1**2 - qm2 * q0, q1**2 - q0 * q2
-
-
-def _pred_double_turan(table: QTable, n: int, prec: int) -> bool:
-    gap, left, right = _turan_gaps(table, n)
-    return gap * gap > left * right
-
-
-def _pred_double_turan_companion(table: QTable, n: int, prec: int) -> bool:
-    # gap^2 < left * right * (1 + pi/(2 sqrt3 n^{3/2}))
-    gap, left, right = _turan_gaps(table, n)
-    base = left * right - gap * gap
-
-    def iv(p):
-        # pi/(2 sqrt3 n^{3/2}) = pi sqrt3/(6 n sqrt n)
-        factor = (
-            _pi_pow(1, p)
-            .mul(_sqrt3(p), p)
-            .div(Interval.point(n).sqrt(p).mul(Interval.point(6 * n), p), p)
-        )
-        return factor.mul(Interval.from_fraction(left * right, p), p) + base
-
-    return _decide_sign(iv, prec) > 0
-
-
-def _pred_laguerre3(table: QTable, n: int, prec: int) -> bool:
-    q0, q1, q2, q3, q4, q5, q6 = table.window(n, 7)
-    return 10 * q3**2 + 6 * q1 * q5 > 15 * q2 * q4 + q0 * q6
-
-
-def _pred_laguerre3_companion(table: QTable, n: int, prec: int) -> bool:
-    # 10 q(n+3)^2 + 6 q(n+1) q(n+5)
-    #   < (15 q(n+2) q(n+4) + q(n) q(n+6)) (1 + 5 pi^3/(256 sqrt3 n^{9/2}))
-    q0, q1, q2, q3, q4, q5, q6 = table.window(n, 7)
-    pos = 15 * q2 * q4 + q0 * q6
-    base = pos - (10 * q3**2 + 6 * q1 * q5)
-
-    def iv(p):
-        # 5 pi^3/(256 sqrt3 n^{9/2}) = 5 pi^3 sqrt3/(768 n^4 sqrt n)
-        factor = (
-            _pi_pow(3, p)
-            .mul(_sqrt3(p).mul(Interval.point(5), p), p)
-            .div(Interval.point(n).sqrt(p).mul(Interval.point(768 * n**4), p), p)
-        )
-        return factor.mul(Interval.from_fraction(pos, p), p) + base
-
-    return _decide_sign(iv, prec) > 0
-
-
-_PREDICATES = {
-    "A": _pred_a,
-    "A-companion": _pred_a_companion,
-    "B": _pred_b,
-    "B-companion": _pred_b_companion,
-    "double-turan": _pred_double_turan,
-    "double-turan-companion": _pred_double_turan_companion,
-    "laguerre3": _pred_laguerre3,
-    "laguerre3-companion": _pred_laguerre3_companion,
-}
+@lru_cache(maxsize=None)
+def _c2_bracket(comp: Companion, prec: int) -> tuple[Fraction, Fraction]:
+    """Rational bracket of c^2 = r^2 3^j pi^{2i}: only pi^{2i} needs an enclosure."""
+    k = comp.r * comp.r * 3**comp.j
+    return tuple(k * f for f in enclose_pi(prec).pow_int(2 * comp.i, prec).to_fractions())
 
 
 def theorem_predicate(theorem_id: str, table: QTable, n: int, prec: int = DEFAULT_PREC) -> bool:
     """Exact truth of the theorem's statement at index n (statement
-    coordinates).  Companion factors are decided by certified interval
-    refinement, so the answer is never a rounding artifact."""
-    return _PREDICATES[theorem_id](table, n, prec)
+    coordinates), decided in integers.  The statement's value is A + B t
+    with t > 0; when A and B have opposite signs, |B| t against |A| is
+    decided by B^2 c^2 against A^2 n^a with a rational bracket of c^2,
+    refined only on a tie, which an irrational c^2 never gives."""
+    spec = THEOREMS[theorem_id]
+    a, b = spec.statement.exact(table.window(n - spec.shift, spec.shifts[-1] + 1))
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    comp = spec.companion
+    bb, rhs = b * b, a * a * n**comp.a
+    while True:
+        lo, hi = _c2_bracket(comp, prec)
+        if bb * lo.numerator > rhs * lo.denominator:
+            return b > 0
+        if bb * hi.numerator < rhs * hi.denominator:
+            return a > 0
+        if lo == hi:  # c^2 rational: A + B t = 0
+            return False
+        prec *= 2
 
 
 # -- hybrid polynomials (ring part + interval corrections) --------------------
@@ -301,7 +382,7 @@ class HybridPoly:
         self.ring_parts = ring_parts
         self.errs = {d: e for d, e in errs.items() if not (e.lo.is_zero and e.hi.is_zero)}
         self.prec = prec
-        self.ring_ivs = ring_ivs or [ring_eval(r, prec) for r in ring_parts]
+        self.ring_ivs = ring_ivs or [r.eval_iv(prec) for r in ring_parts]
 
     @property
     def degree(self) -> int:
@@ -437,129 +518,69 @@ class IneqPoly:
     poly: HybridPoly
     x0: Dyadic          # validity radius: round-up of window^{-1/2}
     window: int         # largest envelope floor among the shifts involved
+    side_lemma: Certificate | None = None  # the first side lemma not proved, if any
 
     def eval_iv(self, x: Interval) -> Interval:
         return horner(self.poly.coeff_intervals(), x, self.prec)
 
 
-def _companion_factor(monomials: dict[int, tuple[int, int, Fraction]], prec: int) -> HybridPoly:
-    """Factor 1 + sum of ring monomials c*pi^i*sqrt3^j at given degrees."""
-    table: dict[int, RingElem] = {0: RingElem.from_rational(1)}
-    for deg, (i, j, c) in monomials.items():
-        table[deg] = RingElem.monomial(i, j, c)
-    return HybridPoly.from_ring_monomials(table, prec)
+class _Expansion:
+    """One expansion of a statement, collecting the operands whose
+    positivity the products need and the lower envelopes already built
+    for them."""
+
+    def __init__(self, spec: TheoremSpec, prec: int, tight: bool):
+        self.N, self.shift, self.prec, self.tight = spec.N, spec.shift, prec, tight
+        self.window = window_max(spec.N, spec.shifts, prec)
+        self.x0 = _x_upper(self.window, prec)
+        self.operands: dict[str, object] = {}
+        self.lower: dict[str, HybridPoly] = {}
+
+    def __call__(self, node, pol: int) -> HybridPoly:
+        if isinstance(node, (Mul, Companion)):
+            for c in node.children:
+                if not isinstance(c, Mul):  # a product is positive when its factors are
+                    self.operands.setdefault(c.show(1), c)
+        poly = node.envelope(pol, self)
+        if pol > 0 and node.show(1) in self.operands:
+            self.lower[node.show(1)] = poly
+        return poly
+
+    def side_lemma(self) -> Certificate | None:
+        """The first failed side lemma, if any.  A product of bounds bounds
+        the product only when the factors are nonnegative, so each operand
+        needs its lower envelope proved positive on (0, x0(window)], which
+        covers every trial n_star >= window."""
+        for name, op in list(self.operands.items()):
+            poly = self.lower.get(name) or self(op, 1)
+            lemma = IneqPoly(name, "", self.N, self.prec, poly, self.x0, self.window)
+            cert = certify_positive(lemma, self.x0)
+            if not cert.proved:
+                cert.reason = f"side lemma {name} not proved: {cert.reason}"
+                return cert
+        return None
 
 
-@lru_cache(maxsize=None)
-def build_ineq(ineq_id: str, prec: int = DEFAULT_PREC, tight: bool = False) -> IneqPoly:
-    """Expand the shifted inequality into a single hybrid polynomial.
+def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PREC, tight: bool = False) -> IneqPoly:
+    """Expand the theorem's statement into a single hybrid polynomial.
 
     L and U envelopes enter with the exact ring coefficients; every
     error radius enters as a one-sided box so the expansion contains the
     exact polynomial for the true radii (tight=True uses thin two-sided
-    radii instead; see HybridPoly.from_envelope).
+    radii instead, and proves no side lemmas; see HybridPoly.from_envelope).
     """
-    theorem_id = INEQUALITIES[ineq_id]
-    spec = THEOREMS[theorem_id]
-    N = spec.N
+    ex = _Expansion(spec, prec, tight)
+    poly = ex(spec.statement, 1)
+    lemma = None if tight else ex.side_lemma()
+    return IneqPoly(spec.ineq_id, spec.id, spec.N, prec, poly, ex.x0, ex.window, lemma)
 
-    def L(s):
-        return HybridPoly.from_envelope(s, N, -1, prec, tight)
 
-    def U(s):
-        return HybridPoly.from_envelope(s, N, +1, prec, tight)
-
-    if ineq_id == "ineq1":
-        # L0 L4 + 3 L2^2 - 4 U1 U3
-        poly = L(0).mul(L(4)).add(L(2).mul(L(2)).scale_int(3)).add(U(1).mul(U(3)).scale_int(-4))
-    elif ineq_id == "ineq2":
-        # 4 (1 + pi^2/32 x^6 - x^7) L1 L3 - U0 U4 - 3 U2^2
-        factor = _companion_factor(
-            {6: (2, 0, Fraction(1, 32)), 7: (0, 0, Fraction(-1))}, prec
-        )
-        poly = (
-            factor.mul(L(1).mul(L(3))).scale_int(4)
-            .add(U(0).mul(U(4)).neg())
-            .add(U(2).mul(U(2)).scale_int(-3))
-        )
-    elif ineq_id == "ineq3":
-        # L2^3 + L0 L3^2 + L1^2 L4 - U0 U2 U4 - 2 U1 U2 U3
-        l2 = L(2)
-        poly = (
-            l2.mul(l2).mul(l2)
-            .add(L(0).mul(L(3).mul(L(3))))
-            .add(L(1).mul(L(1)).mul(L(4)))
-            .add(U(0).mul(U(2)).mul(U(4)).neg())
-            .add(U(1).mul(U(2)).mul(U(3)).scale_int(-2))
-        )
-    elif ineq_id == "ineq4":
-        # (1 + pi^3/(288 sqrt3) x^9 - x^10/4)(L0 L2 L4 + 2 L1 L2 L3)
-        #   - U2^3 - U0 U3^2 - U1^2 U4
-        # pi^3/(288 sqrt3) = (1/864) pi^3 sqrt3
-        factor = _companion_factor(
-            {9: (3, 1, Fraction(1, 864)), 10: (0, 0, Fraction(-1, 4))}, prec
-        )
-        l2 = L(2)
-        body = L(0).mul(l2).mul(L(4)).add(L(1).mul(l2).mul(L(3)).scale_int(2))
-        u2 = U(2)
-        poly = (
-            factor.mul(body)
-            .add(u2.mul(u2).mul(u2).neg())
-            .add(U(0).mul(U(3).mul(U(3))).neg())
-            .add(U(1).mul(U(1)).mul(U(4)).neg())
-        )
-    elif ineq_id == "ineq5":
-        # (L2^2 - U1 U3)^2 - (U1^2 - L0 L2)(U3^2 - L2 L4)
-        l2 = L(2)
-        u1, u3 = U(1), U(3)
-        first = l2.mul(l2).add(u1.mul(u3).neg())
-        second = u1.mul(u1).add(L(0).mul(l2).neg())
-        third = u3.mul(u3).add(l2.mul(L(4)).neg())
-        poly = first.mul(first).add(second.mul(third).neg())
-    elif ineq_id == "ineq6":
-        # (1 + pi/(2 sqrt3) x^3 - x^4)(L1^2 - U0 U2)(L3^2 - U2 U4)
-        #   - (U2^2 - L1 L3)^2
-        # pi/(2 sqrt3) = (1/6) pi sqrt3
-        factor = _companion_factor(
-            {3: (1, 1, Fraction(1, 6)), 4: (0, 0, Fraction(-1))}, prec
-        )
-        l1, l3, u2 = L(1), L(3), U(2)
-        first = l1.mul(l1).add(U(0).mul(u2).neg())
-        second = l3.mul(l3).add(u2.mul(U(4)).neg())
-        cross = u2.mul(u2).add(l1.mul(l3).neg())
-        poly = factor.mul(first).mul(second).add(cross.mul(cross).neg())
-    elif ineq_id == "ineq-L3":
-        # 10 L3^2 + 6 L1 L5 - 15 U2 U4 - U0 U6
-        poly = (
-            L(3).mul(L(3)).scale_int(10)
-            .add(L(1).mul(L(5)).scale_int(6))
-            .add(U(2).mul(U(4)).scale_int(-15))
-            .add(U(0).mul(U(6)).neg())
-        )
-    elif ineq_id == "ineq-c-L3":
-        # (1 + 5 pi^3/(256 sqrt3) x^9)(15 L2 L4 + L0 L6) - 10 U3^2 - 6 U1 U5
-        # 5 pi^3/(256 sqrt3) = (5/768) pi^3 sqrt3
-        factor = _companion_factor({9: (3, 1, Fraction(5, 768))}, prec)
-        body = L(2).mul(L(4)).scale_int(15).add(L(0).mul(L(6)))
-        poly = (
-            factor.mul(body)
-            .add(U(3).mul(U(3)).scale_int(-10))
-            .add(U(1).mul(U(5)).scale_int(-6))
-        )
-    else:
+@lru_cache(maxsize=None)
+def build_ineq(ineq_id: str, prec: int = DEFAULT_PREC, tight: bool = False) -> IneqPoly:
+    """expand_statement for the theorem of an inequality id, cached."""
+    if ineq_id not in INEQUALITIES:
         raise ValueError(f"unknown inequality id: {ineq_id!r}")
-
-    window = window_max(N, spec.shifts, prec)
-    x0 = _x_upper(window, prec)
-    return IneqPoly(
-        ineq_id=ineq_id,
-        theorem_id=theorem_id,
-        N=N,
-        prec=prec,
-        poly=poly,
-        x0=x0,
-        window=window,
-    )
+    return expand_statement(THEOREMS[INEQUALITIES[ineq_id]], prec, tight)
 
 
 def _x_upper(n: int, prec: int) -> Dyadic:
@@ -646,6 +667,10 @@ def certify_positive(
         max_depth_hit=False,
         prec=prec,
     )
+    if ineq.side_lemma is not None:
+        base.reason = ineq.side_lemma.reason
+        base.rounding_limited = ineq.side_lemma.rounding_limited
+        return base
     if d >= len(coeffs):
         base.reason = "polynomial is identically zero"
         return base
@@ -755,6 +780,11 @@ def find_crossover(
     """
     spec = THEOREMS[theorem_id]
     window = window_max(spec.N, spec.shifts, prec)
+    if window > spec.seam:
+        raise ValueError(
+            f"envelope validity window {window} of {theorem_id} at {prec} bits "
+            f"lies above its seam {spec.seam}"
+        )
     cert = certify_inequality(spec.ineq_id, window, prec, max_depth)
     if cert.proved:
         return window, cert
@@ -814,11 +844,7 @@ def exact_verify(
 def sharpness_scan(theorem_id: str, table: QTable, prec: int = DEFAULT_PREC) -> list[int]:
     """All violations of the statement strictly below its threshold."""
     spec = THEOREMS[theorem_id]
-    return [
-        n
-        for n in range(spec.scan_floor, spec.threshold)
-        if not theorem_predicate(theorem_id, table, n, prec)
-    ]
+    return exact_verify(theorem_id, table, spec.scan_floor, spec.threshold - 1, prec, shifted=False)
 
 
 # -- full verification -------------------------------------------------------------
@@ -892,11 +918,7 @@ def verify_theorem(
     violations = exact_verify(theorem_id, table, exact_lo, exact_hi, prec)
     witness = None
     if sharpness:
-        below = [
-            n
-            for n in range(spec.scan_floor, threshold)
-            if not theorem_predicate(theorem_id, table, n, prec)
-        ]
+        below = exact_verify(theorem_id, table, spec.scan_floor, threshold - 1, prec, shifted=False)
         witness = max(below) if below else None
     if not cert.proved:
         status = "inconclusive" if cert.negative_witness is None else "fail"

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .intervals import Interval
-from .ring import RingElem, ring_eval
+from .ring import RingElem
 
 __all__ = [
     "rising_factorial",
@@ -241,4 +241,4 @@ def eval_coeff(family: str, k: int, s: int, prec: int | None = None) -> Interval
     value = COEFF_FAMILIES[family](k, s)
     if isinstance(value, Fraction):
         return Interval.from_fraction(value, prec)
-    return ring_eval(value, prec)
+    return value.eval_iv(prec)

@@ -34,7 +34,6 @@ from .intervals import (
 
 __all__ = [
     "enclose_pi",
-    "enclose_sqrt",
     "enclose_exp",
     "enclose_log",
     "enclose_cosh",
@@ -80,12 +79,6 @@ def enclose_pi(prec: int | None = None) -> Interval:
         )
         _PI_CACHE[prec] = cached
     return cached
-
-
-def enclose_sqrt(x: Interval, prec: int | None = None) -> Interval:
-    if x.lo.sign < 0:
-        raise DomainError(f"sqrt domain requires lo >= 0, got {x}")
-    return x.sqrt(prec)
 
 
 def _exp_point(d: Dyadic, prec: int) -> Interval:

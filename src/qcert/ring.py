@@ -22,7 +22,7 @@ from math import lcm
 from .enclosures import enclose_pi
 from .intervals import Interval, resolve_precision
 
-__all__ = ["RingElem", "ring_eval"]
+__all__ = ["RingElem"]
 
 
 class RingElem:
@@ -187,7 +187,3 @@ def _wrap(terms: dict) -> RingElem:
 _F0 = Fraction(0)
 ZERO_ELEM = RingElem()
 ONE_ELEM = RingElem.from_rational(1)
-
-
-def ring_eval(elem: RingElem, prec: int | None = None) -> Interval:
-    return elem.eval_iv(prec)

@@ -4,6 +4,7 @@ crossover search, and agreement between the certified and exact regimes.
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,18 @@ from qcert.bounds import bound_value
 from qcert.certify import (
     INEQUALITIES,
     THEOREMS,
+    Companion,
     IneqPoly,
+    Mul,
+    Q,
+    Sq,
+    Sum,
+    TheoremSpec,
     build_ineq,
     certify_inequality,
     certify_positive,
     exact_verify,
+    expand_statement,
     find_crossover,
     invariant_a,
     invariant_b,
@@ -27,7 +35,9 @@ from qcert.certify import (
     verify_theorem,
 )
 from qcert.certify import HybridPoly
+from qcert.enclosures import enclose_pi
 from qcert.intervals import Dyadic, Interval
+from qcert.qtable import QTable
 from qcert.ring import RingElem
 
 F = Fraction
@@ -126,6 +136,49 @@ def _toy_ineq(monomials: dict[int, RingElem], x0: Fraction, prec: int = 192) -> 
         ineq_id="toy", theorem_id="toy", N=len(monomials), prec=prec,
         poly=poly, x0=x0_d, window=1,
     )
+
+
+def _gap(k: int) -> Sum:
+    """q(n0+k)^2 - q(n0+k-1) q(n0+k+1)."""
+    return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
+
+
+class TestStatements:
+    def test_exact_values_match_functionals(self, table2k):
+        for n in range(0, 1001):
+            w = table2k.window(n, 7)
+            assert THEOREMS["A"].statement.exact(w) == (invariant_a(*w[:5]), 0), n
+            assert THEOREMS["B"].statement.exact(w) == (invariant_b(*w[:5]), 0), n
+            assert THEOREMS["laguerre3"].statement.exact(w) == (laguerre(3, table2k, n), 0), n
+
+    def test_zero_value_is_not_positive(self):
+        # A = B = 0: the statement "value > 0" is false, decided without refinement
+        zeros = QTable(40, (0,) * 41)
+        for tid in THEOREMS:
+            assert not theorem_predicate(tid, zeros, 20), tid
+
+    def test_companion_slack_checked(self):
+        # ineq6 needs slack >= c (a/2) shift x0 = 0.0384 on (0, 5019^{-1/2}]
+        spec = THEOREMS["double-turan-companion"]
+
+        def with_slack(slack):
+            companion = Companion(_gap(1), F(1, 6), 1, 1, 3, slack=slack)
+            return replace(spec, statement=Sum((1, Mul(companion, _gap(3))), (-1, Sq(_gap(2)))))
+
+        assert expand_statement(with_slack(F(1, 25))).side_lemma is None
+        with pytest.raises(ValueError, match="companion slack 1/100 below"):
+            expand_statement(with_slack(F(1, 100)))
+
+    def test_negative_operand_blocks_proof(self):
+        # (L0 - 2 U1)^2 is positive, but it bounds (q0 - 2 q1)^2 from below
+        # only if L0 - 2 U1 >= 0, which is false
+        d = Sum((1, Q(0)), (-2, Q(1)))
+        spec = TheoremSpec("toy", "0", 0, 0, 14, Mul(d, d), "toy", (0, 0), 0)
+        ineq = expand_statement(spec)
+        cert = certify_positive(ineq, ineq.x0)
+        assert cert.status == "inconclusive" and cert.negative_witness is None
+        assert cert.reason.startswith("side lemma L0 - 2 U1 not proved: ")
+        assert certify_positive(replace(ineq, side_lemma=None), ineq.x0).proved
 
 
 class TestCertifyPositive:
@@ -309,6 +362,110 @@ class TestExactRegime:
             for _ in range(50):
                 n = rng.randint(n_star + spec.shift, 20000 - 6)
                 assert theorem_predicate(tid, table20k, n), (tid, n)
+
+
+# -- independent oracle: the companion statements decided by interval refinement
+
+
+def _decide_sign(make_iv, prec: int = 192, max_prec: int = 1536) -> int:
+    p = prec
+    while True:
+        iv = make_iv(p)
+        if iv.is_positive:
+            return 1
+        if iv.is_negative:
+            return -1
+        if p >= max_prec:
+            raise ArithmeticError("sign undecided at maximum precision")
+        p *= 2
+
+
+def _pi_pow(k: int, prec: int) -> Interval:
+    return enclose_pi(prec).pow_int(k, prec)
+
+
+def _sqrt3(prec: int) -> Interval:
+    return Interval.point(3).sqrt(prec)
+
+
+def _oracle_a_companion(table, n: int) -> bool:
+    # 4 (1 + pi^2/(32 n^3)) q(n) q(n+2) > q(n-1) q(n+3) + 3 q(n+1)^2
+    qm1, q0, q1, q2, q3 = table.window(n - 1, 5)
+    p_term = q0 * q2
+    base = 4 * p_term - (qm1 * q3 + 3 * q1**2)
+
+    def iv(p):
+        return _pi_pow(2, p).mul(Interval.from_fraction(F(p_term, 8 * n**3), p), p) + base
+
+    return _decide_sign(iv) > 0
+
+
+def _oracle_b_companion(table, n: int) -> bool:
+    # (1 + pi^3/(288 sqrt3 n^{9/2})) (2 q(n)q(n+1)q(n+2) + q(n-1)q(n+1)q(n+3))
+    #   > q(n+1)^3 + q(n-1)q(n+2)^2 + q(n)^2 q(n+3)
+    qm1, q0, q1, q2, q3 = table.window(n - 1, 5)
+    pos = 2 * q0 * q1 * q2 + qm1 * q1 * q3
+    base = pos - (q1**3 + qm1 * q2**2 + q0**2 * q3)
+
+    def iv(p):
+        factor = (
+            _pi_pow(3, p)
+            .mul(_sqrt3(p), p)
+            .div(Interval.point(n).sqrt(p).mul(Interval.point(864 * n**4), p), p)
+        )
+        return factor.mul(Interval.from_fraction(pos, p), p) + base
+
+    return _decide_sign(iv) > 0
+
+
+def _oracle_double_turan_companion(table, n: int) -> bool:
+    # gap^2 < left * right * (1 + pi/(2 sqrt3 n^{3/2}))
+    qm2, qm1, q0, q1, q2 = table.window(n - 2, 5)
+    gap, left, right = q0**2 - qm1 * q1, qm1**2 - qm2 * q0, q1**2 - q0 * q2
+    base = left * right - gap * gap
+
+    def iv(p):
+        factor = (
+            _pi_pow(1, p)
+            .mul(_sqrt3(p), p)
+            .div(Interval.point(n).sqrt(p).mul(Interval.point(6 * n), p), p)
+        )
+        return factor.mul(Interval.from_fraction(left * right, p), p) + base
+
+    return _decide_sign(iv) > 0
+
+
+def _oracle_laguerre3_companion(table, n: int) -> bool:
+    # 10 q(n+3)^2 + 6 q(n+1) q(n+5)
+    #   < (15 q(n+2) q(n+4) + q(n) q(n+6)) (1 + 5 pi^3/(256 sqrt3 n^{9/2}))
+    q0, q1, q2, q3, q4, q5, q6 = table.window(n, 7)
+    pos = 15 * q2 * q4 + q0 * q6
+    base = pos - (10 * q3**2 + 6 * q1 * q5)
+
+    def iv(p):
+        factor = (
+            _pi_pow(3, p)
+            .mul(_sqrt3(p).mul(Interval.point(5), p), p)
+            .div(Interval.point(n).sqrt(p).mul(Interval.point(768 * n**4), p), p)
+        )
+        return factor.mul(Interval.from_fraction(pos, p), p) + base
+
+    return _decide_sign(iv) > 0
+
+
+COMPANION_ORACLES = {
+    "A-companion": _oracle_a_companion,
+    "B-companion": _oracle_b_companion,
+    "double-turan-companion": _oracle_double_turan_companion,
+    "laguerre3-companion": _oracle_laguerre3_companion,
+}
+
+
+@pytest.mark.parametrize("tid", sorted(COMPANION_ORACLES))
+def test_integer_decision_matches_refinement(tid, table20k):
+    oracle = COMPANION_ORACLES[tid]
+    for n in range(THEOREMS[tid].scan_floor, 2001):
+        assert theorem_predicate(tid, table20k, n) == oracle(table20k, n), (tid, n)
 
 
 def _ineq_sign_via_bounds(theorem_id: str, n: int) -> int:

@@ -127,6 +127,14 @@ class TestVerifyAndCertify:
         assert blob["exact_violations"] == [348]
         assert blob["holds_from"] == 349
 
+    def test_verify_window_above_seam_usage_error(self, capsys):
+        # at 16 bits the N = 24 window is 18505, past the seam 18502
+        code, out, err = run(capsys, "--precision", "16", "--n-max", "18509",
+                             "verify", "laguerre3", "--skip-sharpness")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: envelope validity window 18505 of laguerre3 at 16 bits "
+                       "lies above its seam 18502\n")
+
     def test_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem-x")
         assert code == EXIT_USAGE
@@ -155,6 +163,13 @@ class TestReproduceAll:
         assert code == EXIT_PASS
         blob = json.loads(out)
         assert blob["theorems"]["double-turan-companion"]["threshold"] == 349
+
+    def test_window_above_seam_usage_error(self, capsys):
+        code, out, err = run(capsys, "--precision", "16", "--n-max", "18509",
+                             "reproduce-all", "--theorems", "laguerre3")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: envelope validity window 18505 of laguerre3 at 16 bits "
+                       "lies above its seam 18502\n")
 
     def test_unknown_id(self, capsys):
         code, _, _ = run(capsys, "reproduce-all", "--theorems", "bogus")

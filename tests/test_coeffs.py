@@ -22,7 +22,7 @@ from qcert.coeffs import (
 )
 from qcert.enclosures import enclose_exp, enclose_pi
 from qcert.intervals import Interval, workprec
-from qcert.ring import RingElem, ring_eval
+from qcert.ring import RingElem
 
 F = Fraction
 
@@ -96,7 +96,7 @@ class TestCoefficientFamilies:
         for s in (0, 2, 5):
             sigma = shift_sigma(s)
             with workprec(192):
-                value = ring_eval(exp_factor_coeff(2, s)).mag().to_fraction()
+                value = exp_factor_coeff(2, s).eval_iv().mag().to_fraction()
                 pi = enclose_pi()
                 bound = (
                     (pi / 3).sqrt()
@@ -129,7 +129,7 @@ class TestCoefficientFamilies:
 
     def test_expansion_degree1_value(self):
         # frozen: value of the degree-1 coefficient at shift 0
-        iv = ring_eval(expansion_coeff(1, 0), 192)
+        iv = expansion_coeff(1, 0).eval_iv(192)
         assert iv.lo.cmp_fraction(F(-16897, 100000)) > 0
         assert iv.hi.cmp_fraction(F(-16895, 100000)) < 0
 
@@ -157,7 +157,7 @@ class TestSeriesConsistency:
             x = Interval.point(1) / Interval.point(n).sqrt()
             series = Interval.point(0)
             for k in reversed(range(N + 1)):
-                series = series * x + ring_eval(exp_factor_coeff(k, s), prec)
+                series = series * x + exp_factor_coeff(k, s).eval_iv(prec)
             err = (lhs - series).mag()
             allowance = Interval(error_budget(N, s, prec).er_exp, error_budget(N, s, prec).er_exp)
             rhs = (allowance * x.pow_int(N + 1)).lo

@@ -14,7 +14,6 @@ from qcert.enclosures import (
     enclose_log,
     enclose_pi,
     enclose_sinh,
-    enclose_sqrt,
 )
 from qcert.intervals import DomainError, Dyadic, Interval
 
@@ -55,9 +54,6 @@ class TestElementary:
 
     def test_cosh_zero(self):
         assert enclose_cosh(Interval.point(0), 128).contains(1)
-
-    def test_sqrt_four_exact(self):
-        assert enclose_sqrt(Interval.point(4), 64).contains(2)
 
     def test_log_of_e(self):
         # independent high-precision e, squeezed to a thin interval

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qcert.ring import RingElem, ring_eval
+from qcert.ring import RingElem
 
 mp.mp.prec = 300
 
@@ -79,7 +79,7 @@ def test_eval_contains_reference():
     rng = random.Random(161803)
     for _ in range(150):
         e = rand_elem(rng)
-        iv = ring_eval(e, 192)
+        iv = e.eval_iv(192)
         lo, hi = iv.to_fractions()
         ref = ref_value(e)
         assert mp.mpf(lo.numerator) / lo.denominator <= ref
@@ -87,14 +87,14 @@ def test_eval_contains_reference():
 
 
 def test_eval_pi_sqrt3():
-    iv = ring_eval(RingElem({(1, 1): Fraction(1)}), 192)
+    iv = RingElem({(1, 1): Fraction(1)}).eval_iv(192)
     lo, hi = iv.to_fractions()
     assert Fraction("5.441398") < lo < hi < Fraction("5.441399")
 
 
 def test_eval_exact_rational():
     e = RingElem.from_rational(Fraction(22, 7))
-    iv = ring_eval(e, 64)
+    iv = e.eval_iv(64)
     assert iv.contains(Fraction(22, 7))
 
 
@@ -103,7 +103,7 @@ def test_symbolic_zero_vs_numeric():
     e = RingElem({(1, 1): Fraction(1)}) * RingElem({(-1, 1): Fraction(1)})
     e = e + RingElem.from_rational(-3)
     assert e.is_zero
-    assert ring_eval(e, 64).contains(0)
+    assert e.eval_iv(64).contains(0)
 
 
 def test_as_string_round_readable():
