@@ -30,13 +30,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, lcm
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
 from .intervals import Dyadic, Interval, horner
 from .qtable import QTable
-from .ring import RingElem
+from .ring import RingElem, convolve_terms
 
 __all__ = [
     "invariant_a",
@@ -393,11 +393,18 @@ class HybridPoly:
         k = len(self.ring_parts)
         return k if k < len(self.ring_ivs) else n
 
-    def _nonzero(self) -> list[tuple[int, RingElem | None, Interval]]:
-        """(degree, exact part or None, enclosure) where the ring part may be nonzero."""
+    def _nonzero(self) -> list[tuple[int, Interval]]:
+        """(degree, enclosure) where the ring part may be nonzero."""
         k = len(self.ring_parts)
-        return [(d, self.ring_parts[d] if d < k else None, iv) for d, iv in enumerate(self.ring_ivs)
+        return [(d, iv) for d, iv in enumerate(self.ring_ivs)
                 if not (self.ring_parts[d].is_zero if d < k else iv.lo.is_zero and iv.hi.is_zero)]
+
+    def _cleared_prefix(self, n: int) -> tuple[int, list[tuple[int, dict]]]:
+        """(D, [(degree, integer terms of D * ring_parts[degree])]) over the
+        nonzero exact parts below degree n, D their common denominator."""
+        parts = [(d, r.cleared()) for d, r in enumerate(self.ring_parts[:n]) if not r.is_zero]
+        den = lcm(*(dd for _, (dd, _) in parts))
+        return den, [(d, {k: v * (den // dd) for k, v in ints.items()}) for d, (dd, ints) in parts]
 
     @staticmethod
     def from_envelope(s: int, N: int, side: int, prec: int, tight: bool = False) -> "HybridPoly":
@@ -449,16 +456,23 @@ class HybridPoly:
                 bump(i + j, e1.mul(e2, p))
         first_box = min(errs_out, default=n_out)
         exact = min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1)
-        ring_out = [RingElem() for _ in range(exact)]
         ivs_out = [Interval.point(0) for _ in range(n_out)]
         rhs = other._nonzero()
-        for i, a, aiv in self._nonzero():
-            for j, b, biv in rhs:
-                if i + j < exact:
-                    ring_out[i + j] = ring_out[i + j] + a * b
+        for i, aiv in self._nonzero():
+            for j, biv in rhs:
                 # interval convolution: contains the exact ring product,
                 # far cheaper than re-evaluating the huge product elements
                 ivs_out[i + j] = ivs_out[i + j].add(aiv.mul(biv, p), p)
+        # exact convolution over one common denominator per operand
+        d1, lhs_ints = self._cleared_prefix(exact)
+        d2, rhs_ints = other._cleared_prefix(exact)
+        accs: list[dict] = [{} for _ in range(exact)]
+        for i, a in lhs_ints:
+            for j, b in rhs_ints:
+                if i + j >= exact:
+                    break
+                convolve_terms(accs[i + j], a, b)
+        ring_out = [RingElem.from_cleared(d1 * d2, acc) for acc in accs]
         return HybridPoly(ring_out, errs_out, p, ivs_out)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
@@ -647,6 +661,8 @@ def certify_positive(
     """
     if x0 > ineq.x0:
         raise ValueError(f"x0={float(x0)} beyond validity radius {float(ineq.x0)}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     prec = ineq.prec
     poly = ineq.poly
     n_star = _n_of_x(x0)

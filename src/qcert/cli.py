@@ -259,7 +259,7 @@ def _paper_check(args) -> list[str]:
 
 
 def cmd_reproduce_all(args) -> int:
-    ids = args.theorems or sorted(THEOREMS)
+    ids = list(dict.fromkeys(args.theorems)) if args.theorems else sorted(THEOREMS)
     for tid in ids:
         if tid not in THEOREMS:
             print(f"error: unknown theorem id {tid!r}", file=sys.stderr)
@@ -324,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, key, default)
     if args.precision < MIN_PRECISION:
         print(f"error: --precision must be >= {MIN_PRECISION}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_depth < 0:
+        print("error: --max-depth must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
         "qtable": cmd_qtable,

@@ -353,16 +353,20 @@ class Interval:
 
     def mul(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(
-            min(products).round(prec, up=False),
-            max(products).round(prec, up=True),
-        )
+        # Moore's sign cases: the exact min and max of the four endpoint
+        # products, using all four only when both intervals straddle zero
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a.man >= 0:
+            lo, hi = (a * c, b * d) if c.man >= 0 else (b * c, a * d if d.man <= 0 else b * d)
+        elif b.man <= 0:
+            lo, hi = (a * d, b * c) if c.man >= 0 else (b * d if d.man <= 0 else a * d, a * c)
+        elif c.man >= 0:
+            lo, hi = a * d, b * d
+        elif d.man <= 0:
+            lo, hi = b * c, a * c
+        else:
+            lo, hi = min(a * d, b * c), max(a * c, b * d)
+        return Interval(lo.round(prec, up=False), hi.round(prec, up=True))
 
     def div(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)

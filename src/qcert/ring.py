@@ -11,7 +11,10 @@ certifier relies on that to strip vanishing leading coefficients.
 Multiplication clears denominators first (one lcm per operand, integer
 convolution, one rational normalization per output key); with hundreds
 of terms per operand this is roughly an order of magnitude faster than
-naive Fraction products and is exactly equal.
+naive Fraction products and is exactly equal.  The integer convolution
+is ``convolve_terms``; polynomial products over this ring
+(``certify.HybridPoly.mul``) call it too, accumulating every output
+degree over one common denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import lcm
 from .enclosures import enclose_pi
 from .intervals import Interval, resolve_precision
 
-__all__ = ["RingElem"]
+__all__ = ["RingElem", "convolve_terms"]
 
 
 class RingElem:
@@ -78,7 +81,7 @@ class RingElem:
     def __neg__(self) -> "RingElem":
         return _wrap({k: -c for k, c in self.terms.items()})
 
-    def _cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
+    def cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
         """(common denominator D, integer terms of D*self)."""
         if self._den_cache is None:
             den = 1
@@ -93,25 +96,16 @@ class RingElem:
             return self.scale(other)
         if not self.terms or not other.terms:
             return ZERO_ELEM
-        d1, a = self._cleared()
-        d2, b = other._cleared()
-        acc: dict[tuple[int, int], int] = {}
-        for (i1, j1), m1 in a.items():
-            for (i2, j2), m2 in b.items():
-                j = j1 + j2
-                v = m1 * m2
-                if j == 2:
-                    v *= 3
-                    j = 0
-                key = (i1 + i2, j)
-                if key in acc:
-                    acc[key] += v
-                else:
-                    acc[key] = v
-        den = d1 * d2
-        return _wrap({k: Fraction(v, den) for k, v in acc.items() if v})
+        d1, a = self.cleared()
+        d2, b = other.cleared()
+        return RingElem.from_cleared(d1 * d2, convolve_terms({}, a, b))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def from_cleared(den: int, ints: dict[tuple[int, int], int]) -> "RingElem":
+        """The element (1/den) * ints, one normalised Fraction per nonzero key."""
+        return _wrap({k: Fraction(v, den) for k, v in ints.items() if v})
 
     def scale(self, c: Fraction | int) -> "RingElem":
         c = Fraction(c)
@@ -175,6 +169,23 @@ class RingElem:
                 term = term.mul(sqrt3, prec)
             total = total.add(term, prec)
         return total
+
+
+def convolve_terms(acc: dict, a: dict, b: dict) -> dict:
+    """Add the product of integer term maps a and b into acc (sqrt3*sqrt3 -> 3)."""
+    for (i1, j1), m1 in a.items():
+        for (i2, j2), m2 in b.items():
+            j = j1 + j2
+            v = m1 * m2
+            if j == 2:
+                v *= 3
+                j = 0
+            key = (i1 + i2, j)
+            if key in acc:
+                acc[key] += v
+            else:
+                acc[key] = v
+    return acc
 
 
 def _wrap(terms: dict) -> RingElem:

@@ -84,6 +84,21 @@ POLY_PINS = {
     ("ineq6", True): ("78746591ac2882e69ef761aa212430ba0e1c83f45a73cd24cf3eeb6e93419928", 10, 64),
 }
 
+# Frozen at 192 bits from the expansion that added exact ring products
+# term by term: ineq_id -> SHA-256 of the exact prefix,
+# "|".join(r.as_string() for r in poly.ring_parts), the same whether
+# the radius enters as a box or tight.
+RING_PINS = {
+    "ineq-L3": "b3262ddabe0ebb0e17432d47a359d078c874774495af6538f8cfe74916ab523f",
+    "ineq-c-L3": "9b1d5539c4d33889492c1964941da9d735a91238c63413891ed2f2615a44d148",
+    "ineq1": "8bdfe9ee112620827c0aa8f1e45f60e281d6da0d8e2b3ced7a36fe48b2975dd6",
+    "ineq2": "7c58333c69740cb2ad8d69f61b1341d77af23c1898e6c86cc5e44ed36f107251",
+    "ineq3": "b6071276593cd906b5bd91230e111e5e9a62e2646cdadb991cb677762bdb4884",
+    "ineq4": "d077d37eb90cf9af89ce11a0bed128b71f54dbdf577dee77a8c34b55d5604097",
+    "ineq5": "6089157d897f1a5c5faf3c7d63c4948d44889b2a8662db61fa9e05c9ccc73791",
+    "ineq6": "1121bd5348b27d4c58153e3bfa18c61457e06330fd959ba53963c070a3e13f12",
+}
+
 
 class TestInvariants:
     def test_unit_tuples(self):
@@ -238,6 +253,11 @@ class TestCertifyPositive:
         with pytest.raises(ArithmeticError):
             certify_positive(ineq, Dyadic(1))
 
+    def test_negative_max_depth_rejected(self):
+        ineq = _toy_ineq({2: RingElem.from_rational(1)}, F(1))
+        with pytest.raises(ValueError, match="max_depth"):
+            certify_positive(ineq, ineq.x0, max_depth=-3)
+
     def test_tight_ring_cancellation(self):
         # (pi sqrt3)(pi^-1 sqrt3) - 3 + x^2: symbolic zero at degree 0
         c0 = RingElem({(1, 1): F(1)}) * RingElem({(-1, 1): F(1)}) + RingElem.from_rational(-3)
@@ -289,6 +309,29 @@ class TestPolynomialPins:
             digest.update(f"{lo} {hi};".encode())
         lead = certify_positive(ineq, ineq.x0).leading_zero_degree
         assert (digest.hexdigest(), lead, ineq.poly.degree) == POLY_PINS[key]
+
+    @pytest.mark.parametrize("key", sorted(POLY_PINS))
+    def test_exact_prefix_unchanged(self, key):
+        ineq_id, tight = key
+        parts = build_ineq(ineq_id, 192, tight).poly.ring_parts
+        text = "|".join(r.as_string() for r in parts)
+        assert hashlib.sha256(text.encode()).hexdigest() == RING_PINS[ineq_id]
+
+    def test_mul_matches_termwise_ring_products(self):
+        # the cleared-denominator convolution equals sum a*b over RingElems,
+        # also when an operand is itself a truncated product
+        p, q, r = (HybridPoly.from_envelope(s, 14, side, 192) for s, side in
+                   [(0, -1), (3, +1), (1, -1)])
+        pq = p.mul(q)
+        for lhs, rhs in [(p, q), (pq, r)]:
+            out = lhs.mul(rhs).ring_parts
+            assert len(out) > 10
+            for k, got in enumerate(out):
+                want = RingElem()
+                for i in range(k + 1):
+                    if k - i < len(rhs.ring_parts):
+                        want = want + lhs.ring_parts[i] * rhs.ring_parts[k - i]
+                assert got == want, k
 
 
 class TestCrossovers:

@@ -100,6 +100,11 @@ class TestVerifyAndCertify:
         assert code == EXIT_USAGE and out == ""
         assert "error: n_star=100 below envelope validity window 5019" in err
 
+    def test_negative_max_depth_usage_error(self, capsys):
+        code, out, err = run(capsys, "--max-depth", "-3", "certify", "ineq2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --max-depth must be >= 0\n"
+
     def test_verify_json_and_determinism(self, capsys, table20k):
         code1, out1, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")
         code2, out2, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")
@@ -149,6 +154,13 @@ class TestReproduceAll:
         assert blob["status"] == "pass"
         assert set(blob["theorems"]) == {"A", "double-turan"}
         assert "PASS" in err
+
+    def test_duplicate_ids_verified_once(self, capsys):
+        code, out, err = run(capsys, "--no-timing", "--n-max", "7064", "reproduce-all",
+                             "--theorems", "A", "A")
+        assert code == EXIT_PASS
+        assert list(json.loads(out)["theorems"]) == ["A"]
+        assert len(err.splitlines()) == 1 and err.startswith("PASS         A:")
 
     def test_as_stated_fails_on_erratum(self, capsys, table20k):
         code, out, _ = run(capsys, "--no-timing", "reproduce-all",

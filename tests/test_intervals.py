@@ -118,6 +118,28 @@ class TestIntervalArithmetic:
         with pytest.raises(ValueError):
             iv(Fraction(1, 3)).mul(iv(Fraction(1, 7)), 0)
 
+    @pytest.mark.parametrize("prec", [64, 192])
+    @pytest.mark.parametrize("signs", [(s, t) for s in "+-0" for t in "+-0"])
+    @given(data=st.data())
+    def test_mul_is_rounded_min_max_of_endpoint_products(self, prec, signs, data):
+        # each of Moore's nine sign cases ('+' lo >= 0, '-' hi <= 0,
+        # '0' lo < 0 < hi), zero endpoints and point intervals included:
+        # the endpoints are the directed roundings of the exact min and max
+        def draw(sign):
+            mag = st.builds(Dyadic, st.integers(0, 2**260), st.integers(-300, 40))
+            if sign == "0":
+                pos = mag.filter(lambda d: not d.is_zero)
+                return Interval(-data.draw(pos), data.draw(pos))
+            lo = data.draw(mag)
+            hi = lo + data.draw(st.one_of(st.just(Dyadic(0)), mag))
+            return Interval(lo, hi) if sign == "+" else Interval(-hi, -lo)
+
+        a, b = draw(signs[0]), draw(signs[1])
+        products = [x.to_fraction() * y.to_fraction() for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+        m = a.mul(b, prec)
+        assert m.lo == Dyadic.from_fraction(min(products), prec, up=False)
+        assert m.hi == Dyadic.from_fraction(max(products), prec, up=True)
+
     def test_containment_randomized(self):
         # 1000 random rational pairs: the exact result is inside, for
         # every operation at several precisions
