@@ -40,10 +40,6 @@ from .certify import (
     certify_positive,
     exact_verify,
     find_crossover,
-    invariant_a,
-    invariant_b,
-    invariant_i,
-    laguerre,
     sharpness_scan,
     theorem_predicate,
     verify_theorem,
@@ -51,7 +47,6 @@ from .certify import (
 from .coeffs import (
     bessel_asym_coeff,
     binom_factor_coeff,
-    eval_coeff,
     exp_binom_coeff,
     exp_factor_coeff,
     expansion_coeff,
@@ -66,7 +61,6 @@ from .enclosures import (
     enclose_exp,
     enclose_log,
     enclose_pi,
-    enclose_sinh,
 )
 from .intervals import (
     DEFAULT_PRECISION,
@@ -78,10 +72,6 @@ from .intervals import (
 )
 from .qtable import (
     QTable,
-    check_log_concavity,
-    check_turan3,
-    compute_q_table,
-    compute_q_table_odd_parts,
     load_or_build,
     q_enumerate,
 )

@@ -36,7 +36,7 @@ from .enclosures import (
     enclose_log,
     enclose_pi,
 )
-from .intervals import DEFAULT_PRECISION, Dyadic, Interval, horner
+from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner
 from .ring import RingElem
 
 __all__ = [
@@ -293,7 +293,7 @@ class SandwichResult(Enum):
 
 
 def check_main_term_sandwich(
-    table, n: int, m: int, prec: int = DEFAULT_PRECISION, max_prec: int = 1536
+    table, n: int, m: int, prec: int = DEFAULT_PRECISION, max_prec: int = MAX_PRECISION
 ) -> SandwichResult:
     """Certified check of M(n)(1 - 4/nu^m) <= q(n) <= M(n)(1 + 4/nu^m),
     valid only when nu(n) >= max(26, decay_threshold(m+1)).
@@ -373,9 +373,6 @@ class BoundPoly:
         return horner(self.coeff_ivs + (Interval.point(signed),), x, self.prec)
 
 
-ZERO_D = Dyadic(0)
-
-
 @lru_cache(maxsize=None)
 def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> BoundPoly:
     if side not in (1, -1):
@@ -384,7 +381,7 @@ def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> Boun
     coeff_ivs = tuple(c.eval_iv(prec) for c in coeffs)
     budget = error_budget(N, s, prec)
     floor = n_min(N, s, prec)
-    x_max = _div_up_invsqrt(floor, prec)
+    x_max = x_of(floor, prec).hi
     return BoundPoly(
         s=s,
         N=N,
@@ -398,15 +395,9 @@ def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> Boun
     )
 
 
-def _div_up_invsqrt(n: int, prec: int) -> Dyadic:
-    """Upper dyadic bound of n**(-1/2)."""
-    root_lo = Interval.point(n).sqrt(prec).lo
-    return Interval.point(1).div(Interval(root_lo, root_lo), prec).hi
-
-
 @lru_cache(maxsize=8192)
 def x_of(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
-    """Enclosure of n**(-1/2)."""
+    """Enclosure of n**(-1/2); its upper end bounds m**(-1/2) for every m >= n."""
     return Interval.point(1).div(Interval.point(n).sqrt(prec), prec)
 
 

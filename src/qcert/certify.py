@@ -30,19 +30,15 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import lcm
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
-from .intervals import Dyadic, Interval, horner
+from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner
 from .qtable import QTable
 from .ring import RingElem, convolve_terms
 
 __all__ = [
-    "invariant_a",
-    "invariant_b",
-    "invariant_i",
-    "laguerre",
     "Q",
     "Sum",
     "Mul",
@@ -65,39 +61,7 @@ __all__ = [
     "theorem_predicate",
 ]
 
-DEFAULT_PREC = 192
-MAX_PREC = 1536
 DEFAULT_MAX_DEPTH = 60
-
-
-# -- exact functionals -------------------------------------------------------
-
-
-def invariant_a(a0: int, a1: int, a2: int, a3: int, a4: int) -> int:
-    """Quartic binary form invariant A = a0 a4 - 4 a1 a3 + 3 a2^2."""
-    return a0 * a4 - 4 * a1 * a3 + 3 * a2 * a2
-
-
-def invariant_b(a0: int, a1: int, a2: int, a3: int, a4: int) -> int:
-    """Quartic invariant B = -a0 a2 a4 + a2^3 + a0 a3^2 + a1^2 a4 - 2 a1 a2 a3."""
-    return -a0 * a2 * a4 + a2**3 + a0 * a3**2 + a1**2 * a4 - 2 * a1 * a2 * a3
-
-
-def invariant_i(a0: int, a1: int, a2: int, a3: int, a4: int) -> int:
-    """I = A^3 - 27 B^2."""
-    return invariant_a(a0, a1, a2, a3, a4) ** 3 - 27 * invariant_b(a0, a1, a2, a3, a4) ** 2
-
-
-def laguerre(m: int, table: QTable, n: int) -> Fraction:
-    """Order-m Laguerre expression on the q sequence:
-    (1/2) sum_{k=0}^{2m} (-1)^{k+m} C(2m, k) q(n+k) q(n+2m-k)."""
-    if n < 0 or n + 2 * m > table.n_max:
-        raise IndexError(f"laguerre({m}) at n={n} needs table up to {n + 2 * m}")
-    total = 0
-    for k in range(2 * m + 1):
-        term = comb(2 * m, k) * table[n + k] * table[n + 2 * m - k]
-        total += term if (k + m) % 2 == 0 else -term
-    return Fraction(total, 2)
 
 
 # -- theorem statements ---------------------------------------------------------
@@ -265,6 +229,11 @@ class TheoremSpec:
         """One past the recorded exact range: cap for the certified crossover."""
         return self.exact_range[1] + 1
 
+    @property
+    def table_n_max(self) -> int:
+        """Smallest table size verify_theorem accepts for this theorem."""
+        return self.seam + self.shift + 6
+
     @cached_property
     def shifts(self) -> tuple[int, ...]:
         """Envelope shifts: the leaves of the statement."""
@@ -334,7 +303,7 @@ def _c2_bracket(comp: Companion, prec: int) -> tuple[Fraction, Fraction]:
     return tuple(k * f for f in enclose_pi(prec).pow_int(2 * comp.i, prec).to_fractions())
 
 
-def theorem_predicate(theorem_id: str, table: QTable, n: int, prec: int = DEFAULT_PREC) -> bool:
+def theorem_predicate(theorem_id: str, table: QTable, n: int, prec: int = DEFAULT_PRECISION) -> bool:
     """Exact truth of the theorem's statement at index n (statement
     coordinates), decided in integers.  The statement's value is A + B t
     with t > 0; when A and B have opposite signs, |B| t against |A| is
@@ -546,7 +515,7 @@ class _Expansion:
     def __init__(self, spec: TheoremSpec, prec: int, tight: bool):
         self.N, self.shift, self.prec, self.tight = spec.N, spec.shift, prec, tight
         self.window = window_max(spec.N, spec.shifts, prec)
-        self.x0 = _x_upper(self.window, prec)
+        self.x0 = x_of(self.window, prec).hi
         self.operands: dict[str, object] = {}
         self.lower: dict[str, HybridPoly] = {}
 
@@ -575,7 +544,7 @@ class _Expansion:
         return None
 
 
-def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PREC, tight: bool = False) -> IneqPoly:
+def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PRECISION, tight: bool = False) -> IneqPoly:
     """Expand the theorem's statement into a single hybrid polynomial.
 
     L and U envelopes enter with the exact ring coefficients; every
@@ -590,16 +559,11 @@ def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PREC, tight: bool = 
 
 
 @lru_cache(maxsize=None)
-def build_ineq(ineq_id: str, prec: int = DEFAULT_PREC, tight: bool = False) -> IneqPoly:
+def build_ineq(ineq_id: str, prec: int = DEFAULT_PRECISION, tight: bool = False) -> IneqPoly:
     """expand_statement for the theorem of an inequality id, cached."""
     if ineq_id not in INEQUALITIES:
         raise ValueError(f"unknown inequality id: {ineq_id!r}")
     return expand_statement(THEOREMS[INEQUALITIES[ineq_id]], prec, tight)
-
-
-def _x_upper(n: int, prec: int) -> Dyadic:
-    """Dyadic upper bound of n^{-1/2} (covers every integer >= n)."""
-    return x_of(n, prec).hi
 
 
 # -- positivity certification --------------------------------------------------
@@ -755,9 +719,9 @@ def _n_of_x(x: Dyadic) -> int:
 def certify_inequality(
     ineq_id: str,
     n_star: int | None = None,
-    prec: int = DEFAULT_PREC,
+    prec: int = DEFAULT_PRECISION,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    max_prec: int = MAX_PREC,
+    max_prec: int = MAX_PRECISION,
 ) -> Certificate:
     """Certify positivity for all n >= n_star (default: the envelope
     validity window), doubling the precision only while rounding may be
@@ -770,8 +734,7 @@ def certify_inequality(
             raise ValueError(
                 f"n_star={target} below envelope validity window {ineq.window}"
             )
-        x0 = ineq.x0 if target == ineq.window else _x_upper(target, p)
-        cert = certify_positive(ineq, x0, max_depth)
+        cert = certify_positive(ineq, x_of(target, p).hi, max_depth)
         cert.n_star = max(cert.n_star, target)
         if cert.proved or not cert.rounding_limited or p >= max_prec:
             return cert
@@ -780,9 +743,8 @@ def certify_inequality(
 
 def find_crossover(
     theorem_id: str,
-    prec: int = DEFAULT_PREC,
+    prec: int = DEFAULT_PRECISION,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    sharpen: bool = True,
 ) -> tuple[int, Certificate]:
     """Smallest certifiable crossover n_star for the theorem's
     inequality, searched upward from the envelope validity window and
@@ -820,14 +782,13 @@ def find_crossover(
                     f"not certifiable even at the seam {cap}: " + cert_try.reason
                 )
                 return cap, cert_try
-    if sharpen:
-        while good - bad > 1:
-            mid = (good + bad) // 2
-            cert_try = certify_inequality(spec.ineq_id, mid, prec, max_depth)
-            if cert_try.proved:
-                good, good_cert = mid, cert_try
-            else:
-                bad = mid
+    while good - bad > 1:
+        mid = (good + bad) // 2
+        cert_try = certify_inequality(spec.ineq_id, mid, prec, max_depth)
+        if cert_try.proved:
+            good, good_cert = mid, cert_try
+        else:
+            bad = mid
     return good, good_cert
 
 
@@ -839,7 +800,7 @@ def exact_verify(
     table: QTable,
     lo: int,
     hi: int,
-    prec: int = DEFAULT_PREC,
+    prec: int = DEFAULT_PRECISION,
     shifted: bool = True,
 ) -> list[int]:
     """Exact check of the theorem's statement over a contiguous range.
@@ -857,7 +818,7 @@ def exact_verify(
     return violations
 
 
-def sharpness_scan(theorem_id: str, table: QTable, prec: int = DEFAULT_PREC) -> list[int]:
+def sharpness_scan(theorem_id: str, table: QTable, prec: int = DEFAULT_PRECISION) -> list[int]:
     """All violations of the statement strictly below its threshold."""
     spec = THEOREMS[theorem_id]
     return exact_verify(theorem_id, table, spec.scan_floor, spec.threshold - 1, prec, shifted=False)
@@ -908,10 +869,9 @@ class VerificationReport:
 def verify_theorem(
     theorem_id: str,
     table: QTable,
-    prec: int = DEFAULT_PREC,
+    prec: int = DEFAULT_PRECISION,
     max_depth: int = DEFAULT_MAX_DEPTH,
     sharpness: bool = True,
-    sharpen_crossover: bool = True,
     threshold_override: int | None = None,
 ) -> VerificationReport:
     """End-to-end verification: certified crossover, exact range up to
@@ -924,11 +884,9 @@ def verify_theorem(
     spec = THEOREMS[theorem_id]
     threshold = spec.threshold if threshold_override is None else threshold_override
     t0 = time.perf_counter()
-    if table.n_max < spec.seam + spec.shift + 6:
-        raise ValueError(
-            f"table covers 0..{table.n_max}, need {spec.seam + spec.shift + 6} for {theorem_id}"
-        )
-    n_star, cert = find_crossover(theorem_id, prec, max_depth, sharpen=sharpen_crossover)
+    if table.n_max < spec.table_n_max:
+        raise ValueError(f"table covers 0..{table.n_max}, need {spec.table_n_max} for {theorem_id}")
+    n_star, cert = find_crossover(theorem_id, prec, max_depth)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1
     violations = exact_verify(theorem_id, table, exact_lo, exact_hi, prec)

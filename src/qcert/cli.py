@@ -22,13 +22,14 @@ import time
 
 from .bounds import bound_value, n_min, window_max
 from .certify import (
+    DEFAULT_MAX_DEPTH,
     INEQUALITIES,
     THEOREMS,
     certify_inequality,
     verify_theorem,
 )
 from .coeffs import COEFF_FAMILIES
-from .intervals import MIN_PRECISION
+from .intervals import DEFAULT_PRECISION, MIN_PRECISION
 from .qtable import load_or_build, q_enumerate
 from .ring import RingElem
 
@@ -49,9 +50,9 @@ ERRATA_THRESHOLDS = {"double-turan-companion": 349}
 
 GLOBAL_DEFAULTS = {
     "n_max": 20000,
-    "precision": 192,
+    "precision": DEFAULT_PRECISION,
     "format": "json",
-    "max_depth": 60,
+    "max_depth": DEFAULT_MAX_DEPTH,
     "no_timing": False,
 }
 
@@ -62,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # parsed at one level from being clobbered by the other.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--n-max", type=int, default=argparse.SUPPRESS,
-                        help="table size (default 20000)")
+                        help=f"table size (default {GLOBAL_DEFAULTS['n_max']})")
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="working precision in bits (default 192)")
+                        help=f"working precision in bits (default {DEFAULT_PRECISION})")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=argparse.SUPPRESS)
     common.add_argument("--max-depth", type=int, default=argparse.SUPPRESS,
-                        help="bisection depth limit (default 60)")
+                        help=f"bisection depth limit (default {DEFAULT_MAX_DEPTH})")
     common.add_argument("--no-timing", action="store_true", default=argparse.SUPPRESS,
                         help="omit wall times from reports")
 
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-errata", action="store_true",
                    help="verify the documented corrected threshold for "
                    "double-turan-companion (349) instead of the stated 346")
-    p.add_argument("--theorems", nargs="*", default=None, help="subset of theorem ids")
+    p.add_argument("--theorems", nargs="+", default=None, help="subset of theorem ids")
 
     return parser
 
@@ -215,7 +216,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = THEOREMS[args.theorem]
-    table = _get_table(args, spec.seam + spec.shift + 6)
+    table = _get_table(args, spec.table_n_max)
     try:
         report = verify_theorem(
             args.theorem,
@@ -264,8 +265,7 @@ def cmd_reproduce_all(args) -> int:
         if tid not in THEOREMS:
             print(f"error: unknown theorem id {tid!r}", file=sys.stderr)
             return EXIT_USAGE
-    needed = max(THEOREMS[tid].seam + THEOREMS[tid].shift + 6 for tid in ids)
-    table = _get_table(args, needed)
+    table = _get_table(args, max(THEOREMS[tid].table_n_max for tid in ids))
     if args.paper_check:
         problems = _paper_check(args)
         if table.n_max >= 9 and table[9] != PAPER_CONSTANTS["q9"]:

@@ -19,8 +19,9 @@ exact elements of Q[pi^±1, sqrt3].  This module computes every family:
 * ``expansion_coeff(k, s)``     -- full product; degree-0 value is 1
 
 plus the Bessel asymptotic-series numbers ``bessel_asym_coeff`` (1, 3/8,
--15/128, 105/1024, ...) and the alternating half-integer binomial sum
-identity that collapses the exponential factor's triple sum.
+-15/128, 105/1024, ...).  The exponential factor's triple sum is
+collapsed by an alternating half-integer binomial sum identity, which
+the tests check by brute force.
 
 All functions are memoized per (k, s) and return exact values; nothing
 here touches floating point.
@@ -30,24 +31,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from .intervals import Interval
 from .ring import RingElem
 
 __all__ = [
     "rising_factorial",
     "gen_binomial",
     "bessel_asym_coeff",
-    "alt_half_binomial_sum",
-    "alt_half_binomial_sum_closed",
     "shift_sigma",
     "exp_factor_coeff",
     "binom_factor_coeff",
     "exp_binom_coeff",
     "bessel_factor_coeff",
     "expansion_coeff",
-    "eval_coeff",
     "COEFF_FAMILIES",
 ]
 
@@ -81,32 +78,6 @@ def bessel_asym_coeff(m: int) -> Fraction:
     if m < 0:
         raise ValueError("bessel_asym_coeff needs m >= 0")
     return gen_binomial(Fraction(1, 2), m) * rising_factorial(Fraction(3, 2), m) / (1 << m)
-
-
-def alt_half_binomial_sum(r: int, m: int) -> Fraction:
-    """Brute-force sum_{s=0}^{r} (-1)^s C(r, s) C(s/2, m)."""
-    if r < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    total = Fraction(0)
-    for s in range(r + 1):
-        term = comb(r, s) * gen_binomial(Fraction(s, 2), m)
-        total += term if s % 2 == 0 else -term
-    return total
-
-
-def alt_half_binomial_sum_closed(r: int, m: int) -> Fraction:
-    """Closed form of the alternating sum, valid for r < 2m (and r=m=0):
-    (-1)^m r 2^r / (m 2^{2m}) C(2m-r-1, m-r)."""
-    if r < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if r == 0 and m == 0:
-        return Fraction(1)
-    if r >= 2 * m:
-        raise ValueError(f"closed form requires r < 2m, got r={r}, m={m}")
-    if m < r:  # C(2m-r-1, m-r) vanishes for negative lower index
-        return Fraction(0)
-    value = Fraction(r * (1 << r), m * (1 << (2 * m))) * comb(2 * m - r - 1, m - r)
-    return -value if m % 2 else value
 
 
 def shift_sigma(s: int) -> Fraction:
@@ -234,11 +205,3 @@ COEFF_FAMILIES = {
     "bessel": bessel_factor_coeff,
     "full": expansion_coeff,
 }
-
-
-def eval_coeff(family: str, k: int, s: int, prec: int | None = None) -> Interval:
-    """Interval value of any coefficient family member."""
-    value = COEFF_FAMILIES[family](k, s)
-    if isinstance(value, Fraction):
-        return Interval.from_fraction(value, prec)
-    return value.eval_iv(prec)

@@ -1,5 +1,5 @@
-"""Certified enclosures of pi, exp, log, cosh, sinh and the modified
-Bessel function I1.
+"""Certified enclosures of pi, exp, log, cosh and the modified Bessel
+function I1.
 
 Every function here returns an Interval guaranteed to contain the exact
 image of its input interval.  The recipes are deliberately simple so the
@@ -12,7 +12,7 @@ remainder bounds are provable by inspection:
 * log       -- reduce to [1,2) by exact powers of two, atanh series in
                u = (m-1)/(m+1) <= 1/3 with a geometric tail; log 2 itself
                is 2*atanh(1/3).
-* cosh/sinh -- (exp(x) +- exp(-x))/2 on certified exponentials.
+* cosh      -- (exp(x) + exp(-x))/2 on certified exponentials.
 * I1        -- all-positive ascending series with a geometric tail bound
                once the term ratio drops below 1/2.
 
@@ -37,7 +37,6 @@ __all__ = [
     "enclose_exp",
     "enclose_log",
     "enclose_cosh",
-    "enclose_sinh",
     "enclose_bessel_i1",
 ]
 
@@ -181,16 +180,6 @@ def enclose_cosh(x: Interval, prec: int | None = None) -> Interval:
         lo_iv = Interval.point(1)
         hi_iv = Interval.hull(cosh_point(a), cosh_point(b))
     return Interval(lo_iv.lo.round(prec, up=False), hi_iv.hi.round(prec, up=True))
-
-
-def enclose_sinh(x: Interval, prec: int | None = None) -> Interval:
-    prec = resolve_precision(prec)
-
-    def sinh_point(d: Dyadic) -> Interval:
-        e = _exp_point(d, prec + 8)
-        return e.sub(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)
-
-    return Interval(sinh_point(x.lo).lo.round(prec, up=False), sinh_point(x.hi).hi.round(prec, up=True))
 
 
 def _bessel_i1_point(d: Dyadic, prec: int) -> Interval:

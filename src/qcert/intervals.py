@@ -25,6 +25,7 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_PRECISION",
+    "MAX_PRECISION",
     "MIN_PRECISION",
     "Dyadic",
     "Interval",
@@ -37,6 +38,7 @@ __all__ = [
 
 MIN_PRECISION = 16
 DEFAULT_PRECISION = 192
+MAX_PRECISION = 1536  # ceiling for the precision doublings of refining callers
 
 _state = threading.local()
 
@@ -464,9 +466,6 @@ class Interval:
     def is_negative(self) -> bool:
         """Certified strictly negative."""
         return self.hi.sign < 0
-
-    def midpoint(self) -> Dyadic:
-        return (self.lo + self.hi).scale(-1)
 
     def mag(self) -> Dyadic:
         """max |x| over the interval."""

@@ -4,17 +4,11 @@ q(n) counts partitions of n into strictly decreasing positive parts
 (generating function prod_{k>=1} (1+x^k)); q(9) = 8.  Everything here is
 exact big-integer arithmetic.
 
-``load_or_build`` is the one production builder: Gauss's theta
-recurrence, O(n_max^{3/2}) big-integer additions.  The other
-constructions are independent oracles that the tests compare it with:
-
-* ``compute_q_table`` -- the reference 0/1-knapsack DP: for k = 1..n_max
-  update values[n] += values[n-k] with n descending, so each part is
-  used at most once.
-* ``compute_q_table_odd_parts`` -- Euler's identity: partitions into odd
-  parts, a complete-knapsack DP.
-* ``q_enumerate`` -- deliberately naive explicit recursion over strictly
-  decreasing parts, no memoization, capped at n <= 60.
+``load_or_build`` is the one builder: Gauss's theta recurrence,
+O(n_max^{3/2}) big-integer additions.  ``q_enumerate`` is an independent
+oracle that ``qtable --check-enumeration`` compares it with: deliberately
+naive explicit recursion over strictly decreasing parts, no memoization,
+capped at n <= 60.  The other oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -22,15 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-__all__ = [
-    "QTable",
-    "load_or_build",
-    "compute_q_table",
-    "compute_q_table_odd_parts",
-    "q_enumerate",
-    "check_log_concavity",
-    "check_turan3",
-]
+__all__ = ["QTable", "load_or_build", "q_enumerate"]
 
 ENUMERATION_LIMIT = 60
 
@@ -83,36 +69,9 @@ def load_or_build(n_max: int) -> QTable:
     return QTable(n_max, tuple(values))
 
 
-def compute_q_table(n_max: int) -> QTable:
-    """Reference DP over parts k = 1..n_max.
-
-    The descending inner loop is what guarantees each part contributes
-    at most once; ascending would count multiplicities.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    values = [0] * (n_max + 1)
-    values[0] = 1
-    for k in range(1, n_max + 1):
-        for n in range(n_max, k - 1, -1):
-            values[n] += values[n - k]
-    return QTable(n_max, tuple(values))
-
-
-def compute_q_table_odd_parts(n_max: int) -> QTable:
-    """q(n) via Euler's identity: partitions into odd parts (repeats
-    allowed), i.e. a complete-knapsack DP over odd k with n ascending."""
-    values = [0] * (n_max + 1)
-    values[0] = 1
-    for k in range(1, n_max + 1, 2):
-        for n in range(k, n_max + 1):
-            values[n] += values[n - k]
-    return QTable(n_max, tuple(values))
-
-
 def q_enumerate(n: int) -> int:
     """Count strictly decreasing part sequences summing to n by explicit
-    recursion.  Independent of the DP; exponential, so n <= 60."""
+    recursion.  Independent of the recurrence; exponential, so n <= 60."""
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"q_enumerate supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}")
 
@@ -125,30 +84,3 @@ def q_enumerate(n: int) -> int:
         return total
 
     return count(n, n)
-
-
-def check_log_concavity(table: QTable, lo: int, hi: int) -> list[int]:
-    """All n in [lo, hi] where q(n)^2 <= q(n-1) q(n+1) (exact).
-
-    Empty result means q is strictly log-concave on the range.
-    """
-    if lo < 1 or hi + 1 > table.n_max:
-        raise ValueError(f"range [{lo}, {hi}] needs table indices {lo - 1}..{hi + 1}")
-    v = table.values
-    return [n for n in range(lo, hi + 1) if v[n] * v[n] <= v[n - 1] * v[n + 1]]
-
-
-def check_turan3(table: QTable, lo: int, hi: int) -> list[int]:
-    """All n in [lo, hi] violating the strict third-order Turan
-    inequality 4(q_n^2-q_{n-1}q_{n+1})(q_{n+1}^2-q_n q_{n+2}) >
-    (q_n q_{n+1} - q_{n-1} q_{n+2})^2."""
-    if lo < 1 or hi + 2 > table.n_max:
-        raise ValueError(f"range [{lo}, {hi}] needs table indices {lo - 1}..{hi + 2}")
-    v = table.values
-    out = []
-    for n in range(lo, hi + 1):
-        lhs = 4 * (v[n] ** 2 - v[n - 1] * v[n + 1]) * (v[n + 1] ** 2 - v[n] * v[n + 2])
-        rhs = (v[n] * v[n + 1] - v[n - 1] * v[n + 2]) ** 2
-        if not lhs > rhs:
-            out.append(n)
-    return out

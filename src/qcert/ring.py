@@ -52,14 +52,6 @@ class RingElem:
         return RingElem({(0, 0): Fraction(c)})
 
     @staticmethod
-    def pi_power(i: int, c: Fraction | int = 1) -> "RingElem":
-        return RingElem({(i, 0): Fraction(c)})
-
-    @staticmethod
-    def sqrt3(c: Fraction | int = 1) -> "RingElem":
-        return RingElem({(0, 1): Fraction(c)})
-
-    @staticmethod
     def monomial(i: int, j: int, c: Fraction | int) -> "RingElem":
         return RingElem({(i, j): Fraction(c)})
 
@@ -124,9 +116,6 @@ class RingElem:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def rational_part(self) -> Fraction:
-        return self.terms.get((0, 0), _F0)
 
     def as_string(self) -> str:
         """Exact human/machine-readable form: `p/q pi^i sqrt3^j + ...`."""
@@ -197,4 +186,3 @@ def _wrap(terms: dict) -> RingElem:
 
 _F0 = Fraction(0)
 ZERO_ELEM = RingElem()
-ONE_ELEM = RingElem.from_rational(1)

@@ -1,6 +1,7 @@
 import pytest
 
-from qcert.qtable import compute_q_table, load_or_build
+from oracles import compute_q_table
+from qcert.qtable import load_or_build
 
 # Largest index any theorem verification touches: seam 18502 + shift 1 + 6.
 FULL_TABLE_SIZE = 20000

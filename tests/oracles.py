@@ -1,0 +1,159 @@
+"""Independent oracles that the tests compare the production code with.
+
+Nothing in ``qcert`` calls these; they live here so that the trust path
+(``src/qcert``) holds only what a verification run executes.
+
+* ``compute_q_table`` -- the reference 0/1-knapsack DP: for k = 1..n_max
+  update values[n] += values[n-k] with n descending, so each part is
+  used at most once.
+* ``compute_q_table_odd_parts`` -- Euler's identity: partitions into odd
+  parts, a complete-knapsack DP.
+* ``check_log_concavity`` / ``check_turan3`` -- exact scans of the
+  classical Turan-type inequalities for q(n).
+* ``alt_half_binomial_sum`` / ``alt_half_binomial_sum_closed`` -- the
+  alternating half-integer binomial sum identity behind the exponential
+  factor's coefficients, by brute force and in closed form.
+* ``enclose_sinh`` -- certified sinh, for the exponential-factor bound.
+* ``invariant_a`` / ``invariant_b`` / ``invariant_i`` / ``laguerre`` --
+  the quartic invariants and the order-m Laguerre expression, written
+  out directly rather than through the statement trees of ``THEOREMS``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+from qcert.coeffs import gen_binomial
+from qcert.enclosures import _exp_point
+from qcert.intervals import Dyadic, Interval, resolve_precision
+from qcert.qtable import QTable
+
+
+# -- q-table constructions and scans ---------------------------------------
+
+
+def compute_q_table(n_max: int) -> QTable:
+    """Reference DP over parts k = 1..n_max.
+
+    The descending inner loop is what guarantees each part contributes
+    at most once; ascending would count multiplicities.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for k in range(1, n_max + 1):
+        for n in range(n_max, k - 1, -1):
+            values[n] += values[n - k]
+    return QTable(n_max, tuple(values))
+
+
+def compute_q_table_odd_parts(n_max: int) -> QTable:
+    """q(n) via Euler's identity: partitions into odd parts (repeats
+    allowed), i.e. a complete-knapsack DP over odd k with n ascending."""
+    values = [0] * (n_max + 1)
+    values[0] = 1
+    for k in range(1, n_max + 1, 2):
+        for n in range(k, n_max + 1):
+            values[n] += values[n - k]
+    return QTable(n_max, tuple(values))
+
+
+def check_log_concavity(table: QTable, lo: int, hi: int) -> list[int]:
+    """All n in [lo, hi] where q(n)^2 <= q(n-1) q(n+1) (exact).
+
+    Empty result means q is strictly log-concave on the range.
+    """
+    if lo < 1 or hi + 1 > table.n_max:
+        raise ValueError(f"range [{lo}, {hi}] needs table indices {lo - 1}..{hi + 1}")
+    v = table.values
+    return [n for n in range(lo, hi + 1) if v[n] * v[n] <= v[n - 1] * v[n + 1]]
+
+
+def check_turan3(table: QTable, lo: int, hi: int) -> list[int]:
+    """All n in [lo, hi] violating the strict third-order Turan
+    inequality 4(q_n^2-q_{n-1}q_{n+1})(q_{n+1}^2-q_n q_{n+2}) >
+    (q_n q_{n+1} - q_{n-1} q_{n+2})^2."""
+    if lo < 1 or hi + 2 > table.n_max:
+        raise ValueError(f"range [{lo}, {hi}] needs table indices {lo - 1}..{hi + 2}")
+    v = table.values
+    out = []
+    for n in range(lo, hi + 1):
+        lhs = 4 * (v[n] ** 2 - v[n - 1] * v[n + 1]) * (v[n + 1] ** 2 - v[n] * v[n + 2])
+        rhs = (v[n] * v[n + 1] - v[n - 1] * v[n + 2]) ** 2
+        if not lhs > rhs:
+            out.append(n)
+    return out
+
+
+# -- the half-integer binomial sum identity --------------------------------
+
+
+def alt_half_binomial_sum(r: int, m: int) -> Fraction:
+    """Brute-force sum_{s=0}^{r} (-1)^s C(r, s) C(s/2, m)."""
+    if r < 0 or m < 0:
+        raise ValueError("indices must be nonnegative")
+    total = Fraction(0)
+    for s in range(r + 1):
+        term = comb(r, s) * gen_binomial(Fraction(s, 2), m)
+        total += term if s % 2 == 0 else -term
+    return total
+
+
+def alt_half_binomial_sum_closed(r: int, m: int) -> Fraction:
+    """Closed form of the alternating sum, valid for r < 2m (and r=m=0):
+    (-1)^m r 2^r / (m 2^{2m}) C(2m-r-1, m-r)."""
+    if r < 0 or m < 0:
+        raise ValueError("indices must be nonnegative")
+    if r == 0 and m == 0:
+        return Fraction(1)
+    if r >= 2 * m:
+        raise ValueError(f"closed form requires r < 2m, got r={r}, m={m}")
+    if m < r:  # C(2m-r-1, m-r) vanishes for negative lower index
+        return Fraction(0)
+    value = Fraction(r * (1 << r), m * (1 << (2 * m))) * comb(2 * m - r - 1, m - r)
+    return -value if m % 2 else value
+
+
+# -- certified sinh --------------------------------------------------------
+
+
+def enclose_sinh(x: Interval, prec: int | None = None) -> Interval:
+    prec = resolve_precision(prec)
+
+    def sinh_point(d: Dyadic) -> Interval:
+        e = _exp_point(d, prec + 8)
+        return e.sub(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)
+
+    return Interval(sinh_point(x.lo).lo.round(prec, up=False), sinh_point(x.hi).hi.round(prec, up=True))
+
+
+# -- exact functionals -----------------------------------------------------
+
+
+def invariant_a(a0: int, a1: int, a2: int, a3: int, a4: int) -> int:
+    """Quartic binary form invariant A = a0 a4 - 4 a1 a3 + 3 a2^2."""
+    return a0 * a4 - 4 * a1 * a3 + 3 * a2 * a2
+
+
+def invariant_b(a0: int, a1: int, a2: int, a3: int, a4: int) -> int:
+    """Quartic invariant B = -a0 a2 a4 + a2^3 + a0 a3^2 + a1^2 a4 - 2 a1 a2 a3."""
+    return -a0 * a2 * a4 + a2**3 + a0 * a3**2 + a1**2 * a4 - 2 * a1 * a2 * a3
+
+
+def invariant_i(a0: int, a1: int, a2: int, a3: int, a4: int) -> int:
+    """I = A^3 - 27 B^2."""
+    return invariant_a(a0, a1, a2, a3, a4) ** 3 - 27 * invariant_b(a0, a1, a2, a3, a4) ** 2
+
+
+def laguerre(m: int, table: QTable, n: int) -> Fraction:
+    """Order-m Laguerre expression on the q sequence:
+    (1/2) sum_{k=0}^{2m} (-1)^{k+m} C(2m, k) q(n+k) q(n+2m-k)."""
+    if n < 0 or n + 2 * m > table.n_max:
+        raise IndexError(f"laguerre({m}) at n={n} needs table up to {n + 2 * m}")
+    total = 0
+    for k in range(2 * m + 1):
+        term = comb(2 * m, k) * table[n + k] * table[n + 2 * m - k]
+        total += term if (k + m) % 2 == 0 else -term
+    return Fraction(total, 2)

@@ -20,6 +20,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import ACCEPTANCE_LINES
+from oracles import (
+    alt_half_binomial_sum,
+    alt_half_binomial_sum_closed,
+    check_log_concavity,
+    check_turan3,
+    compute_q_table_odd_parts,
+    invariant_a,
+    laguerre,
+)
 from qcert.bounds import (
     SandwichResult,
     bound_value,
@@ -31,21 +40,10 @@ from qcert.bounds import (
 from qcert.certify import (
     THEOREMS,
     build_ineq,
-    invariant_a,
-    laguerre,
     sharpness_scan,
     verify_theorem,
 )
-from qcert.coeffs import (
-    alt_half_binomial_sum,
-    alt_half_binomial_sum_closed,
-)
-from qcert.qtable import (
-    check_log_concavity,
-    check_turan3,
-    compute_q_table_odd_parts,
-    q_enumerate,
-)
+from qcert.qtable import q_enumerate
 
 F = Fraction
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import invariant_a, invariant_b, invariant_i, laguerre
 from qcert.bounds import bound_value
 from qcert.certify import (
     INEQUALITIES,
@@ -26,10 +27,6 @@ from qcert.certify import (
     exact_verify,
     expand_statement,
     find_crossover,
-    invariant_a,
-    invariant_b,
-    invariant_i,
-    laguerre,
     sharpness_scan,
     theorem_predicate,
     verify_theorem,

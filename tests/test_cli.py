@@ -187,6 +187,12 @@ class TestReproduceAll:
         code, _, _ = run(capsys, "reproduce-all", "--theorems", "bogus")
         assert code == EXIT_USAGE
 
+    def test_empty_theorem_list_usage_error(self, capsys):
+        # an empty --theorems is a mistake, not a request for all eight
+        code, out, err = run(capsys, "--no-timing", "reproduce-all", "--theorems")
+        assert code == EXIT_USAGE and out == ""
+        assert "--theorems" in err
+
 
 def test_precision_floor(capsys):
     code, _, err = run(capsys, "--precision", "8", "qtable", "--n", "1")

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import alt_half_binomial_sum, alt_half_binomial_sum_closed
 from qcert.bounds import error_budget
 from qcert.coeffs import (
-    alt_half_binomial_sum,
-    alt_half_binomial_sum_closed,
     bessel_asym_coeff,
     bessel_factor_coeff,
     binom_factor_coeff,
@@ -91,7 +90,7 @@ class TestCoefficientFamilies:
     def test_exp_factor_bound(self):
         # |coefficient(2k, s)| <= sqrt(pi/3) sigma^{k+1/2}/(2 k^{3/2})
         #                          * sinh(pi sqrt((24s+1)/72)), here k = 1
-        from qcert.enclosures import enclose_sinh
+        from oracles import enclose_sinh
 
         for s in (0, 2, 5):
             sigma = shift_sigma(s)

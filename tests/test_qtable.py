@@ -4,14 +4,13 @@ import hashlib
 
 import pytest
 
-from qcert.qtable import (
+from oracles import (
     check_log_concavity,
     check_turan3,
     compute_q_table,
     compute_q_table_odd_parts,
-    load_or_build,
-    q_enumerate,
 )
+from qcert.qtable import load_or_build, q_enumerate
 
 # SHA-256 of the comma-joined decimal q(0..20000) as built by the packed
 # limb DP that the theta recurrence replaced

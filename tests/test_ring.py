@@ -30,14 +30,14 @@ def ref_value(e: RingElem) -> mp.mpf:
 
 
 def test_sqrt3_folds():
-    s = RingElem.sqrt3()
+    s = RingElem.monomial(0, 1, 1)
     assert (s * s).terms == {(0, 0): Fraction(3)}
     assert (s * s * s).terms == {(0, 1): Fraction(3)}
 
 
 def test_pi_powers_cancel():
-    p = RingElem.pi_power(3, Fraction(1, 2))
-    q = RingElem.pi_power(-3, 4)
+    p = RingElem.monomial(3, 0, Fraction(1, 2))
+    q = RingElem.monomial(-3, 0, 4)
     assert (p * q).terms == {(0, 0): Fraction(2)}
 
 

@@ -1,0 +1,69 @@
+"""The trust path holds one definition per quantity and no test oracle:
+names that only tests call live in tests/oracles.py, and removed dead
+code and duplicates do not come back under any ``qcert`` module."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import oracles
+import qcert
+from qcert.certify import find_crossover, verify_theorem
+from qcert.intervals import Interval
+from qcert.ring import RingElem
+
+# Test oracles: defined in tests/oracles.py only.
+ORACLES = (
+    "compute_q_table",
+    "compute_q_table_odd_parts",
+    "check_log_concavity",
+    "check_turan3",
+    "alt_half_binomial_sum",
+    "alt_half_binomial_sum_closed",
+    "enclose_sinh",
+    "invariant_a",
+    "invariant_b",
+    "invariant_i",
+    "laguerre",
+)
+
+# Dead code, and second definitions of n^(-1/2) and of the precision
+# defaults (x_of, DEFAULT_PRECISION and MAX_PRECISION are the ones).
+REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
+           "_x_upper", "_div_up_invsqrt")
+
+REMOVED_METHODS = (
+    (Interval, "midpoint"),
+    (RingElem, "rational_part"),
+    (RingElem, "pi_power"),  # RingElem.monomial(i, 0, c)
+    (RingElem, "sqrt3"),     # RingElem.monomial(0, 1, c)
+)
+
+
+def _modules():
+    yield qcert
+    for info in pkgutil.iter_modules(qcert.__path__):
+        yield importlib.import_module(f"qcert.{info.name}")
+
+
+@pytest.mark.parametrize("name", ORACLES + REMOVED)
+def test_name_not_in_qcert(name):
+    exposing = [m.__name__ for m in _modules() if hasattr(m, name)]
+    assert exposing == [], f"{name} is exposed by {exposing}"
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_lives_in_tests(name):
+    assert callable(getattr(oracles, name))
+
+
+@pytest.mark.parametrize("cls, name", REMOVED_METHODS)
+def test_method_removed(cls, name):
+    assert not hasattr(cls, name)
+
+
+def test_no_sharpen_knobs():
+    assert "sharpen" not in inspect.signature(find_crossover).parameters
+    assert "sharpen_crossover" not in inspect.signature(verify_theorem).parameters
