@@ -292,16 +292,14 @@ class SandwichResult(Enum):
     OUT_OF_REGIME = "out-of-regime"
 
 
-def check_main_term_sandwich(
-    table, n: int, m: int, prec: int = DEFAULT_PRECISION, max_prec: int = MAX_PRECISION
-) -> SandwichResult:
+def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISION) -> SandwichResult:
     """Certified check of M(n)(1 - 4/nu^m) <= q(n) <= M(n)(1 + 4/nu^m),
     valid only when nu(n) >= max(26, decay_threshold(m+1)).
 
     The regime precondition is itself checked with certified enclosures;
-    if it cannot be decided the precision doubles, and a certified
-    failure of the precondition reports OUT_OF_REGIME (distinct from a
-    sandwich failure).
+    if it cannot be decided the precision doubles, up to MAX_PRECISION,
+    and a certified failure of the precondition reports OUT_OF_REGIME
+    (distinct from a sandwich failure).
     """
     q_n = table[n]
     p = prec
@@ -310,7 +308,7 @@ def check_main_term_sandwich(
         thr = decay_threshold(m + 1, p)
         in_regime = nu.lo.cmp_fraction(26) >= 0 and nu.lo >= thr.hi
         out_regime = nu.hi.cmp_fraction(26) < 0 or nu.hi < thr.lo
-        if not in_regime and not out_regime and p < max_prec:
+        if not in_regime and not out_regime and p < MAX_PRECISION:
             p *= 2
             continue
         if not in_regime:
@@ -322,7 +320,7 @@ def check_main_term_sandwich(
         # conservative side: certified bracket must clear exact q(n)
         if lower.hi.cmp_fraction(q_n) <= 0 <= upper.lo.cmp_fraction(q_n):
             return SandwichResult.HOLDS
-        if p < max_prec:
+        if p < MAX_PRECISION:
             p *= 2
             continue
         return SandwichResult.FAILS

@@ -118,7 +118,7 @@ class Sum:
         total = None
         for w, t in self.terms:
             p = ex(t, pol if w > 0 else -pol)
-            p = p if w == 1 else p.neg() if w == -1 else p.scale_int(w)
+            p = p if w == 1 else p.scale_int(w)
             total = p if total is None else total.add(p)
         return total
 
@@ -303,7 +303,7 @@ def _c2_bracket(comp: Companion, prec: int) -> tuple[Fraction, Fraction]:
     return tuple(k * f for f in enclose_pi(prec).pow_int(2 * comp.i, prec).to_fractions())
 
 
-def theorem_predicate(theorem_id: str, table: QTable, n: int, prec: int = DEFAULT_PRECISION) -> bool:
+def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
     """Exact truth of the theorem's statement at index n (statement
     coordinates), decided in integers.  The statement's value is A + B t
     with t > 0; when A and B have opposite signs, |B| t against |A| is
@@ -317,6 +317,7 @@ def theorem_predicate(theorem_id: str, table: QTable, n: int, prec: int = DEFAUL
         return False
     comp = spec.companion
     bb, rhs = b * b, a * a * n**comp.a
+    prec = DEFAULT_PRECISION
     while True:
         lo, hi = _c2_bracket(comp, prec)
         if bb * lo.numerator > rhs * lo.denominator:
@@ -464,14 +465,6 @@ class HybridPoly:
             errs_out[d] = e if cur is None else cur.add(e, p)
         return HybridPoly(ring_out, errs_out, p, ivs_out)
 
-    def neg(self) -> "HybridPoly":
-        return HybridPoly(
-            [-r for r in self.ring_parts],
-            {d: e.neg() for d, e in self.errs.items()},
-            self.prec,
-            [iv.neg() for iv in self.ring_ivs],
-        )
-
     def scale_int(self, c: int) -> "HybridPoly":
         ci = Interval.point(c)
         return HybridPoly(
@@ -494,17 +487,13 @@ class HybridPoly:
 
 @dataclass(frozen=True)
 class IneqPoly:
-    ineq_id: str
-    theorem_id: str
-    N: int
-    prec: int
     poly: HybridPoly
     x0: Dyadic          # validity radius: round-up of window^{-1/2}
     window: int         # largest envelope floor among the shifts involved
     side_lemma: Certificate | None = None  # the first side lemma not proved, if any
 
     def eval_iv(self, x: Interval) -> Interval:
-        return horner(self.poly.coeff_intervals(), x, self.prec)
+        return horner(self.poly.coeff_intervals(), x, self.poly.prec)
 
 
 class _Expansion:
@@ -536,8 +525,7 @@ class _Expansion:
         covers every trial n_star >= window."""
         for name, op in list(self.operands.items()):
             poly = self.lower.get(name) or self(op, 1)
-            lemma = IneqPoly(name, "", self.N, self.prec, poly, self.x0, self.window)
-            cert = certify_positive(lemma, self.x0)
+            cert = certify_positive(IneqPoly(poly, self.x0, self.window), self.x0)
             if not cert.proved:
                 cert.reason = f"side lemma {name} not proved: {cert.reason}"
                 return cert
@@ -555,15 +543,19 @@ def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PRECISION, tight: bo
     ex = _Expansion(spec, prec, tight)
     poly = ex(spec.statement, 1)
     lemma = None if tight else ex.side_lemma()
-    return IneqPoly(spec.ineq_id, spec.id, spec.N, prec, poly, ex.x0, ex.window, lemma)
+    return IneqPoly(poly, ex.x0, ex.window, lemma)
+
+
+def _ineq_spec(ineq_id: str) -> TheoremSpec:
+    if ineq_id not in INEQUALITIES:
+        raise ValueError(f"unknown inequality id: {ineq_id!r}")
+    return THEOREMS[INEQUALITIES[ineq_id]]
 
 
 @lru_cache(maxsize=None)
 def build_ineq(ineq_id: str, prec: int = DEFAULT_PRECISION, tight: bool = False) -> IneqPoly:
     """expand_statement for the theorem of an inequality id, cached."""
-    if ineq_id not in INEQUALITIES:
-        raise ValueError(f"unknown inequality id: {ineq_id!r}")
-    return expand_statement(THEOREMS[INEQUALITIES[ineq_id]], prec, tight)
+    return expand_statement(_ineq_spec(ineq_id), prec, tight)
 
 
 # -- positivity certification --------------------------------------------------
@@ -627,8 +619,8 @@ def certify_positive(
         raise ValueError(f"x0={float(x0)} beyond validity radius {float(ineq.x0)}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    prec = ineq.prec
     poly = ineq.poly
+    prec = poly.prec
     n_star = _n_of_x(x0)
     coeffs = poly.coeff_intervals()
     d = 0
@@ -721,22 +713,22 @@ def certify_inequality(
     n_star: int | None = None,
     prec: int = DEFAULT_PRECISION,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    max_prec: int = MAX_PRECISION,
 ) -> Certificate:
     """Certify positivity for all n >= n_star (default: the envelope
-    validity window), doubling the precision only while rounding may be
-    what keeps the result inconclusive (Certificate.rounding_limited)."""
+    validity window), doubling the precision up to MAX_PRECISION only
+    while rounding may be what keeps the result inconclusive
+    (Certificate.rounding_limited).  n_star is checked against the
+    window before anything is expanded."""
+    spec = _ineq_spec(ineq_id)
     p = prec
     while True:
-        ineq = build_ineq(ineq_id, p)
-        target = ineq.window if n_star is None else n_star
-        if target < ineq.window:
-            raise ValueError(
-                f"n_star={target} below envelope validity window {ineq.window}"
-            )
-        cert = certify_positive(ineq, x_of(target, p).hi, max_depth)
+        window = window_max(spec.N, spec.shifts, p)
+        target = window if n_star is None else n_star
+        if target < window:
+            raise ValueError(f"n_star={target} below envelope validity window {window}")
+        cert = certify_positive(build_ineq(ineq_id, p), x_of(target, p).hi, max_depth)
         cert.n_star = max(cert.n_star, target)
-        if cert.proved or not cert.rounding_limited or p >= max_prec:
+        if cert.proved or not cert.rounding_limited or p >= MAX_PRECISION:
             return cert
         p *= 2
 
@@ -751,10 +743,10 @@ def find_crossover(
     capped by the theorem's seam.
 
     Certifying below the window is meaningless (the envelopes are not
-    valid there), so the window is the best possible answer; when the
-    polynomial is provably negative at the window, the search walks
-    geometrically toward the seam and then bisects down to the smallest
-    n_star this certifier can prove.
+    valid there), so the window is the best possible answer.  When it
+    fails, the seam is tried next; if the seam is certified, the search
+    bisects between the two down to the smallest n_star this certifier
+    can prove, and if it is not, the seam is returned with that failure.
     """
     spec = THEOREMS[theorem_id]
     window = window_max(spec.N, spec.shifts, prec)
@@ -766,22 +758,11 @@ def find_crossover(
     cert = certify_inequality(spec.ineq_id, window, prec, max_depth)
     if cert.proved:
         return window, cert
-    cap = spec.seam
-    bad = window
-    good = None
-    trial = window
-    while good is None:
-        trial = min(4 * trial, cap)
-        cert_try = certify_inequality(spec.ineq_id, trial, prec, max_depth)
-        if cert_try.proved:
-            good, good_cert = trial, cert_try
-        else:
-            bad = trial
-            if trial >= cap:
-                cert_try.reason = (
-                    f"not certifiable even at the seam {cap}: " + cert_try.reason
-                )
-                return cap, cert_try
+    bad, good = window, spec.seam
+    good_cert = certify_inequality(spec.ineq_id, good, prec, max_depth)
+    if not good_cert.proved:
+        good_cert.reason = f"not certifiable even at the seam {good}: " + good_cert.reason
+        return good, good_cert
     while good - bad > 1:
         mid = (good + bad) // 2
         cert_try = certify_inequality(spec.ineq_id, mid, prec, max_depth)
@@ -800,28 +781,25 @@ def exact_verify(
     table: QTable,
     lo: int,
     hi: int,
-    prec: int = DEFAULT_PRECISION,
+    *,
     shifted: bool = True,
 ) -> list[int]:
-    """Exact check of the theorem's statement over a contiguous range.
+    """Indices n in lo..hi where the theorem's statement fails, decided
+    exactly by theorem_predicate.
 
-    lo/hi are in shifted coordinates when `shifted` (matching the
-    certified polynomial); returned violations are in statement
+    lo/hi are in shifted coordinates (those of the certified polynomial)
+    unless shifted=False; returned violations are in statement
     coordinates.
     """
-    spec = THEOREMS[theorem_id]
-    offset = spec.shift if shifted else 0
-    violations = []
-    for n in range(lo + offset, hi + offset + 1):
-        if not theorem_predicate(theorem_id, table, n, prec):
-            violations.append(n)
-    return violations
+    offset = THEOREMS[theorem_id].shift if shifted else 0
+    return [n for n in range(lo + offset, hi + offset + 1)
+            if not theorem_predicate(theorem_id, table, n)]
 
 
-def sharpness_scan(theorem_id: str, table: QTable, prec: int = DEFAULT_PRECISION) -> list[int]:
-    """All violations of the statement strictly below its threshold."""
+def sharpness_scan(theorem_id: str, table: QTable) -> list[int]:
+    """All violations of the statement strictly below its stated threshold."""
     spec = THEOREMS[theorem_id]
-    return exact_verify(theorem_id, table, spec.scan_floor, spec.threshold - 1, prec, shifted=False)
+    return exact_verify(theorem_id, table, spec.scan_floor, spec.threshold - 1, shifted=False)
 
 
 # -- full verification -------------------------------------------------------------
@@ -877,9 +855,12 @@ def verify_theorem(
     """End-to-end verification: certified crossover, exact range up to
     it with no gap, and the sharpness scan below the threshold.
 
-    threshold_override replaces the stated threshold in the exact range
-    and the sharpness scan (used to verify documented errata); the
-    certified regime is unaffected.
+    Both exact parts come from one scan in statement coordinates, split
+    at the threshold: the violations at or above it are the exact
+    range's, the largest one below it is the sharpness witness.
+    threshold_override replaces the stated threshold in that split
+    (used to verify documented errata); the certified regime is
+    unaffected.
     """
     spec = THEOREMS[theorem_id]
     threshold = spec.threshold if threshold_override is None else threshold_override
@@ -889,11 +870,11 @@ def verify_theorem(
     n_star, cert = find_crossover(theorem_id, prec, max_depth)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1
-    violations = exact_verify(theorem_id, table, exact_lo, exact_hi, prec)
-    witness = None
-    if sharpness:
-        below = exact_verify(theorem_id, table, spec.scan_floor, threshold - 1, prec, shifted=False)
-        witness = max(below) if below else None
+    scan_lo = min(spec.scan_floor, threshold) if sharpness else threshold
+    found = exact_verify(theorem_id, table, scan_lo, max(threshold - 1, exact_hi + spec.shift),
+                         shifted=False)
+    violations = [n for n in found if n >= threshold]
+    witness = max((n for n in found if n < threshold), default=None)
     if not cert.proved:
         status = "inconclusive" if cert.negative_witness is None else "fail"
     else:

@@ -37,6 +37,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
 # Values asserted by --paper-check: the envelope window maxima for each
 # truncation order, over the shifts its theorems use, and q(9).
@@ -115,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-errata", action="store_true",
                    help="verify the documented corrected threshold for "
                    "double-turan-companion (349) instead of the stated 346")
-    p.add_argument("--theorems", nargs="+", default=None, help="subset of theorem ids")
+    p.add_argument("--theorems", nargs="+", choices=sorted(THEOREMS), default=None,
+                   metavar="THEOREMS", help="subset of theorem ids")
 
     return parser
 
@@ -144,11 +146,7 @@ def cmd_qtable(args) -> int:
     if lo < 0 or hi < lo:
         print(f"error: bad range {lo}..{hi}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        table = _get_table(args, hi)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    table = _get_table(args, hi)
     values = [table[n] for n in range(lo, hi + 1)]
     if args.check_enumeration:
         try:
@@ -229,9 +227,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps(report.to_json_dict(include_timing=not args.no_timing), indent=2))
-    if report.status == "pass":
-        return EXIT_PASS
-    return EXIT_INCONCLUSIVE if report.status == "inconclusive" else EXIT_FAIL
+    return STATUS_EXIT[report.status]
 
 
 def cmd_certify(args) -> int:
@@ -261,10 +257,6 @@ def _paper_check(args) -> list[str]:
 
 def cmd_reproduce_all(args) -> int:
     ids = list(dict.fromkeys(args.theorems)) if args.theorems else sorted(THEOREMS)
-    for tid in ids:
-        if tid not in THEOREMS:
-            print(f"error: unknown theorem id {tid!r}", file=sys.stderr)
-            return EXIT_USAGE
     table = _get_table(args, max(THEOREMS[tid].table_n_max for tid in ids))
     if args.paper_check:
         problems = _paper_check(args)
@@ -302,10 +294,7 @@ def cmd_reproduce_all(args) -> int:
             f"violations={report.exact_violations}, sharpness witness={report.sharpness_witness}",
             file=sys.stderr,
         )
-        if report.status == "inconclusive":
-            worst = max(worst, EXIT_INCONCLUSIVE)
-        elif report.status != "pass":
-            worst = max(worst, EXIT_FAIL)
+        worst = max(worst, STATUS_EXIT[report.status])
     summary = {"theorems": reports, "status": "pass" if worst == EXIT_PASS else "fail"}
     if not args.no_timing:
         summary["seconds"] = round(time.perf_counter() - t0, 3)

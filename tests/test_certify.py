@@ -31,6 +31,7 @@ from qcert.certify import (
     theorem_predicate,
     verify_theorem,
 )
+import qcert.certify as certify_module
 from qcert.certify import HybridPoly
 from qcert.enclosures import enclose_pi
 from qcert.intervals import Dyadic, Interval
@@ -144,10 +145,7 @@ class TestLaguerre:
 def _toy_ineq(monomials: dict[int, RingElem], x0: Fraction, prec: int = 192) -> IneqPoly:
     poly = HybridPoly.from_ring_monomials(monomials, prec)
     x0_d = Dyadic.from_fraction(x0, prec, up=True)
-    return IneqPoly(
-        ineq_id="toy", theorem_id="toy", N=len(monomials), prec=prec,
-        poly=poly, x0=x0_d, window=1,
-    )
+    return IneqPoly(poly=poly, x0=x0_d, window=1)
 
 
 def _gap(k: int) -> Sum:
@@ -246,7 +244,7 @@ class TestCertifyPositive:
     def test_stripping_past_exact_prefix_raises(self):
         # exact part kept for x^0 only, nothing known about x^1
         poly = HybridPoly([RingElem()], {}, 192, [Interval.point(0), Interval.point(1)])
-        ineq = IneqPoly("toy", "toy", 1, 192, poly, Dyadic(1), 1)
+        ineq = IneqPoly(poly, Dyadic(1), 1)
         with pytest.raises(ArithmeticError):
             certify_positive(ineq, Dyadic(1))
 
@@ -351,8 +349,37 @@ class TestCrossovers:
         assert cert6.proved and 6929 <= n6 <= THEOREMS["double-turan-companion"].seam
 
     def test_companion_not_certifiable_at_window(self):
-        cert = certify_inequality("ineq2", max_prec=384)
+        cert = certify_inequality("ineq2")
         assert not cert.proved
+
+    @pytest.mark.parametrize("tid, trials", [
+        ("A-companion",
+         [5019, 5885, 5452, 5668, 5776, 5830, 5857, 5843, 5850, 5846, 5848, 5847]),
+        ("double-turan-companion",
+         [5019, 7056, 6037, 6546, 6801, 6928, 6992, 6960, 6944, 6936, 6932, 6934, 6933]),
+    ])
+    def test_companion_search_trials(self, monkeypatch, tid, trials):
+        # the window, then the seam, then bisection between them
+        seen = []
+        certify = certify_module.certify_inequality
+
+        def record(ineq_id, n_star, *args):
+            seen.append(n_star)
+            return certify(ineq_id, n_star, *args)
+
+        monkeypatch.setattr(certify_module, "certify_inequality", record)
+        assert find_crossover(tid)[0] == trials[-1]
+        assert seen == trials
+
+    def test_n_star_checked_before_expansion(self, monkeypatch):
+        def no_expansion(*args):
+            raise AssertionError("expanded before the window check")
+
+        monkeypatch.setattr(certify_module, "build_ineq", no_expansion)
+        with pytest.raises(ValueError, match="n_star=100 below envelope validity window 18502"):
+            certify_inequality("ineq3", n_star=100)
+        with pytest.raises(ValueError, match="unknown inequality id: 'ineq9'"):
+            certify_inequality("ineq9")
 
     def test_soundness_random_points(self):
         # proved certificate: reduced polynomial positive at random x
@@ -587,6 +614,14 @@ class TestVerifyTheorem:
         assert rep.status == "pass"
         assert rep.exact_violations == []
         assert rep.sharpness_witness == 348
+
+    def test_threshold_above_crossover(self, table20k):
+        # the exact range is empty; the scan below the threshold still runs
+        rep = verify_theorem("A", table20k, threshold_override=6000)
+        assert rep.status == "pass"
+        assert rep.exact_range == (5999, 5018)
+        assert rep.exact_violations == []
+        assert rep.sharpness_witness == 229
 
     def test_table_too_small(self, table2k):
         with pytest.raises(ValueError):

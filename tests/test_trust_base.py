@@ -10,7 +10,17 @@ import pytest
 
 import oracles
 import qcert
-from qcert.certify import find_crossover, verify_theorem
+from qcert.bounds import check_main_term_sandwich
+from qcert.certify import (
+    HybridPoly,
+    IneqPoly,
+    certify_inequality,
+    exact_verify,
+    find_crossover,
+    sharpness_scan,
+    theorem_predicate,
+    verify_theorem,
+)
 from qcert.intervals import Interval
 from qcert.ring import RingElem
 
@@ -39,6 +49,17 @@ REMOVED_METHODS = (
     (RingElem, "rational_part"),
     (RingElem, "pi_power"),  # RingElem.monomial(i, 0, c)
     (RingElem, "sqrt3"),     # RingElem.monomial(0, 1, c)
+    (HybridPoly, "neg"),     # HybridPoly.scale_int(-1)
+)
+
+# Knobs that change no result: the exact regime's integer decision does
+# not depend on a precision, and the precision ceiling is MAX_PRECISION.
+REMOVED_PARAMETERS = (
+    (theorem_predicate, "prec"),
+    (exact_verify, "prec"),
+    (sharpness_scan, "prec"),
+    (certify_inequality, "max_prec"),
+    (check_main_term_sandwich, "max_prec"),
 )
 
 
@@ -67,3 +88,18 @@ def test_method_removed(cls, name):
 def test_no_sharpen_knobs():
     assert "sharpen" not in inspect.signature(find_crossover).parameters
     assert "sharpen_crossover" not in inspect.signature(verify_theorem).parameters
+
+
+@pytest.mark.parametrize("fn, name", REMOVED_PARAMETERS)
+def test_parameter_removed(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
+def test_exact_verify_shifted_is_keyword_only():
+    shifted = inspect.signature(exact_verify).parameters["shifted"]
+    assert shifted.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_ineq_poly_fields():
+    # the id, theorem, N and precision are known to the caller or to poly
+    assert tuple(IneqPoly.__dataclass_fields__) == ("poly", "x0", "window", "side_lemma")
