@@ -433,15 +433,17 @@ class HybridPoly:
                 # interval convolution: contains the exact ring product,
                 # far cheaper than re-evaluating the huge product elements
                 ivs_out[i + j] = ivs_out[i + j].add(aiv.mul(biv, p), p)
-        # exact convolution over one common denominator per operand
+        # exact convolution over one common denominator per operand; a
+        # square (Sq) pairs each term once, weight 2 off the diagonal
+        square = other is self
         d1, lhs_ints = self._cleared_prefix(exact)
-        d2, rhs_ints = other._cleared_prefix(exact)
+        d2, rhs_ints = (d1, lhs_ints) if square else other._cleared_prefix(exact)
         accs: list[dict] = [{} for _ in range(exact)]
-        for i, a in lhs_ints:
-            for j, b in rhs_ints:
+        for x, (i, a) in enumerate(lhs_ints):
+            for j, b in rhs_ints[x if square else 0:]:
                 if i + j >= exact:
                     break
-                convolve_terms(accs[i + j], a, b)
+                convolve_terms(accs[i + j], a, b, 2 if square and j != i else 1)
         ring_out = [RingElem.from_cleared(d1 * d2, acc) for acc in accs]
         return HybridPoly(ring_out, errs_out, p, ivs_out)
 
@@ -615,6 +617,8 @@ def certify_positive(
     rounding_limited unless the correction boxes alone explain it.
     Exhausted depth is inconclusive, never proved.
     """
+    if x0.sign <= 0:
+        raise ValueError(f"x0 must be > 0 (the interval is (0, x0]), got {float(x0)}")
     if x0 > ineq.x0:
         raise ValueError(f"x0={float(x0)} beyond validity radius {float(ineq.x0)}")
     if max_depth < 0:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ring import RingElem
+from .ring import RingElem, sum_of_products
 
 __all__ = [
     "rising_factorial",
@@ -145,12 +145,8 @@ def binom_factor_coeff(k: int, s: int) -> Fraction:
 @lru_cache(maxsize=None)
 def exp_binom_coeff(k: int, s: int) -> RingElem:
     """Convolution of the exponential and binomial factor coefficients."""
-    total = RingElem()
-    for l in range(k + 1):
-        c = binom_factor_coeff(k - l, s)
-        if c:
-            total = total + exp_factor_coeff(l, s).scale(c)
-    return total
+    return sum_of_products((exp_factor_coeff(l, s), RingElem.from_rational(c))
+                           for l in range(k + 1) if (c := binom_factor_coeff(k - l, s)))
 
 
 @lru_cache(maxsize=None)
@@ -192,10 +188,8 @@ def bessel_factor_coeff(k: int, s: int) -> RingElem:
 def expansion_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of the full expansion of
     4 * 3^{1/4} n^{3/4} e^{-pi sqrt(n/3)} q(n+s) in x = n^{-1/2}."""
-    total = RingElem()
-    for l in range(k + 1):
-        total = total + exp_binom_coeff(l, s) * bessel_factor_coeff(k - l, s)
-    return total
+    return sum_of_products((exp_binom_coeff(l, s), bessel_factor_coeff(k - l, s))
+                           for l in range(k + 1))
 
 
 COEFF_FAMILIES = {

@@ -14,7 +14,9 @@ explicitly to any operation, or set per thread with ``workprec``:
         z = x * y        # operators use the thread's current precision
 
 Mantissas are plain Python ints, so there is no overflow and no hidden
-rounding anywhere except the explicit directed roundings below.
+rounding anywhere except the explicit directed roundings below.  An
+interval endpoint is rounded once, straight from the raw sum or product
+mantissa, and canonicalised once.
 """
 
 from __future__ import annotations
@@ -96,6 +98,26 @@ def _canonical(man: int, exp: int) -> tuple[int, int]:
     return man >> shift, exp + shift
 
 
+def _rounded(man: int, exp: int, prec: int, up: bool) -> "Dyadic":
+    """man*2**exp rounded to prec bits toward +inf (up) or -inf, as a
+    canonical Dyadic.  man need not be canonical: t trailing zeros
+    change neither the quotient nor the remainder test of the rounding,
+    so the raw mantissa is rounded first and stripped once."""
+    d = Dyadic.__new__(Dyadic)
+    d.man, d.exp = _canonical(*_round_mantissa(man, exp, prec, up))
+    return d
+
+
+def _rounded_sum(pm: int, pe: int, qm: int, qe: int, prec: int, up: bool) -> "Dyadic":
+    """pm*2**pe + qm*2**qe rounded to prec bits, from the raw aligned sum."""
+    if pm and qm:
+        e = pe if pe < qe else qe
+        pm, pe = (pm << (pe - e)) + (qm << (qe - e)), e
+    elif not pm:
+        pm, pe = qm, qe
+    return _rounded(pm, pe, prec, up)
+
+
 class Dyadic:
     """Exact dyadic rational m * 2**e, canonical (m odd, or m = e = 0)."""
 
@@ -112,16 +134,13 @@ class Dyadic:
     def from_fraction(value: Fraction | int, prec: int, up: bool) -> "Dyadic":
         """Directed conversion of an exact rational to <= prec bits."""
         if isinstance(value, int):
-            man, exp = _round_mantissa(value, 0, prec, up)
-            return Dyadic(man, exp)
+            return _rounded(value, 0, prec, up)
         num, den = value.numerator, value.denominator
         if den == 1:
-            man, exp = _round_mantissa(num, 0, prec, up)
-            return Dyadic(man, exp)
+            return _rounded(num, 0, prec, up)
         dbits = den.bit_length()
         if den == 1 << (dbits - 1):  # already dyadic: exact unless too wide
-            man, exp = _round_mantissa(num, 1 - dbits, prec, up)
-            return Dyadic(man, exp)
+            return _rounded(num, 1 - dbits, prec, up)
         return _div_dir(num, 0, den, 0, prec, up)
 
     # -- exact arithmetic (mantissa may grow) -------------------------
@@ -157,8 +176,7 @@ class Dyadic:
         return d
 
     def round(self, prec: int, up: bool) -> "Dyadic":
-        man, exp = _round_mantissa(self.man, self.exp, prec, up)
-        return Dyadic(man, exp)
+        return _rounded(self.man, self.exp, prec, up)
 
     # -- comparisons (exact) ------------------------------------------
 
@@ -290,12 +308,8 @@ def _sqrt_dir(man: int, exp: int, prec: int) -> tuple[Dyadic, Dyadic]:
 
     r = isqrt(man << (2 * j))
     half = exp // 2 - j
-    if r * r == man << (2 * j):  # perfect square: exact result
-        d = Dyadic(r, half)
-        return d.round(prec, up=False), d.round(prec, up=True)
-    lo = Dyadic(r, half).round(prec, up=False)
-    hi = Dyadic(r + 1, half).round(prec, up=True)
-    return lo, hi
+    exact = r * r == man << (2 * j)  # perfect square: exact result
+    return _rounded(r, half, prec, up=False), _rounded(r if exact else r + 1, half, prec, up=True)
 
 
 class Interval:
@@ -338,16 +352,18 @@ class Interval:
 
     def add(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
         return Interval(
-            (self.lo + other.lo).round(prec, up=False),
-            (self.hi + other.hi).round(prec, up=True),
+            _rounded_sum(a.man, a.exp, c.man, c.exp, prec, up=False),
+            _rounded_sum(b.man, b.exp, d.man, d.exp, prec, up=True),
         )
 
     def sub(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
         return Interval(
-            (self.lo - other.hi).round(prec, up=False),
-            (self.hi - other.lo).round(prec, up=True),
+            _rounded_sum(a.man, a.exp, -d.man, d.exp, prec, up=False),
+            _rounded_sum(b.man, b.exp, -c.man, c.exp, prec, up=True),
         )
 
     def neg(self) -> "Interval":
@@ -355,20 +371,23 @@ class Interval:
 
     def mul(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)
-        # Moore's sign cases: the exact min and max of the four endpoint
-        # products, using all four only when both intervals straddle zero
+        # Moore's sign cases: the endpoint pairs whose products are the
+        # exact min and max of the four, compared only when both
+        # intervals straddle zero; each is rounded from its raw product
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if a.man >= 0:
-            lo, hi = (a * c, b * d) if c.man >= 0 else (b * c, a * d if d.man <= 0 else b * d)
+            lo, hi = ((a, c), (b, d)) if c.man >= 0 else ((b, c), (a, d) if d.man <= 0 else (b, d))
         elif b.man <= 0:
-            lo, hi = (a * d, b * c) if c.man >= 0 else (b * d if d.man <= 0 else a * d, a * c)
+            lo, hi = ((a, d), (b, c)) if c.man >= 0 else ((b, d) if d.man <= 0 else (a, d), (a, c))
         elif c.man >= 0:
-            lo, hi = a * d, b * d
+            lo, hi = (a, d), (b, d)
         elif d.man <= 0:
-            lo, hi = b * c, a * c
+            lo, hi = (b, c), (a, c)
         else:
-            lo, hi = min(a * d, b * c), max(a * c, b * d)
-        return Interval(lo.round(prec, up=False), hi.round(prec, up=True))
+            lo, hi = (a, d) if a * d < b * c else (b, c), (a, c) if a * c > b * d else (b, d)
+        (p, q), (r, t) = lo, hi
+        return Interval(_rounded(p.man * q.man, p.exp + q.exp, prec, up=False),
+                        _rounded(r.man * t.man, r.exp + t.exp, prec, up=True))
 
     def div(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)

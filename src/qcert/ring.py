@@ -11,10 +11,13 @@ certifier relies on that to strip vanishing leading coefficients.
 Multiplication clears denominators first (one lcm per operand, integer
 convolution, one rational normalization per output key); with hundreds
 of terms per operand this is roughly an order of magnitude faster than
-naive Fraction products and is exactly equal.  The integer convolution
-is ``convolve_terms``; polynomial products over this ring
-(``certify.HybridPoly.mul``) call it too, accumulating every output
-degree over one common denominator.
+naive Fraction products and is exactly equal.  Cleared terms are keyed
+by the packed integer 4*i + j (private to this module), so a product
+term's key is the sum of its factors' keys; ``from_cleared`` folds the
+sqrt3^2 keys (j = 2) into 3 and drops every key that sums to zero.  The
+integer convolution ``convolve_terms`` also serves the coefficient sums
+(``sum_of_products``) and ``certify.HybridPoly.mul``, which pairs each
+term of a square once.  pi^i and sqrt3 enclosures are tabled per precision.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import lcm
 from .enclosures import enclose_pi
 from .intervals import Interval, resolve_precision
 
-__all__ = ["RingElem", "convolve_terms"]
+__all__ = ["RingElem", "convolve_terms", "sum_of_products"]
 
 
 class RingElem:
@@ -73,13 +76,14 @@ class RingElem:
     def __neg__(self) -> "RingElem":
         return _wrap({k: -c for k, c in self.terms.items()})
 
-    def cleared(self) -> tuple[int, dict[tuple[int, int], int]]:
-        """(common denominator D, integer terms of D*self)."""
+    def cleared(self) -> tuple[int, dict[int, int]]:
+        """(common denominator D, integer terms of D*self on packed keys)."""
         if self._den_cache is None:
             den = 1
             for c in self.terms.values():
                 den = lcm(den, c.denominator)
-            ints = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+            ints = {4 * i + j: c.numerator * (den // c.denominator)
+                    for (i, j), c in self.terms.items()}
             self._den_cache = (den, ints)
         return self._den_cache
 
@@ -88,16 +92,20 @@ class RingElem:
             return self.scale(other)
         if not self.terms or not other.terms:
             return ZERO_ELEM
-        d1, a = self.cleared()
-        d2, b = other.cleared()
-        return RingElem.from_cleared(d1 * d2, convolve_terms({}, a, b))
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     @staticmethod
-    def from_cleared(den: int, ints: dict[tuple[int, int], int]) -> "RingElem":
-        """The element (1/den) * ints, one normalised Fraction per nonzero key."""
-        return _wrap({k: Fraction(v, den) for k, v in ints.items() if v})
+    def from_cleared(den: int, ints: dict[int, int]) -> "RingElem":
+        """The element (1/den) * ints, one normalised Fraction per nonzero
+        key, with sqrt3^2 folded into 3 at the position of its first key."""
+        folded: dict[int, int] = {}
+        for k, v in ints.items():
+            if k & 2:
+                k, v = k - 2, 3 * v
+            folded[k] = folded.get(k, 0) + v
+        return _wrap({(k >> 2, k & 3): Fraction(v, den) for k, v in folded.items() if v})
 
     def scale(self, c: Fraction | int) -> "RingElem":
         c = Fraction(c)
@@ -140,17 +148,7 @@ class RingElem:
         prec = resolve_precision(prec)
         if not self.terms:
             return Interval.point(0)
-        pi = enclose_pi(prec)
-        imin = min(i for i, _ in self.terms)
-        imax = max(i for i, _ in self.terms)
-        pi_pows: dict[int, Interval] = {0: Interval.point(1)}
-        for i in range(1, imax + 1):
-            pi_pows[i] = pi_pows[i - 1].mul(pi, prec)
-        if imin < 0:
-            inv = Interval.point(1).div(pi, prec)
-            for i in range(1, -imin + 1):
-                pi_pows[-i] = pi_pows[-(i - 1)].mul(inv, prec)
-        sqrt3 = Interval.point(3).sqrt(prec)
+        pi_pows, sqrt3 = _pi_powers(prec, min(self.terms)[0], max(self.terms)[0])
         total = Interval.point(0)
         for (i, j), c in self.terms.items():
             term = Interval.from_fraction(c, prec).mul(pi_pows[i], prec)
@@ -160,21 +158,46 @@ class RingElem:
         return total
 
 
-def convolve_terms(acc: dict, a: dict, b: dict) -> dict:
-    """Add the product of integer term maps a and b into acc (sqrt3*sqrt3 -> 3)."""
-    for (i1, j1), m1 in a.items():
-        for (i2, j2), m2 in b.items():
-            j = j1 + j2
-            v = m1 * m2
-            if j == 2:
-                v *= 3
-                j = 0
-            key = (i1 + i2, j)
-            if key in acc:
-                acc[key] += v
-            else:
-                acc[key] = v
+def convolve_terms(acc: dict[int, int], a: dict[int, int], b: dict[int, int], w: int = 1) -> dict:
+    """Add w times the product of packed integer term maps a and b into acc."""
+    get = acc.get
+    for k1, m1 in a.items():
+        m1 *= w
+        for k2, m2 in b.items():
+            acc[k1 + k2] = get(k1 + k2, 0) + m1 * m2
     return acc
+
+
+def sum_of_products(pairs) -> RingElem:
+    """The sum of a * b over the (a, b) pairs, accumulated in integers
+    over one common denominator and normalised once."""
+    parts = [(a.cleared(), b.cleared()) for a, b in pairs]
+    den = lcm(*(d1 * d2 for (d1, _), (d2, _) in parts))
+    acc: dict[int, int] = {}
+    for (d1, a), (d2, b) in parts:
+        convolve_terms(acc, a, b, den // (d1 * d2))
+    return RingElem.from_cleared(den, acc)
+
+
+_PI_POWERS: dict[int, tuple[dict[int, Interval], Interval, Interval, Interval]] = {}
+
+
+def _pi_powers(prec: int, imin: int, imax: int) -> tuple[dict[int, Interval], Interval]:
+    """(enclosures of pi^i for i in imin..imax, sqrt3) from one table per
+    precision.  pi^i is always pi^(i-1) * pi and pi^-i is pi^-(i-1) * (1/pi),
+    so every entry is the same whichever element asked for it first."""
+    if prec not in _PI_POWERS:
+        pi = enclose_pi(prec)
+        _PI_POWERS[prec] = ({0: Interval.point(1)}, pi, Interval.point(1).div(pi, prec),
+                            Interval.point(3).sqrt(prec))
+    pows, pi, inv, sqrt3 = _PI_POWERS[prec]
+    for i in range(1, imax + 1):
+        if i not in pows:
+            pows[i] = pows[i - 1].mul(pi, prec)
+    for i in range(1, -imin + 1):
+        if -i not in pows:
+            pows[-i] = pows[1 - i].mul(inv, prec)
+    return pows, sqrt3
 
 
 def _wrap(terms: dict) -> RingElem:

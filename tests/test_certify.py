@@ -253,6 +253,13 @@ class TestCertifyPositive:
         with pytest.raises(ValueError, match="max_depth"):
             certify_positive(ineq, ineq.x0, max_depth=-3)
 
+    def test_nonpositive_x0_rejected(self):
+        # (0, x0] is empty for x0 <= 0: a usage error, not a division by zero
+        ineq = build_ineq("ineq1")
+        for x0 in (Dyadic(0), Dyadic(-1)):
+            with pytest.raises(ValueError, match="x0 must be > 0"):
+                certify_positive(ineq, x0)
+
     def test_tight_ring_cancellation(self):
         # (pi sqrt3)(pi^-1 sqrt3) - 3 + x^2: symbolic zero at degree 0
         c0 = RingElem({(1, 1): F(1)}) * RingElem({(-1, 1): F(1)}) + RingElem.from_rational(-3)
@@ -327,6 +334,26 @@ class TestPolynomialPins:
                     if k - i < len(rhs.ring_parts):
                         want = want + lhs.ring_parts[i] * rhs.ring_parts[k - i]
                 assert got == want, k
+
+
+    def test_square_pairs_each_term_once(self):
+        # x.mul(x) pairs each exact term once; a copy of x takes the
+        # ordered path, and every field must agree bit for bit
+        def copy(x):
+            return HybridPoly(list(x.ring_parts), dict(x.errs), x.prec, list(x.ring_ivs))
+
+        def fields(x):
+            return ([list(r.terms.items()) for r in x.ring_parts],
+                    [(iv.lo, iv.hi) for iv in x.ring_ivs],
+                    {d: (e.lo, e.hi) for d, e in x.errs.items()})
+
+        envelope = HybridPoly.from_envelope(1, 24, -1, 192)
+        truncated = HybridPoly.from_envelope(0, 14, -1, 192).mul(
+            HybridPoly.from_envelope(3, 14, +1, 192))
+        for x in (envelope, truncated):
+            square = x.mul(x)
+            assert len(square.ring_parts) > 10
+            assert fields(square) == fields(x.mul(copy(x)))
 
 
 class TestCrossovers:

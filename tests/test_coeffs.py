@@ -8,6 +8,7 @@ import pytest
 
 from oracles import alt_half_binomial_sum, alt_half_binomial_sum_closed
 from qcert.bounds import error_budget
+from qcert.certify import THEOREMS
 from qcert.coeffs import (
     bessel_asym_coeff,
     bessel_factor_coeff,
@@ -207,3 +208,21 @@ def test_full_product_consistency(table20k):
         lower = bound_value(n, s, N, -1)
         upper = bound_value(n, s, N, +1)
         assert lower.hi.cmp_fraction(q) <= 0 <= upper.lo.cmp_fraction(q), (n, s, N)
+
+
+def test_coefficient_sums_match_ring_sums():
+    # the integer Cauchy sums equal the RingElem sums they replaced, with
+    # the same enclosures, for every (k, s) the theorems use
+    pairs = sorted({(t.N, s) for t in THEOREMS.values() for s in t.shifts})
+    for N, s in pairs:
+        for k in range(N + 1):
+            eb, full = RingElem(), RingElem()
+            for l in range(k + 1):
+                c = binom_factor_coeff(k - l, s)
+                if c:
+                    eb = eb + exp_factor_coeff(l, s).scale(c)
+                full = full + exp_binom_coeff(l, s) * bessel_factor_coeff(k - l, s)
+            for got, want in [(exp_binom_coeff(k, s), eb), (expansion_coeff(k, s), full)]:
+                assert got == want, (k, s)
+                g, w = got.eval_iv(192), want.eval_iv(192)
+                assert (g.lo, g.hi) == (w.lo, w.hi), (k, s)

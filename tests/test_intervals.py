@@ -140,6 +140,30 @@ class TestIntervalArithmetic:
         assert m.lo == Dyadic.from_fraction(min(products), prec, up=False)
         assert m.hi == Dyadic.from_fraction(max(products), prec, up=True)
 
+    @pytest.mark.parametrize("prec", [64, 192])
+    @given(data=st.data())
+    def test_add_sub_are_rounded_exact_endpoint_sums(self, prec, data):
+        # zero endpoints and exponents far apart included: each endpoint
+        # is the directed rounding of the exact sum or difference
+        def odd(bits, rng, negative):  # bits + 1 significant bits
+            m = rng.getrandbits(bits) | (1 << bits) | 1
+            return -m if negative else m
+
+        mantissa = st.one_of(st.just(0), st.builds(odd, st.integers(1, 260), st.randoms(), st.booleans()))
+        dyadic = st.builds(Dyadic, mantissa, st.integers(-600, 300))
+
+        def draw():
+            x, y = data.draw(dyadic), data.draw(dyadic)
+            return Interval(min(x, y), max(x, y))
+
+        a, b = draw(), draw()
+        (alo, ahi), (blo, bhi) = a.to_fractions(), b.to_fractions()
+        s, d = a.add(b, prec), a.sub(b, prec)
+        assert s.lo == Dyadic.from_fraction(alo + blo, prec, up=False)
+        assert s.hi == Dyadic.from_fraction(ahi + bhi, prec, up=True)
+        assert d.lo == Dyadic.from_fraction(alo - bhi, prec, up=False)
+        assert d.hi == Dyadic.from_fraction(ahi - blo, prec, up=True)
+
     def test_containment_randomized(self):
         # 1000 random rational pairs: the exact result is inside, for
         # every operation at several precisions

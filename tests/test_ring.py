@@ -6,7 +6,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qcert.ring import RingElem
+import qcert.ring as ring_module
+from qcert.enclosures import enclose_pi
+from qcert.intervals import Interval
+from qcert.ring import RingElem, convolve_terms
 
 mp.mp.prec = 300
 
@@ -111,3 +114,74 @@ def test_as_string_round_readable():
     s = e.as_string()
     assert "pi^1 sqrt3" in s and "pi^-1 sqrt3" in s and "-3/8" in s
     assert RingElem().as_string() == "0"
+
+
+def naive_product(a: RingElem, b: RingElem) -> dict:
+    """Term-by-term Fraction product with sqrt3*sqrt3 -> 3."""
+    out: dict = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            key, c = (i1 + i2, j1 + j2), c1 * c2
+            if key[1] == 2:
+                key, c = (key[0], 0), 3 * c
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("span", [2, 25])
+def test_mul_matches_naive_fraction_products(span):
+    # pi powers in -span..span with both sqrt3 parities; span 2 makes
+    # keys collide and cancel, span 25 spreads them out
+    rng = random.Random(4 * span + 1)
+    for _ in range(400):
+        a, b = rand_elem(rng, span), rand_elem(rng, span)
+        assert (a * b).terms == naive_product(a, b)
+
+
+def test_conjugate_product_is_rational():
+    # (1 + sqrt3)(1 - sqrt3) = -2, with no sqrt3 key left
+    p = RingElem({(0, 0): Fraction(1), (0, 1): Fraction(1)})
+    q = RingElem({(0, 0): Fraction(1), (0, 1): Fraction(-1)})
+    assert (p * q).terms == {(0, 0): Fraction(-2)}
+
+
+def test_deferred_sqrt3_fold_cancels_rational_part():
+    # 1*3 + sqrt3*(-sqrt3) accumulated into one map: each accumulated
+    # integer is nonzero, and only the fold in from_cleared cancels them
+    one, three = RingElem.from_rational(1), RingElem.from_rational(3)
+    root, neg_root = RingElem.monomial(0, 1, 1), RingElem.monomial(0, 1, -1)
+    acc: dict = {}
+    for x, y in [(one, three), (root, neg_root)]:
+        convolve_terms(acc, x.cleared()[1], y.cleared()[1])
+    assert all(acc.values())
+    e = RingElem.from_cleared(1, acc)
+    assert e.is_zero and e.terms == {}
+
+
+def chain_eval(e: RingElem, prec: int) -> Interval:
+    """eval_iv with a fresh chain of pi powers for every term."""
+    pi = enclose_pi(prec)
+    inv = Interval.point(1).div(pi, prec)
+    total = Interval.point(0)
+    for (i, j), c in e.terms.items():
+        power = Interval.point(1)
+        for _ in range(abs(i)):
+            power = power.mul(pi if i > 0 else inv, prec)
+        term = Interval.from_fraction(c, prec).mul(power, prec)
+        if j:
+            term = term.mul(Interval.point(3).sqrt(prec), prec)
+        total = total.add(term, prec)
+    return total
+
+
+def test_pi_table_independent_of_evaluation_order(monkeypatch):
+    # high and low pi powers evaluated in either order match a fresh chain
+    elems = [RingElem({(25, 1): Fraction(3, 7), (1, 0): Fraction(1)}),
+             RingElem({(-25, 0): Fraction(-5, 11)}),
+             RingElem({(2, 0): Fraction(1, 3), (-1, 1): Fraction(2)})]
+    for prec in (64, 192):
+        want = [(w.lo, w.hi) for w in (chain_eval(e, prec) for e in elems)]
+        for order in (elems, elems[::-1]):
+            monkeypatch.setattr(ring_module, "_PI_POWERS", {})
+            got = {id(e): e.eval_iv(prec) for e in order}
+            assert [(got[id(e)].lo, got[id(e)].hi) for e in elems] == want
