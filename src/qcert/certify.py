@@ -13,10 +13,9 @@ no gap:
   bisection -- never by floating point, and "inconclusive" is never
   reported as proved.  Side lemmas from the same tree prove the factors
   of every product positive; companion slacks are checked in rationals.
-* exact regime: below the certified crossover the same tree is evaluated
-  value-by-value with big integers; a companion factor involving pi and
-  square roots is decided by comparing integers against a rational
-  bracket of its squared constant, which never ties.
+* exact regime: below the certified crossover the same tree is evaluated in
+  big integers over blocks of indices; a companion factor with pi and square
+  roots is decided in integers against a rational bracket of c^2, never tied.
 
 The certified crossover n_star is searched upward from the envelope
 validity window and is capped by the seam recorded for each theorem
@@ -31,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
@@ -62,18 +62,19 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 60
+BLOCK = 128  # indices per exact-scan block; whole-range lists raise peak memory by over 60%
 
 
 # -- theorem statements ---------------------------------------------------------
 
 # Each theorem is written once, as an expression tree over the leaves
-# q(n0 + s), n0 = n - shift.  Exactly, a tree evaluates to integers A, B
-# with the statement's value A + B t, t = r pi^i sqrt3^j n^{-a/2} the
-# companion term (B = 0 without one).  As an envelope it expands to a
-# hybrid polynomial in x = n0^{-1/2}: a leaf becomes L(s) at positive
-# polarity and U(s) at negative polarity, and a negative weight flips the
-# polarity.  Sums fold left and products evaluate in the order written,
-# which fixes every rounding of the expansion.
+# q(n0 + s), n0 = n - shift.  Exactly, values(q, m) gives lists A, B at m
+# indices, q the table from the first n0: the statement's value is A + B t,
+# t = r pi^i sqrt3^j n^{-a/2} the companion term (B None without one).  As an
+# envelope it expands to a hybrid polynomial in x = n0^{-1/2}: a leaf becomes
+# L(s) at positive polarity and U(s) at negative polarity, and a negative
+# weight flips the polarity.  Sums fold left and products evaluate in the
+# order written, which fixes every rounding of the expansion.
 
 
 def _paren(node, pol: int) -> str:
@@ -81,7 +82,24 @@ def _paren(node, pol: int) -> str:
     return f"({text})" if isinstance(node, Sum) else text
 
 
-class Q:
+def _prod(xs, ys):
+    """Elementwise product; None stands for all zeros."""
+    return None if xs is None or ys is None else list(map(mul, xs, ys))
+
+
+def _axpy(acc, w: int, xs):
+    """acc + w xs elementwise; None stands for all zeros."""
+    xs = xs if xs is None or w == 1 else [w * x for x in xs]
+    return xs if acc is None else acc if xs is None else list(map(add, acc, xs))
+
+
+class _Node:
+    def exact(self, q):
+        a, b = self.values(q, 1)  # the m = 1 case
+        return a[0], 0 if b is None else b[0]
+
+
+class Q(_Node):
     """Leaf q(n0 + s)."""
 
     children = ()
@@ -89,8 +107,8 @@ class Q:
     def __init__(self, s: int):
         self.s = s
 
-    def exact(self, q):
-        return q[self.s], 0
+    def values(self, q, m):
+        return q[self.s : self.s + m], None
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         return HybridPoly.from_envelope(self.s, ex.N, -pol, ex.prec, ex.tight)
@@ -99,19 +117,18 @@ class Q:
         return f"{'L' if pol > 0 else 'U'}{self.s}"
 
 
-class Sum:
+class Sum(_Node):
     """Integer-weighted terms, left-folded in the order written."""
 
     def __init__(self, *terms: tuple[int, object]):
         self.terms = terms
         self.children = tuple(t for _, t in terms)
 
-    def exact(self, q):
-        a = b = 0
+    def values(self, q, m):
+        a = b = None
         for w, t in self.terms:
-            ta, tb = t.exact(q)
-            a += w * ta
-            b += w * tb
+            ta, tb = t.values(q, m)
+            a, b = _axpy(a, w, ta), _axpy(b, w, tb)
         return a, b
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
@@ -130,16 +147,15 @@ class Sum:
         return " ".join(parts).removeprefix("+ ")
 
 
-class Mul:
+class Mul(_Node):
     """Binary product, evaluated as written."""
 
     def __init__(self, a, b):
         self.children = (a, b)
 
-    def exact(self, q):
-        a1, b1 = self.children[0].exact(q)
-        a2, b2 = self.children[1].exact(q)
-        return a1 * a2, a1 * b2 + b1 * a2
+    def values(self, q, m):
+        (a1, b1), (a2, b2) = (c.values(q, m) for c in self.children)
+        return _prod(a1, a2), _axpy(_prod(a1, b2), 1, _prod(b1, a2))
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         return ex(self.children[0], pol).mul(ex(self.children[1], pol))
@@ -154,6 +170,10 @@ class Sq(Mul):
     def __init__(self, x):
         super().__init__(x, x)
 
+    def values(self, q, m):
+        a, b = self.children[0].values(q, m)
+        return [x * x for x in a], _axpy(None, 2, _prod(a, b))
+
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         x = ex(self.children[0], pol)
         return x.mul(x)
@@ -162,7 +182,7 @@ class Sq(Mul):
         return f"{_paren(self.children[0], pol)}^2"
 
 
-class Companion:
+class Companion(_Node):
     """body (1 + t), t = r pi^i sqrt3^j n^{-a/2} in statement coordinates.
 
     In the envelope variable n = n0 + shift, so t = c x^a (1 + shift x^2)^{-a/2}
@@ -176,8 +196,8 @@ class Companion:
         self.r, self.i, self.j, self.a, self.slack = Fraction(r), i, j, a, Fraction(slack)
         self.coeff = RingElem.monomial(i, j, r)
 
-    def exact(self, q):
-        a, _ = self.children[0].exact(q)
+    def values(self, q, m):
+        a, _ = self.children[0].values(q, m)
         return a, a
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
@@ -303,19 +323,10 @@ def _c2_bracket(comp: Companion, prec: int) -> tuple[Fraction, Fraction]:
     return tuple(k * f for f in enclose_pi(prec).pow_int(2 * comp.i, prec).to_fractions())
 
 
-def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
-    """Exact truth of the theorem's statement at index n (statement
-    coordinates), decided in integers.  The statement's value is A + B t
-    with t > 0; when A and B have opposite signs, |B| t against |A| is
-    decided by B^2 c^2 against A^2 n^a with a rational bracket of c^2,
-    refined only on a tie, which an irrational c^2 never gives."""
-    spec = THEOREMS[theorem_id]
-    a, b = spec.statement.exact(table.window(n - spec.shift, spec.shifts[-1] + 1))
-    if a >= 0 and b >= 0:
-        return a > 0 or b > 0
-    if a <= 0 and b <= 0:
-        return False
-    comp = spec.companion
+def _positive(a: int, b: int, n: int, comp: Companion | None) -> bool:
+    """A + B t > 0 at index n, t > 0; opposite signs compare B^2 c^2 with A^2 n^a."""
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:  # same signs; A = B = 0 is not positive
+        return a + b > 0
     bb, rhs = b * b, a * a * n**comp.a
     prec = DEFAULT_PRECISION
     while True:
@@ -327,6 +338,11 @@ def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
         if lo == hi:  # c^2 rational: A + B t = 0
             return False
         prec *= 2
+
+
+def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
+    """Exact truth of the statement at n (statement coordinates): a length-1 exact_verify."""
+    return not exact_verify(theorem_id, table, n, n, shifted=False)
 
 
 # -- hybrid polynomials (ring part + interval corrections) --------------------
@@ -789,15 +805,26 @@ def exact_verify(
     shifted: bool = True,
 ) -> list[int]:
     """Indices n in lo..hi where the theorem's statement fails, decided
-    exactly by theorem_predicate.
+    exactly in integers, the tree evaluated BLOCK indices at a time.
 
     lo/hi are in shifted coordinates (those of the certified polynomial)
     unless shifted=False; returned violations are in statement
     coordinates.
     """
-    offset = THEOREMS[theorem_id].shift if shifted else 0
-    return [n for n in range(lo + offset, hi + offset + 1)
-            if not theorem_predicate(theorem_id, table, n)]
+    spec = THEOREMS[theorem_id]
+    start, count = lo + (spec.shift if shifted else 0), hi - lo + 1
+    if count <= 0:
+        return []
+    n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
+    for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
+        table.window(n, width + 1)
+    found = []
+    for i in range(0, count, BLOCK):
+        q = table.values[n0 + i : n0 + i + BLOCK + width]
+        a, b = spec.statement.values(q, min(BLOCK, count - i))
+        found += [n for n, x, y in zip(range(start + i, start + count), a, b or [0] * len(a))
+                  if not _positive(x, y, n, comp)]
+    return found
 
 
 def sharpness_scan(theorem_id: str, table: QTable) -> list[int]:
@@ -863,29 +890,27 @@ def verify_theorem(
     at the threshold: the violations at or above it are the exact
     range's, the largest one below it is the sharpness witness.
     threshold_override replaces the stated threshold in that split
-    (used to verify documented errata); the certified regime is
-    unaffected.
+    (used to verify documented errata; ValueError below scan_floor,
+    before any search); the certified regime is unaffected.
     """
     spec = THEOREMS[theorem_id]
     threshold = spec.threshold if threshold_override is None else threshold_override
     t0 = time.perf_counter()
+    if threshold < spec.scan_floor:
+        raise ValueError(f"threshold {threshold} below the scan floor {spec.scan_floor} of {theorem_id}")
     if table.n_max < spec.table_n_max:
         raise ValueError(f"table covers 0..{table.n_max}, need {spec.table_n_max} for {theorem_id}")
     n_star, cert = find_crossover(theorem_id, prec, max_depth)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1
-    scan_lo = min(spec.scan_floor, threshold) if sharpness else threshold
-    found = exact_verify(theorem_id, table, scan_lo, max(threshold - 1, exact_hi + spec.shift),
-                         shifted=False)
+    found = exact_verify(theorem_id, table, spec.scan_floor if sharpness else threshold,
+                         max(threshold - 1, exact_hi + spec.shift), shifted=False)
     violations = [n for n in found if n >= threshold]
     witness = max((n for n in found if n < threshold), default=None)
     if not cert.proved:
         status = "inconclusive" if cert.negative_witness is None else "fail"
     else:
         status = "pass" if not violations else "fail"
-    holds_from = None
-    if violations:
-        holds_from = max(violations) + 1
     return VerificationReport(
         theorem=theorem_id,
         label=spec.label,
@@ -900,5 +925,5 @@ def verify_theorem(
         subdivisions=cert.subdivision_count,
         certificate=cert,
         seconds=time.perf_counter() - t0,
-        holds_from=holds_from,
+        holds_from=max(violations) + 1 if violations else None,
     )

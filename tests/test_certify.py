@@ -161,6 +161,13 @@ class TestStatements:
             assert THEOREMS["B"].statement.exact(w) == (invariant_b(*w[:5]), 0), n
             assert THEOREMS["laguerre3"].statement.exact(w) == (laguerre(3, table2k, n), 0), n
 
+    def test_square_values_match_product(self, table2k):
+        # a square evaluates its term once; its value is the product's
+        x = Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2))))
+        q = table2k.values[100:140]
+        assert Sq(x).values(q, 36) == Mul(x, x).values(q, 36)
+        assert Sq(x).exact(q) == Mul(x, x).exact(q)
+
     def test_zero_value_is_not_positive(self):
         # A = B = 0: the statement "value > 0" is false, decided without refinement
         zeros = QTable(40, (0,) * 41)
@@ -562,6 +569,60 @@ def test_integer_decision_matches_refinement(tid, table20k):
         assert theorem_predicate(tid, table20k, n) == oracle(table20k, n), (tid, n)
 
 
+# independent oracles for the statements without a companion: the value itself
+PLAIN_ORACLES = {
+    "A": lambda table, n: invariant_a(*table.window(n - 1, 5)),
+    "B": lambda table, n: invariant_b(*table.window(n - 1, 5)),
+    "laguerre3": lambda table, n: laguerre(3, table, n),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(COMPANION_ORACLES) + sorted(PLAIN_ORACLES))
+def test_block_scan_matches_oracles(tid, table20k):
+    floor = THEOREMS[tid].scan_floor
+    if tid in COMPANION_ORACLES:
+        expected = [n for n in range(floor, 2001) if not COMPANION_ORACLES[tid](table20k, n)]
+    else:
+        expected = [n for n in range(floor, 2001) if PLAIN_ORACLES[tid](table20k, n) <= 0]
+    assert expected  # every statement fails somewhere below 2001
+    assert exact_verify(tid, table20k, floor, 2000, shifted=False) == expected
+
+
+BLOCK = certify_module.BLOCK
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_block_edges_match_single_indices(tid, table20k):
+    # ranges from 220 = 348 - BLOCK: the length BLOCK + 1 range ends at 348,
+    # the first index of its second block, and 2 BLOCK + 1 straddles it
+    lo = 348 - BLOCK
+    for length in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        hi = lo + length - 1
+        expected = [n for n in range(lo, hi + 1) if not theorem_predicate(tid, table20k, n)]
+        assert exact_verify(tid, table20k, lo, hi, shifted=False) == expected, (tid, length)
+    if tid == "double-turan-companion":
+        assert 348 in exact_verify(tid, table20k, lo, lo + BLOCK, shifted=False)
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_scan_reading_past_table_raises(tid, table2k):
+    spec = THEOREMS[tid]
+    top = table2k.n_max + spec.shift - spec.shifts[-1]  # the last index that reads only q(<= n_max)
+    expected = [n for n in range(top - 2 * BLOCK, top + 1) if not theorem_predicate(tid, table2k, n)]
+    assert exact_verify(tid, table2k, top - 2 * BLOCK, top, shifted=False) == expected
+    with pytest.raises(IndexError):
+        exact_verify(tid, table2k, top - 2 * BLOCK, top + 1, shifted=False)
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_zero_table_fails_everywhere(tid):
+    # A = B = 0 at every index: every index is reported
+    spec = THEOREMS[tid]
+    zeros = QTable(40, (0,) * 41)
+    top = zeros.n_max + spec.shift - spec.shifts[-1]
+    assert exact_verify(tid, zeros, spec.scan_floor, top, shifted=False) == list(range(spec.scan_floor, top + 1))
+
+
 def _ineq_sign_via_bounds(theorem_id: str, n: int) -> int:
     """Evaluate the inequality combination through bound_value (with
     prefactors); returns a certified sign or 0 if undecided."""
@@ -649,6 +710,14 @@ class TestVerifyTheorem:
         assert rep.exact_range == (5999, 5018)
         assert rep.exact_violations == []
         assert rep.sharpness_witness == 229
+
+    def test_threshold_below_scan_floor_rejected_before_search(self, table20k, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("crossover searched before the threshold check")
+
+        monkeypatch.setattr(certify_module, "find_crossover", no_search)
+        with pytest.raises(ValueError, match="threshold 0 below the scan floor 2 of double-turan"):
+            verify_theorem("double-turan", table20k, threshold_override=0)
 
     def test_table_too_small(self, table2k):
         with pytest.raises(ValueError):
