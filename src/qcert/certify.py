@@ -29,14 +29,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
 from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner
 from .qtable import QTable
-from .ring import RingElem, convolve_terms
+from .ring import ZERO_ELEM, RingElem, sum_of_products
 
 __all__ = [
     "Q",
@@ -348,27 +347,63 @@ def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
 # -- hybrid polynomials (ring part + interval corrections) --------------------
 
 
+class _Exact(dict):
+    """The exact ring parts of a HybridPoly below degree n: part d is
+    computed by rule(d) on first request and kept.  A rule reads other
+    stores only, never interval data."""
+
+    __slots__ = ("n", "rule")
+
+    def __init__(self, n: int, rule, parts=()):
+        super().__init__(parts)
+        self.n, self.rule = n, rule
+
+    def __missing__(self, d: int) -> RingElem:
+        if not 0 <= d < self.n:
+            raise IndexError(f"x^{d} outside the exact prefix 0..{self.n - 1}")
+        part = self[d] = self.rule(d)
+        return part
+
+
+def _product_part(k: int, a: _Exact, b: _Exact) -> RingElem:
+    """Degree k of a b over one common denominator; a square (b is a)
+    pairs each term once, weight 2 off the diagonal.  Operand parts at or
+    above n count as zero: the product's length keeps reads of a
+    truncated prefix below its n."""
+    square = a is b
+    top = min(k // 2 + 1 if square else k + 1, a.n)
+    lhs = [i for i in range(max(0, k - b.n + 1), top) if not a[i].is_zero]
+    return sum_of_products([(a[i], b[k - i]) for i in lhs], [2 if square and 2 * i != k else 1 for i in lhs])
+
+
 class HybridPoly:
-    """Polynomial in x whose coefficient k is ring_parts[k] + err(k),
+    """Polynomial in x whose coefficient k is ring part k + err(k),
     err a (possibly zero) interval correction.  Contains the exact
     shifted inequality polynomial whenever the corrections contain the
-    exact error radii.  Products keep the exact ring_parts only up to
-    their first error box, the furthest the certifier strips symbolic
-    zeros; ring_ivs encloses the ring part at every degree."""
+    exact error radii.  ring_ivs encloses the ring part at every degree.
+    The exact parts reach a product's first error box, the furthest the
+    certifier strips symbolic zeros, and each is computed only when its
+    enclosure cannot decide a zero test; ring_parts computes them all."""
 
-    __slots__ = ("ring_parts", "ring_ivs", "errs", "prec")
+    __slots__ = ("_exact", "ring_ivs", "errs", "prec")
 
     def __init__(
         self,
-        ring_parts: list[RingElem],
+        ring_parts: list[RingElem] | _Exact,
         errs: dict[int, Interval],
         prec: int,
         ring_ivs: list[Interval] | None = None,
     ):
-        self.ring_parts = ring_parts
+        if not isinstance(ring_parts, _Exact):  # every part given
+            ring_ivs = ring_ivs or [r.eval_iv(prec) for r in ring_parts]
+            ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
+        self._exact, self.ring_ivs, self.prec = ring_parts, ring_ivs, prec
         self.errs = {d: e for d, e in errs.items() if not (e.lo.is_zero and e.hi.is_zero)}
-        self.prec = prec
-        self.ring_ivs = ring_ivs or [r.eval_iv(prec) for r in ring_parts]
+
+    @property
+    def ring_parts(self) -> list[RingElem]:
+        """Every exact part, computed now: for tests and pins only."""
+        return [self._exact[d] for d in range(self._exact.n)]
 
     @property
     def degree(self) -> int:
@@ -376,21 +411,23 @@ class HybridPoly:
 
     def _exact_len(self, n: int) -> int:
         """Length of the exact prefix, as seen from a result of length n."""
-        k = len(self.ring_parts)
+        k = self._exact.n
         return k if k < len(self.ring_ivs) else n
+
+    def _is_zero(self, d: int) -> bool:
+        """Whether ring part d is zero (False past the exact prefix).  A ring
+        element is zero iff its value is, so an enclosure excluding 0 proves
+        nonzero and [0, 0] zero; only one straddling 0 reads the part."""
+        iv = self.ring_ivs[d]
+        if iv.is_positive or iv.is_negative:
+            return False
+        if iv.lo.is_zero and iv.hi.is_zero:
+            return True
+        return d < self._exact.n and self._exact[d].is_zero
 
     def _nonzero(self) -> list[tuple[int, Interval]]:
         """(degree, enclosure) where the ring part may be nonzero."""
-        k = len(self.ring_parts)
-        return [(d, iv) for d, iv in enumerate(self.ring_ivs)
-                if not (self.ring_parts[d].is_zero if d < k else iv.lo.is_zero and iv.hi.is_zero)]
-
-    def _cleared_prefix(self, n: int) -> tuple[int, list[tuple[int, dict]]]:
-        """(D, [(degree, integer terms of D * ring_parts[degree])]) over the
-        nonzero exact parts below degree n, D their common denominator."""
-        parts = [(d, r.cleared()) for d, r in enumerate(self.ring_parts[:n]) if not r.is_zero]
-        den = lcm(*(dd for _, (dd, _) in parts))
-        return den, [(d, {k: v * (den // dd) for k, v in ints.items()}) for d, (dd, ints) in parts]
+        return [(d, iv) for d, iv in enumerate(self.ring_ivs) if not self._is_zero(d)]
 
     @staticmethod
     def from_envelope(s: int, N: int, side: int, prec: int, tight: bool = False) -> "HybridPoly":
@@ -441,7 +478,6 @@ class HybridPoly:
             for j, e2 in other.errs.items():
                 bump(i + j, e1.mul(e2, p))
         first_box = min(errs_out, default=n_out)
-        exact = min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1)
         ivs_out = [Interval.point(0) for _ in range(n_out)]
         rhs = other._nonzero()
         for i, aiv in self._nonzero():
@@ -449,31 +485,20 @@ class HybridPoly:
                 # interval convolution: contains the exact ring product,
                 # far cheaper than re-evaluating the huge product elements
                 ivs_out[i + j] = ivs_out[i + j].add(aiv.mul(biv, p), p)
-        # exact convolution over one common denominator per operand; a
-        # square (Sq) pairs each term once, weight 2 off the diagonal
-        square = other is self
-        d1, lhs_ints = self._cleared_prefix(exact)
-        d2, rhs_ints = (d1, lhs_ints) if square else other._cleared_prefix(exact)
-        accs: list[dict] = [{} for _ in range(exact)]
-        for x, (i, a) in enumerate(lhs_ints):
-            for j, b in rhs_ints[x if square else 0:]:
-                if i + j >= exact:
-                    break
-                convolve_terms(accs[i + j], a, b, 2 if square and j != i else 1)
-        ring_out = [RingElem.from_cleared(d1 * d2, acc) for acc in accs]
-        return HybridPoly(ring_out, errs_out, p, ivs_out)
+        # exact parts up to the first error box, each convolved on demand
+        a, b = self._exact, other._exact
+        exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
+                       lambda k: _product_part(k, a, b))
+        return HybridPoly(exact, errs_out, p, ivs_out)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
         p = self.prec
         n = max(len(self.ring_ivs), len(other.ring_ivs))
-        exact = min(self._exact_len(n), other._exact_len(n))
-        ring_out = []
+        a, b = self._exact, other._exact
+        exact = _Exact(min(self._exact_len(n), other._exact_len(n)),
+                       lambda d: (a[d] if d < a.n else ZERO_ELEM) + (b[d] if d < b.n else ZERO_ELEM))
         ivs_out = []
         for d in range(n):
-            if d < exact:
-                a = self.ring_parts[d] if d < len(self.ring_parts) else RingElem()
-                b = other.ring_parts[d] if d < len(other.ring_parts) else RingElem()
-                ring_out.append(a + b)
             aiv = self.ring_ivs[d] if d < len(self.ring_ivs) else Interval.point(0)
             biv = other.ring_ivs[d] if d < len(other.ring_ivs) else Interval.point(0)
             ivs_out.append(aiv.add(biv, p))
@@ -481,12 +506,12 @@ class HybridPoly:
         for d, e in other.errs.items():
             cur = errs_out.get(d)
             errs_out[d] = e if cur is None else cur.add(e, p)
-        return HybridPoly(ring_out, errs_out, p, ivs_out)
+        return HybridPoly(exact, errs_out, p, ivs_out)
 
     def scale_int(self, c: int) -> "HybridPoly":
-        ci = Interval.point(c)
+        ci, a = Interval.point(c), self._exact
         return HybridPoly(
-            [r.scale(c) for r in self.ring_parts],
+            _Exact(a.n, lambda d: a[d].scale(c)),
             {d: e.mul(ci, self.prec) for d, e in self.errs.items()},
             self.prec,
             [iv.mul(ci, self.prec) for iv in self.ring_ivs],
@@ -645,9 +670,9 @@ def certify_positive(
     coeffs = poly.coeff_intervals()
     d = 0
     while d < len(coeffs) and d not in poly.errs:
-        if d >= len(poly.ring_parts):
+        if d >= poly._exact.n:
             raise ArithmeticError(f"symbolic zeros run past the exact prefix at x^{d}")
-        if not poly.ring_parts[d].is_zero:
+        if not poly._is_zero(d):
             break
         d += 1
     base = Certificate(
@@ -890,8 +915,9 @@ def verify_theorem(
     at the threshold: the violations at or above it are the exact
     range's, the largest one below it is the sharpness witness.
     threshold_override replaces the stated threshold in that split
-    (used to verify documented errata; ValueError below scan_floor,
-    before any search); the certified regime is unaffected.
+    (used to verify documented errata; ValueError below scan_floor or
+    when the scan would read past the table, before any search); the
+    certified regime is unaffected.
     """
     spec = THEOREMS[theorem_id]
     threshold = spec.threshold if threshold_override is None else threshold_override
@@ -900,6 +926,9 @@ def verify_theorem(
         raise ValueError(f"threshold {threshold} below the scan floor {spec.scan_floor} of {theorem_id}")
     if table.n_max < spec.table_n_max:
         raise ValueError(f"table covers 0..{table.n_max}, need {spec.table_n_max} for {theorem_id}")
+    top = max(threshold - 1, spec.seam - 1 + spec.shift) - spec.shift + spec.shifts[-1]  # n_star <= seam
+    if top > table.n_max:
+        raise ValueError(f"threshold {threshold} of {theorem_id} scans q({top}), past the table 0..{table.n_max}")
     n_star, cert = find_crossover(theorem_id, prec, max_depth)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1

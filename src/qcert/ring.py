@@ -15,9 +15,9 @@ naive Fraction products and is exactly equal.  Cleared terms are keyed
 by the packed integer 4*i + j (private to this module), so a product
 term's key is the sum of its factors' keys; ``from_cleared`` folds the
 sqrt3^2 keys (j = 2) into 3 and drops every key that sums to zero.  The
-integer convolution ``convolve_terms`` also serves the coefficient sums
-(``sum_of_products``) and ``certify.HybridPoly.mul``, which pairs each
-term of a square once.  pi^i and sqrt3 enclosures are tabled per precision.
+weighted ``sum_of_products`` serves the coefficient sums and each exact
+part of a ``certify.HybridPoly`` product, computed only when a zero test
+needs it.  pi^i and sqrt3 enclosures are tabled per precision.
 """
 
 from __future__ import annotations
@@ -168,14 +168,15 @@ def convolve_terms(acc: dict[int, int], a: dict[int, int], b: dict[int, int], w:
     return acc
 
 
-def sum_of_products(pairs) -> RingElem:
-    """The sum of a * b over the (a, b) pairs, accumulated in integers
-    over one common denominator and normalised once."""
+def sum_of_products(pairs, weights=None) -> RingElem:
+    """The sum of w * a * b over the (a, b) pairs, w from weights (default
+    all 1), accumulated in integers over one common denominator and
+    normalised once."""
     parts = [(a.cleared(), b.cleared()) for a, b in pairs]
     den = lcm(*(d1 * d2 for (d1, _), (d2, _) in parts))
     acc: dict[int, int] = {}
-    for (d1, a), (d2, b) in parts:
-        convolve_terms(acc, a, b, den // (d1 * d2))
+    for ((d1, a), (d2, b)), w in zip(parts, weights or [1] * len(parts)):
+        convolve_terms(acc, a, b, w * (den // (d1 * d2)))
     return RingElem.from_cleared(den, acc)
 
 

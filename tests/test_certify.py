@@ -363,6 +363,72 @@ class TestPolynomialPins:
             assert fields(square) == fields(x.mul(copy(x)))
 
 
+class TestLazyExactParts:
+    """The exact ring parts are computed only where a zero test needs them,
+    and the enclosure shortcut of that test never disagrees with them."""
+
+    @pytest.mark.parametrize("key", sorted(POLY_PINS))
+    def test_zero_test_matches_exact_parts(self, key, monkeypatch):
+        # every polynomial that mul, add and scale_int produce while
+        # expanding, side lemmas included, at every degree of its exact prefix
+        made = []
+        for name in ("mul", "add", "scale_int"):
+            def record(self, *args, _op=getattr(HybridPoly, name)):
+                made.append(_op(self, *args))
+                return made[-1]
+
+            monkeypatch.setattr(HybridPoly, name, record)
+        ineq_id, tight = key
+        expand_statement(THEOREMS[INEQUALITIES[ineq_id]], 192, tight)
+        assert len(made) >= 7
+        for poly in made:
+            zeros = [poly._is_zero(d) for d in range(poly._exact.n)]
+            assert zeros == [r.is_zero for r in poly.ring_parts]
+
+    @pytest.mark.parametrize("part, lo, hi, zero", [
+        (RingElem(), 0, 0, True),                        # [0, 0]: zero, no exact part read
+        (RingElem(), -1, 1, True),                       # straddles 0: the exact part decides
+        (RingElem.from_rational(F(1, 2)), -1, 1, False),
+        (RingElem(), 0, 1, True),                        # touches 0 at one endpoint
+        (RingElem(), -1, 0, True),
+        (RingElem.from_rational(F(1, 2)), 0, 1, False),
+        (RingElem.from_rational(F(-1, 2)), -1, 0, False),
+        (RingElem.from_rational(3), 2, 4, False),        # excludes 0: nonzero
+    ], ids=["point-zero", "straddle-zero", "straddle-nonzero", "touch-lo-zero", "touch-hi-zero",
+            "touch-lo-nonzero", "touch-hi-nonzero", "excludes-zero"])
+    def test_zero_test_cases(self, part, lo, hi, zero):
+        poly = HybridPoly([part], {}, 192, [Interval(Dyadic(lo), Dyadic(hi))])
+        assert poly._is_zero(0) is zero
+
+    def test_enclosure_decides_without_exact_part(self):
+        # the store is never read when the enclosure decides; past the
+        # exact prefix a straddling enclosure may hold a nonzero part
+        ivs = [Interval.point(0), Interval.point(1), Interval(Dyadic(-1), Dyadic(1))]
+        poly = HybridPoly([RingElem()] * 2, {}, 192, ivs)
+        poly._exact.clear()
+        assert poly._is_zero(0) and not poly._is_zero(1) and not poly._is_zero(2)
+        assert not poly._exact
+
+    def test_only_leading_parts_computed(self, monkeypatch):
+        # certifying reads no exact part above the first nonzero degree
+        # and never the full exact prefix
+        def no_prefix(self):
+            raise AssertionError("full exact prefix read")
+
+        certified = []
+        certify = certify_module.certify_positive
+        monkeypatch.setattr(certify_module, "certify_positive",
+                            lambda ineq, *args: certified.append(ineq) or certify(ineq, *args))
+        monkeypatch.setattr(HybridPoly, "ring_parts", property(no_prefix))
+        build_ineq.cache_clear()
+        for ineq_id, lead in LEADING_DEGREES.items():
+            cert = certify_inequality(ineq_id)
+            assert cert.leading_zero_degree == lead and cert.prec == 192
+            computed = certified[-1].poly._exact  # the last one certified is the statement's
+            assert computed and max(computed) <= lead, ineq_id
+        build_ineq.cache_clear()
+
+
 class TestCrossovers:
     def test_window_certified_ids(self):
         # six of the eight certify at the envelope validity window
@@ -718,6 +784,20 @@ class TestVerifyTheorem:
         monkeypatch.setattr(certify_module, "find_crossover", no_search)
         with pytest.raises(ValueError, match="threshold 0 below the scan floor 2 of double-turan"):
             verify_theorem("double-turan", table20k, threshold_override=0)
+
+    def test_threshold_scan_past_table_rejected_before_search(self, table20k, monkeypatch):
+        # B reads q(n0 + 4) at the scan's top n0 = threshold - 2: 19998 fits the table to 20000
+        class Searched(Exception):
+            pass
+
+        def no_search(*args):
+            raise Searched
+
+        monkeypatch.setattr(certify_module, "find_crossover", no_search)
+        with pytest.raises(ValueError, match=r"threshold 19999 of B scans q\(20001\), past the table 0..20000"):
+            verify_theorem("B", table20k, threshold_override=19999)
+        with pytest.raises(Searched):
+            verify_theorem("B", table20k, threshold_override=19998)
 
     def test_table_too_small(self, table2k):
         with pytest.raises(ValueError):
