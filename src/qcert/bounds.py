@@ -72,9 +72,11 @@ def _half_power(base: Fraction, twice_exp: int, prec: int) -> Interval:
     return out
 
 
+@lru_cache(maxsize=None)
 def decay_threshold(m: int, prec: int = DEFAULT_PRECISION) -> Interval:
     """Threshold x0(m) with exp(-2x/3) < x^-m for x >= x0(m):
-    1 for m = 1, else 4m log m - 3m log log m."""
+    1 for m = 1, else 4m log m - 3m log log m.  Cached: every shift's
+    floor asks for the same one."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
@@ -137,17 +139,11 @@ class ErrorBudget:
     growth_const: Dyadic    # the coefficient-growth envelope constant
     er_total: Dyadic        # final two-sided radius
 
-    def all_fields(self) -> dict[str, Dyadic]:
-        return {
-            "er_i1_asym": self.er_i1_asym,
-            "er_exp": self.er_exp,
-            "er_binom": self.er_binom,
-            "er_exp_binom": self.er_exp_binom,
-            "er_bessel_shift": self.er_bessel_shift,
-            "er_bessel": self.er_bessel,
-            "growth_const": self.growth_const,
-            "er_total": self.er_total,
-        }
+
+@lru_cache(maxsize=None)
+def _log_int(k: int, prec: int) -> Interval:
+    """Enclosure of log k, shared by the budgets of every shift."""
+    return enclose_log(Interval.point(k), prec)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +163,7 @@ def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
         cosh_term = enclose_cosh(pi * _iv(Fraction(two4s1, 72), prec).sqrt(prec), prec)
         a_n = _iv(abs(bessel_asym_coeff(N)), prec)
         a_n1 = _iv(abs(bessel_asym_coeff(N + 1)), prec)
-        log_n1 = enclose_log(Interval.point(N + 1), prec)
+        log_n1 = _log_int(N + 1, prec)
 
         # I1 asymptotic remainder constant
         er_i1 = (

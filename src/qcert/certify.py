@@ -33,7 +33,7 @@ from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
-from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner
+from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, convolve_into, horner, to_intervals
 from .qtable import QTable
 from .ring import ZERO_ELEM, RingElem, sum_of_products
 
@@ -425,6 +425,10 @@ class HybridPoly:
             return True
         return d < self._exact.n and self._exact[d].is_zero
 
+    def _not_point_zero(self) -> list[tuple[int, Interval]]:
+        """(degree, enclosure) where the enclosure is not [0, 0]."""
+        return [(d, iv) for d, iv in enumerate(self.ring_ivs) if not (iv.lo.is_zero and iv.hi.is_zero)]
+
     def _nonzero(self) -> list[tuple[int, Interval]]:
         """(degree, enclosure) where the ring part may be nonzero."""
         return [(d, iv) for d, iv in enumerate(self.ring_ivs) if not self._is_zero(d)]
@@ -460,31 +464,19 @@ class HybridPoly:
     def mul(self, other: "HybridPoly") -> "HybridPoly":
         p = self.prec
         n_out = len(self.ring_ivs) + len(other.ring_ivs) - 1
-        errs_out: dict[int, Interval] = {}
-
-        def bump(d: int, iv: Interval):
-            cur = errs_out.get(d)
-            errs_out[d] = iv if cur is None else cur.add(iv, p)
-
-        for j, e in other.errs.items():
-            for i, aiv in enumerate(self.ring_ivs):
-                if not (aiv.lo.is_zero and aiv.hi.is_zero):
-                    bump(i + j, aiv.mul(e, p))
-        for i, e in self.errs.items():
-            for j, biv in enumerate(other.ring_ivs):
-                if not (biv.lo.is_zero and biv.hi.is_zero):
-                    bump(i + j, e.mul(biv, p))
-        for i, e1 in self.errs.items():
-            for j, e2 in other.errs.items():
-                bump(i + j, e1.mul(e2, p))
+        # error boxes: ring x box, box x ring, then box x box
+        boxes: dict[int, tuple] = {}
+        convolve_into(boxes, other.errs.items(), self._not_point_zero(), p)
+        convolve_into(boxes, self.errs.items(), other._not_point_zero(), p)
+        convolve_into(boxes, self.errs.items(), other.errs.items(), p)
+        errs_out = to_intervals(boxes)
         first_box = min(errs_out, default=n_out)
-        ivs_out = [Interval.point(0) for _ in range(n_out)]
-        rhs = other._nonzero()
-        for i, aiv in self._nonzero():
-            for j, biv in rhs:
-                # interval convolution: contains the exact ring product,
-                # far cheaper than re-evaluating the huge product elements
-                ivs_out[i + j] = ivs_out[i + j].add(aiv.mul(biv, p), p)
+        # interval convolution: contains the exact ring product,
+        # far cheaper than re-evaluating the huge product elements
+        ring: dict[int, tuple] = {}
+        convolve_into(ring, self._nonzero(), other._nonzero(), p)
+        ring_ivs = to_intervals(ring)
+        ivs_out = [ring_ivs.get(d) or Interval.point(0) for d in range(n_out)]
         # exact parts up to the first error box, each convolved on demand
         a, b = self._exact, other._exact
         exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
@@ -595,10 +587,18 @@ def _ineq_spec(ineq_id: str) -> TheoremSpec:
     return THEOREMS[INEQUALITIES[ineq_id]]
 
 
-@lru_cache(maxsize=None)
 def build_ineq(ineq_id: str, prec: int = DEFAULT_PRECISION, tight: bool = False) -> IneqPoly:
-    """expand_statement for the theorem of an inequality id, cached."""
+    """expand_statement for the theorem of an inequality id, cached once per
+    (ineq_id, prec, tight) however the arguments are passed."""
+    return _built(ineq_id, prec, bool(tight))
+
+
+@lru_cache(maxsize=None)
+def _built(ineq_id: str, prec: int, tight: bool) -> IneqPoly:
     return expand_statement(_ineq_spec(ineq_id), prec, tight)
+
+
+build_ineq.cache_clear = _built.cache_clear
 
 
 # -- positivity certification --------------------------------------------------

@@ -16,7 +16,15 @@ explicitly to any operation, or set per thread with ``workprec``:
 Mantissas are plain Python ints, so there is no overflow and no hidden
 rounding anywhere except the explicit directed roundings below.  An
 interval endpoint is rounded once, straight from the raw sum or product
-mantissa, and canonicalised once.
+mantissa, and canonicalised once.  Moore's sign cases, which pick the
+endpoint products of an interval product, are one helper (``_moore``).
+
+``convolve_into`` is the multiply-accumulate kernel of polynomial
+products: acc[i + j] += x * y over two lists of (degree, Interval).  It
+makes the same roundings as ``Interval.mul`` then ``Interval.add`` per
+term, in the same order, but on raw (man, exp) endpoints, and builds one
+Interval per output degree (``to_intervals``), so its results are
+bit-identical to that termwise loop.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ __all__ = [
     "Dyadic",
     "Interval",
     "DomainError",
+    "convolve_into",
     "get_precision",
     "horner",
     "resolve_precision",
+    "to_intervals",
     "workprec",
 ]
 
@@ -312,6 +322,101 @@ def _sqrt_dir(man: int, exp: int, prec: int) -> tuple[Dyadic, Dyadic]:
     return _rounded(r, half, prec, up=False), _rounded(r if exact else r + 1, half, prec, up=True)
 
 
+def _moore(am: int, ae: int, bm: int, be: int, cm: int, ce: int, dm: int, de: int):
+    """Moore's sign cases for [a, b] * [c, d], each endpoint a raw (man,
+    exp) pair: the exact lower and upper endpoint products, as
+    (man, exp, man, exp).  Candidate products are compared only when
+    both intervals straddle zero."""
+    if am >= 0:
+        if cm >= 0:
+            return am * cm, ae + ce, bm * dm, be + de
+        if dm <= 0:
+            return bm * cm, be + ce, am * dm, ae + de
+        return bm * cm, be + ce, bm * dm, be + de
+    if bm <= 0:
+        if cm >= 0:
+            return am * dm, ae + de, bm * cm, be + ce
+        if dm <= 0:
+            return bm * dm, be + de, am * cm, ae + ce
+        return am * dm, ae + de, am * cm, ae + ce
+    if cm >= 0:
+        return am * dm, ae + de, bm * dm, be + de
+    if dm <= 0:
+        return bm * cm, be + ce, am * cm, ae + ce
+    pm, pe, qm, qe = am * dm, ae + de, bm * cm, be + ce  # lo: the smaller of ad, bc
+    if not _less(pm, pe, qm, qe):
+        pm, pe = qm, qe
+    qm, qe, rm, re = am * cm, ae + ce, bm * dm, be + de  # hi: the larger of ac, bd
+    if not _less(rm, re, qm, qe):
+        qm, qe = rm, re
+    return pm, pe, qm, qe
+
+
+def _less(pm: int, pe: int, qm: int, qe: int) -> bool:
+    """pm*2**pe < qm*2**qe, exactly."""
+    e = pe if pe < qe else qe
+    return pm << (pe - e) < qm << (qe - e)
+
+
+def convolve_into(acc: dict, xs, ys, prec: int) -> None:
+    """acc[i + j] += x * y for (i, x) in xs and (j, y) in ys, xs the outer loop.
+
+    The same roundings as ``acc[i + j].add(x.mul(y, prec), prec)`` in that
+    order, on raw (man, exp) endpoints: each product endpoint rounded
+    outward from the exact product that Moore's sign cases pick, then
+    each sum endpoint from the raw aligned sum.  Directed rounding
+    depends only on the value, never on the mantissa's trailing zeros,
+    so the endpoints equal the termwise loop's bit for bit.  acc maps a
+    degree to (lo_man, lo_exp, hi_man, hi_exp) and may already hold
+    terms; an absent degree is an empty sum, so its first term enters as
+    the rounded product.  ``to_intervals`` turns acc into Intervals.
+    """
+    ys = [(j, y.lo.man, y.lo.exp, y.hi.man, y.hi.exp) for j, y in ys]
+    get = acc.get
+    for i, x in xs:
+        am, ae, bm, be = x.lo.man, x.lo.exp, x.hi.man, x.hi.exp
+        for j, cm, ce, dm, de in ys:
+            pm, pe, qm, qe = _moore(am, ae, bm, be, cm, ce, dm, de)
+            # the product: lower endpoint rounded down, upper up
+            n = pm.bit_length() - prec
+            if n > 0:
+                pm >>= n
+                pe += n
+            n = qm.bit_length() - prec
+            if n > 0:
+                qm = -(-qm >> n)
+                qe += n
+            k = i + j
+            cur = get(k)
+            if cur is not None:  # the sum, from the raw aligned endpoints
+                lm, le, hm, he = cur
+                if lm and pm:
+                    e = le if le < pe else pe
+                    pm, pe = (lm << (le - e)) + (pm << (pe - e)), e
+                elif not pm:
+                    pm, pe = lm, le
+                n = pm.bit_length() - prec
+                if n > 0:
+                    pm >>= n
+                    pe += n
+                if hm and qm:
+                    e = he if he < qe else qe
+                    qm, qe = (hm << (he - e)) + (qm << (qe - e)), e
+                elif not qm:
+                    qm, qe = hm, he
+                n = qm.bit_length() - prec
+                if n > 0:
+                    qm = -(-qm >> n)
+                    qe += n
+            acc[k] = pm, pe, qm, qe
+
+
+def to_intervals(acc: dict) -> dict[int, "Interval"]:
+    """The Intervals of a convolve_into accumulator, in its order, each
+    endpoint canonicalised once and checked lo <= hi."""
+    return {k: Interval(Dyadic(lm, le), Dyadic(hm, he)) for k, (lm, le, hm, he) in acc.items()}
+
+
 class Interval:
     """Closed interval [lo, hi] with dyadic endpoints, lo <= hi.
 
@@ -371,23 +476,9 @@ class Interval:
 
     def mul(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)
-        # Moore's sign cases: the endpoint pairs whose products are the
-        # exact min and max of the four, compared only when both
-        # intervals straddle zero; each is rounded from its raw product
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a.man >= 0:
-            lo, hi = ((a, c), (b, d)) if c.man >= 0 else ((b, c), (a, d) if d.man <= 0 else (b, d))
-        elif b.man <= 0:
-            lo, hi = ((a, d), (b, c)) if c.man >= 0 else ((b, d) if d.man <= 0 else (a, d), (a, c))
-        elif c.man >= 0:
-            lo, hi = (a, d), (b, d)
-        elif d.man <= 0:
-            lo, hi = (b, c), (a, c)
-        else:
-            lo, hi = (a, d) if a * d < b * c else (b, c), (a, c) if a * c > b * d else (b, d)
-        (p, q), (r, t) = lo, hi
-        return Interval(_rounded(p.man * q.man, p.exp + q.exp, prec, up=False),
-                        _rounded(r.man * t.man, r.exp + t.exp, prec, up=True))
+        pm, pe, qm, qe = _moore(a.man, a.exp, b.man, b.exp, c.man, c.exp, d.man, d.exp)
+        return Interval(_rounded(pm, pe, prec, up=False), _rounded(qm, qe, prec, up=True))
 
     def div(self, other: "Interval", prec: int | None = None) -> "Interval":
         prec = resolve_precision(prec)
@@ -469,9 +560,6 @@ class Interval:
     def contains(self, value: Fraction | int) -> bool:
         return self.lo.cmp_fraction(value) <= 0 <= self.hi.cmp_fraction(value)
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     @property
     def width(self) -> Dyadic:
         return self.hi - self.lo
@@ -485,10 +573,6 @@ class Interval:
     def is_negative(self) -> bool:
         """Certified strictly negative."""
         return self.hi.sign < 0
-
-    def mag(self) -> Dyadic:
-        """max |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
 
     def to_fractions(self) -> tuple[Fraction, Fraction]:
         return self.lo.to_fraction(), self.hi.to_fraction()

@@ -17,13 +17,21 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
 * ``invariant_a`` / ``invariant_b`` / ``invariant_i`` / ``laguerre`` --
   the quartic invariants and the order-m Laguerre expression, written
   out directly rather than through the statement trees of ``THEOREMS``.
+* ``convolve_termwise`` / ``mul_termwise`` -- the interval convolution
+  of ``HybridPoly.mul`` as a loop of ``Interval.mul`` then
+  ``Interval.add``, one term at a time, which ``convolve_into`` must
+  match bit for bit.
+* ``contains_interval`` / ``mag`` / ``budget_fields`` -- interval and
+  budget queries that only the tests ask.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from math import comb
 
+from qcert.bounds import ErrorBudget
 from qcert.coeffs import gen_binomial
 from qcert.enclosures import _exp_point
 from qcert.intervals import Dyadic, Interval, resolve_precision
@@ -157,3 +165,64 @@ def laguerre(m: int, table: QTable, n: int) -> Fraction:
         term = comb(2 * m, k) * table[n + k] * table[n + 2 * m - k]
         total += term if (k + m) % 2 == 0 else -term
     return Fraction(total, 2)
+
+
+# -- the termwise interval convolution ------------------------------------
+
+
+def convolve_termwise(acc: dict[int, Interval], xs, ys, prec: int) -> None:
+    """acc[i + j] = acc[i + j].add(x.mul(y)) over (i, x) in xs, (j, y) in ys,
+    xs the outer loop; an absent degree takes its first product as it is."""
+    ys = list(ys)
+    for i, x in xs:
+        for j, y in ys:
+            term = x.mul(y, prec)
+            cur = acc.get(i + j)
+            acc[i + j] = term if cur is None else cur.add(term, prec)
+
+
+def mul_termwise(a, b) -> tuple[list[Interval], dict[int, Interval]]:
+    """The ring enclosures and error boxes of the HybridPoly product a b,
+    one Interval.mul and Interval.add per term, in the order of the
+    expansion: ring x box, box x ring, box x box, then ring x ring."""
+    p = a.prec
+    errs: dict[int, Interval] = {}
+
+    def bump(d: int, term: Interval):
+        cur = errs.get(d)
+        errs[d] = term if cur is None else cur.add(term, p)
+
+    for j, e in b.errs.items():
+        for i, x in enumerate(a.ring_ivs):
+            if not (x.lo.is_zero and x.hi.is_zero):
+                bump(i + j, x.mul(e, p))
+    for i, e in a.errs.items():
+        for j, y in enumerate(b.ring_ivs):
+            if not (y.lo.is_zero and y.hi.is_zero):
+                bump(i + j, e.mul(y, p))
+    for i, e1 in a.errs.items():
+        for j, e2 in b.errs.items():
+            bump(i + j, e1.mul(e2, p))
+    ivs = [Interval.point(0) for _ in range(len(a.ring_ivs) + len(b.ring_ivs) - 1)]
+    rhs = b._nonzero()
+    for i, x in a._nonzero():
+        for j, y in rhs:
+            ivs[i + j] = ivs[i + j].add(x.mul(y, p), p)
+    return ivs, errs
+
+
+# -- queries only the tests ask ---------------------------------------------
+
+
+def contains_interval(outer: Interval, inner: Interval) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def mag(x: Interval) -> Dyadic:
+    """max |t| over the interval."""
+    return max(abs(x.lo), abs(x.hi))
+
+
+def budget_fields(budget: ErrorBudget) -> dict[str, Dyadic]:
+    """Every bound of an ErrorBudget by name (all fields but N and s)."""
+    return {f.name: getattr(budget, f.name) for f in fields(budget) if f.name not in ("N", "s")}

@@ -6,14 +6,17 @@ as an independent straight-line reference; our certified upper bounds
 must sit at or above those values.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from oracles import budget_fields
 from qcert.bounds import (
     SandwichResult,
+    _budget_parts,
     bessel_arg,
     bessel_main_term,
     bound_poly,
@@ -25,6 +28,7 @@ from qcert.bounds import (
     prefactor,
     window_max,
 )
+from qcert.certify import THEOREMS
 from qcert.coeffs import bessel_asym_coeff
 
 mp.mp.prec = 260
@@ -142,15 +146,24 @@ class TestBudgets:
     def test_dominates_reference(self, N, s):
         budget = error_budget(N, s)
         ref = _reference_budget(N, s)
-        for name, dy in budget.all_fields().items():
+        for name, dy in budget_fields(budget).items():
             ours = as_mpf(dy.to_fraction())
             assert ours >= ref[name] * (1 - mp.mpf(2) ** -100), (N, s, name)
             # and not wildly conservative
             assert ours <= ref[name] * (1 + mp.mpf(2) ** -100), (N, s, name)
 
+    def test_budget_parts_unchanged(self):
+        # every budget interval, both endpoints bit for bit, at each (N, s)
+        # the theorems use; a change that moves an endpoint re-pins and says why
+        digest = hashlib.sha256()
+        for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
+            for name, v in _budget_parts(N, s, 192).items():
+                digest.update(f"{N} {s} {name} {v.lo.man} {v.lo.exp} {v.hi.man} {v.hi.exp};".encode())
+        assert digest.hexdigest() == "37620e933eb530e74c78365954e5ffe1f741e6d0417b44fa165c34f30ebde1f4"
+
     def test_all_positive(self):
         budget = error_budget(14, 0)
-        for name, dy in budget.all_fields().items():
+        for name, dy in budget_fields(budget).items():
             assert dy.sign > 0, name
 
     def test_exp_tail_monotone_small_shift(self):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import invariant_a, invariant_b, invariant_i, laguerre
+from oracles import invariant_a, invariant_b, invariant_i, laguerre, mul_termwise
 from qcert.bounds import bound_value
 from qcert.certify import (
     INEQUALITIES,
@@ -306,6 +306,14 @@ class TestIneqBuild:
         assert build_ineq("ineq1").window == 5019
         assert build_ineq("ineq-L3").window == 18502
 
+    def test_one_cache_entry_per_expansion(self):
+        # defaults, positional and keyword arguments name one expansion
+        ineq = build_ineq("ineq1")
+        assert build_ineq("ineq1", 192) is ineq
+        assert build_ineq("ineq1", 192, False) is ineq
+        assert build_ineq("ineq1", prec=192, tight=0) is ineq
+        assert build_ineq("ineq1", 192, True) is not ineq
+
 
 class TestPolynomialPins:
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
@@ -361,6 +369,30 @@ class TestPolynomialPins:
             square = x.mul(x)
             assert len(square.ring_parts) > 10
             assert fields(square) == fields(x.mul(copy(x)))
+
+    @pytest.mark.parametrize("key", sorted(POLY_PINS))
+    def test_mul_matches_termwise_intervals(self, key, monkeypatch):
+        # every product of the expansion, side lemmas included: the fused
+        # kernel gives the ring enclosures and error boxes of a loop of
+        # Interval.mul then Interval.add, endpoint for endpoint, in order
+        def ends(iv):
+            return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
+
+        products = []
+
+        def checked(self, other, _mul=HybridPoly.mul):
+            out = _mul(self, other)
+            ivs, errs = mul_termwise(self, other)
+            assert list(map(ends, out.ring_ivs)) == list(map(ends, ivs))
+            assert [(d, ends(e)) for d, e in out.errs.items()] == [
+                (d, ends(e)) for d, e in errs.items() if not (e.lo.is_zero and e.hi.is_zero)]
+            products.append(out)
+            return out
+
+        monkeypatch.setattr(HybridPoly, "mul", checked)
+        ineq_id, tight = key
+        expand_statement(THEOREMS[INEQUALITIES[ineq_id]], 192, tight)
+        assert len(products) >= 2 and any(len(p.errs) > 1 for p in products)
 
 
 class TestLazyExactParts:

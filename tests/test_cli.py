@@ -1,6 +1,11 @@
 """CLI contract: outputs, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qcert.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
 
@@ -145,7 +150,20 @@ class TestVerifyAndCertify:
         assert code == EXIT_USAGE
 
 
+# sha256 of the stdout of `qcert --no-timing reproduce-all --with-errata`:
+# the JSON of all eight reports, which fixes the program's behaviour
+REPRODUCE_ALL_SHA256 = "d505f7b5e463646c415576ee588ddaa0325fe7725de648d8765ad864ec31f3ce"
+
+
 class TestReproduceAll:
+    def test_behaviour_fixture(self):
+        # the whole command in a fresh interpreter, as a user runs it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "qcert.cli", "--no-timing", "reproduce-all", "--with-errata"],
+                             capture_output=True, env=env, check=True)
+        assert hashlib.sha256(run.stdout).hexdigest() == REPRODUCE_ALL_SHA256
+
     def test_subset_pass(self, capsys, table20k):
         code, out, err = run(capsys, "--no-timing", "reproduce-all",
                              "--theorems", "A", "double-turan")

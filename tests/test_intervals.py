@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import contains_interval, convolve_termwise
 from qcert.intervals import (
     DomainError,
     Dyadic,
     Interval,
+    convolve_into,
     get_precision,
+    to_intervals,
     workprec,
 )
 
@@ -188,9 +191,60 @@ class TestIntervalArithmetic:
             b = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**6))
             lo_p = iv(a, 64).mul(iv(b, 64), 64)
             hi_p = iv(a, 256).mul(iv(b, 256), 256)
-            assert lo_p.contains_interval(hi_p)
+            assert contains_interval(lo_p, hi_p)
 
     @given(rationals, rationals)
     def test_hull_and_contains(self, a, b):
         h = Interval.hull(iv(a), iv(b))
         assert h.contains(a) and h.contains(b)
+
+
+class TestConvolveInto:
+    """The fused multiply-accumulate kernel against the termwise loop of
+    Interval.mul then Interval.add that it replaces: the same degrees in
+    the same order, and every endpoint the same (man, exp)."""
+
+    @staticmethod
+    def draw(rng, sign):
+        # '+' lo >= 0, '-' hi <= 0, '0' lo < 0 < hi, 'z' [0, 0]; mantissas
+        # up to 1200 bits and exponents far apart, so every precision rounds
+        def mag():
+            return Dyadic(rng.getrandbits(rng.randint(1, 1200)) | 1, rng.randint(-900, 300))
+
+        if sign == "z":
+            return Interval(Dyadic(0), Dyadic(0))
+        if sign == "0":
+            return Interval(-mag(), mag())
+        lo = Dyadic(0) if rng.random() < 0.25 else mag()  # a zero endpoint
+        hi = lo if rng.random() < 0.25 else lo + mag()     # a point interval
+        return Interval(lo, hi) if sign == "+" else Interval(-hi, -lo)
+
+    def terms(self, rng):
+        # one interval of every sign, in a random order, and up to two more
+        signs = rng.sample("+-0z", 4) + rng.choices("+-0z", k=rng.randint(0, 2))
+        degrees = rng.sample(range(9), len(signs))
+        return [(d, self.draw(rng, sign)) for d, sign in zip(degrees, signs)]
+
+    @pytest.mark.parametrize("prec", [16, 53, 192, 1536])
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_matches_termwise(self, prec, rng):
+        # every pair of signs meets in each call: Moore's nine sign cases,
+        # [0, 0] and zero endpoints; the second call adds into degrees
+        # that the first has filled
+        acc, ref = {}, {}
+        for _ in range(2):
+            xs, ys = self.terms(rng), self.terms(rng)
+            convolve_into(acc, xs, ys, prec)
+            convolve_termwise(ref, xs, ys, prec)
+        got = to_intervals(acc)
+        assert list(got) == list(ref)
+        for d, want in ref.items():
+            assert (got[d].lo.man, got[d].lo.exp, got[d].hi.man, got[d].hi.exp) == (
+                want.lo.man, want.lo.exp, want.hi.man, want.hi.exp), d
+
+    def test_empty_operand_adds_nothing(self):
+        acc = {}
+        convolve_into(acc, [(0, iv(1))], [], 53)
+        convolve_into(acc, [], [(0, iv(1))], 53)
+        assert acc == {}

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import qcert
-from qcert.bounds import check_main_term_sandwich
+from qcert.bounds import ErrorBudget, check_main_term_sandwich
 from qcert.certify import (
     HybridPoly,
     IneqPoly,
@@ -51,6 +51,10 @@ REMOVED_METHODS = (
     (RingElem, "sqrt3"),     # RingElem.monomial(0, 1, c)
     (HybridPoly, "neg"),     # HybridPoly.scale_int(-1)
     (HybridPoly, "_cleared_prefix"),  # exact parts are convolved per degree, on demand
+    # queries only tests ask: oracles.budget_fields, contains_interval, mag
+    (ErrorBudget, "all_fields"),
+    (Interval, "contains_interval"),
+    (Interval, "mag"),
 )
 
 # Knobs that change no result: the exact regime's integer decision does
