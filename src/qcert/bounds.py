@@ -147,6 +147,14 @@ def _log_int(k: int, prec: int) -> Interval:
 
 
 @lru_cache(maxsize=None)
+def _cosh_term(s: int, prec: int) -> Interval:
+    """Enclosure of cosh(pi sqrt((24s+1)/72)), shared by every order's
+    budget at shift s."""
+    arg = _iv(Fraction(24 * s + 1, 72), prec).sqrt(prec)
+    return enclose_cosh(enclose_pi(prec).mul(arg, prec), prec)
+
+
+@lru_cache(maxsize=None)
 def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
     """Interval values of every budget constant (upper endpoints are the
     published budget; full intervals kept for composition)."""
@@ -160,7 +168,7 @@ def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
         sigma = shift_sigma(s)
         sigma_iv = _iv(sigma, prec)
         two4s1 = 24 * s + 1
-        cosh_term = enclose_cosh(pi * _iv(Fraction(two4s1, 72), prec).sqrt(prec), prec)
+        cosh_term = _cosh_term(s, prec)
         a_n = _iv(abs(bessel_asym_coeff(N)), prec)
         a_n1 = _iv(abs(bessel_asym_coeff(N + 1)), prec)
         log_n1 = _log_int(N + 1, prec)
@@ -368,11 +376,23 @@ class BoundPoly:
 
 
 @lru_cache(maxsize=None)
+def _coeff_iv(m: int, s: int, prec: int) -> Interval:
+    """Enclosure of expansion_coeff(m, s), one per coefficient."""
+    return expansion_coeff(m, s).eval_iv(prec)
+
+
+@lru_cache(maxsize=None)
 def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> BoundPoly:
+    """The side (+1 upper, -1 lower) envelope of order N at shift s.
+
+    The coefficient enclosures depend only on (m, s, prec): both sides
+    and every order share one enclosure object per coefficient, so the
+    order-14 envelope's coeff_ivs are the first 15 of the order-24 one's.
+    """
     if side not in (1, -1):
         raise ValueError("side must be +1 (upper) or -1 (lower)")
     coeffs = tuple(expansion_coeff(m, s) for m in range(N + 1))
-    coeff_ivs = tuple(c.eval_iv(prec) for c in coeffs)
+    coeff_ivs = tuple(_coeff_iv(m, s, prec) for m in range(N + 1))
     budget = error_budget(N, s, prec)
     floor = n_min(N, s, prec)
     x_max = x_of(floor, prec).hi

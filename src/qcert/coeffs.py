@@ -23,8 +23,13 @@ plus the Bessel asymptotic-series numbers ``bessel_asym_coeff`` (1, 3/8,
 collapsed by an alternating half-integer binomial sum identity, which
 the tests check by brute force.
 
-All functions are memoized per (k, s) and return exact values; nothing
-here touches floating point.
+The shift enters only through powers of 24s+1 = 24 sigma.  So the
+exponential and Bessel factors are each an s-free shape, memoized per k
+(per term: its ring key, a rational, and the powers of 24s+1, 24 and 72),
+and a value per (k, s) with one Fraction per term, in the shape's order
+(``RingElem.eval_iv`` sums terms in dict order, so the order fixes every
+enclosure).  The five families are memoized per (k, s), reject k < 0 or
+s < 0, and return exact values; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -87,56 +92,55 @@ def shift_sigma(s: int) -> Fraction:
     return Fraction(24 * s + 1, 24)
 
 
+def _check(k: int, s: int) -> None:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if s < 0:
+        raise ValueError("shift must be nonnegative")
+
+
+def _from_shape(shape: tuple, s: int) -> RingElem:
+    """The shape's value at shift s: term (key, r, a, b, c) is
+    r (24s+1)^a / (24^b 72^c), one Fraction per term, in shape order
+    (RingElem drops the zero ones)."""
+    t = 24 * s + 1
+    return RingElem({key: Fraction(r.numerator * t**a, r.denominator * 24**b * 72**c)
+                     for key, r, a, b, c in shape})
+
+
+@lru_cache(maxsize=None)
+def _exp_shape(k: int) -> tuple:
+    """s-free terms of exp_factor_coeff(k, .), with sigma = (24s+1)/24 and
+    (pi sqrt(sigma/3))^2 = pi^2 (24s+1)/72 split off as powers."""
+    if k == 0:
+        return (((0, 0), Fraction(1), 0, 0, 0),)
+    half = k // 2
+    if k % 2 == 0:
+        pref = rising_factorial(Fraction(1, 2) - half, half + 1) / half
+        return tuple(((2 * l, 0), pref * rising_factorial(Fraction(-half), l)
+                      / (factorial(half + l) * factorial(2 * l - 1)), half + l, half, l)
+                     for l in range(1, half + 1))
+    pref = rising_factorial(Fraction(1, 2) - half, half + 1)
+    # the odd-degree prefactor pi/sqrt3 = (1/3) pi sqrt3
+    return tuple(((1 + 2 * l, 1), pref * rising_factorial(Fraction(-half), l)
+                  / (3 * factorial(l + half + 1) * factorial(2 * l)), half + 1 + l, half + 1, l)
+                 for l in range(half + 1))
+
+
 @lru_cache(maxsize=None)
 def exp_factor_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of exp(pi sqrt(n/3)(sqrt(1+sigma/n)-1)) in
     x = n^{-1/2}.  Even degrees carry pi^{2l}; odd degrees one extra
     pi/sqrt3."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sigma = shift_sigma(s)
-    sigma72 = Fraction(24 * s + 1, 72)  # (pi sqrt(sigma/3))^2 = pi^2 * this
-    if k == 0:
-        return RingElem.from_rational(1)
-    if k % 2 == 0:
-        half = k // 2
-        pref = sigma**half * rising_factorial(Fraction(1, 2) - half, half + 1) / half
-        terms = {}
-        for l in range(1, half + 1):
-            c = (
-                pref
-                * rising_factorial(Fraction(-half), l)
-                / factorial(half + l)
-                * sigma72**l
-                / factorial(2 * l - 1)
-            )
-            if c:
-                terms[(2 * l, 0)] = terms.get((2 * l, 0), Fraction(0)) + c
-        return RingElem(terms)
-    half = (k - 1) // 2
-    pref = sigma ** (half + 1) * rising_factorial(Fraction(1, 2) - half, half + 1)
-    terms = {}
-    for l in range(0, half + 1):
-        c = (
-            pref
-            * rising_factorial(Fraction(-half), l)
-            / factorial(l + half + 1)
-            * sigma72**l
-            / factorial(2 * l)
-        )
-        # the odd-degree prefactor pi/sqrt3 = (1/3) pi sqrt3
-        if c:
-            key = (1 + 2 * l, 1)
-            terms[key] = terms.get(key, Fraction(0)) + c / 3
-    return RingElem(terms)
+    _check(k, s)
+    return _from_shape(_exp_shape(k), s)
 
 
 @lru_cache(maxsize=None)
 def binom_factor_coeff(k: int, s: int) -> Fraction:
     """Degree-k coefficient of (1+sigma/n)^{-3/4}: sigma^{k/2} C(-3/4, k/2)
     for even k, zero for odd k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check(k, s)
     if k % 2:
         return Fraction(0)
     return shift_sigma(s) ** (k // 2) * gen_binomial(Fraction(-3, 4), k // 2)
@@ -145,8 +149,23 @@ def binom_factor_coeff(k: int, s: int) -> Fraction:
 @lru_cache(maxsize=None)
 def exp_binom_coeff(k: int, s: int) -> RingElem:
     """Convolution of the exponential and binomial factor coefficients."""
+    _check(k, s)
     return sum_of_products((exp_factor_coeff(l, s), RingElem.from_rational(c))
                            for l in range(k + 1) if (c := binom_factor_coeff(k - l, s)))
+
+
+@lru_cache(maxsize=None)
+def _bessel_shape(k: int) -> tuple:
+    """s-free terms of bessel_factor_coeff(k, .): sigma^(l-j) is
+    (24s+1)^(l-j) / 24^(l-j)."""
+    l, odd = divmod(k, 2)
+    if odd:
+        # -(sqrt3/pi)^(2j+1) = -3^j sqrt3 pi^(-(2j+1))
+        return tuple(((-(2 * j + 1), 1), -gen_binomial(Fraction(-(2 * j + 1), 2), l - j)
+                      * bessel_asym_coeff(2 * j + 1) * 3**j, l - j, l - j, 0) for j in range(l + 1))
+    # (sqrt3/pi)^(2j) = 3^j pi^(-2j)
+    return tuple(((-2 * j, 0), gen_binomial(Fraction(-j), l - j) * bessel_asym_coeff(2 * j) * 3**j,
+                  l - j, l - j, 0) for j in range(l + 1))
 
 
 @lru_cache(maxsize=None)
@@ -157,37 +176,15 @@ def bessel_factor_coeff(k: int, s: int) -> RingElem:
     Odd  k=2l+1: -sum_{j<=l} C(-(2j+1)/2, l-j) a_{2j+1} (sqrt3/pi)^{2j+1} sigma^{l-j}
     where a_m is bessel_asym_coeff(m).  Negative pi powers appear here.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    sigma = shift_sigma(s)
-    terms: dict[tuple[int, int], Fraction] = {}
-    if k % 2 == 0:
-        l = k // 2
-        for j in range(l + 1):
-            c = gen_binomial(Fraction(-j), l - j) * bessel_asym_coeff(2 * j) * sigma ** (l - j)
-            if c:
-                # (sqrt3/pi)^(2j) = 3^j pi^(-2j)
-                key = (-2 * j, 0)
-                terms[key] = terms.get(key, Fraction(0)) + c * 3**j
-    else:
-        l = (k - 1) // 2
-        for j in range(l + 1):
-            c = (
-                gen_binomial(Fraction(-(2 * j + 1), 2), l - j)
-                * bessel_asym_coeff(2 * j + 1)
-                * sigma ** (l - j)
-            )
-            if c:
-                # -(sqrt3/pi)^(2j+1) = -3^j sqrt3 pi^(-(2j+1))
-                key = (-(2 * j + 1), 1)
-                terms[key] = terms.get(key, Fraction(0)) - c * 3**j
-    return RingElem(terms)
+    _check(k, s)
+    return _from_shape(_bessel_shape(k), s)
 
 
 @lru_cache(maxsize=None)
 def expansion_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of the full expansion of
     4 * 3^{1/4} n^{3/4} e^{-pi sqrt(n/3)} q(n+s) in x = n^{-1/2}."""
+    _check(k, s)
     return sum_of_products((exp_binom_coeff(l, s), bessel_factor_coeff(k - l, s))
                            for l in range(k + 1))
 

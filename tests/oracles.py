@@ -13,6 +13,10 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
 * ``alt_half_binomial_sum`` / ``alt_half_binomial_sum_closed`` -- the
   alternating half-integer binomial sum identity behind the exponential
   factor's coefficients, by brute force and in closed form.
+* ``exp_factor_closed`` / ``binom_factor_closed`` /
+  ``bessel_factor_closed`` -- the coefficient families as closed forms
+  rebuilt for every (k, s), which the s-free shapes of ``qcert.coeffs``
+  must match term for term and in key order.
 * ``enclose_sinh`` -- certified sinh, for the exponential-factor bound.
 * ``invariant_a`` / ``invariant_b`` / ``invariant_i`` / ``laguerre`` --
   the quartic invariants and the order-m Laguerre expression, written
@@ -29,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from qcert.bounds import ErrorBudget
-from qcert.coeffs import gen_binomial
+from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point
 from qcert.intervals import Dyadic, Interval, resolve_precision
 from qcert.qtable import QTable
+from qcert.ring import RingElem
 
 
 # -- q-table constructions and scans ---------------------------------------
@@ -122,6 +127,82 @@ def alt_half_binomial_sum_closed(r: int, m: int) -> Fraction:
         return Fraction(0)
     value = Fraction(r * (1 << r), m * (1 << (2 * m))) * comb(2 * m - r - 1, m - r)
     return -value if m % 2 else value
+
+
+# -- coefficient families as closed forms per (k, s) ------------------------
+
+
+def exp_factor_closed(k: int, s: int) -> RingElem:
+    """Degree-k coefficient of exp(pi sqrt(n/3)(sqrt(1+sigma/n)-1))."""
+    sigma = shift_sigma(s)
+    sigma72 = Fraction(24 * s + 1, 72)  # (pi sqrt(sigma/3))^2 = pi^2 * this
+    if k == 0:
+        return RingElem.from_rational(1)
+    if k % 2 == 0:
+        half = k // 2
+        pref = sigma**half * rising_factorial(Fraction(1, 2) - half, half + 1) / half
+        terms = {}
+        for l in range(1, half + 1):
+            c = (
+                pref
+                * rising_factorial(Fraction(-half), l)
+                / factorial(half + l)
+                * sigma72**l
+                / factorial(2 * l - 1)
+            )
+            if c:
+                terms[(2 * l, 0)] = terms.get((2 * l, 0), Fraction(0)) + c
+        return RingElem(terms)
+    half = (k - 1) // 2
+    pref = sigma ** (half + 1) * rising_factorial(Fraction(1, 2) - half, half + 1)
+    terms = {}
+    for l in range(0, half + 1):
+        c = (
+            pref
+            * rising_factorial(Fraction(-half), l)
+            / factorial(l + half + 1)
+            * sigma72**l
+            / factorial(2 * l)
+        )
+        # the odd-degree prefactor pi/sqrt3 = (1/3) pi sqrt3
+        if c:
+            key = (1 + 2 * l, 1)
+            terms[key] = terms.get(key, Fraction(0)) + c / 3
+    return RingElem(terms)
+
+
+def binom_factor_closed(k: int, s: int) -> Fraction:
+    """Degree-k coefficient of (1+sigma/n)^{-3/4}."""
+    if k % 2:
+        return Fraction(0)
+    return shift_sigma(s) ** (k // 2) * gen_binomial(Fraction(-3, 4), k // 2)
+
+
+def bessel_factor_closed(k: int, s: int) -> RingElem:
+    """Degree-k coefficient of the Bessel polynomial factor."""
+    sigma = shift_sigma(s)
+    terms: dict[tuple[int, int], Fraction] = {}
+    if k % 2 == 0:
+        l = k // 2
+        for j in range(l + 1):
+            c = gen_binomial(Fraction(-j), l - j) * bessel_asym_coeff(2 * j) * sigma ** (l - j)
+            if c:
+                # (sqrt3/pi)^(2j) = 3^j pi^(-2j)
+                key = (-2 * j, 0)
+                terms[key] = terms.get(key, Fraction(0)) + c * 3**j
+    else:
+        l = (k - 1) // 2
+        for j in range(l + 1):
+            c = (
+                gen_binomial(Fraction(-(2 * j + 1), 2), l - j)
+                * bessel_asym_coeff(2 * j + 1)
+                * sigma ** (l - j)
+            )
+            if c:
+                # -(sqrt3/pi)^(2j+1) = -3^j sqrt3 pi^(-(2j+1))
+                key = (-(2 * j + 1), 1)
+                terms[key] = terms.get(key, Fraction(0)) - c * 3**j
+    return RingElem(terms)
 
 
 # -- certified sinh --------------------------------------------------------

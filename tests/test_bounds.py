@@ -256,6 +256,33 @@ class TestEnvelopes:
                     assert bound_value(n, s, N, -1).hi.cmp_fraction(v) <= 0, (N, s, n)
                     assert bound_value(n, s, N, +1).lo.cmp_fraction(v) >= 0, (N, s, n)
 
+    def test_envelopes_unchanged(self):
+        # every bound_poly endpoint, both sides, at each (N, s) the theorems
+        # use, pinned from the per-side enclosures the shared ones replaced
+        digest = hashlib.sha256()
+        count = 0
+        for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
+            for side in (-1, 1):
+                poly = bound_poly(s, N, side, 192)
+                count += 1
+                digest.update(f"{N} {s} {side} ".encode())
+                for iv in poly.coeff_ivs:
+                    digest.update(f"{iv.lo.man} {iv.lo.exp} {iv.hi.man} {iv.hi.exp} ".encode())
+                digest.update(
+                    f"{poly.err.man} {poly.err.exp} {poly.x_max.man} {poly.x_max.exp} {poly.floor};".encode()
+                )
+        assert count == 24
+        assert digest.hexdigest() == "57d92fed3a5a7b42e2b93369e08e5d0970e8af1ab8fb80218f37f5ab79d4c9dc"
+
+    def test_coefficient_enclosures_shared(self):
+        # both sides and order 14 use the order-24 envelope's enclosure objects
+        for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
+            shared = bound_poly(s, 24, 1, 192).coeff_ivs
+            for side in (-1, 1):
+                ivs = bound_poly(s, N, side, 192).coeff_ivs
+                assert len(ivs) == N + 1
+                assert all(a is b for a, b in zip(ivs, shared)), (N, s, side)
+
     def test_prefactor_value(self):
         iv = prefactor(6000)
         ref = mp.e ** (mp.pi * mp.sqrt(mp.mpf(6000) / 3)) / (4 * 3 ** mp.mpf(0.25) * 6000 ** mp.mpf(0.75))

@@ -3,13 +3,22 @@ identity, and interval consistency of each truncated series with its
 certified tail constant."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from oracles import alt_half_binomial_sum, alt_half_binomial_sum_closed, mag
+from oracles import (
+    alt_half_binomial_sum,
+    alt_half_binomial_sum_closed,
+    bessel_factor_closed,
+    binom_factor_closed,
+    exp_factor_closed,
+    mag,
+)
 from qcert.bounds import error_budget
 from qcert.certify import THEOREMS
 from qcert.coeffs import (
+    COEFF_FAMILIES,
     bessel_asym_coeff,
     bessel_factor_coeff,
     binom_factor_coeff,
@@ -22,7 +31,7 @@ from qcert.coeffs import (
 )
 from qcert.enclosures import enclose_exp, enclose_pi
 from qcert.intervals import Interval, workprec
-from qcert.ring import RingElem
+from qcert.ring import RingElem, sum_of_products
 
 F = Fraction
 
@@ -132,6 +141,47 @@ class TestCoefficientFamilies:
         iv = expansion_coeff(1, 0).eval_iv(192)
         assert iv.lo.cmp_fraction(F(-16897, 100000)) > 0
         assert iv.hi.cmp_fraction(F(-16895, 100000)) < 0
+
+
+@lru_cache(maxsize=None)
+def _closed(family: str, k: int, s: int):
+    """The family at (k, s) from the closed forms, convolved as the
+    production families convolve."""
+    if family == "exp":
+        return exp_factor_closed(k, s)
+    if family == "binom":
+        return binom_factor_closed(k, s)
+    if family == "bessel":
+        return bessel_factor_closed(k, s)
+    if family == "expbinom":
+        return sum_of_products((_closed("exp", l, s), RingElem.from_rational(c))
+                               for l in range(k + 1) if (c := _closed("binom", k - l, s)))
+    return sum_of_products((_closed("expbinom", l, s), _closed("bessel", k - l, s))
+                           for l in range(k + 1))
+
+
+@pytest.mark.parametrize("family", sorted(COEFF_FAMILIES))
+class TestShapes:
+    def test_matches_closed_form(self, family):
+        # equal terms in the same key order: RingElem.eval_iv sums the
+        # terms in dict order, so the order fixes every enclosure
+        fn = COEFF_FAMILIES[family]
+        for s in range(13):
+            for k in range(41):
+                got, want = fn(k, s), _closed(family, k, s)
+                if family == "binom":
+                    assert got == want, (k, s)
+                else:
+                    assert got.terms == want.terms, (k, s)
+                    assert list(got.terms) == list(want.terms), (k, s)
+
+    def test_negative_index_or_shift_rejected(self, family):
+        fn = COEFF_FAMILIES[family]
+        for k in (0, 1, 2):
+            with pytest.raises(ValueError):
+                fn(k, -1)
+        with pytest.raises(ValueError):
+            fn(-1, 0)
 
 
 def _power_3_4(iv: Interval, prec: int) -> Interval:
