@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .ring import RingElem, sum_of_products
 
@@ -137,21 +137,38 @@ def exp_factor_coeff(k: int, s: int) -> RingElem:
 
 
 @lru_cache(maxsize=None)
+def _binom_34(h: int) -> Fraction:
+    """C(-3/4, h), shared by every shift."""
+    return gen_binomial(Fraction(-3, 4), h)
+
+
+@lru_cache(maxsize=None)
 def binom_factor_coeff(k: int, s: int) -> Fraction:
     """Degree-k coefficient of (1+sigma/n)^{-3/4}: sigma^{k/2} C(-3/4, k/2)
     for even k, zero for odd k."""
     _check(k, s)
     if k % 2:
         return Fraction(0)
-    return shift_sigma(s) ** (k // 2) * gen_binomial(Fraction(-3, 4), k // 2)
+    return shift_sigma(s) ** (k // 2) * _binom_34(k // 2)
 
 
 @lru_cache(maxsize=None)
 def exp_binom_coeff(k: int, s: int) -> RingElem:
-    """Convolution of the exponential and binomial factor coefficients."""
+    """Convolution of the exponential and binomial factor coefficients:
+    each binomial coefficient is a rational weight on the cleared terms
+    of one exponential coefficient, summed in integers over one common
+    denominator."""
     _check(k, s)
-    return sum_of_products((exp_factor_coeff(l, s), RingElem.from_rational(c))
-                           for l in range(k + 1) if (c := binom_factor_coeff(k - l, s)))
+    parts = [(exp_factor_coeff(l, s).cleared(), c)
+             for l in range(k + 1) if (c := binom_factor_coeff(k - l, s))]
+    den = lcm(*(d * c.denominator for (d, _), c in parts))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for (d, ints), c in parts:
+        w = c.numerator * (den // (d * c.denominator))
+        for key, m in ints.items():
+            acc[key] = get(key, 0) + m * w
+    return RingElem.from_cleared(den, acc)
 
 
 @lru_cache(maxsize=None)

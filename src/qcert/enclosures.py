@@ -7,7 +7,7 @@ remainder bounds are provable by inspection:
 
 * pi        -- Machin's formula 16*atan(1/5) - 4*atan(1/239) with exact
                rational partial sums; alternating-series tails bracket.
-* exp       -- halve the argument k times until |r| <= 1/2 (exact dyadic
+* exp       -- halve the argument k times until |r| < 1/2 (exact dyadic
                shifts), Taylor sum with factorial tail, square k times.
 * log       -- reduce to [1,2) by exact powers of two, atanh series in
                u = (m-1)/(m+1) <= 1/3 with a geometric tail; log 2 itself
@@ -16,9 +16,16 @@ remainder bounds are provable by inspection:
 * I1        -- all-positive ascending series with a geometric tail bound
                once the term ratio drops below 1/2.
 
+The exp, log and I1 series are summed on plain integers at a fixed
+scale 2^-w: a floor chain of the terms gives the lower bound and a
+ceiling chain the upper one, the tails are integer comparisons, and the
+result is rounded outward to prec bits once, at the end.  The squarings
+that undo exp's halvings round the pair outward to the working width.
+
 All point kernels take an exact Dyadic and return an Interval; interval
 arguments are handled by monotone endpoint dispatch (every function here
-is monotone on the domain we admit, except cosh which is even).
+is monotone on the domain we admit, except cosh which is even), and a
+point argument is evaluated once.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ __all__ = [
 ]
 
 _PI_CACHE: dict[int, Interval] = {}
-_LOG2_CACHE: dict[int, Interval] = {}
+_LOG2_CACHE: dict[int, tuple[int, int]] = {}
 
 
 def _atan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -84,84 +91,107 @@ def _exp_point(d: Dyadic, prec: int) -> Interval:
     """Enclosure of exp(d) for an exact dyadic d."""
     if d.is_zero:
         return Interval.point(1)
-    # halvings so that |r| <= 1/2; each later squaring doubles the
-    # relative error, so work with k extra guard bits
+    # k halvings give r = d / 2^k = +-m / 2^sh with |r| < 1/2; each later
+    # squaring doubles the relative error, so work with k extra guard bits
     k = max(0, d.exp + d.man.bit_length() + 1)
     wp = prec + k + 12
-    r = Interval.point(d.scale(-k))
-    # Taylor sum sum_{j<=J} r^j/j!; |r|<=1/2 gives tail <= 2*|r|^(J+1)/(J+1)!
-    term = Interval.point(1)
-    total = Interval.point(1)
-    j = 0
-    tail_num = Fraction(1)  # (1/2)^(J+1)/(J+1)! running bound
-    while True:
+    m, sh, neg = abs(d.man), k - d.exp, d.man < 0
+    # Taylor sum at scale 2^-wp: a_j <= |r|^j / j! <= b_j by a floor and a
+    # ceiling chain, terms stopped at the first J with 2^(wp+1) < 2^J (J+1)!
+    lo = hi = a = b = 1 << wp
+    limit, bound, j = 1 << (wp + 1), 1, 0
+    while bound <= limit:
         j += 1
-        term = term.mul(r, wp).div(Interval.point(j), wp)
-        total = total.add(term, wp)
-        tail_num = tail_num / (2 * (j + 1))
-        if 2 * tail_num < Fraction(1, 1 << wp):
-            break
-    tail = Dyadic.from_fraction(2 * tail_num, wp, up=True)
-    total = total.add(Interval(-tail, tail), wp)
+        bound *= 2 * (j + 1)
+        a = (a * m >> sh) // j
+        b = -((-(b * m) >> sh) // j)
+        if neg and j & 1:
+            lo -= b
+            hi -= a
+        else:
+            lo += a
+            hi += b
+    # the remainder after term J is below 2 (1/2)^(J+1) / (J+1)! < 2^-(wp+1),
+    # one unit; for r < 0 the terms alternate and shrink, so it has the
+    # sign of term J + 1 and moves only one endpoint
+    if neg and not j & 1:
+        lo -= 1
+    else:
+        hi += 1
+    # k squarings of [lo, hi] * 2^e, each rounded outward to wp bits of lo
+    e = -wp
     for _ in range(k):
-        total = total.mul(total, wp)
-    return Interval(total.lo.round(prec, up=False), total.hi.round(prec, up=True))
+        lo *= lo
+        hi *= hi
+        e *= 2
+        n = lo.bit_length() - wp
+        if n > 0:
+            lo >>= n
+            hi = -(-hi >> n)
+            e += n
+    return Interval(Dyadic(lo, e).round(prec, up=False), Dyadic(hi, e).round(prec, up=True))
 
 
 def enclose_exp(x: Interval, prec: int | None = None) -> Interval:
     prec = resolve_precision(prec)
-    return Interval(_exp_point(x.lo, prec).lo, _exp_point(x.hi, prec).hi)
+    lo = _exp_point(x.lo, prec)
+    return lo if x.lo == x.hi else Interval(lo.lo, _exp_point(x.hi, prec).hi)
 
 
-def _log2_bounds(prec: int) -> Interval:
-    cached = _LOG2_CACHE.get(prec)
-    if cached is None:
-        cached = _atanh_series(Interval.from_fraction(Fraction(1, 3), prec + 8), prec)
-        _LOG2_CACHE[prec] = cached
-    return cached
-
-
-def _atanh_series(u: Interval, prec: int) -> Interval:
-    """Enclosure of 2*atanh(u) for 0 <= u <= 1/3."""
-    wp = prec + 12
-    usq = u.mul(u, wp)
-    power = u  # u^(2j+1)
-    total = u
+def _atanh_series(ulo: int, uhi: int, w: int) -> tuple[int, int]:
+    """Bounds at scale 2^-w of 2*atanh(u) = 2 sum_j u^(2j+1)/(2j+1) for
+    ulo * 2^-w <= u <= uhi * 2^-w, 0 <= u <= 1/3, by a floor and a ceiling
+    chain of the powers."""
+    lo, hi = ulo, uhi
+    slo, shi = ulo * ulo >> w, -(-(uhi * uhi) >> w)
+    plo, phi = ulo, uhi  # bounds of u^(2j+1)
     j = 0
-    while True:
+    while phi > 1:
         j += 1
-        power = power.mul(usq, wp)
-        # tail after the previous term is <= u^(2j+1)/((2j+1)(1-u^2));
-        # with u <= 1/3 the factor 1/((2j+1)(1-u^2)) is below 2
-        bound = power.hi
-        if bound.sign <= 0 or bound.exp + bound.man.bit_length() < -wp:
-            tail_hi = abs(bound).round(prec, up=True).scale(1)
-            total = total.add(Interval(Dyadic(0), tail_hi), wp)
-            break
-        total = total.add(power.div(Interval.point(2 * j + 1), wp), wp)
-    total = total.scale(1)  # the leading factor 2
-    return Interval(total.lo.round(prec, up=False), total.hi.round(prec, up=True))
+        plo = plo * slo >> w
+        phi = -(-(phi * shi) >> w)
+        lo += plo // (2 * j + 1)
+        hi -= -phi // (2 * j + 1)
+    # the terms after j sum to at most u^(2j+3) / ((2j+3)(1-u^2)) <= u^(2j+1),
+    # at most phi <= 1 unit
+    return 2 * lo, 2 * (hi + phi)
+
+
+def _log2_bounds(w: int) -> tuple[int, int]:
+    """Bounds at scale 2^-w of log 2 = 2*atanh(1/3)."""
+    cached = _LOG2_CACHE.get(w)
+    if cached is None:
+        third = (1 << w) // 3
+        cached = _LOG2_CACHE[w] = _atanh_series(third, third + 1, w)
+    return cached
 
 
 def _log_point(d: Dyadic, prec: int) -> Interval:
     if d.sign <= 0:
         raise DomainError("log domain requires positive argument")
-    wp = prec + 12
-    # normalize to m in [1, 2)
-    shift = d.exp + d.man.bit_length() - 1
-    m = Interval.point(d.scale(-shift))
-    u = m.sub(Interval.point(1), wp).div(m.add(Interval.point(1), wp), wp)
-    result = _atanh_series(u, wp)
+    # d = m * 2^shift with m = man / 2^t in [1, 2), u = (m-1)/(m+1) <= 1/3
+    t = d.man.bit_length() - 1
+    shift = d.exp + t
+    w = prec + 24
+    if not shift:  # log d is about 2u: keep the bits of u below 2^-w
+        w += max(0, t - (d.man - (1 << t)).bit_length())
+    q, r = divmod((d.man - (1 << t)) << w, d.man + (1 << t))
+    lo, hi = _atanh_series(q, q + (r > 0), w)
     if shift:
-        result = result.add(_log2_bounds(wp).mul(Interval.point(shift), wp), wp)
-    return Interval(result.lo.round(prec, up=False), result.hi.round(prec, up=True))
+        l2lo, l2hi = _log2_bounds(w)
+        if shift < 0:
+            l2lo, l2hi = l2hi, l2lo
+        lo += shift * l2lo
+        hi += shift * l2hi
+    return Interval(Dyadic(lo, -w).round(prec, up=False), Dyadic(hi, -w).round(prec, up=True))
 
 
 def enclose_log(x: Interval, prec: int | None = None) -> Interval:
     prec = resolve_precision(prec)
     if x.lo.sign <= 0:
         raise DomainError(f"log domain requires lo > 0, got {x}")
-    return Interval(_log_point(x.lo, prec).lo, _log_point(x.hi, prec).hi)
+    lo = _log_point(x.lo, prec)
+    return lo if x.lo == x.hi else Interval(lo.lo, _log_point(x.hi, prec).hi)
 
 
 def enclose_cosh(x: Interval, prec: int | None = None) -> Interval:
@@ -187,27 +217,31 @@ def _bessel_i1_point(d: Dyadic, prec: int) -> Interval:
     if d.is_zero:
         return Interval.point(0)
     wp = prec + 16
-    half = Interval.point(d.scale(-1))
-    half_sq = half.mul(half, wp)
-    term = half  # k = 0 term
-    total = half
+    # units of 2^-f in which the first term d/2 = man 2^(exp-1) has wp bits
+    man = d.man
+    n = wp - man.bit_length()
+    f = n + 1 - d.exp
+    a, b = (man << n, man << n) if n >= 0 else (man >> -n, -(-man >> -n))
+    # (d/2)^2 = sq / 2^sh exactly, sh >= 0
+    sq, sh = man * man, 2 - 2 * d.exp
+    if sh < 0:
+        sq, sh = sq << -sh, 0
+    lo, hi = a, b
     k = 0
     while True:
         k += 1
-        term = term.mul(half_sq, wp).div(Interval.point(k * (k + 1)), wp)
-        total = total.add(term, wp)
-        # geometric tail once ratio (d/2)^2/((k+1)(k+2)) < 1/2
-        num = half_sq.hi
-        if num.cmp_fraction(Fraction((k + 1) * (k + 2), 2)) < 0:
-            ratio_hi = num.to_fraction() / ((k + 1) * (k + 2))
-            t = term.hi.to_fraction()
-            tail = t * ratio_hi / (1 - ratio_hi)
-            if tail < total.lo.to_fraction() / (1 << wp) or tail < Fraction(1, 1 << wp):
-                total = total.add(
-                    Interval(Dyadic(0), Dyadic.from_fraction(tail, wp, up=True)), wp
-                )
-                break
-    return Interval(total.lo.round(prec, up=False), total.hi.round(prec, up=True))
+        a = (a * sq >> sh) // (k * (k + 1))
+        b = -((-(b * sq) >> sh) // (k * (k + 1)))
+        lo += a
+        hi += b
+        # once the term ratio rho = (d/2)^2 / ((k+1)(k+2)) is below 1/2 the
+        # rest is at most b rho / (1 - rho) = b sq / den; stop when that is
+        # below 2^-wp of the lower sum
+        den = ((k + 1) * (k + 2) << sh) - sq
+        if den > sq and (b * sq) << wp < lo * den:
+            hi -= -(b * sq) // den
+            break
+    return Interval(Dyadic(lo, -f).round(prec, up=False), Dyadic(hi, -f).round(prec, up=True))
 
 
 def enclose_bessel_i1(x: Interval, prec: int | None = None) -> Interval:
@@ -215,4 +249,5 @@ def enclose_bessel_i1(x: Interval, prec: int | None = None) -> Interval:
     prec = resolve_precision(prec)
     if x.lo.sign < 0:
         raise DomainError(f"bessel_i1 domain requires lo >= 0, got {x}")
-    return Interval(_bessel_i1_point(x.lo, prec).lo, _bessel_i1_point(x.hi, prec).hi)
+    lo = _bessel_i1_point(x.lo, prec)
+    return lo if x.lo == x.hi else Interval(lo.lo, _bessel_i1_point(x.hi, prec).hi)

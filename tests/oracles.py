@@ -18,6 +18,11 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   rebuilt for every (k, s), which the s-free shapes of ``qcert.coeffs``
   must match term for term and in key order.
 * ``enclose_sinh`` -- certified sinh, for the exponential-factor bound.
+* ``exp_point_loop`` / ``atanh_series_loop`` / ``log_point_loop`` /
+  ``bessel_i1_point_loop`` -- the exp, log and I1 point kernels as
+  Taylor loops over ``Interval`` objects, rounding at every step, whose
+  enclosures the integer kernels of ``qcert.enclosures`` must equal or
+  lie inside.
 * ``invariant_a`` / ``invariant_b`` / ``invariant_i`` / ``laguerre`` --
   the quartic invariants and the order-m Laguerre expression, written
   out directly rather than through the statement trees of ``THEOREMS``.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from qcert.bounds import ErrorBudget
@@ -216,6 +222,105 @@ def enclose_sinh(x: Interval, prec: int | None = None) -> Interval:
         return e.sub(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)
 
     return Interval(sinh_point(x.lo).lo.round(prec, up=False), sinh_point(x.hi).hi.round(prec, up=True))
+
+
+# -- the special-function kernels as loops over Intervals ------------------
+
+
+def exp_point_loop(d: Dyadic, prec: int) -> Interval:
+    """Enclosure of exp(d) for an exact dyadic d: k halvings, a Taylor
+    sum of Interval terms at wp = prec + k + 12 bits, k squarings."""
+    if d.is_zero:
+        return Interval.point(1)
+    k = max(0, d.exp + d.man.bit_length() + 1)
+    wp = prec + k + 12
+    r = Interval.point(d.scale(-k))
+    # Taylor sum sum_{j<=J} r^j/j!; |r|<=1/2 gives tail <= 2*|r|^(J+1)/(J+1)!
+    term = Interval.point(1)
+    total = Interval.point(1)
+    j = 0
+    tail_num = Fraction(1)  # (1/2)^(J+1)/(J+1)! running bound
+    while True:
+        j += 1
+        term = term.mul(r, wp).div(Interval.point(j), wp)
+        total = total.add(term, wp)
+        tail_num = tail_num / (2 * (j + 1))
+        if 2 * tail_num < Fraction(1, 1 << wp):
+            break
+    tail = Dyadic.from_fraction(2 * tail_num, wp, up=True)
+    total = total.add(Interval(-tail, tail), wp)
+    for _ in range(k):
+        total = total.mul(total, wp)
+    return Interval(total.lo.round(prec, up=False), total.hi.round(prec, up=True))
+
+
+def atanh_series_loop(u: Interval, prec: int) -> Interval:
+    """Enclosure of 2*atanh(u) for 0 <= u <= 1/3, summed at prec + 12 bits."""
+    wp = prec + 12
+    usq = u.mul(u, wp)
+    power = u  # u^(2j+1)
+    total = u
+    j = 0
+    while True:
+        j += 1
+        power = power.mul(usq, wp)
+        # tail after the previous term is <= u^(2j+1)/((2j+1)(1-u^2));
+        # with u <= 1/3 the factor 1/((2j+1)(1-u^2)) is below 2
+        bound = power.hi
+        if bound.sign <= 0 or bound.exp + bound.man.bit_length() < -wp:
+            tail_hi = abs(bound).round(prec, up=True).scale(1)
+            total = total.add(Interval(Dyadic(0), tail_hi), wp)
+            break
+        total = total.add(power.div(Interval.point(2 * j + 1), wp), wp)
+    total = total.scale(1)  # the leading factor 2
+    return Interval(total.lo.round(prec, up=False), total.hi.round(prec, up=True))
+
+
+@lru_cache(maxsize=None)
+def _log2_loop(prec: int) -> Interval:
+    return atanh_series_loop(Interval.from_fraction(Fraction(1, 3), prec + 8), prec)
+
+
+def log_point_loop(d: Dyadic, prec: int) -> Interval:
+    """Enclosure of log(d), d > 0: m = d / 2^shift in [1, 2),
+    2 atanh((m-1)/(m+1)) + shift * 2 atanh(1/3), in Intervals."""
+    wp = prec + 12
+    shift = d.exp + d.man.bit_length() - 1
+    m = Interval.point(d.scale(-shift))
+    u = m.sub(Interval.point(1), wp).div(m.add(Interval.point(1), wp), wp)
+    result = atanh_series_loop(u, wp)
+    if shift:
+        result = result.add(_log2_loop(wp).mul(Interval.point(shift), wp), wp)
+    return Interval(result.lo.round(prec, up=False), result.hi.round(prec, up=True))
+
+
+def bessel_i1_point_loop(d: Dyadic, prec: int) -> Interval:
+    """Enclosure of I1(d) = sum_k (d/2)^(2k+1) / (k! (k+1)!), d >= 0, in
+    Intervals at prec + 16 bits with a geometric tail."""
+    if d.is_zero:
+        return Interval.point(0)
+    wp = prec + 16
+    half = Interval.point(d.scale(-1))
+    half_sq = half.mul(half, wp)
+    term = half  # k = 0 term
+    total = half
+    k = 0
+    while True:
+        k += 1
+        term = term.mul(half_sq, wp).div(Interval.point(k * (k + 1)), wp)
+        total = total.add(term, wp)
+        # geometric tail once ratio (d/2)^2/((k+1)(k+2)) < 1/2
+        num = half_sq.hi
+        if num.cmp_fraction(Fraction((k + 1) * (k + 2), 2)) < 0:
+            ratio_hi = num.to_fraction() / ((k + 1) * (k + 2))
+            t = term.hi.to_fraction()
+            tail = t * ratio_hi / (1 - ratio_hi)
+            if tail < total.lo.to_fraction() / (1 << wp) or tail < Fraction(1, 1 << wp):
+                total = total.add(
+                    Interval(Dyadic(0), Dyadic.from_fraction(tail, wp, up=True)), wp
+                )
+                break
+    return Interval(total.lo.round(prec, up=False), total.hi.round(prec, up=True))
 
 
 # -- exact functionals -----------------------------------------------------

@@ -7,7 +7,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import contains_interval, enclose_sinh
+from oracles import (
+    bessel_i1_point_loop,
+    contains_interval,
+    enclose_sinh,
+    exp_point_loop,
+    log_point_loop,
+)
+from qcert import enclosures
+from qcert.bounds import bessel_arg
 from qcert.enclosures import (
     enclose_bessel_i1,
     enclose_cosh,
@@ -163,3 +171,107 @@ class TestRefinementAndSubdivision:
             right = fn(Interval(dm, db), 100)
             assert whole.lo <= left.lo and right.hi <= whole.hi
             assert whole.lo <= right.lo and left.hi <= whole.hi
+
+
+# -- the integer kernels against mpmath and the Interval-loop oracles ---------
+
+# 200 arguments per kernel; the Interval-loop oracles take 20-50 ms a call
+# at 1536 bits, so that precision gets the fewest
+KERNEL_ARGS = {64: 90, 192: 90, 1536: 20}
+
+
+def _dyadic(rng: random.Random, top: int, sign: int = 1) -> Dyadic:
+    """A dyadic with |d| < 2**top and a mantissa of 1 to 200 bits."""
+    bits = rng.choice((1, 8, 53, 120, 200))
+    man = rng.getrandbits(bits) | (1 << (bits - 1))
+    return Dyadic(sign * man, top - bits - rng.randrange(0, 4))
+
+
+def _exp_args(rng: random.Random, prec: int, count: int) -> list[Dyadic]:
+    # endpoints of pi sqrt(n/3), prefactor's exponent, at n = 20000
+    arg = enclose_pi(prec).mul(Interval.from_fraction(Fraction(20000, 3), prec).sqrt(prec), prec)
+    args = [Dyadic(0), arg.lo, arg.hi, -arg.lo, -arg.hi]
+    while len(args) < count:
+        sign = rng.choice((-1, 1))
+        kind = len(args) % 4
+        if kind == 0:  # tiny: |d| < 2^-100
+            args.append(_dyadic(rng, -rng.randrange(100, 140), sign))
+        elif kind == 1:  # |d| < 1
+            args.append(_dyadic(rng, rng.randrange(-20, 1), sign))
+        else:  # up to the largest exponent the envelopes use, about 256.5
+            args.append(_dyadic(rng, rng.randrange(1, 9), sign))
+    return args
+
+
+def _log_args(rng: random.Random, prec: int, count: int) -> list[Dyadic]:
+    args = [Dyadic(1), Dyadic(2), Dyadic(3), Dyadic(1, -1)]
+    while len(args) < count:
+        kind = len(args) % 4
+        if kind == 0:  # tiny: d < 2^-100
+            args.append(_dyadic(rng, -rng.randrange(100, 140)))
+        elif kind == 1:  # 1 + e with |e| < 2^-100
+            args.append(Dyadic(1) + _dyadic(rng, -rng.randrange(100, 140), rng.choice((-1, 1))))
+        else:
+            args.append(_dyadic(rng, rng.randrange(-20, 64)))
+    return args
+
+
+def _bessel_args(rng: random.Random, prec: int, count: int) -> list[Dyadic]:
+    nu = bessel_arg(20000, prec)  # the largest argument of the main-term sandwich
+    args = [Dyadic(0), nu.lo, nu.hi]
+    while len(args) < count:
+        kind = len(args) % 4
+        if kind == 0:  # tiny: d < 2^-100
+            args.append(_dyadic(rng, -rng.randrange(100, 140)))
+        elif kind == 1:
+            args.append(_dyadic(rng, rng.randrange(-20, 2)))
+        else:  # up to nu(20000), about 256.5
+            args.append(_dyadic(rng, rng.randrange(2, 9)))
+    return args
+
+
+KERNELS = {
+    "exp": (enclose_exp, exp_point_loop, mp.exp, _exp_args),
+    "log": (enclose_log, log_point_loop, mp.log, _log_args),
+    "bessel_i1": (enclose_bessel_i1, bessel_i1_point_loop, lambda t: mp.besseli(1, t), _bessel_args),
+}
+
+
+@pytest.mark.parametrize("prec", sorted(KERNEL_ARGS))
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_contains_reference_and_within_oracle(name, prec):
+    # seeded dyadic arguments; the reference is mpmath at 2 prec + 64 bits
+    # (more if the argument is wider, so that it enters exactly), and the
+    # Interval-loop oracle's enclosure must equal or contain the kernel's
+    fn, oracle, ref, make_args = KERNELS[name]
+    args = make_args(random.Random(f"{name}-{prec}"), prec, KERNEL_ARGS[prec])
+    for d in args:
+        iv = fn(Interval.point(d), prec)
+        with mp.workprec(max(2 * prec + 64, d.man.bit_length())):
+            value = ref(mp.mpf(d.man) * mp.mpf(2) ** d.exp)
+            assert contains_ref(iv, value), (name, prec, d)
+        assert contains_interval(oracle(d, prec), iv), (name, prec, d)
+
+
+@pytest.mark.parametrize("fn, kernel", [
+    (enclose_exp, "_exp_point"),
+    (enclose_log, "_log_point"),
+    (enclose_bessel_i1, "_bessel_i1_point"),
+])
+def test_point_argument_evaluated_once(monkeypatch, fn, kernel):
+    point = getattr(enclosures, kernel)
+    calls = []
+
+    def counted(d, prec):
+        calls.append(d)
+        return point(d, prec)
+
+    monkeypatch.setattr(enclosures, kernel, counted)
+    d, e = Dyadic(5, -1), Dyadic(11, -2)
+    iv = fn(Interval.point(d), 192)
+    assert calls == [d]
+    assert (iv.lo, iv.hi) == (point(d, 192).lo, point(d, 192).hi)
+    calls.clear()
+    iv = fn(Interval(d, e), 192)
+    assert calls == [d, e]
+    assert (iv.lo, iv.hi) == (point(d, 192).lo, point(e, 192).hi)

@@ -1,10 +1,14 @@
 """The trust path holds one definition per quantity and no test oracle:
 names that only tests call live in tests/oracles.py, and removed dead
-code and duplicates do not come back under any ``qcert`` module."""
+code and duplicates do not come back under any ``qcert`` module.  The
+enclosure kernels use no floating point, and nothing in ``qcert``
+imports mpmath."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,10 @@ ORACLES = (
     "alt_half_binomial_sum",
     "alt_half_binomial_sum_closed",
     "enclose_sinh",
+    "exp_point_loop",
+    "atanh_series_loop",
+    "log_point_loop",
+    "bessel_i1_point_loop",
     "invariant_a",
     "invariant_b",
     "invariant_i",
@@ -108,3 +116,42 @@ def test_exact_verify_shifted_is_keyword_only():
 def test_ineq_poly_fields():
     # the id, theorem, N and precision are known to the caller or to poly
     assert tuple(IneqPoly.__dataclass_fields__) == ("poly", "x0", "window", "side_lemma")
+
+
+# math names that are exact on integers; any other math function is floating point
+EXACT_MATH = {"isqrt", "gcd", "lcm", "factorial", "comb"}
+SOURCES = sorted(Path(qcert.__file__).parent.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_enclosures_use_no_floating_point():
+    tree = _tree(Path(qcert.__file__).parent / "enclosures.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"line {node.lineno}: float(...)")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {node.lineno}: / (a float on two ints)")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "math" and node.attr not in EXACT_MATH:
+            found.append(f"line {node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: from math import {a.name}"
+                      for a in node.names if a.name not in EXACT_MATH]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_mpmath_import(path):
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "mpmath" not in imported
