@@ -333,6 +333,12 @@ def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISIO
 # -- L/U envelopes -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _root4_3(prec: int) -> Interval:
+    """Enclosure of 3^{1/4}, shared by every prefactor at prec."""
+    return Interval.point(3).sqrt(prec).sqrt(prec)
+
+
 @lru_cache(maxsize=8192)
 def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
     """e^{pi sqrt(n/3)} / (4 * 3^{1/4} * n^{3/4})."""
@@ -341,9 +347,8 @@ def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
     pi = enclose_pi(prec)
     exp_arg = pi.mul(_iv(Fraction(n, 3), prec).sqrt(prec), prec)
     numerator = enclose_exp(exp_arg, prec)
-    root4_3 = Interval.point(3).sqrt(prec).sqrt(prec)
     n_34 = Interval.point(n**3).sqrt(prec).sqrt(prec)
-    return numerator.div(root4_3.mul(n_34, prec).scale(2), prec)
+    return numerator.div(_root4_3(prec).mul(n_34, prec).scale(2), prec)
 
 
 @dataclass(frozen=True)

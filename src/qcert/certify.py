@@ -316,27 +316,29 @@ INEQUALITIES: dict[str, str] = {t.ineq_id: t.id for t in THEOREMS.values()}
 
 
 @lru_cache(maxsize=None)
-def _c2_bracket(comp: Companion, prec: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket of c^2 = r^2 3^j pi^{2i}: only pi^{2i} needs an enclosure."""
+def _c2_bracket(comp: Companion, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Rational bracket of c^2 = r^2 3^j pi^{2i} as integer ratios: only pi^{2i} needs an enclosure."""
     k = comp.r * comp.r * 3**comp.j
-    return tuple(k * f for f in enclose_pi(prec).pow_int(2 * comp.i, prec).to_fractions())
+    pi_2i = enclose_pi(prec).pow_int(2 * comp.i, prec)
+    return tuple((k * f).as_integer_ratio() for f in pi_2i.to_fractions())
 
 
-def _positive(a: int, b: int, n: int, comp: Companion | None) -> bool:
-    """A + B t > 0 at index n, t > 0; opposite signs compare B^2 c^2 with A^2 n^a."""
+def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
+    """A + B t > 0 at index n, t > 0; opposite signs compare B^2 c^2 with A^2 n^a, c2 being
+    _c2_bracket(comp, DEFAULT_PRECISION), refined only while it does not decide."""
     if a >= 0 and b >= 0 or a <= 0 and b <= 0:  # same signs; A = B = 0 is not positive
         return a + b > 0
     bb, rhs = b * b, a * a * n**comp.a
-    prec = DEFAULT_PRECISION
+    prec, ((lo_p, lo_q), (hi_p, hi_q)) = DEFAULT_PRECISION, c2
     while True:
-        lo, hi = _c2_bracket(comp, prec)
-        if bb * lo.numerator > rhs * lo.denominator:
+        if bb * lo_p > rhs * lo_q:
             return b > 0
-        if bb * hi.numerator < rhs * hi.denominator:
+        if bb * hi_p < rhs * hi_q:
             return a > 0
-        if lo == hi:  # c^2 rational: A + B t = 0
+        if (lo_p, lo_q) == (hi_p, hi_q):  # c^2 rational: A + B t = 0
             return False
         prec *= 2
+        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)
 
 
 def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
@@ -843,12 +845,16 @@ def exact_verify(
     n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
     for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
         table.window(n, width + 1)
+    c2 = comp and _c2_bracket(comp, DEFAULT_PRECISION)  # read once per scan
     found = []
     for i in range(0, count, BLOCK):
         q = table.values[n0 + i : n0 + i + BLOCK + width]
         a, b = spec.statement.values(q, min(BLOCK, count - i))
-        found += [n for n, x, y in zip(range(start + i, start + count), a, b or [0] * len(a))
-                  if not _positive(x, y, n, comp)]
+        ns = range(start + i, start + count)
+        if b is None:  # no companion: B = 0
+            found += [n for n, x in zip(ns, a) if x <= 0]
+        else:
+            found += [n for n, x, y in zip(ns, a, b) if not _positive(x, y, n, comp, c2)]
     return found
 
 

@@ -10,7 +10,7 @@ from oracles import (
     compute_q_table,
     compute_q_table_odd_parts,
 )
-from qcert.qtable import load_or_build, q_enumerate
+from qcert.qtable import BLOCK, load_or_build, q_enumerate
 
 # SHA-256 of the comma-joined decimal q(0..20000) as built by the packed
 # limb DP that the theta recurrence replaced
@@ -52,6 +52,18 @@ def test_dp_matches_enumeration_to_60():
 
 def test_load_or_build_matches_reference(table2k):
     assert load_or_build(2000).values == table2k.values
+
+
+def test_blocked_builder_matches_dp_to_200():
+    # the length-1 block at n_max = BLOCK, partial blocks and the first
+    # three block edges (BLOCK = 64)
+    for n_max in range(201):
+        assert load_or_build(n_max).values == compute_q_table(n_max).values, n_max
+
+
+@pytest.mark.parametrize("n_max", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 7064, 18509])
+def test_blocked_builder_is_prefix_of_full_table(n_max, table20k):
+    assert load_or_build(n_max).values == table20k.values[: n_max + 1]
 
 
 def test_full_table_matches_packed_builder(table20k):
