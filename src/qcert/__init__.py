@@ -67,8 +67,6 @@ from .intervals import (
     DomainError,
     Dyadic,
     Interval,
-    get_precision,
-    workprec,
 )
 from .qtable import (
     QTable,

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .coeffs import bessel_asym_coeff, expansion_coeff, shift_sigma
 from .enclosures import (
@@ -160,85 +160,98 @@ def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
     published budget; full intervals kept for composition)."""
     if N < 1 or s < 0:
         raise ValueError("need N >= 1 and s >= 0")
-    from .intervals import workprec
 
-    with workprec(prec):
-        pi = enclose_pi(prec)
-        sqrt3 = Interval.point(3).sqrt(prec)
-        sigma = shift_sigma(s)
-        sigma_iv = _iv(sigma, prec)
-        two4s1 = 24 * s + 1
-        cosh_term = _cosh_term(s, prec)
-        a_n = _iv(abs(bessel_asym_coeff(N)), prec)
-        a_n1 = _iv(abs(bessel_asym_coeff(N + 1)), prec)
-        log_n1 = _log_int(N + 1, prec)
+    # every operation rounds at prec; add and mul group left to right
+    def add(*terms: Interval) -> Interval:
+        return reduce(lambda a, b: a.add(b, prec), terms)
 
-        # I1 asymptotic remainder constant
-        er_i1 = (
-            _half_power(Fraction(3), N + 1, prec)
-            / pi.pow_int(N + 1, prec)
-            * (
-                (1 + 9 / log_n1 + Fraction(9, N + 2)) / (2 * pi).sqrt(prec)
-                + (Interval.point(2).sqrt(prec) + 1 / _iv(Fraction(2 * N + 5, 2), prec).sqrt(prec))
-                / log_n1
-            )
-            * a_n1
-        )
+    def mul(*factors: Interval) -> Interval:
+        return reduce(lambda a, b: a.mul(b, prec), factors)
 
-        # exponential-factor tail
-        er_exp = (
-            Fraction(4, 3)
-            * (2 * pi / 3).sqrt(prec)
-            / _half_power(Fraction(N), 3, prec)
-            * _half_power(sigma, N + 2, prec)
-            * cosh_term
-        )
+    def div(a: Interval, b: Interval) -> Interval:
+        return a.div(b, prec)
 
-        # binomial-factor tail
-        er_binom = Fraction(4, 3) * _half_power(sigma, N + 1, prec)
+    def iv(value: Fraction | int) -> Interval:
+        return _iv(value, prec)
 
-        # product tail
-        pi_over_2sqrt3 = pi / sqrt3.scale(1)
-        er_exp_binom = (
-            (_half_power(Fraction(N), 3, prec) * Fraction(4, 3) + 1) * er_exp
-            + pi_over_2sqrt3 * _half_power(sigma, N + 2, prec)
-            + er_binom
-            * (1 + pi_over_2sqrt3 * sigma_iv + (pi * two4s1).sqrt(prec) / 72 * cosh_term)
-        )
+    pi = enclose_pi(prec)
+    sqrt3 = iv(3).sqrt(prec)
+    sigma = shift_sigma(s)
+    sigma_iv = iv(sigma)
+    root_sigma = sigma_iv.sqrt(prec)
+    two4s1 = 24 * s + 1
+    root_pi_s = mul(pi, iv(two4s1)).sqrt(prec)  # sqrt(pi (24s+1))
+    cosh_term = _cosh_term(s, prec)
+    pi_over_2sqrt3 = div(pi, sqrt3.scale(1))
+    a_n = iv(abs(bessel_asym_coeff(N)))
+    a_n1 = iv(abs(bessel_asym_coeff(N + 1)))
+    log_n1 = _log_int(N + 1, prec)
+    one, four_thirds = iv(1), iv(Fraction(4, 3))
+    n_3_2 = _half_power(Fraction(N), 3, prec)  # N^(3/2)
+    sigma_n1 = _half_power(sigma, N + 1, prec)  # sigma^((N+1)/2)
+    sigma_n2 = _half_power(sigma, N + 2, prec)  # sigma^((N+2)/2)
 
-        # shifted Bessel polynomial tail
-        er_bessel_shift = (
-            a_n.scale(2) / 3 * (sigma_iv + 3 / pi.pow_int(2, prec)).pow_int(N // 2 + 1, prec)
-            + a_n.scale(2)
-            / (sqrt3 * pi)
-            * (sigma_iv.sqrt(prec) + sqrt3 / pi).pow_int(2 * ((N - 1) // 2) + 2, prec)
-        )
+    # I1 asymptotic remainder constant
+    er_i1 = mul(
+        div(_half_power(Fraction(3), N + 1, prec), pi.pow_int(N + 1, prec)),
+        add(
+            div(add(one, div(iv(9), log_n1), iv(Fraction(9, N + 2))), mul(iv(2), pi).sqrt(prec)),
+            div(add(iv(2).sqrt(prec), div(one, iv(Fraction(2 * N + 5, 2)).sqrt(prec))), log_n1),
+        ),
+        a_n1,
+    )
 
-        # combined Bessel tail
-        er_bessel = (
-            (sqrt3 / pi).pow_int(N + 1, prec) * a_n).scale(3) + (
-            1 + (3 / (pi * _iv(2 * two4s1, prec).sqrt(prec))).pow_int(N + 1, prec).scale(2)
-        ) * (er_bessel_shift + er_i1)
+    # exponential-factor tail
+    er_exp = mul(
+        div(mul(four_thirds, div(mul(iv(2), pi), iv(3)).sqrt(prec)), n_3_2), sigma_n2, cosh_term
+    )
 
-        # growth envelope constant
-        growth = (
-            1
-            + pi_over_2sqrt3 * sigma_iv.sqrt(prec)
-            + (pi * two4s1).sqrt(prec) / 12 * cosh_term
-        )
+    # binomial-factor tail
+    er_binom = mul(four_thirds, sigma_n1)
 
-        floor = n_min(N, s, prec)
-        er_total = (
-            a_n
-            * (
-                pi * Fraction(1 << (N - 1)) / sqrt3 * sigma_iv.sqrt(prec)
-                + growth * (1 + Fraction(1 << (N + 1), 3))
-            )
-            * _half_power(sigma, N + 1, prec)
-            + (1 + pi_over_2sqrt3 * sigma_iv + growth / 12) * er_bessel
-            + a_n.scale(1) * er_exp_binom
-            + er_exp_binom * er_bessel / _half_power(Fraction(floor), N + 1, prec)
-        )
+    # product tail
+    er_exp_binom = add(
+        mul(add(mul(n_3_2, four_thirds), one), er_exp),
+        mul(pi_over_2sqrt3, sigma_n2),
+        mul(er_binom, add(one, mul(pi_over_2sqrt3, sigma_iv), mul(div(root_pi_s, iv(72)), cosh_term))),
+    )
+
+    # shifted Bessel polynomial tail
+    a_n4 = a_n.scale(2)
+    er_bessel_shift = add(
+        mul(div(a_n4, iv(3)), add(sigma_iv, div(iv(3), pi.pow_int(2, prec))).pow_int(N // 2 + 1, prec)),
+        mul(
+            div(a_n4, mul(sqrt3, pi)),
+            add(root_sigma, div(sqrt3, pi)).pow_int(2 * ((N - 1) // 2) + 2, prec),
+        ),
+    )
+
+    # combined Bessel tail
+    er_bessel = add(
+        mul(div(sqrt3, pi).pow_int(N + 1, prec), a_n).scale(3),
+        mul(
+            add(one, div(iv(3), mul(pi, iv(2 * two4s1).sqrt(prec))).pow_int(N + 1, prec).scale(2)),
+            add(er_bessel_shift, er_i1),
+        ),
+    )
+
+    # growth envelope constant
+    growth = add(one, mul(pi_over_2sqrt3, root_sigma), mul(div(root_pi_s, iv(12)), cosh_term))
+
+    floor = n_min(N, s, prec)
+    er_total = add(
+        mul(
+            a_n,
+            add(
+                mul(div(mul(pi, iv(1 << (N - 1))), sqrt3), root_sigma),
+                mul(growth, iv(1 + Fraction(1 << (N + 1), 3))),
+            ),
+            sigma_n1,
+        ),
+        mul(add(one, mul(pi_over_2sqrt3, sigma_iv), div(growth, iv(12))), er_bessel),
+        mul(a_n.scale(1), er_exp_binom),
+        div(mul(er_exp_binom, er_bessel), _half_power(Fraction(floor), N + 1, prec)),
+    )
 
     return {
         "er_i1_asym": er_i1,

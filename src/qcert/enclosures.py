@@ -36,7 +36,7 @@ from .intervals import (
     DomainError,
     Dyadic,
     Interval,
-    resolve_precision,
+    check_precision,
 )
 
 __all__ = [
@@ -72,9 +72,9 @@ def _atan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
         k += 1
 
 
-def enclose_pi(prec: int | None = None) -> Interval:
+def enclose_pi(prec: int) -> Interval:
     """Interval containing pi, width <= 2**(4-prec)."""
-    prec = resolve_precision(prec)
+    check_precision(prec)
     cached = _PI_CACHE.get(prec)
     if cached is None:
         lo5, hi5 = _atan_inv_bounds(5, prec)
@@ -132,8 +132,8 @@ def _exp_point(d: Dyadic, prec: int) -> Interval:
     return Interval(Dyadic(lo, e).round(prec, up=False), Dyadic(hi, e).round(prec, up=True))
 
 
-def enclose_exp(x: Interval, prec: int | None = None) -> Interval:
-    prec = resolve_precision(prec)
+def enclose_exp(x: Interval, prec: int) -> Interval:
+    check_precision(prec)
     lo = _exp_point(x.lo, prec)
     return lo if x.lo == x.hi else Interval(lo.lo, _exp_point(x.hi, prec).hi)
 
@@ -186,16 +186,16 @@ def _log_point(d: Dyadic, prec: int) -> Interval:
     return Interval(Dyadic(lo, -w).round(prec, up=False), Dyadic(hi, -w).round(prec, up=True))
 
 
-def enclose_log(x: Interval, prec: int | None = None) -> Interval:
-    prec = resolve_precision(prec)
+def enclose_log(x: Interval, prec: int) -> Interval:
+    check_precision(prec)
     if x.lo.sign <= 0:
         raise DomainError(f"log domain requires lo > 0, got {x}")
     lo = _log_point(x.lo, prec)
     return lo if x.lo == x.hi else Interval(lo.lo, _log_point(x.hi, prec).hi)
 
 
-def enclose_cosh(x: Interval, prec: int | None = None) -> Interval:
-    prec = resolve_precision(prec)
+def enclose_cosh(x: Interval, prec: int) -> Interval:
+    check_precision(prec)
 
     def cosh_point(d: Dyadic) -> Interval:
         e = _exp_point(d, prec + 8)
@@ -244,9 +244,9 @@ def _bessel_i1_point(d: Dyadic, prec: int) -> Interval:
     return Interval(Dyadic(lo, -f).round(prec, up=False), Dyadic(hi, -f).round(prec, up=True))
 
 
-def enclose_bessel_i1(x: Interval, prec: int | None = None) -> Interval:
+def enclose_bessel_i1(x: Interval, prec: int) -> Interval:
     """I1 on [lo, hi] with lo >= 0; the series is increasing there."""
-    prec = resolve_precision(prec)
+    check_precision(prec)
     if x.lo.sign < 0:
         raise DomainError(f"bessel_i1 domain requires lo >= 0, got {x}")
     lo = _bessel_i1_point(x.lo, prec)

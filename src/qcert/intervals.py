@@ -7,11 +7,11 @@ operation returns an interval that *contains* the exact set image of its
 inputs (outward rounding), which is the single correctness contract here.
 Nothing is correctly rounded; endpoints are only guaranteed to bracket.
 
-Precision is the working mantissa width in bits.  It can be passed
-explicitly to any operation, or set per thread with ``workprec``:
-
-    with workprec(384):
-        z = x * y        # operators use the thread's current precision
+Precision is the working mantissa width in bits, and every operation
+that rounds takes it as a required argument: ``x.mul(y, prec)``.  There
+is no default and no hidden state, so no rounding can happen at a width
+its caller did not name.  The operators do not round: ``Dyadic``
+arithmetic is exact, and ``Interval`` has only unary minus.
 
 Mantissas are plain Python ints, so there is no overflow and no hidden
 rounding anywhere except the explicit directed roundings below.  An
@@ -29,8 +29,6 @@ bit-identical to that termwise loop.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
 
 __all__ = [
@@ -40,19 +38,15 @@ __all__ = [
     "Dyadic",
     "Interval",
     "DomainError",
+    "check_precision",
     "convolve_into",
-    "get_precision",
     "horner",
-    "resolve_precision",
     "to_intervals",
-    "workprec",
 ]
 
 MIN_PRECISION = 16
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1536  # ceiling for the precision doublings of refining callers
-
-_state = threading.local()
 
 
 class DomainError(ValueError):
@@ -60,28 +54,11 @@ class DomainError(ValueError):
     (division by an interval containing zero, sqrt/log of negatives)."""
 
 
-def get_precision() -> int:
-    return getattr(_state, "prec", DEFAULT_PRECISION)
-
-
-def resolve_precision(prec: int | None) -> int:
-    """The thread's precision for None; otherwise prec, at least MIN_PRECISION."""
-    if prec is None:
-        return get_precision()
+def check_precision(prec: int) -> None:
+    """Reject a precision below MIN_PRECISION bits (0 is an error, not
+    a request for some default)."""
     if prec < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
-    return prec
-
-
-@contextmanager
-def workprec(bits: int):
-    """Set the per-thread default precision for interval operators."""
-    old = get_precision()
-    _state.prec = resolve_precision(bits)
-    try:
-        yield
-    finally:
-        _state.prec = old
 
 
 def _round_mantissa(man: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
@@ -420,8 +397,8 @@ def to_intervals(acc: dict) -> dict[int, "Interval"]:
 class Interval:
     """Closed interval [lo, hi] with dyadic endpoints, lo <= hi.
 
-    Arithmetic via operators uses the per-thread precision; the named
-    methods accept an explicit prec argument.
+    Every method that rounds takes its precision as a required argument;
+    there are no arithmetic operators except the exact unary minus.
     """
 
     __slots__ = ("lo", "hi")
@@ -440,8 +417,8 @@ class Interval:
         return Interval(d, d)
 
     @staticmethod
-    def from_fraction(value: Fraction | int, prec: int | None = None) -> "Interval":
-        prec = resolve_precision(prec)
+    def from_fraction(value: Fraction | int, prec: int) -> "Interval":
+        check_precision(prec)
         if isinstance(value, int) or value.denominator == 1:
             return Interval.point(int(value))
         return Interval(
@@ -455,16 +432,16 @@ class Interval:
 
     # -- arithmetic -----------------------------------------------------
 
-    def add(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = resolve_precision(prec)
+    def add(self, other: "Interval", prec: int) -> "Interval":
+        check_precision(prec)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         return Interval(
             _rounded_sum(a.man, a.exp, c.man, c.exp, prec, up=False),
             _rounded_sum(b.man, b.exp, d.man, d.exp, prec, up=True),
         )
 
-    def sub(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = resolve_precision(prec)
+    def sub(self, other: "Interval", prec: int) -> "Interval":
+        check_precision(prec)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         return Interval(
             _rounded_sum(a.man, a.exp, -d.man, d.exp, prec, up=False),
@@ -474,14 +451,14 @@ class Interval:
     def neg(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def mul(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = resolve_precision(prec)
+    def mul(self, other: "Interval", prec: int) -> "Interval":
+        check_precision(prec)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         pm, pe, qm, qe = _moore(a.man, a.exp, b.man, b.exp, c.man, c.exp, d.man, d.exp)
         return Interval(_rounded(pm, pe, prec, up=False), _rounded(qm, qe, prec, up=True))
 
-    def div(self, other: "Interval", prec: int | None = None) -> "Interval":
-        prec = resolve_precision(prec)
+    def div(self, other: "Interval", prec: int) -> "Interval":
+        check_precision(prec)
         if other.lo.sign <= 0 <= other.hi.sign:
             raise DomainError(f"division by interval containing zero: {other}")
         quotients = [
@@ -492,9 +469,9 @@ class Interval:
         ]
         return Interval(min(quotients), max(quotients))
 
-    def pow_int(self, k: int, prec: int | None = None) -> "Interval":
+    def pow_int(self, k: int, prec: int) -> "Interval":
         """Integer power; even powers of straddling intervals floor at 0."""
-        prec = resolve_precision(prec)
+        check_precision(prec)
         if k == 0:
             return Interval.point(1)
         if k < 0:
@@ -513,8 +490,8 @@ class Interval:
                 base = base.mul(base, prec)
         return result
 
-    def sqrt(self, prec: int | None = None) -> "Interval":
-        prec = resolve_precision(prec)
+    def sqrt(self, prec: int) -> "Interval":
+        check_precision(prec)
         if self.lo.sign < 0:
             raise DomainError(f"sqrt of interval with negative endpoint: {self}")
         lo, _ = _sqrt_dir(self.lo.man, self.lo.exp, prec)
@@ -525,35 +502,8 @@ class Interval:
         """Exact multiplication by 2**k."""
         return Interval(self.lo.scale(k), self.hi.scale(k))
 
-    def __add__(self, other):
-        return self.add(_coerce(other))
-
-    def __radd__(self, other):
-        return self.add(_coerce(other))
-
-    def __sub__(self, other):
-        return self.sub(_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other).sub(self)
-
-    def __mul__(self, other):
-        return self.mul(_coerce(other))
-
-    def __rmul__(self, other):
-        return self.mul(_coerce(other))
-
-    def __truediv__(self, other):
-        return self.div(_coerce(other))
-
-    def __rtruediv__(self, other):
-        return _coerce(other).div(self)
-
     def __neg__(self):
         return self.neg()
-
-    def __pow__(self, k: int):
-        return self.pow_int(k)
 
     # -- queries ---------------------------------------------------------
 
@@ -588,14 +538,3 @@ def horner(coeffs, x: Interval, prec: int) -> Interval:
         acc = acc.mul(x, prec).add(c, prec)
     return acc
 
-
-def _coerce(value) -> Interval:
-    if isinstance(value, Interval):
-        return value
-    if isinstance(value, int):
-        return Interval.point(value)
-    if isinstance(value, Fraction):
-        return Interval.from_fraction(value)
-    if isinstance(value, Dyadic):
-        return Interval(value, value)
-    raise TypeError(f"cannot mix Interval with {type(value).__name__}")

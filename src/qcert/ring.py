@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .enclosures import enclose_pi
-from .intervals import Interval, resolve_precision
+from .intervals import Interval, check_precision
 
 __all__ = ["RingElem", "convolve_terms", "sum_of_products"]
 
@@ -143,9 +143,9 @@ class RingElem:
     def __repr__(self) -> str:
         return f"RingElem<{self.as_string()}>"
 
-    def eval_iv(self, prec: int | None = None) -> Interval:
+    def eval_iv(self, prec: int) -> Interval:
         """Interval containing the exact real value of this element."""
-        prec = resolve_precision(prec)
+        check_precision(prec)
         if not self.terms:
             return Interval.point(0)
         pi_pows, sqrt3 = _pi_powers(prec, min(self.terms)[0], max(self.terms)[0])

@@ -44,7 +44,7 @@ from math import comb, factorial
 from qcert.bounds import ErrorBudget
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point
-from qcert.intervals import Dyadic, Interval, resolve_precision
+from qcert.intervals import Dyadic, Interval
 from qcert.qtable import QTable
 from qcert.ring import RingElem
 
@@ -214,9 +214,7 @@ def bessel_factor_closed(k: int, s: int) -> RingElem:
 # -- certified sinh --------------------------------------------------------
 
 
-def enclose_sinh(x: Interval, prec: int | None = None) -> Interval:
-    prec = resolve_precision(prec)
-
+def enclose_sinh(x: Interval, prec: int) -> Interval:
     def sinh_point(d: Dyadic) -> Interval:
         e = _exp_point(d, prec + 8)
         return e.sub(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)

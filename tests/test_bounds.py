@@ -140,6 +140,14 @@ def _reference_budget(N: int, s: int) -> dict[str, mp.mpf]:
     }
 
 
+# sha256 of every _budget_parts endpoint at the theorems' (N, s), per precision
+BUDGET_PINS = {
+    64: "fe0548e2b442272aac10507e1e5eb519272491eb63318bd8424b3ae93a9b0392",
+    192: "37620e933eb530e74c78365954e5ffe1f741e6d0417b44fa165c34f30ebde1f4",
+    256: "e03ab66cc2ebfa925d49df3116dca0521cdc3930e47ac0853dc53d20d36d1db9",
+}
+
+
 class TestBudgets:
     @pytest.mark.parametrize("N", [1, 6, 14, 24])
     @pytest.mark.parametrize("s", [0, 3, 6])
@@ -152,14 +160,16 @@ class TestBudgets:
             # and not wildly conservative
             assert ours <= ref[name] * (1 + mp.mpf(2) ** -100), (N, s, name)
 
-    def test_budget_parts_unchanged(self):
+    @pytest.mark.parametrize("prec", sorted(BUDGET_PINS))
+    def test_budget_parts_unchanged(self, prec):
         # every budget interval, both endpoints bit for bit, at each (N, s)
-        # the theorems use; a change that moves an endpoint re-pins and says why
+        # the theorems use; a change that moves an endpoint re-pins and says why.
+        # Pins off the default precision catch an operation that ignores prec.
         digest = hashlib.sha256()
         for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
-            for name, v in _budget_parts(N, s, 192).items():
+            for name, v in _budget_parts(N, s, prec).items():
                 digest.update(f"{N} {s} {name} {v.lo.man} {v.lo.exp} {v.hi.man} {v.hi.exp};".encode())
-        assert digest.hexdigest() == "37620e933eb530e74c78365954e5ffe1f741e6d0417b44fa165c34f30ebde1f4"
+        assert digest.hexdigest() == BUDGET_PINS[prec]
 
     def test_all_positive(self):
         budget = error_budget(14, 0)

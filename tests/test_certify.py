@@ -6,11 +6,12 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from oracles import invariant_a, invariant_b, invariant_i, laguerre, mul_termwise
-from qcert.bounds import bound_value
+from qcert.bounds import bound_value, x_of
 from qcert.certify import (
     INEQUALITIES,
     THEOREMS,
@@ -484,6 +485,15 @@ class TestCrossovers:
         cert = certify_inequality("ineq2")
         assert not cert.proved
 
+    def test_escalation_proves_at_24_bits(self):
+        # at --precision 24 rounding alone leaves A-companion's n_star = 5847
+        # open; one doubling proves it (without the doubling the search
+        # would stop at 5848)
+        alone = certify_positive(build_ineq("ineq2", 24), x_of(5847, 24).hi)
+        assert not alone.proved and alone.rounding_limited
+        cert = certify_inequality("ineq2", 5847, 24)
+        assert cert.proved and cert.prec == 48
+
     @pytest.mark.parametrize("tid, trials", [
         ("A-companion",
          [5019, 5885, 5452, 5668, 5776, 5830, 5857, 5843, 5850, 5846, 5848, 5847]),
@@ -594,7 +604,7 @@ def _oracle_a_companion(table, n: int) -> bool:
     base = 4 * p_term - (qm1 * q3 + 3 * q1**2)
 
     def iv(p):
-        return _pi_pow(2, p).mul(Interval.from_fraction(F(p_term, 8 * n**3), p), p) + base
+        return _pi_pow(2, p).mul(Interval.from_fraction(F(p_term, 8 * n**3), p), p).add(Interval.point(base), p)
 
     return _decide_sign(iv) > 0
 
@@ -612,7 +622,7 @@ def _oracle_b_companion(table, n: int) -> bool:
             .mul(_sqrt3(p), p)
             .div(Interval.point(n).sqrt(p).mul(Interval.point(864 * n**4), p), p)
         )
-        return factor.mul(Interval.from_fraction(pos, p), p) + base
+        return factor.mul(Interval.from_fraction(pos, p), p).add(Interval.point(base), p)
 
     return _decide_sign(iv) > 0
 
@@ -629,7 +639,7 @@ def _oracle_double_turan_companion(table, n: int) -> bool:
             .mul(_sqrt3(p), p)
             .div(Interval.point(n).sqrt(p).mul(Interval.point(6 * n), p), p)
         )
-        return factor.mul(Interval.from_fraction(left * right, p), p) + base
+        return factor.mul(Interval.from_fraction(left * right, p), p).add(Interval.point(base), p)
 
     return _decide_sign(iv) > 0
 
@@ -647,7 +657,7 @@ def _oracle_laguerre3_companion(table, n: int) -> bool:
             .mul(_sqrt3(p).mul(Interval.point(5), p), p)
             .div(Interval.point(n).sqrt(p).mul(Interval.point(768 * n**4), p), p)
         )
-        return factor.mul(Interval.from_fraction(pos, p), p) + base
+        return factor.mul(Interval.from_fraction(pos, p), p).add(Interval.point(base), p)
 
     return _decide_sign(iv) > 0
 
@@ -726,28 +736,46 @@ def _ineq_sign_via_bounds(theorem_id: str, n: int) -> int:
     prefactors); returns a certified sign or 0 if undecided."""
     spec = THEOREMS[theorem_id]
     N = spec.N
-    L = {s: bound_value(n, s, N, -1) for s in spec.shifts}
-    U = {s: bound_value(n, s, N, +1) for s in spec.shifts}
-    from qcert.enclosures import enclose_pi
-    from qcert.intervals import workprec
+    prec = 192
+    L = {s: bound_value(n, s, N, -1, prec) for s in spec.shifts}
+    U = {s: bound_value(n, s, N, +1, prec) for s in spec.shifts}
+    pt = Interval.point
 
-    with workprec(192):
-        pi = enclose_pi()
-        sqrt3 = Interval.point(3).sqrt()
-        x = Interval.point(1) / Interval.point(n).sqrt()
-        if theorem_id == "A":
-            value = L[0] * L[4] + 3 * L[2] * L[2] - 4 * U[1] * U[3]
-        elif theorem_id == "A-companion":
-            factor = 1 + pi.pow_int(2) * x.pow_int(6) / 32 - x.pow_int(7)
-            value = 4 * factor * L[1] * L[3] - U[0] * U[4] - 3 * U[2] * U[2]
-        elif theorem_id == "double-turan":
-            value = (L[2] * L[2] - U[1] * U[3]).pow_int(2) - (
-                U[1] * U[1] - L[0] * L[2]
-            ) * (U[3] * U[3] - L[2] * L[4])
-        elif theorem_id == "laguerre3":
-            value = 10 * L[3] * L[3] + 6 * L[1] * L[5] - 15 * U[2] * U[4] - U[0] * U[6]
-        else:
-            raise NotImplementedError(theorem_id)
+    def mul(*factors: Interval) -> Interval:  # left to right, as a * b * c
+        return reduce(lambda a, b: a.mul(b, prec), factors)
+
+    if theorem_id == "A":
+        value = mul(L[0], L[4]).add(mul(pt(3), L[2], L[2]), prec).sub(mul(pt(4), U[1], U[3]), prec)
+    elif theorem_id == "A-companion":
+        x = pt(1).div(pt(n).sqrt(prec), prec)
+        pi_sq = enclose_pi(prec).pow_int(2, prec)
+        factor = (
+            pt(1)
+            .add(mul(pi_sq, x.pow_int(6, prec)).div(pt(32), prec), prec)
+            .sub(x.pow_int(7, prec), prec)
+        )
+        value = (
+            mul(pt(4), factor, L[1], L[3])
+            .sub(mul(U[0], U[4]), prec)
+            .sub(mul(pt(3), U[2], U[2]), prec)
+        )
+    elif theorem_id == "double-turan":
+        value = mul(L[2], L[2]).sub(mul(U[1], U[3]), prec).pow_int(2, prec).sub(
+            mul(
+                mul(U[1], U[1]).sub(mul(L[0], L[2]), prec),
+                mul(U[3], U[3]).sub(mul(L[2], L[4]), prec),
+            ),
+            prec,
+        )
+    elif theorem_id == "laguerre3":
+        value = (
+            mul(pt(10), L[3], L[3])
+            .add(mul(pt(6), L[1], L[5]), prec)
+            .sub(mul(pt(15), U[2], U[4]), prec)
+            .sub(mul(U[0], U[6]), prec)
+        )
+    else:
+        raise NotImplementedError(theorem_id)
     if value.is_positive:
         return 1
     if value.is_negative:
@@ -767,8 +795,6 @@ class TestHomogeneity:
         for _ in range(20):
             n = rng.randint(ineq.window, 20000)
             via_bounds = _ineq_sign_via_bounds(tid, n)
-            from qcert.bounds import x_of
-
             poly_iv = ineq.eval_iv(x_of(n, 192))
             via_poly = 1 if poly_iv.is_positive else (-1 if poly_iv.is_negative else 0)
             if via_bounds and via_poly:

@@ -30,7 +30,7 @@ from qcert.coeffs import (
     shift_sigma,
 )
 from qcert.enclosures import enclose_exp, enclose_pi
-from qcert.intervals import Interval, workprec
+from qcert.intervals import Interval
 from qcert.ring import RingElem, sum_of_products
 
 F = Fraction
@@ -102,17 +102,18 @@ class TestCoefficientFamilies:
         #                          * sinh(pi sqrt((24s+1)/72)), here k = 1
         from oracles import enclose_sinh
 
+        prec = 192
         for s in (0, 2, 5):
-            sigma = shift_sigma(s)
-            with workprec(192):
-                value = mag(exp_factor_coeff(2, s).eval_iv()).to_fraction()
-                pi = enclose_pi()
-                bound = (
-                    (pi / 3).sqrt()
-                    * Interval.from_fraction(sigma)
-                    * Interval.from_fraction(sigma).sqrt()
-                    * enclose_sinh(pi * Interval.from_fraction(F(24 * s + 1, 72)).sqrt())
-                ).scale(-1)
+            sigma = Interval.from_fraction(shift_sigma(s), prec)
+            value = mag(exp_factor_coeff(2, s).eval_iv(prec)).to_fraction()
+            pi = enclose_pi(prec)
+            sinh_arg = pi.mul(Interval.from_fraction(F(24 * s + 1, 72), prec).sqrt(prec), prec)
+            bound = (
+                pi.div(Interval.point(3), prec).sqrt(prec)
+                .mul(sigma, prec)
+                .mul(sigma.sqrt(prec), prec)
+                .mul(enclose_sinh(sinh_arg, prec), prec)
+            ).scale(-1)
             assert value <= bound.hi.to_fraction(), s
 
     def test_binom_factor(self):
@@ -199,33 +200,33 @@ class TestSeriesConsistency:
     def test_exp_factor(self, s, N, n):
         prec = 224
         sigma = shift_sigma(s)
-        with workprec(prec):
-            pi = enclose_pi(prec)
-            root_n3 = Interval.from_fraction(F(n, 3)).sqrt()
-            shifted = (1 + Interval.from_fraction(F(sigma) / n)).sqrt() - 1
-            lhs = enclose_exp(pi * root_n3 * shifted, prec)
-            x = Interval.point(1) / Interval.point(n).sqrt()
-            series = Interval.point(0)
-            for k in reversed(range(N + 1)):
-                series = series * x + exp_factor_coeff(k, s).eval_iv(prec)
-            err = mag(lhs - series)
-            allowance = Interval(error_budget(N, s, prec).er_exp, error_budget(N, s, prec).er_exp)
-            rhs = (allowance * x.pow_int(N + 1)).lo
+        one = Interval.point(1)
+        pi = enclose_pi(prec)
+        root_n3 = Interval.from_fraction(F(n, 3), prec).sqrt(prec)
+        shifted = Interval.from_fraction(F(sigma) / n, prec).add(one, prec).sqrt(prec).sub(one, prec)
+        lhs = enclose_exp(pi.mul(root_n3, prec).mul(shifted, prec), prec)
+        x = one.div(Interval.point(n).sqrt(prec), prec)
+        series = Interval.point(0)
+        for k in reversed(range(N + 1)):
+            series = series.mul(x, prec).add(exp_factor_coeff(k, s).eval_iv(prec), prec)
+        err = mag(lhs.sub(series, prec))
+        allowance = Interval(error_budget(N, s, prec).er_exp, error_budget(N, s, prec).er_exp)
+        rhs = allowance.mul(x.pow_int(N + 1, prec), prec).lo
         assert err <= rhs or err.to_fraction() <= rhs.to_fraction()
 
     def test_binom_factor(self, s, N, n):
         prec = 224
         sigma = shift_sigma(s)
-        with workprec(prec):
-            base = 1 + Interval.from_fraction(F(sigma) / n)
-            lhs = Interval.point(1) / _power_3_4(base, prec)
-            x = Interval.point(1) / Interval.point(n).sqrt()
-            series = Interval.point(0)
-            for k in reversed(range(N + 1)):
-                series = series * x + Interval.from_fraction(binom_factor_coeff(k, s))
-            err = mag(lhs - series)
-            b = error_budget(N, s, prec).er_binom
-            rhs = (Interval(b, b) * x.pow_int(N + 1)).lo
+        one = Interval.point(1)
+        base = Interval.from_fraction(F(sigma) / n, prec).add(one, prec)
+        lhs = one.div(_power_3_4(base, prec), prec)
+        x = one.div(Interval.point(n).sqrt(prec), prec)
+        series = Interval.point(0)
+        for k in reversed(range(N + 1)):
+            series = series.mul(x, prec).add(Interval.from_fraction(binom_factor_coeff(k, s), prec), prec)
+        err = mag(lhs.sub(series, prec))
+        b = error_budget(N, s, prec).er_binom
+        rhs = Interval(b, b).mul(x.pow_int(N + 1, prec), prec).lo
         assert err.to_fraction() <= rhs.to_fraction()
 
 

@@ -12,9 +12,7 @@ from qcert.intervals import (
     Dyadic,
     Interval,
     convolve_into,
-    get_precision,
     to_intervals,
-    workprec,
 )
 
 rationals = st.fractions(
@@ -105,14 +103,6 @@ class TestIntervalArithmetic:
     def test_sqrt_domain(self):
         with pytest.raises(DomainError):
             Interval(Dyadic(-1), Dyadic(1)).sqrt(64)
-
-    def test_operator_precision_context(self):
-        with workprec(64):
-            assert get_precision() == 64
-            w64 = (iv(Fraction(1, 3), 80) * iv(Fraction(1, 7), 80)).width
-        with workprec(256):
-            w256 = (iv(Fraction(1, 3), 300) * iv(Fraction(1, 7), 300)).width
-        assert w256.to_fraction() < w64.to_fraction()
 
     def test_zero_precision_rejected(self):
         # 0 bits is an error, not a request for the default precision

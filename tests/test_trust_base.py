@@ -25,6 +25,7 @@ from qcert.certify import (
     theorem_predicate,
     verify_theorem,
 )
+from qcert.enclosures import enclose_bessel_i1, enclose_cosh, enclose_exp, enclose_log, enclose_pi
 from qcert.intervals import Interval
 from qcert.ring import RingElem
 
@@ -47,10 +48,12 @@ ORACLES = (
     "laguerre",
 )
 
-# Dead code, and second definitions of n^(-1/2) and of the precision
-# defaults (x_of, DEFAULT_PRECISION and MAX_PRECISION are the ones).
+# Dead code, second definitions of n^(-1/2) and of the precision
+# defaults (x_of, DEFAULT_PRECISION and MAX_PRECISION are the ones), and
+# the per-thread default precision with the operator coercion that read it.
 REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
-           "_x_upper", "_div_up_invsqrt")
+           "_x_upper", "_div_up_invsqrt",
+           "workprec", "get_precision", "resolve_precision", "_coerce")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -63,6 +66,33 @@ REMOVED_METHODS = (
     (ErrorBudget, "all_fields"),
     (Interval, "contains_interval"),
     (Interval, "mag"),
+    # operators that rounded at a hidden precision; the named methods take prec
+    (Interval, "__add__"),
+    (Interval, "__radd__"),
+    (Interval, "__sub__"),
+    (Interval, "__rsub__"),
+    (Interval, "__mul__"),
+    (Interval, "__rmul__"),
+    (Interval, "__truediv__"),
+    (Interval, "__rtruediv__"),
+    (Interval, "__pow__"),
+)
+
+# Every operation that rounds takes its precision from the caller.
+PRECISION_REQUIRED = (
+    Interval.from_fraction,
+    Interval.add,
+    Interval.sub,
+    Interval.mul,
+    Interval.div,
+    Interval.pow_int,
+    Interval.sqrt,
+    enclose_pi,
+    enclose_exp,
+    enclose_log,
+    enclose_cosh,
+    enclose_bessel_i1,
+    RingElem.eval_iv,
 )
 
 # Knobs that change no result: the exact regime's integer decision does
@@ -106,6 +136,11 @@ def test_no_sharpen_knobs():
 @pytest.mark.parametrize("fn, name", REMOVED_PARAMETERS)
 def test_parameter_removed(fn, name):
     assert name not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("fn", PRECISION_REQUIRED, ids=lambda fn: fn.__qualname__)
+def test_precision_has_no_default(fn):
+    assert inspect.signature(fn).parameters["prec"].default is inspect.Parameter.empty
 
 
 def test_exact_verify_shifted_is_keyword_only():
