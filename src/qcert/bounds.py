@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .coeffs import bessel_asym_coeff, expansion_coeff, shift_sigma
 from .enclosures import (
@@ -36,7 +36,7 @@ from .enclosures import (
     enclose_log,
     enclose_pi,
 )
-from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner
+from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner, to_fixed
 from .ring import RingElem
 
 __all__ = [
@@ -352,14 +352,25 @@ def _root4_3(prec: int) -> Interval:
     return Interval.point(3).sqrt(prec).sqrt(prec)
 
 
+def _exp_thin(x: Interval, prec: int) -> Interval:
+    """exp on a thin interval x = m +- r with one exp: e^m widened by r
+    times e^m (1 + 2r), an upper bound of exp on x, as e^r <= 1 + 2r for
+    0 <= r <= 1 (mean value form).  A wider x takes exp at both ends."""
+    radius = (x.hi - x.lo).scale(-1)
+    if radius.cmp_fraction(1) > 0:
+        return enclose_exp(x, prec)
+    mid = enclose_exp(Interval.point((x.lo + x.hi).scale(-1)), prec)
+    slack = radius * mid.hi * (Dyadic(1) + radius.scale(1))
+    return mid.add(Interval(-slack, slack), prec)
+
+
 @lru_cache(maxsize=8192)
 def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
     """e^{pi sqrt(n/3)} / (4 * 3^{1/4} * n^{3/4})."""
     if n < 1:
         raise ValueError("n must be >= 1")
     pi = enclose_pi(prec)
-    exp_arg = pi.mul(_iv(Fraction(n, 3), prec).sqrt(prec), prec)
-    numerator = enclose_exp(exp_arg, prec)
+    numerator = _exp_thin(pi.mul(_iv(Fraction(n, 3), prec).sqrt(prec), prec), prec)
     n_34 = Interval.point(n**3).sqrt(prec).sqrt(prec)
     return numerator.div(_root4_3(prec).mul(n_34, prec).scale(2), prec)
 
@@ -380,8 +391,13 @@ class BoundPoly:
     floor: int
     prec: int
 
+    @cached_property
+    def _fixed(self) -> list[tuple[int, int]]:
+        signed = self.err if self.side > 0 else -self.err
+        return to_fixed(self.coeff_ivs + (Interval.point(signed),), self.prec)
+
     def eval_iv(self, x: Interval) -> Interval:
-        """Interval enclosure of this exact polynomial at x (Horner).
+        """Interval enclosure of this exact polynomial at x >= 0 (Horner).
 
         The degree-(N+1) coefficient is the point +-err: this evaluates
         the specific envelope polynomial, which is what the sandwich
@@ -389,8 +405,7 @@ class BoundPoly:
         treats the error coefficient as a box containing the exact
         radius; that happens there, not here.)
         """
-        signed = self.err if self.side > 0 else -self.err
-        return horner(self.coeff_ivs + (Interval.point(signed),), x, self.prec)
+        return horner(self._fixed, x, self.prec)
 
 
 @lru_cache(maxsize=None)

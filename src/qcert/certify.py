@@ -33,7 +33,7 @@ from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
-from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, convolve_into, horner, to_intervals
+from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, convolve_into, horner, to_fixed, to_intervals
 from .qtable import QTable
 from .ring import ZERO_ELEM, RingElem, sum_of_products
 
@@ -529,8 +529,20 @@ class IneqPoly:
     window: int         # largest envelope floor among the shifts involved
     side_lemma: Certificate | None = None  # the first side lemma not proved, if any
 
+    @cached_property
+    def fixed(self) -> tuple[list[Interval], list[tuple[int, int]], list[tuple[int, int]]]:
+        """The coefficient enclosures, then they and the error boxes' widths
+        as horner's fixed-point pairs: converted once per expansion, not
+        once per certifier trial."""
+        poly = self.poly
+        coeffs = poly.coeff_intervals()
+        widths = [Interval.point(poly.errs[k].width if k in poly.errs else Dyadic(0))
+                  for k in range(len(coeffs))]
+        return coeffs, to_fixed(coeffs, poly.prec), to_fixed(widths, poly.prec)
+
     def eval_iv(self, x: Interval) -> Interval:
-        return horner(self.poly.coeff_intervals(), x, self.poly.prec)
+        """Enclosure of the polynomial at x >= 0."""
+        return horner(self.fixed[1], x, self.poly.prec)
 
 
 class _Expansion:
@@ -669,7 +681,7 @@ def certify_positive(
     poly = ineq.poly
     prec = poly.prec
     n_star = _n_of_x(x0)
-    coeffs = poly.coeff_intervals()
+    coeffs, fixed, widths = ineq.fixed
     d = 0
     while d < len(coeffs) and d not in poly.errs:
         if d >= poly._exact.n:
@@ -695,10 +707,7 @@ def certify_positive(
         return base
     reduced = coeffs[d:]
     base.reduced_coeffs = reduced
-    box_widths = [
-        Interval.point(poly.errs[k].width if k in poly.errs else Dyadic(0))
-        for k in range(d, len(coeffs))
-    ]
+    fixed, box_widths = fixed[d:], widths[d:]
 
     def hidden_by_rounding(x: Dyadic, value: Interval) -> bool:
         # The family's values at x fill a subinterval of `value` as wide
@@ -714,7 +723,7 @@ def certify_positive(
     subdivisions = 0
     while stack:
         a, b, depth = stack.pop()
-        value = horner(reduced, Interval(a, b), prec)
+        value = horner(fixed, Interval(a, b), prec)
         if value.is_positive:
             continue
         base.subdivision_count = subdivisions
@@ -723,7 +732,7 @@ def certify_positive(
             base.negative_witness = (float(a), float(b))
             return base
         for x in (a, b):
-            point = horner(reduced, Interval.point(x), prec)
+            point = horner(fixed, Interval.point(x), prec)
             if point.is_positive:
                 continue
             if point.is_negative:

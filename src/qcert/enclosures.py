@@ -9,9 +9,10 @@ remainder bounds are provable by inspection:
                rational partial sums; alternating-series tails bracket.
 * exp       -- halve the argument k times until |r| < 1/2 (exact dyadic
                shifts), Taylor sum with factorial tail, square k times.
-* log       -- reduce to [1,2) by exact powers of two, atanh series in
-               u = (m-1)/(m+1) <= 1/3 with a geometric tail; log 2 itself
-               is 2*atanh(1/3).
+* log       -- reduce to [1,2) by exact powers of two (to [1/2, 1) for
+               an argument there), atanh series in u = (m-1)/(m+1),
+               |u| <= 1/3, with a geometric tail; log 2 itself is
+               2*atanh(1/3).
 * cosh      -- (exp(x) + exp(-x))/2 on certified exponentials.
 * I1        -- all-positive ascending series with a geometric tail bound
                once the term ratio drops below 1/2.
@@ -169,14 +170,21 @@ def _log2_bounds(w: int) -> tuple[int, int]:
 def _log_point(d: Dyadic, prec: int) -> Interval:
     if d.sign <= 0:
         raise DomainError("log domain requires positive argument")
-    # d = m * 2^shift with m = man / 2^t in [1, 2), u = (m-1)/(m+1) <= 1/3
+    # d = m * 2^shift with m = man / 2^t in [1, 2), u = (m-1)/(m+1) <= 1/3;
+    # d in [1/2, 1) is m = d, shift = 0 and u in [-1/3, 0), so that nothing
+    # cancels just below 1
     t = d.man.bit_length() - 1
     shift = d.exp + t
+    if shift == -1:
+        t, shift = t + 1, 0
     w = prec + 24
+    num = d.man - (1 << t)
     if not shift:  # log d is about 2u: keep the bits of u below 2^-w
-        w += max(0, t - (d.man - (1 << t)).bit_length())
-    q, r = divmod((d.man - (1 << t)) << w, d.man + (1 << t))
+        w += max(0, t - abs(num).bit_length())
+    q, r = divmod(abs(num) << w, d.man + (1 << t))
     lo, hi = _atanh_series(q, q + (r > 0), w)
+    if num < 0:  # atanh is odd
+        lo, hi = -hi, -lo
     if shift:
         l2lo, l2hi = _log2_bounds(w)
         if shift < 0:

@@ -24,7 +24,14 @@ products: acc[i + j] += x * y over two lists of (degree, Interval).  It
 makes the same roundings as ``Interval.mul`` then ``Interval.add`` per
 term, in the same order, but on raw (man, exp) endpoints, and builds one
 Interval per output degree (``to_intervals``), so its results are
-bit-identical to that termwise loop.
+bit-identical to that termwise loop.  ``_fraction_raw``, ``_mul_raw``
+and ``_sum_raw`` are the same directed roundings on raw endpoints for
+other loops (``RingElem.eval_iv``).
+
+``horner`` evaluates a polynomial at x >= 0 on plain integers at the
+fixed scale 2^-(prec + 16), its coefficients converted once by
+``to_fixed``: a floor chain for the lower end and a ceiling chain for
+the upper end, rounded outward to prec bits once at the end.
 """
 
 from __future__ import annotations
@@ -41,12 +48,14 @@ __all__ = [
     "check_precision",
     "convolve_into",
     "horner",
+    "to_fixed",
     "to_intervals",
 ]
 
 MIN_PRECISION = 16
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1536  # ceiling for the precision doublings of refining callers
+_GUARD = 16  # horner's fixed-point scale is 2^-(prec + _GUARD)
 
 
 class DomainError(ValueError):
@@ -95,14 +104,24 @@ def _rounded(man: int, exp: int, prec: int, up: bool) -> "Dyadic":
     return d
 
 
-def _rounded_sum(pm: int, pe: int, qm: int, qe: int, prec: int, up: bool) -> "Dyadic":
-    """pm*2**pe + qm*2**qe rounded to prec bits, from the raw aligned sum."""
+def _sum_raw(pm: int, pe: int, qm: int, qe: int, prec: int, up: bool) -> tuple[int, int]:
+    """pm*2**pe + qm*2**qe rounded to prec bits, from the raw aligned sum,
+    as a raw (man, exp) pair."""
     if pm and qm:
         e = pe if pe < qe else qe
         pm, pe = (pm << (pe - e)) + (qm << (qe - e)), e
     elif not pm:
         pm, pe = qm, qe
-    return _rounded(pm, pe, prec, up)
+    return _round_mantissa(pm, pe, prec, up)
+
+
+def _fraction_raw(num: int, den: int, prec: int, up: bool) -> tuple[int, int]:
+    """num/den (den > 0) rounded to prec bits toward +inf (up) or -inf, as
+    a raw (man, exp) pair; a dyadic den is exact unless num is too wide."""
+    dbits = den.bit_length()
+    if den == 1 << (dbits - 1):
+        return _round_mantissa(num, 1 - dbits, prec, up)
+    return _div_raw(num, 0, den, 0, prec, up)
 
 
 class Dyadic:
@@ -120,15 +139,7 @@ class Dyadic:
     @staticmethod
     def from_fraction(value: Fraction | int, prec: int, up: bool) -> "Dyadic":
         """Directed conversion of an exact rational to <= prec bits."""
-        if isinstance(value, int):
-            return _rounded(value, 0, prec, up)
-        num, den = value.numerator, value.denominator
-        if den == 1:
-            return _rounded(num, 0, prec, up)
-        dbits = den.bit_length()
-        if den == 1 << (dbits - 1):  # already dyadic: exact unless too wide
-            return _rounded(num, 1 - dbits, prec, up)
-        return _div_dir(num, 0, den, 0, prec, up)
+        return Dyadic(*_fraction_raw(value.numerator, value.denominator, prec, up))
 
     # -- exact arithmetic (mantissa may grow) -------------------------
 
@@ -268,6 +279,11 @@ ZERO = Dyadic(0)
 
 def _div_dir(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> Dyadic:
     """Directed rounding of (ma*2**ea)/(mb*2**eb) to ~prec bits."""
+    return Dyadic(*_div_raw(ma, ea, mb, eb, prec, up))
+
+
+def _div_raw(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> tuple[int, int]:
+    """_div_dir as a raw (man, exp) pair, the quotient carrying prec + 2 bits."""
     if mb < 0:
         ma, mb = -ma, -mb
     # scale numerator so the integer quotient carries prec+2 significant bits
@@ -279,7 +295,7 @@ def _div_dir(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> Dyadic:
     q, r = divmod(num, den)
     if up and r:
         q += 1
-    return Dyadic(q, ea - eb - shift)
+    return q, ea - eb - shift
 
 
 def _sqrt_dir(man: int, exp: int, prec: int) -> tuple[Dyadic, Dyadic]:
@@ -327,6 +343,14 @@ def _moore(am: int, ae: int, bm: int, be: int, cm: int, ce: int, dm: int, de: in
     if not _less(rm, re, qm, qe):
         qm, qe = rm, re
     return pm, pe, qm, qe
+
+
+def _mul_raw(am: int, ae: int, bm: int, be: int, cm: int, ce: int, dm: int, de: int,
+             prec: int) -> tuple[int, int, int, int]:
+    """Interval.mul on raw endpoints: [a, b] * [c, d] as (lo_man, lo_exp,
+    hi_man, hi_exp), the lower end rounded down and the upper end up."""
+    pm, pe, qm, qe = _moore(am, ae, bm, be, cm, ce, dm, de)
+    return (*_round_mantissa(pm, pe, prec, False), *_round_mantissa(qm, qe, prec, True))
 
 
 def _less(pm: int, pe: int, qm: int, qe: int) -> bool:
@@ -436,16 +460,16 @@ class Interval:
         check_precision(prec)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         return Interval(
-            _rounded_sum(a.man, a.exp, c.man, c.exp, prec, up=False),
-            _rounded_sum(b.man, b.exp, d.man, d.exp, prec, up=True),
+            Dyadic(*_sum_raw(a.man, a.exp, c.man, c.exp, prec, up=False)),
+            Dyadic(*_sum_raw(b.man, b.exp, d.man, d.exp, prec, up=True)),
         )
 
     def sub(self, other: "Interval", prec: int) -> "Interval":
         check_precision(prec)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         return Interval(
-            _rounded_sum(a.man, a.exp, -d.man, d.exp, prec, up=False),
-            _rounded_sum(b.man, b.exp, -c.man, c.exp, prec, up=True),
+            Dyadic(*_sum_raw(a.man, a.exp, -d.man, d.exp, prec, up=False)),
+            Dyadic(*_sum_raw(b.man, b.exp, -c.man, c.exp, prec, up=True)),
         )
 
     def neg(self) -> "Interval":
@@ -531,10 +555,39 @@ class Interval:
         return f"Interval[{float(self.lo)!r}, {float(self.hi)!r}]"
 
 
-def horner(coeffs, x: Interval, prec: int) -> Interval:
-    """Enclosure of sum_k coeffs[k] * x**k by interval Horner."""
-    acc = Interval.point(0)
-    for c in reversed(coeffs):
-        acc = acc.mul(x, prec).add(c, prec)
-    return acc
+def to_fixed(coeffs, prec: int) -> list[tuple[int, int]]:
+    """Each Interval of coeffs as integers (lo, hi) at scale 2^-w, w =
+    prec + 16, lo floored and hi ceiled: the coefficients of ``horner``."""
+    w = prec + _GUARD
+    out = []
+    for c in coeffs:
+        (lm, le), (hm, he) = (c.lo.man, c.lo.exp + w), (c.hi.man, c.hi.exp + w)
+        out.append((lm << le if le >= 0 else lm >> -le, hm << he if he >= 0 else -(-hm >> -he)))
+    return out
 
+
+def horner(coeffs: list[tuple[int, int]], x: Interval, prec: int) -> Interval:
+    """Enclosure of sum_k c_k * x**k for every c_k in coeffs[k] (``to_fixed``
+    pairs at scale 2^-w, w = prec + 16) and every x in [x.lo, x.hi], x.lo >= 0.
+
+    The accumulator [lo, hi] stays on integers at scale 2^-w.  As x >= 0,
+    the lower end's product takes x.lo if lo >= 0 and x.hi otherwise, the
+    upper end's x.hi if hi >= 0 and x.lo otherwise; each product is floored
+    (lower) or ceiled (upper) back to scale 2^-w, exact in x, and the sum
+    rounded outward to prec bits once at the end.
+    """
+    check_precision(prec)
+    a, b = x.lo, x.hi
+    if a.man < 0:
+        raise ValueError(f"horner needs x >= 0, got x.lo = {a}")
+    e = a.exp if a.exp < b.exp else b.exp
+    am, bm = a.man << (a.exp - e), b.man << (b.exp - e)  # x = [am, bm] * 2^e
+    if e > 0:
+        am, bm, e = am << e, bm << e, 0
+    s = -e
+    lo = hi = 0
+    for cl, ch in reversed(coeffs):
+        lo = (lo * (am if lo >= 0 else bm) >> s) + cl
+        hi = -(-hi * (bm if hi >= 0 else am) >> s) + ch
+    w = prec + _GUARD
+    return Interval(_rounded(lo, -w, prec, up=False), _rounded(hi, -w, prec, up=True))

@@ -17,7 +17,9 @@ term's key is the sum of its factors' keys; ``from_cleared`` folds the
 sqrt3^2 keys (j = 2) into 3 and drops every key that sums to zero.  The
 weighted ``sum_of_products`` serves the coefficient sums and each exact
 part of a ``certify.HybridPoly`` product, computed only when a zero test
-needs it.  pi^i and sqrt3 enclosures are tabled per precision.
+needs it.  pi^i and sqrt3 enclosures are tabled per precision, as raw
+(lo_man, lo_exp, hi_man, hi_exp) endpoints, and ``eval_iv`` sums its
+terms on raw endpoints, building one Interval at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 
 from .enclosures import enclose_pi
-from .intervals import Interval, check_precision
+from .intervals import Dyadic, Interval, _fraction_raw, _mul_raw, _sum_raw, check_precision
 
 __all__ = ["RingElem", "convolve_terms", "sum_of_products"]
 
@@ -144,18 +146,32 @@ class RingElem:
         return f"RingElem<{self.as_string()}>"
 
     def eval_iv(self, prec: int) -> Interval:
-        """Interval containing the exact real value of this element."""
+        """Interval containing the exact real value of this element.
+
+        Term by term in dict order: c's directed conversion (as in
+        Interval.from_fraction), times pi^i, times sqrt3 if j, added to the
+        running sum.  These are Interval.mul's and Interval.add's roundings,
+        made on raw endpoints; directed rounding depends only on the value,
+        so the result equals that loop of Interval operations bit for bit.
+        """
         check_precision(prec)
         if not self.terms:
             return Interval.point(0)
-        pi_pows, sqrt3 = _pi_powers(prec, min(self.terms)[0], max(self.terms)[0])
-        total = Interval.point(0)
+        pows, sqrt3 = _pi_powers(prec, min(self.terms)[0], max(self.terms)[0])
+        lm = le = hm = he = 0
         for (i, j), c in self.terms.items():
-            term = Interval.from_fraction(c, prec).mul(pi_pows[i], prec)
+            num, den = c.numerator, c.denominator
+            if den == 1:  # an integer enters exactly
+                am, ae, bm, be = num, 0, num, 0
+            else:
+                am, ae = _fraction_raw(num, den, prec, False)
+                bm, be = _fraction_raw(num, den, prec, True)
+            am, ae, bm, be = _mul_raw(am, ae, bm, be, *pows[i], prec)
             if j:
-                term = term.mul(sqrt3, prec)
-            total = total.add(term, prec)
-        return total
+                am, ae, bm, be = _mul_raw(am, ae, bm, be, *sqrt3, prec)
+            lm, le = _sum_raw(lm, le, am, ae, prec, False)
+            hm, he = _sum_raw(hm, he, bm, be, prec, True)
+        return Interval(Dyadic(lm, le), Dyadic(hm, he))
 
 
 def convolve_terms(acc: dict[int, int], a: dict[int, int], b: dict[int, int], w: int = 1) -> dict:
@@ -180,24 +196,29 @@ def sum_of_products(pairs, weights=None) -> RingElem:
     return RingElem.from_cleared(den, acc)
 
 
-_PI_POWERS: dict[int, tuple[dict[int, Interval], Interval, Interval, Interval]] = {}
+_PI_POWERS: dict[int, tuple[dict[int, tuple], tuple, tuple, tuple]] = {}
 
 
-def _pi_powers(prec: int, imin: int, imax: int) -> tuple[dict[int, Interval], Interval]:
-    """(enclosures of pi^i for i in imin..imax, sqrt3) from one table per
-    precision.  pi^i is always pi^(i-1) * pi and pi^-i is pi^-(i-1) * (1/pi),
-    so every entry is the same whichever element asked for it first."""
+def _ends(iv: Interval) -> tuple[int, int, int, int]:
+    return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
+
+
+def _pi_powers(prec: int, imin: int, imax: int) -> tuple[dict[int, tuple], tuple]:
+    """(enclosures of pi^i for i in imin..imax, sqrt3) as raw endpoints, from
+    one table per precision.  pi^i is always pi^(i-1) * pi and pi^-i is
+    pi^-(i-1) * (1/pi), rounded as Interval.mul rounds, so every entry is
+    the same whichever element asked for it first."""
     if prec not in _PI_POWERS:
         pi = enclose_pi(prec)
-        _PI_POWERS[prec] = ({0: Interval.point(1)}, pi, Interval.point(1).div(pi, prec),
-                            Interval.point(3).sqrt(prec))
+        _PI_POWERS[prec] = ({0: (1, 0, 1, 0)}, _ends(pi), _ends(Interval.point(1).div(pi, prec)),
+                            _ends(Interval.point(3).sqrt(prec)))
     pows, pi, inv, sqrt3 = _PI_POWERS[prec]
     for i in range(1, imax + 1):
         if i not in pows:
-            pows[i] = pows[i - 1].mul(pi, prec)
+            pows[i] = _mul_raw(*pows[i - 1], *pi, prec)
     for i in range(1, -imin + 1):
         if -i not in pows:
-            pows[-i] = pows[1 - i].mul(inv, prec)
+            pows[-i] = _mul_raw(*pows[1 - i], *inv, prec)
     return pows, sqrt3
 
 

@@ -30,6 +30,10 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   of ``HybridPoly.mul`` as a loop of ``Interval.mul`` then
   ``Interval.add``, one term at a time, which ``convolve_into`` must
   match bit for bit.
+* ``interval_horner`` -- Horner's rule as a loop of ``Interval.mul`` then
+  ``Interval.add``, the reference for the fixed-point ``horner``.
+* ``ring_eval_iv_loop`` -- ``RingElem.eval_iv`` as a loop of Interval
+  operations, which the raw-endpoint ``eval_iv`` must match bit for bit.
 * ``contains_interval`` / ``mag`` / ``budget_fields`` -- interval and
   budget queries that only the tests ask.
 """
@@ -43,7 +47,7 @@ from math import comb, factorial
 
 from qcert.bounds import ErrorBudget
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
-from qcert.enclosures import _exp_point
+from qcert.enclosures import _exp_point, enclose_pi
 from qcert.intervals import Dyadic, Interval
 from qcert.qtable import QTable
 from qcert.ring import RingElem
@@ -393,6 +397,39 @@ def mul_termwise(a, b) -> tuple[list[Interval], dict[int, Interval]]:
         for j, y in rhs:
             ivs[i + j] = ivs[i + j].add(x.mul(y, p), p)
     return ivs, errs
+
+
+# -- Horner and ring evaluation as loops over Intervals ---------------------
+
+
+def interval_horner(coeffs, x: Interval, prec: int) -> Interval:
+    """Enclosure of sum_k coeffs[k] * x**k by interval Horner."""
+    acc = Interval.point(0)
+    for c in reversed(coeffs):
+        acc = acc.mul(x, prec).add(c, prec)
+    return acc
+
+
+def ring_eval_iv_loop(e: RingElem, prec: int) -> Interval:
+    """Enclosure of e's value: per term in dict order, Interval.from_fraction(c)
+    times pi^i, times sqrt3 if j, added to the running sum; pi^i is the
+    chain pi^(i-1) * pi (or pi^-(i-1) * (1/pi)) that the ring's table uses."""
+    if not e.terms:
+        return Interval.point(0)
+    pi = enclose_pi(prec)
+    inv, sqrt3 = Interval.point(1).div(pi, prec), Interval.point(3).sqrt(prec)
+    pows = {0: Interval.point(1)}
+    for i in range(1, max(e.terms)[0] + 1):
+        pows[i] = pows[i - 1].mul(pi, prec)
+    for i in range(1, -min(e.terms)[0] + 1):
+        pows[-i] = pows[1 - i].mul(inv, prec)
+    total = Interval.point(0)
+    for (i, j), c in e.terms.items():
+        term = Interval.from_fraction(c, prec).mul(pows[i], prec)
+        if j:
+            term = term.mul(sqrt3, prec)
+        total = total.add(term, prec)
+    return total
 
 
 # -- queries only the tests ask ---------------------------------------------

@@ -37,6 +37,7 @@ from qcert.bounds import (
     window_max,
     x_of,
 )
+from qcert.intervals import Dyadic
 from qcert.certify import (
     THEOREMS,
     build_ineq,
@@ -134,6 +135,41 @@ def test_c3_envelope_sandwich(table20k):
                     failures.append((N, s, n))
     assert not failures, failures[:5]
     record(f"C3 PASS  certified sandwich held at all {checked} sampled (N, s, n) points")
+
+
+def _ratio(a: Dyadic, b: Dyadic) -> float:
+    return a.man / b.man * 2.0 ** (a.exp - b.exp)
+
+
+def test_c3_envelope_sandwich_exhaustive(table20k):
+    """Every n from the floor to 20000 - s at each of the (N, s) pairs the
+    theorems use.  n is the outer loop, so that prefactor(n) and x_of(n)
+    are computed once each.  The smallest margins (U - q)/(U - L) and
+    (q - L)/(U - L) per pair are reported, not gated: they show how much
+    of the envelope's width an error in a budget could use up unseen."""
+    pairs = sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts})
+    floors = {pair: n_min(*pair) for pair in pairs}
+    margins = {pair: [1.0, 1.0] for pair in pairs}
+    failures = []
+    checked = 0
+    for n in range(min(floors.values()), 20001):
+        for N, s in pairs:
+            if not floors[N, s] <= n <= 20000 - s:
+                continue
+            q = Dyadic(table20k[n + s])
+            lower, upper = bound_value(n, s, N, -1).hi, bound_value(n, s, N, +1).lo
+            checked += 1
+            if not lower <= q <= upper:
+                failures.append((N, s, n))
+                continue
+            m = margins[N, s]
+            m[0] = min(m[0], _ratio(upper - q, upper - lower))
+            m[1] = min(m[1], _ratio(q - lower, upper - lower))
+    assert not failures, failures[:5]
+    assert checked == 85372
+    shown = ", ".join(f"({N},{s}) {a:.6f}/{b:.6f}" for (N, s), (a, b) in margins.items())
+    record(f"C3 PASS  certified sandwich held at every one of {checked} (N, s, n) points, n from the floor "
+           f"to 20000 - s; smallest margins (U-q)/(U-L) / (q-L)/(U-L): {shown}")
 
 
 # -- criterion 4: window maxima --------------------------------------------------

@@ -17,6 +17,7 @@ from oracles import budget_fields
 from qcert.bounds import (
     SandwichResult,
     _budget_parts,
+    _exp_thin,
     bessel_arg,
     bessel_main_term,
     bound_poly,
@@ -27,9 +28,11 @@ from qcert.bounds import (
     n_min,
     prefactor,
     window_max,
+    x_of,
 )
 from qcert.certify import THEOREMS
 from qcert.coeffs import bessel_asym_coeff
+from qcert.intervals import Dyadic, Interval
 
 mp.mp.prec = 260
 
@@ -292,6 +295,56 @@ class TestEnvelopes:
                 ivs = bound_poly(s, N, side, 192).coeff_ivs
                 assert len(ivs) == N + 1
                 assert all(a is b for a, b in zip(ivs, shared)), (N, s, side)
+
+    def test_eval_iv_contains_exact_members(self):
+        # the fixed-point Horner on every envelope the theorems use, at the
+        # floor and at 20000 - s: the family's lowest and highest members,
+        # exact rationals, at both ends of the enclosure of n^(-1/2)
+        for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
+            for side in (-1, 1):
+                poly = bound_poly(s, N, side, 192)
+                signed = poly.err if side > 0 else -poly.err
+                ivs = [iv.to_fractions() for iv in poly.coeff_ivs] + [(signed.to_fraction(),) * 2]
+                for n in (poly.floor, 20000 - s):
+                    x = x_of(n, 192)
+                    got = poly.eval_iv(x)
+                    for end in (0, 1):
+                        for t in x.to_fractions():
+                            value = sum(c[end] * t**k for k, c in enumerate(ivs))
+                            assert got.contains(value), (N, s, side, n)
+
+    @pytest.mark.parametrize("prec", [24, 64, 192])
+    def test_prefactor_contains_reference(self, prec):
+        # one exp at the exponent's midpoint, widened by the mean value form
+        ns = list(range(1, 400)) + list(range(400, 20001, 97))
+        with mp.workprec(2 * prec + 64):
+            for n in ns:
+                ref = mp.e ** (mp.pi * mp.sqrt(mp.mpf(n) / 3)) / (4 * mp.mpf(3) ** 0.25 * mp.mpf(n) ** 0.75)
+                lo, hi = prefactor(n, prec).to_fractions()
+                assert as_mpf(lo) <= ref <= as_mpf(hi), (n, prec)
+
+    @pytest.mark.parametrize("prec", [16, 24, 192])
+    def test_exp_thin_contains_both_ends(self, prec):
+        # the mean value form covers exp on the whole interval, not only
+        # near its midpoint: radii from 2^-200 to 1, and past 1, where
+        # exp is taken at both ends
+        rng = random.Random(f"exp-thin-{prec}")
+        for _ in range(60):
+            m = F(rng.randint(-2**40, 2**48), 2**40)
+            r = F(rng.randint(1, 2**20), 2**rng.choice((20, 21, 40, 200)))
+            x = Interval(Dyadic.from_fraction(m - r, 400, False), Dyadic.from_fraction(m + r, 400, True))
+            lo, hi = _exp_thin(x, prec).to_fractions()
+            with mp.workprec(2 * prec + 464):
+                for end in x.to_fractions():
+                    assert as_mpf(lo) <= mp.exp(as_mpf(end)) <= as_mpf(hi), (prec, m, r)
+
+    def test_prefactor_wide_exponent(self):
+        # at 16 bits and n = 10^10 the exponent's radius is 4
+        n, prec = 10**10, 16
+        lo, hi = prefactor(n, prec).to_fractions()
+        with mp.workprec(256):
+            ref = mp.e ** (mp.pi * mp.sqrt(mp.mpf(n) / 3)) / (4 * mp.mpf(3) ** 0.25 * mp.mpf(n) ** 0.75)
+            assert as_mpf(lo) <= ref <= as_mpf(hi)
 
     def test_prefactor_value(self):
         iv = prefactor(6000)

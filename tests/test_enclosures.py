@@ -275,3 +275,16 @@ def test_point_argument_evaluated_once(monkeypatch, fn, kernel):
     iv = fn(Interval(d, e), 192)
     assert calls == [d, e]
     assert (iv.lo, iv.hi) == (point(d, 192).lo, point(e, 192).hi)
+
+
+@pytest.mark.parametrize("prec", [24, 64, 192])
+def test_log_just_below_one_keeps_relative_accuracy(prec):
+    # log(1 - 2^-k) is about -2^-k: in [1/2, 1) the atanh argument is
+    # negative, and nothing cancels against log 2
+    for k in (1, 2, 3, 20, 60, 110, 300):
+        d = Dyadic(1) - Dyadic(1, -k)
+        iv = enclose_log(Interval.point(d), prec)
+        with mp.workprec(2 * prec + 2 * k + 64):
+            assert contains_ref(iv, mp.log(1 - mp.mpf(2) ** -k)), (prec, k)
+        assert iv.hi.sign < 0
+        assert iv.width.to_fraction() <= abs(iv.hi.to_fraction()) / 2 ** (prec - 3), (prec, k)

@@ -12,6 +12,8 @@ from qcert.intervals import (
     Dyadic,
     Interval,
     convolve_into,
+    horner,
+    to_fixed,
     to_intervals,
 )
 
@@ -238,3 +240,103 @@ class TestConvolveInto:
         convolve_into(acc, [(0, iv(1))], [], 53)
         convolve_into(acc, [], [(0, iv(1))], 53)
         assert acc == {}
+
+
+class TestHorner:
+    """The fixed-point Horner against exact rational evaluation.  At 16-24
+    bits, with every value below 2^-16, the integer bracket at scale
+    2^-(prec + 16) has fewer than prec bits, so the final rounding leaves
+    it as it is and a loss of one unit anywhere in the chain shows."""
+
+    @staticmethod
+    def fraction(rng, prec):
+        # m 2^-(prec + 16 + r), m < 2^(prec - 12): below 2^-22, on the
+        # scale's grid for r <= 0 and with bits below it for r > 0
+        return Fraction(rng.getrandbits(prec - 12) | 1, 1 << (prec + 16 + rng.randrange(-6, 9)))
+
+    def family(self, rng, prec, signs):
+        # '+' lo > 0, '-' hi < 0, '0' lo < 0 < hi, 'p' a point of either sign
+        out = []
+        for sign in signs:
+            a, b = self.fraction(rng, prec), self.fraction(rng, prec)
+            if sign == "p":
+                a = b = rng.choice((-1, 1)) * a
+            elif sign == "0":
+                a = -a
+            elif sign == "-":
+                a, b = -(a + b), -a
+            else:
+                b = a + b
+            out.append((a, b))
+        return out
+
+    @staticmethod
+    def box(rng, prec, point):
+        # 0 <= a <= b <= 1 with bits below the scale 2^-(prec + 16)
+        a = Fraction(rng.getrandbits(prec + 20), 1 << (prec + 21 + rng.randrange(0, 4)))
+        return (a, a) if point else (a, a + Fraction(rng.getrandbits(prec + 20), 1 << (prec + 21)))
+
+    @staticmethod
+    def run(family, box, prec):
+        ivs = [Interval(Dyadic.from_fraction(lo, 400, False), Dyadic.from_fraction(hi, 400, True))
+               for lo, hi in family]
+        assert [iv.to_fractions() for iv in ivs] == family  # entered exactly
+        x = Interval(Dyadic.from_fraction(box[0], 400, False), Dyadic.from_fraction(box[1], 400, True))
+        got = horner(to_fixed(ivs, prec), x, prec)
+        assert abs(got.lo) < Dyadic(1, -16) and abs(got.hi) < Dyadic(1, -16)  # not rounded
+        return got
+
+    @staticmethod
+    def members(rng, family, box):
+        # the lowest and highest members (all lower or all upper endpoints)
+        # and a random one, at both ends of the box and inside it
+        a, b = box
+        xs = [a, b] + [a + (b - a) * Fraction(rng.randint(0, 64), 64) for _ in range(3)]
+        picks = [[lo for lo, _ in family], [hi for _, hi in family],
+                 [rng.choice(pair) for pair in family]]
+        return [sum(c * x**k for k, c in enumerate(cs)) for cs in picks for x in xs]
+
+    @pytest.mark.parametrize("prec", [16, 20, 24])
+    @pytest.mark.parametrize("signs", ["+", "-", "0", "+-", "-+0", "0p-+", "pppp"])
+    @pytest.mark.parametrize("point", [False, True], ids=["box", "point"])
+    def test_contains_exact_members(self, prec, signs, point):
+        # the coefficient signs drive the accumulator through each sign
+        # case of both ends: lo >= 0, lo < 0, hi >= 0 and hi < 0
+        rng = random.Random(f"horner-{prec}-{signs}-{point}")
+        for _ in range(60):
+            family = self.family(rng, prec, [rng.choice(signs) for _ in range(rng.randint(1, 7))])
+            box = self.box(rng, prec, point)
+            got = self.run(family, box, prec)
+            for v in self.members(rng, family, box):
+                assert got.contains(v), (prec, family, box, v)
+
+    @pytest.mark.parametrize("prec", [16, 24])
+    def test_zero_and_box_from_zero(self, prec):
+        rng = random.Random(f"horner-zero-{prec}")
+        for _ in range(60):
+            family = self.family(rng, prec, [rng.choice("+-0p") for _ in range(rng.randint(1, 7))])
+            at_zero = self.run(family, (Fraction(0), Fraction(0)), prec)
+            assert at_zero.contains(family[0][0]) and at_zero.contains(family[0][1])
+            box = (Fraction(0), self.box(rng, prec, True)[1])
+            got = self.run(family, box, prec)
+            for v in self.members(rng, family, box):
+                assert got.contains(v)
+
+    def test_on_grid_values_are_exact(self):
+        # coefficients and x on the scale's grid with exact products: the
+        # bracket is the exact value
+        coeffs = [Interval.point(Dyadic(3, -5)), Interval(Dyadic(-1, -2), Dyadic(1, -3))]
+        got = horner(to_fixed(coeffs, 24), Interval(Dyadic(1, -1), Dyadic(1)), 24)
+        assert got.to_fractions() == (Fraction(3, 32) - Fraction(1, 4), Fraction(3, 32) + Fraction(1, 8))
+
+    def test_negative_x_rejected(self):
+        coeffs = to_fixed([Interval.point(1), Interval.point(1)], 24)
+        for x in (Interval.point(Dyadic(-1, -60)), Interval(Dyadic(-1), Dyadic(1))):
+            with pytest.raises(ValueError, match="x >= 0"):
+                horner(coeffs, x, 24)
+
+    def test_to_fixed_brackets(self):
+        # floor below, ceiling above, exact on the grid
+        ivs = [Interval(Dyadic(-3, -45), Dyadic(5, -45)), Interval.point(Dyadic(7, -40)),
+               Interval.point(Dyadic(-1, 3))]
+        assert to_fixed(ivs, 24) == [(-1, 1), (7, 7), (-(1 << 43), -(1 << 43))]

@@ -7,6 +7,8 @@ import mpmath as mp
 import pytest
 
 import qcert.ring as ring_module
+from oracles import ring_eval_iv_loop
+from qcert.coeffs import expansion_coeff
 from qcert.enclosures import enclose_pi
 from qcert.intervals import Interval
 from qcert.ring import RingElem, convolve_terms
@@ -185,3 +187,30 @@ def test_pi_table_independent_of_evaluation_order(monkeypatch):
             monkeypatch.setattr(ring_module, "_PI_POWERS", {})
             got = {id(e): e.eval_iv(prec) for e in order}
             assert [(got[id(e)].lo, got[id(e)].hi) for e in elems] == want
+
+
+def _ends(iv: Interval) -> tuple[int, int, int, int]:
+    return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
+
+
+@pytest.mark.parametrize("prec", [24, 64, 192, 1536])
+def test_eval_iv_matches_interval_loop_on_production_coefficients(prec):
+    # every expansion coefficient of the theorems (orders to 24, shifts
+    # to 6): the raw-endpoint sum equals the loop of Interval operations
+    elems = [expansion_coeff(m, s) for m in range(25) for s in range(7)]
+    assert len(elems) == 175
+    for e in elems:
+        assert _ends(e.eval_iv(prec)) == _ends(ring_eval_iv_loop(e, prec)), e
+
+
+@pytest.mark.parametrize("prec", [16, 24, 64, 192])
+def test_eval_iv_matches_interval_loop_on_random_elements(prec):
+    # integer, dyadic and other coefficients, negative pi powers, the
+    # zero element, and coefficients wider than prec
+    rng = random.Random(f"ring-eval-{prec}")
+    for _ in range(300):
+        e = RingElem({(rng.randint(-6, 6), rng.randint(0, 1)): Fraction(
+            rng.randint(-2**70, 2**70), rng.choice((1, 2**rng.randint(1, 90), rng.randint(1, 10**30))))
+            for _ in range(rng.randint(0, 6))})
+        e = e + (-e if rng.random() < 0.1 else RingElem())
+        assert _ends(e.eval_iv(prec)) == _ends(ring_eval_iv_loop(e, prec)), e

@@ -1,8 +1,8 @@
 """The trust path holds one definition per quantity and no test oracle:
 names that only tests call live in tests/oracles.py, and removed dead
 code and duplicates do not come back under any ``qcert`` module.  The
-enclosure kernels use no floating point, and nothing in ``qcert``
-imports mpmath."""
+enclosure kernels, the fixed-point Horner and the ring evaluation use no
+floating point, and nothing in ``qcert`` imports mpmath."""
 
 import ast
 import importlib
@@ -26,7 +26,7 @@ from qcert.certify import (
     verify_theorem,
 )
 from qcert.enclosures import enclose_bessel_i1, enclose_cosh, enclose_exp, enclose_log, enclose_pi
-from qcert.intervals import Interval
+from qcert.intervals import Interval, horner
 from qcert.ring import RingElem
 
 # Test oracles: defined in tests/oracles.py only.
@@ -42,6 +42,8 @@ ORACLES = (
     "atanh_series_loop",
     "log_point_loop",
     "bessel_i1_point_loop",
+    "interval_horner",
+    "ring_eval_iv_loop",
     "invariant_a",
     "invariant_b",
     "invariant_i",
@@ -93,6 +95,7 @@ PRECISION_REQUIRED = (
     enclose_cosh,
     enclose_bessel_i1,
     RingElem.eval_iv,
+    horner,
 )
 
 # Knobs that change no result: the exact regime's integer decision does
@@ -162,8 +165,7 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_enclosures_use_no_floating_point():
-    tree = _tree(Path(qcert.__file__).parent / "enclosures.py")
+def _float_uses(tree: ast.AST) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
@@ -178,7 +180,31 @@ def test_enclosures_use_no_floating_point():
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             found += [f"line {node.lineno}: from math import {a.name}"
                       for a in node.names if a.name not in EXACT_MATH]
-    assert found == []
+    return found
+
+
+def _function(path: Path, qualname: str) -> ast.AST:
+    node = _tree(path)
+    for name in qualname.split("."):
+        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+    return node
+
+
+def test_enclosures_use_no_floating_point():
+    assert _float_uses(_tree(Path(qcert.__file__).parent / "enclosures.py")) == []
+
+
+@pytest.mark.parametrize("module, qualname", [
+    ("intervals.py", "horner"),
+    ("intervals.py", "to_fixed"),
+    ("intervals.py", "_fraction_raw"),
+    ("intervals.py", "_mul_raw"),
+    ("intervals.py", "_sum_raw"),
+    ("ring.py", "RingElem.eval_iv"),
+    ("ring.py", "_pi_powers"),
+])
+def test_evaluation_kernels_use_no_floating_point(module, qualname):
+    assert _float_uses(_function(Path(qcert.__file__).parent / module, qualname)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
