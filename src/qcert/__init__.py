@@ -41,7 +41,6 @@ from .certify import (
     exact_verify,
     find_crossover,
     sharpness_scan,
-    theorem_predicate,
     verify_theorem,
 )
 from .coeffs import (

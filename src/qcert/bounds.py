@@ -54,7 +54,6 @@ __all__ = [
     "bound_poly",
     "bound_value",
     "x_of",
-    "error_total_interval",
 ]
 
 
@@ -64,8 +63,6 @@ def _iv(value: Fraction | int, prec: int) -> Interval:
 
 def _half_power(base: Fraction, twice_exp: int, prec: int) -> Interval:
     """base**(twice_exp/2) for base >= 0, exact integer part, sqrt rest."""
-    if twice_exp < 0:
-        return Interval.point(1).div(_half_power(base, -twice_exp, prec), prec)
     out = _iv(base ** (twice_exp // 2), prec)
     if twice_exp % 2:
         out = out.mul(_iv(base, prec).sqrt(prec), prec)
@@ -268,12 +265,6 @@ def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
 def error_budget(N: int, s: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
     parts = _budget_parts(N, s, prec)
     return ErrorBudget(N=N, s=s, **{k: v.hi for k, v in parts.items()})
-
-
-def error_total_interval(N: int, s: int, prec: int = DEFAULT_PRECISION) -> Interval:
-    """Two-sided enclosure of the final radius (the budget keeps only
-    the upper endpoint; disproof arguments need the lower one too)."""
-    return _budget_parts(N, s, prec)["er_total"]
 
 
 # -- main-term sandwich (Bessel form) ---------------------------------------

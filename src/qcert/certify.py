@@ -57,7 +57,6 @@ __all__ = [
     "sharpness_scan",
     "VerificationReport",
     "verify_theorem",
-    "theorem_predicate",
 ]
 
 DEFAULT_MAX_DEPTH = 60
@@ -110,7 +109,7 @@ class Q(_Node):
         return q[self.s : self.s + m], None
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
-        return HybridPoly.from_envelope(self.s, ex.N, -pol, ex.prec, ex.tight)
+        return HybridPoly.from_envelope(self.s, ex.N, -pol, ex.prec)
 
     def show(self, pol: int) -> str:
         return f"{'L' if pol > 0 else 'U'}{self.s}"
@@ -341,11 +340,6 @@ def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
         (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)
 
 
-def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
-    """Exact truth of the statement at n (statement coordinates): a length-1 exact_verify."""
-    return not exact_verify(theorem_id, table, n, n, shifted=False)
-
-
 # -- hybrid polynomials (ring part + interval corrections) --------------------
 
 
@@ -385,7 +379,7 @@ class HybridPoly:
     exact error radii.  ring_ivs encloses the ring part at every degree.
     The exact parts reach a product's first error box, the furthest the
     certifier strips symbolic zeros, and each is computed only when its
-    enclosure cannot decide a zero test; ring_parts computes them all."""
+    enclosure cannot decide a zero test."""
 
     __slots__ = ("_exact", "ring_ivs", "errs", "prec")
 
@@ -401,11 +395,6 @@ class HybridPoly:
             ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
         self._exact, self.ring_ivs, self.prec = ring_parts, ring_ivs, prec
         self.errs = {d: e for d, e in errs.items() if not (e.lo.is_zero and e.hi.is_zero)}
-
-    @property
-    def ring_parts(self) -> list[RingElem]:
-        """Every exact part, computed now: for tests and pins only."""
-        return [self._exact[d] for d in range(self._exact.n)]
 
     @property
     def degree(self) -> int:
@@ -436,26 +425,15 @@ class HybridPoly:
         return [(d, iv) for d, iv in enumerate(self.ring_ivs) if not self._is_zero(d)]
 
     @staticmethod
-    def from_envelope(s: int, N: int, side: int, prec: int, tight: bool = False) -> "HybridPoly":
-        """tight=False (certification): the radius enters as the box
-        [0, upper], which contains the exact radius, so positivity of
-        the family implies the exact inequality.  tight=True
-        (disproof): the radius enters as its thin two-sided enclosure,
-        so a certified negative value refutes the exact inequality."""
+    def from_envelope(s: int, N: int, side: int, prec: int) -> "HybridPoly":
+        """The side (+1 upper, -1 lower) envelope, its radius entered as the
+        box [0, err] or [-err, 0]: the box contains the exact radius, so
+        positivity of the family implies the exact inequality."""
         poly = bound_poly(s, N, side, prec)
-        if tight:
-            from .bounds import error_total_interval
-
-            radius = error_total_interval(N, s, prec)
-            err_box = radius if side > 0 else radius.neg()
-        else:
-            err_box = (
-                Interval(Dyadic(0), poly.err) if side > 0 else Interval(-poly.err, Dyadic(0))
-            )
+        err_box = Interval(Dyadic(0), poly.err) if side > 0 else Interval(-poly.err, Dyadic(0))
         ring_parts = list(poly.coeffs) + [RingElem()]
-        errs = {N + 1: err_box}
         ring_ivs = list(poly.coeff_ivs) + [Interval.point(0)]
-        return HybridPoly(ring_parts, errs, prec, ring_ivs)
+        return HybridPoly(ring_parts, {N + 1: err_box}, prec, ring_ivs)
 
     @staticmethod
     def from_ring_monomials(monomials: dict[int, RingElem], prec: int) -> "HybridPoly":
@@ -540,18 +518,14 @@ class IneqPoly:
                   for k in range(len(coeffs))]
         return coeffs, to_fixed(coeffs, poly.prec), to_fixed(widths, poly.prec)
 
-    def eval_iv(self, x: Interval) -> Interval:
-        """Enclosure of the polynomial at x >= 0."""
-        return horner(self.fixed[1], x, self.poly.prec)
-
 
 class _Expansion:
     """One expansion of a statement, collecting the operands whose
     positivity the products need and the lower envelopes already built
     for them."""
 
-    def __init__(self, spec: TheoremSpec, prec: int, tight: bool):
-        self.N, self.shift, self.prec, self.tight = spec.N, spec.shift, prec, tight
+    def __init__(self, spec: TheoremSpec, prec: int):
+        self.N, self.shift, self.prec = spec.N, spec.shift, prec
         self.window = window_max(spec.N, spec.shifts, prec)
         self.x0 = x_of(self.window, prec).hi
         self.operands: dict[str, object] = {}
@@ -581,18 +555,16 @@ class _Expansion:
         return None
 
 
-def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PRECISION, tight: bool = False) -> IneqPoly:
+def expand_statement(spec: TheoremSpec, prec: int = DEFAULT_PRECISION) -> IneqPoly:
     """Expand the theorem's statement into a single hybrid polynomial.
 
     L and U envelopes enter with the exact ring coefficients; every
     error radius enters as a one-sided box so the expansion contains the
-    exact polynomial for the true radii (tight=True uses thin two-sided
-    radii instead, and proves no side lemmas; see HybridPoly.from_envelope).
+    exact polynomial for the true radii (see HybridPoly.from_envelope).
     """
-    ex = _Expansion(spec, prec, tight)
+    ex = _Expansion(spec, prec)
     poly = ex(spec.statement, 1)
-    lemma = None if tight else ex.side_lemma()
-    return IneqPoly(poly, ex.x0, ex.window, lemma)
+    return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())
 
 
 def _ineq_spec(ineq_id: str) -> TheoremSpec:
@@ -601,15 +573,15 @@ def _ineq_spec(ineq_id: str) -> TheoremSpec:
     return THEOREMS[INEQUALITIES[ineq_id]]
 
 
-def build_ineq(ineq_id: str, prec: int = DEFAULT_PRECISION, tight: bool = False) -> IneqPoly:
+def build_ineq(ineq_id: str, prec: int = DEFAULT_PRECISION) -> IneqPoly:
     """expand_statement for the theorem of an inequality id, cached once per
-    (ineq_id, prec, tight) however the arguments are passed."""
-    return _built(ineq_id, prec, bool(tight))
+    (ineq_id, prec) however the arguments are passed."""
+    return _built(ineq_id, prec)
 
 
 @lru_cache(maxsize=None)
-def _built(ineq_id: str, prec: int, tight: bool) -> IneqPoly:
-    return expand_statement(_ineq_spec(ineq_id), prec, tight)
+def _built(ineq_id: str, prec: int) -> IneqPoly:
+    return expand_statement(_ineq_spec(ineq_id), prec)
 
 
 build_ineq.cache_clear = _built.cache_clear

@@ -11,7 +11,7 @@ Precision is the working mantissa width in bits, and every operation
 that rounds takes it as a required argument: ``x.mul(y, prec)``.  There
 is no default and no hidden state, so no rounding can happen at a width
 its caller did not name.  The operators do not round: ``Dyadic``
-arithmetic is exact, and ``Interval`` has only unary minus.
+arithmetic is exact, and ``Interval`` has none.
 
 Mantissas are plain Python ints, so there is no overflow and no hidden
 rounding anywhere except the explicit directed roundings below.  An
@@ -422,7 +422,7 @@ class Interval:
     """Closed interval [lo, hi] with dyadic endpoints, lo <= hi.
 
     Every method that rounds takes its precision as a required argument;
-    there are no arithmetic operators except the exact unary minus.
+    there are no arithmetic operators.
     """
 
     __slots__ = ("lo", "hi")
@@ -471,9 +471,6 @@ class Interval:
             Dyadic(*_sum_raw(a.man, a.exp, -d.man, d.exp, prec, up=False)),
             Dyadic(*_sum_raw(b.man, b.exp, -c.man, c.exp, prec, up=True)),
         )
-
-    def neg(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
 
     def mul(self, other: "Interval", prec: int) -> "Interval":
         check_precision(prec)
@@ -525,9 +522,6 @@ class Interval:
     def scale(self, k: int) -> "Interval":
         """Exact multiplication by 2**k."""
         return Interval(self.lo.scale(k), self.hi.scale(k))
-
-    def __neg__(self):
-        return self.neg()
 
     # -- queries ---------------------------------------------------------
 

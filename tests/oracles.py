@@ -34,6 +34,12 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   ``Interval.add``, the reference for the fixed-point ``horner``.
 * ``ring_eval_iv_loop`` -- ``RingElem.eval_iv`` as a loop of Interval
   operations, which the raw-endpoint ``eval_iv`` must match bit for bit.
+* ``theorem_predicate`` -- the exact truth of a statement at one n.
+* ``tight_expansion`` -- the disproof expansion: the statement expanded
+  with every error radius entered as its thin two-sided enclosure, not
+  as the box, so a certified negative value refutes the inequality.
+* ``ring_parts`` -- every exact ring part of a ``HybridPoly``, computed
+  now, for the pins.
 * ``contains_interval`` / ``mag`` / ``budget_fields`` -- interval and
   budget queries that only the tests ask.
 """
@@ -45,7 +51,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from qcert.bounds import ErrorBudget
+from qcert.bounds import ErrorBudget, _budget_parts
+from qcert.certify import INEQUALITIES, THEOREMS, HybridPoly, IneqPoly, Q, _Expansion, exact_verify
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point, enclose_pi
 from qcert.intervals import Dyadic, Interval
@@ -353,6 +360,45 @@ def laguerre(m: int, table: QTable, n: int) -> Fraction:
         term = comb(2 * m, k) * table[n + k] * table[n + 2 * m - k]
         total += term if (k + m) % 2 == 0 else -term
     return Fraction(total, 2)
+
+
+def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
+    """Exact truth of the statement at n (statement coordinates): a length-1 exact_verify."""
+    return not exact_verify(theorem_id, table, n, n, shifted=False)
+
+
+# -- the disproof expansion --------------------------------------------------
+
+
+class _TightExpansion(_Expansion):
+    """A leaf q(n0 + s) expands to its L or U envelope with the radius
+    entered as er_total's two-sided enclosure, negated for L, in place of
+    the box [-err, 0] or [0, err]; the rest of the tree expands as in
+    production."""
+
+    def __call__(self, node, pol: int) -> HybridPoly:
+        if not isinstance(node, Q):
+            return super().__call__(node, pol)
+        poly = HybridPoly.from_envelope(node.s, self.N, -pol, self.prec)
+        r = _budget_parts(self.N, node.s, self.prec)["er_total"]
+        poly.errs = {self.N + 1: r if pol < 0 else Interval(-r.hi, -r.lo)}  # U at pol < 0
+        return poly
+
+
+@lru_cache(maxsize=None)
+def tight_expansion(ineq_id: str, prec: int) -> IneqPoly:
+    """The statement of ineq_id expanded with thin two-sided radii and no
+    side lemmas: a certified negative value at x refutes the inequality's
+    polynomial there (the C5 note).  Memoised per (ineq_id, prec);
+    ``tight_expansion.__wrapped__`` expands afresh."""
+    spec = THEOREMS[INEQUALITIES[ineq_id]]
+    ex = _TightExpansion(spec, prec)
+    return IneqPoly(ex(spec.statement, 1), ex.x0, ex.window)
+
+
+def ring_parts(poly: HybridPoly) -> list[RingElem]:
+    """Every exact part of poly's prefix, computed now."""
+    return [poly._exact[d] for d in range(poly._exact.n)]
 
 
 # -- the termwise interval convolution ------------------------------------

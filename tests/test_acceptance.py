@@ -28,6 +28,7 @@ from oracles import (
     compute_q_table_odd_parts,
     invariant_a,
     laguerre,
+    tight_expansion,
 )
 from qcert.bounds import (
     SandwichResult,
@@ -37,10 +38,9 @@ from qcert.bounds import (
     window_max,
     x_of,
 )
-from qcert.intervals import Dyadic
+from qcert.intervals import Dyadic, horner
 from qcert.certify import (
     THEOREMS,
-    build_ineq,
     sharpness_scan,
     verify_theorem,
 )
@@ -214,8 +214,8 @@ def test_c5_companion_bound_disproof():
     two-sided radii the exact inequality polynomials are certifiably
     negative at n = 5019."""
     for ineq_id in ("ineq2", "ineq6"):
-        tight = build_ineq(ineq_id, 192, True)
-        assert tight.eval_iv(x_of(5019, 192)).is_negative, ineq_id
+        tight = tight_expansion(ineq_id, 192)
+        assert horner(tight.fixed[1], x_of(5019, 192), 192).is_negative, ineq_id
     record(
         "C5 NOTE  literal 'n_star <= 5019' for the two N=14 companions is disproved: "
         "their exact polynomials are certifiably negative at n=5019 (crossovers 5845/6929)"

@@ -10,7 +10,17 @@ from functools import reduce
 
 import pytest
 
-from oracles import invariant_a, invariant_b, invariant_i, laguerre, mul_termwise
+from oracles import (
+    contains_interval,
+    invariant_a,
+    invariant_b,
+    invariant_i,
+    laguerre,
+    mul_termwise,
+    ring_parts,
+    theorem_predicate,
+    tight_expansion,
+)
 from qcert.bounds import bound_value, x_of
 from qcert.certify import (
     INEQUALITIES,
@@ -29,13 +39,12 @@ from qcert.certify import (
     expand_statement,
     find_crossover,
     sharpness_scan,
-    theorem_predicate,
     verify_theorem,
 )
 import qcert.certify as certify_module
 from qcert.certify import HybridPoly
 from qcert.enclosures import enclose_pi
-from qcert.intervals import Dyadic, Interval
+from qcert.intervals import Dyadic, Interval, horner
 from qcert.qtable import QTable
 from qcert.ring import RingElem
 
@@ -63,7 +72,9 @@ LEADING_DEGREES = {
 
 # Frozen at 192 bits from the expansion that kept exact ring products
 # at every degree: (ineq_id, tight) -> (SHA-256 of the coefficient
-# enclosures' endpoints as fractions, leading zero degree, degree).
+# enclosures' endpoints as fractions, leading zero degree, degree), the
+# box expansion build_ineq for tight False, the oracle tight_expansion
+# for tight True.
 POLY_PINS = {
     ("ineq-L3", False): ("1dabf039c3b20a0373c3817bf65d90c191602b484e1b2d09fd703c8e8f36f772", 9, 50),
     ("ineq-L3", True): ("a422e93518a910f30b525149d3b3242538e88b80c069f57751e7f312df16ba0f", 9, 50),
@@ -85,7 +96,7 @@ POLY_PINS = {
 
 # Frozen at 192 bits from the expansion that added exact ring products
 # term by term: ineq_id -> SHA-256 of the exact prefix,
-# "|".join(r.as_string() for r in poly.ring_parts), the same whether
+# "|".join(r.as_string() for r in ring_parts(poly)), the same whether
 # the radius enters as a box or tight.
 RING_PINS = {
     "ineq-L3": "b3262ddabe0ebb0e17432d47a359d078c874774495af6538f8cfe74916ab523f",
@@ -97,6 +108,16 @@ RING_PINS = {
     "ineq5": "6089157d897f1a5c5faf3c7d63c4948d44889b2a8662db61fa9e05c9ccc73791",
     "ineq6": "1121bd5348b27d4c58153e3bfa18c61457e06330fd959ba53963c070a3e13f12",
 }
+
+
+def _expansion(key, fresh=False):
+    """The expansion a POLY_PINS key names at 192 bits; fresh skips the caches."""
+    ineq_id, tight = key
+    if tight:
+        return (tight_expansion.__wrapped__ if fresh else tight_expansion)(ineq_id, 192)
+    if fresh:
+        return expand_statement(THEOREMS[INEQUALITIES[ineq_id]], 192)
+    return build_ineq(ineq_id, 192)
 
 
 class TestInvariants:
@@ -280,19 +301,20 @@ class TestIneqBuild:
     @pytest.mark.parametrize("ineq_id", sorted(INEQUALITIES))
     def test_leading_structure(self, ineq_id):
         ineq = build_ineq(ineq_id)
+        parts = ring_parts(ineq.poly)
         d = LEADING_DEGREES[ineq_id]
         for k in range(d):
-            assert ineq.poly.ring_parts[k].is_zero, (ineq_id, k)
+            assert parts[k].is_zero, (ineq_id, k)
             assert k not in ineq.poly.errs
-        lead = ineq.poly.ring_parts[d]
+        lead = parts[d]
         assert not lead.is_zero
         assert lead.eval_iv(192).is_positive, ineq_id
 
     def test_known_leading_coefficients(self):
         # the invariant-A cancellation leaves exactly pi^2/8 at degree 6
-        assert build_ineq("ineq1").poly.ring_parts[6].terms == {(2, 0): F(1, 8)}
+        assert ring_parts(build_ineq("ineq1").poly)[6].terms == {(2, 0): F(1, 8)}
         # the double-Turan cancellation leaves pi^3 sqrt3/288 at degree 9
-        assert build_ineq("ineq5").poly.ring_parts[9].terms == {(3, 1): F(1, 288)}
+        assert ring_parts(build_ineq("ineq5").poly)[9].terms == {(3, 1): F(1, 288)}
 
     def test_error_boxes_start_high(self):
         ineq = build_ineq("ineq1")
@@ -311,16 +333,15 @@ class TestIneqBuild:
         # defaults, positional and keyword arguments name one expansion
         ineq = build_ineq("ineq1")
         assert build_ineq("ineq1", 192) is ineq
-        assert build_ineq("ineq1", 192, False) is ineq
-        assert build_ineq("ineq1", prec=192, tight=0) is ineq
-        assert build_ineq("ineq1", 192, True) is not ineq
+        assert build_ineq("ineq1", prec=192) is ineq
+        with pytest.raises(TypeError):
+            build_ineq("ineq1", 192, False)
 
 
 class TestPolynomialPins:
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_expansion_unchanged(self, key):
-        ineq_id, tight = key
-        ineq = build_ineq(ineq_id, 192, tight)
+        ineq = _expansion(key)
         digest = hashlib.sha256()
         for iv in ineq.poly.coeff_intervals():
             lo, hi = iv.to_fractions()
@@ -330,10 +351,22 @@ class TestPolynomialPins:
 
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_exact_prefix_unchanged(self, key):
-        ineq_id, tight = key
-        parts = build_ineq(ineq_id, 192, tight).poly.ring_parts
-        text = "|".join(r.as_string() for r in parts)
-        assert hashlib.sha256(text.encode()).hexdigest() == RING_PINS[ineq_id]
+        text = "|".join(r.as_string() for r in ring_parts(_expansion(key).poly))
+        assert hashlib.sha256(text.encode()).hexdigest() == RING_PINS[key[0]]
+
+    @pytest.mark.parametrize("ineq_id", sorted(INEQUALITIES))
+    def test_tight_expansion_nests_inside_box(self, ineq_id):
+        # each thin radius lies inside its box, so every coefficient of the
+        # disproof expansion lies inside the production one's: equal below
+        # the first box, and not equal everywhere above it
+        box, tight = build_ineq(ineq_id, 192).poly, tight_expansion(ineq_id, 192).poly
+        assert sorted(tight.errs) == sorted(box.errs)
+        assert tight._exact.n == box._exact.n
+        outer, inner = box.coeff_intervals(), tight.coeff_intervals()
+        assert len(outer) == len(inner)
+        same = [o.lo == i.lo and o.hi == i.hi for o, i in zip(outer, inner)]
+        assert all(map(contains_interval, outer, inner)), ineq_id
+        assert all(same[:min(box.errs)]) and not all(same), ineq_id
 
     def test_mul_matches_termwise_ring_products(self):
         # the cleared-denominator convolution equals sum a*b over RingElems,
@@ -342,13 +375,13 @@ class TestPolynomialPins:
                    [(0, -1), (3, +1), (1, -1)])
         pq = p.mul(q)
         for lhs, rhs in [(p, q), (pq, r)]:
-            out = lhs.mul(rhs).ring_parts
+            out, a, b = (ring_parts(x) for x in (lhs.mul(rhs), lhs, rhs))
             assert len(out) > 10
             for k, got in enumerate(out):
                 want = RingElem()
                 for i in range(k + 1):
-                    if k - i < len(rhs.ring_parts):
-                        want = want + lhs.ring_parts[i] * rhs.ring_parts[k - i]
+                    if k - i < len(b):
+                        want = want + a[i] * b[k - i]
                 assert got == want, k
 
 
@@ -356,10 +389,10 @@ class TestPolynomialPins:
         # x.mul(x) pairs each exact term once; a copy of x takes the
         # ordered path, and every field must agree bit for bit
         def copy(x):
-            return HybridPoly(list(x.ring_parts), dict(x.errs), x.prec, list(x.ring_ivs))
+            return HybridPoly(ring_parts(x), dict(x.errs), x.prec, list(x.ring_ivs))
 
         def fields(x):
-            return ([list(r.terms.items()) for r in x.ring_parts],
+            return ([list(r.terms.items()) for r in ring_parts(x)],
                     [(iv.lo, iv.hi) for iv in x.ring_ivs],
                     {d: (e.lo, e.hi) for d, e in x.errs.items()})
 
@@ -368,7 +401,7 @@ class TestPolynomialPins:
             HybridPoly.from_envelope(3, 14, +1, 192))
         for x in (envelope, truncated):
             square = x.mul(x)
-            assert len(square.ring_parts) > 10
+            assert len(ring_parts(square)) > 10
             assert fields(square) == fields(x.mul(copy(x)))
 
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
@@ -391,8 +424,7 @@ class TestPolynomialPins:
             return out
 
         monkeypatch.setattr(HybridPoly, "mul", checked)
-        ineq_id, tight = key
-        expand_statement(THEOREMS[INEQUALITIES[ineq_id]], 192, tight)
+        _expansion(key, fresh=True)
         assert len(products) >= 2 and any(len(p.errs) > 1 for p in products)
 
 
@@ -411,12 +443,11 @@ class TestLazyExactParts:
                 return made[-1]
 
             monkeypatch.setattr(HybridPoly, name, record)
-        ineq_id, tight = key
-        expand_statement(THEOREMS[INEQUALITIES[ineq_id]], 192, tight)
+        _expansion(key, fresh=True)
         assert len(made) >= 7
         for poly in made:
             zeros = [poly._is_zero(d) for d in range(poly._exact.n)]
-            assert zeros == [r.is_zero for r in poly.ring_parts]
+            assert zeros == [r.is_zero for r in ring_parts(poly)]
 
     @pytest.mark.parametrize("part, lo, hi, zero", [
         (RingElem(), 0, 0, True),                        # [0, 0]: zero, no exact part read
@@ -444,15 +475,10 @@ class TestLazyExactParts:
 
     def test_only_leading_parts_computed(self, monkeypatch):
         # certifying reads no exact part above the first nonzero degree
-        # and never the full exact prefix
-        def no_prefix(self):
-            raise AssertionError("full exact prefix read")
-
         certified = []
         certify = certify_module.certify_positive
         monkeypatch.setattr(certify_module, "certify_positive",
                             lambda ineq, *args: certified.append(ineq) or certify(ineq, *args))
-        monkeypatch.setattr(HybridPoly, "ring_parts", property(no_prefix))
         build_ineq.cache_clear()
         for ineq_id, lead in LEADING_DEGREES.items():
             cert = certify_inequality(ineq_id)
@@ -795,7 +821,7 @@ class TestHomogeneity:
         for _ in range(20):
             n = rng.randint(ineq.window, 20000)
             via_bounds = _ineq_sign_via_bounds(tid, n)
-            poly_iv = ineq.eval_iv(x_of(n, 192))
+            poly_iv = horner(ineq.fixed[1], x_of(n, 192), 192)
             via_poly = 1 if poly_iv.is_positive else (-1 if poly_iv.is_negative else 0)
             if via_bounds and via_poly:
                 assert via_bounds == via_poly, (tid, n)

@@ -18,11 +18,12 @@ from qcert.bounds import ErrorBudget, check_main_term_sandwich
 from qcert.certify import (
     HybridPoly,
     IneqPoly,
+    build_ineq,
     certify_inequality,
     exact_verify,
+    expand_statement,
     find_crossover,
     sharpness_scan,
-    theorem_predicate,
     verify_theorem,
 )
 from qcert.enclosures import enclose_bessel_i1, enclose_cosh, enclose_exp, enclose_log, enclose_pi
@@ -44,6 +45,9 @@ ORACLES = (
     "bessel_i1_point_loop",
     "interval_horner",
     "ring_eval_iv_loop",
+    "theorem_predicate",
+    "tight_expansion",
+    "ring_parts",
     "invariant_a",
     "invariant_b",
     "invariant_i",
@@ -52,10 +56,12 @@ ORACLES = (
 
 # Dead code, second definitions of n^(-1/2) and of the precision
 # defaults (x_of, DEFAULT_PRECISION and MAX_PRECISION are the ones), and
-# the per-thread default precision with the operator coercion that read it.
+# the per-thread default precision with the operator coercion that read it,
+# and the disproof radius, which only the tight_expansion oracle needs.
 REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "_x_upper", "_div_up_invsqrt",
-           "workprec", "get_precision", "resolve_precision", "_coerce")
+           "workprec", "get_precision", "resolve_precision", "_coerce",
+           "error_total_interval")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -78,6 +84,12 @@ REMOVED_METHODS = (
     (Interval, "__truediv__"),
     (Interval, "__rtruediv__"),
     (Interval, "__pow__"),
+    # only the tests read these: oracles.ring_parts, and horner on IneqPoly.fixed
+    (HybridPoly, "ring_parts"),
+    (IneqPoly, "eval_iv"),
+    # no caller left once the thin radius moved to the tight_expansion oracle
+    (Interval, "neg"),
+    (Interval, "__neg__"),
 )
 
 # Every operation that rounds takes its precision from the caller.
@@ -100,12 +112,16 @@ PRECISION_REQUIRED = (
 
 # Knobs that change no result: the exact regime's integer decision does
 # not depend on a precision, and the precision ceiling is MAX_PRECISION.
+# Production expands with one radius rule, the box; the thin-radius
+# disproof expansion is the tight_expansion oracle.
 REMOVED_PARAMETERS = (
-    (theorem_predicate, "prec"),
     (exact_verify, "prec"),
     (sharpness_scan, "prec"),
     (certify_inequality, "max_prec"),
     (check_main_term_sandwich, "max_prec"),
+    (build_ineq, "tight"),
+    (expand_statement, "tight"),
+    (HybridPoly.from_envelope, "tight"),
 )
 
 

@@ -1,0 +1,226 @@
+"""Run one-line soundness mutants of the trust path against the tier-1 suite.
+
+Each mutant replaces one piece of text, which must occur exactly once, in
+one file of the tree with an unsound variant.  For each mutant the tool
+copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary
+directory (never inside the repository), applies the mutant there, runs
+tier-1 with ``-x`` and prints ``killed`` with the first failing test, or
+``survived``.  The exit status is 0 only if every mutant was killed.
+
+    python tools/mutants.py              # every mutant, one at a time
+    python tools/mutants.py -j 2 horner  # mutants whose name contains "horner"
+
+A killed mutant costs seconds to a minute; a survivor costs a full tier-1
+run.  A PR that touches ``intervals``, ``enclosures``, ``ring``, ``bounds``
+or the certifier adds its own mutants here and reports the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TREE = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    why: str  # why the mutated code is unsound
+
+
+MUTANTS = [
+    # -- interval arithmetic ------------------------------------------------
+    Mutant("sqrt-upper-rounded-down", "src/qcert/intervals.py",
+           "_rounded(r if exact else r + 1, half, prec, up=True)",
+           "_rounded(r if exact else r + 1, half, prec, up=False)",
+           "the upper end of a square root may fall below the root"),
+    Mutant("convolve-product-upper-floored", "src/qcert/intervals.py",
+           "                qm = -(-qm >> n)\n                qe += n\n            k = i + j",
+           "                qm = qm >> n\n                qe += n\n            k = i + j",
+           "a product's upper end may fall below the exact product"),
+    Mutant("div-without-ceiling", "src/qcert/intervals.py",
+           "    if up and r:\n        q += 1\n    return q, ea - eb - shift",
+           "    return q, ea - eb - shift",
+           "an upward quotient is truncated, below the exact quotient"),
+    Mutant("mul-raw-upper-rounded-down", "src/qcert/intervals.py",
+           "*_round_mantissa(qm, qe, prec, True))",
+           "*_round_mantissa(qm, qe, prec, False))",
+           "_mul_raw's upper end may fall below the exact product"),
+    # -- fixed-point Horner -------------------------------------------------
+    Mutant("horner-lower-ceiled", "src/qcert/intervals.py",
+           "lo = (lo * (am if lo >= 0 else bm) >> s) + cl",
+           "lo = -(-lo * (am if lo >= 0 else bm) >> s) + cl",
+           "the lower chain rounds up, above the exact value"),
+    Mutant("horner-lower-takes-x-lo-when-negative", "src/qcert/intervals.py",
+           "(am if lo >= 0 else bm)",
+           "(am if lo >= 0 else am)",
+           "a negative lower accumulator times x.lo is not the minimum over x"),
+    Mutant("horner-upper-floored", "src/qcert/intervals.py",
+           "hi = -(-hi * (bm if hi >= 0 else am) >> s) + ch",
+           "hi = (hi * (bm if hi >= 0 else am) >> s) + ch",
+           "the upper chain rounds down, below the exact value"),
+    Mutant("horner-upper-takes-x-hi-when-negative", "src/qcert/intervals.py",
+           "(bm if hi >= 0 else am)",
+           "(bm if hi >= 0 else bm)",
+           "a negative upper accumulator times x.hi is not the maximum over x"),
+    Mutant("to-fixed-upper-floored", "src/qcert/intervals.py",
+           "hm << he if he >= 0 else -(-hm >> -he)",
+           "hm << he if he >= 0 else hm >> -he",
+           "a coefficient's upper end may fall below the coefficient"),
+    Mutant("horner-final-upper-rounded-down", "src/qcert/intervals.py",
+           "_rounded(hi, -w, prec, up=True))",
+           "_rounded(hi, -w, prec, up=False))",
+           "the result's upper end may fall below the fixed-point bound"),
+    Mutant("horner-accepts-negative-x", "src/qcert/intervals.py",
+           "    if a.man < 0:\n        raise ValueError(f\"horner needs",
+           "    if False:\n        raise ValueError(f\"horner needs",
+           "the endpoint choice by sign assumes x >= 0"),
+    # -- enclosures -----------------------------------------------------------
+    Mutant("pi-without-tail", "src/qcert/enclosures.py",
+           "return s - term, s + term",
+           "return s, s",
+           "a partial sum of the arctan series does not bracket it"),
+    Mutant("i1-without-tail", "src/qcert/enclosures.py",
+           "            hi -= -(b * sq) // den\n            break",
+           "            break",
+           "the upper sum leaves out the positive tail of I1's series"),
+    Mutant("exp-without-remainder-unit", "src/qcert/enclosures.py",
+           "    else:\n        hi += 1\n    # k squarings",
+           "    else:\n        pass\n    # k squarings",
+           "the upper end leaves out the Taylor remainder"),
+    Mutant("exp-squaring-upper-floored", "src/qcert/enclosures.py",
+           "            hi = -(-hi >> n)\n            e += n",
+           "            hi >>= n\n            e += n",
+           "each squaring may lose a unit from the upper end"),
+    Mutant("atanh-without-tail", "src/qcert/enclosures.py",
+           "return 2 * lo, 2 * (hi + phi)",
+           "return 2 * lo, 2 * hi",
+           "the upper sum leaves out the series tail"),
+    Mutant("log-u-ceiling-dropped", "src/qcert/enclosures.py",
+           "_atanh_series(q, q + (r > 0), w)",
+           "_atanh_series(q, q, w)",
+           "u's upper bound may fall below u"),
+    Mutant("log-near-one-route-off", "src/qcert/enclosures.py",
+           "    if shift == -1:\n        t, shift = t + 1, 0",
+           "    if False:\n        t, shift = t + 1, 0",
+           "log d just below 1 cancels against log 2 and loses its relative accuracy"),
+    # -- ring evaluation ------------------------------------------------------
+    Mutant("ring-sum-upper-rounded-down", "src/qcert/ring.py",
+           "hm, he = _sum_raw(hm, he, bm, be, prec, True)",
+           "hm, he = _sum_raw(hm, he, bm, be, prec, False)",
+           "the running sum's upper end may fall below the sum"),
+    Mutant("ring-sum-lower-rounded-up", "src/qcert/ring.py",
+           "lm, le = _sum_raw(lm, le, am, ae, prec, False)",
+           "lm, le = _sum_raw(lm, le, am, ae, prec, True)",
+           "the running sum's lower end may rise above the sum"),
+    Mutant("ring-coefficient-upper-rounded-down", "src/qcert/ring.py",
+           "bm, be = _fraction_raw(num, den, prec, True)",
+           "bm, be = _fraction_raw(num, den, prec, False)",
+           "a rational coefficient's upper end may fall below it"),
+    Mutant("ring-coefficient-lower-rounded-up", "src/qcert/ring.py",
+           "am, ae = _fraction_raw(num, den, prec, False)",
+           "am, ae = _fraction_raw(num, den, prec, True)",
+           "a rational coefficient's lower end may rise above it"),
+    # -- envelopes ------------------------------------------------------------
+    Mutant("exp-thin-without-widening", "src/qcert/bounds.py",
+           "return mid.add(Interval(-slack, slack), prec)",
+           "return mid",
+           "exp at the midpoint does not enclose exp on the interval"),
+    Mutant("exp-thin-without-second-order", "src/qcert/bounds.py",
+           "slack = radius * mid.hi * (Dyadic(1) + radius.scale(1))",
+           "slack = radius * mid.hi",
+           "e^r <= 1 is false for r > 0: the slack is too small"),
+    # -- expansion and certifier ------------------------------------------
+    Mutant("lower-box-on-upper-side", "src/qcert/certify.py",
+           "else Interval(-poly.err, Dyadic(0))",
+           "else Interval(Dyadic(0), poly.err)",
+           "the lower envelope's box [0, err] lies above L's radius, so L is not a lower bound"),
+    Mutant("upper-box-on-lower-side", "src/qcert/certify.py",
+           "err_box = Interval(Dyadic(0), poly.err) if side > 0",
+           "err_box = Interval(-poly.err, Dyadic(0)) if side > 0",
+           "the upper envelope's box [-err, 0] lies below U's radius, so U is not an upper bound"),
+    Mutant("side-lemmas-skipped", "src/qcert/certify.py",
+           "return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())",
+           "return IneqPoly(poly, ex.x0, ex.window, None)",
+           "a product of bounds bounds the product only for nonnegative factors"),
+    Mutant("companion-slack-unchecked", "src/qcert/certify.py",
+           "if self.slack < need:",
+           "if False:",
+           "a slack below c (a/2) shift x0 does not bound the shifted companion factor"),
+    Mutant("straddling-enclosure-taken-as-zero", "src/qcert/certify.py",
+           "return d < self._exact.n and self._exact[d].is_zero",
+           "return True",
+           "a nonzero leading part is stripped as a symbolic zero"),
+    Mutant("exact-scan-accepts-zero", "src/qcert/certify.py",
+           "if x <= 0]",
+           "if x < 0]",
+           "the statement is 'value > 0': a zero value is a violation"),
+    # -- test oracles ---------------------------------------------------------
+    Mutant("tight-lower-radius-not-negated", "tests/oracles.py",
+           "r if pol < 0 else Interval(-r.hi, -r.lo)}",
+           "r}",
+           "L's radius enters with the wrong sign, so the disproof polynomial is not L's"),
+]
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """(verdict, detail) for one mutant, run in its own temporary tree."""
+    with tempfile.TemporaryDirectory(prefix="qcert-mutant-") as tmp:
+        for name in TREE:
+            src, dst = ROOT / name, Path(tmp) / name
+            if src.is_dir():
+                shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+            else:
+                shutil.copy2(src, dst)
+        target = Path(tmp) / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale", f"old text found {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    lines = proc.stdout.splitlines()
+    if proc.returncode == 0:
+        return "survived", lines[-1] if lines else ""
+    first = next((ln.split()[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))), None)
+    if proc.returncode == 1 and first:
+        return "killed", first
+    return "error", f"pytest exit {proc.returncode}: {lines[-1] if lines else proc.stderr[-200:]}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="run only mutants whose name contains one of these")
+    parser.add_argument("-j", "--jobs", type=int, default=1, help="mutants run at once (default 1)")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if not args.names or any(n in m.name for n in args.names)]
+    if not chosen or args.jobs < 1:
+        parser.error("no mutant selected" if not chosen else "--jobs must be >= 1")
+    width = max(len(m.name) for m in chosen)
+    verdicts = []
+    with ThreadPoolExecutor(args.jobs) as pool:
+        for m, (verdict, detail) in zip(chosen, pool.map(run, chosen)):
+            verdicts.append(verdict)
+            print(f"{m.name:<{width}}  {verdict:<8}  {detail}", flush=True)
+    print(f"{verdicts.count('killed')} killed, {verdicts.count('survived')} survived, "
+          f"{len(verdicts) - verdicts.count('killed') - verdicts.count('survived')} other "
+          f"of {len(verdicts)} mutants")
+    return 0 if verdicts.count("killed") == len(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
