@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
@@ -61,6 +62,7 @@ __all__ = [
 
 DEFAULT_MAX_DEPTH = 60
 BLOCK = 128  # indices per exact-scan block; whole-range lists raise peak memory by over 60%
+_C2_BITS = 32  # the scans' first c^2 bracket: every scanned index has |B^2 c^2 - A^2 n^a| >= 2^-8.6 A^2 n^a
 
 
 # -- theorem statements ---------------------------------------------------------
@@ -91,13 +93,7 @@ def _axpy(acc, w: int, xs):
     return xs if acc is None else acc if xs is None else list(map(add, acc, xs))
 
 
-class _Node:
-    def exact(self, q):
-        a, b = self.values(q, 1)  # the m = 1 case
-        return a[0], 0 if b is None else b[0]
-
-
-class Q(_Node):
+class Q:
     """Leaf q(n0 + s)."""
 
     children = ()
@@ -115,7 +111,7 @@ class Q(_Node):
         return f"{'L' if pol > 0 else 'U'}{self.s}"
 
 
-class Sum(_Node):
+class Sum:
     """Integer-weighted terms, left-folded in the order written."""
 
     def __init__(self, *terms: tuple[int, object]):
@@ -145,7 +141,7 @@ class Sum(_Node):
         return " ".join(parts).removeprefix("+ ")
 
 
-class Mul(_Node):
+class Mul:
     """Binary product, evaluated as written."""
 
     def __init__(self, a, b):
@@ -180,7 +176,7 @@ class Sq(Mul):
         return f"{_paren(self.children[0], pol)}^2"
 
 
-class Companion(_Node):
+class Companion:
     """body (1 + t), t = r pi^i sqrt3^j n^{-a/2} in statement coordinates.
 
     In the envelope variable n = n0 + shift, so t = c x^a (1 + shift x^2)^{-a/2}
@@ -324,11 +320,11 @@ def _c2_bracket(comp: Companion, prec: int) -> tuple[tuple[int, int], tuple[int,
 
 def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
     """A + B t > 0 at index n, t > 0; opposite signs compare B^2 c^2 with A^2 n^a, c2 being
-    _c2_bracket(comp, DEFAULT_PRECISION), refined only while it does not decide."""
+    _c2_bracket(comp, _C2_BITS), refined by doubling the bits only while it does not decide."""
     if a >= 0 and b >= 0 or a <= 0 and b <= 0:  # same signs; A = B = 0 is not positive
         return a + b > 0
     bb, rhs = b * b, a * a * n**comp.a
-    prec, ((lo_p, lo_q), (hi_p, hi_q)) = DEFAULT_PRECISION, c2
+    prec, ((lo_p, lo_q), (hi_p, hi_q)) = _C2_BITS, c2
     while True:
         if bb * lo_p > rhs * lo_q:
             return b > 0
@@ -361,6 +357,11 @@ class _Exact(dict):
         return part
 
 
+# Every ring part (exact store, enclosures) built in this process: a leaf's per
+# (s, N, prec), a product's per (operand stores' ids, first box degree, prec).
+_RING_PARTS: dict[tuple, tuple[_Exact, list[Interval]]] = {}
+
+
 def _product_part(k: int, a: _Exact, b: _Exact) -> RingElem:
     """Degree k of a b over one common denominator; a square (b is a)
     pairs each term once, weight 2 off the diagonal.  Operand parts at or
@@ -379,17 +380,13 @@ class HybridPoly:
     exact error radii.  ring_ivs encloses the ring part at every degree.
     The exact parts reach a product's first error box, the furthest the
     certifier strips symbolic zeros, and each is computed only when its
-    enclosure cannot decide a zero test."""
+    enclosure cannot decide a zero test.  The ring part (exact store and
+    ring_ivs) is shared, built once per _RING_PARTS key; errs never is."""
 
     __slots__ = ("_exact", "ring_ivs", "errs", "prec")
 
-    def __init__(
-        self,
-        ring_parts: list[RingElem] | _Exact,
-        errs: dict[int, Interval],
-        prec: int,
-        ring_ivs: list[Interval] | None = None,
-    ):
+    def __init__(self, ring_parts: list[RingElem] | _Exact, errs: dict[int, Interval], prec: int,
+                 ring_ivs: list[Interval] | None = None):
         if not isinstance(ring_parts, _Exact):  # every part given
             ring_ivs = ring_ivs or [r.eval_iv(prec) for r in ring_parts]
             ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
@@ -431,15 +428,16 @@ class HybridPoly:
         positivity of the family implies the exact inequality."""
         poly = bound_poly(s, N, side, prec)
         err_box = Interval(Dyadic(0), poly.err) if side > 0 else Interval(-poly.err, Dyadic(0))
-        ring_parts = list(poly.coeffs) + [RingElem()]
-        ring_ivs = list(poly.coeff_ivs) + [Interval.point(0)]
-        return HybridPoly(ring_parts, {N + 1: err_box}, prec, ring_ivs)
+        key = s, N, prec
+        if key not in _RING_PARTS:  # the sides differ only in the box: one ring part for both
+            _RING_PARTS[key] = (_Exact(N + 2, None, enumerate(poly.coeffs + (ZERO_ELEM,))),
+                                list(poly.coeff_ivs) + [Interval.point(0)])
+        exact, ring_ivs = _RING_PARTS[key]
+        return HybridPoly(exact, {N + 1: err_box}, prec, ring_ivs)
 
     @staticmethod
     def from_ring_monomials(monomials: dict[int, RingElem], prec: int) -> "HybridPoly":
-        top = max(monomials)
-        ring_parts = [monomials.get(d, RingElem()) for d in range(top + 1)]
-        return HybridPoly(ring_parts, {}, prec)
+        return HybridPoly([monomials.get(d, ZERO_ELEM) for d in range(max(monomials) + 1)], {}, prec)
 
     def mul(self, other: "HybridPoly") -> "HybridPoly":
         p = self.prec
@@ -451,16 +449,21 @@ class HybridPoly:
         convolve_into(boxes, self.errs.items(), other.errs.items(), p)
         errs_out = to_intervals(boxes)
         first_box = min(errs_out, default=n_out)
-        # interval convolution: contains the exact ring product,
-        # far cheaper than re-evaluating the huge product elements
-        ring: dict[int, tuple] = {}
-        convolve_into(ring, self._nonzero(), other._nonzero(), p)
-        ring_ivs = to_intervals(ring)
-        ivs_out = [ring_ivs.get(d) or Interval.point(0) for d in range(n_out)]
-        # exact parts up to the first error box, each convolved on demand
-        a, b = self._exact, other._exact
-        exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
-                       lambda k: _product_part(k, a, b))
+        # the ring part depends on the operands' and the first box alone, so
+        # both polarities of a subterm share one; the interval convolution
+        # contains the exact ring product, far cheaper than evaluating it
+        key = id(self._exact), id(other._exact), first_box, p
+        if key not in _RING_PARTS:
+            ring: dict[int, tuple] = {}
+            convolve_into(ring, self._nonzero(), other._nonzero(), p)
+            ring_ivs = to_intervals(ring)
+            # exact parts up to the first error box, each convolved on demand;
+            # the rule holds both operand stores, so the ids in key stay theirs
+            a, b = self._exact, other._exact
+            exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
+                           lambda k: _product_part(k, a, b))
+            _RING_PARTS[key] = (exact, [ring_ivs.get(d) or Interval.point(0) for d in range(n_out)])
+        exact, ivs_out = _RING_PARTS[key]
         return HybridPoly(exact, errs_out, p, ivs_out)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
@@ -469,11 +472,8 @@ class HybridPoly:
         a, b = self._exact, other._exact
         exact = _Exact(min(self._exact_len(n), other._exact_len(n)),
                        lambda d: (a[d] if d < a.n else ZERO_ELEM) + (b[d] if d < b.n else ZERO_ELEM))
-        ivs_out = []
-        for d in range(n):
-            aiv = self.ring_ivs[d] if d < len(self.ring_ivs) else Interval.point(0)
-            biv = other.ring_ivs[d] if d < len(other.ring_ivs) else Interval.point(0)
-            ivs_out.append(aiv.add(biv, p))
+        zero = Interval.point(0)
+        ivs_out = [x.add(y, p) for x, y in zip_longest(self.ring_ivs, other.ring_ivs, fillvalue=zero)]
         errs_out = dict(self.errs)
         for d, e in other.errs.items():
             cur = errs_out.get(d)
@@ -826,7 +826,7 @@ def exact_verify(
     n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
     for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
         table.window(n, width + 1)
-    c2 = comp and _c2_bracket(comp, DEFAULT_PRECISION)  # read once per scan
+    c2 = comp and _c2_bracket(comp, _C2_BITS)  # read once per scan
     found = []
     for i in range(0, count, BLOCK):
         q = table.values[n0 + i : n0 + i + BLOCK + width]

@@ -15,9 +15,10 @@ naive Fraction products and is exactly equal.  Cleared terms are keyed
 by the packed integer 4*i + j (private to this module), so a product
 term's key is the sum of its factors' keys; ``from_cleared`` folds the
 sqrt3^2 keys (j = 2) into 3 and drops every key that sums to zero.  The
-weighted ``sum_of_products`` serves the coefficient sums and each exact
-part of a ``certify.HybridPoly`` product, computed only when a zero test
-needs it.  pi^i and sqrt3 enclosures are tabled per precision, as raw
+weighted ``sum_of_products`` serves each exact part of a
+``certify.HybridPoly`` product, computed only when a zero test needs it;
+``sum_of_cleared`` takes cleared forms, which is all the coefficient sums
+keep.  pi^i and sqrt3 enclosures are tabled per precision, as raw
 (lo_man, lo_exp, hi_man, hi_exp) endpoints, and ``eval_iv`` sums its
 terms on raw endpoints, building one Interval at the end.
 """
@@ -30,7 +31,7 @@ from math import lcm
 from .enclosures import enclose_pi
 from .intervals import Dyadic, Interval, _fraction_raw, _mul_raw, _sum_raw, check_precision
 
-__all__ = ["RingElem", "convolve_terms", "sum_of_products"]
+__all__ = ["RingElem", "convolve_terms", "sum_of_cleared", "sum_of_products"]
 
 
 class RingElem:
@@ -188,7 +189,11 @@ def sum_of_products(pairs, weights=None) -> RingElem:
     """The sum of w * a * b over the (a, b) pairs, w from weights (default
     all 1), accumulated in integers over one common denominator and
     normalised once."""
-    parts = [(a.cleared(), b.cleared()) for a, b in pairs]
+    return sum_of_cleared([(a.cleared(), b.cleared()) for a, b in pairs], weights)
+
+
+def sum_of_cleared(parts, weights=None) -> RingElem:
+    """sum_of_products over pairs of cleared forms (RingElem.cleared())."""
     den = lcm(*(d1 * d2 for (d1, _), (d2, _) in parts))
     acc: dict[int, int] = {}
     for ((d1, a), (d2, b)), w in zip(parts, weights or [1] * len(parts)):

@@ -18,6 +18,8 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   rebuilt for every (k, s), which the s-free shapes of ``qcert.coeffs``
   must match term for term and in key order.
 * ``enclose_sinh`` -- certified sinh, for the exponential-factor bound.
+* ``exp_bracket`` -- an exact ``Fraction`` bracket of exp(x): a Taylor
+  partial sum and a Lagrange remainder, for the kernels' near-grid checks.
 * ``exp_point_loop`` / ``atanh_series_loop`` / ``log_point_loop`` /
   ``bessel_i1_point_loop`` -- the exp, log and I1 point kernels as
   Taylor loops over ``Interval`` objects, rounding at every step, whose
@@ -35,6 +37,7 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
 * ``ring_eval_iv_loop`` -- ``RingElem.eval_iv`` as a loop of Interval
   operations, which the raw-endpoint ``eval_iv`` must match bit for bit.
 * ``theorem_predicate`` -- the exact truth of a statement at one n.
+* ``node_exact`` -- a statement node's exact value (A, B) at one index.
 * ``tight_expansion`` -- the disproof expansion: the statement expanded
   with every error radius entered as its thin two-sided enclosure, not
   as the box, so a certified negative value refutes the inequality.
@@ -236,6 +239,34 @@ def enclose_sinh(x: Interval, prec: int) -> Interval:
 # -- the special-function kernels as loops over Intervals ------------------
 
 
+def _round_rel(f: Fraction, bits: int, up: bool) -> Fraction:
+    """f > 0 rounded down (or up) to a bits-bit mantissa."""
+    e = f.numerator.bit_length() - f.denominator.bit_length() - bits
+    q, r = divmod(f.numerator << max(0, -e), f.denominator << max(0, e))
+    return Fraction(q + (up and r > 0)) * Fraction(2) ** e
+
+
+def exp_bracket(x: Fraction, bits: int = 256) -> tuple[Fraction, Fraction]:
+    """Fractions lo <= exp(x) <= hi, about 2^-bits apart relatively: x is
+    halved s times to |r| <= 1/2, e^|r| lies between a Taylor partial sum
+    and that sum plus twice its first omitted term (the remainder is at
+    most that term times e^|r| < 2), inverted for x < 0, then squared s
+    times, each square rounded outward to bits + s + 16 bits."""
+    s = (abs(x.numerator) // x.denominator).bit_length() + 1
+    r, w = abs(x) / 2**s, bits + s + 16
+    total, term, j = Fraction(0), Fraction(1), 0
+    while term > Fraction(1, 1 << w):
+        total += term
+        j += 1
+        term = term * r / j
+    lo, hi = total, total + 2 * term
+    if x < 0:
+        lo, hi = 1 / hi, 1 / lo
+    for _ in range(s):
+        lo, hi = _round_rel(lo * lo, w, False), _round_rel(hi * hi, w, True)
+    return lo, hi
+
+
 def exp_point_loop(d: Dyadic, prec: int) -> Interval:
     """Enclosure of exp(d) for an exact dyadic d: k halvings, a Taylor
     sum of Interval terms at wp = prec + k + 12 bits, k squarings."""
@@ -365,6 +396,13 @@ def laguerre(m: int, table: QTable, n: int) -> Fraction:
 def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
     """Exact truth of the statement at n (statement coordinates): a length-1 exact_verify."""
     return not exact_verify(theorem_id, table, n, n, shifted=False)
+
+
+def node_exact(node, q) -> tuple[int, int]:
+    """(A, B) of a statement node at one index, q the table from its first n0:
+    the m = 1 case of node.values."""
+    a, b = node.values(q, 1)
+    return a[0], 0 if b is None else b[0]
 
 
 # -- the disproof expansion --------------------------------------------------

@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
+import mpmath as mp
 import pytest
 
 from oracles import (
@@ -17,11 +18,12 @@ from oracles import (
     invariant_i,
     laguerre,
     mul_termwise,
+    node_exact,
     ring_parts,
     theorem_predicate,
     tight_expansion,
 )
-from qcert.bounds import bound_value, x_of
+from qcert.bounds import bound_poly, bound_value, x_of
 from qcert.certify import (
     INEQUALITIES,
     THEOREMS,
@@ -110,6 +112,15 @@ RING_PINS = {
 }
 
 
+def _pin(ineq: IneqPoly) -> tuple[str, int, int]:
+    """The POLY_PINS value of an expansion."""
+    digest = hashlib.sha256()
+    for iv in ineq.poly.coeff_intervals():
+        lo, hi = iv.to_fractions()
+        digest.update(f"{lo} {hi};".encode())
+    return digest.hexdigest(), certify_positive(ineq, ineq.x0).leading_zero_degree, ineq.poly.degree
+
+
 def _expansion(key, fresh=False):
     """The expansion a POLY_PINS key names at 192 bits; fresh skips the caches."""
     ineq_id, tight = key
@@ -179,16 +190,16 @@ class TestStatements:
     def test_exact_values_match_functionals(self, table2k):
         for n in range(0, 1001):
             w = table2k.window(n, 7)
-            assert THEOREMS["A"].statement.exact(w) == (invariant_a(*w[:5]), 0), n
-            assert THEOREMS["B"].statement.exact(w) == (invariant_b(*w[:5]), 0), n
-            assert THEOREMS["laguerre3"].statement.exact(w) == (laguerre(3, table2k, n), 0), n
+            assert node_exact(THEOREMS["A"].statement, w) == (invariant_a(*w[:5]), 0), n
+            assert node_exact(THEOREMS["B"].statement, w) == (invariant_b(*w[:5]), 0), n
+            assert node_exact(THEOREMS["laguerre3"].statement, w) == (laguerre(3, table2k, n), 0), n
 
     def test_square_values_match_product(self, table2k):
         # a square evaluates its term once; its value is the product's
         x = Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2))))
         q = table2k.values[100:140]
         assert Sq(x).values(q, 36) == Mul(x, x).values(q, 36)
-        assert Sq(x).exact(q) == Mul(x, x).exact(q)
+        assert node_exact(Sq(x), q) == node_exact(Mul(x, x), q)
 
     def test_zero_value_is_not_positive(self):
         # A = B = 0: the statement "value > 0" is false, decided without refinement
@@ -341,13 +352,7 @@ class TestIneqBuild:
 class TestPolynomialPins:
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_expansion_unchanged(self, key):
-        ineq = _expansion(key)
-        digest = hashlib.sha256()
-        for iv in ineq.poly.coeff_intervals():
-            lo, hi = iv.to_fractions()
-            digest.update(f"{lo} {hi};".encode())
-        lead = certify_positive(ineq, ineq.x0).leading_zero_degree
-        assert (digest.hexdigest(), lead, ineq.poly.degree) == POLY_PINS[key]
+        assert _pin(_expansion(key)) == POLY_PINS[key]
 
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_exact_prefix_unchanged(self, key):
@@ -426,6 +431,65 @@ class TestPolynomialPins:
         monkeypatch.setattr(HybridPoly, "mul", checked)
         _expansion(key, fresh=True)
         assert len(products) >= 2 and any(len(p.errs) > 1 for p in products)
+
+
+class TestSharedRingParts:
+    """Each ring part is built once per process and shared by both
+    polarities; every box, sum and scaling is built per call."""
+
+    def test_leaf_sides_share_one_ring_part(self):
+        upper, lower = (HybridPoly.from_envelope(2, 14, side, 192) for side in (1, -1))
+        assert upper is not lower and upper.errs is not lower.errs
+        assert upper._exact is lower._exact and upper.ring_ivs is lower.ring_ivs
+        err_u, err_l = (bound_poly(2, 14, side, 192).err for side in (1, -1))
+        assert [(d, e.lo, e.hi) for d, e in upper.errs.items()] == [(15, Dyadic(0), err_u)]
+        assert [(d, e.lo, e.hi) for d, e in lower.errs.items()] == [(15, -err_l, Dyadic(0))]
+        assert HybridPoly.from_envelope(2, 24, 1, 192)._exact is not upper._exact
+        assert HybridPoly.from_envelope(2, 14, 1, 64)._exact is not upper._exact
+
+    def test_companion_reuses_the_theorems_products(self, monkeypatch):
+        # ineq4 negates ineq3's five cubic products: after ineq3, its only new
+        # ring part is the companion factor's product, whose factor has no box
+        monkeypatch.setattr(certify_module, "_RING_PARTS", {})
+        expand_statement(THEOREMS["B"], 192)
+        built = {id(exact) for exact, _ in certify_module._RING_PARTS.values()}
+        made = []
+
+        def record(self, other, _mul=HybridPoly.mul):
+            made.append((self, _mul(self, other)))
+            return made[-1][1]
+
+        monkeypatch.setattr(HybridPoly, "mul", record)
+        count = len(certify_module._RING_PARTS)
+        expand_statement(THEOREMS["B-companion"], 192)
+        assert len(made) == 11 and len(certify_module._RING_PARTS) == count + 1
+        assert [id(out._exact) in built for _, out in made] == [bool(lhs.errs) for lhs, _ in made]
+
+    def test_results_independent_of_theorem_order(self, monkeypatch):
+        def run(order):
+            monkeypatch.setattr(certify_module, "_RING_PARTS", {})
+            build_ineq.cache_clear()
+            out = {}
+            for theorem_id in order:
+                n_star, cert = find_crossover(theorem_id)
+                ineq = build_ineq(THEOREMS[theorem_id].ineq_id)
+                out[theorem_id] = n_star, cert.to_json_dict(), _pin(ineq), ineq.side_lemma
+            return out
+
+        order = sorted(THEOREMS)
+        try:
+            assert run(order) == run(order[::-1])
+        finally:
+            build_ineq.cache_clear()
+
+    def test_tight_expansion_first_leaves_production_unchanged(self, monkeypatch):
+        # the oracle replaces its leaves' boxes; the ring parts it shares
+        # with production carry no box
+        monkeypatch.setattr(certify_module, "_RING_PARTS", {})
+        for ineq_id in sorted(INEQUALITIES):
+            tight_expansion.__wrapped__(ineq_id, 192)
+        for ineq_id in sorted(INEQUALITIES):
+            assert _pin(_expansion((ineq_id, False), fresh=True)) == POLY_PINS[(ineq_id, False)]
 
 
 class TestLazyExactParts:
@@ -701,6 +765,23 @@ def test_integer_decision_matches_refinement(tid, table20k):
     oracle = COMPANION_ORACLES[tid]
     for n in range(THEOREMS[tid].scan_floor, 2001):
         assert theorem_predicate(tid, table20k, n) == oracle(table20k, n), (tid, n)
+
+
+@pytest.mark.parametrize("tid", sorted(COMPANION_ORACLES))
+def test_companion_decision_refines_close_calls(tid):
+    # A + B t with |A + B t| < 1 and B t about 10^30: the 32-bit c^2 bracket
+    # cannot decide, so the decision must come from the doubled brackets
+    comp = THEOREMS[tid].companion
+    c2 = certify_module._c2_bracket(comp, certify_module._C2_BITS)
+    n = 1009
+    with mp.workprec(1000):
+        t = mp.mpf(comp.r.numerator) / comp.r.denominator * mp.pi**comp.i * mp.sqrt(3)**comp.j \
+            * mp.mpf(n) ** (-mp.mpf(comp.a) / 2)
+        b = int(mp.ceil(mp.mpf(10) ** 30 / t))
+        bt = int(mp.floor(b * t))
+        for a, b_ in [(-bt, b), (-bt - 1, b), (bt, -b), (bt + 1, -b)]:
+            truth = a + b_ * t > 0
+            assert certify_module._positive(a, b_, n, comp, c2) == truth, (tid, a, b_)
 
 
 # independent oracles for the statements without a companion: the value itself

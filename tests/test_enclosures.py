@@ -11,6 +11,7 @@ from oracles import (
     bessel_i1_point_loop,
     contains_interval,
     enclose_sinh,
+    exp_bracket,
     exp_point_loop,
     log_point_loop,
 )
@@ -288,3 +289,73 @@ def test_log_just_below_one_keeps_relative_accuracy(prec):
             assert contains_ref(iv, mp.log(1 - mp.mpf(2) ** -k)), (prec, k)
         assert iv.hi.sign < 0
         assert iv.width.to_fraction() <= abs(iv.hi.to_fraction()) / 2 ** (prec - 3), (prec, k)
+
+
+# -- values next to a grid point -----------------------------------------------
+# A kernel that loses a unit at its working scale 2^-(prec+12) or finer can
+# round onto the wrong side of a prec-bit grid point only when the value lies
+# that close to one, which seeded inputs almost never do.  These arguments are
+# placed there by a seeded search in mpmath; the checks are exact, against
+# Fraction brackets of exp (a log enclosure [a, b] contains log d iff
+# exp(a) <= d <= exp(b)).
+
+NEAR_GRID_PRECS = range(16, 25)
+
+
+def _grid_point(v: mp.mpf, prec: int) -> Fraction:
+    """The prec-bit dyadic nearest to v."""
+    e = int(mp.floor(mp.log(abs(v), 2))) - prec + 1
+    return Fraction(int(mp.nint(v / mp.mpf(2) ** e))) * Fraction(2) ** e
+
+
+def _mpf(f: Fraction) -> mp.mpf:
+    return mp.mpf(f.numerator) / f.denominator
+
+
+def _near_grid_exp_args(prec: int) -> list[tuple[Dyadic, bool]]:
+    """(d, above): exp(d) just above (or below) a grid point g near e^x, x
+    from three ranges of each sign, |exp(d) - g| < 2^-(prec+60) g."""
+    rng, bits, out = random.Random(f"exp-grid-{prec}"), prec + 70, []
+    with mp.workprec(600):
+        for lo, hi in ((0.05, 0.45), (2, 9), (40, 250)):
+            for sign in (1, -1):
+                scaled = mp.log(_mpf(_grid_point(mp.exp(sign * rng.uniform(lo, hi)), prec))) * 2**bits
+                out += [(Dyadic(int(mp.ceil(scaled)), -bits), True),
+                        (Dyadic(int(mp.floor(scaled)), -bits), False)]
+    return out
+
+
+def _near_grid_log_args(prec: int) -> list[tuple[Dyadic, Fraction, bool]]:
+    """(d, g, above): log d just above (or below) a grid point g near log y,
+    y below 1/2, in [1/2, 1), in (1, 2) and above 2."""
+    rng, out = random.Random(f"log-grid-{prec}"), []
+    with mp.workprec(600):
+        for lo, hi in ((1e-6, 0.3), (0.55, 0.95), (1.1, 1.9), (3, 1e6)):
+            g = _grid_point(mp.log(rng.uniform(lo, hi)), prec)
+            v = mp.exp(_mpf(g))
+            e = int(mp.floor(mp.log(v, 2))) - prec - 100
+            out += [(Dyadic(int(mp.ceil(v / mp.mpf(2) ** e)), e), g, True),
+                    (Dyadic(int(mp.floor(v / mp.mpf(2) ** e)), e), g, False)]
+    return out
+
+
+@pytest.mark.parametrize("prec", NEAR_GRID_PRECS)
+def test_exp_next_to_grid_point(prec):
+    for d, above in _near_grid_exp_args(prec):
+        lo, hi = exp_bracket(d.to_fraction())
+        g = _grid_point(_mpf(lo), prec)
+        assert (g < lo) if above else (hi < g), (prec, d)
+        assert abs(hi - g) < g / 2 ** (prec + 12), (prec, d)  # within a working unit
+        a, b = enclose_exp(Interval.point(d), prec).to_fractions()
+        assert a <= lo and hi <= b, (prec, d)
+
+
+@pytest.mark.parametrize("prec", NEAR_GRID_PRECS)
+def test_log_next_to_grid_point(prec):
+    for d, g, above in _near_grid_log_args(prec):
+        x, near = d.to_fraction(), abs(g) / 2 ** (prec + 12)
+        g_lo, g_hi = exp_bracket(g)
+        assert (g_hi < x) if above else (x < g_lo), (prec, d)  # log d on the chosen side of g
+        assert exp_bracket(g - near)[1] < x < exp_bracket(g + near)[0], (prec, d)
+        a, b = enclose_log(Interval.point(d), prec).to_fractions()
+        assert exp_bracket(a)[1] <= x <= exp_bracket(b)[0], (prec, d)

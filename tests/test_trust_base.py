@@ -18,6 +18,7 @@ from qcert.bounds import ErrorBudget, check_main_term_sandwich
 from qcert.certify import (
     HybridPoly,
     IneqPoly,
+    Sum,
     build_ineq,
     certify_inequality,
     exact_verify,
@@ -46,6 +47,7 @@ ORACLES = (
     "interval_horner",
     "ring_eval_iv_loop",
     "theorem_predicate",
+    "node_exact",
     "tight_expansion",
     "ring_parts",
     "invariant_a",
@@ -90,6 +92,8 @@ REMOVED_METHODS = (
     # no caller left once the thin radius moved to the tight_expansion oracle
     (Interval, "neg"),
     (Interval, "__neg__"),
+    # only the tests read a node's value at one index: oracles.node_exact
+    (Sum, "exact"),
 )
 
 # Every operation that rounds takes its precision from the caller.

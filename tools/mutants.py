@@ -150,6 +150,19 @@ MUTANTS = [
            "err_box = Interval(Dyadic(0), poly.err) if side > 0",
            "err_box = Interval(-poly.err, Dyadic(0)) if side > 0",
            "the upper envelope's box [-err, 0] lies below U's radius, so U is not an upper bound"),
+    # -- shared ring parts ----------------------------------------------------
+    Mutant("leaf-ring-part-keyed-without-N", "src/qcert/certify.py",
+           "key = s, N, prec",
+           "key = s, prec",
+           "an order-14 leaf hands its ring part to the order-24 leaf, or the reverse"),
+    Mutant("product-ring-part-keyed-on-one-operand", "src/qcert/certify.py",
+           "key = id(self._exact), id(other._exact), first_box, p",
+           "key = id(self._exact), first_box, p",
+           "products with one operand in common share the first one's ring part"),
+    Mutant("box-shared-between-sides", "src/qcert/certify.py",
+           "list(poly.coeff_ivs) + [Interval.point(0)])\n        exact, ring_ivs = _RING_PARTS[key]",
+           "list(poly.coeff_ivs) + [Interval.point(0)], err_box)\n        exact, ring_ivs, err_box = _RING_PARTS[key]",
+           "the box is kept with the ring part, so L is built with U's box [0, err] when U came first"),
     Mutant("side-lemmas-skipped", "src/qcert/certify.py",
            "return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())",
            "return IneqPoly(poly, ex.x0, ex.window, None)",
@@ -162,6 +175,10 @@ MUTANTS = [
            "return d < self._exact.n and self._exact[d].is_zero",
            "return True",
            "a nonzero leading part is stripped as a symbolic zero"),
+    Mutant("c2-refinement-skipped", "src/qcert/certify.py",
+           "        prec *= 2\n        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)",
+           "        return a > 0",
+           "a comparison the 32-bit c^2 bracket leaves open is settled by A's sign alone"),
     Mutant("exact-scan-accepts-zero", "src/qcert/certify.py",
            "if x <= 0]",
            "if x < 0]",
