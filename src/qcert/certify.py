@@ -342,13 +342,13 @@ def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
 class _Exact(dict):
     """The exact ring parts of a HybridPoly below degree n: part d is
     computed by rule(d) on first request and kept.  A rule reads other
-    stores only, never interval data."""
+    stores only, never interval data.  A shared store is kept in _RING_PARTS."""
 
-    __slots__ = ("n", "rule")
+    __slots__ = ("n", "rule", "shared")
 
-    def __init__(self, n: int, rule, parts=()):
+    def __init__(self, n: int, rule, parts=(), shared: bool = False):
         super().__init__(parts)
-        self.n, self.rule = n, rule
+        self.n, self.rule, self.shared = n, rule, shared
 
     def __missing__(self, d: int) -> RingElem:
         if not 0 <= d < self.n:
@@ -357,8 +357,8 @@ class _Exact(dict):
         return part
 
 
-# Every ring part (exact store, enclosures) built in this process: a leaf's per
-# (s, N, prec), a product's per (operand stores' ids, first box degree, prec).
+# Every shared ring part (exact store, enclosures) built in this process: a leaf's per
+# (s, N, prec), a product of two shared stores' per (their ids, first box degree, prec).
 _RING_PARTS: dict[tuple, tuple[_Exact, list[Interval]]] = {}
 
 
@@ -430,7 +430,7 @@ class HybridPoly:
         err_box = Interval(Dyadic(0), poly.err) if side > 0 else Interval(-poly.err, Dyadic(0))
         key = s, N, prec
         if key not in _RING_PARTS:  # the sides differ only in the box: one ring part for both
-            _RING_PARTS[key] = (_Exact(N + 2, None, enumerate(poly.coeffs + (ZERO_ELEM,))),
+            _RING_PARTS[key] = (_Exact(N + 2, None, enumerate(poly.coeffs + (ZERO_ELEM,)), True),
                                 list(poly.coeff_ivs) + [Interval.point(0)])
         exact, ring_ivs = _RING_PARTS[key]
         return HybridPoly(exact, {N + 1: err_box}, prec, ring_ivs)
@@ -452,18 +452,20 @@ class HybridPoly:
         # the ring part depends on the operands' and the first box alone, so
         # both polarities of a subterm share one; the interval convolution
         # contains the exact ring product, far cheaper than evaluating it
-        key = id(self._exact), id(other._exact), first_box, p
-        if key not in _RING_PARTS:
+        a, b = self._exact, other._exact
+        key = id(a), id(b), first_box, p
+        if (part := _RING_PARTS.get(key)) is None:
             ring: dict[int, tuple] = {}
             convolve_into(ring, self._nonzero(), other._nonzero(), p)
             ring_ivs = to_intervals(ring)
             # exact parts up to the first error box, each convolved on demand;
             # the rule holds both operand stores, so the ids in key stay theirs
-            a, b = self._exact, other._exact
             exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
-                           lambda k: _product_part(k, a, b))
-            _RING_PARTS[key] = (exact, [ring_ivs.get(d) or Interval.point(0) for d in range(n_out)])
-        exact, ivs_out = _RING_PARTS[key]
+                           lambda k: _product_part(k, a, b), (), a.shared and b.shared)
+            part = exact, [ring_ivs.get(d) or Interval.point(0) for d in range(n_out)]
+            if exact.shared:  # sums, scalings and companion factors are built per call
+                _RING_PARTS[key] = part
+        exact, ivs_out = part
         return HybridPoly(exact, errs_out, p, ivs_out)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
@@ -661,15 +663,8 @@ def certify_positive(
         if not poly._is_zero(d):
             break
         d += 1
-    base = Certificate(
-        status="inconclusive",
-        x_star=x0,
-        n_star=n_star,
-        leading_zero_degree=d,
-        subdivision_count=0,
-        max_depth_hit=False,
-        prec=prec,
-    )
+    base = Certificate(status="inconclusive", x_star=x0, n_star=n_star, leading_zero_degree=d,
+                       subdivision_count=0, max_depth_hit=False, prec=prec)
     if ineq.side_lemma is not None:
         base.reason = ineq.side_lemma.reason
         base.rounding_limited = ineq.side_lemma.rounding_limited

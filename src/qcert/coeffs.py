@@ -27,12 +27,11 @@ The shift enters only through powers of 24s+1 = 24 sigma.  So the
 exponential and Bessel factors are each an s-free shape, memoized per k
 (per term: its ring key, a rational, and the powers of 24s+1, 24 and 72),
 and a value per (k, s) with one Fraction per term, in the shape's order
-(``RingElem.eval_iv`` sums terms in dict order, so the order fixes every
-enclosure).  The binomial and full families are memoized per (k, s); the
-exp, bessel and expbinom families are recomputed on each call, and the
-sums read their cleared integer forms, memoized per (k, s).  All five
-reject k < 0 or s < 0 and return exact values; nothing here touches
-floating point.
+(``RingElem.eval_iv`` sums terms in key order, so the order fixes every
+enclosure).  All five families are memoized per (k, s); a ring element
+is stored in its cleared integer form, which the two sums read directly.
+All five reject k < 0 or s < 0 and return exact values; nothing here
+touches floating point.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .ring import RingElem, sum_of_cleared
+from .ring import RingElem, sum_of_products
 
 __all__ = [
     "rising_factorial",
@@ -130,6 +129,7 @@ def _exp_shape(k: int) -> tuple:
                  for l in range(half + 1))
 
 
+@lru_cache(maxsize=None)
 def exp_factor_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of exp(pi sqrt(n/3)(sqrt(1+sigma/n)-1)) in
     x = n^{-1/2}.  Even degrees carry pi^{2l}; odd degrees one extra
@@ -154,20 +154,20 @@ def binom_factor_coeff(k: int, s: int) -> Fraction:
     return shift_sigma(s) ** (k // 2) * _binom_34(k // 2)
 
 
+@lru_cache(maxsize=None)
 def exp_binom_coeff(k: int, s: int) -> RingElem:
     """Convolution of the exponential and binomial factor coefficients:
     each binomial coefficient is a rational weight on the cleared terms
     of one exponential coefficient, summed in integers over one common
     denominator."""
     _check(k, s)
-    parts = [(_cleared(exp_factor_coeff, l, s), c)
-             for l in range(k + 1) if (c := binom_factor_coeff(k - l, s))]
-    den = lcm(*(d * c.denominator for (d, _), c in parts))
+    parts = [(exp_factor_coeff(l, s), c) for l in range(k + 1) if (c := binom_factor_coeff(k - l, s))]
+    den = lcm(*(e.den * c.denominator for e, c in parts))
     acc: dict[int, int] = {}
     get = acc.get
-    for (d, ints), c in parts:
-        w = c.numerator * (den // (d * c.denominator))
-        for key, m in ints.items():
+    for e, c in parts:
+        w = c.numerator * (den // (e.den * c.denominator))
+        for key, m in e.ints.items():
             acc[key] = get(key, 0) + m * w
     return RingElem.from_cleared(den, acc)
 
@@ -186,6 +186,7 @@ def _bessel_shape(k: int) -> tuple:
                   l - j, l - j, 0) for j in range(l + 1))
 
 
+@lru_cache(maxsize=None)
 def bessel_factor_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of the Bessel polynomial factor.
 
@@ -198,19 +199,11 @@ def bessel_factor_coeff(k: int, s: int) -> RingElem:
 
 
 @lru_cache(maxsize=None)
-def _cleared(family, k: int, s: int) -> tuple[int, dict[int, int]]:
-    """family(k, s).cleared(), the only form the sums read, kept without
-    the element and its Fractions."""
-    return family(k, s).cleared()
-
-
-@lru_cache(maxsize=None)
 def expansion_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of the full expansion of
     4 * 3^{1/4} n^{3/4} e^{-pi sqrt(n/3)} q(n+s) in x = n^{-1/2}."""
     _check(k, s)
-    return sum_of_cleared([(_cleared(exp_binom_coeff, l, s), _cleared(bessel_factor_coeff, k - l, s))
-                           for l in range(k + 1)])
+    return sum_of_products([(exp_binom_coeff(l, s), bessel_factor_coeff(k - l, s)) for l in range(k + 1)])
 
 
 COEFF_FAMILIES = {

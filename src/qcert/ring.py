@@ -8,48 +8,49 @@ sqrt3*sqrt3 -> 3.  Exact zero is the empty term map, which makes "is
 this coefficient symbolically zero?" decidable -- the positivity
 certifier relies on that to strip vanishing leading coefficients.
 
-Multiplication clears denominators first (one lcm per operand, integer
-convolution, one rational normalization per output key); with hundreds
-of terms per operand this is roughly an order of magnitude faster than
-naive Fraction products and is exactly equal.  Cleared terms are keyed
-by the packed integer 4*i + j (private to this module), so a product
-term's key is the sum of its factors' keys; ``from_cleared`` folds the
-sqrt3^2 keys (j = 2) into 3 and drops every key that sums to zero.  The
-weighted ``sum_of_products`` serves each exact part of a
-``certify.HybridPoly`` product, computed only when a zero test needs it;
-``sum_of_cleared`` takes cleared forms, which is all the coefficient sums
-keep.  pi^i and sqrt3 enclosures are tabled per precision, as raw
-(lo_man, lo_exp, hi_man, hi_exp) endpoints, and ``eval_iv`` sums its
-terms on raw endpoints, building one Interval at the end.
+An element is stored once, cleared: (1/den) * ints, ints a map from the
+packed key 4*i + j (private to this module) to a nonzero integer, in
+lowest terms (gcd(den, *ints) = 1, so den is the lcm of the reduced
+denominators).  A product term's key is the sum of its factors' keys, so
+multiplication is an integer convolution over one common denominator;
+with hundreds of terms per operand this is roughly an order of magnitude
+faster than Fraction products and is exactly equal.  ``from_cleared`` is
+the one normalising path: it folds the sqrt3^2 keys (j = 2) into 3, drops
+every key that sums to zero and divides by one gcd.  The weighted
+``sum_of_products`` serves each exact part of a ``certify.HybridPoly``
+product, computed only when a zero test needs it.  ``terms`` is the
+{(i, j): Fraction} view, built on demand.  pi^i and sqrt3 enclosures are
+tabled per precision, as raw (lo_man, lo_exp, hi_man, hi_exp) endpoints,
+and ``eval_iv`` sums its terms on raw endpoints, building one Interval at
+the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .enclosures import enclose_pi
 from .intervals import Dyadic, Interval, _fraction_raw, _mul_raw, _sum_raw, check_precision
 
-__all__ = ["RingElem", "convolve_terms", "sum_of_cleared", "sum_of_products"]
+__all__ = ["RingElem", "convolve_terms", "sum_of_products"]
 
 
 class RingElem:
     """Immutable element of Q[pi^±1, sqrt3]."""
 
-    __slots__ = ("terms", "_den_cache")
+    __slots__ = ("den", "ints")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if j not in (0, 1):
-                    raise ValueError(f"sqrt3 exponent must be 0 or 1, got {j}")
-                c = Fraction(c)
-                if c:
-                    clean[(i, j)] = c
-        self.terms = clean
-        self._den_cache: tuple[int, dict] | None = None
+        clean = {}
+        for (i, j), c in (terms or {}).items():
+            if j not in (0, 1):
+                raise ValueError(f"sqrt3 exponent must be 0 or 1, got {j}")
+            if c := Fraction(c):
+                clean[4 * i + j] = c
+        # reduced denominators' lcm: the cleared form is in lowest terms
+        self.den = lcm(*(c.denominator for c in clean.values()))
+        self.ints = {k: c.numerator * (self.den // c.denominator) for k, c in clean.items()}
 
     # -- constructors ---------------------------------------------------
 
@@ -61,80 +62,77 @@ class RingElem:
     def monomial(i: int, j: int, c: Fraction | int) -> "RingElem":
         return RingElem({(i, j): Fraction(c)})
 
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, _F0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _wrap(out)
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
-
-    def __neg__(self) -> "RingElem":
-        return _wrap({k: -c for k, c in self.terms.items()})
-
-    def cleared(self) -> tuple[int, dict[int, int]]:
-        """(common denominator D, integer terms of D*self on packed keys)."""
-        if self._den_cache is None:
-            den = 1
-            for c in self.terms.values():
-                den = lcm(den, c.denominator)
-            ints = {4 * i + j: c.numerator * (den // c.denominator)
-                    for (i, j), c in self.terms.items()}
-            self._den_cache = (den, ints)
-        return self._den_cache
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not self.terms or not other.terms:
-            return ZERO_ELEM
-        return sum_of_products([(self, other)])
-
-    __rmul__ = __mul__
-
     @staticmethod
     def from_cleared(den: int, ints: dict[int, int]) -> "RingElem":
-        """The element (1/den) * ints, one normalised Fraction per nonzero
-        key, with sqrt3^2 folded into 3 at the position of its first key."""
+        """The element (1/den) * ints, den > 0, with sqrt3^2 folded into 3
+        at the position of its first key, zero keys dropped and the whole
+        divided by gcd(den, *ints)."""
         folded: dict[int, int] = {}
         for k, v in ints.items():
             if k & 2:
                 k, v = k - 2, 3 * v
             folded[k] = folded.get(k, 0) + v
-        return _wrap({(k >> 2, k & 3): Fraction(v, den) for k, v in folded.items() if v})
+        ints = {k: v for k, v in folded.items() if v}
+        g = gcd(den, *ints.values())
+        e = RingElem.__new__(RingElem)
+        e.den, e.ints = den // g, ints if g == 1 else {k: v // g for k, v in ints.items()}
+        return e
+
+    # -- ring operations --------------------------------------------------
+
+    def __add__(self, other: "RingElem") -> "RingElem":
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        acc = {k: v * ma for k, v in self.ints.items()}
+        get = acc.get
+        for k, v in other.ints.items():
+            acc[k] = get(k, 0) + v * mb
+        return RingElem.from_cleared(den, acc)
+
+    def __sub__(self, other: "RingElem") -> "RingElem":
+        return self + (-other)
+
+    def __neg__(self) -> "RingElem":
+        return RingElem.from_cleared(self.den, {k: -v for k, v in self.ints.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not self.ints or not other.ints:
+            return ZERO_ELEM
+        return sum_of_products([(self, other)])
+
+    __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "RingElem":
         c = Fraction(c)
         if not c:
             return ZERO_ELEM
-        return _wrap({k: v * c for k, v in self.terms.items()})
+        return RingElem.from_cleared(self.den * c.denominator, {k: v * c.numerator for k, v in self.ints.items()})
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """{(i, j): c_{i,j}}, nonzero c only, in key order."""
+        return {(k >> 2, k & 1): Fraction(v, self.den) for k, v in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RingElem) and self.terms == other.terms
+        return isinstance(other, RingElem) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.ints.items())))
 
     def as_string(self) -> str:
         """Exact human/machine-readable form: `p/q pi^i sqrt3^j + ...`."""
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
+        for (i, j), c in sorted(self.terms.items()):
             piece = f"{c.numerator}" if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
             if i:
                 piece += f" pi^{i}"
@@ -149,26 +147,27 @@ class RingElem:
     def eval_iv(self, prec: int) -> Interval:
         """Interval containing the exact real value of this element.
 
-        Term by term in dict order: c's directed conversion (as in
+        Term by term in key order: c's directed conversion (as in
         Interval.from_fraction), times pi^i, times sqrt3 if j, added to the
         running sum.  These are Interval.mul's and Interval.add's roundings,
         made on raw endpoints; directed rounding depends only on the value,
         so the result equals that loop of Interval operations bit for bit.
         """
         check_precision(prec)
-        if not self.terms:
+        if not self.ints:
             return Interval.point(0)
-        pows, sqrt3 = _pi_powers(prec, min(self.terms)[0], max(self.terms)[0])
+        pows, sqrt3 = _pi_powers(prec, min(self.ints) >> 2, max(self.ints) >> 2)
         lm = le = hm = he = 0
-        for (i, j), c in self.terms.items():
-            num, den = c.numerator, c.denominator
+        for k, v in self.ints.items():
+            g = gcd(v, self.den)
+            num, den = v // g, self.den // g  # c = v / den in lowest terms
             if den == 1:  # an integer enters exactly
                 am, ae, bm, be = num, 0, num, 0
             else:
                 am, ae = _fraction_raw(num, den, prec, False)
                 bm, be = _fraction_raw(num, den, prec, True)
-            am, ae, bm, be = _mul_raw(am, ae, bm, be, *pows[i], prec)
-            if j:
+            am, ae, bm, be = _mul_raw(am, ae, bm, be, *pows[k >> 2], prec)
+            if k & 1:
                 am, ae, bm, be = _mul_raw(am, ae, bm, be, *sqrt3, prec)
             lm, le = _sum_raw(lm, le, am, ae, prec, False)
             hm, he = _sum_raw(hm, he, bm, be, prec, True)
@@ -186,18 +185,14 @@ def convolve_terms(acc: dict[int, int], a: dict[int, int], b: dict[int, int], w:
 
 
 def sum_of_products(pairs, weights=None) -> RingElem:
-    """The sum of w * a * b over the (a, b) pairs, w from weights (default
-    all 1), accumulated in integers over one common denominator and
-    normalised once."""
-    return sum_of_cleared([(a.cleared(), b.cleared()) for a, b in pairs], weights)
-
-
-def sum_of_cleared(parts, weights=None) -> RingElem:
-    """sum_of_products over pairs of cleared forms (RingElem.cleared())."""
-    den = lcm(*(d1 * d2 for (d1, _), (d2, _) in parts))
+    """The sum of w * a * b over the (a, b) pairs (any iterable), w from
+    weights (default all 1), accumulated in integers over one common
+    denominator and normalised once."""
+    pairs = list(pairs)
+    den = lcm(*(a.den * b.den for a, b in pairs))
     acc: dict[int, int] = {}
-    for ((d1, a), (d2, b)), w in zip(parts, weights or [1] * len(parts)):
-        convolve_terms(acc, a, b, w * (den // (d1 * d2)))
+    for (a, b), w in zip(pairs, weights or [1] * len(pairs)):
+        convolve_terms(acc, a.ints, b.ints, w * (den // (a.den * b.den)))
     return RingElem.from_cleared(den, acc)
 
 
@@ -227,12 +222,4 @@ def _pi_powers(prec: int, imin: int, imax: int) -> tuple[dict[int, tuple], tuple
     return pows, sqrt3
 
 
-def _wrap(terms: dict) -> RingElem:
-    e = RingElem.__new__(RingElem)
-    e.terms = terms
-    e._den_cache = None
-    return e
-
-
-_F0 = Fraction(0)
 ZERO_ELEM = RingElem()

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import mpmath as mp
 import pytest
@@ -449,7 +450,8 @@ class TestSharedRingParts:
 
     def test_companion_reuses_the_theorems_products(self, monkeypatch):
         # ineq4 negates ineq3's five cubic products: after ineq3, its only new
-        # ring part is the companion factor's product, whose factor has no box
+        # product is the companion factor's, whose factor has no box; the
+        # factor is built per call, so that product is not kept
         monkeypatch.setattr(certify_module, "_RING_PARTS", {})
         expand_statement(THEOREMS["B"], 192)
         built = {id(exact) for exact, _ in certify_module._RING_PARTS.values()}
@@ -462,8 +464,43 @@ class TestSharedRingParts:
         monkeypatch.setattr(HybridPoly, "mul", record)
         count = len(certify_module._RING_PARTS)
         expand_statement(THEOREMS["B-companion"], 192)
-        assert len(made) == 11 and len(certify_module._RING_PARTS) == count + 1
+        assert len(made) == 11 and len(certify_module._RING_PARTS) == count
         assert [id(out._exact) in built for _, out in made] == [bool(lhs.errs) for lhs, _ in made]
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_repeated_expansion_adds_no_ring_part(self, theorem_id):
+        # only ring parts a later expansion can name again are kept: a
+        # product with a sum, a scaling or a companion factor (each built per
+        # call) is not
+        expand_statement(THEOREMS[theorem_id], 192)
+        count = len(certify_module._RING_PARTS)
+        for _ in range(2):
+            expand_statement(THEOREMS[theorem_id], 192)
+            assert len(certify_module._RING_PARTS) == count
+
+    def test_companion_factor_per_call(self, monkeypatch):
+        # each expansion builds its own factor, from the companion's own
+        # slack, and keeps neither it nor its product
+        spec = THEOREMS["A-companion"]
+        comp = spec.companion
+        other = Companion(comp.children[0], comp.r, comp.i, comp.j, comp.a, comp.slack + 1)
+        factors = []
+
+        def record(self, other, _mul=HybridPoly.mul):
+            factors.append(self._exact)  # the factor is the last left operand
+            return _mul(self, other)
+
+        monkeypatch.setattr(HybridPoly, "mul", record)
+        comp.envelope(1, certify_module._Expansion(spec, 192))
+        count = len(certify_module._RING_PARTS)
+        stores = []
+        for node in (comp, other):
+            node.envelope(1, certify_module._Expansion(spec, 192))
+            stores.append(factors[-1])
+        assert len(certify_module._RING_PARTS) == count
+        assert not any(x.shared for x in stores) and stores[0] is not stores[1]
+        assert [x[comp.a + 1] for x in stores] == [RingElem.from_rational(-comp.slack),
+                                                    RingElem.from_rational(-comp.slack - 1)]
 
     def test_results_independent_of_theorem_order(self, monkeypatch):
         def run(order):
@@ -612,6 +649,24 @@ class TestCrossovers:
             certify_inequality("ineq3", n_star=100)
         with pytest.raises(ValueError, match="unknown inequality id: 'ineq9'"):
             certify_inequality("ineq9")
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_certificate_checks_in_rationals(self, theorem_id):
+        # independent of horner and the bisection, in exact Fractions: (a) for
+        # x in [0, x_star] every family member is at least sum lo_k x^k, which
+        # is positive there when all its Bernstein coefficients on [0, x_star]
+        # are; (b) every stripped degree is an exact ring zero with no box
+        n_star, cert = find_crossover(theorem_id)
+        assert cert.proved
+        x0 = cert.x_star.to_fraction()
+        lo = [iv.lo.to_fraction() * x0**k for k, iv in enumerate(cert.reduced_coeffs)]
+        n = len(lo) - 1
+        bernstein = [sum(F(comb(i, k), comb(n, k)) * lo[k] for k in range(i + 1)) for i in range(n + 1)]
+        assert all(b > 0 for b in bernstein)
+        poly = build_ineq(THEOREMS[theorem_id].ineq_id).poly
+        assert len(cert.reduced_coeffs) == len(poly.ring_ivs) - cert.leading_zero_degree
+        for d in range(cert.leading_zero_degree):
+            assert poly._exact[d].is_zero and d not in poly.errs
 
     def test_soundness_random_points(self):
         # proved certificate: reduced polynomial positive at random x

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath as mp
 import pytest
 
 import qcert.ring as ring_module
-from oracles import ring_eval_iv_loop
+from oracles import ring_eval_iv_loop, ring_parts
+from qcert.certify import INEQUALITIES, build_ineq
 from qcert.coeffs import expansion_coeff
 from qcert.enclosures import enclose_pi
 from qcert.intervals import Interval
@@ -154,7 +156,7 @@ def test_deferred_sqrt3_fold_cancels_rational_part():
     root, neg_root = RingElem.monomial(0, 1, 1), RingElem.monomial(0, 1, -1)
     acc: dict = {}
     for x, y in [(one, three), (root, neg_root)]:
-        convolve_terms(acc, x.cleared()[1], y.cleared()[1])
+        convolve_terms(acc, x.ints, y.ints)
     assert all(acc.values())
     e = RingElem.from_cleared(1, acc)
     assert e.is_zero and e.terms == {}
@@ -214,3 +216,35 @@ def test_eval_iv_matches_interval_loop_on_random_elements(prec):
             for _ in range(rng.randint(0, 6))})
         e = e + (-e if rng.random() < 0.1 else RingElem())
         assert _ends(e.eval_iv(prec)) == _ends(ring_eval_iv_loop(e, prec)), e
+
+
+def _random_elems():
+    rng = random.Random(2718)
+    return [rand_elem(rng, span) for span in (2, 25) for _ in range(300)]
+
+
+CANONICAL_SETS = {
+    "random": _random_elems,
+    "coefficients": lambda: [expansion_coeff(k, s) for k in range(25) for s in range(7)],
+    "expansions": lambda: [r for i in sorted(INEQUALITIES) for r in ring_parts(build_ineq(i, 192).poly)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_SETS))
+def test_one_canonical_form(name):
+    # an element is its cleared form in lowest terms, so equal values have
+    # equal (den, ints): __eq__ and __hash__ read nothing else
+    assert RingElem.__slots__ == ("den", "ints")
+    elems = CANONICAL_SETS[name]()
+    assert len(elems) > 150 and any(not e.is_zero for e in elems)
+    rng = random.Random(name)
+    for e in elems:
+        assert type(e.den) is int and all(type(v) is int and v for v in e.ints.values())
+        assert gcd(e.den, *e.ints.values()) == 1
+        assert e.den == lcm(*(c.denominator for c in e.terms.values()))
+        again = RingElem(e.terms)
+        assert again == e and list(again.ints) == list(e.ints)
+        b = rand_elem(rng)
+        for same in ((e + b) - b, e.scale(Fraction(7, 3)).scale(Fraction(3, 7)), -(-e),
+                     e * RingElem.from_rational(1)):
+            assert same == e and hash(same) == hash(e)

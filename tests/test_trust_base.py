@@ -59,11 +59,13 @@ ORACLES = (
 # Dead code, second definitions of n^(-1/2) and of the precision
 # defaults (x_of, DEFAULT_PRECISION and MAX_PRECISION are the ones), and
 # the per-thread default precision with the operator coercion that read it,
-# and the disproof radius, which only the tight_expansion oracle needs.
+# and the disproof radius, which only the tight_expansion oracle needs, and
+# the sums over a second, cleared copy of each ring element.
 REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "_x_upper", "_div_up_invsqrt",
            "workprec", "get_precision", "resolve_precision", "_coerce",
-           "error_total_interval")
+           "error_total_interval",
+           "sum_of_cleared", "_cleared")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -94,6 +96,9 @@ REMOVED_METHODS = (
     (Interval, "__neg__"),
     # only the tests read a node's value at one index: oracles.node_exact
     (Sum, "exact"),
+    # an element is stored once, as (den, ints); terms is a view of it
+    (RingElem, "cleared"),
+    (RingElem, "_den_cache"),
 )
 
 # Every operation that rounds takes its precision from the caller.

@@ -132,6 +132,27 @@ MUTANTS = [
            "am, ae = _fraction_raw(num, den, prec, False)",
            "am, ae = _fraction_raw(num, den, prec, True)",
            "a rational coefficient's lower end may rise above it"),
+    # -- ring form ------------------------------------------------------------
+    Mutant("ring-sqrt3-square-not-folded", "src/qcert/ring.py",
+           "            if k & 2:\n                k, v = k - 2, 3 * v\n",
+           "",
+           "a sqrt3^2 key stays unfolded and is read as sqrt3^0: the term loses its factor 3"),
+    Mutant("ring-add-keeps-positive-sums", "src/qcert/ring.py",
+           "acc[k] = get(k, 0) + v * mb",
+           "acc[k] = max(get(k, 0) + v * mb, 0)",
+           "a negative sum is dropped as zero, so the element is not a + b"),
+    Mutant("ring-gcd-not-applied-to-den", "src/qcert/ring.py",
+           "e.den, e.ints = den // g, ",
+           "e.den, e.ints = den, ",
+           "the terms are divided by the gcd but the denominator is not: the value shrinks by it"),
+    Mutant("ring-eval-sqrt3-bit-from-k-and-2", "src/qcert/ring.py",
+           "            if k & 1:\n",
+           "            if k & 2:\n",
+           "a sqrt3 term is enclosed without its factor sqrt3"),
+    Mutant("expbinom-weight-without-binomial-denominator", "src/qcert/coeffs.py",
+           "w = c.numerator * (den // (e.den * c.denominator))",
+           "w = c.numerator * (den // e.den)",
+           "each binomial weight is taken times its denominator, so the convolution is not the product"),
     # -- envelopes ------------------------------------------------------------
     Mutant("exp-thin-without-widening", "src/qcert/bounds.py",
            "return mid.add(Interval(-slack, slack), prec)",
@@ -156,8 +177,8 @@ MUTANTS = [
            "key = s, prec",
            "an order-14 leaf hands its ring part to the order-24 leaf, or the reverse"),
     Mutant("product-ring-part-keyed-on-one-operand", "src/qcert/certify.py",
-           "key = id(self._exact), id(other._exact), first_box, p",
-           "key = id(self._exact), first_box, p",
+           "key = id(a), id(b), first_box, p",
+           "key = id(a), first_box, p",
            "products with one operand in common share the first one's ring part"),
     Mutant("box-shared-between-sides", "src/qcert/certify.py",
            "list(poly.coeff_ivs) + [Interval.point(0)])\n        exact, ring_ivs = _RING_PARTS[key]",
