@@ -16,12 +16,8 @@ The package has three layers:
 from .bounds import (
     BoundPoly,
     ErrorBudget,
-    SandwichResult,
-    bessel_arg,
-    bessel_main_term,
     bound_poly,
     bound_value,
-    check_main_term_sandwich,
     decay_threshold,
     error_budget,
     n_min,
@@ -55,7 +51,6 @@ from .coeffs import (
     shift_sigma,
 )
 from .enclosures import (
-    enclose_bessel_i1,
     enclose_cosh,
     enclose_exp,
     enclose_log,

@@ -24,19 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 from .coeffs import bessel_asym_coeff, expansion_coeff, shift_sigma
-from .enclosures import (
-    enclose_bessel_i1,
-    enclose_cosh,
-    enclose_exp,
-    enclose_log,
-    enclose_pi,
-)
-from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, horner, to_fixed
+from .enclosures import enclose_cosh, enclose_exp, enclose_log, enclose_pi
+from .intervals import DEFAULT_PRECISION, Dyadic, Interval, horner
 from .ring import RingElem
 
 __all__ = [
@@ -45,10 +38,6 @@ __all__ = [
     "window_max",
     "ErrorBudget",
     "error_budget",
-    "bessel_arg",
-    "bessel_main_term",
-    "SandwichResult",
-    "check_main_term_sandwich",
     "prefactor",
     "BoundPoly",
     "bound_poly",
@@ -267,73 +256,6 @@ def error_budget(N: int, s: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
     return ErrorBudget(N=N, s=s, **{k: v.hi for k, v in parts.items()})
 
 
-# -- main-term sandwich (Bessel form) ---------------------------------------
-
-
-def bessel_arg(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
-    """nu(n) = pi sqrt(24n+1) / (6 sqrt2) = pi sqrt(2(24n+1)) / 12."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (
-        enclose_pi(prec)
-        .mul(Interval.point(2 * (24 * n + 1)).sqrt(prec), prec)
-        .div(Interval.point(12), prec)
-    )
-
-
-def bessel_main_term(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
-    """M(n) = sqrt2 pi^2 / (12 nu) * I1(nu)."""
-    nu = bessel_arg(n, prec)
-    pi = enclose_pi(prec)
-    return (
-        Interval.point(2)
-        .sqrt(prec)
-        .mul(pi.pow_int(2, prec), prec)
-        .div(nu.mul(Interval.point(12), prec), prec)
-        .mul(enclose_bessel_i1(nu, prec), prec)
-    )
-
-
-class SandwichResult(Enum):
-    HOLDS = "holds"
-    FAILS = "fails"
-    OUT_OF_REGIME = "out-of-regime"
-
-
-def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISION) -> SandwichResult:
-    """Certified check of M(n)(1 - 4/nu^m) <= q(n) <= M(n)(1 + 4/nu^m),
-    valid only when nu(n) >= max(26, decay_threshold(m+1)).
-
-    The regime precondition is itself checked with certified enclosures;
-    if it cannot be decided the precision doubles, up to MAX_PRECISION,
-    and a certified failure of the precondition reports OUT_OF_REGIME
-    (distinct from a sandwich failure).
-    """
-    q_n = table[n]
-    p = prec
-    while True:
-        nu = bessel_arg(n, p)
-        thr = decay_threshold(m + 1, p)
-        in_regime = nu.lo.cmp_fraction(26) >= 0 and nu.lo >= thr.hi
-        out_regime = nu.hi.cmp_fraction(26) < 0 or nu.hi < thr.lo
-        if not in_regime and not out_regime and p < MAX_PRECISION:
-            p *= 2
-            continue
-        if not in_regime:
-            return SandwichResult.OUT_OF_REGIME
-        main = bessel_main_term(n, p)
-        radius = Interval.point(4).div(nu.pow_int(m, p), p)
-        lower = main.mul(Interval.point(1).sub(radius, p), p)
-        upper = main.mul(Interval.point(1).add(radius, p), p)
-        # conservative side: certified bracket must clear exact q(n)
-        if lower.hi.cmp_fraction(q_n) <= 0 <= upper.lo.cmp_fraction(q_n):
-            return SandwichResult.HOLDS
-        if p < MAX_PRECISION:
-            p *= 2
-            continue
-        return SandwichResult.FAILS
-
-
 # -- L/U envelopes -----------------------------------------------------------
 
 
@@ -370,22 +292,23 @@ def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
 class BoundPoly:
     """One side of the envelope: sum of exact ring coefficients for
     degrees 0..N plus a signed error radius at degree N+1, valid for
-    0 < x <= x_max (i.e. n >= floor)."""
+    0 < x <= x_max (i.e. n >= floor).  coeff_pairs encloses each
+    coefficient by ``RingElem.fixed``: integers at scale 2^-(prec + 16)."""
 
     s: int
     N: int
     side: int  # +1 for the upper envelope U, -1 for the lower envelope L
     coeffs: tuple[RingElem, ...]
-    coeff_ivs: tuple[Interval, ...]
+    coeff_pairs: tuple[tuple[int, int], ...]
     err: Dyadic  # certified upper bound of the radius (always positive)
     x_max: Dyadic
     floor: int
     prec: int
 
     @cached_property
-    def _fixed(self) -> list[tuple[int, int]]:
-        signed = self.err if self.side > 0 else -self.err
-        return to_fixed(self.coeff_ivs + (Interval.point(signed),), self.prec)
+    def _fixed(self) -> tuple[tuple[int, int], ...]:
+        signed = Interval.point(self.err if self.side > 0 else -self.err)
+        return self.coeff_pairs + (signed.fixed(self.prec),)
 
     def eval_iv(self, x: Interval) -> Interval:
         """Interval enclosure of this exact polynomial at x >= 0 (Horner).
@@ -400,23 +323,11 @@ class BoundPoly:
 
 
 @lru_cache(maxsize=None)
-def _coeff_iv(m: int, s: int, prec: int) -> Interval:
-    """Enclosure of expansion_coeff(m, s), one per coefficient."""
-    return expansion_coeff(m, s).eval_iv(prec)
-
-
-@lru_cache(maxsize=None)
 def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> BoundPoly:
-    """The side (+1 upper, -1 lower) envelope of order N at shift s.
-
-    The coefficient enclosures depend only on (m, s, prec): both sides
-    and every order share one enclosure object per coefficient, so the
-    order-14 envelope's coeff_ivs are the first 15 of the order-24 one's.
-    """
+    """The side (+1 upper, -1 lower) envelope of order N at shift s."""
     if side not in (1, -1):
         raise ValueError("side must be +1 (upper) or -1 (lower)")
     coeffs = tuple(expansion_coeff(m, s) for m in range(N + 1))
-    coeff_ivs = tuple(_coeff_iv(m, s, prec) for m in range(N + 1))
     budget = error_budget(N, s, prec)
     floor = n_min(N, s, prec)
     x_max = x_of(floor, prec).hi
@@ -425,7 +336,7 @@ def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> Boun
         N=N,
         side=side,
         coeffs=coeffs,
-        coeff_ivs=coeff_ivs,
+        coeff_pairs=tuple(c.fixed(prec) for c in coeffs),
         err=budget.er_total,
         x_max=x_max,
         floor=floor,

@@ -34,7 +34,7 @@ from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
-from .intervals import DEFAULT_PRECISION, MAX_PRECISION, Dyadic, Interval, convolve_into, horner, to_fixed, to_intervals
+from .intervals import DEFAULT_PRECISION, GUARD, MAX_PRECISION, Dyadic, Interval, convolve, horner, round_out
 from .qtable import QTable
 from .ring import ZERO_ELEM, RingElem, sum_of_products
 
@@ -359,7 +359,7 @@ class _Exact(dict):
 
 # Every shared ring part (exact store, enclosures) built in this process: a leaf's per
 # (s, N, prec), a product of two shared stores' per (their ids, first box degree, prec).
-_RING_PARTS: dict[tuple, tuple[_Exact, list[Interval]]] = {}
+_RING_PARTS: dict[tuple, tuple[_Exact, list[tuple[int, int]]]] = {}
 
 
 def _product_part(k: int, a: _Exact, b: _Exact) -> RingElem:
@@ -377,49 +377,50 @@ class HybridPoly:
     """Polynomial in x whose coefficient k is ring part k + err(k),
     err a (possibly zero) interval correction.  Contains the exact
     shifted inequality polynomial whenever the corrections contain the
-    exact error radii.  ring_ivs encloses the ring part at every degree.
+    exact error radii.  ring_pairs encloses the ring part at every degree
+    and errs holds the corrections, all integer pairs at 2^-(prec + 16).
     The exact parts reach a product's first error box, the furthest the
     certifier strips symbolic zeros, and each is computed only when its
     enclosure cannot decide a zero test.  The ring part (exact store and
-    ring_ivs) is shared, built once per _RING_PARTS key; errs never is."""
+    ring_pairs) is shared, built once per _RING_PARTS key; errs never is."""
 
-    __slots__ = ("_exact", "ring_ivs", "errs", "prec")
+    __slots__ = ("_exact", "ring_pairs", "errs", "prec")
 
-    def __init__(self, ring_parts: list[RingElem] | _Exact, errs: dict[int, Interval], prec: int,
-                 ring_ivs: list[Interval] | None = None):
+    def __init__(self, ring_parts: list[RingElem] | _Exact, errs: dict[int, tuple[int, int]], prec: int,
+                 ring_pairs: list[tuple[int, int]] | None = None):
         if not isinstance(ring_parts, _Exact):  # every part given
-            ring_ivs = ring_ivs or [r.eval_iv(prec) for r in ring_parts]
+            ring_pairs = ring_pairs or [r.fixed(prec) for r in ring_parts]
             ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
-        self._exact, self.ring_ivs, self.prec = ring_parts, ring_ivs, prec
-        self.errs = {d: e for d, e in errs.items() if not (e.lo.is_zero and e.hi.is_zero)}
+        self._exact, self.ring_pairs, self.prec = ring_parts, ring_pairs, prec
+        self.errs = {d: e for d, e in errs.items() if e != (0, 0)}
 
     @property
     def degree(self) -> int:
-        return len(self.ring_ivs) - 1
+        return len(self.ring_pairs) - 1
 
     def _exact_len(self, n: int) -> int:
         """Length of the exact prefix, as seen from a result of length n."""
         k = self._exact.n
-        return k if k < len(self.ring_ivs) else n
+        return k if k < len(self.ring_pairs) else n
 
     def _is_zero(self, d: int) -> bool:
         """Whether ring part d is zero (False past the exact prefix).  A ring
         element is zero iff its value is, so an enclosure excluding 0 proves
-        nonzero and [0, 0] zero; only one straddling 0 reads the part."""
-        iv = self.ring_ivs[d]
-        if iv.is_positive or iv.is_negative:
+        nonzero and (0, 0) zero; only one straddling 0 reads the part."""
+        lo, hi = self.ring_pairs[d]
+        if lo > 0 or hi < 0:
             return False
-        if iv.lo.is_zero and iv.hi.is_zero:
+        if lo == hi == 0:
             return True
         return d < self._exact.n and self._exact[d].is_zero
 
-    def _not_point_zero(self) -> list[tuple[int, Interval]]:
-        """(degree, enclosure) where the enclosure is not [0, 0]."""
-        return [(d, iv) for d, iv in enumerate(self.ring_ivs) if not (iv.lo.is_zero and iv.hi.is_zero)]
+    def _not_point_zero(self) -> list[tuple[int, tuple[int, int]]]:
+        """(degree, enclosure) where the enclosure is not (0, 0)."""
+        return [(d, p) for d, p in enumerate(self.ring_pairs) if p != (0, 0)]
 
-    def _nonzero(self) -> list[tuple[int, Interval]]:
+    def _nonzero(self) -> list[tuple[int, tuple[int, int]]]:
         """(degree, enclosure) where the ring part may be nonzero."""
-        return [(d, iv) for d, iv in enumerate(self.ring_ivs) if not self._is_zero(d)]
+        return [(d, p) for d, p in enumerate(self.ring_pairs) if not self._is_zero(d)]
 
     @staticmethod
     def from_envelope(s: int, N: int, side: int, prec: int) -> "HybridPoly":
@@ -431,71 +432,70 @@ class HybridPoly:
         key = s, N, prec
         if key not in _RING_PARTS:  # the sides differ only in the box: one ring part for both
             _RING_PARTS[key] = (_Exact(N + 2, None, enumerate(poly.coeffs + (ZERO_ELEM,)), True),
-                                list(poly.coeff_ivs) + [Interval.point(0)])
-        exact, ring_ivs = _RING_PARTS[key]
-        return HybridPoly(exact, {N + 1: err_box}, prec, ring_ivs)
+                                list(poly.coeff_pairs) + [(0, 0)])
+        exact, ring_pairs = _RING_PARTS[key]
+        return HybridPoly(exact, {N + 1: err_box.fixed(prec)}, prec, ring_pairs)
 
     @staticmethod
     def from_ring_monomials(monomials: dict[int, RingElem], prec: int) -> "HybridPoly":
         return HybridPoly([monomials.get(d, ZERO_ELEM) for d in range(max(monomials) + 1)], {}, prec)
 
     def mul(self, other: "HybridPoly") -> "HybridPoly":
-        p = self.prec
-        n_out = len(self.ring_ivs) + len(other.ring_ivs) - 1
-        # error boxes: ring x box, box x ring, then box x box
-        boxes: dict[int, tuple] = {}
-        convolve_into(boxes, other.errs.items(), self._not_point_zero(), p)
-        convolve_into(boxes, self.errs.items(), other._not_point_zero(), p)
-        convolve_into(boxes, self.errs.items(), other.errs.items(), p)
-        errs_out = to_intervals(boxes)
+        p, w = self.prec, self.prec + GUARD
+        n_out = len(self.ring_pairs) + len(other.ring_pairs) - 1
+        # error boxes: ring x box, box x ring and box x box, summed exactly
+        lo, hi = [0] * n_out, [0] * n_out
+        convolve(lo, hi, other.errs.items(), self._not_point_zero())
+        convolve(lo, hi, self.errs.items(), other._not_point_zero())
+        convolve(lo, hi, self.errs.items(), other.errs.items())
+        errs_out = {d: e for d, e in enumerate(round_out(lo, hi, w)) if lo[d] or hi[d]}
         first_box = min(errs_out, default=n_out)
         # the ring part depends on the operands' and the first box alone, so
-        # both polarities of a subterm share one; the interval convolution
+        # both polarities of a subterm share one; the enclosures' convolution
         # contains the exact ring product, far cheaper than evaluating it
         a, b = self._exact, other._exact
         key = id(a), id(b), first_box, p
         if (part := _RING_PARTS.get(key)) is None:
-            ring: dict[int, tuple] = {}
-            convolve_into(ring, self._nonzero(), other._nonzero(), p)
-            ring_ivs = to_intervals(ring)
+            lo, hi = [0] * n_out, [0] * n_out
+            convolve(lo, hi, self._nonzero(), other._nonzero())
             # exact parts up to the first error box, each convolved on demand;
             # the rule holds both operand stores, so the ids in key stay theirs
             exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
                            lambda k: _product_part(k, a, b), (), a.shared and b.shared)
-            part = exact, [ring_ivs.get(d) or Interval.point(0) for d in range(n_out)]
+            part = exact, round_out(lo, hi, w)
             if exact.shared:  # sums, scalings and companion factors are built per call
                 _RING_PARTS[key] = part
-        exact, ivs_out = part
-        return HybridPoly(exact, errs_out, p, ivs_out)
+        exact, pairs_out = part
+        return HybridPoly(exact, errs_out, p, pairs_out)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
-        p = self.prec
-        n = max(len(self.ring_ivs), len(other.ring_ivs))
+        n = max(len(self.ring_pairs), len(other.ring_pairs))
         a, b = self._exact, other._exact
         exact = _Exact(min(self._exact_len(n), other._exact_len(n)),
                        lambda d: (a[d] if d < a.n else ZERO_ELEM) + (b[d] if d < b.n else ZERO_ELEM))
-        zero = Interval.point(0)
-        ivs_out = [x.add(y, p) for x, y in zip_longest(self.ring_ivs, other.ring_ivs, fillvalue=zero)]
+        pairs_out = [(x + u, y + v) for (x, y), (u, v) in
+                     zip_longest(self.ring_pairs, other.ring_pairs, fillvalue=(0, 0))]
         errs_out = dict(self.errs)
-        for d, e in other.errs.items():
-            cur = errs_out.get(d)
-            errs_out[d] = e if cur is None else cur.add(e, p)
-        return HybridPoly(exact, errs_out, p, ivs_out)
+        for d, (u, v) in other.errs.items():
+            x, y = errs_out.get(d, (0, 0))
+            errs_out[d] = x + u, y + v
+        return HybridPoly(exact, errs_out, self.prec, pairs_out)
 
     def scale_int(self, c: int) -> "HybridPoly":
-        ci, a = Interval.point(c), self._exact
-        return HybridPoly(
-            _Exact(a.n, lambda d: a[d].scale(c)),
-            {d: e.mul(ci, self.prec) for d, e in self.errs.items()},
-            self.prec,
-            [iv.mul(ci, self.prec) for iv in self.ring_ivs],
-        )
+        def scaled(pair):
+            lo, hi = c * pair[0], c * pair[1]
+            return (lo, hi) if c >= 0 else (hi, lo)
 
-    def coeff_intervals(self) -> list[Interval]:
+        a = self._exact
+        return HybridPoly(_Exact(a.n, lambda d: a[d].scale(c)), {d: scaled(e) for d, e in self.errs.items()},
+                          self.prec, list(map(scaled, self.ring_pairs)))
+
+    def coeff_pairs(self) -> list[tuple[int, int]]:
         """Per-degree enclosure: ring value plus correction box."""
-        out = list(self.ring_ivs)
-        for d, e in self.errs.items():
-            out[d] = out[d].add(e, self.prec)
+        out = list(self.ring_pairs)
+        for d, (u, v) in self.errs.items():
+            x, y = out[d]
+            out[d] = x + u, y + v
         return out
 
 
@@ -510,15 +510,12 @@ class IneqPoly:
     side_lemma: Certificate | None = None  # the first side lemma not proved, if any
 
     @cached_property
-    def fixed(self) -> tuple[list[Interval], list[tuple[int, int]], list[tuple[int, int]]]:
-        """The coefficient enclosures, then they and the error boxes' widths
-        as horner's fixed-point pairs: converted once per expansion, not
-        once per certifier trial."""
+    def fixed(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """horner's coefficients (ring part plus box) and the boxes' widths:
+        read once per expansion, not once per certifier trial."""
         poly = self.poly
-        coeffs = poly.coeff_intervals()
-        widths = [Interval.point(poly.errs[k].width if k in poly.errs else Dyadic(0))
-                  for k in range(len(coeffs))]
-        return coeffs, to_fixed(coeffs, poly.prec), to_fixed(widths, poly.prec)
+        widths = [(hi - lo, hi - lo) for lo, hi in (poly.errs.get(k, (0, 0)) for k in range(len(poly.ring_pairs)))]
+        return poly.coeff_pairs(), widths
 
 
 class _Expansion:
@@ -603,7 +600,7 @@ class Certificate:
     prec: int
     reason: str = ""
     negative_witness: tuple[float, float] | None = None
-    reduced_coeffs: list[Interval] = field(default_factory=list, repr=False)
+    reduced_coeffs: list[tuple[int, int]] = field(default_factory=list, repr=False)
     # rounding may be all that keeps the sign undecided: worth a higher precision
     rounding_limited: bool = False
 
@@ -655,9 +652,9 @@ def certify_positive(
     poly = ineq.poly
     prec = poly.prec
     n_star = _n_of_x(x0)
-    coeffs, fixed, widths = ineq.fixed
+    fixed, widths = ineq.fixed
     d = 0
-    while d < len(coeffs) and d not in poly.errs:
+    while d < len(fixed) and d not in poly.errs:
         if d >= poly._exact.n:
             raise ArithmeticError(f"symbolic zeros run past the exact prefix at x^{d}")
         if not poly._is_zero(d):
@@ -669,21 +666,20 @@ def certify_positive(
         base.reason = ineq.side_lemma.reason
         base.rounding_limited = ineq.side_lemma.rounding_limited
         return base
-    if d >= len(coeffs):
+    if d >= len(fixed):
         base.reason = "polynomial is identically zero"
         return base
-    reduced = coeffs[d:]
-    base.reduced_coeffs = reduced
     fixed, box_widths = fixed[d:], widths[d:]
+    base.reduced_coeffs = fixed
 
     def hidden_by_rounding(x: Dyadic, value: Interval) -> bool:
         # The family's values at x fill a subinterval of `value` as wide
         # as the boxes make it, so its lowest member is <= value.hi - width.
         return value.hi > horner(box_widths, Interval.point(x), prec).lo
 
-    if not reduced[0].is_positive:
+    if fixed[0][0] <= 0:
         base.reason = f"constant term after stripping x^{d} is not certifiably positive"
-        base.rounding_limited = hidden_by_rounding(Dyadic(0), reduced[0])
+        base.rounding_limited = fixed[0][1] > box_widths[0][0]  # as hidden_by_rounding at x = 0
         return base
 
     stack: list[tuple[Dyadic, Dyadic, int]] = [(Dyadic(0), x0, 0)]

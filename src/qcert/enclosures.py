@@ -1,5 +1,4 @@
-"""Certified enclosures of pi, exp, log, cosh and the modified Bessel
-function I1.
+"""Certified enclosures of pi, exp, log and cosh.
 
 Every function here returns an Interval guaranteed to contain the exact
 image of its input interval.  The recipes are deliberately simple so the
@@ -14,10 +13,8 @@ remainder bounds are provable by inspection:
                |u| <= 1/3, with a geometric tail; log 2 itself is
                2*atanh(1/3).
 * cosh      -- (exp(x) + exp(-x))/2 on certified exponentials.
-* I1        -- all-positive ascending series with a geometric tail bound
-               once the term ratio drops below 1/2.
 
-The exp, log and I1 series are summed on plain integers at a fixed
+The exp and log series are summed on plain integers at a fixed
 scale 2^-w: a floor chain of the terms gives the lower bound and a
 ceiling chain the upper one, the tails are integer comparisons, and the
 result is rounded outward to prec bits once, at the end.  The squarings
@@ -45,7 +42,6 @@ __all__ = [
     "enclose_exp",
     "enclose_log",
     "enclose_cosh",
-    "enclose_bessel_i1",
 ]
 
 _PI_CACHE: dict[int, Interval] = {}
@@ -218,44 +214,3 @@ def enclose_cosh(x: Interval, prec: int) -> Interval:
         lo_iv = Interval.point(1)
         hi_iv = Interval.hull(cosh_point(a), cosh_point(b))
     return Interval(lo_iv.lo.round(prec, up=False), hi_iv.hi.round(prec, up=True))
-
-
-def _bessel_i1_point(d: Dyadic, prec: int) -> Interval:
-    """Enclosure of I1(d) = sum_k (d/2)^(2k+1) / (k! (k+1)!), d >= 0."""
-    if d.is_zero:
-        return Interval.point(0)
-    wp = prec + 16
-    # units of 2^-f in which the first term d/2 = man 2^(exp-1) has wp bits
-    man = d.man
-    n = wp - man.bit_length()
-    f = n + 1 - d.exp
-    a, b = (man << n, man << n) if n >= 0 else (man >> -n, -(-man >> -n))
-    # (d/2)^2 = sq / 2^sh exactly, sh >= 0
-    sq, sh = man * man, 2 - 2 * d.exp
-    if sh < 0:
-        sq, sh = sq << -sh, 0
-    lo, hi = a, b
-    k = 0
-    while True:
-        k += 1
-        a = (a * sq >> sh) // (k * (k + 1))
-        b = -((-(b * sq) >> sh) // (k * (k + 1)))
-        lo += a
-        hi += b
-        # once the term ratio rho = (d/2)^2 / ((k+1)(k+2)) is below 1/2 the
-        # rest is at most b rho / (1 - rho) = b sq / den; stop when that is
-        # below 2^-wp of the lower sum
-        den = ((k + 1) * (k + 2) << sh) - sq
-        if den > sq and (b * sq) << wp < lo * den:
-            hi -= -(b * sq) // den
-            break
-    return Interval(Dyadic(lo, -f).round(prec, up=False), Dyadic(hi, -f).round(prec, up=True))
-
-
-def enclose_bessel_i1(x: Interval, prec: int) -> Interval:
-    """I1 on [lo, hi] with lo >= 0; the series is increasing there."""
-    check_precision(prec)
-    if x.lo.sign < 0:
-        raise DomainError(f"bessel_i1 domain requires lo >= 0, got {x}")
-    lo = _bessel_i1_point(x.lo, prec)
-    return lo if x.lo == x.hi else Interval(lo.lo, _bessel_i1_point(x.hi, prec).hi)

@@ -19,18 +19,14 @@ interval endpoint is rounded once, straight from the raw sum or product
 mantissa, and canonicalised once.  Moore's sign cases, which pick the
 endpoint products of an interval product, are one helper (``_moore``).
 
-``convolve_into`` is the multiply-accumulate kernel of polynomial
-products: acc[i + j] += x * y over two lists of (degree, Interval).  It
-makes the same roundings as ``Interval.mul`` then ``Interval.add`` per
-term, in the same order, but on raw (man, exp) endpoints, and builds one
-Interval per output degree (``to_intervals``), so its results are
-bit-identical to that termwise loop.  ``_fraction_raw``, ``_mul_raw``
-and ``_sum_raw`` are the same directed roundings on raw endpoints for
-other loops (``RingElem.eval_iv``).
-
-``horner`` evaluates a polynomial at x >= 0 on plain integers at the
-fixed scale 2^-(prec + 16), its coefficients converted once by
-``to_fixed``: a floor chain for the lower end and a ceiling chain for
+Polynomials are carried in fixed point: a coefficient is an integer pair
+(lo, hi) at the scale 2^-w, w = prec + 16 (``Interval.fixed`` converts
+one interval, its lower end floored and its upper end ceiled).
+``convolve`` is their multiply-accumulate kernel: it adds the exact
+endpoint products at scale 2^-2w into per-degree integer sums, and
+``round_out`` rounds each sum outward once (Kulisch's exact
+accumulation).  ``horner`` evaluates such a polynomial at x >= 0 on the
+same integers: a floor chain for the lower end and a ceiling chain for
 the upper end, rounded outward to prec bits once at the end.
 """
 
@@ -46,16 +42,16 @@ __all__ = [
     "Interval",
     "DomainError",
     "check_precision",
-    "convolve_into",
+    "GUARD",
+    "convolve",
     "horner",
-    "to_fixed",
-    "to_intervals",
+    "round_out",
 ]
 
 MIN_PRECISION = 16
 DEFAULT_PRECISION = 192
 MAX_PRECISION = 1536  # ceiling for the precision doublings of refining callers
-_GUARD = 16  # horner's fixed-point scale is 2^-(prec + _GUARD)
+GUARD = 16  # the fixed-point scale of polynomial coefficients is 2^-(prec + GUARD)
 
 
 class DomainError(ValueError):
@@ -345,77 +341,49 @@ def _moore(am: int, ae: int, bm: int, be: int, cm: int, ce: int, dm: int, de: in
     return pm, pe, qm, qe
 
 
-def _mul_raw(am: int, ae: int, bm: int, be: int, cm: int, ce: int, dm: int, de: int,
-             prec: int) -> tuple[int, int, int, int]:
-    """Interval.mul on raw endpoints: [a, b] * [c, d] as (lo_man, lo_exp,
-    hi_man, hi_exp), the lower end rounded down and the upper end up."""
-    pm, pe, qm, qe = _moore(am, ae, bm, be, cm, ce, dm, de)
-    return (*_round_mantissa(pm, pe, prec, False), *_round_mantissa(qm, qe, prec, True))
-
-
 def _less(pm: int, pe: int, qm: int, qe: int) -> bool:
     """pm*2**pe < qm*2**qe, exactly."""
     e = pe if pe < qe else qe
     return pm << (pe - e) < qm << (qe - e)
 
 
-def convolve_into(acc: dict, xs, ys, prec: int) -> None:
-    """acc[i + j] += x * y for (i, x) in xs and (j, y) in ys, xs the outer loop.
-
-    The same roundings as ``acc[i + j].add(x.mul(y, prec), prec)`` in that
-    order, on raw (man, exp) endpoints: each product endpoint rounded
-    outward from the exact product that Moore's sign cases pick, then
-    each sum endpoint from the raw aligned sum.  Directed rounding
-    depends only on the value, never on the mantissa's trailing zeros,
-    so the endpoints equal the termwise loop's bit for bit.  acc maps a
-    degree to (lo_man, lo_exp, hi_man, hi_exp) and may already hold
-    terms; an absent degree is an empty sum, so its first term enters as
-    the rounded product.  ``to_intervals`` turns acc into Intervals.
-    """
-    ys = [(j, y.lo.man, y.lo.exp, y.hi.man, y.hi.exp) for j, y in ys]
-    get = acc.get
-    for i, x in xs:
-        am, ae, bm, be = x.lo.man, x.lo.exp, x.hi.man, x.hi.exp
-        for j, cm, ce, dm, de in ys:
-            pm, pe, qm, qe = _moore(am, ae, bm, be, cm, ce, dm, de)
-            # the product: lower endpoint rounded down, upper up
-            n = pm.bit_length() - prec
-            if n > 0:
-                pm >>= n
-                pe += n
-            n = qm.bit_length() - prec
-            if n > 0:
-                qm = -(-qm >> n)
-                qe += n
-            k = i + j
-            cur = get(k)
-            if cur is not None:  # the sum, from the raw aligned endpoints
-                lm, le, hm, he = cur
-                if lm and pm:
-                    e = le if le < pe else pe
-                    pm, pe = (lm << (le - e)) + (pm << (pe - e)), e
-                elif not pm:
-                    pm, pe = lm, le
-                n = pm.bit_length() - prec
-                if n > 0:
-                    pm >>= n
-                    pe += n
-                if hm and qm:
-                    e = he if he < qe else qe
-                    qm, qe = (hm << (he - e)) + (qm << (qe - e)), e
-                elif not qm:
-                    qm, qe = hm, he
-                n = qm.bit_length() - prec
-                if n > 0:
-                    qm = -(-qm >> n)
-                    qe += n
-            acc[k] = pm, pe, qm, qe
+def convolve(lo: list[int], hi: list[int], xs, ys) -> None:
+    """lo[i + j] += and hi[i + j] += the exact lower and upper end of x * y,
+    for (i, x) in xs and (j, y) in ys, each x and y an integer pair (a, b)
+    with a <= b.  Nothing is rounded: for pairs at scale 2^-w the sums are
+    exact at 2^-2w.  Moore's sign cases are those of ``_moore``, on plain
+    integers and inline: this is the inner loop of every product."""
+    ys = list(ys)
+    for i, (a, b) in xs:
+        for j, (c, d) in ys:
+            if a >= 0:
+                if c >= 0:
+                    p, q = a * c, b * d
+                elif d <= 0:
+                    p, q = b * c, a * d
+                else:
+                    p, q = b * c, b * d
+            elif b <= 0:
+                if c >= 0:
+                    p, q = a * d, b * c
+                elif d <= 0:
+                    p, q = b * d, a * c
+                else:
+                    p, q = a * d, a * c
+            elif c >= 0:
+                p, q = a * d, b * d
+            elif d <= 0:
+                p, q = b * c, a * c
+            else:
+                p, q = min(a * d, b * c), max(a * c, b * d)
+            lo[i + j] += p
+            hi[i + j] += q
 
 
-def to_intervals(acc: dict) -> dict[int, "Interval"]:
-    """The Intervals of a convolve_into accumulator, in its order, each
-    endpoint canonicalised once and checked lo <= hi."""
-    return {k: Interval(Dyadic(lm, le), Dyadic(hm, he)) for k, (lm, le, hm, he) in acc.items()}
+def round_out(lo: list[int], hi: list[int], w: int) -> list[tuple[int, int]]:
+    """Exact sums at scale 2^-2w as pairs at scale 2^-w, lo floored and hi
+    ceiled: the one rounding of a ``convolve`` accumulation."""
+    return [(a >> w, -(-b >> w)) for a, b in zip(lo, hi)]
 
 
 class Interval:
@@ -542,6 +510,13 @@ class Interval:
         """Certified strictly negative."""
         return self.hi.sign < 0
 
+    def fixed(self, prec: int) -> tuple[int, int]:
+        """(lo, hi), integers at scale 2^-w, w = prec + 16, with lo floored
+        and hi ceiled: lo 2^-w <= self.lo and self.hi <= hi 2^-w."""
+        w = prec + GUARD
+        (lm, le), (hm, he) = (self.lo.man, self.lo.exp + w), (self.hi.man, self.hi.exp + w)
+        return lm << le if le >= 0 else lm >> -le, hm << he if he >= 0 else -(-hm >> -he)
+
     def to_fractions(self) -> tuple[Fraction, Fraction]:
         return self.lo.to_fraction(), self.hi.to_fraction()
 
@@ -549,19 +524,8 @@ class Interval:
         return f"Interval[{float(self.lo)!r}, {float(self.hi)!r}]"
 
 
-def to_fixed(coeffs, prec: int) -> list[tuple[int, int]]:
-    """Each Interval of coeffs as integers (lo, hi) at scale 2^-w, w =
-    prec + 16, lo floored and hi ceiled: the coefficients of ``horner``."""
-    w = prec + _GUARD
-    out = []
-    for c in coeffs:
-        (lm, le), (hm, he) = (c.lo.man, c.lo.exp + w), (c.hi.man, c.hi.exp + w)
-        out.append((lm << le if le >= 0 else lm >> -le, hm << he if he >= 0 else -(-hm >> -he)))
-    return out
-
-
 def horner(coeffs: list[tuple[int, int]], x: Interval, prec: int) -> Interval:
-    """Enclosure of sum_k c_k * x**k for every c_k in coeffs[k] (``to_fixed``
+    """Enclosure of sum_k c_k * x**k for every c_k in coeffs[k] (integer
     pairs at scale 2^-w, w = prec + 16) and every x in [x.lo, x.hi], x.lo >= 0.
 
     The accumulator [lo, hi] stays on integers at scale 2^-w.  As x >= 0,
@@ -583,5 +547,5 @@ def horner(coeffs: list[tuple[int, int]], x: Interval, prec: int) -> Interval:
     for cl, ch in reversed(coeffs):
         lo = (lo * (am if lo >= 0 else bm) >> s) + cl
         hi = -(-hi * (bm if hi >= 0 else am) >> s) + ch
-    w = prec + _GUARD
+    w = prec + GUARD
     return Interval(_rounded(lo, -w, prec, up=False), _rounded(hi, -w, prec, up=True))

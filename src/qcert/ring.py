@@ -19,19 +19,24 @@ the one normalising path: it folds the sqrt3^2 keys (j = 2) into 3, drops
 every key that sums to zero and divides by one gcd.  The weighted
 ``sum_of_products`` serves each exact part of a ``certify.HybridPoly``
 product, computed only when a zero test needs it.  ``terms`` is the
-{(i, j): Fraction} view, built on demand.  pi^i and sqrt3 enclosures are
-tabled per precision, as raw (lo_man, lo_exp, hi_man, hi_exp) endpoints,
-and ``eval_iv`` sums its terms on raw endpoints, building one Interval at
-the end.
+{(i, j): Fraction} view, built on demand.
+
+``fixed`` encloses an element's value by an integer pair at scale 2^-w,
+w = prec + 16, the scale of every polynomial coefficient: the exact sum
+of v * [P_lo, P_hi] over its terms, [P_lo, P_hi] a bracket of pi^i
+sqrt3^j at the finer scale 2^-(w + 64) taken at the end v's sign picks,
+divided by den and floored (lower end) or ceiled (upper end) once.  The
+brackets are tabled per precision, each from one enclosure of pi by one
+floor and one ceiling.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .enclosures import enclose_pi
-from .intervals import Dyadic, Interval, _fraction_raw, _mul_raw, _sum_raw, check_precision
+from .intervals import GUARD, Dyadic, Interval, check_precision
 
 __all__ = ["RingElem", "convolve_terms", "sum_of_products"]
 
@@ -144,34 +149,25 @@ class RingElem:
     def __repr__(self) -> str:
         return f"RingElem<{self.as_string()}>"
 
-    def eval_iv(self, prec: int) -> Interval:
-        """Interval containing the exact real value of this element.
-
-        Term by term in key order: c's directed conversion (as in
-        Interval.from_fraction), times pi^i, times sqrt3 if j, added to the
-        running sum.  These are Interval.mul's and Interval.add's roundings,
-        made on raw endpoints; directed rounding depends only on the value,
-        so the result equals that loop of Interval operations bit for bit.
-        """
+    def fixed(self, prec: int) -> tuple[int, int]:
+        """(lo, hi), integers at scale 2^-w, w = prec + 16, with lo 2^-w <=
+        the exact value <= hi 2^-w (see the module docstring)."""
         check_precision(prec)
-        if not self.ints:
-            return Interval.point(0)
-        pows, sqrt3 = _pi_powers(prec, min(self.ints) >> 2, max(self.ints) >> 2)
-        lm = le = hm = he = 0
+        lo = hi = 0
         for k, v in self.ints.items():
-            g = gcd(v, self.den)
-            num, den = v // g, self.den // g  # c = v / den in lowest terms
-            if den == 1:  # an integer enters exactly
-                am, ae, bm, be = num, 0, num, 0
+            a, b = _power(k, prec)
+            if v > 0:
+                lo, hi = lo + v * a, hi + v * b
             else:
-                am, ae = _fraction_raw(num, den, prec, False)
-                bm, be = _fraction_raw(num, den, prec, True)
-            am, ae, bm, be = _mul_raw(am, ae, bm, be, *pows[k >> 2], prec)
-            if k & 1:
-                am, ae, bm, be = _mul_raw(am, ae, bm, be, *sqrt3, prec)
-            lm, le = _sum_raw(lm, le, am, ae, prec, False)
-            hm, he = _sum_raw(hm, he, bm, be, prec, True)
-        return Interval(Dyadic(lm, le), Dyadic(hm, he))
+                lo, hi = lo + v * b, hi + v * a
+        den = self.den << _FINE
+        return lo // den, -(-hi // den)
+
+    def eval_iv(self, prec: int) -> Interval:
+        """Interval containing the exact real value: the pair of ``fixed``."""
+        lo, hi = self.fixed(prec)
+        w = prec + GUARD
+        return Interval(Dyadic(lo, -w), Dyadic(hi, -w))
 
 
 def convolve_terms(acc: dict[int, int], a: dict[int, int], b: dict[int, int], w: int = 1) -> dict:
@@ -196,30 +192,27 @@ def sum_of_products(pairs, weights=None) -> RingElem:
     return RingElem.from_cleared(den, acc)
 
 
-_PI_POWERS: dict[int, tuple[dict[int, tuple], tuple, tuple, tuple]] = {}
+_FINE = 64  # the power brackets' scale is 2^-(prec + 16 + _FINE)
+_POWERS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
-def _ends(iv: Interval) -> tuple[int, int, int, int]:
-    return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
-
-
-def _pi_powers(prec: int, imin: int, imax: int) -> tuple[dict[int, tuple], tuple]:
-    """(enclosures of pi^i for i in imin..imax, sqrt3) as raw endpoints, from
-    one table per precision.  pi^i is always pi^(i-1) * pi and pi^-i is
-    pi^-(i-1) * (1/pi), rounded as Interval.mul rounds, so every entry is
-    the same whichever element asked for it first."""
-    if prec not in _PI_POWERS:
-        pi = enclose_pi(prec)
-        _PI_POWERS[prec] = ({0: (1, 0, 1, 0)}, _ends(pi), _ends(Interval.point(1).div(pi, prec)),
-                            _ends(Interval.point(3).sqrt(prec)))
-    pows, pi, inv, sqrt3 = _PI_POWERS[prec]
-    for i in range(1, imax + 1):
-        if i not in pows:
-            pows[i] = _mul_raw(*pows[i - 1], *pi, prec)
-    for i in range(1, -imin + 1):
-        if -i not in pows:
-            pows[-i] = _mul_raw(*pows[1 - i], *inv, prec)
-    return pows, sqrt3
+def _power(k: int, prec: int) -> tuple[int, int]:
+    """Integers P_lo <= pi^i sqrt3^j 2^W <= P_hi, k = 4i + j and W = prec +
+    16 + _FINE: the floor and the ceiling of the exact powers of one
+    enclosure [a, b] of pi at W + _FINE bits, a^i and b^i (swapped for
+    i < 0), times sqrt3 by an integer square root.  Tabled per precision."""
+    table = _POWERS.setdefault(prec, {})
+    if k not in table:
+        W = prec + GUARD + _FINE
+        pi = enclose_pi(W + _FINE)
+        (ln, ld), (hn, hd) = ((f ** (k >> 2)).as_integer_ratio() for f in pi.to_fractions())
+        if k < 0:
+            (ln, ld), (hn, hd) = (hn, hd), (ln, ld)
+        if k & 1:  # sqrt(3 t^2 4^W) = sqrt3 t 2^W
+            table[k] = isqrt(3 * ln * ln << 2 * W) // ld, isqrt(3 * hn * hn << 2 * W) // hd + 1
+        else:
+            table[k] = (ln << W) // ld, -((-hn << W) // hd)
+    return table[k]
 
 
 ZERO_ELEM = RingElem()

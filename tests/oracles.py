@@ -18,6 +18,10 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   rebuilt for every (k, s), which the s-free shapes of ``qcert.coeffs``
   must match term for term and in key order.
 * ``enclose_sinh`` -- certified sinh, for the exponential-factor bound.
+* ``bessel_arg`` / ``bessel_main_term`` / ``check_main_term_sandwich`` /
+  ``SandwichResult`` with ``enclose_bessel_i1`` and its point kernel
+  ``_bessel_i1_point`` -- the main-term (Bessel) sandwich of criterion C7
+  and the certified I1 it needs; nothing in ``qcert`` uses them.
 * ``exp_bracket`` -- an exact ``Fraction`` bracket of exp(x): a Taylor
   partial sum and a Lagrange remainder, for the kernels' near-grid checks.
 * ``exp_point_loop`` / ``atanh_series_loop`` / ``log_point_loop`` /
@@ -28,14 +32,17 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
 * ``invariant_a`` / ``invariant_b`` / ``invariant_i`` / ``laguerre`` --
   the quartic invariants and the order-m Laguerre expression, written
   out directly rather than through the statement trees of ``THEOREMS``.
-* ``convolve_termwise`` / ``mul_termwise`` -- the interval convolution
-  of ``HybridPoly.mul`` as a loop of ``Interval.mul`` then
-  ``Interval.add``, one term at a time, which ``convolve_into`` must
-  match bit for bit.
+* ``convolve_termwise`` / ``mul_termwise`` -- the convolution of
+  ``HybridPoly.mul`` as a loop of ``Interval.mul`` then ``Interval.add``,
+  one term at a time: at a width where nothing rounds it is the exact
+  product that ``HybridPoly.mul`` rounds outward once, and at the working
+  precision it rounds at every term, so its enclosure on the grid
+  2^-(prec + 16) may not be narrower than the product's.
 * ``interval_horner`` -- Horner's rule as a loop of ``Interval.mul`` then
   ``Interval.add``, the reference for the fixed-point ``horner``.
-* ``ring_eval_iv_loop`` -- ``RingElem.eval_iv`` as a loop of Interval
-  operations, which the raw-endpoint ``eval_iv`` must match bit for bit.
+* ``ring_eval_iv_loop`` -- a ring element's enclosure as a loop of
+  Interval operations at prec bits, which ``RingElem.fixed`` may not be
+  wider than on its grid.
 * ``theorem_predicate`` -- the exact truth of a statement at one n.
 * ``node_exact`` -- a statement node's exact value (A, B) at one index.
 * ``tight_expansion`` -- the disproof expansion: the statement expanded
@@ -43,6 +50,15 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   as the box, so a certified negative value refutes the inequality.
 * ``ring_parts`` -- every exact ring part of a ``HybridPoly``, computed
   now, for the pins.
+* ``pair_interval`` / ``production_pairs`` -- a fixed-point pair at
+  2^-(prec + 16) as an Interval, and a ``HybridPoly``'s pairs as exact
+  Fractions.
+* ``pi_bracket`` / ``ring_bracket`` -- a bracket of pi from mpmath, not
+  from ``enclose_pi``, and from it a Fraction bracket of a ring element.
+* ``replay`` / ``Replayed`` -- the rational replay: an expansion, its
+  disproof twin or a side lemma rebuilt in exact Fraction intervals from
+  the leaf enclosures and radii, checked at every node to lie inside
+  production's pairs.
 * ``contains_interval`` / ``mag`` / ``budget_fields`` -- interval and
   budget queries that only the tests ask.
 """
@@ -50,15 +66,17 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
 from __future__ import annotations
 
 from dataclasses import fields
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
-from qcert.bounds import ErrorBudget, _budget_parts
-from qcert.certify import INEQUALITIES, THEOREMS, HybridPoly, IneqPoly, Q, _Expansion, exact_verify
+from qcert.bounds import ErrorBudget, _budget_parts, bound_poly, decay_threshold
+from qcert.certify import (INEQUALITIES, THEOREMS, Companion, HybridPoly, IneqPoly, Mul, Q, _Expansion,
+                           exact_verify)
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point, enclose_pi
-from qcert.intervals import Dyadic, Interval
+from qcert.intervals import DEFAULT_PRECISION, GUARD, MAX_PRECISION, DomainError, Dyadic, Interval, check_precision
 from qcert.qtable import QTable
 from qcert.ring import RingElem
 
@@ -234,6 +252,114 @@ def enclose_sinh(x: Interval, prec: int) -> Interval:
         return e.sub(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)
 
     return Interval(sinh_point(x.lo).lo.round(prec, up=False), sinh_point(x.hi).hi.round(prec, up=True))
+
+
+# -- the main-term sandwich (criterion C7) -----------------------------------
+
+
+def _bessel_i1_point(d: Dyadic, prec: int) -> Interval:
+    """Enclosure of I1(d) = sum_k (d/2)^(2k+1) / (k! (k+1)!), d >= 0."""
+    if d.is_zero:
+        return Interval.point(0)
+    wp = prec + 16
+    # units of 2^-f in which the first term d/2 = man 2^(exp-1) has wp bits
+    man = d.man
+    n = wp - man.bit_length()
+    f = n + 1 - d.exp
+    a, b = (man << n, man << n) if n >= 0 else (man >> -n, -(-man >> -n))
+    # (d/2)^2 = sq / 2^sh exactly, sh >= 0
+    sq, sh = man * man, 2 - 2 * d.exp
+    if sh < 0:
+        sq, sh = sq << -sh, 0
+    lo, hi = a, b
+    k = 0
+    while True:
+        k += 1
+        a = (a * sq >> sh) // (k * (k + 1))
+        b = -((-(b * sq) >> sh) // (k * (k + 1)))
+        lo += a
+        hi += b
+        # once the term ratio rho = (d/2)^2 / ((k+1)(k+2)) is below 1/2 the
+        # rest is at most b rho / (1 - rho) = b sq / den; stop when that is
+        # below 2^-wp of the lower sum
+        den = ((k + 1) * (k + 2) << sh) - sq
+        if den > sq and (b * sq) << wp < lo * den:
+            hi -= -(b * sq) // den
+            break
+    return Interval(Dyadic(lo, -f).round(prec, up=False), Dyadic(hi, -f).round(prec, up=True))
+
+
+def enclose_bessel_i1(x: Interval, prec: int) -> Interval:
+    """I1 on [lo, hi] with lo >= 0; the series is increasing there."""
+    check_precision(prec)
+    if x.lo.sign < 0:
+        raise DomainError(f"bessel_i1 domain requires lo >= 0, got {x}")
+    lo = _bessel_i1_point(x.lo, prec)
+    return lo if x.lo == x.hi else Interval(lo.lo, _bessel_i1_point(x.hi, prec).hi)
+
+
+def bessel_arg(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
+    """nu(n) = pi sqrt(24n+1) / (6 sqrt2) = pi sqrt(2(24n+1)) / 12."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return (
+        enclose_pi(prec)
+        .mul(Interval.point(2 * (24 * n + 1)).sqrt(prec), prec)
+        .div(Interval.point(12), prec)
+    )
+
+
+def bessel_main_term(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
+    """M(n) = sqrt2 pi^2 / (12 nu) * I1(nu)."""
+    nu = bessel_arg(n, prec)
+    pi = enclose_pi(prec)
+    return (
+        Interval.point(2)
+        .sqrt(prec)
+        .mul(pi.pow_int(2, prec), prec)
+        .div(nu.mul(Interval.point(12), prec), prec)
+        .mul(enclose_bessel_i1(nu, prec), prec)
+    )
+
+
+class SandwichResult(Enum):
+    HOLDS = "holds"
+    FAILS = "fails"
+    OUT_OF_REGIME = "out-of-regime"
+
+
+def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISION) -> SandwichResult:
+    """Certified check of M(n)(1 - 4/nu^m) <= q(n) <= M(n)(1 + 4/nu^m),
+    valid only when nu(n) >= max(26, decay_threshold(m+1)).
+
+    The regime precondition is itself checked with certified enclosures;
+    if it cannot be decided the precision doubles, up to MAX_PRECISION,
+    and a certified failure of the precondition reports OUT_OF_REGIME
+    (distinct from a sandwich failure).
+    """
+    q_n = table[n]
+    p = prec
+    while True:
+        nu = bessel_arg(n, p)
+        thr = decay_threshold(m + 1, p)
+        in_regime = nu.lo.cmp_fraction(26) >= 0 and nu.lo >= thr.hi
+        out_regime = nu.hi.cmp_fraction(26) < 0 or nu.hi < thr.lo
+        if not in_regime and not out_regime and p < MAX_PRECISION:
+            p *= 2
+            continue
+        if not in_regime:
+            return SandwichResult.OUT_OF_REGIME
+        main = bessel_main_term(n, p)
+        radius = Interval.point(4).div(nu.pow_int(m, p), p)
+        lower = main.mul(Interval.point(1).sub(radius, p), p)
+        upper = main.mul(Interval.point(1).add(radius, p), p)
+        # conservative side: certified bracket must clear exact q(n)
+        if lower.hi.cmp_fraction(q_n) <= 0 <= upper.lo.cmp_fraction(q_n):
+            return SandwichResult.HOLDS
+        if p < MAX_PRECISION:
+            p *= 2
+            continue
+        return SandwichResult.FAILS
 
 
 # -- the special-function kernels as loops over Intervals ------------------
@@ -419,7 +545,7 @@ class _TightExpansion(_Expansion):
             return super().__call__(node, pol)
         poly = HybridPoly.from_envelope(node.s, self.N, -pol, self.prec)
         r = _budget_parts(self.N, node.s, self.prec)["er_total"]
-        poly.errs = {self.N + 1: r if pol < 0 else Interval(-r.hi, -r.lo)}  # U at pol < 0
+        poly.errs = {self.N + 1: (r if pol < 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}  # U at pol < 0
         return poly
 
 
@@ -453,34 +579,27 @@ def convolve_termwise(acc: dict[int, Interval], xs, ys, prec: int) -> None:
             acc[i + j] = term if cur is None else cur.add(term, prec)
 
 
-def mul_termwise(a, b) -> tuple[list[Interval], dict[int, Interval]]:
+def pair_interval(pair: tuple[int, int], prec: int) -> Interval:
+    """The Interval of an integer pair at scale 2^-(prec + 16)."""
+    w = prec + GUARD
+    return Interval(Dyadic(pair[0], -w), Dyadic(pair[1], -w))
+
+
+def mul_termwise(a, b, prec: int) -> tuple[list[Interval], dict[int, Interval]]:
     """The ring enclosures and error boxes of the HybridPoly product a b,
-    one Interval.mul and Interval.add per term, in the order of the
-    expansion: ring x box, box x ring, box x box, then ring x ring."""
-    p = a.prec
+    one Interval.mul and Interval.add at prec bits per term, in the order
+    of the expansion: ring x box, box x ring, box x box, then ring x ring.
+    The operands' pairs enter as Intervals."""
+    def ivs(pairs):
+        return [(d, pair_interval(p, a.prec)) for d, p in pairs]
+
     errs: dict[int, Interval] = {}
-
-    def bump(d: int, term: Interval):
-        cur = errs.get(d)
-        errs[d] = term if cur is None else cur.add(term, p)
-
-    for j, e in b.errs.items():
-        for i, x in enumerate(a.ring_ivs):
-            if not (x.lo.is_zero and x.hi.is_zero):
-                bump(i + j, x.mul(e, p))
-    for i, e in a.errs.items():
-        for j, y in enumerate(b.ring_ivs):
-            if not (y.lo.is_zero and y.hi.is_zero):
-                bump(i + j, e.mul(y, p))
-    for i, e1 in a.errs.items():
-        for j, e2 in b.errs.items():
-            bump(i + j, e1.mul(e2, p))
-    ivs = [Interval.point(0) for _ in range(len(a.ring_ivs) + len(b.ring_ivs) - 1)]
-    rhs = b._nonzero()
-    for i, x in a._nonzero():
-        for j, y in rhs:
-            ivs[i + j] = ivs[i + j].add(x.mul(y, p), p)
-    return ivs, errs
+    convolve_termwise(errs, ivs(b.errs.items()), ivs(a._not_point_zero()), prec)
+    convolve_termwise(errs, ivs(a.errs.items()), ivs(b._not_point_zero()), prec)
+    convolve_termwise(errs, ivs(a.errs.items()), ivs(b.errs.items()), prec)
+    ring = dict.fromkeys(range(len(a.ring_pairs) + len(b.ring_pairs) - 1), Interval.point(0))
+    convolve_termwise(ring, ivs(a._nonzero()), ivs(b._nonzero()), prec)
+    return list(ring.values()), errs
 
 
 # -- Horner and ring evaluation as loops over Intervals ---------------------
@@ -496,8 +615,9 @@ def interval_horner(coeffs, x: Interval, prec: int) -> Interval:
 
 def ring_eval_iv_loop(e: RingElem, prec: int) -> Interval:
     """Enclosure of e's value: per term in dict order, Interval.from_fraction(c)
-    times pi^i, times sqrt3 if j, added to the running sum; pi^i is the
-    chain pi^(i-1) * pi (or pi^-(i-1) * (1/pi)) that the ring's table uses."""
+    times pi^i, times sqrt3 if j, added to the running sum, every operation
+    rounded to prec bits; pi^i is the chain pi^(i-1) * pi (or pi^-(i-1) *
+    (1/pi))."""
     if not e.terms:
         return Interval.point(0)
     pi = enclose_pi(prec)
@@ -531,3 +651,190 @@ def mag(x: Interval) -> Dyadic:
 def budget_fields(budget: ErrorBudget) -> dict[str, Dyadic]:
     """Every bound of an ErrorBudget by name (all fields but N and s)."""
     return {f.name: getattr(budget, f.name) for f in fields(budget) if f.name not in ("N", "s")}
+
+
+# -- the rational replay of the expansion -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def pi_bracket(bits: int) -> tuple[Fraction, Fraction]:
+    """Fractions lo < pi < hi one unit of mpmath's correctly rounded
+    bits-bit pi apart on either side: a bracket that does not come from
+    enclose_pi."""
+    import mpmath as mp
+
+    with mp.workprec(bits):
+        man, exp = mp.mpf(mp.pi).man_exp
+    pi, unit = Fraction(man) * Fraction(2) ** exp, Fraction(2) ** exp
+    return pi - unit, pi + unit
+
+
+@lru_cache(maxsize=None)
+def ring_bracket(e: RingElem, bits: int) -> tuple[Fraction, Fraction]:
+    """A Fraction bracket of e's value, on the grid 2^-bits: each term's
+    pi^i from pi_bracket(bits), sqrt3 from an integer square root, every
+    product taken at its lower or upper end by the signs and floored or
+    ceiled to the grid."""
+    lo_pi, hi_pi = pi_bracket(bits)
+    r = isqrt(3 << (2 * bits))
+    roots = {0: (Fraction(1), Fraction(1)), 1: (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))}
+    lo = hi = 0
+    for (i, j), c in e.terms.items():
+        a, b = (lo_pi**i, hi_pi**i) if i >= 0 else (hi_pi**i, lo_pi**i)
+        a, b = a * roots[j][0], b * roots[j][1]
+        a, b = (a, b) if c > 0 else (b, a)
+        lo += (c.numerator * a.numerator << bits) // (c.denominator * a.denominator)
+        hi -= (-c.numerator * b.numerator << bits) // (c.denominator * b.denominator)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+_ZERO2 = (Fraction(0), Fraction(0))
+
+
+def _iv_mul(x, y):
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(products), max(products)
+
+
+def _iv_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def production_pairs(poly: HybridPoly) -> tuple[list, dict]:
+    """poly's ring enclosures and error boxes as exact (lo, hi) Fractions."""
+    unit = 1 << (poly.prec + GUARD)
+
+    def fractions(pair):
+        return Fraction(pair[0], unit), Fraction(pair[1], unit)
+
+    return list(map(fractions, poly.ring_pairs)), {d: fractions(e) for d, e in poly.errs.items()}
+
+
+class Replayed:
+    """A production HybridPoly and the same polynomial rebuilt in exact
+    Fraction intervals from the leaves up, with no rounding: ring[d] and
+    errs[d] are (lo, hi) pairs.  Symbolic ring zeros are skipped in ring
+    products where production skips them (its zero test, which the
+    tests check against the exact parts)."""
+
+    def __init__(self, poly: HybridPoly, ring: list, errs: dict):
+        self.poly, self.ring, self.errs = poly, ring, errs
+        self.check()
+
+    def check(self) -> None:
+        """Every production pair contains its rational counterpart."""
+        ring, errs = production_pairs(self.poly)
+        assert len(ring) == len(self.ring)
+        for (a, b), (c, d) in zip(ring, self.ring):
+            assert a <= c and d <= b
+        for k in errs.keys() | self.errs.keys():
+            (a, b), (c, d) = errs.get(k, _ZERO2), self.errs.get(k, _ZERO2)
+            assert a <= c and d <= b, k
+
+    def mul(self, other: "Replayed") -> "Replayed":
+        poly = self.poly.mul(other.poly)
+        ring = [_ZERO2] * (len(self.ring) + len(other.ring) - 1)
+        rhs = [(j, y) for j, y in enumerate(other.ring) if not other.poly._is_zero(j)]
+        for i, x in enumerate(self.ring):
+            if not self.poly._is_zero(i):
+                for j, y in rhs:
+                    ring[i + j] = _iv_add(ring[i + j], _iv_mul(x, y))
+        errs: dict = {}
+        for boxes, terms in ((other.errs, self.ring), (self.errs, other.ring), (self.errs, other.errs)):
+            terms = terms.items() if isinstance(terms, dict) else enumerate(terms)
+            terms = list(terms)
+            for j, e in boxes.items():
+                for i, x in terms:
+                    errs[i + j] = _iv_add(errs.get(i + j, _ZERO2), _iv_mul(x, e))
+        return Replayed(poly, ring, errs)
+
+    def add(self, other: "Replayed") -> "Replayed":
+        n = max(len(self.ring), len(other.ring))
+        ring = [_iv_add(x, y) for x, y in zip(self.ring + [_ZERO2] * (n - len(self.ring)),
+                                              other.ring + [_ZERO2] * (n - len(other.ring)))]
+        errs = dict(self.errs)
+        for k, e in other.errs.items():
+            errs[k] = _iv_add(errs.get(k, _ZERO2), e)
+        return Replayed(self.poly.add(other.poly), ring, errs)
+
+    def scale_int(self, c: int) -> "Replayed":
+        def scale(x):
+            return (c * x[0], c * x[1]) if c >= 0 else (c * x[1], c * x[0])
+
+        return Replayed(self.poly.scale_int(c), list(map(scale, self.ring)),
+                        {k: scale(e) for k, e in self.errs.items()})
+
+
+def _leaf_ring(poly: HybridPoly, elems, bits: int) -> list:
+    """The leaf's ring enclosures as Fractions, each checked to contain a
+    2^-bits bracket of its exact value."""
+    ring, _ = production_pairs(poly)
+    for (a, b), e in zip(ring, elems):
+        lo, hi = ring_bracket(e, bits)
+        assert a <= lo and hi <= b, e
+    return ring
+
+
+class _Replay(_Expansion):
+    """The expansion of a statement, production and rational side by
+    side.  A leaf's rational form takes the production ring enclosures
+    (each checked against ring_bracket) and builds its own radius: the
+    box [0, err] for U and [-err, 0] for L, or for the disproof expansion
+    er_total's enclosure, negated for L.  A companion factor is built
+    from its own monomials."""
+
+    def __init__(self, spec, prec: int, tight: bool):
+        super().__init__(spec, prec)
+        self.tight, self.bits = tight, 3 * prec + 64
+
+    def __call__(self, node, pol: int) -> Replayed:
+        if isinstance(node, (Mul, Companion)):
+            for c in node.children:
+                if not isinstance(c, Mul):
+                    self.operands.setdefault(c.show(1), c)
+        if isinstance(node, Q):
+            out = self.leaf(node.s, -pol)
+        elif isinstance(node, Companion):
+            out = self.companion(node, pol)
+        else:
+            out = node.envelope(pol, self)
+        if pol > 0 and node.show(1) in self.operands:
+            self.lower[node.show(1)] = out
+        return out
+
+    def leaf(self, s: int, side: int) -> Replayed:
+        bound = bound_poly(s, self.N, side, self.prec)
+        if self.tight:
+            poly = _TightExpansion.__call__(self, Q(s), -side)
+            r = _budget_parts(self.N, s, self.prec)["er_total"].to_fractions()
+            err = r if side > 0 else (-r[1], -r[0])
+        else:
+            poly = HybridPoly.from_envelope(s, self.N, side, self.prec)
+            e = bound.err.to_fraction()
+            err = (Fraction(0), e) if side > 0 else (-e, Fraction(0))
+        ring = _leaf_ring(poly, bound.coeffs + (RingElem(),), self.bits)
+        return Replayed(poly, ring, {self.N + 1: err})
+
+    def companion(self, node: Companion, pol: int) -> Replayed:
+        assert pol > 0
+        monomials = {0: RingElem.from_rational(1), node.a: node.coeff}
+        if node.slack:
+            monomials[node.a + 1] = RingElem.from_rational(-node.slack)
+        elems = [monomials.get(d, RingElem()) for d in range(max(monomials) + 1)]
+        poly = HybridPoly.from_ring_monomials(monomials, self.prec)
+        factor = Replayed(poly, _leaf_ring(poly, elems, self.bits), {})
+        return factor.mul(self(node.children[0], pol))
+
+
+def replay(ineq_id: str, prec: int, tight: bool) -> dict[str, Replayed]:
+    """The statement of ineq_id ("" in the result) and the lower envelope
+    of every operand its products need (the side lemmas, by name), each
+    rebuilt in rationals beside production and checked at every node.
+    The box replay's statement is build_ineq's, the tight one's
+    tight_expansion's."""
+    spec = THEOREMS[INEQUALITIES[ineq_id]]
+    ex = _Replay(spec, prec, tight)
+    out = {"": ex(spec.statement, 1)}
+    for name, op in list(ex.operands.items()):
+        out[name] = ex.lower.get(name) or ex(op, 1)
+    return out

@@ -21,9 +21,11 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from oracles import (
+    SandwichResult,
     alt_half_binomial_sum,
     alt_half_binomial_sum_closed,
     check_log_concavity,
+    check_main_term_sandwich,
     check_turan3,
     compute_q_table_odd_parts,
     invariant_a,
@@ -31,9 +33,7 @@ from oracles import (
     tight_expansion,
 )
 from qcert.bounds import (
-    SandwichResult,
     bound_value,
-    check_main_term_sandwich,
     n_min,
     window_max,
     x_of,
@@ -215,7 +215,7 @@ def test_c5_companion_bound_disproof():
     negative at n = 5019."""
     for ineq_id in ("ineq2", "ineq6"):
         tight = tight_expansion(ineq_id, 192)
-        assert horner(tight.fixed[1], x_of(5019, 192), 192).is_negative, ineq_id
+        assert horner(tight.fixed[0], x_of(5019, 192), 192).is_negative, ineq_id
     record(
         "C5 NOTE  literal 'n_star <= 5019' for the two N=14 companions is disproved: "
         "their exact polynomials are certifiably negative at n=5019 (crossovers 5845/6929)"

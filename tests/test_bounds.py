@@ -13,16 +13,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import budget_fields
+from oracles import SandwichResult, bessel_arg, bessel_main_term, budget_fields, check_main_term_sandwich
 from qcert.bounds import (
-    SandwichResult,
     _budget_parts,
     _exp_thin,
-    bessel_arg,
-    bessel_main_term,
     bound_poly,
     bound_value,
-    check_main_term_sandwich,
     decay_threshold,
     error_budget,
     n_min,
@@ -270,8 +266,9 @@ class TestEnvelopes:
                     assert bound_value(n, s, N, +1).lo.cmp_fraction(v) >= 0, (N, s, n)
 
     def test_envelopes_unchanged(self):
-        # every bound_poly endpoint, both sides, at each (N, s) the theorems
-        # use, pinned from the per-side enclosures the shared ones replaced
+        # every bound_poly pair, both sides, at each (N, s) the theorems use,
+        # pinned from the fixed-point enclosures after checking that none is
+        # wider than the floating ones before them
         digest = hashlib.sha256()
         count = 0
         for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
@@ -279,22 +276,22 @@ class TestEnvelopes:
                 poly = bound_poly(s, N, side, 192)
                 count += 1
                 digest.update(f"{N} {s} {side} ".encode())
-                for iv in poly.coeff_ivs:
-                    digest.update(f"{iv.lo.man} {iv.lo.exp} {iv.hi.man} {iv.hi.exp} ".encode())
+                for lo, hi in poly.coeff_pairs:
+                    digest.update(f"{lo} {hi} ".encode())
                 digest.update(
                     f"{poly.err.man} {poly.err.exp} {poly.x_max.man} {poly.x_max.exp} {poly.floor};".encode()
                 )
         assert count == 24
-        assert digest.hexdigest() == "57d92fed3a5a7b42e2b93369e08e5d0970e8af1ab8fb80218f37f5ab79d4c9dc"
+        assert digest.hexdigest() == "e38f8d538971d598bff34145cf42dfb0c3ef8af89be7205d4b8b2f7eed555932"
 
     def test_coefficient_enclosures_shared(self):
-        # both sides and order 14 use the order-24 envelope's enclosure objects
+        # both sides and order 14 have the order-24 envelope's enclosures
         for N, s in sorted({(spec.N, s) for spec in THEOREMS.values() for s in spec.shifts}):
-            shared = bound_poly(s, 24, 1, 192).coeff_ivs
+            shared = bound_poly(s, 24, 1, 192).coeff_pairs
             for side in (-1, 1):
-                ivs = bound_poly(s, N, side, 192).coeff_ivs
-                assert len(ivs) == N + 1
-                assert all(a is b for a, b in zip(ivs, shared)), (N, s, side)
+                pairs = bound_poly(s, N, side, 192).coeff_pairs
+                assert len(pairs) == N + 1
+                assert pairs == shared[:N + 1], (N, s, side)
 
     def test_eval_iv_contains_exact_members(self):
         # the fixed-point Horner on every envelope the theorems use, at the
@@ -304,7 +301,8 @@ class TestEnvelopes:
             for side in (-1, 1):
                 poly = bound_poly(s, N, side, 192)
                 signed = poly.err if side > 0 else -poly.err
-                ivs = [iv.to_fractions() for iv in poly.coeff_ivs] + [(signed.to_fraction(),) * 2]
+                unit = 1 << (192 + 16)
+                ivs = [(F(lo, unit), F(hi, unit)) for lo, hi in poly.coeff_pairs] + [(signed.to_fraction(),) * 2]
                 for n in (poly.floor, 20000 - s):
                     x = x_of(n, 192)
                     got = poly.eval_iv(x)

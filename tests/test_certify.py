@@ -13,13 +13,15 @@ import mpmath as mp
 import pytest
 
 from oracles import (
-    contains_interval,
     invariant_a,
     invariant_b,
     invariant_i,
     laguerre,
     mul_termwise,
     node_exact,
+    pair_interval,
+    production_pairs,
+    replay,
     ring_parts,
     theorem_predicate,
     tight_expansion,
@@ -73,28 +75,28 @@ LEADING_DEGREES = {
     "ineq5": 9, "ineq6": 10, "ineq-L3": 9, "ineq-c-L3": 10,
 }
 
-# Frozen at 192 bits from the expansion that kept exact ring products
-# at every degree: (ineq_id, tight) -> (SHA-256 of the coefficient
-# enclosures' endpoints as fractions, leading zero degree, degree), the
-# box expansion build_ineq for tight False, the oracle tight_expansion
-# for tight True.
+# Frozen at 192 bits from the fixed-point expansion (every coefficient an
+# integer pair at 2^-208), after checking that none of its final pairs is
+# wider than the floating expansion's before it: (ineq_id, tight) -> (SHA-256
+# of the coefficient pairs, leading zero degree, degree), the box expansion
+# build_ineq for tight False, the oracle tight_expansion for tight True.
 POLY_PINS = {
-    ("ineq-L3", False): ("1dabf039c3b20a0373c3817bf65d90c191602b484e1b2d09fd703c8e8f36f772", 9, 50),
-    ("ineq-L3", True): ("a422e93518a910f30b525149d3b3242538e88b80c069f57751e7f312df16ba0f", 9, 50),
-    ("ineq-c-L3", False): ("59aef76a50e224db21f916f1067caf33286689a52b8c2dbea668991d60096e13", 10, 59),
-    ("ineq-c-L3", True): ("46ae7cfcdb1905bea0e522ae738c1e8d4fd1fad4052579a6c12818624f893809", 10, 59),
-    ("ineq1", False): ("b68c3893d6072b63716e9c0a1c71109f7e3e8851d6923982d9ede85afc1a72b4", 6, 30),
-    ("ineq1", True): ("7571139c105ccd2f673e01668a68915bda8d0739774371699868158f88c88fc5", 6, 30),
-    ("ineq2", False): ("7e3403703531f054e2893f439ecb7ea47022c09f4ecc365fddb645b3189ba3ca", 7, 37),
-    ("ineq2", True): ("3c146ac472f74343de5d57152fd5527b8a0e997cd5d3b287c89017f5745b742e", 7, 37),
-    ("ineq3", False): ("ee8591b02907815173714642bd98ceb23a8382d7b954ff372a66f539eb81dabd", 9, 75),
-    ("ineq3", True): ("4c2f203b76384c59342c669db840d3ff05c50eb97adbcdd09ae038352b5e172f", 9, 75),
-    ("ineq4", False): ("2590961351703c5336d43b3f47b2b5a035a37068971ad5dae88f0aa1c79c13c9", 10, 85),
-    ("ineq4", True): ("943c2b88af381df2b45eef93acdf95d8bb4e3c38e93fd3b4c9eec65c6488392d", 10, 85),
-    ("ineq5", False): ("8de0ad2fd079230ca772c43f2ec814dcf45b7f2b42a9306b12b72ccf3fed8bf8", 9, 60),
-    ("ineq5", True): ("d87340bedb08799b323a969ea3f069c9917896af3e28cb33bed782b515ffcd42", 9, 60),
-    ("ineq6", False): ("bbde4596e432220358f60dc83f80dc0ab93c3b9c1f15f30571e01a0d2f6b424d", 10, 64),
-    ("ineq6", True): ("78746591ac2882e69ef761aa212430ba0e1c83f45a73cd24cf3eeb6e93419928", 10, 64),
+    ("ineq-L3", False): ("ff5ac97e2be81dc589233061ca9c41ce4a8bc52cf057e9967a2f98f733cdea2a", 9, 50),
+    ("ineq-L3", True): ("606010031a406e261c715f2b771e38ecdbb9345d8e2e760ad313780f6d6c83fc", 9, 50),
+    ("ineq-c-L3", False): ("802e1a5b1fd079995542173996bf0aef2ec8a6441a6a758313160c3dd79f5808", 10, 59),
+    ("ineq-c-L3", True): ("687ccb8eec7899ade89aa58333263a906ac78ca234e1812a30d24ff68f49a4ac", 10, 59),
+    ("ineq1", False): ("7983cff563fbc2fe71c232f8a565db0d0e07eca9d0e62eb97af97f88ffdcc699", 6, 30),
+    ("ineq1", True): ("6b23b177369a0e24c37718ccf561fb6de76b28fa3dffb6869dec05b63fe19812", 6, 30),
+    ("ineq2", False): ("8d69224f54f92e45487e3b1d5909c2646ef2ccaab5558505b5386a9352e33b1e", 7, 37),
+    ("ineq2", True): ("68dd55a5e8d9a76617124286d18894821d3bc5367027321f863e9b8dd2e2262c", 7, 37),
+    ("ineq3", False): ("cc9e43483bae665d30bbc78fc89137abe2e032842e538301819e71753eb9b6ab", 9, 75),
+    ("ineq3", True): ("9b54dc60e6df3fae89349083968845de58dd28a814594b6903998158ed386d74", 9, 75),
+    ("ineq4", False): ("e8fe06fdf02953fc10f4005137f80e99f5885797154cb17b689b8198d44e218f", 10, 85),
+    ("ineq4", True): ("478b9f11802e013541ece6624a9cd4869c928d5f34f4aaeffcfe049e37aa53f6", 10, 85),
+    ("ineq5", False): ("a133b9dc807ab11d5577aee55ec86bd5649c3d0d750e9e5ece1c057fe37f9967", 9, 60),
+    ("ineq5", True): ("a0dcfcf66cc28c3f0d6bbe21864f935804f7179c9ca37128c3bcbffb928ff4db", 9, 60),
+    ("ineq6", False): ("dfc3e9feef68d4f6004e17307e223f9c7f2c47f947ea632e4a01d979eda3f3ca", 10, 64),
+    ("ineq6", True): ("72bdd0af07210cd81e46ccca815cc6debd11b93bd2a17903937ff266bcab8b93", 10, 64),
 }
 
 # Frozen at 192 bits from the expansion that added exact ring products
@@ -116,8 +118,7 @@ RING_PINS = {
 def _pin(ineq: IneqPoly) -> tuple[str, int, int]:
     """The POLY_PINS value of an expansion."""
     digest = hashlib.sha256()
-    for iv in ineq.poly.coeff_intervals():
-        lo, hi = iv.to_fractions()
+    for lo, hi in ineq.poly.coeff_pairs():
         digest.update(f"{lo} {hi};".encode())
     return digest.hexdigest(), certify_positive(ineq, ineq.x0).leading_zero_degree, ineq.poly.degree
 
@@ -284,7 +285,7 @@ class TestCertifyPositive:
 
     def test_stripping_past_exact_prefix_raises(self):
         # exact part kept for x^0 only, nothing known about x^1
-        poly = HybridPoly([RingElem()], {}, 192, [Interval.point(0), Interval.point(1)])
+        poly = HybridPoly([RingElem()], {}, 192, [(0, 0), (1, 1)])
         ineq = IneqPoly(poly, Dyadic(1), 1)
         with pytest.raises(ArithmeticError):
             certify_positive(ineq, Dyadic(1))
@@ -368,10 +369,10 @@ class TestPolynomialPins:
         box, tight = build_ineq(ineq_id, 192).poly, tight_expansion(ineq_id, 192).poly
         assert sorted(tight.errs) == sorted(box.errs)
         assert tight._exact.n == box._exact.n
-        outer, inner = box.coeff_intervals(), tight.coeff_intervals()
+        outer, inner = box.coeff_pairs(), tight.coeff_pairs()
         assert len(outer) == len(inner)
-        same = [o.lo == i.lo and o.hi == i.hi for o, i in zip(outer, inner)]
-        assert all(map(contains_interval, outer, inner)), ineq_id
+        same = [o == i for o, i in zip(outer, inner)]
+        assert all(o[0] <= i[0] and i[1] <= o[1] for o, i in zip(outer, inner)), ineq_id
         assert all(same[:min(box.errs)]) and not all(same), ineq_id
 
     def test_mul_matches_termwise_ring_products(self):
@@ -395,12 +396,11 @@ class TestPolynomialPins:
         # x.mul(x) pairs each exact term once; a copy of x takes the
         # ordered path, and every field must agree bit for bit
         def copy(x):
-            return HybridPoly(ring_parts(x), dict(x.errs), x.prec, list(x.ring_ivs))
+            return HybridPoly(ring_parts(x), dict(x.errs), x.prec, list(x.ring_pairs))
 
         def fields(x):
             return ([list(r.terms.items()) for r in ring_parts(x)],
-                    [(iv.lo, iv.hi) for iv in x.ring_ivs],
-                    {d: (e.lo, e.hi) for d, e in x.errs.items()})
+                    x.ring_pairs, x.errs)
 
         envelope = HybridPoly.from_envelope(1, 24, -1, 192)
         truncated = HybridPoly.from_envelope(0, 14, -1, 192).mul(
@@ -412,26 +412,46 @@ class TestPolynomialPins:
 
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_mul_matches_termwise_intervals(self, key, monkeypatch):
-        # every product of the expansion, side lemmas included: the fused
-        # kernel gives the ring enclosures and error boxes of a loop of
-        # Interval.mul then Interval.add, endpoint for endpoint, in order
-        def ends(iv):
-            return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
+        # every product of the expansion, side lemmas included, against the
+        # loop of Interval.mul then Interval.add on its operands: each ring
+        # enclosure and error box contains the loop at a width where nothing
+        # rounds (the exact product), and lies inside the loop at 192 bits
+        # rounded out to the grid 2^-208, so it is never the wider one
+        def between(pair, exact, loose):
+            lo, hi = pair_interval(pair, 192).to_fractions()
+            a, b = exact.to_fractions()
+            grid = loose.fixed(192)
+            return lo <= a and b <= hi and grid[0] <= pair[0] and pair[1] <= grid[1]
 
         products = []
 
         def checked(self, other, _mul=HybridPoly.mul):
             out = _mul(self, other)
-            ivs, errs = mul_termwise(self, other)
-            assert list(map(ends, out.ring_ivs)) == list(map(ends, ivs))
-            assert [(d, ends(e)) for d, e in out.errs.items()] == [
-                (d, ends(e)) for d, e in errs.items() if not (e.lo.is_zero and e.hi.is_zero)]
+            (exact, exact_errs), (loose, loose_errs) = (mul_termwise(self, other, p) for p in (4096, 192))
+            assert all(map(between, out.ring_pairs, exact, loose))
+            assert sorted(out.errs) == sorted(d for d, e in exact_errs.items() if not (e.lo.is_zero and e.hi.is_zero))
+            assert all(between(e, exact_errs[d], loose_errs[d]) for d, e in out.errs.items())
             products.append(out)
             return out
 
         monkeypatch.setattr(HybridPoly, "mul", checked)
         _expansion(key, fresh=True)
         assert len(products) >= 2 and any(len(p.errs) > 1 for p in products)
+
+
+class TestRationalReplay:
+    """Every expansion rebuilt in exact Fraction intervals from the leaf
+    enclosures and radii, with no rounding: each production enclosure, at
+    every node, contains its rational counterpart."""
+
+    @pytest.mark.parametrize("key", sorted(POLY_PINS))
+    def test_production_contains_replay(self, key):
+        # the statement (checked against the expansion that production
+        # caches) and every side lemma's lower envelope
+        ineq_id, tight = key
+        out = replay(ineq_id, 192, tight)
+        assert production_pairs(out[""].poly) == production_pairs(_expansion(key).poly)
+        assert len(out) >= 6 and all(len(r.ring) > 15 for r in out.values())
 
 
 class TestSharedRingParts:
@@ -441,10 +461,10 @@ class TestSharedRingParts:
     def test_leaf_sides_share_one_ring_part(self):
         upper, lower = (HybridPoly.from_envelope(2, 14, side, 192) for side in (1, -1))
         assert upper is not lower and upper.errs is not lower.errs
-        assert upper._exact is lower._exact and upper.ring_ivs is lower.ring_ivs
+        assert upper._exact is lower._exact and upper.ring_pairs is lower.ring_pairs
         err_u, err_l = (bound_poly(2, 14, side, 192).err for side in (1, -1))
-        assert [(d, e.lo, e.hi) for d, e in upper.errs.items()] == [(15, Dyadic(0), err_u)]
-        assert [(d, e.lo, e.hi) for d, e in lower.errs.items()] == [(15, -err_l, Dyadic(0))]
+        assert list(upper.errs.items()) == [(15, Interval(Dyadic(0), err_u).fixed(192))]
+        assert list(lower.errs.items()) == [(15, Interval(-err_l, Dyadic(0)).fixed(192))]
         assert HybridPoly.from_envelope(2, 24, 1, 192)._exact is not upper._exact
         assert HybridPoly.from_envelope(2, 14, 1, 64)._exact is not upper._exact
 
@@ -562,14 +582,14 @@ class TestLazyExactParts:
     ], ids=["point-zero", "straddle-zero", "straddle-nonzero", "touch-lo-zero", "touch-hi-zero",
             "touch-lo-nonzero", "touch-hi-nonzero", "excludes-zero"])
     def test_zero_test_cases(self, part, lo, hi, zero):
-        poly = HybridPoly([part], {}, 192, [Interval(Dyadic(lo), Dyadic(hi))])
+        poly = HybridPoly([part], {}, 192, [(lo, hi)])
         assert poly._is_zero(0) is zero
 
     def test_enclosure_decides_without_exact_part(self):
         # the store is never read when the enclosure decides; past the
         # exact prefix a straddling enclosure may hold a nonzero part
-        ivs = [Interval.point(0), Interval.point(1), Interval(Dyadic(-1), Dyadic(1))]
-        poly = HybridPoly([RingElem()] * 2, {}, 192, ivs)
+        pairs = [(0, 0), (1, 1), (-1, 1)]
+        poly = HybridPoly([RingElem()] * 2, {}, 192, pairs)
         poly._exact.clear()
         assert poly._is_zero(0) and not poly._is_zero(1) and not poly._is_zero(2)
         assert not poly._exact
@@ -612,14 +632,24 @@ class TestCrossovers:
         cert = certify_inequality("ineq2")
         assert not cert.proved
 
-    def test_escalation_proves_at_24_bits(self):
-        # at --precision 24 rounding alone leaves A-companion's n_star = 5847
-        # open; one doubling proves it (without the doubling the search
-        # would stop at 5848)
-        alone = certify_positive(build_ineq("ineq2", 24), x_of(5847, 24).hi)
-        assert not alone.proved and alone.rounding_limited
+    def test_escalation_proves_at_24_bits(self, monkeypatch):
+        # with every coefficient an integer pair at 2^-(prec + 16), A-companion's
+        # n_star = 5847 proves at 24 bits with no doubling (when every product
+        # rounded to 24 bits, rounding left it open and 48 bits proved it); a
+        # trial that rounding leaves open still doubles until one proves
         cert = certify_inequality("ineq2", 5847, 24)
-        assert cert.proved and cert.prec == 48
+        assert cert.proved and cert.prec == 24
+        certify = certify_module.certify_positive
+
+        def limited(ineq, x0, *args):
+            cert = certify(ineq, x0, *args)
+            if ineq.poly.prec < 96:
+                cert.status, cert.rounding_limited = "inconclusive", True
+            return cert
+
+        monkeypatch.setattr(certify_module, "certify_positive", limited)
+        cert = certify_inequality("ineq2", 5847, 24)
+        assert cert.proved and cert.prec == 96
 
     @pytest.mark.parametrize("tid, trials", [
         ("A-companion",
@@ -658,13 +688,13 @@ class TestCrossovers:
         # are; (b) every stripped degree is an exact ring zero with no box
         n_star, cert = find_crossover(theorem_id)
         assert cert.proved
-        x0 = cert.x_star.to_fraction()
-        lo = [iv.lo.to_fraction() * x0**k for k, iv in enumerate(cert.reduced_coeffs)]
+        x0, unit = cert.x_star.to_fraction(), 1 << (cert.prec + 16)
+        lo = [F(a, unit) * x0**k for k, (a, _) in enumerate(cert.reduced_coeffs)]
         n = len(lo) - 1
         bernstein = [sum(F(comb(i, k), comb(n, k)) * lo[k] for k in range(i + 1)) for i in range(n + 1)]
         assert all(b > 0 for b in bernstein)
         poly = build_ineq(THEOREMS[theorem_id].ineq_id).poly
-        assert len(cert.reduced_coeffs) == len(poly.ring_ivs) - cert.leading_zero_degree
+        assert len(cert.reduced_coeffs) == len(poly.ring_pairs) - cert.leading_zero_degree
         for d in range(cert.leading_zero_degree):
             assert poly._exact[d].is_zero and d not in poly.errs
 
@@ -678,7 +708,7 @@ class TestCrossovers:
             x = Interval.from_fraction(fx, 192)
             acc = Interval.point(0)
             for c in reversed(cert.reduced_coeffs):
-                acc = acc.mul(x, 192).add(c, 192)
+                acc = acc.mul(x, 192).add(pair_interval(c, 192), 192)
             assert acc.is_positive
 
 
@@ -957,7 +987,7 @@ class TestHomogeneity:
         for _ in range(20):
             n = rng.randint(ineq.window, 20000)
             via_bounds = _ineq_sign_via_bounds(tid, n)
-            poly_iv = horner(ineq.fixed[1], x_of(n, 192), 192)
+            poly_iv = horner(ineq.fixed[0], x_of(n, 192), 192)
             via_poly = 1 if poly_iv.is_positive else (-1 if poly_iv.is_negative else 0)
             if via_bounds and via_poly:
                 assert via_bounds == via_poly, (tid, n)

@@ -11,10 +11,8 @@ from qcert.intervals import (
     DomainError,
     Dyadic,
     Interval,
-    convolve_into,
+    convolve,
     horner,
-    to_fixed,
-    to_intervals,
 )
 
 rationals = st.fractions(
@@ -192,54 +190,57 @@ class TestIntervalArithmetic:
 
 
 class TestConvolveInto:
-    """The fused multiply-accumulate kernel against the termwise loop of
-    Interval.mul then Interval.add that it replaces: the same degrees in
-    the same order, and every endpoint the same (man, exp)."""
+    """The exact multiply-accumulate kernel ``convolve`` against the
+    termwise loop of Interval.mul then Interval.add at a width where
+    nothing rounds: every per-degree sum of lower and of upper ends is the
+    loop's, exactly."""
 
     @staticmethod
-    def draw(rng, sign):
-        # '+' lo >= 0, '-' hi <= 0, '0' lo < 0 < hi, 'z' [0, 0]; mantissas
-        # up to 1200 bits and exponents far apart, so every precision rounds
+    def draw(rng, bits, sign):
+        # '+' lo >= 0, '-' hi <= 0, '0' lo < 0 < hi, 'z' (0, 0); integers
+        # up to bits wide
         def mag():
-            return Dyadic(rng.getrandbits(rng.randint(1, 1200)) | 1, rng.randint(-900, 300))
+            return rng.getrandbits(rng.randint(1, bits)) | 1
 
         if sign == "z":
-            return Interval(Dyadic(0), Dyadic(0))
+            return 0, 0
         if sign == "0":
-            return Interval(-mag(), mag())
-        lo = Dyadic(0) if rng.random() < 0.25 else mag()  # a zero endpoint
-        hi = lo if rng.random() < 0.25 else lo + mag()     # a point interval
-        return Interval(lo, hi) if sign == "+" else Interval(-hi, -lo)
+            return -mag(), mag()
+        lo = 0 if rng.random() < 0.25 else mag()  # a zero end
+        hi = lo if rng.random() < 0.25 else lo + mag()  # a point
+        return (lo, hi) if sign == "+" else (-hi, -lo)
 
-    def terms(self, rng):
-        # one interval of every sign, in a random order, and up to two more
+    def terms(self, rng, bits):
+        # one pair of every sign, in a random order, and up to two more
         signs = rng.sample("+-0z", 4) + rng.choices("+-0z", k=rng.randint(0, 2))
         degrees = rng.sample(range(9), len(signs))
-        return [(d, self.draw(rng, sign)) for d, sign in zip(degrees, signs)]
+        return [(d, self.draw(rng, bits, sign)) for d, sign in zip(degrees, signs)]
 
     @pytest.mark.parametrize("prec", [16, 53, 192, 1536])
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False))
     def test_matches_termwise(self, prec, rng):
         # every pair of signs meets in each call: Moore's nine sign cases,
-        # [0, 0] and zero endpoints; the second call adds into degrees
-        # that the first has filled
-        acc, ref = {}, {}
+        # (0, 0) and zero ends; the second call adds into degrees that the
+        # first has filled
+        lo, hi, ref = [0] * 17, [0] * 17, {}
+
+        def ivs(terms):
+            return [(d, Interval(Dyadic(a), Dyadic(b))) for d, (a, b) in terms]
+
         for _ in range(2):
-            xs, ys = self.terms(rng), self.terms(rng)
-            convolve_into(acc, xs, ys, prec)
-            convolve_termwise(ref, xs, ys, prec)
-        got = to_intervals(acc)
-        assert list(got) == list(ref)
-        for d, want in ref.items():
-            assert (got[d].lo.man, got[d].lo.exp, got[d].hi.man, got[d].hi.exp) == (
-                want.lo.man, want.lo.exp, want.hi.man, want.hi.exp), d
+            xs, ys = self.terms(rng, prec), self.terms(rng, prec)
+            convolve(lo, hi, xs, ys)
+            convolve_termwise(ref, ivs(xs), ivs(ys), 2 * prec + 64)
+        for d in range(17):
+            want = ref[d].to_fractions() if d in ref else (0, 0)
+            assert (lo[d], hi[d]) == want, d
 
     def test_empty_operand_adds_nothing(self):
-        acc = {}
-        convolve_into(acc, [(0, iv(1))], [], 53)
-        convolve_into(acc, [], [(0, iv(1))], 53)
-        assert acc == {}
+        lo, hi = [0], [0]
+        convolve(lo, hi, [(0, (1, 2))], [])
+        convolve(lo, hi, [], [(0, (1, 2))])
+        assert lo == hi == [0]
 
 
 class TestHorner:
@@ -282,7 +283,7 @@ class TestHorner:
                for lo, hi in family]
         assert [iv.to_fractions() for iv in ivs] == family  # entered exactly
         x = Interval(Dyadic.from_fraction(box[0], 400, False), Dyadic.from_fraction(box[1], 400, True))
-        got = horner(to_fixed(ivs, prec), x, prec)
+        got = horner([iv.fixed(prec) for iv in ivs], x, prec)
         assert abs(got.lo) < Dyadic(1, -16) and abs(got.hi) < Dyadic(1, -16)  # not rounded
         return got
 
@@ -326,11 +327,11 @@ class TestHorner:
         # coefficients and x on the scale's grid with exact products: the
         # bracket is the exact value
         coeffs = [Interval.point(Dyadic(3, -5)), Interval(Dyadic(-1, -2), Dyadic(1, -3))]
-        got = horner(to_fixed(coeffs, 24), Interval(Dyadic(1, -1), Dyadic(1)), 24)
+        got = horner([c.fixed(24) for c in coeffs], Interval(Dyadic(1, -1), Dyadic(1)), 24)
         assert got.to_fractions() == (Fraction(3, 32) - Fraction(1, 4), Fraction(3, 32) + Fraction(1, 8))
 
     def test_negative_x_rejected(self):
-        coeffs = to_fixed([Interval.point(1), Interval.point(1)], 24)
+        coeffs = [Interval.point(1).fixed(24)] * 2
         for x in (Interval.point(Dyadic(-1, -60)), Interval(Dyadic(-1), Dyadic(1))):
             with pytest.raises(ValueError, match="x >= 0"):
                 horner(coeffs, x, 24)
@@ -339,4 +340,4 @@ class TestHorner:
         # floor below, ceiling above, exact on the grid
         ivs = [Interval(Dyadic(-3, -45), Dyadic(5, -45)), Interval.point(Dyadic(7, -40)),
                Interval.point(Dyadic(-1, 3))]
-        assert to_fixed(ivs, 24) == [(-1, 1), (7, 7), (-(1 << 43), -(1 << 43))]
+        assert [iv.fixed(24) for iv in ivs] == [(-1, 1), (7, 7), (-(1 << 43), -(1 << 43))]

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 import pytest
 
 import qcert.ring as ring_module
-from oracles import ring_eval_iv_loop, ring_parts
+from oracles import pi_bracket, ring_bracket, ring_eval_iv_loop, ring_parts
 from qcert.certify import INEQUALITIES, build_ineq
 from qcert.coeffs import expansion_coeff
 from qcert.enclosures import enclose_pi
@@ -179,30 +179,58 @@ def chain_eval(e: RingElem, prec: int) -> Interval:
 
 
 def test_pi_table_independent_of_evaluation_order(monkeypatch):
-    # high and low pi powers evaluated in either order match a fresh chain
+    # high and low pi powers evaluated in either order give the same pairs,
+    # each inside a fresh chain's enclosure rounded out to the grid
     elems = [RingElem({(25, 1): Fraction(3, 7), (1, 0): Fraction(1)}),
              RingElem({(-25, 0): Fraction(-5, 11)}),
              RingElem({(2, 0): Fraction(1, 3), (-1, 1): Fraction(2)})]
     for prec in (64, 192):
-        want = [(w.lo, w.hi) for w in (chain_eval(e, prec) for e in elems)]
+        runs = []
         for order in (elems, elems[::-1]):
-            monkeypatch.setattr(ring_module, "_PI_POWERS", {})
-            got = {id(e): e.eval_iv(prec) for e in order}
-            assert [(got[id(e)].lo, got[id(e)].hi) for e in elems] == want
+            monkeypatch.setattr(ring_module, "_POWERS", {})
+            got = {id(e): e.fixed(prec) for e in order}
+            runs.append([got[id(e)] for e in elems])
+        assert runs[0] == runs[1]
+        for (lo, hi), e in zip(runs[0], elems):
+            grid = chain_eval(e, prec).fixed(prec)
+            assert grid[0] <= lo < hi <= grid[1], e
 
 
-def _ends(iv: Interval) -> tuple[int, int, int, int]:
-    return iv.lo.man, iv.lo.exp, iv.hi.man, iv.hi.exp
+@pytest.mark.parametrize("prec", [16, 24, 192])
+def test_power_brackets_floor_and_ceiling(prec):
+    # every pi^i sqrt3^j bracket of the table, |i| <= 30, contains a
+    # bracket of the value far narrower than a unit of its scale, and is
+    # at most two units wide
+    scale = prec + 16 + 64
+    lo_pi, hi_pi = pi_bracket(3 * scale)
+    r = isqrt(3 << (6 * scale))
+    roots = [(1, 1), (Fraction(r, 1 << 3 * scale), Fraction(r + 1, 1 << 3 * scale))]
+    for i in range(-30, 31):
+        for j in (0, 1):
+            a, b = (lo_pi**i, hi_pi**i) if i >= 0 else (hi_pi**i, lo_pi**i)
+            a, b = a * roots[j][0] * 2**scale, b * roots[j][1] * 2**scale
+            got = ring_module._power(4 * i + j, prec)
+            assert got[0] <= a and b <= got[1] and got[1] - got[0] <= 2, (i, j)
+
+
+def _contains_value(e: RingElem, prec: int) -> bool:
+    """eval_iv's enclosure contains a Fraction bracket of e's value far
+    narrower than its own width, and on the grid 2^-(prec + 16) it lies
+    inside the enclosure of a loop of Interval operations at prec bits."""
+    lo, hi = e.eval_iv(prec).to_fractions()
+    want = ring_bracket(e, 2 * prec + 192)
+    grid, pair = ring_eval_iv_loop(e, prec).fixed(prec), e.fixed(prec)
+    return lo <= want[0] and want[1] <= hi and grid[0] <= pair[0] and pair[1] <= grid[1]
 
 
 @pytest.mark.parametrize("prec", [24, 64, 192, 1536])
 def test_eval_iv_matches_interval_loop_on_production_coefficients(prec):
     # every expansion coefficient of the theorems (orders to 24, shifts
-    # to 6): the raw-endpoint sum equals the loop of Interval operations
+    # to 6) encloses its value, never wider than the Interval loop
     elems = [expansion_coeff(m, s) for m in range(25) for s in range(7)]
     assert len(elems) == 175
     for e in elems:
-        assert _ends(e.eval_iv(prec)) == _ends(ring_eval_iv_loop(e, prec)), e
+        assert _contains_value(e, prec), e
 
 
 @pytest.mark.parametrize("prec", [16, 24, 64, 192])
@@ -215,7 +243,7 @@ def test_eval_iv_matches_interval_loop_on_random_elements(prec):
             rng.randint(-2**70, 2**70), rng.choice((1, 2**rng.randint(1, 90), rng.randint(1, 10**30))))
             for _ in range(rng.randint(0, 6))})
         e = e + (-e if rng.random() < 0.1 else RingElem())
-        assert _ends(e.eval_iv(prec)) == _ends(ring_eval_iv_loop(e, prec)), e
+        assert _contains_value(e, prec), e
 
 
 def _random_elems():

@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 import qcert
-from qcert.bounds import ErrorBudget, check_main_term_sandwich
+from qcert.bounds import ErrorBudget
 from qcert.certify import (
     HybridPoly,
     IneqPoly,
@@ -27,7 +27,7 @@ from qcert.certify import (
     sharpness_scan,
     verify_theorem,
 )
-from qcert.enclosures import enclose_bessel_i1, enclose_cosh, enclose_exp, enclose_log, enclose_pi
+from qcert.enclosures import enclose_cosh, enclose_exp, enclose_log, enclose_pi
 from qcert.intervals import Interval, horner
 from qcert.ring import RingElem
 
@@ -54,6 +54,13 @@ ORACLES = (
     "invariant_b",
     "invariant_i",
     "laguerre",
+    # the main-term sandwich: only criterion C7 and its tests use it
+    "bessel_arg",
+    "bessel_main_term",
+    "SandwichResult",
+    "check_main_term_sandwich",
+    "_bessel_i1_point",
+    "enclose_bessel_i1",
 )
 
 # Dead code, second definitions of n^(-1/2) and of the precision
@@ -65,7 +72,9 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "_x_upper", "_div_up_invsqrt",
            "workprec", "get_precision", "resolve_precision", "_coerce",
            "error_total_interval",
-           "sum_of_cleared", "_cleared")
+           "sum_of_cleared", "_cleared",
+           # floating (man, exp) polynomial arithmetic, replaced by integer pairs at 2^-w
+           "to_fixed", "to_intervals", "convolve_into", "_coeff_iv", "_mul_raw", "_pi_powers")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -99,6 +108,9 @@ REMOVED_METHODS = (
     # an element is stored once, as (den, ints); terms is a view of it
     (RingElem, "cleared"),
     (RingElem, "_den_cache"),
+    # coefficients and error boxes are integer pairs at 2^-w, not Intervals
+    (HybridPoly, "ring_ivs"),
+    (HybridPoly, "coeff_intervals"),
 )
 
 # Every operation that rounds takes its precision from the caller.
@@ -114,8 +126,10 @@ PRECISION_REQUIRED = (
     enclose_exp,
     enclose_log,
     enclose_cosh,
-    enclose_bessel_i1,
+    oracles.enclose_bessel_i1,
     RingElem.eval_iv,
+    RingElem.fixed,
+    Interval.fixed,
     horner,
 )
 
@@ -127,7 +141,7 @@ REMOVED_PARAMETERS = (
     (exact_verify, "prec"),
     (sharpness_scan, "prec"),
     (certify_inequality, "max_prec"),
-    (check_main_term_sandwich, "max_prec"),
+    (oracles.check_main_term_sandwich, "max_prec"),
     (build_ineq, "tight"),
     (expand_statement, "tight"),
     (HybridPoly.from_envelope, "tight"),
@@ -221,12 +235,13 @@ def test_enclosures_use_no_floating_point():
 
 @pytest.mark.parametrize("module, qualname", [
     ("intervals.py", "horner"),
-    ("intervals.py", "to_fixed"),
+    ("intervals.py", "Interval.fixed"),
     ("intervals.py", "_fraction_raw"),
-    ("intervals.py", "_mul_raw"),
+    ("intervals.py", "convolve"),
     ("intervals.py", "_sum_raw"),
     ("ring.py", "RingElem.eval_iv"),
-    ("ring.py", "_pi_powers"),
+    ("ring.py", "RingElem.fixed"),
+    ("ring.py", "_power"),
 ])
 def test_evaluation_kernels_use_no_floating_point(module, qualname):
     assert _float_uses(_function(Path(qcert.__file__).parent / module, qualname)) == []

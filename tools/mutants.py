@@ -39,24 +39,51 @@ class Mutant(NamedTuple):
     why: str  # why the mutated code is unsound
 
 
+# Retired with the code they mutated, when polynomials moved from floating
+# (man, exp) endpoints to integer pairs at 2^-(prec + 16):
+# convolve-product-upper-floored (convolve_into's per-product rounding: a
+# product is now exact and rounded once, see round-out-*),
+# mul-raw-upper-rounded-down (_mul_raw is gone; Interval.mul keeps _rounded),
+# and ring-sum-upper-rounded-down, ring-sum-lower-rounded-up,
+# ring-coefficient-upper-rounded-down, ring-coefficient-lower-rounded-up
+# (the raw rounding chain of RingElem.eval_iv; see ring-fixed-lower-ceiled
+# and pi-power-bracket-rounded-inward).
+
 MUTANTS = [
     # -- interval arithmetic ------------------------------------------------
     Mutant("sqrt-upper-rounded-down", "src/qcert/intervals.py",
            "_rounded(r if exact else r + 1, half, prec, up=True)",
            "_rounded(r if exact else r + 1, half, prec, up=False)",
            "the upper end of a square root may fall below the root"),
-    Mutant("convolve-product-upper-floored", "src/qcert/intervals.py",
-           "                qm = -(-qm >> n)\n                qe += n\n            k = i + j",
-           "                qm = qm >> n\n                qe += n\n            k = i + j",
-           "a product's upper end may fall below the exact product"),
     Mutant("div-without-ceiling", "src/qcert/intervals.py",
            "    if up and r:\n        q += 1\n    return q, ea - eb - shift",
            "    return q, ea - eb - shift",
            "an upward quotient is truncated, below the exact quotient"),
-    Mutant("mul-raw-upper-rounded-down", "src/qcert/intervals.py",
-           "*_round_mantissa(qm, qe, prec, True))",
-           "*_round_mantissa(qm, qe, prec, False))",
-           "_mul_raw's upper end may fall below the exact product"),
+    # -- fixed-point polynomial kernels ---------------------------------------
+    Mutant("round-out-lower-ceiled", "src/qcert/intervals.py",
+           "return [(a >> w, -(-b >> w))",
+           "return [(-(-a >> w), -(-b >> w))",
+           "a coefficient's lower end is rounded up, above the exact sum"),
+    Mutant("round-out-upper-floored", "src/qcert/intervals.py",
+           "return [(a >> w, -(-b >> w))",
+           "return [(a >> w, b >> w)",
+           "a coefficient's upper end is rounded down, below the exact sum"),
+    Mutant("convolve-sign-case-products-swapped", "src/qcert/intervals.py",
+           "p, q = a * c, b * d",
+           "p, q = b * d, a * c",
+           "for x, y >= 0 the lower end takes the largest product and the upper the smallest"),
+    Mutant("scale-int-negative-ends-not-swapped", "src/qcert/certify.py",
+           "return (lo, hi) if c >= 0 else (hi, lo)",
+           "return lo, hi",
+           "scaled by c < 0 the lower end c lo is the larger one: the pair no longer encloses"),
+    Mutant("pi-power-bracket-rounded-inward", "src/qcert/ring.py",
+           "isqrt(3 * hn * hn << 2 * W) // hd + 1",
+           "isqrt(3 * hn * hn << 2 * W) // hd",
+           "pi^i sqrt3's upper bracket is floored, below the irrational value"),
+    Mutant("ring-fixed-lower-ceiled", "src/qcert/ring.py",
+           "return lo // den, -(-hi // den)",
+           "return -(-lo // den), -(-hi // den)",
+           "an element's lower end is rounded up, above its value"),
     # -- fixed-point Horner -------------------------------------------------
     Mutant("horner-lower-ceiled", "src/qcert/intervals.py",
            "lo = (lo * (am if lo >= 0 else bm) >> s) + cl",
@@ -74,10 +101,10 @@ MUTANTS = [
            "(bm if hi >= 0 else am)",
            "(bm if hi >= 0 else bm)",
            "a negative upper accumulator times x.hi is not the maximum over x"),
-    Mutant("to-fixed-upper-floored", "src/qcert/intervals.py",
+    Mutant("interval-fixed-upper-floored", "src/qcert/intervals.py",
            "hm << he if he >= 0 else -(-hm >> -he)",
            "hm << he if he >= 0 else hm >> -he",
-           "a coefficient's upper end may fall below the coefficient"),
+           "an interval's upper end on the grid may fall below the interval"),
     Mutant("horner-final-upper-rounded-down", "src/qcert/intervals.py",
            "_rounded(hi, -w, prec, up=True))",
            "_rounded(hi, -w, prec, up=False))",
@@ -91,7 +118,7 @@ MUTANTS = [
            "return s - term, s + term",
            "return s, s",
            "a partial sum of the arctan series does not bracket it"),
-    Mutant("i1-without-tail", "src/qcert/enclosures.py",
+    Mutant("i1-without-tail", "tests/oracles.py",
            "            hi -= -(b * sq) // den\n            break",
            "            break",
            "the upper sum leaves out the positive tail of I1's series"),
@@ -115,23 +142,6 @@ MUTANTS = [
            "    if shift == -1:\n        t, shift = t + 1, 0",
            "    if False:\n        t, shift = t + 1, 0",
            "log d just below 1 cancels against log 2 and loses its relative accuracy"),
-    # -- ring evaluation ------------------------------------------------------
-    Mutant("ring-sum-upper-rounded-down", "src/qcert/ring.py",
-           "hm, he = _sum_raw(hm, he, bm, be, prec, True)",
-           "hm, he = _sum_raw(hm, he, bm, be, prec, False)",
-           "the running sum's upper end may fall below the sum"),
-    Mutant("ring-sum-lower-rounded-up", "src/qcert/ring.py",
-           "lm, le = _sum_raw(lm, le, am, ae, prec, False)",
-           "lm, le = _sum_raw(lm, le, am, ae, prec, True)",
-           "the running sum's lower end may rise above the sum"),
-    Mutant("ring-coefficient-upper-rounded-down", "src/qcert/ring.py",
-           "bm, be = _fraction_raw(num, den, prec, True)",
-           "bm, be = _fraction_raw(num, den, prec, False)",
-           "a rational coefficient's upper end may fall below it"),
-    Mutant("ring-coefficient-lower-rounded-up", "src/qcert/ring.py",
-           "am, ae = _fraction_raw(num, den, prec, False)",
-           "am, ae = _fraction_raw(num, den, prec, True)",
-           "a rational coefficient's lower end may rise above it"),
     # -- ring form ------------------------------------------------------------
     Mutant("ring-sqrt3-square-not-folded", "src/qcert/ring.py",
            "            if k & 2:\n                k, v = k - 2, 3 * v\n",
@@ -146,8 +156,8 @@ MUTANTS = [
            "e.den, e.ints = den, ",
            "the terms are divided by the gcd but the denominator is not: the value shrinks by it"),
     Mutant("ring-eval-sqrt3-bit-from-k-and-2", "src/qcert/ring.py",
-           "            if k & 1:\n",
-           "            if k & 2:\n",
+           "        if k & 1:  # sqrt(3 t^2 4^W)",
+           "        if k & 2:  # sqrt(3 t^2 4^W)",
            "a sqrt3 term is enclosed without its factor sqrt3"),
     Mutant("expbinom-weight-without-binomial-denominator", "src/qcert/coeffs.py",
            "w = c.numerator * (den // (e.den * c.denominator))",
@@ -181,8 +191,8 @@ MUTANTS = [
            "key = id(a), first_box, p",
            "products with one operand in common share the first one's ring part"),
     Mutant("box-shared-between-sides", "src/qcert/certify.py",
-           "list(poly.coeff_ivs) + [Interval.point(0)])\n        exact, ring_ivs = _RING_PARTS[key]",
-           "list(poly.coeff_ivs) + [Interval.point(0)], err_box)\n        exact, ring_ivs, err_box = _RING_PARTS[key]",
+           "list(poly.coeff_pairs) + [(0, 0)])\n        exact, ring_pairs = _RING_PARTS[key]",
+           "list(poly.coeff_pairs) + [(0, 0)], err_box)\n        exact, ring_pairs, err_box = _RING_PARTS[key]",
            "the box is kept with the ring part, so L is built with U's box [0, err] when U came first"),
     Mutant("side-lemmas-skipped", "src/qcert/certify.py",
            "return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())",
@@ -206,8 +216,8 @@ MUTANTS = [
            "the statement is 'value > 0': a zero value is a violation"),
     # -- test oracles ---------------------------------------------------------
     Mutant("tight-lower-radius-not-negated", "tests/oracles.py",
-           "r if pol < 0 else Interval(-r.hi, -r.lo)}",
-           "r}",
+           "(r if pol < 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}",
+           "r.fixed(self.prec)}",
            "L's radius enters with the wrong sign, so the disproof polynomial is not L's"),
 ]
 
