@@ -143,7 +143,13 @@ def _cosh_term(s: int, prec: int) -> Interval:
 @lru_cache(maxsize=None)
 def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
     """Interval values of every budget constant (upper endpoints are the
-    published budget; full intervals kept for composition)."""
+    published budget; full intervals kept for composition).  Each tail
+    constant C claims |f(x) - sum_{k<=N} c_k x^k| <= C x^{N+1} for n >=
+    n_min(N, s), x = n^{-1/2}, so C >= |c_{N+1}|: er_exp, er_binom,
+    er_exp_binom, er_bessel and er_total for the exp, binom, expbinom,
+    bessel and full families of ``coeffs`` (f is q(n+s)/prefactor(n) for
+    full, sqrt(2 pi nu) e^{-nu} I1(nu), nu = pi sqrt((n+sigma)/3), for
+    bessel).  er_i1_asym, er_bessel_shift and growth_const enter these."""
     if N < 1 or s < 0:
         raise ValueError("need N >= 1 and s >= 0")
 
@@ -323,6 +329,12 @@ class BoundPoly:
 
 
 @lru_cache(maxsize=None)
+def _coeff_pair(k: int, s: int, prec: int) -> tuple[int, int]:
+    """expansion_coeff(k, s).fixed(prec), read by both sides and every order."""
+    return expansion_coeff(k, s).fixed(prec)
+
+
+@lru_cache(maxsize=None)
 def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> BoundPoly:
     """The side (+1 upper, -1 lower) envelope of order N at shift s."""
     if side not in (1, -1):
@@ -336,7 +348,7 @@ def bound_poly(s: int, N: int, side: int, prec: int = DEFAULT_PRECISION) -> Boun
         N=N,
         side=side,
         coeffs=coeffs,
-        coeff_pairs=tuple(c.fixed(prec) for c in coeffs),
+        coeff_pairs=tuple(_coeff_pair(m, s, prec) for m in range(N + 1)),
         err=budget.er_total,
         x_max=x_max,
         floor=floor,

@@ -640,8 +640,8 @@ def certify_positive(
     (no box around a point does better than the point).  A certified
     negative value is an honest counterexample for the whole coefficient
     family; a point value that is not positive ends the trial, flagged
-    rounding_limited unless the correction boxes alone explain it.
-    Exhausted depth is inconclusive, never proved.
+    rounding_limited unless the correction boxes, sized at this precision,
+    alone explain it.  Exhausted depth is inconclusive, never proved.
     """
     if x0.sign <= 0:
         raise ValueError(f"x0 must be > 0 (the interval is (0, x0]), got {float(x0)}")

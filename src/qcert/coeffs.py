@@ -23,15 +23,18 @@ plus the Bessel asymptotic-series numbers ``bessel_asym_coeff`` (1, 3/8,
 collapsed by an alternating half-integer binomial sum identity, which
 the tests check by brute force.
 
-The shift enters only through powers of 24s+1 = 24 sigma.  So the
-exponential and Bessel factors are each an s-free shape, memoized per k
-(per term: its ring key, a rational, and the powers of 24s+1, 24 and 72),
-and a value per (k, s) with one Fraction per term, in the shape's order
-(``RingElem.eval_iv`` sums terms in key order, so the order fixes every
-enclosure).  All five families are memoized per (k, s); a ring element
-is stored in its cleared integer form, which the two sums read directly.
-All five reject k < 0 or s < 0 and return exact values; nothing here
-touches floating point.
+The shift enters rigidly.  Put t = 24s+1, u = x sqrt(t), p = pi sqrt(t).
+Then sigma/n = u^2/24 and pi sqrt(n/3) = p/(sqrt3 u): the exponential factor
+is exp(p/(sqrt3 u) (sqrt(1+u^2/24) - 1)), the binomial factor
+(1+u^2/24)^{-3/4}, and the Bessel factor a series in 1/(pi sqrt((n+sigma)/3))
+= sqrt3 u/(p sqrt(1+u^2/24)), each with s-free coefficients in u and p.  A
+term c p^i sqrt3^j u^k is c pi^i sqrt3^j x^k t^((k+i)/2), and products add
+k and i, so every family at shift s is its s = 0 value with the term on key
+4i+j times the integer t^((k+i)/2) (``_at_shift`` checks k+i even, i >= -k).
+Only s = 0 is built, each factor's term from the previous one by its ratio.
+All five families are memoized per (k, s), reject k < 0 or s < 0 and return
+exact values; the two sums read each element's cleared integer form, and
+nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .ring import RingElem, sum_of_products
+from .ring import RingElem, convolve_terms, sum_of_products
 
 __all__ = [
     "rising_factorial",
@@ -60,22 +63,18 @@ def rising_factorial(x: Fraction | int, m: int) -> Fraction:
     """Pochhammer (x)_m = x (x+1) ... (x+m-1); empty product is 1."""
     if m < 0:
         raise ValueError("rising_factorial needs m >= 0")
-    out = Fraction(1)
-    x = Fraction(x)
+    p, q = Fraction(x).as_integer_ratio()
+    num = 1
     for i in range(m):
-        out *= x + i
-    return out
+        num *= p + i * q
+    return Fraction(num, q**m)
 
 
 def gen_binomial(x: Fraction | int, m: int) -> Fraction:
     """Generalized binomial coefficient C(x, m) = x(x-1)...(x-m+1)/m!."""
     if m < 0:
         raise ValueError("gen_binomial needs m >= 0")
-    out = Fraction(1)
-    x = Fraction(x)
-    for i in range(m):
-        out *= x - i
-    return out / factorial(m)
+    return rising_factorial(Fraction(x) - m + 1, m) / factorial(m)
 
 
 @lru_cache(maxsize=None)
@@ -95,53 +94,41 @@ def shift_sigma(s: int) -> Fraction:
 
 
 def _check(k: int, s: int) -> None:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if s < 0:
-        raise ValueError("shift must be nonnegative")
+    if k < 0 or s < 0:
+        raise ValueError(f"need k >= 0 and a nonnegative shift, got k={k}, s={s}")
 
 
-def _from_shape(shape: tuple, s: int) -> RingElem:
-    """The shape's value at shift s: term (key, r, a, b, c) is
-    r (24s+1)^a / (24^b 72^c), one Fraction per term, in shape order
-    (RingElem drops the zero ones)."""
+def _at_shift(e: RingElem, k: int, s: int) -> RingElem:
+    """The degree-k element e of shift 0 at shift s: the term on key 4i+j
+    times t^((k+i)/2), t = 24s+1 (see the module docstring), normalised
+    once.  Raises ArithmeticError on a term with k+i odd or i < -k."""
     t = 24 * s + 1
-    return RingElem({key: Fraction(r.numerator * t**a, r.denominator * 24**b * 72**c)
-                     for key, r, a, b, c in shape})
-
-
-@lru_cache(maxsize=None)
-def _exp_shape(k: int) -> tuple:
-    """s-free terms of exp_factor_coeff(k, .), with sigma = (24s+1)/24 and
-    (pi sqrt(sigma/3))^2 = pi^2 (24s+1)/72 split off as powers."""
-    if k == 0:
-        return (((0, 0), Fraction(1), 0, 0, 0),)
-    half = k // 2
-    if k % 2 == 0:
-        pref = rising_factorial(Fraction(1, 2) - half, half + 1) / half
-        return tuple(((2 * l, 0), pref * rising_factorial(Fraction(-half), l)
-                      / (factorial(half + l) * factorial(2 * l - 1)), half + l, half, l)
-                     for l in range(1, half + 1))
-    pref = rising_factorial(Fraction(1, 2) - half, half + 1)
-    # the odd-degree prefactor pi/sqrt3 = (1/3) pi sqrt3
-    return tuple(((1 + 2 * l, 1), pref * rising_factorial(Fraction(-half), l)
-                  / (3 * factorial(l + half + 1) * factorial(2 * l)), half + 1 + l, half + 1, l)
-                 for l in range(half + 1))
+    ints = {}
+    for key, v in e.ints.items():
+        i = key >> 2
+        if (k + i) % 2 or i < -k:
+            raise ArithmeticError(f"pi^{i} in a degree-{k} coefficient is not homogeneous in 24s+1")
+        ints[key] = v * t ** ((k + i) // 2)
+    return RingElem.from_cleared(e.den, ints)
 
 
 @lru_cache(maxsize=None)
 def exp_factor_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of exp(pi sqrt(n/3)(sqrt(1+sigma/n)-1)) in
     x = n^{-1/2}.  Even degrees carry pi^{2l}; odd degrees one extra
-    pi/sqrt3."""
+    pi/sqrt3 = (1/3) pi sqrt3."""
     _check(k, s)
-    return _from_shape(_exp_shape(k), s)
-
-
-@lru_cache(maxsize=None)
-def _binom_34(h: int) -> Fraction:
-    """C(-3/4, h), shared by every shift."""
-    return gen_binomial(Fraction(-3, 4), h)
+    if s:
+        return _at_shift(exp_factor_coeff(k, 0), k, s)
+    half, odd = divmod(k, 2)
+    # at shift 0, term l on pi^(2l+odd) sqrt3^odd is (1/2-half)_{half+1} (-half)_l
+    # / (24^half 72^(l+odd) (half+l+odd)! (2l-1+odd)!), also over half if k is even
+    c = (2 * odd - 1) * rising_factorial(Fraction(1, 2) - half, half + 1) / (72 * 24**half * factorial(half + 1))
+    terms = {} if k else {(0, 0): 1}
+    for l in range(1 - odd, half + 1):
+        terms[(2 * l + odd, odd)] = c
+        c *= Fraction(l - half, 72 * (half + l + 1 + odd) * (2 * l + odd) * (2 * l + 1 + odd))
+    return RingElem(terms)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +138,7 @@ def binom_factor_coeff(k: int, s: int) -> Fraction:
     _check(k, s)
     if k % 2:
         return Fraction(0)
-    return shift_sigma(s) ** (k // 2) * _binom_34(k // 2)
+    return shift_sigma(s) ** (k // 2) * gen_binomial(Fraction(-3, 4), k // 2)
 
 
 @lru_cache(maxsize=None)
@@ -161,29 +148,14 @@ def exp_binom_coeff(k: int, s: int) -> RingElem:
     of one exponential coefficient, summed in integers over one common
     denominator."""
     _check(k, s)
-    parts = [(exp_factor_coeff(l, s), c) for l in range(k + 1) if (c := binom_factor_coeff(k - l, s))]
+    if s:
+        return _at_shift(exp_binom_coeff(k, 0), k, s)
+    parts = [(exp_factor_coeff(l, 0), c) for l in range(k + 1) if (c := binom_factor_coeff(k - l, 0))]
     den = lcm(*(e.den * c.denominator for e, c in parts))
     acc: dict[int, int] = {}
-    get = acc.get
     for e, c in parts:
-        w = c.numerator * (den // (e.den * c.denominator))
-        for key, m in e.ints.items():
-            acc[key] = get(key, 0) + m * w
+        convolve_terms(acc, e.ints, {0: 1}, c.numerator * (den // (e.den * c.denominator)))
     return RingElem.from_cleared(den, acc)
-
-
-@lru_cache(maxsize=None)
-def _bessel_shape(k: int) -> tuple:
-    """s-free terms of bessel_factor_coeff(k, .): sigma^(l-j) is
-    (24s+1)^(l-j) / 24^(l-j)."""
-    l, odd = divmod(k, 2)
-    if odd:
-        # -(sqrt3/pi)^(2j+1) = -3^j sqrt3 pi^(-(2j+1))
-        return tuple(((-(2 * j + 1), 1), -gen_binomial(Fraction(-(2 * j + 1), 2), l - j)
-                      * bessel_asym_coeff(2 * j + 1) * 3**j, l - j, l - j, 0) for j in range(l + 1))
-    # (sqrt3/pi)^(2j) = 3^j pi^(-2j)
-    return tuple(((-2 * j, 0), gen_binomial(Fraction(-j), l - j) * bessel_asym_coeff(2 * j) * 3**j,
-                  l - j, l - j, 0) for j in range(l + 1))
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +167,20 @@ def bessel_factor_coeff(k: int, s: int) -> RingElem:
     where a_m is bessel_asym_coeff(m).  Negative pi powers appear here.
     """
     _check(k, s)
-    return _from_shape(_bessel_shape(k), s)
+    if s:
+        return _at_shift(bessel_factor_coeff(k, 0), k, s)
+    if k == 0:
+        return RingElem.from_rational(1)
+    half, odd = divmod(k, 2)
+    # term j on pi^-(2j+odd) sqrt3^odd is d a_{2j+odd}, d = -+C(-(2j+odd)/2, l-j) 3^j 24^(j-l);
+    # C(x-1, m-1) = C(x, m) m/x gives the next d, and the even j = 0 term is 0 for l > 0
+    first = 1 - odd
+    d = (-1) ** odd * gen_binomial(Fraction(odd - 2, 2), half - first) * 3**first / 24 ** (half - first)
+    terms = {}
+    for j in range(first, half + 1):
+        terms[(-(2 * j + odd), odd)] = d * bessel_asym_coeff(2 * j + odd)
+        d *= Fraction(-144 * (half - j), 2 * j + odd)
+    return RingElem(terms)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +188,9 @@ def expansion_coeff(k: int, s: int) -> RingElem:
     """Degree-k coefficient of the full expansion of
     4 * 3^{1/4} n^{3/4} e^{-pi sqrt(n/3)} q(n+s) in x = n^{-1/2}."""
     _check(k, s)
-    return sum_of_products([(exp_binom_coeff(l, s), bessel_factor_coeff(k - l, s)) for l in range(k + 1)])
+    if s:
+        return _at_shift(expansion_coeff(k, 0), k, s)
+    return sum_of_products([(exp_binom_coeff(l, 0), bessel_factor_coeff(k - l, 0)) for l in range(k + 1)])
 
 
 COEFF_FAMILIES = {

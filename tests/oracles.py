@@ -15,8 +15,9 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   factor's coefficients, by brute force and in closed form.
 * ``exp_factor_closed`` / ``binom_factor_closed`` /
   ``bessel_factor_closed`` -- the coefficient families as closed forms
-  rebuilt for every (k, s), which the s-free shapes of ``qcert.coeffs``
-  must match term for term and in key order.
+  rebuilt for every (k, s), which ``qcert.coeffs`` (built at s = 0 and
+  rescaled to every other shift) must match term for term and in key
+  order.
 * ``enclose_sinh`` -- certified sinh, for the exponential-factor bound.
 * ``bessel_arg`` / ``bessel_main_term`` / ``check_main_term_sandwich`` /
   ``SandwichResult`` with ``enclose_bessel_i1`` and its point kernel

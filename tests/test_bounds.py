@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import SandwichResult, bessel_arg, bessel_main_term, budget_fields, check_main_term_sandwich
+from oracles import SandwichResult, bessel_arg, bessel_main_term, budget_fields, check_main_term_sandwich, mag
 from qcert.bounds import (
     _budget_parts,
     _exp_thin,
@@ -27,8 +27,9 @@ from qcert.bounds import (
     x_of,
 )
 from qcert.certify import THEOREMS
-from qcert.coeffs import bessel_asym_coeff
+from qcert.coeffs import COEFF_FAMILIES, bessel_asym_coeff
 from qcert.intervals import Dyadic, Interval
+from qcert.ring import RingElem
 
 mp.mp.prec = 260
 
@@ -169,6 +170,22 @@ class TestBudgets:
             for name, v in _budget_parts(N, s, prec).items():
                 digest.update(f"{N} {s} {name} {v.lo.man} {v.lo.exp} {v.hi.man} {v.hi.exp};".encode())
         assert digest.hexdigest() == BUDGET_PINS[prec]
+
+    @pytest.mark.parametrize("field, family", [
+        ("er_exp", "exp"), ("er_binom", "binom"), ("er_exp_binom", "expbinom"),
+        ("er_bessel", "bessel"), ("er_total", "full"),
+    ])
+    def test_tail_constant_covers_first_omitted_coefficient(self, field, family):
+        # the constant bounds |f(x) - sum_{k<=N} c_k x^k| / x^(N+1) down to
+        # x = 0, where that tends to |c_{N+1}| of its own family.  Worst
+        # ratios: er_exp 0.613 at (30, 0), er_binom 9/16 at N = 1,
+        # er_exp_binom 0.283 at (1, 0), er_bessel 0.132 at (2, 2) and
+        # er_total 0.091 at (2, 1)
+        for N in range(1, 31):
+            for s in range(10):
+                c = COEFF_FAMILIES[family](N + 1, s)
+                size = abs(c) if not isinstance(c, RingElem) else mag(c.eval_iv(192)).to_fraction()
+                assert size <= getattr(error_budget(N, s, 192), field).to_fraction(), (N, s)
 
     def test_all_positive(self):
         budget = error_budget(14, 0)

@@ -274,6 +274,16 @@ class TestCertifyPositive:
         assert cert.reason.startswith("boxed family not positive at x=")
         assert cert.negative_witness is None and not cert.rounding_limited
 
+    def test_boxed_verdict_holds_at_its_precision(self):
+        # the radii and x0 of the boxes are computed at the working
+        # precision: at 16 bits A-companion's trial at 5847 stops as boxed
+        # and the search returns 5848; at 32 bits the same trial proves
+        low = certify_inequality("ineq2", 5847, 16)
+        assert low.reason.startswith("boxed family not positive at x=") and low.prec == 16
+        assert find_crossover("A-companion", 16)[0] == 5848
+        assert certify_inequality("ineq2", 5847, 32).proved
+        assert find_crossover("A-companion", 32)[0] == 5847
+
     def test_rounding_hides_sign(self):
         # 1 - (1 - 2^-300) x is 2^-300 at x = 1: invisible at 192 bits
         c1 = RingElem.from_rational(F(1, 2**300) - 1)

@@ -19,6 +19,7 @@ from qcert.bounds import error_budget
 from qcert.certify import THEOREMS
 from qcert.coeffs import (
     COEFF_FAMILIES,
+    _at_shift,
     bessel_asym_coeff,
     bessel_factor_coeff,
     binom_factor_coeff,
@@ -176,6 +177,15 @@ class TestShapes:
                     assert got.terms == want.terms, (k, s)
                     assert list(got.terms) == list(want.terms), (k, s)
 
+    def test_shift_zero_terms_are_homogeneous(self, family):
+        # the precondition of the rescale: every term pi^i of a degree-k
+        # coefficient at s = 0 has k + i even and -k <= i <= k (a nonzero
+        # binomial coefficient is one term on pi^0)
+        for k in range(41):
+            c = COEFF_FAMILIES[family](k, 0)
+            for i, _ in c.terms if isinstance(c, RingElem) else [(0, 0)] * (c != 0):
+                assert (k + i) % 2 == 0 and -k <= i <= k, (k, i)
+
     def test_negative_index_or_shift_rejected(self, family):
         fn = COEFF_FAMILIES[family]
         for k in (0, 1, 2):
@@ -183,6 +193,16 @@ class TestShapes:
                 fn(k, -1)
         with pytest.raises(ValueError):
             fn(-1, 0)
+
+
+def test_rescale_rejects_inhomogeneous_terms():
+    # pi^1 in degree 2 (k + i odd), pi^-4 in degree 2 (i < -k)
+    for i in (1, -4):
+        with pytest.raises(ArithmeticError):
+            _at_shift(RingElem.from_rational(1) + RingElem.monomial(i, 0, 1), 2, 1)
+    # a homogeneous element: pi^0 takes t^1 and pi^-2 takes t^0, t = 25
+    got = _at_shift(RingElem({(0, 0): F(1, 5), (-2, 1): F(7)}), 2, 1)
+    assert list(got.terms.items()) == [((0, 0), F(5)), ((-2, 1), F(7))]
 
 
 def _power_3_4(iv: Interval, prec: int) -> Interval:

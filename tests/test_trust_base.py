@@ -74,7 +74,9 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "error_total_interval",
            "sum_of_cleared", "_cleared",
            # floating (man, exp) polynomial arithmetic, replaced by integer pairs at 2^-w
-           "to_fixed", "to_intervals", "convolve_into", "_coeff_iv", "_mul_raw", "_pi_powers")
+           "to_fixed", "to_intervals", "convolve_into", "_coeff_iv", "_mul_raw", "_pi_powers",
+           # per-term shift powers: a family at shift s is one rescale of its s = 0 value
+           "_from_shape", "_exp_shape", "_bessel_shape")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),

@@ -160,9 +160,43 @@ MUTANTS = [
            "        if k & 2:  # sqrt(3 t^2 4^W)",
            "a sqrt3 term is enclosed without its factor sqrt3"),
     Mutant("expbinom-weight-without-binomial-denominator", "src/qcert/coeffs.py",
-           "w = c.numerator * (den // (e.den * c.denominator))",
-           "w = c.numerator * (den // e.den)",
+           "c.numerator * (den // (e.den * c.denominator)))",
+           "c.numerator * (den // e.den))",
            "each binomial weight is taken times its denominator, so the convolution is not the product"),
+    # -- one rescale per shift --------------------------------------------------
+    Mutant("rescale-t-without-one", "src/qcert/coeffs.py",
+           "t = 24 * s + 1",
+           "t = 24 * s",
+           "the shift's terms are scaled by powers of 24s, not of 24s+1 = 24 sigma"),
+    Mutant("rescale-exponent-k-minus-i", "src/qcert/coeffs.py",
+           "t ** ((k + i) // 2)",
+           "t ** ((k - i) // 2)",
+           "the term pi^i of degree k carries t^((k+i)/2): pi^i comes from (pi sqrt t)^i"),
+    Mutant("exp-term-ratio-without-72", "src/qcert/coeffs.py",
+           "c *= Fraction(l - half, 72 * (half",
+           "c *= Fraction(l - half, (half",
+           "each further exponential term takes another factor (pi^2/72)"),
+    Mutant("bessel-term-ratio-without-24", "src/qcert/coeffs.py",
+           "d *= Fraction(-144 * (half - j)",
+           "d *= Fraction(-6 * (half - j)",
+           "each further Bessel term takes one sigma^-1 = 24 and one 3 from (sqrt3/pi)^2"),
+    Mutant("coeff-pairs-shared-across-shifts", "src/qcert/bounds.py",
+           "_coeff_pair(m, s, prec)",
+           "_coeff_pair(m, 0, prec)",
+           "every shift's envelope reads shift 0's coefficient enclosures"),
+    # -- error budgets -----------------------------------------------------------
+    Mutant("er-exp-two-thirds", "src/qcert/bounds.py",
+           "mul(four_thirds, div(mul(iv(2), pi), iv(3)).sqrt(prec))",
+           "mul(iv(Fraction(2, 3)), div(mul(iv(2), pi), iv(3)).sqrt(prec))",
+           "the exponential tail constant is half the paper's"),
+    Mutant("er-exp-without-four-thirds", "src/qcert/bounds.py",
+           "mul(four_thirds, div(mul(iv(2), pi), iv(3)).sqrt(prec))",
+           "div(mul(iv(2), pi), iv(3)).sqrt(prec)",
+           "the exponential tail constant loses its factor 4/3"),
+    Mutant("er-exp-binom-term-dropped", "src/qcert/bounds.py",
+           "        mul(pi_over_2sqrt3, sigma_n2),\n",
+           "",
+           "the product tail leaves out its term (pi/(2 sqrt3)) sigma^((N+2)/2)"),
     # -- envelopes ------------------------------------------------------------
     Mutant("exp-thin-without-widening", "src/qcert/bounds.py",
            "return mid.add(Interval(-slack, slack), prec)",
