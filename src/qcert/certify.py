@@ -9,10 +9,11 @@ no gap:
   variable x = n^{-1/2}, becomes a polynomial with exact ring
   coefficients plus interval corrections from the error radii.  Its
   positivity on (0, x0] is proved by stripping symbolically-zero
-  leading coefficients (exact ring zero test) and adaptive interval
-  bisection -- never by floating point, and "inconclusive" is never
-  reported as proved.  Side lemmas from the same tree prove the factors
-  of every product positive; companion slacks are checked in rationals.
+  leading coefficients (exact ring zero test) and one interval
+  evaluation over all of [0, x0] -- never by floating point, and
+  "inconclusive" is never reported as proved.  Side lemmas from the
+  same tree prove the factors of every product positive; companion
+  slacks are checked in rationals.
 * exact regime: below the certified crossover the same tree is evaluated in
   big integers over blocks of indices; a companion factor with pi and square
   roots is decided in integers against a rational bracket of c^2, never tied.
@@ -34,7 +35,7 @@ from operator import add, mul
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
-from .intervals import DEFAULT_PRECISION, GUARD, MAX_PRECISION, Dyadic, Interval, convolve, horner, round_out
+from .intervals import DEFAULT_PRECISION, GUARD, Dyadic, Interval, convolve, horner, round_out
 from .qtable import QTable
 from .ring import ZERO_ELEM, RingElem, sum_of_products
 
@@ -60,7 +61,6 @@ __all__ = [
     "verify_theorem",
 ]
 
-DEFAULT_MAX_DEPTH = 60
 BLOCK = 128  # indices per exact-scan block; whole-range lists raise peak memory by over 60%
 _C2_BITS = 32  # the scans' first c^2 bracket: every scanned index has |B^2 c^2 - A^2 n^a| >= 2^-8.6 A^2 n^a
 
@@ -595,14 +595,11 @@ class Certificate:
     x_star: Dyadic
     n_star: int
     leading_zero_degree: int
-    subdivision_count: int
-    max_depth_hit: bool
     prec: int
     reason: str = ""
     negative_witness: tuple[float, float] | None = None
     reduced_coeffs: list[tuple[int, int]] = field(default_factory=list, repr=False)
-    # rounding may be all that keeps the sign undecided: worth a higher precision
-    rounding_limited: bool = False
+    subdivision_count = 0  # one range check, no bisection: kept for the report format
 
     @property
     def proved(self) -> bool:
@@ -615,7 +612,7 @@ class Certificate:
             "n_star": self.n_star,
             "leading_zero_degree": self.leading_zero_degree,
             "subdivisions": self.subdivision_count,
-            "max_depth_hit": self.max_depth_hit,
+            "max_depth_hit": False,
             "precision_bits": self.prec,
         }
         if self.reason:
@@ -625,33 +622,26 @@ class Certificate:
         return out
 
 
-def certify_positive(
-    ineq: IneqPoly,
-    x0: Dyadic,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> Certificate:
+def certify_positive(ineq: IneqPoly, x0: Dyadic) -> Certificate:
     """Prove the hybrid polynomial strictly positive on (0, x0].
 
     Strategy: (i) strip leading coefficients that are symbolic ring
     zeros with no correction box; (ii) require the next coefficient
-    to be certifiably positive; (iii) adaptive bisection of [0, x0]
-    with interval Horner on the reduced polynomial, splitting an
-    undecided box only while both its endpoints are certifiably positive
-    (no box around a point does better than the point).  A certified
-    negative value is an honest counterexample for the whole coefficient
-    family; a point value that is not positive ends the trial, flagged
-    rounding_limited unless the correction boxes, sized at this precision,
-    alone explain it.  Exhausted depth is inconclusive, never proved.
+    to be certifiably positive; (iii) one interval Horner of the reduced
+    polynomial over all of [0, x0].  When that range is not positive,
+    the end x0 is evaluated as a point (the end 0 is the constant term of
+    (ii)): a certified negative value is an honest counterexample for
+    the whole coefficient family; a value that is not positive is
+    "boxed family not positive" when the correction boxes, sized at this
+    precision, alone explain it, and "rounding hides the sign" otherwise.
+    With both ends positive the trial is inconclusive, never proved.
     """
     if x0.sign <= 0:
         raise ValueError(f"x0 must be > 0 (the interval is (0, x0]), got {float(x0)}")
     if x0 > ineq.x0:
         raise ValueError(f"x0={float(x0)} beyond validity radius {float(ineq.x0)}")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     poly = ineq.poly
     prec = poly.prec
-    n_star = _n_of_x(x0)
     fixed, widths = ineq.fixed
     d = 0
     while d < len(fixed) and d not in poly.errs:
@@ -660,63 +650,31 @@ def certify_positive(
         if not poly._is_zero(d):
             break
         d += 1
-    base = Certificate(status="inconclusive", x_star=x0, n_star=n_star, leading_zero_degree=d,
-                       subdivision_count=0, max_depth_hit=False, prec=prec)
+    base = Certificate(status="inconclusive", x_star=x0, n_star=_n_of_x(x0), leading_zero_degree=d, prec=prec)
     if ineq.side_lemma is not None:
         base.reason = ineq.side_lemma.reason
-        base.rounding_limited = ineq.side_lemma.rounding_limited
         return base
     if d >= len(fixed):
         base.reason = "polynomial is identically zero"
         return base
-    fixed, box_widths = fixed[d:], widths[d:]
-    base.reduced_coeffs = fixed
-
-    def hidden_by_rounding(x: Dyadic, value: Interval) -> bool:
-        # The family's values at x fill a subinterval of `value` as wide
-        # as the boxes make it, so its lowest member is <= value.hi - width.
-        return value.hi > horner(box_widths, Interval.point(x), prec).lo
-
+    fixed = base.reduced_coeffs = fixed[d:]
     if fixed[0][0] <= 0:
         base.reason = f"constant term after stripping x^{d} is not certifiably positive"
-        base.rounding_limited = fixed[0][1] > box_widths[0][0]  # as hidden_by_rounding at x = 0
         return base
-
-    stack: list[tuple[Dyadic, Dyadic, int]] = [(Dyadic(0), x0, 0)]
-    subdivisions = 0
-    while stack:
-        a, b, depth = stack.pop()
-        value = horner(fixed, Interval(a, b), prec)
-        if value.is_positive:
-            continue
-        base.subdivision_count = subdivisions
-        if value.is_negative:
-            base.reason = "certified negative leaf"
-            base.negative_witness = (float(a), float(b))
-            return base
-        for x in (a, b):
-            point = horner(fixed, Interval.point(x), prec)
-            if point.is_positive:
-                continue
-            if point.is_negative:
-                base.reason = "certified negative leaf"
-                base.negative_witness = (float(x), float(x))
-                return base
-            base.rounding_limited = hidden_by_rounding(x, point)
-            verdict = "rounding hides the sign" if base.rounding_limited else "boxed family not positive"
-            base.reason = f"{verdict} at x={float(x)}"
-            return base
-        if depth >= max_depth:
-            base.reason = f"sign undecided at depth {max_depth} on [{float(a)}, {float(b)}]"
-            base.max_depth_hit = True
-            base.rounding_limited = True
-            return base
-        mid = (a + b).scale(-1)
-        subdivisions += 1
-        stack.append((a, mid, depth + 1))
-        stack.append((mid, b, depth + 1))
-    base.status = "proved"
-    base.subdivision_count = subdivisions
+    if horner(fixed, Interval(Dyadic(0), x0), prec).is_positive:
+        base.status = "proved"
+        return base
+    point = horner(fixed, Interval.point(x0), prec)
+    if point.is_negative:
+        base.reason = f"certified negative at x={float(x0)}"
+        base.negative_witness = (float(x0), float(x0))
+    elif not point.is_positive:
+        # The family's values at x0 fill a subinterval of `point` as wide
+        # as the boxes make it, so its lowest member is <= point.hi - width.
+        hidden = point.hi > horner(widths[d:], Interval.point(x0), prec).lo
+        base.reason = f"{'rounding hides the sign' if hidden else 'boxed family not positive'} at x={float(x0)}"
+    else:
+        base.reason = f"range enclosure not positive on (0, {float(x0)}] though both ends are"
     return base
 
 
@@ -731,32 +689,21 @@ def certify_inequality(
     ineq_id: str,
     n_star: int | None = None,
     prec: int = DEFAULT_PRECISION,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Certificate:
     """Certify positivity for all n >= n_star (default: the envelope
-    validity window), doubling the precision up to MAX_PRECISION only
-    while rounding may be what keeps the result inconclusive
-    (Certificate.rounding_limited).  n_star is checked against the
+    validity window) at precision prec.  n_star is checked against the
     window before anything is expanded."""
     spec = _ineq_spec(ineq_id)
-    p = prec
-    while True:
-        window = window_max(spec.N, spec.shifts, p)
-        target = window if n_star is None else n_star
-        if target < window:
-            raise ValueError(f"n_star={target} below envelope validity window {window}")
-        cert = certify_positive(build_ineq(ineq_id, p), x_of(target, p).hi, max_depth)
-        cert.n_star = max(cert.n_star, target)
-        if cert.proved or not cert.rounding_limited or p >= MAX_PRECISION:
-            return cert
-        p *= 2
+    window = window_max(spec.N, spec.shifts, prec)
+    target = window if n_star is None else n_star
+    if target < window:
+        raise ValueError(f"n_star={target} below envelope validity window {window}")
+    cert = certify_positive(build_ineq(ineq_id, prec), x_of(target, prec).hi)
+    cert.n_star = max(cert.n_star, target)
+    return cert
 
 
-def find_crossover(
-    theorem_id: str,
-    prec: int = DEFAULT_PRECISION,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> tuple[int, Certificate]:
+def find_crossover(theorem_id: str, prec: int = DEFAULT_PRECISION) -> tuple[int, Certificate]:
     """Smallest certifiable crossover n_star for the theorem's
     inequality, searched upward from the envelope validity window and
     capped by the theorem's seam.
@@ -774,17 +721,17 @@ def find_crossover(
             f"envelope validity window {window} of {theorem_id} at {prec} bits "
             f"lies above its seam {spec.seam}"
         )
-    cert = certify_inequality(spec.ineq_id, window, prec, max_depth)
+    cert = certify_inequality(spec.ineq_id, window, prec)
     if cert.proved:
         return window, cert
     bad, good = window, spec.seam
-    good_cert = certify_inequality(spec.ineq_id, good, prec, max_depth)
+    good_cert = certify_inequality(spec.ineq_id, good, prec)
     if not good_cert.proved:
         good_cert.reason = f"not certifiable even at the seam {good}: " + good_cert.reason
         return good, good_cert
     while good - bad > 1:
         mid = (good + bad) // 2
-        cert_try = certify_inequality(spec.ineq_id, mid, prec, max_depth)
+        cert_try = certify_inequality(spec.ineq_id, mid, prec)
         if cert_try.proved:
             good, good_cert = mid, cert_try
         else:
@@ -851,7 +798,6 @@ class VerificationReport:
     sharpness_witness: int | None
     status: str                            # pass / fail / inconclusive
     precision_bits: int
-    subdivisions: int
     certificate: Certificate
     seconds: float
     holds_from: int | None = None          # when violations exist: verified fresh start
@@ -868,7 +814,7 @@ class VerificationReport:
             "sharpness_witness": self.sharpness_witness,
             "status": self.status,
             "precision_bits": self.precision_bits,
-            "subdivisions": self.subdivisions,
+            "subdivisions": self.certificate.subdivision_count,
             "certificate": self.certificate.to_json_dict(),
         }
         if self.holds_from is not None:
@@ -882,7 +828,6 @@ def verify_theorem(
     theorem_id: str,
     table: QTable,
     prec: int = DEFAULT_PRECISION,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     sharpness: bool = True,
     threshold_override: int | None = None,
 ) -> VerificationReport:
@@ -907,7 +852,7 @@ def verify_theorem(
     top = max(threshold - 1, spec.seam - 1 + spec.shift) - spec.shift + spec.shifts[-1]  # n_star <= seam
     if top > table.n_max:
         raise ValueError(f"threshold {threshold} of {theorem_id} scans q({top}), past the table 0..{table.n_max}")
-    n_star, cert = find_crossover(theorem_id, prec, max_depth)
+    n_star, cert = find_crossover(theorem_id, prec)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1
     found = exact_verify(theorem_id, table, spec.scan_floor if sharpness else threshold,
@@ -929,7 +874,6 @@ def verify_theorem(
         sharpness_witness=witness,
         status=status,
         precision_bits=cert.prec,
-        subdivisions=cert.subdivision_count,
         certificate=cert,
         seconds=time.perf_counter() - t0,
         holds_from=max(violations) + 1 if violations else None,

@@ -22,7 +22,6 @@ import time
 
 from .bounds import bound_value, n_min, window_max
 from .certify import (
-    DEFAULT_MAX_DEPTH,
     INEQUALITIES,
     THEOREMS,
     certify_inequality,
@@ -53,7 +52,6 @@ GLOBAL_DEFAULTS = {
     "n_max": 20000,
     "precision": DEFAULT_PRECISION,
     "format": "json",
-    "max_depth": DEFAULT_MAX_DEPTH,
     "no_timing": False,
 }
 
@@ -69,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"working precision in bits (default {DEFAULT_PRECISION})")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--max-depth", type=int, default=argparse.SUPPRESS,
-                        help=f"bisection depth limit (default {DEFAULT_MAX_DEPTH})")
     common.add_argument("--no-timing", action="store_true", default=argparse.SUPPRESS,
                         help="omit wall times from reports")
 
@@ -220,7 +216,6 @@ def cmd_verify(args) -> int:
             args.theorem,
             table,
             prec=args.precision,
-            max_depth=args.max_depth,
             sharpness=not args.skip_sharpness,
         )
     except ValueError as exc:  # envelope window above the seam
@@ -232,9 +227,7 @@ def cmd_verify(args) -> int:
 
 def cmd_certify(args) -> int:
     try:
-        cert = certify_inequality(
-            args.ineq, n_star=args.n_star, prec=args.precision, max_depth=args.max_depth
-        )
+        cert = certify_inequality(args.ineq, n_star=args.n_star, prec=args.precision)
     except ValueError as exc:  # n_star below the window
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -278,7 +271,6 @@ def cmd_reproduce_all(args) -> int:
                 tid,
                 table,
                 prec=args.precision,
-                max_depth=args.max_depth,
                 threshold_override=threshold_override,
             )
         except ValueError as exc:  # envelope window above the seam
@@ -313,9 +305,6 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, key, default)
     if args.precision < MIN_PRECISION:
         print(f"error: --precision must be >= {MIN_PRECISION}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_depth < 0:
-        print("error: --max-depth must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
         "qtable": cmd_qtable,

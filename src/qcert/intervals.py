@@ -36,7 +36,6 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_PRECISION",
-    "MAX_PRECISION",
     "MIN_PRECISION",
     "Dyadic",
     "Interval",
@@ -50,7 +49,6 @@ __all__ = [
 
 MIN_PRECISION = 16
 DEFAULT_PRECISION = 192
-MAX_PRECISION = 1536  # ceiling for the precision doublings of refining callers
 GUARD = 16  # the fixed-point scale of polynomial coefficients is 2^-(prec + GUARD)
 
 
@@ -450,13 +448,15 @@ class Interval:
         check_precision(prec)
         if other.lo.sign <= 0 <= other.hi.sign:
             raise DomainError(f"division by interval containing zero: {other}")
-        quotients = [
-            _div_dir(a.man, a.exp, b.man, b.exp, prec, up)
-            for a in (self.lo, self.hi)
-            for b in (other.lo, other.hi)
-            for up in (False, True)
-        ]
-        return Interval(min(quotients), max(quotients))
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c.sign < 0:  # x/y = (-x)/(-y): make the divisor positive
+            a, b, c, d = -b, -a, -d, -c
+        # for y > 0, x/y rises with x, and with y where x < 0: the sign of
+        # each end of the numerator picks its divisor
+        lo_den = d if a.sign >= 0 else c
+        hi_den = c if b.sign >= 0 else d
+        return Interval(_div_dir(a.man, a.exp, lo_den.man, lo_den.exp, prec, False),
+                        _div_dir(b.man, b.exp, hi_den.man, hi_den.exp, prec, True))
 
     def pow_int(self, k: int, prec: int) -> "Interval":
         """Integer power; even powers of straddling intervals floor at 0."""

@@ -77,7 +77,7 @@ from qcert.certify import (INEQUALITIES, THEOREMS, Companion, HybridPoly, IneqPo
                            exact_verify)
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point, enclose_pi
-from qcert.intervals import DEFAULT_PRECISION, GUARD, MAX_PRECISION, DomainError, Dyadic, Interval, check_precision
+from qcert.intervals import DEFAULT_PRECISION, GUARD, DomainError, Dyadic, Interval, check_precision
 from qcert.qtable import QTable
 from qcert.ring import RingElem
 
@@ -327,6 +327,9 @@ class SandwichResult(Enum):
     HOLDS = "holds"
     FAILS = "fails"
     OUT_OF_REGIME = "out-of-regime"
+
+
+MAX_PRECISION = 1536  # ceiling for the sandwich's precision doublings
 
 
 def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISION) -> SandwichResult:

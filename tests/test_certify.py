@@ -272,7 +272,7 @@ class TestCertifyPositive:
         cert = certify_inequality("ineq2")
         assert cert.status == "inconclusive" and cert.prec == 192
         assert cert.reason.startswith("boxed family not positive at x=")
-        assert cert.negative_witness is None and not cert.rounding_limited
+        assert cert.negative_witness is None
 
     def test_boxed_verdict_holds_at_its_precision(self):
         # the radii and x0 of the boxes are computed at the working
@@ -289,7 +289,7 @@ class TestCertifyPositive:
         c1 = RingElem.from_rational(F(1, 2**300) - 1)
         monomials = {0: RingElem.from_rational(1), 1: c1}
         cert = certify_positive(_toy_ineq(monomials, F(1)), Dyadic(1))
-        assert not cert.proved and cert.rounding_limited
+        assert not cert.proved and cert.prec == 192
         assert cert.reason.startswith("rounding hides the sign at x=")
         assert certify_positive(_toy_ineq(monomials, F(1), 384), Dyadic(1)).proved
 
@@ -300,10 +300,14 @@ class TestCertifyPositive:
         with pytest.raises(ArithmeticError):
             certify_positive(ineq, Dyadic(1))
 
-    def test_negative_max_depth_rejected(self):
-        ineq = _toy_ineq({2: RingElem.from_rational(1)}, F(1))
-        with pytest.raises(ValueError, match="max_depth"):
-            certify_positive(ineq, ineq.x0, max_depth=-3)
+    def test_range_not_positive_though_both_ends_are(self):
+        # 1 - 2x + 2x^2 >= 1/2 on (0, 1], and both ends are 1, but one
+        # interval Horner over [0, 1] does not prove it positive: with no
+        # bisection the trial is inconclusive, with no witness
+        monomials = {0: RingElem.from_rational(1), 1: RingElem.from_rational(-2), 2: RingElem.from_rational(2)}
+        cert = certify_positive(_toy_ineq(monomials, F(1)), Dyadic(1))
+        assert cert.status == "inconclusive" and cert.negative_witness is None
+        assert cert.reason == "range enclosure not positive on (0, 1.0] though both ends are"
 
     def test_nonpositive_x0_rejected(self):
         # (0, x0] is empty for x0 <= 0: a usage error, not a division by zero
@@ -642,24 +646,25 @@ class TestCrossovers:
         cert = certify_inequality("ineq2")
         assert not cert.proved
 
-    def test_escalation_proves_at_24_bits(self, monkeypatch):
+    def test_proves_at_24_bits_without_escalating(self, monkeypatch):
         # with every coefficient an integer pair at 2^-(prec + 16), A-companion's
-        # n_star = 5847 proves at 24 bits with no doubling (when every product
-        # rounded to 24 bits, rounding left it open and 48 bits proved it); a
-        # trial that rounding leaves open still doubles until one proves
+        # n_star = 5847 proves at 24 bits (when every product rounded to 24
+        # bits, rounding left it open and 48 bits proved it); a trial that
+        # rounding leaves open comes back at the precision asked for, after
+        # one certifier call: no precision is raised
         cert = certify_inequality("ineq2", 5847, 24)
         assert cert.proved and cert.prec == 24
-        certify = certify_module.certify_positive
+        certify, calls = certify_module.certify_positive, []
 
-        def limited(ineq, x0, *args):
-            cert = certify(ineq, x0, *args)
-            if ineq.poly.prec < 96:
-                cert.status, cert.rounding_limited = "inconclusive", True
+        def hidden(ineq, x0):
+            calls.append(ineq.poly.prec)
+            cert = certify(ineq, x0)
+            cert.status, cert.reason = "inconclusive", f"rounding hides the sign at x={float(x0)}"
             return cert
 
-        monkeypatch.setattr(certify_module, "certify_positive", limited)
+        monkeypatch.setattr(certify_module, "certify_positive", hidden)
         cert = certify_inequality("ineq2", 5847, 24)
-        assert cert.proved and cert.prec == 96
+        assert not cert.proved and cert.prec == 24 and calls == [24]
 
     @pytest.mark.parametrize("tid, trials", [
         ("A-companion",

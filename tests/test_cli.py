@@ -105,10 +105,13 @@ class TestVerifyAndCertify:
         assert code == EXIT_USAGE and out == ""
         assert "error: n_star=100 below envelope validity window 5019" in err
 
-    def test_negative_max_depth_usage_error(self, capsys):
-        code, out, err = run(capsys, "--max-depth", "-3", "certify", "ineq2")
+    def test_max_depth_flag_removed(self, capsys):
+        # the certifier makes one range check per trial: no depth to limit
+        code, out, _ = run(capsys, "--max-depth", "5", "certify", "ineq2")
         assert code == EXIT_USAGE and out == ""
-        assert err == "error: --max-depth must be >= 0\n"
+        code, out, err = run(capsys, "certify", "ineq2", "--max-depth", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --max-depth 5" in err
 
     def test_verify_json_and_determinism(self, capsys, table20k):
         code1, out1, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")

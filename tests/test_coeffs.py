@@ -165,8 +165,9 @@ def _closed(family: str, k: int, s: int):
 @pytest.mark.parametrize("family", sorted(COEFF_FAMILIES))
 class TestShapes:
     def test_matches_closed_form(self, family):
-        # equal terms in the same key order: RingElem.eval_iv sums the
-        # terms in dict order, so the order fixes every enclosure
+        # equal terms in the same key order: the key-order check pins the
+        # canonical form of each element, not its enclosure (RingElem.fixed
+        # is one exact integer sum, whatever the order)
         fn = COEFF_FAMILIES[family]
         for s in range(13):
             for k in range(41):

@@ -11,6 +11,7 @@ from qcert.intervals import (
     DomainError,
     Dyadic,
     Interval,
+    _div_dir,
     convolve,
     horner,
 )
@@ -132,6 +133,31 @@ class TestIntervalArithmetic:
         m = a.mul(b, prec)
         assert m.lo == Dyadic.from_fraction(min(products), prec, up=False)
         assert m.hi == Dyadic.from_fraction(max(products), prec, up=True)
+
+    @pytest.mark.parametrize("prec", [16, 64, 192])
+    @pytest.mark.parametrize("signs", [(s, t) for s in "+-0" for t in "+-"])
+    @given(data=st.data())
+    def test_div_holds_endpoint_quotients_inside_eight_quotient_hull(self, prec, signs, data):
+        # numerators of each sign case ('0' straddles 0), divisors of both
+        # signs, point intervals and mantissas of different bit lengths: the
+        # two directed quotients hold every exact endpoint quotient and lie
+        # inside the hull of all eight directed endpoint quotients
+        mag = st.builds(Dyadic, st.integers(0, 2**260), st.integers(-300, 40))
+        pos = mag.filter(lambda d: not d.is_zero)
+
+        def draw(sign, ends):
+            if sign == "0":
+                return Interval(-data.draw(pos), data.draw(pos))
+            lo = data.draw(ends)
+            hi = lo + data.draw(st.one_of(st.just(Dyadic(0)), mag))
+            return Interval(lo, hi) if sign == "+" else Interval(-hi, -lo)
+
+        a, b = draw(signs[0], mag), draw(signs[1], pos)
+        ends = [(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+        hull = [_div_dir(x.man, x.exp, y.man, y.exp, prec, up) for x, y in ends for up in (False, True)]
+        q = a.div(b, prec)
+        assert all(q.contains(x.to_fraction() / y.to_fraction()) for x, y in ends)
+        assert min(hull) <= q.lo and q.hi <= max(hull)
 
     @pytest.mark.parametrize("prec", [64, 192])
     @given(data=st.data())

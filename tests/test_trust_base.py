@@ -21,6 +21,7 @@ from qcert.certify import (
     Sum,
     build_ineq,
     certify_inequality,
+    certify_positive,
     exact_verify,
     expand_statement,
     find_crossover,
@@ -64,7 +65,8 @@ ORACLES = (
 )
 
 # Dead code, second definitions of n^(-1/2) and of the precision
-# defaults (x_of, DEFAULT_PRECISION and MAX_PRECISION are the ones), and
+# defaults (x_of and DEFAULT_PRECISION are the ones; MAX_PRECISION, the
+# ceiling of the main-term sandwich's doublings, lives in tests/oracles.py), and
 # the per-thread default precision with the operator coercion that read it,
 # and the disproof radius, which only the tight_expansion oracle needs, and
 # the sums over a second, cleared copy of each ring element.
@@ -76,7 +78,10 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            # floating (man, exp) polynomial arithmetic, replaced by integer pairs at 2^-w
            "to_fixed", "to_intervals", "convolve_into", "_coeff_iv", "_mul_raw", "_pi_powers",
            # per-term shift powers: a family at shift s is one rescale of its s = 0 value
-           "_from_shape", "_exp_shape", "_bessel_shape")
+           "_from_shape", "_exp_shape", "_bessel_shape",
+           # the certifier makes one range check per trial: no bisection depth,
+           # no precision escalation
+           "DEFAULT_MAX_DEPTH", "MAX_PRECISION")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -136,7 +141,9 @@ PRECISION_REQUIRED = (
 )
 
 # Knobs that change no result: the exact regime's integer decision does
-# not depend on a precision, and the precision ceiling is MAX_PRECISION.
+# not depend on a precision, no certifier trial raises its precision (the
+# sandwich oracle's ceiling is oracles.MAX_PRECISION), and one range check
+# per trial has no bisection depth.
 # Production expands with one radius rule, the box; the thin-radius
 # disproof expansion is the tight_expansion oracle.
 REMOVED_PARAMETERS = (
@@ -147,6 +154,10 @@ REMOVED_PARAMETERS = (
     (build_ineq, "tight"),
     (expand_statement, "tight"),
     (HybridPoly.from_envelope, "tight"),
+    (certify_positive, "max_depth"),
+    (certify_inequality, "max_depth"),
+    (find_crossover, "max_depth"),
+    (verify_theorem, "max_depth"),
 )
 
 

@@ -59,6 +59,10 @@ MUTANTS = [
            "    if up and r:\n        q += 1\n    return q, ea - eb - shift",
            "    return q, ea - eb - shift",
            "an upward quotient is truncated, below the exact quotient"),
+    Mutant("div-lower-end-divides-by-c", "src/qcert/intervals.py",
+           "lo_den = d if a.sign >= 0 else c",
+           "lo_den = c",
+           "for x >= 0 and 0 < c < d, x/c is above x/d: the lower end rises above the least quotient"),
     # -- fixed-point polynomial kernels ---------------------------------------
     Mutant("round-out-lower-ceiled", "src/qcert/intervals.py",
            "return [(a >> w, -(-b >> w))",
@@ -240,6 +244,22 @@ MUTANTS = [
            "return d < self._exact.n and self._exact[d].is_zero",
            "return True",
            "a nonzero leading part is stripped as a symbolic zero"),
+    Mutant("certifier-range-read-from-upper-end", "src/qcert/certify.py",
+           "Interval(Dyadic(0), x0), prec).is_positive",
+           "Interval(Dyadic(0), x0), prec).hi.sign > 0",
+           "a range with a positive upper end may hold negative values: it is not a proof"),
+    Mutant("certifier-range-at-zero-only", "src/qcert/certify.py",
+           "horner(fixed, Interval(Dyadic(0), x0), prec)",
+           "horner(fixed, Interval(Dyadic(0), Dyadic(0)), prec)",
+           "the value at x = 0 says nothing about the rest of (0, x0]"),
+    Mutant("certifier-x0-end-not-evaluated", "src/qcert/certify.py",
+           "point = horner(fixed, Interval.point(x0), prec)",
+           "point = Interval.point(1)",
+           "a negative or undecided value at x0 is never seen: a failing trial reads as undecided"),
+    Mutant("certifier-negative-witness-dropped", "src/qcert/certify.py",
+           "        base.negative_witness = (float(x0), float(x0))\n",
+           "",
+           "a certified negative value leaves no witness, so a failing theorem reads inconclusive"),
     Mutant("c2-refinement-skipped", "src/qcert/certify.py",
            "        prec *= 2\n        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)",
            "        return a > 0",
