@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
-from .ring import RingElem, convolve_terms, sum_of_products
+from .ring import RingElem, sum_of_products
 
 __all__ = [
     "rising_factorial",
@@ -144,18 +144,13 @@ def binom_factor_coeff(k: int, s: int) -> Fraction:
 @lru_cache(maxsize=None)
 def exp_binom_coeff(k: int, s: int) -> RingElem:
     """Convolution of the exponential and binomial factor coefficients:
-    each binomial coefficient is a rational weight on the cleared terms
-    of one exponential coefficient, summed in integers over one common
-    denominator."""
+    each exponential coefficient times its rational binomial weight,
+    summed by ``sum_of_products``."""
     _check(k, s)
     if s:
         return _at_shift(exp_binom_coeff(k, 0), k, s)
-    parts = [(exp_factor_coeff(l, 0), c) for l in range(k + 1) if (c := binom_factor_coeff(k - l, 0))]
-    den = lcm(*(e.den * c.denominator for e, c in parts))
-    acc: dict[int, int] = {}
-    for e, c in parts:
-        convolve_terms(acc, e.ints, {0: 1}, c.numerator * (den // (e.den * c.denominator)))
-    return RingElem.from_cleared(den, acc)
+    return sum_of_products([(exp_factor_coeff(l, 0), RingElem.from_rational(c))
+                            for l in range(k + 1) if (c := binom_factor_coeff(k - l, 0))])
 
 
 @lru_cache(maxsize=None)

@@ -20,10 +20,10 @@ ceiling chain the upper one, the tails are integer comparisons, and the
 result is rounded outward to prec bits once, at the end.  The squarings
 that undo exp's halvings round the pair outward to the working width.
 
-All point kernels take an exact Dyadic and return an Interval; interval
-arguments are handled by monotone endpoint dispatch (every function here
-is monotone on the domain we admit, except cosh which is even), and a
-point argument is evaluated once.
+All point kernels take an exact Dyadic and return an Interval.  exp and
+log, increasing, take interval arguments through ``monotone``, the
+dispatch of ``Interval.sqrt``, which evaluates a point argument once;
+cosh, even, has its own.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .intervals import (
     Dyadic,
     Interval,
     check_precision,
+    monotone,
 )
 
 __all__ = [
@@ -131,8 +132,7 @@ def _exp_point(d: Dyadic, prec: int) -> Interval:
 
 def enclose_exp(x: Interval, prec: int) -> Interval:
     check_precision(prec)
-    lo = _exp_point(x.lo, prec)
-    return lo if x.lo == x.hi else Interval(lo.lo, _exp_point(x.hi, prec).hi)
+    return monotone(_exp_point, x, prec)
 
 
 def _atanh_series(ulo: int, uhi: int, w: int) -> tuple[int, int]:
@@ -194,8 +194,7 @@ def enclose_log(x: Interval, prec: int) -> Interval:
     check_precision(prec)
     if x.lo.sign <= 0:
         raise DomainError(f"log domain requires lo > 0, got {x}")
-    lo = _log_point(x.lo, prec)
-    return lo if x.lo == x.hi else Interval(lo.lo, _log_point(x.hi, prec).hi)
+    return monotone(_log_point, x, prec)
 
 
 def enclose_cosh(x: Interval, prec: int) -> Interval:

@@ -16,8 +16,10 @@ arithmetic is exact, and ``Interval`` has none.
 Mantissas are plain Python ints, so there is no overflow and no hidden
 rounding anywhere except the explicit directed roundings below.  An
 interval endpoint is rounded once, straight from the raw sum or product
-mantissa, and canonicalised once.  Moore's sign cases, which pick the
-endpoint products of an interval product, are one helper (``_moore``).
+mantissa, and canonicalised once.  Each rule is written once:
+``Interval.mul`` is ``convolve``'s one-term case, ``sub`` is ``add`` of
+the reflected operand, and sqrt, exp and log share one dispatch
+(``monotone``).
 
 Polynomials are carried in fixed point: a coefficient is an integer pair
 (lo, hi) at the scale 2^-w, w = prec + 16 (``Interval.fixed`` converts
@@ -33,6 +35,7 @@ the upper end, rounded outward to prec bits once at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -44,6 +47,7 @@ __all__ = [
     "GUARD",
     "convolve",
     "horner",
+    "monotone",
     "round_out",
 ]
 
@@ -271,13 +275,9 @@ class Dyadic:
 ZERO = Dyadic(0)
 
 
-def _div_dir(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> Dyadic:
-    """Directed rounding of (ma*2**ea)/(mb*2**eb) to ~prec bits."""
-    return Dyadic(*_div_raw(ma, ea, mb, eb, prec, up))
-
-
 def _div_raw(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> tuple[int, int]:
-    """_div_dir as a raw (man, exp) pair, the quotient carrying prec + 2 bits."""
+    """Directed rounding of (ma*2**ea)/(mb*2**eb) toward +inf (up) or -inf,
+    as a raw (man, exp) pair, the quotient carrying prec + 2 bits."""
     if mb < 0:
         ma, mb = -ma, -mb
     # scale numerator so the integer quotient carries prec+2 significant bits
@@ -292,65 +292,40 @@ def _div_raw(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> tuple[i
     return q, ea - eb - shift
 
 
-def _sqrt_dir(man: int, exp: int, prec: int) -> tuple[Dyadic, Dyadic]:
-    """Bracketing pair for sqrt(man*2**exp), man >= 0, each ~prec bits."""
-    if man == 0:
-        return ZERO, ZERO
+def _sqrt_point(d: Dyadic, prec: int) -> "Interval":
+    """Enclosure of sqrt(d), d >= 0, at ~prec bits from one integer root."""
+    man, exp = d.man, d.exp
     if exp & 1:
-        man <<= 1
-        exp -= 1
+        man, exp = man << 1, exp - 1
     # isqrt(man << 2j) has about (bitlen + 2j)/2 bits; aim for prec+2
     j = max(0, prec + 2 - (man.bit_length() + 1) // 2)
-    from math import isqrt
-
-    r = isqrt(man << (2 * j))
+    man <<= 2 * j
+    r = isqrt(man)
     half = exp // 2 - j
-    exact = r * r == man << (2 * j)  # perfect square: exact result
-    return _rounded(r, half, prec, up=False), _rounded(r if exact else r + 1, half, prec, up=True)
+    return Interval(_rounded(r, half, prec, up=False), _rounded(r + (r * r < man), half, prec, up=True))
 
 
-def _moore(am: int, ae: int, bm: int, be: int, cm: int, ce: int, dm: int, de: int):
-    """Moore's sign cases for [a, b] * [c, d], each endpoint a raw (man,
-    exp) pair: the exact lower and upper endpoint products, as
-    (man, exp, man, exp).  Candidate products are compared only when
-    both intervals straddle zero."""
-    if am >= 0:
-        if cm >= 0:
-            return am * cm, ae + ce, bm * dm, be + de
-        if dm <= 0:
-            return bm * cm, be + ce, am * dm, ae + de
-        return bm * cm, be + ce, bm * dm, be + de
-    if bm <= 0:
-        if cm >= 0:
-            return am * dm, ae + de, bm * cm, be + ce
-        if dm <= 0:
-            return bm * dm, be + de, am * cm, ae + ce
-        return am * dm, ae + de, am * cm, ae + ce
-    if cm >= 0:
-        return am * dm, ae + de, bm * dm, be + de
-    if dm <= 0:
-        return bm * cm, be + ce, am * cm, ae + ce
-    pm, pe, qm, qe = am * dm, ae + de, bm * cm, be + ce  # lo: the smaller of ad, bc
-    if not _less(pm, pe, qm, qe):
-        pm, pe = qm, qe
-    qm, qe, rm, re = am * cm, ae + ce, bm * dm, be + de  # hi: the larger of ac, bd
-    if not _less(rm, re, qm, qe):
-        qm, qe = rm, re
-    return pm, pe, qm, qe
+def monotone(point, x: "Interval", prec: int) -> "Interval":
+    """Enclosure of a nondecreasing f on x from its kernel point(d, prec):
+    f(x.lo)'s lower end and f(x.hi)'s upper end, a point x run once."""
+    lo = point(x.lo, prec)
+    return lo if x.lo == x.hi else Interval(lo.lo, point(x.hi, prec).hi)
 
 
-def _less(pm: int, pe: int, qm: int, qe: int) -> bool:
-    """pm*2**pe < qm*2**qe, exactly."""
-    e = pe if pe < qe else qe
-    return pm << (pe - e) < qm << (qe - e)
+def _aligned(x: "Interval") -> tuple[int, int, int]:
+    """(a, b, e) with x = [a, b] * 2^e: both ends on the smaller exponent."""
+    lo, hi = x.lo, x.hi
+    e = lo.exp if lo.exp < hi.exp else hi.exp
+    return lo.man << (lo.exp - e), hi.man << (hi.exp - e), e
 
 
 def convolve(lo: list[int], hi: list[int], xs, ys) -> None:
     """lo[i + j] += and hi[i + j] += the exact lower and upper end of x * y,
     for (i, x) in xs and (j, y) in ys, each x and y an integer pair (a, b)
     with a <= b.  Nothing is rounded: for pairs at scale 2^-w the sums are
-    exact at 2^-2w.  Moore's sign cases are those of ``_moore``, on plain
-    integers and inline: this is the inner loop of every product."""
+    exact at 2^-2w.  Moore's sign cases are written here only, inline on
+    plain integers: this is the inner loop of every product, and
+    ``Interval.mul`` calls it with one term on each side."""
     ys = list(ys)
     for i, (a, b) in xs:
         for j, (c, d) in ys:
@@ -431,18 +406,15 @@ class Interval:
         )
 
     def sub(self, other: "Interval", prec: int) -> "Interval":
-        check_precision(prec)
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        return Interval(
-            Dyadic(*_sum_raw(a.man, a.exp, -d.man, d.exp, prec, up=False)),
-            Dyadic(*_sum_raw(b.man, b.exp, -c.man, c.exp, prec, up=True)),
-        )
+        return self.add(Interval(-other.hi, -other.lo), prec)
 
     def mul(self, other: "Interval", prec: int) -> "Interval":
+        """``convolve``'s one-term case on the aligned ends, rounded outward."""
         check_precision(prec)
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        pm, pe, qm, qe = _moore(a.man, a.exp, b.man, b.exp, c.man, c.exp, d.man, d.exp)
-        return Interval(_rounded(pm, pe, prec, up=False), _rounded(qm, qe, prec, up=True))
+        (a, b, e), (c, d, f) = _aligned(self), _aligned(other)
+        lo, hi = [0], [0]
+        convolve(lo, hi, [(0, (a, b))], [(0, (c, d))])
+        return Interval(_rounded(lo[0], e + f, prec, up=False), _rounded(hi[0], e + f, prec, up=True))
 
     def div(self, other: "Interval", prec: int) -> "Interval":
         check_precision(prec)
@@ -455,8 +427,8 @@ class Interval:
         # each end of the numerator picks its divisor
         lo_den = d if a.sign >= 0 else c
         hi_den = c if b.sign >= 0 else d
-        return Interval(_div_dir(a.man, a.exp, lo_den.man, lo_den.exp, prec, False),
-                        _div_dir(b.man, b.exp, hi_den.man, hi_den.exp, prec, True))
+        return Interval(Dyadic(*_div_raw(a.man, a.exp, lo_den.man, lo_den.exp, prec, False)),
+                        Dyadic(*_div_raw(b.man, b.exp, hi_den.man, hi_den.exp, prec, True)))
 
     def pow_int(self, k: int, prec: int) -> "Interval":
         """Integer power; even powers of straddling intervals floor at 0."""
@@ -483,9 +455,7 @@ class Interval:
         check_precision(prec)
         if self.lo.sign < 0:
             raise DomainError(f"sqrt of interval with negative endpoint: {self}")
-        lo, _ = _sqrt_dir(self.lo.man, self.lo.exp, prec)
-        _, hi = _sqrt_dir(self.hi.man, self.hi.exp, prec)
-        return Interval(lo, hi)
+        return monotone(_sqrt_point, self, prec)
 
     def scale(self, k: int) -> "Interval":
         """Exact multiplication by 2**k."""
@@ -535,11 +505,9 @@ def horner(coeffs: list[tuple[int, int]], x: Interval, prec: int) -> Interval:
     rounded outward to prec bits once at the end.
     """
     check_precision(prec)
-    a, b = x.lo, x.hi
-    if a.man < 0:
-        raise ValueError(f"horner needs x >= 0, got x.lo = {a}")
-    e = a.exp if a.exp < b.exp else b.exp
-    am, bm = a.man << (a.exp - e), b.man << (b.exp - e)  # x = [am, bm] * 2^e
+    am, bm, e = _aligned(x)  # x = [am, bm] * 2^e
+    if am < 0:
+        raise ValueError(f"horner needs x >= 0, got x.lo = {x.lo}")
     if e > 0:
         am, bm, e = am << e, bm << e, 0
     s = -e

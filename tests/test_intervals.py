@@ -11,7 +11,7 @@ from qcert.intervals import (
     DomainError,
     Dyadic,
     Interval,
-    _div_dir,
+    _div_raw,
     convolve,
     horner,
 )
@@ -101,6 +101,18 @@ class TestIntervalArithmetic:
         s = Interval.point(4).sqrt(192)
         assert s.contains(2) and s.width.to_fraction() == 0
 
+    @pytest.mark.parametrize("prec", [16, 24, 53, 192])
+    @pytest.mark.parametrize("point", [True, False], ids=["point", "range"])
+    @given(data=st.data())
+    def test_sqrt_ends_square_around_the_argument(self, prec, point, data):
+        # lo^2 <= x.lo and x.hi <= hi^2, exactly in rationals: mantissas up
+        # to 300 bits, odd and even exponents, points and ranges
+        dyadic = st.builds(Dyadic, st.integers(0, 2**300 - 1), st.integers(-300, 60))
+        a = data.draw(dyadic)
+        b = a if point else a + data.draw(dyadic)
+        lo, hi = Interval(a, b).sqrt(prec).to_fractions()
+        assert lo * lo <= a.to_fraction() and b.to_fraction() <= hi * hi
+
     def test_sqrt_domain(self):
         with pytest.raises(DomainError):
             Interval(Dyadic(-1), Dyadic(1)).sqrt(64)
@@ -154,7 +166,7 @@ class TestIntervalArithmetic:
 
         a, b = draw(signs[0], mag), draw(signs[1], pos)
         ends = [(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-        hull = [_div_dir(x.man, x.exp, y.man, y.exp, prec, up) for x, y in ends for up in (False, True)]
+        hull = [Dyadic(*_div_raw(x.man, x.exp, y.man, y.exp, prec, up)) for x, y in ends for up in (False, True)]
         q = a.div(b, prec)
         assert all(q.contains(x.to_fraction() / y.to_fraction()) for x, y in ends)
         assert min(hull) <= q.lo and q.hi <= max(hull)

@@ -81,7 +81,10 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "_from_shape", "_exp_shape", "_bessel_shape",
            # the certifier makes one range check per trial: no bisection depth,
            # no precision escalation
-           "DEFAULT_MAX_DEPTH", "MAX_PRECISION")
+           "DEFAULT_MAX_DEPTH", "MAX_PRECISION",
+           # second copies of a rule: Moore's sign cases live in convolve, a
+           # quotient is _div_raw, a square root one point kernel per end
+           "_moore", "_less", "_div_dir", "_sqrt_dir")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -252,6 +255,10 @@ def test_enclosures_use_no_floating_point():
     ("intervals.py", "_fraction_raw"),
     ("intervals.py", "convolve"),
     ("intervals.py", "_sum_raw"),
+    ("intervals.py", "Interval.mul"),
+    ("intervals.py", "_aligned"),
+    ("intervals.py", "_sqrt_point"),
+    ("intervals.py", "monotone"),
     ("ring.py", "RingElem.eval_iv"),
     ("ring.py", "RingElem.fixed"),
     ("ring.py", "_power"),

@@ -52,9 +52,33 @@ class Mutant(NamedTuple):
 MUTANTS = [
     # -- interval arithmetic ------------------------------------------------
     Mutant("sqrt-upper-rounded-down", "src/qcert/intervals.py",
-           "_rounded(r if exact else r + 1, half, prec, up=True)",
-           "_rounded(r if exact else r + 1, half, prec, up=False)",
+           "_rounded(r + (r * r < man), half, prec, up=True)",
+           "_rounded(r + (r * r < man), half, prec, up=False)",
            "the upper end of a square root may fall below the root"),
+    Mutant("sqrt-lower-rounded-up", "src/qcert/intervals.py",
+           "_rounded(r, half, prec, up=False)",
+           "_rounded(r, half, prec, up=True)",
+           "the lower end of a square root may rise above the root"),
+    Mutant("sqrt-upper-without-ceiling", "src/qcert/intervals.py",
+           "r + (r * r < man)",
+           "r",
+           "the floor of a root that is not exact lies below it"),
+    Mutant("monotone-point-shortcut-on-range", "src/qcert/intervals.py",
+           "return lo if x.lo == x.hi else",
+           "return lo if True else",
+           "a range takes f(x.lo) for both ends, so its upper end misses f(x.hi)"),
+    Mutant("interval-mul-upper-rounded-down", "src/qcert/intervals.py",
+           "_rounded(hi[0], e + f, prec, up=True)",
+           "_rounded(hi[0], e + f, prec, up=False)",
+           "the upper end of a product may fall below the largest endpoint product"),
+    Mutant("interval-ends-not-aligned", "src/qcert/intervals.py",
+           "return lo.man << (lo.exp - e), hi.man << (hi.exp - e), e",
+           "return lo.man, hi.man, e",
+           "the ends are read on the smaller exponent without their shift: the values change"),
+    Mutant("sub-reflection-drops-other-lo", "src/qcert/intervals.py",
+           "Interval(-other.hi, -other.lo)",
+           "Interval(-other.hi, -other.hi)",
+           "the upper end is x.hi - other.hi, below x.hi - other.lo when other is wide"),
     Mutant("div-without-ceiling", "src/qcert/intervals.py",
            "    if up and r:\n        q += 1\n    return q, ea - eb - shift",
            "    return q, ea - eb - shift",
@@ -114,7 +138,7 @@ MUTANTS = [
            "_rounded(hi, -w, prec, up=False))",
            "the result's upper end may fall below the fixed-point bound"),
     Mutant("horner-accepts-negative-x", "src/qcert/intervals.py",
-           "    if a.man < 0:\n        raise ValueError(f\"horner needs",
+           "    if am < 0:\n        raise ValueError(f\"horner needs",
            "    if False:\n        raise ValueError(f\"horner needs",
            "the endpoint choice by sign assumes x >= 0"),
     # -- enclosures -----------------------------------------------------------
@@ -164,8 +188,8 @@ MUTANTS = [
            "        if k & 2:  # sqrt(3 t^2 4^W)",
            "a sqrt3 term is enclosed without its factor sqrt3"),
     Mutant("expbinom-weight-without-binomial-denominator", "src/qcert/coeffs.py",
-           "c.numerator * (den // (e.den * c.denominator)))",
-           "c.numerator * (den // e.den))",
+           "RingElem.from_rational(c)",
+           "RingElem.from_rational(c.numerator)",
            "each binomial weight is taken times its denominator, so the convolution is not the product"),
     # -- one rescale per shift --------------------------------------------------
     Mutant("rescale-t-without-one", "src/qcert/coeffs.py",
