@@ -21,7 +21,7 @@ result is rounded outward to prec bits once, at the end.  The squarings
 that undo exp's halvings round the pair outward to the working width.
 
 All point kernels take an exact Dyadic and return an Interval.  exp and
-log, increasing, take interval arguments through ``monotone``, the
+log, increasing, take interval arguments through ``_monotone``, the
 dispatch of ``Interval.sqrt``, which evaluates a point argument once;
 cosh, even, has its own.
 """
@@ -35,7 +35,7 @@ from .intervals import (
     Dyadic,
     Interval,
     check_precision,
-    monotone,
+    _monotone,
 )
 
 __all__ = [
@@ -132,7 +132,7 @@ def _exp_point(d: Dyadic, prec: int) -> Interval:
 
 def enclose_exp(x: Interval, prec: int) -> Interval:
     check_precision(prec)
-    return monotone(_exp_point, x, prec)
+    return _monotone(_exp_point, x, prec)
 
 
 def _atanh_series(ulo: int, uhi: int, w: int) -> tuple[int, int]:
@@ -194,7 +194,7 @@ def enclose_log(x: Interval, prec: int) -> Interval:
     check_precision(prec)
     if x.lo.sign <= 0:
         raise DomainError(f"log domain requires lo > 0, got {x}")
-    return monotone(_log_point, x, prec)
+    return _monotone(_log_point, x, prec)
 
 
 def enclose_cosh(x: Interval, prec: int) -> Interval:

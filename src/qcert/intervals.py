@@ -19,7 +19,7 @@ interval endpoint is rounded once, straight from the raw sum or product
 mantissa, and canonicalised once.  Each rule is written once:
 ``Interval.mul`` is ``convolve``'s one-term case, ``sub`` is ``add`` of
 the reflected operand, and sqrt, exp and log share one dispatch
-(``monotone``).
+(``_monotone``).
 
 Polynomials are carried in fixed point: a coefficient is an integer pair
 (lo, hi) at the scale 2^-w, w = prec + 16 (``Interval.fixed`` converts
@@ -47,7 +47,6 @@ __all__ = [
     "GUARD",
     "convolve",
     "horner",
-    "monotone",
     "round_out",
 ]
 
@@ -305,7 +304,7 @@ def _sqrt_point(d: Dyadic, prec: int) -> "Interval":
     return Interval(_rounded(r, half, prec, up=False), _rounded(r + (r * r < man), half, prec, up=True))
 
 
-def monotone(point, x: "Interval", prec: int) -> "Interval":
+def _monotone(point, x: "Interval", prec: int) -> "Interval":
     """Enclosure of a nondecreasing f on x from its kernel point(d, prec):
     f(x.lo)'s lower end and f(x.hi)'s upper end, a point x run once."""
     lo = point(x.lo, prec)
@@ -455,7 +454,7 @@ class Interval:
         check_precision(prec)
         if self.lo.sign < 0:
             raise DomainError(f"sqrt of interval with negative endpoint: {self}")
-        return monotone(_sqrt_point, self, prec)
+        return _monotone(_sqrt_point, self, prec)
 
     def scale(self, k: int) -> "Interval":
         """Exact multiplication by 2**k."""

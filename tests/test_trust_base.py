@@ -258,7 +258,7 @@ def test_enclosures_use_no_floating_point():
     ("intervals.py", "Interval.mul"),
     ("intervals.py", "_aligned"),
     ("intervals.py", "_sqrt_point"),
-    ("intervals.py", "monotone"),
+    ("intervals.py", "_monotone"),
     ("ring.py", "RingElem.eval_iv"),
     ("ring.py", "RingElem.fixed"),
     ("ring.py", "_power"),
