@@ -14,9 +14,10 @@ no gap:
   "inconclusive" is never reported as proved.  Side lemmas from the
   same tree prove the factors of every product positive; companion
   slacks are checked in rationals.
-* exact regime: below the certified crossover the same tree is evaluated in
-  big integers over blocks of indices; a companion factor with pi and square
-  roots is decided in integers against a rational bracket of c^2, never tied.
+* exact regime: below the certified crossover the same tree, compiled once to
+  a block program, is evaluated in big integers over blocks of indices; a
+  companion factor with pi and square roots is decided in integers against a
+  rational bracket of c^2, never tied.
 
 The certified crossover n_star is searched upward from the envelope
 validity window and is capped by the seam recorded for each theorem
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
-from operator import add, mul
+from operator import add, mul, sub
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
@@ -61,36 +62,25 @@ __all__ = [
     "verify_theorem",
 ]
 
-BLOCK = 128  # indices per exact-scan block; whole-range lists raise peak memory by over 60%
+BLOCK = 128  # indices per exact-scan block: 512 gained no reliable time for 0.6 MB more peak RSS
 _C2_BITS = 32  # the scans' first c^2 bracket: every scanned index has |B^2 c^2 - A^2 n^a| >= 2^-8.6 A^2 n^a
 
 
 # -- theorem statements ---------------------------------------------------------
 
 # Each theorem is written once, as an expression tree over the leaves
-# q(n0 + s), n0 = n - shift.  Exactly, values(q, m) gives lists A, B at m
-# indices, q the table from the first n0: the statement's value is A + B t,
-# t = r pi^i sqrt3^j n^{-a/2} the companion term (B None without one).  As an
-# envelope it expands to a hybrid polynomial in x = n0^{-1/2}: a leaf becomes
-# L(s) at positive polarity and U(s) at negative polarity, and a negative
-# weight flips the polarity.  Sums fold left and products evaluate in the
-# order written, which fixes every rounding of the expansion.
+# q(n0 + s), n0 = n - shift.  Exactly, its program (_program) gives lists A, B
+# at m indices from the table q at the first n0: the statement's value is
+# A + B t, t = r pi^i sqrt3^j n^{-a/2} the companion term (B None without
+# one).  As an envelope it expands to a hybrid polynomial in x = n0^{-1/2}: a
+# leaf becomes L(s) at positive polarity and U(s) at negative polarity, and a
+# negative weight flips the polarity.  Sums fold left and products evaluate
+# in the order written, which fixes every rounding of the expansion.
 
 
 def _paren(node, pol: int) -> str:
     text = node.show(pol)
     return f"({text})" if isinstance(node, Sum) else text
-
-
-def _prod(xs, ys):
-    """Elementwise product; None stands for all zeros."""
-    return None if xs is None or ys is None else list(map(mul, xs, ys))
-
-
-def _axpy(acc, w: int, xs):
-    """acc + w xs elementwise; None stands for all zeros."""
-    xs = xs if xs is None or w == 1 else [w * x for x in xs]
-    return xs if acc is None else acc if xs is None else list(map(add, acc, xs))
 
 
 class Q:
@@ -100,9 +90,6 @@ class Q:
 
     def __init__(self, s: int):
         self.s = s
-
-    def values(self, q, m):
-        return q[self.s : self.s + m], None
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         return HybridPoly.from_envelope(self.s, ex.N, -pol, ex.prec)
@@ -117,13 +104,6 @@ class Sum:
     def __init__(self, *terms: tuple[int, object]):
         self.terms = terms
         self.children = tuple(t for _, t in terms)
-
-    def values(self, q, m):
-        a = b = None
-        for w, t in self.terms:
-            ta, tb = t.values(q, m)
-            a, b = _axpy(a, w, ta), _axpy(b, w, tb)
-        return a, b
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         total = None
@@ -147,10 +127,6 @@ class Mul:
     def __init__(self, a, b):
         self.children = (a, b)
 
-    def values(self, q, m):
-        (a1, b1), (a2, b2) = (c.values(q, m) for c in self.children)
-        return _prod(a1, a2), _axpy(_prod(a1, b2), 1, _prod(b1, a2))
-
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         return ex(self.children[0], pol).mul(ex(self.children[1], pol))
 
@@ -163,10 +139,6 @@ class Sq(Mul):
 
     def __init__(self, x):
         super().__init__(x, x)
-
-    def values(self, q, m):
-        a, b = self.children[0].values(q, m)
-        return [x * x for x in a], _axpy(None, 2, _prod(a, b))
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         x = ex(self.children[0], pol)
@@ -189,10 +161,6 @@ class Companion:
         self.children = (body,)
         self.r, self.i, self.j, self.a, self.slack = Fraction(r), i, j, a, Fraction(slack)
         self.coeff = RingElem.monomial(i, j, r)
-
-    def values(self, q, m):
-        a, _ = self.children[0].values(q, m)
-        return a, a
 
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         if pol < 0:
@@ -307,7 +275,56 @@ THEOREMS: dict[str, TheoremSpec] = {
 INEQUALITIES: dict[str, str] = {t.ineq_id: t.id for t in THEOREMS.values()}
 
 
-# -- the exact predicate: integer sign decisions ---------------------------------
+# -- the exact predicate: one block program, integer sign decisions --------------
+
+
+@lru_cache(maxsize=None)
+def _program(statement) -> tuple[list, tuple, tuple | None]:
+    """The statement as a straight-line program over one block, register 0 the
+    table q: each step (op, args, drops) folds its operands (w, register, start)
+    by op into the next register, as far as they all reach, then drops the
+    registers it read last.  A subterm is keyed with its leaves moved down by its
+    lowest, s, so its shifted repeats are one step that readers take at start s.
+    Returns the steps and the (register, start) of A and of B (None: B = 0)."""
+    reg = {}  # step (op, args) -> its register, each after the steps it reads
+
+    def term(op, parts):  # parts (w, (register, s)); a sum of one unit part is that part
+        if op is add and [w for w, _ in parts] in ([], [1]):
+            return parts[0][1] if parts else None
+        s = min(o for _, (_, o) in parts)
+        return reg.setdefault((op, tuple((w, x, o - s) for w, (x, o) in parts)), len(reg) + 1), s
+
+    def split(x):  # (A, B) of node x
+        if isinstance(x, Q):
+            return (0, x.s), None
+        if isinstance(x, Companion):
+            return (split(x.children[0])[0],) * 2
+        if isinstance(x, Sum):
+            ab = [(w, split(c)) for w, c in x.terms]
+            return term(add, [(w, a) for w, (a, _) in ab]), term(add, [(w, b) for w, (_, b) in ab if b])
+        (a1, b1), (a2, b2) = map(split, x.children)  # B = b1 a2 + a1 b2, A's own step when b1 is a1
+        return term(mul, [(1, a1), (1, a2)]), term(add, [(1, term(mul, [(1, u), (1, v)]))
+                                                         for u, v in ((b1, a2), (a1, b2)) if u and v])
+
+    refs, steps = split(statement), list(reg)
+    last, keep = {x: i for i, (_, args) in enumerate(steps) for _, x, _ in args}, {r[0] for r in refs if r}
+    return [st + ([x for x, j in last.items() if j == i and x not in keep],) for i, st in enumerate(steps)], *refs
+
+
+def _run(program, q: list[int], m: int) -> tuple[list[int], list[int] | None]:
+    """Lists A and B of the statement at m indices, q the table from the first n0."""
+    steps, a, b = program
+    regs = [q]
+    for op, ((w, x, i), *rest), drops in steps:
+        acc = regs[x][i:] if w == 1 else [w * v for v in regs[x][i:]]
+        for w, y, j in rest:  # products have unit weights; a sum subtracts at weight -1
+            ys = regs[y][j:]
+            acc = (list(map(op, acc, ys)) if w == 1 else list(map(sub, acc, ys)) if w == -1 else
+                   [u + w * v for u, v in zip(acc, ys)])
+        regs.append(acc)
+        for x in drops:
+            regs[x] = None
+    return tuple(r and regs[r[0]][r[1] : r[1] + m] for r in (a, b))
 
 
 @lru_cache(maxsize=None)
@@ -320,11 +337,19 @@ def _c2_bracket(comp: Companion, prec: int) -> tuple[tuple[int, int], tuple[int,
 
 def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
     """A + B t > 0 at index n, t > 0; opposite signs compare B^2 c^2 with A^2 n^a, c2 being
-    _c2_bracket(comp, _C2_BITS), refined by doubling the bits only while it does not decide."""
+    _c2_bracket(comp, _C2_BITS).  First on brackets: with s = bitlen|A| - 64 > 0, |A| lies in
+    [ah, ah + 1) 2^s and |B| in [bh, bh + 1) 2^s.  Only when they leave it open are the exact
+    squares compared, c2 refined by doubling the bits only while it does not decide."""
     if a >= 0 and b >= 0 or a <= 0 and b <= 0:  # same signs; A = B = 0 is not positive
         return a + b > 0
-    bb, rhs = b * b, a * a * n**comp.a
-    prec, ((lo_p, lo_q), (hi_p, hi_q)) = _C2_BITS, c2
+    na, ((lo_p, lo_q), (hi_p, hi_q)) = n**comp.a, c2
+    if (s := abs(a).bit_length() - 64) > 0:
+        ah, bh = abs(a) >> s, abs(b) >> s
+        if bh * bh * lo_p > (ah + 1) ** 2 * na * lo_q:  # B t > |A|
+            return b > 0
+        if (bh + 1) ** 2 * hi_p < ah * ah * na * hi_q:  # B t < |A|
+            return a > 0
+    bb, rhs, prec = b * b, a * a * na, _C2_BITS
     while True:
         if bb * lo_p > rhs * lo_q:
             return b > 0
@@ -742,16 +767,11 @@ def find_crossover(theorem_id: str, prec: int = DEFAULT_PRECISION) -> tuple[int,
 # -- exact verification ----------------------------------------------------------
 
 
-def exact_verify(
-    theorem_id: str,
-    table: QTable,
-    lo: int,
-    hi: int,
-    *,
-    shifted: bool = True,
-) -> list[int]:
+def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: bool = True) -> list[int]:
     """Indices n in lo..hi where the theorem's statement fails, decided
-    exactly in integers, the tree evaluated BLOCK indices at a time.
+    exactly in integers: the statement's program (_program, shifted repeats
+    of a subterm computed once) runs BLOCK indices at a time, and a companion
+    sign is decided on 64-bit brackets of A and B before the exact squares.
 
     lo/hi are in shifted coordinates (those of the certified polynomial)
     unless shifted=False; returned violations are in statement
@@ -764,16 +784,16 @@ def exact_verify(
     n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
     for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
         table.window(n, width + 1)
-    c2 = comp and _c2_bracket(comp, _C2_BITS)  # read once per scan
+    c2, program = comp and _c2_bracket(comp, _C2_BITS), _program(spec.statement)  # read once per scan
     found = []
     for i in range(0, count, BLOCK):
-        q = table.values[n0 + i : n0 + i + BLOCK + width]
-        a, b = spec.statement.values(q, min(BLOCK, count - i))
-        ns = range(start + i, start + count)
+        m = min(BLOCK, count - i)
+        a, b = _run(program, table.values[n0 + i : n0 + i + m + width], m)
+        ns = range(start + i, start + i + m)
         if b is None:  # no companion: B = 0
-            found += [n for n, x in zip(ns, a) if x <= 0]
+            found += [n for n, x in zip(ns, a, strict=True) if x <= 0]
         else:
-            found += [n for n, x, y in zip(ns, a, b) if not _positive(x, y, n, comp, c2)]
+            found += [n for n, x, y in zip(ns, a, b, strict=True) if not _positive(x, y, n, comp, c2)]
     return found
 
 

@@ -45,7 +45,12 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   Interval operations at prec bits, which ``RingElem.fixed`` may not be
   wider than on its grid.
 * ``theorem_predicate`` -- the exact truth of a statement at one n.
-* ``node_exact`` -- a statement node's exact value (A, B) at one index.
+* ``node_values`` / ``node_exact`` -- a statement node's exact lists
+  (A, B) at m indices by recursion over the tree, the reference for the
+  scans' compiled program, and its value at one index.
+* ``positive_untruncated`` -- the companion sign A + B t > 0 from the exact
+  squares against a c^2 bracket from ``pi_bracket``, with no bracket of A
+  and B: the reference for the scans' ``_positive``.
 * ``tight_expansion`` -- the disproof expansion: the statement expanded
   with every error radius entered as its thin two-sided enclosure, not
   as the box, so a certified negative value refutes the inequality.
@@ -71,9 +76,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
+from operator import add, mul
 
 from qcert.bounds import ErrorBudget, _budget_parts, bound_poly, decay_threshold
-from qcert.certify import (INEQUALITIES, THEOREMS, Companion, HybridPoly, IneqPoly, Mul, Q, _Expansion,
+from qcert.certify import (INEQUALITIES, THEOREMS, Companion, HybridPoly, IneqPoly, Mul, Q, Sq, _Expansion,
                            exact_verify)
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point, enclose_pi
@@ -528,10 +534,39 @@ def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
     return not exact_verify(theorem_id, table, n, n, shifted=False)
 
 
+def node_values(node, q, m: int) -> tuple[list[int], list[int] | None]:
+    """Lists A, B of a statement node at m indices, q the table from its first n0,
+    by recursion over the tree with no sharing: the reference for the scans'
+    compiled program.  B None stands for all zeros."""
+    def prod(xs, ys):
+        return None if xs is None or ys is None else list(map(mul, xs, ys))
+
+    def axpy(acc, w, xs):
+        xs = xs if xs is None or w == 1 else [w * x for x in xs]
+        return xs if acc is None else acc if xs is None else list(map(add, acc, xs))
+
+    if isinstance(node, Q):
+        return q[node.s : node.s + m], None
+    if isinstance(node, Companion):
+        a, _ = node_values(node.children[0], q, m)
+        return a, a
+    if isinstance(node, Sq):
+        a, b = node_values(node.children[0], q, m)
+        return [x * x for x in a], axpy(None, 2, prod(a, b))
+    if isinstance(node, Mul):
+        (a1, b1), (a2, b2) = (node_values(c, q, m) for c in node.children)
+        return prod(a1, a2), axpy(prod(a1, b2), 1, prod(b1, a2))
+    a = b = None
+    for w, t in node.terms:
+        ta, tb = node_values(t, q, m)
+        a, b = axpy(a, w, ta), axpy(b, w, tb)
+    return a, b
+
+
 def node_exact(node, q) -> tuple[int, int]:
     """(A, B) of a statement node at one index, q the table from its first n0:
-    the m = 1 case of node.values."""
-    a, b = node.values(q, 1)
+    the m = 1 case of node_values."""
+    a, b = node_values(node, q, 1)
     return a[0], 0 if b is None else b[0]
 
 
@@ -671,6 +706,24 @@ def pi_bracket(bits: int) -> tuple[Fraction, Fraction]:
         man, exp = mp.mpf(mp.pi).man_exp
     pi, unit = Fraction(man) * Fraction(2) ** exp, Fraction(2) ** exp
     return pi - unit, pi + unit
+
+
+def positive_untruncated(a: int, b: int, n: int, comp: Companion) -> bool:
+    """A + B t > 0 at index n, t = r pi^i sqrt3^j n^{-a/2}: opposite signs compare
+    B^2 c^2 with A^2 n^a, c^2 = r^2 3^j pi^{2i} from pi_bracket at doubling bits, and
+    exactly when i = 0, where a tie is A + B t = 0, not positive."""
+    if a * b >= 0:
+        return a + b > 0
+    k, lhs, rhs, bits = comp.r**2 * 3**comp.j, b * b, a * a * n**comp.a, 64
+    while True:
+        lo, hi = (k * pi ** (2 * comp.i) for pi in pi_bracket(bits)) if comp.i else (k, k)
+        if lhs * lo > rhs:
+            return b > 0
+        if lhs * hi < rhs:
+            return a > 0
+        if lo == hi:
+            return False
+        bits *= 2
 
 
 @lru_cache(maxsize=None)

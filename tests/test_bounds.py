@@ -160,6 +160,7 @@ class TestBudgets:
             # and not wildly conservative
             assert ours <= ref[name] * (1 + mp.mpf(2) ** -100), (N, s, name)
 
+    @pytest.mark.pin
     @pytest.mark.parametrize("prec", sorted(BUDGET_PINS))
     def test_budget_parts_unchanged(self, prec):
         # every budget interval, both endpoints bit for bit, at each (N, s)
@@ -282,6 +283,7 @@ class TestEnvelopes:
                     assert bound_value(n, s, N, -1).hi.cmp_fraction(v) <= 0, (N, s, n)
                     assert bound_value(n, s, N, +1).lo.cmp_fraction(v) >= 0, (N, s, n)
 
+    @pytest.mark.pin
     def test_envelopes_unchanged(self):
         # every bound_poly pair, both sides, at each (N, s) the theorems use,
         # pinned from the fixed-point enclosures after checking that none is

@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import comb
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -19,7 +20,9 @@ from oracles import (
     laguerre,
     mul_termwise,
     node_exact,
+    node_values,
     pair_interval,
+    positive_untruncated,
     production_pairs,
     replay,
     ring_parts,
@@ -188,6 +191,11 @@ def _gap(k: int) -> Sum:
     return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
 
 
+def _program_values(node, q, m):
+    """Lists A, B of a statement node at m indices from the scans' compiled program."""
+    return certify_module._run(certify_module._program(node), q, m)
+
+
 class TestStatements:
     def test_exact_values_match_functionals(self, table2k):
         for n in range(0, 1001):
@@ -200,7 +208,7 @@ class TestStatements:
         # a square evaluates its term once; its value is the product's
         x = Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2))))
         q = table2k.values[100:140]
-        assert Sq(x).values(q, 36) == Mul(x, x).values(q, 36)
+        assert _program_values(Sq(x), q, 36) == _program_values(Mul(x, x), q, 36)
         assert node_exact(Sq(x), q) == node_exact(Mul(x, x), q)
 
     def test_zero_value_is_not_positive(self):
@@ -366,10 +374,12 @@ class TestIneqBuild:
 
 
 class TestPolynomialPins:
+    @pytest.mark.pin
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_expansion_unchanged(self, key):
         assert _pin(_expansion(key)) == POLY_PINS[key]
 
+    @pytest.mark.pin
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_exact_prefix_unchanged(self, key):
         text = "|".join(r.as_string() for r in ring_parts(_expansion(key).poly))
@@ -553,6 +563,7 @@ class TestSharedRingParts:
         finally:
             build_ineq.cache_clear()
 
+    @pytest.mark.pin
     def test_tight_expansion_first_leaves_production_unchanged(self, monkeypatch):
         # the oracle replaces its leaves' boxes; the ring parts it shares
         # with production carry no box
@@ -936,6 +947,137 @@ def test_zero_table_fails_everywhere(tid):
     zeros = QTable(40, (0,) * 41)
     top = zeros.n_max + spec.shift - spec.shifts[-1]
     assert exact_verify(tid, zeros, spec.scan_floor, top, shifted=False) == list(range(spec.scan_floor, top + 1))
+
+
+# -- the block program against the recursive oracle -----------------------------
+
+
+def _toy_statements() -> dict[str, object]:
+    """The toy statements of this file, and trees the theorems do not have: a
+    leaf alone, a lowest leaf above 0, a companion alone or weighted -1, and a
+    companion under a square (B = 2 A B there)."""
+    x = Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2))))
+    d = Sum((1, Q(0)), (-2, Q(1)))
+    slack = Companion(_gap(1), F(1, 6), 1, 1, 3, slack=F(1, 25))
+    return {
+        "square-of-companion-sum": Sq(x),
+        "product-of-companion-sum": Mul(x, x),
+        "double-turan-slack": Sum((1, Mul(slack, _gap(3))), (-1, Sq(_gap(2)))),
+        "negative-operand": Mul(d, d),
+        "leaf": Q(3),
+        "lowest-leaf-2": Sum((5, Q(4)), (-1, Mul(Q(2), Q(5)))),
+        "companion-alone": Companion(Mul(Q(2), Q(3)), F(1), 0, 0, 2),
+        "companion-weight-minus-one": Sum((-1, Companion(Sum((1, Q(0)), (1, Q(2))), F(1, 2), 0, 0, 0)),
+                                          (3, Sq(Q(1)))),
+    }
+
+
+STATEMENTS = {**{tid: spec.statement for tid, spec in THEOREMS.items()}, **_toy_statements()}
+
+
+def _width(node) -> int:
+    return max(n.s for n in certify_module._nodes(node) if isinstance(n, Q))
+
+
+@pytest.mark.parametrize("name", sorted(STATEMENTS))
+def test_program_matches_recursive_oracle(name, table2k):
+    # exactly in (A, B), B None included, at the block lengths the scans and
+    # their edges use, on random leaves (0, -1, 1-bit and signed wide values)
+    # and on windows of the real table
+    node, rng = STATEMENTS[name], random.Random(name)
+    width = _width(node)
+    pool = [0, 1, -1, 2, -2, 3]
+    for m in (1, 2, BLOCK - 1, BLOCK, BLOCK + width):
+        vectors = [[rng.choice(pool) for _ in range(m + width)],
+                   [rng.getrandbits(1) for _ in range(m + width)],
+                   [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 64, 700))) for _ in range(m + width)],
+                   table2k.values[1000 : 1000 + m + width], table2k.values[2001 - m - width :]]
+        for q in vectors:
+            assert _program_values(node, q, m) == node_values(node, q, m), (name, m)
+
+
+def test_shifted_repeats_are_one_step():
+    # T(1), T(2), T(3) of both double-Turan statements are one T step read at
+    # three offsets, and q^2 of B and B-companion one square step; the companion
+    # product of double-turan-companion is its own B: four products in all
+    steps = {tid: certify_module._program(spec.statement)[0] for tid, spec in THEOREMS.items()}
+    products = {tid: [args for op, args, _ in s if op is mul] for tid, s in steps.items()}
+    assert len(products["double-turan"]) == len(products["double-turan-companion"]) == 4
+    for tid in ("B", "B-companion"):
+        assert sum(args == ((1, 0, 0), (1, 0, 0)) for args in products[tid]) == 1
+    _, (ra, _), (rb, _) = certify_module._program(THEOREMS["double-turan-companion"].statement)
+    assert rb in [x for _, x, _ in steps["double-turan-companion"][ra - 1][1]]
+
+
+@pytest.mark.parametrize("name", sorted(STATEMENTS))
+def test_program_drops_each_register_after_its_last_reader(name):
+    steps, a, b = certify_module._program(STATEMENTS[name])
+    kept = {r[0] for r in (a, b) if r}
+    for i, (_, args, drops) in enumerate(steps):
+        later = {x for _, later_args, _ in steps[i + 1 :] for _, x, _ in later_args}
+        assert set(drops) == {x for _, x, _ in args} - later - kept, (name, i)
+
+
+# -- the companion sign on brackets against the untruncated rule --------------
+
+# c^2 rational, so c2 is exact and a bracket can decide within one unit of
+# 2^s: t = 1/2, t = sqrt3 and t = 5/n
+RATIONAL_COMPANIONS = (Companion(Q(0), F(1, 2), 0, 0, 0), Companion(Q(0), F(1), 0, 1, 0),
+                       Companion(Q(0), F(5), 0, 0, 2))
+
+
+def _t(comp, n: int):
+    return mp.mpf(comp.r.numerator) / comp.r.denominator * mp.pi**comp.i * mp.sqrt(3) ** comp.j \
+        * mp.mpf(n) ** (-mp.mpf(comp.a) / 2)
+
+
+def _near_ties(comp, n: int, s: int) -> list[tuple[int, int]]:
+    """(A, B) of opposite signs, |A| of 64 + s bits at either end of its unit
+    2^s, |B| within two of |A|/t and at either end of the units 2^s next to it."""
+    out = []
+    with mp.workprec(2000):
+        t = _t(comp, n)
+        for ah in (2**63, 2**63 + 12345, 3 << 62 | 777, 2**64 - 1):
+            for abs_a in {ah << s, (ah << s) + (1 << s) - 1}:
+                b0 = int(mp.floor(abs_a / t))
+                near = {b0 + d for d in range(-2, 3)}
+                near |= {((b0 >> s) + d << s) + e for d in (-1, 0, 1) for e in (0, (1 << s) - 1)}
+                out += [(x, y) for abs_b in near for x, y in ((abs_a, -abs_b), (-abs_a, abs_b))]
+    return out
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 7, 100])
+def test_bracket_matches_untruncated_rule_near_ties(s):
+    # |A| of 64 bits (s = 0, the exact rule only) and 65 and more (the
+    # brackets first), A + B t within one unit of 2^s of zero on each side
+    n = 1009
+    for comp in RATIONAL_COMPANIONS + tuple(THEOREMS[tid].companion for tid in sorted(COMPANION_ORACLES)):
+        c2 = certify_module._c2_bracket(comp, certify_module._C2_BITS)
+        cases = _near_ties(comp, n, s)
+        with mp.workprec(2000):
+            values = [a + b * _t(comp, n) for a, b in cases]
+        assert any(0 < v < 2**s for v in values) and any(-(2**s) < v < 0 for v in values), comp.r
+        for a, b in cases:
+            assert certify_module._positive(a, b, n, comp, c2) == positive_untruncated(a, b, n, comp), (a, b)
+
+
+def test_bracket_edge_cases():
+    # A = 0, B = 0, same signs, and A + B t = 0 with c^2 rational: not positive
+    n = 1009
+    for comp in RATIONAL_COMPANIONS + (THEOREMS["B-companion"].companion,):
+        c2 = certify_module._c2_bracket(comp, certify_module._C2_BITS)
+        cases = [(0, 0), (0, 5), (0, -5), (5, 0), (-5, 0), (3, 4), (-3, -4), (2**100, 2**90), (-(2**100), -3)]
+        for a, b in cases:
+            assert certify_module._positive(a, b, n, comp, c2) == positive_untruncated(a, b, n, comp), (a, b)
+    half, sqrt3, five_over_n = RATIONAL_COMPANIONS
+    ties = [(half, 2**100 + 6, -(2**101) - 12), (half, -(2**70) - 1, 2**71 + 2), (half, 7, -14),
+            (five_over_n, 5 * 2**90, -(n * 2**90)), (five_over_n, -5 * (2**64 + 3), n * (2**64 + 3))]
+    for comp, a, b in ties:
+        c2 = certify_module._c2_bracket(comp, certify_module._C2_BITS)
+        assert not certify_module._positive(a, b, n, comp, c2), (a, b)
+        assert not positive_untruncated(a, b, n, comp)
+    c2 = certify_module._c2_bracket(sqrt3, certify_module._C2_BITS)
+    assert c2[0] == c2[1] == (3, 1)
 
 
 def _ineq_sign_via_bounds(theorem_id: str, n: int) -> int:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qcert.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -159,6 +161,7 @@ REPRODUCE_ALL_SHA256 = "d505f7b5e463646c415576ee588ddaa0325fe7725de648d8765ad864
 
 
 class TestReproduceAll:
+    @pytest.mark.pin
     def test_behaviour_fixture(self):
         # the whole command in a fresh interpreter, as a user runs it
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,8 +1,9 @@
 """The trust path holds one definition per quantity and no test oracle:
 names that only tests call live in tests/oracles.py, and removed dead
 code and duplicates do not come back under any ``qcert`` module.  The
-enclosure kernels, the fixed-point Horner and the ring evaluation use no
-floating point, and nothing in ``qcert`` imports mpmath."""
+enclosure kernels, the fixed-point Horner, the ring evaluation and the exact
+scans' program runner and companion sign use no floating point, and nothing
+in ``qcert`` imports mpmath."""
 
 import ast
 import importlib
@@ -16,8 +17,12 @@ import oracles
 import qcert
 from qcert.bounds import ErrorBudget
 from qcert.certify import (
+    Companion,
     HybridPoly,
     IneqPoly,
+    Mul,
+    Q,
+    Sq,
     Sum,
     build_ineq,
     certify_inequality,
@@ -48,7 +53,9 @@ ORACLES = (
     "interval_horner",
     "ring_eval_iv_loop",
     "theorem_predicate",
+    "node_values",
     "node_exact",
+    "positive_untruncated",
     "tight_expansion",
     "ring_parts",
     "invariant_a",
@@ -84,7 +91,10 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "DEFAULT_MAX_DEPTH", "MAX_PRECISION",
            # second copies of a rule: Moore's sign cases live in convolve, a
            # quotient is _div_raw, a square root one point kernel per end
-           "_moore", "_less", "_div_dir", "_sqrt_dir")
+           "_moore", "_less", "_div_dir", "_sqrt_dir",
+           # the recursive exact evaluator's list helpers: the scans run one compiled
+           # program, and the recursion is the oracles.node_values reference
+           "_prod", "_axpy")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -121,6 +131,13 @@ REMOVED_METHODS = (
     # coefficients and error boxes are integer pairs at 2^-w, not Intervals
     (HybridPoly, "ring_ivs"),
     (HybridPoly, "coeff_intervals"),
+    # the per-node exact values: the scans run one compiled program per
+    # statement (certify._program), the recursion is oracles.node_values
+    (Q, "values"),
+    (Sum, "values"),
+    (Mul, "values"),
+    (Sq, "values"),
+    (Companion, "values"),
 )
 
 # Every operation that rounds takes its precision from the caller.
@@ -262,6 +279,8 @@ def test_enclosures_use_no_floating_point():
     ("ring.py", "RingElem.eval_iv"),
     ("ring.py", "RingElem.fixed"),
     ("ring.py", "_power"),
+    ("certify.py", "_run"),
+    ("certify.py", "_positive"),
 ])
 def test_evaluation_kernels_use_no_floating_point(module, qualname):
     assert _float_uses(_function(Path(qcert.__file__).parent / module, qualname)) == []

@@ -3,9 +3,14 @@
 Each mutant replaces one piece of text, which must occur exactly once, in
 one file of the tree with an unsound variant.  For each mutant the tool
 copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary
-directory (never inside the repository), applies the mutant there, runs
-tier-1 with ``-x`` and prints ``killed`` with the first failing test, or
-``survived``.  The exit status is 0 only if every mutant was killed.
+directory (never inside the repository), applies the mutant there and runs
+tier-1 with ``-x`` twice at most: first without the digest pins (tests
+marked ``pin``), then, only if that passes, the pins alone.  It prints
+``killed (containment)`` with the first failing test of the first run,
+``killed (pin only)`` with the first failing pin, or ``survived``.  A pin
+fails on any change, sound or not, so a pin-only kill says that no test
+checks what the mutated line computes.  The exit status is 0 only if every
+mutant was killed.
 
     python tools/mutants.py              # every mutant, one at a time
     python tools/mutants.py -j 2 horner  # mutants whose name contains "horner"
@@ -288,6 +293,22 @@ MUTANTS = [
            "        prec *= 2\n        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)",
            "        return a > 0",
            "a comparison the 32-bit c^2 bracket leaves open is settled by A's sign alone"),
+    Mutant("bracket-a-without-unit", "src/qcert/certify.py",
+           "(ah + 1) ** 2",
+           "ah ** 2",
+           "|A| may lie a unit of 2^s above ah 2^s, so B t above ah 2^s is not above |A|"),
+    Mutant("bracket-b-without-unit", "src/qcert/certify.py",
+           "(bh + 1) ** 2 * hi_p",
+           "bh * bh * hi_p",
+           "|B| may lie a unit of 2^s above bh 2^s, so bh 2^s t below |A| does not put B t below it"),
+    Mutant("bracket-upper-test-on-lower-c2", "src/qcert/certify.py",
+           "hi_p < ah * ah * na * hi_q",
+           "lo_p < ah * ah * na * lo_q",
+           "B t below |A| needs the upper end of c^2: the lower end may put it below when it is not"),
+    Mutant("program-operand-offset-off-by-one", "src/qcert/certify.py",
+           "ys = regs[y][j:]",
+           "ys = regs[y][j + 1:]",
+           "a step reads its second operand one index late: a product pairs values of different n"),
     Mutant("exact-scan-accepts-zero", "src/qcert/certify.py",
            "if x <= 0]",
            "if x < 0]",
@@ -301,7 +322,8 @@ MUTANTS = [
 
 
 def run(mutant: Mutant) -> tuple[str, str]:
-    """(verdict, detail) for one mutant, run in its own temporary tree."""
+    """(verdict, detail) for one mutant, run in its own temporary tree: the
+    tests without the pins first, the pins only if those pass."""
     with tempfile.TemporaryDirectory(prefix="qcert-mutant-") as tmp:
         for name in TREE:
             src, dst = ROOT / name, Path(tmp) / name
@@ -315,17 +337,19 @@ def run(mutant: Mutant) -> tuple[str, str]:
             return "stale", f"old text found {text.count(mutant.old)} times in {mutant.path}"
         target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
-    lines = proc.stdout.splitlines()
-    if proc.returncode == 0:
-        return "survived", lines[-1] if lines else ""
-    first = next((ln.split()[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))), None)
-    if proc.returncode == 1 and first:
-        return "killed", first
-    return "error", f"pytest exit {proc.returncode}: {lines[-1] if lines else proc.stderr[-200:]}"
+        for marks, verdict in (("not pin", "killed (containment)"), ("pin", "killed (pin only)")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-m", marks],
+                cwd=tmp, env=env, capture_output=True, text=True,
+            )
+            lines = proc.stdout.splitlines()
+            if proc.returncode == 0:
+                continue
+            first = next((ln.split()[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))), None)
+            if proc.returncode == 1 and first:
+                return verdict, first
+            return "error", f"pytest exit {proc.returncode}: {lines[-1] if lines else proc.stderr[-200:]}"
+    return "survived", lines[-1] if lines else ""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -341,11 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     with ThreadPoolExecutor(args.jobs) as pool:
         for m, (verdict, detail) in zip(chosen, pool.map(run, chosen)):
             verdicts.append(verdict)
-            print(f"{m.name:<{width}}  {verdict:<8}  {detail}", flush=True)
-    print(f"{verdicts.count('killed')} killed, {verdicts.count('survived')} survived, "
-          f"{len(verdicts) - verdicts.count('killed') - verdicts.count('survived')} other "
+            print(f"{m.name:<{width}}  {verdict:<20}  {detail}", flush=True)
+    killed = sum(v.startswith("killed") for v in verdicts)
+    print(f"{killed} killed ({verdicts.count('killed (pin only)')} by a pin only), "
+          f"{verdicts.count('survived')} survived, {len(verdicts) - killed - verdicts.count('survived')} other "
           f"of {len(verdicts)} mutants")
-    return 0 if verdicts.count("killed") == len(verdicts) else 1
+    return 0 if killed == len(verdicts) else 1
 
 
 if __name__ == "__main__":
