@@ -65,7 +65,6 @@ from .intervals import (
 from .qtable import (
     QTable,
     load_or_build,
-    q_enumerate,
 )
 from .ring import RingElem
 

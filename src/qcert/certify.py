@@ -199,17 +199,17 @@ class TheoremSpec:
     N: int                   # truncation order of the envelopes
     statement: object        # expression tree: the statement is "value > 0"
     ineq_id: str
-    exact_range: tuple[int, int]  # recorded finite range, in shifted coordinates
-    scan_floor: int          # smallest n (statement coordinates) where the predicate is defined
+    seam: int                # cap for the certified crossover: one past the recorded exact range
 
     def __post_init__(self):  # a t^2 term would not fit the exact value A + B t
         if sum(isinstance(n, Companion) for n in _nodes(self.statement)) > 1:
             raise ValueError(f"{self.id}: at most one companion, and none under a square")
 
     @property
-    def seam(self) -> int:
-        """One past the recorded exact range: cap for the certified crossover."""
-        return self.exact_range[1] + 1
+    def scan_floor(self) -> int:
+        """Smallest n (statement coordinates) where the statement is defined: a
+        leaf reads q(n - shift), a companion term n^(-a/2)."""
+        return max(self.shift, 1 if self.companion else 0)
 
     @property
     def table_n_max(self) -> int:
@@ -232,43 +232,43 @@ THEOREMS: dict[str, TheoremSpec] = {
         # A(q(n-1), ..., q(n+3)) > 0
         TheoremSpec("A", "1.2", 230, 1, 14,
                     Sum((1, Mul(Q(0), Q(4))), (3, Sq(Q(2))), (-4, Mul(Q(1), Q(3)))),
-                    "ineq1", (229, 5018), 1),
+                    "ineq1", 5019),
         # 4 (1 + pi^2/(32 n^3)) q(n) q(n+2) > q(n-1) q(n+3) + 3 q(n+1)^2
         TheoremSpec("A-companion", "1.3", 279, 1, 14,
                     Sum((4, Companion(Mul(Q(1), Q(3)), Fraction(1, 32), 2, 0, 6, slack=1)),
                         (-1, Mul(Q(0), Q(4))), (-3, Sq(Q(2)))),
-                    "ineq2", (278, 5884), 1),
+                    "ineq2", 5885),
         # B(q(n-1), ..., q(n+3)) > 0
         TheoremSpec("B", "1.4", 272, 1, 24,
                     Sum((1, Mul(Sq(Q(2)), Q(2))), (1, Mul(Q(0), Sq(Q(3)))), (1, Mul(Sq(Q(1)), Q(4))),
                         (-1, Mul(Mul(Q(0), Q(2)), Q(4))), (-2, Mul(Mul(Q(1), Q(2)), Q(3)))),
-                    "ineq3", (271, 18501), 1),
+                    "ineq3", 18502),
         # (1 + pi^3/(288 sqrt3 n^{9/2})) (2 q(n)q(n+1)q(n+2) + q(n-1)q(n+1)q(n+3))
         #   > q(n+1)^3 + q(n-1)q(n+2)^2 + q(n)^2 q(n+3);  pi^3/(288 sqrt3) = pi^3 sqrt3/864
         TheoremSpec("B-companion", "1.5", 309, 1, 24,
                     Sum((1, Companion(Sum((1, Mul(Mul(Q(0), Q(2)), Q(4))), (2, Mul(Mul(Q(1), Q(2)), Q(3)))),
                                       Fraction(1, 864), 3, 1, 9, slack=Fraction(1, 4))),
                         (-1, Mul(Sq(Q(2)), Q(2))), (-1, Mul(Q(0), Sq(Q(3)))), (-1, Mul(Sq(Q(1)), Q(4)))),
-                    "ineq4", (308, 18501), 1),
+                    "ineq4", 18502),
         # T(n)^2 > T(n-1) T(n+1), T(n) = q(n)^2 - q(n-1) q(n+1)
         TheoremSpec("double-turan", "1.6", 273, 2, 14,
                     Sum((1, Sq(_turan(2))), (-1, Mul(_turan(1), _turan(3)))),
-                    "ineq5", (271, 5018), 2),
+                    "ineq5", 5019),
         # T(n)^2 < T(n-1) T(n+1) (1 + pi/(2 sqrt3 n^{3/2}));  pi/(2 sqrt3) = pi sqrt3/6
         TheoremSpec("double-turan-companion", "1.7", 346, 2, 14,
                     Sum((1, Mul(Companion(_turan(1), Fraction(1, 6), 1, 1, 3, slack=1), _turan(3))),
                         (-1, Sq(_turan(2)))),
-                    "ineq6", (344, 7055), 2),
+                    "ineq6", 7056),
         # 10 q(n+3)^2 + 6 q(n+1) q(n+5) > 15 q(n+2) q(n+4) + q(n) q(n+6)
         TheoremSpec("laguerre3", "1.8", 651, 0, 24,
                     Sum((10, Sq(Q(3))), (6, Mul(Q(1), Q(5))), (-15, Mul(Q(2), Q(4))), (-1, Mul(Q(0), Q(6)))),
-                    "ineq-L3", (651, 18501), 0),
+                    "ineq-L3", 18502),
         # 10 q(n+3)^2 + 6 q(n+1) q(n+5) < (15 q(n+2) q(n+4) + q(n) q(n+6))
         #   (1 + 5 pi^3/(256 sqrt3 n^{9/2}));  5 pi^3/(256 sqrt3) = 5 pi^3 sqrt3/768
         TheoremSpec("laguerre3-companion", "1.9", 715, 0, 24,
                     Sum((1, Companion(Sum((15, Mul(Q(2), Q(4))), (1, Mul(Q(0), Q(6)))), Fraction(5, 768), 3, 1, 9)),
                         (-10, Sq(Q(3))), (-6, Mul(Q(1), Q(5)))),
-                    "ineq-c-L3", (715, 18501), 1),
+                    "ineq-c-L3", 18502),
     ]
 }
 
@@ -848,7 +848,6 @@ def verify_theorem(
     theorem_id: str,
     table: QTable,
     prec: int = DEFAULT_PRECISION,
-    sharpness: bool = True,
     threshold_override: int | None = None,
 ) -> VerificationReport:
     """End-to-end verification: certified crossover, exact range up to
@@ -875,8 +874,8 @@ def verify_theorem(
     n_star, cert = find_crossover(theorem_id, prec)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1
-    found = exact_verify(theorem_id, table, spec.scan_floor if sharpness else threshold,
-                         max(threshold - 1, exact_hi + spec.shift), shifted=False)
+    found = exact_verify(theorem_id, table, spec.scan_floor, max(threshold - 1, exact_hi + spec.shift),
+                         shifted=False)
     violations = [n for n in found if n >= threshold]
     witness = max((n for n in found if n < threshold), default=None)
     if not cert.proved:

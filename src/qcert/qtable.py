@@ -7,10 +7,8 @@ exact big-integer arithmetic.
 ``load_or_build`` is the one builder: Gauss's theta recurrence,
 O(n_max^{3/2}) big-integer additions, BLOCK indices at a time (the far
 terms of a block read only final values, so they are summed as slices,
-in C).  ``q_enumerate`` is an independent
-oracle that ``qtable --check-enumeration`` compares it with: deliberately
-naive explicit recursion over strictly decreasing parts, no memoization,
-capped at n <= 60.  The other oracles live with the tests.
+in C).  The independent oracles it is tested against (the knapsack DP,
+Euler's odd parts, explicit enumeration) live with the tests.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-__all__ = ["QTable", "load_or_build", "q_enumerate"]
-
-ENUMERATION_LIMIT = 60
+__all__ = ["QTable", "load_or_build"]
 
 BLOCK = 64  # indices per block of the recurrence
 _NEAR = tuple(k * k for k in range(1, isqrt(BLOCK - 1) + 1))  # k^2 < BLOCK, read per index
@@ -82,20 +78,3 @@ def load_or_build(n_max: int) -> QTable:
             even += sum([values[n - sq] for sq in _NEAR_EVEN if sq <= n])
             values[n] += 2 * (odd - even)
     return QTable(n_max, tuple(values))
-
-
-def q_enumerate(n: int) -> int:
-    """Count strictly decreasing part sequences summing to n by explicit
-    recursion.  Independent of the recurrence; exponential, so n <= 60."""
-    if not 0 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(f"q_enumerate supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}")
-
-    def count(remaining: int, max_part: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for part in range(min(remaining, max_part), 0, -1):
-            total += count(remaining - part, part - 1)
-        return total
-
-    return count(n, n)

@@ -8,6 +8,8 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   used at most once.
 * ``compute_q_table_odd_parts`` -- Euler's identity: partitions into odd
   parts, a complete-knapsack DP.
+* ``q_enumerate`` -- explicit recursion over strictly decreasing parts,
+  no memoization, so exponential and capped at n <= ENUMERATION_LIMIT.
 * ``check_log_concavity`` / ``check_turan3`` -- exact scans of the
   classical Turan-type inequalities for q(n).
 * ``alt_half_binomial_sum`` / ``alt_half_binomial_sum_closed`` -- the
@@ -116,6 +118,26 @@ def compute_q_table_odd_parts(n_max: int) -> QTable:
         for n in range(k, n_max + 1):
             values[n] += values[n - k]
     return QTable(n_max, tuple(values))
+
+
+ENUMERATION_LIMIT = 60
+
+
+def q_enumerate(n: int) -> int:
+    """Count strictly decreasing part sequences summing to n by explicit
+    recursion.  Independent of the recurrence; exponential, so n <= 60."""
+    if not 0 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"q_enumerate supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}")
+
+    def count(remaining: int, max_part: int) -> int:
+        if remaining == 0:
+            return 1
+        total = 0
+        for part in range(min(remaining, max_part), 0, -1):
+            total += count(remaining - part, part - 1)
+        return total
+
+    return count(n, n)
 
 
 def check_log_concavity(table: QTable, lo: int, hi: int) -> list[int]:

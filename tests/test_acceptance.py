@@ -30,6 +30,7 @@ from oracles import (
     compute_q_table_odd_parts,
     invariant_a,
     laguerre,
+    q_enumerate,
     tight_expansion,
 )
 from qcert.bounds import (
@@ -44,7 +45,6 @@ from qcert.certify import (
     sharpness_scan,
     verify_theorem,
 )
-from qcert.qtable import q_enumerate
 
 F = Fraction
 

@@ -233,7 +233,7 @@ class TestStatements:
         # (L0 - 2 U1)^2 is positive, but it bounds (q0 - 2 q1)^2 from below
         # only if L0 - 2 U1 >= 0, which is false
         d = Sum((1, Q(0)), (-2, Q(1)))
-        spec = TheoremSpec("toy", "0", 0, 0, 14, Mul(d, d), "toy", (0, 0), 0)
+        spec = TheoremSpec("toy", "0", 0, 0, 14, Mul(d, d), "toy", 1)
         ineq = expand_statement(spec)
         cert = certify_positive(ineq, ineq.x0)
         assert cert.status == "inconclusive" and cert.negative_witness is None
@@ -947,6 +947,14 @@ def test_zero_table_fails_everywhere(tid):
     zeros = QTable(40, (0,) * 41)
     top = zeros.n_max + spec.shift - spec.shifts[-1]
     assert exact_verify(tid, zeros, spec.scan_floor, top, shifted=False) == list(range(spec.scan_floor, top + 1))
+
+
+def test_scan_floor_derived_from_statement():
+    # max(shift, 1 with a companion): the values the table recorded by hand
+    # before the floor was derived
+    recorded = {"A": 1, "A-companion": 1, "B": 1, "B-companion": 1, "double-turan": 2,
+                "double-turan-companion": 2, "laguerre3": 0, "laguerre3-companion": 1}
+    assert {tid: spec.scan_floor for tid, spec in THEOREMS.items()} == recorded
 
 
 # -- the block program against the recursive oracle -----------------------------

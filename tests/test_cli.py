@@ -28,7 +28,7 @@ class TestQtable:
 
     def test_range_text(self, capsys):
         code, out, _ = run(capsys, "--n-max", "64", "qtable", "--range", "0..9",
-                           "--format", "text", "--check-enumeration")
+                           "--format", "text")
         assert code == EXIT_PASS
         assert out.strip() == "1,1,1,2,2,3,4,5,6,8"
 
@@ -116,8 +116,8 @@ class TestVerifyAndCertify:
         assert "unrecognized arguments: --max-depth 5" in err
 
     def test_verify_json_and_determinism(self, capsys, table20k):
-        code1, out1, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")
-        code2, out2, _ = run(capsys, "--no-timing", "verify", "A", "--skip-sharpness")
+        code1, out1, _ = run(capsys, "--no-timing", "verify", "A")
+        code2, out2, _ = run(capsys, "--no-timing", "verify", "A")
         assert code1 == code2 == EXIT_PASS
         assert out1 == out2  # byte-identical without timing
         blob = json.loads(out1)
@@ -128,15 +128,13 @@ class TestVerifyAndCertify:
         assert "seconds" not in blob
 
     def test_verify_double_turan_threshold(self, capsys, table20k):
-        code, out, _ = run(capsys, "--no-timing", "verify", "double-turan",
-                           "--skip-sharpness")
+        code, out, _ = run(capsys, "--no-timing", "verify", "double-turan")
         assert code == EXIT_PASS
         blob = json.loads(out)
         assert blob["threshold"] == 273 and blob["shift"] == 2
 
     def test_verify_erratum_exit_code(self, capsys, table20k):
-        code, out, _ = run(capsys, "--no-timing", "verify", "double-turan-companion",
-                           "--skip-sharpness")
+        code, out, _ = run(capsys, "--no-timing", "verify", "double-turan-companion")
         assert code == EXIT_FAIL
         blob = json.loads(out)
         assert blob["exact_violations"] == [348]
@@ -145,7 +143,7 @@ class TestVerifyAndCertify:
     def test_verify_window_above_seam_usage_error(self, capsys):
         # at 16 bits the N = 24 window is 18505, past the seam 18502
         code, out, err = run(capsys, "--precision", "16", "--n-max", "18509",
-                             "verify", "laguerre3", "--skip-sharpness")
+                             "verify", "laguerre3")
         assert code == EXIT_USAGE and out == ""
         assert err == ("error: envelope validity window 18505 of laguerre3 at 16 bits "
                        "lies above its seam 18502\n")
@@ -194,7 +192,7 @@ class TestReproduceAll:
         assert blob["theorems"]["double-turan-companion"]["exact_violations"] == [348]
 
     def test_with_errata_passes(self, capsys, table20k):
-        code, out, _ = run(capsys, "--no-timing", "reproduce-all", "--paper-check",
+        code, out, _ = run(capsys, "--no-timing", "reproduce-all",
                            "--theorems", "double-turan-companion", "--with-errata")
         assert code == EXIT_PASS
         blob = json.loads(out)
@@ -216,6 +214,21 @@ class TestReproduceAll:
         code, out, err = run(capsys, "--no-timing", "reproduce-all", "--theorems")
         assert code == EXIT_USAGE and out == ""
         assert "--theorems" in err
+
+
+@pytest.mark.parametrize("flag, command", [
+    ("--paper-check", ("reproduce-all", "--theorems", "A")),
+    ("--check-enumeration", ("qtable", "--n", "9")),
+    ("--skip-sharpness", ("verify", "A")),
+])
+def test_self_check_flags_removed(capsys, flag, command):
+    # the CLI runs no self-checks and no test-only knob: the enumeration
+    # oracle, q(9) and the window maxima are checked by tests (C1, C4), and
+    # verify always runs the sharpness scan
+    for argv in ((flag, *command), (*command, flag)):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_precision_floor(capsys):

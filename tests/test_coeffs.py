@@ -206,6 +206,83 @@ def test_rescale_rejects_inhomogeneous_terms():
     assert list(got.terms.items()) == [((0, 0), F(5)), ((-2, 1), F(7))]
 
 
+# -- every coefficient against the function it expands --------------------------
+
+EXPANDED_DEGREES = 30  # k <= 30, at every shift s <= 9
+
+
+def _expanded_functions(x, s: int) -> dict:
+    """Each family's function of x = n^(-1/2) at shift s (``bounds._budget_parts``
+    names them), in mpmath at its working precision: the exponential factor (its
+    exponent pi sqrt(n/3) (sqrt(1 + sigma/n) - 1) written without the
+    cancellation), the binomial factor, their product, the Bessel factor
+    sqrt(2 pi nu) e^-nu I1(nu) with nu = pi sqrt((n + sigma)/3), and for the full
+    expansion the main term M(n + s) = sqrt2 pi^2/(12 nu) I1(nu) over prefactor(n)."""
+    import mpmath as mp
+
+    sigma, n = mp.mpf(24 * s + 1) / 24, 1 / (x * x)
+    u = sigma * x * x
+    exp_factor = mp.exp(mp.pi * sigma * x / (mp.sqrt(3) * (mp.sqrt(1 + u) + 1)))
+    binom_factor = (1 + u) ** (mp.mpf(-3) / 4)
+    nu = mp.pi * mp.sqrt((n + sigma) / 3)
+    i1 = mp.besseli(1, nu)
+    prefactor = mp.exp(mp.pi * mp.sqrt(n / 3)) / (4 * mp.mpf(3) ** (mp.mpf(1) / 4) * n ** (mp.mpf(3) / 4))
+    return {
+        "exp": exp_factor,
+        "binom": binom_factor,
+        "expbinom": exp_factor * binom_factor,
+        "bessel": mp.sqrt(2 * mp.pi * nu) * mp.exp(-nu) * i1,
+        "full": mp.sqrt(2) * mp.pi**2 / (12 * nu) * i1 / prefactor,
+    }
+
+
+@lru_cache(maxsize=None)
+def _unit(i: int, j: int, w: int) -> int:
+    """floor(pi^i sqrt3^j 2^w), from mpmath at w + 64 bits."""
+    import mpmath as mp
+
+    with mp.workprec(w + 64):
+        return int(mp.floor(mp.ldexp(mp.pi**i * mp.sqrt(3) ** j, w)))
+
+
+def _mp_value(c, w: int):
+    """A coefficient's value in mpmath, within (1 + sum |r|) 2^-w per term r pi^i sqrt3^j."""
+    import mpmath as mp
+
+    if isinstance(c, Fraction):
+        return mp.mpf(c.numerator) / c.denominator
+    return mp.ldexp(sum(r.numerator * _unit(i, j, w) // r.denominator for (i, j), r in c.terms.items()), -w)
+
+
+@pytest.mark.parametrize("lg", [50, 100])
+def test_coefficients_expand_their_functions(lg):
+    # peel the coefficients off f at x = 2^-lg: r_k = (f - sum_{i<k} c_i x^i) / x^k
+    # is c_k plus the rest of the series, whose first term is the next nonzero
+    # c_j x^(j-k) (j - k <= 2; the binomial factor's odd degrees vanish).  The
+    # terms after it are smaller again by about |c_(j+1)/c_j| x, so r_k - c_k must
+    # be the next term to within half of it: a slip in c_k shows at relative size
+    # x, and at the second point it must shrink by the factor 2^(-50 (j - k)).
+    # Precision: x^-k scales f's rounding up by 2^(lg k), and the coefficients
+    # lie in [2^-90, 2^61], so lg (K + 4) + 256 bits keep the rounding more than
+    # 2^100 below every tolerance; the units carry 128 bits more for the r.
+    import mpmath as mp
+
+    top = EXPANDED_DEGREES
+    prec = lg * (top + 4) + 256
+    with mp.workprec(prec):
+        x = mp.ldexp(1, -lg)
+        for s in range(10):
+            for family, f in _expanded_functions(x, s).items():
+                c = [_mp_value(COEFF_FAMILIES[family](k, s), prec + 128) for k in range(top + 3)]
+                rest = f
+                for k in range(top + 1):
+                    j = next(i for i in range(k + 1, top + 3) if c[i])
+                    following = c[j] * x ** (j - k)
+                    residual = rest / x**k - c[k]
+                    assert abs(residual - following) <= abs(following) / 2, (family, s, k)
+                    rest -= c[k] * x**k
+
+
 def _power_3_4(iv: Interval, prec: int) -> Interval:
     """x^{3/4} for x > 0 as sqrt(sqrt(x^3))."""
     return iv.pow_int(3, prec).sqrt(prec).sqrt(prec)

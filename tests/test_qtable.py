@@ -9,8 +9,9 @@ from oracles import (
     check_turan3,
     compute_q_table,
     compute_q_table_odd_parts,
+    q_enumerate,
 )
-from qcert.qtable import BLOCK, load_or_build, q_enumerate
+from qcert.qtable import BLOCK, load_or_build
 
 # SHA-256 of the comma-joined decimal q(0..20000) as built by the packed
 # limb DP that the theta recurrence replaced

@@ -41,6 +41,7 @@ from qcert.ring import RingElem
 ORACLES = (
     "compute_q_table",
     "compute_q_table_odd_parts",
+    "q_enumerate",
     "check_log_concavity",
     "check_turan3",
     "alt_half_binomial_sum",
@@ -94,7 +95,9 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "_moore", "_less", "_div_dir", "_sqrt_dir",
            # the recursive exact evaluator's list helpers: the scans run one compiled
            # program, and the recursion is the oracles.node_values reference
-           "_prod", "_axpy")
+           "_prod", "_axpy",
+           # the CLI's self-checks of constants that criteria C1 and C4 assert
+           "PAPER_CONSTANTS", "_paper_check")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -178,6 +181,9 @@ REMOVED_PARAMETERS = (
     (certify_inequality, "max_depth"),
     (find_crossover, "max_depth"),
     (verify_theorem, "max_depth"),
+    # a scan that skips the indices below the threshold: verify_theorem
+    # always reports the sharpness witness
+    (verify_theorem, "sharpness"),
 )
 
 

@@ -205,6 +205,11 @@ MUTANTS = [
            "t ** ((k + i) // 2)",
            "t ** ((k - i) // 2)",
            "the term pi^i of degree k carries t^((k+i)/2): pi^i comes from (pi sqrt t)^i"),
+    Mutant("rescale-high-degrees-t-plus-two", "src/qcert/coeffs.py",
+           "    t = 24 * s + 1\n    ints = {}",
+           "    t = 24 * s + 1 + (k >= 15)\n    ints = {}",
+           "degrees >= 15 at s >= 1 are scaled by powers of 24s+2: past the table's reach, "
+           "where no comparison of q with its envelope sees them"),
     Mutant("exp-term-ratio-without-72", "src/qcert/coeffs.py",
            "c *= Fraction(l - half, 72 * (half",
            "c *= Fraction(l - half, (half",
@@ -313,6 +318,10 @@ MUTANTS = [
            "if x <= 0]",
            "if x < 0]",
            "the statement is 'value > 0': a zero value is a violation"),
+    Mutant("scan-floor-without-companion", "src/qcert/certify.py",
+           "return max(self.shift, 1 if self.companion else 0)",
+           "return self.shift",
+           "laguerre3-companion's scans start at n = 0, where its term n^(-9/2) is undefined"),
     # -- test oracles ---------------------------------------------------------
     Mutant("tight-lower-radius-not-negated", "tests/oracles.py",
            "(r if pol < 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}",
