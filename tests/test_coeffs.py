@@ -5,6 +5,7 @@ certified tail constant."""
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath as mp
 import pytest
 
 from oracles import (
@@ -218,8 +219,6 @@ def _expanded_functions(x, s: int) -> dict:
     cancellation), the binomial factor, their product, the Bessel factor
     sqrt(2 pi nu) e^-nu I1(nu) with nu = pi sqrt((n + sigma)/3), and for the full
     expansion the main term M(n + s) = sqrt2 pi^2/(12 nu) I1(nu) over prefactor(n)."""
-    import mpmath as mp
-
     sigma, n = mp.mpf(24 * s + 1) / 24, 1 / (x * x)
     u = sigma * x * x
     exp_factor = mp.exp(mp.pi * sigma * x / (mp.sqrt(3) * (mp.sqrt(1 + u) + 1)))
@@ -239,16 +238,12 @@ def _expanded_functions(x, s: int) -> dict:
 @lru_cache(maxsize=None)
 def _unit(i: int, j: int, w: int) -> int:
     """floor(pi^i sqrt3^j 2^w), from mpmath at w + 64 bits."""
-    import mpmath as mp
-
     with mp.workprec(w + 64):
         return int(mp.floor(mp.ldexp(mp.pi**i * mp.sqrt(3) ** j, w)))
 
 
 def _mp_value(c, w: int):
-    """A coefficient's value in mpmath, within (1 + sum |r|) 2^-w per term r pi^i sqrt3^j."""
-    import mpmath as mp
-
+    """A coefficient's value in mpmath, within (|r| + 1) 2^-w per term r pi^i sqrt3^j."""
     if isinstance(c, Fraction):
         return mp.mpf(c.numerator) / c.denominator
     return mp.ldexp(sum(r.numerator * _unit(i, j, w) // r.denominator for (i, j), r in c.terms.items()), -w)
@@ -263,10 +258,8 @@ def test_coefficients_expand_their_functions(lg):
     # be the next term to within half of it: a slip in c_k shows at relative size
     # x, and at the second point it must shrink by the factor 2^(-50 (j - k)).
     # Precision: x^-k scales f's rounding up by 2^(lg k), and the coefficients
-    # lie in [2^-90, 2^61], so lg (K + 4) + 256 bits keep the rounding more than
+    # lie in [2^-90, 2^61], so lg (top + 4) + 256 bits keep the rounding more than
     # 2^100 below every tolerance; the units carry 128 bits more for the r.
-    import mpmath as mp
-
     top = EXPANDED_DEGREES
     prec = lg * (top + 4) + 256
     with mp.workprec(prec):
