@@ -265,33 +265,21 @@ def error_budget(N: int, s: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
 # -- L/U envelopes -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _root4_3(prec: int) -> Interval:
-    """Enclosure of 3^{1/4}, shared by every prefactor at prec."""
-    return Interval.point(3).sqrt(prec).sqrt(prec)
-
-
-def _exp_thin(x: Interval, prec: int) -> Interval:
-    """exp on a thin interval x = m +- r with one exp: e^m widened by r
-    times e^m (1 + 2r), an upper bound of exp on x, as e^r <= 1 + 2r for
-    0 <= r <= 1 (mean value form).  A wider x takes exp at both ends."""
-    radius = (x.hi - x.lo).scale(-1)
-    if radius.cmp_fraction(1) > 0:
-        return enclose_exp(x, prec)
-    mid = enclose_exp(Interval.point((x.lo + x.hi).scale(-1)), prec)
-    slack = radius * mid.hi * (Dyadic(1) + radius.scale(1))
-    return mid.add(Interval(-slack, slack), prec)
+def _root4(m: int, prec: int) -> Interval:
+    """[r, r + 1] 2^-k around m^{1/4}, m >= 1: r = isqrt(isqrt(m 2^{4k})) is
+    the floor of (m 2^{4k})^{1/4}, k chosen for about prec + 2 bits."""
+    k = max(0, prec + 2 - m.bit_length() // 4)
+    r = math.isqrt(math.isqrt(m << 4 * k))
+    return Interval(Dyadic(r, -k), Dyadic(r + 1, -k))
 
 
 @lru_cache(maxsize=8192)
 def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
-    """e^{pi sqrt(n/3)} / (4 * 3^{1/4} * n^{3/4})."""
+    """e^{pi sqrt(n/3)} / (4 * 3^{1/4} * n^{3/4}) = e^{pi sqrt(3n)/3} / (4 (3n^3)^{1/4})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pi = enclose_pi(prec)
-    numerator = _exp_thin(pi.mul(_iv(Fraction(n, 3), prec).sqrt(prec), prec), prec)
-    n_34 = Interval.point(n**3).sqrt(prec).sqrt(prec)
-    return numerator.div(_root4_3(prec).mul(n_34, prec).scale(2), prec)
+    exponent = enclose_pi(prec).mul(Interval.point(3 * n).sqrt(prec), prec).div(Interval.point(3), prec)
+    return enclose_exp(exponent, prec).div(_root4(3 * n**3, prec).scale(2), prec)
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,14 @@ class Companion:
     with c = r pi^i sqrt3^j.  Bernoulli's inequality (1 + y)^{-a/2} >= 1 - (a/2) y
     bounds t below by c x^a - slack x^{a+1} on (0, x0] whenever
     slack >= c (a/2) shift x0, which the expansion checks in rationals.
+    F = 1 + c x^a - slack x^{a+1} times body's lower envelope bounds (1 + t) body
+    below only if c > 0 (r > 0, checked here) and F > 0 on (0, x0] (slack x0^{a+1}
+    < 1, checked in the expansion).
     """
 
     def __init__(self, body, r: Fraction, i: int, j: int, a: int, slack: Fraction = Fraction(0)):
+        if r <= 0:
+            raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs r > 0, got {r}")
         self.children = (body,)
         self.r, self.i, self.j, self.a, self.slack = Fraction(r), i, j, a, Fraction(slack)
         self.coeff = RingElem.monomial(i, j, r)
@@ -165,10 +170,12 @@ class Companion:
     def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
         if pol < 0:
             raise ValueError("a companion factor is bounded from below only")
-        c_hi = self.coeff.eval_iv(ex.prec).hi.to_fraction()
-        need = c_hi * self.a * ex.shift * ex.x0.to_fraction() / 2
+        c_hi, x0 = self.coeff.eval_iv(ex.prec).hi.to_fraction(), ex.x0.to_fraction()
+        need = c_hi * self.a * ex.shift * x0 / 2
         if self.slack < need:
             raise ValueError(f"companion slack {self.slack} below c (a/2) shift x0 = {float(need):.4g}")
+        if self.slack * x0 ** (self.a + 1) >= 1:
+            raise ValueError(f"companion slack {self.slack} times x0^{self.a + 1} is not below 1")
         factor = {0: RingElem.from_rational(1), self.a: self.coeff}
         if self.slack:
             factor[self.a + 1] = RingElem.from_rational(-self.slack)
@@ -213,8 +220,9 @@ class TheoremSpec:
 
     @property
     def table_n_max(self) -> int:
-        """Smallest table size verify_theorem accepts for this theorem."""
-        return self.seam + self.shift + 6
+        """Top index verify_theorem reads at the stated threshold: the widest
+        leaf at the exact range's top n - shift = seam - 1 (n_star <= seam)."""
+        return self.seam - 1 + self.shifts[-1]
 
     @cached_property
     def shifts(self) -> tuple[int, ...]:
@@ -866,9 +874,7 @@ def verify_theorem(
     t0 = time.perf_counter()
     if threshold < spec.scan_floor:
         raise ValueError(f"threshold {threshold} below the scan floor {spec.scan_floor} of {theorem_id}")
-    if table.n_max < spec.table_n_max:
-        raise ValueError(f"table covers 0..{table.n_max}, need {spec.table_n_max} for {theorem_id}")
-    top = max(threshold - 1, spec.seam - 1 + spec.shift) - spec.shift + spec.shifts[-1]  # n_star <= seam
+    top = max(threshold - 1 - spec.shift + spec.shifts[-1], spec.table_n_max)  # n_star <= seam
     if top > table.n_max:
         raise ValueError(f"threshold {threshold} of {theorem_id} scans q({top}), past the table 0..{table.n_max}")
     n_star, cert = find_crossover(theorem_id, prec)

@@ -50,7 +50,6 @@ ERRATA_THRESHOLDS = {"double-turan-companion": 349}
 
 
 GLOBAL_DEFAULTS = {
-    "n_max": 20000,
     "precision": DEFAULT_PRECISION,
     "format": "json",
     "no_timing": False,
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # parsed at one level from being clobbered by the other.
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--n-max", type=int, default=argparse.SUPPRESS,
-                        help=f"table size (default {GLOBAL_DEFAULTS['n_max']})")
+                        help="table size (default: the top index the command reads)")
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
                         help=f"working precision in bits (default {DEFAULT_PRECISION})")
     common.add_argument("--format", choices=("json", "csv", "text"),
@@ -120,10 +119,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _get_table(args, needed: int):
-    if args.n_max < needed:
-        print(f"error: --n-max {args.n_max} is below the required {needed}", file=sys.stderr)
+    n_max = getattr(args, "n_max", needed)  # without --n-max, the top index the command reads
+    if n_max < needed:
+        print(f"error: --n-max {n_max} is below the required {needed}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return load_or_build(args.n_max)
+    return load_or_build(n_max)
 
 
 def cmd_qtable(args) -> int:

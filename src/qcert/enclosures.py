@@ -20,10 +20,10 @@ ceiling chain the upper one, the tails are integer comparisons, and the
 result is rounded outward to prec bits once, at the end.  The squarings
 that undo exp's halvings round the pair outward to the working width.
 
-All point kernels take an exact Dyadic and return an Interval.  exp and
-log, increasing, take interval arguments through ``_monotone``, the
-dispatch of ``Interval.sqrt``, which evaluates a point argument once;
-cosh, even, has its own.
+All point kernels take an exact Dyadic and return an Interval.  Every
+function takes interval arguments through ``_monotone``, the dispatch of
+``Interval.sqrt``, which evaluates a point argument once: exp and log
+are increasing, and cosh, even, is increasing on |x|.
 """
 
 from __future__ import annotations
@@ -197,19 +197,14 @@ def enclose_log(x: Interval, prec: int) -> Interval:
     return _monotone(_log_point, x, prec)
 
 
+def _cosh_point(d: Dyadic, prec: int) -> Interval:
+    """Enclosure of cosh(d) = (e^d + 1/e^d)/2, at prec + 8 bits then rounded."""
+    e = _exp_point(d, prec + 8)
+    v = e.add(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)
+    return Interval(v.lo.round(prec, up=False), v.hi.round(prec, up=True))
+
+
 def enclose_cosh(x: Interval, prec: int) -> Interval:
     check_precision(prec)
-
-    def cosh_point(d: Dyadic) -> Interval:
-        e = _exp_point(d, prec + 8)
-        return e.add(Interval.point(1).div(e, prec + 8), prec + 8).scale(-1)
-
-    a, b = x.lo, x.hi
-    if a.sign >= 0:
-        lo_iv, hi_iv = cosh_point(a), cosh_point(b)
-    elif b.sign <= 0:
-        lo_iv, hi_iv = cosh_point(b), cosh_point(a)
-    else:  # straddles 0: minimum is cosh(0) = 1
-        lo_iv = Interval.point(1)
-        hi_iv = Interval.hull(cosh_point(a), cosh_point(b))
-    return Interval(lo_iv.lo.round(prec, up=False), hi_iv.hi.round(prec, up=True))
+    # cosh is even: increasing on |x| = [max(lo, -hi, 0), max(-lo, hi)]
+    return _monotone(_cosh_point, Interval(max(x.lo, -x.hi, Dyadic(0)), max(-x.lo, x.hi)), prec)

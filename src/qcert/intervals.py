@@ -18,7 +18,7 @@ rounding anywhere except the explicit directed roundings below.  An
 interval endpoint is rounded once, straight from the raw sum or product
 mantissa, and canonicalised once.  Each rule is written once:
 ``Interval.mul`` is ``convolve``'s one-term case, ``sub`` is ``add`` of
-the reflected operand, and sqrt, exp and log share one dispatch
+the reflected operand, and sqrt, exp, log and cosh share one dispatch
 (``_monotone``).
 
 Polynomials are carried in fixed point: a coefficient is an integer pair
@@ -389,10 +389,6 @@ class Interval:
             Dyadic.from_fraction(value, prec, up=False),
             Dyadic.from_fraction(value, prec, up=True),
         )
-
-    @staticmethod
-    def hull(*items: "Interval") -> "Interval":
-        return Interval(min(i.lo for i in items), max(i.hi for i in items))
 
     # -- arithmetic -----------------------------------------------------
 

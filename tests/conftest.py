@@ -3,7 +3,8 @@ import pytest
 from oracles import compute_q_table
 from qcert.qtable import load_or_build
 
-# Largest index any theorem verification touches: seam 18502 + shift 1 + 6.
+# The top of the envelope checks (C3 and the sandwich tests read q(n + s) up to
+# n + s = 20000); the largest table_n_max of a theorem is 18507.
 FULL_TABLE_SIZE = 20000
 
 # One line per acceptance criterion, printed in the terminal summary.

@@ -16,7 +16,7 @@ import pytest
 from oracles import SandwichResult, bessel_arg, bessel_main_term, budget_fields, check_main_term_sandwich, mag
 from qcert.bounds import (
     _budget_parts,
-    _exp_thin,
+    _root4,
     bound_poly,
     bound_value,
     decay_threshold,
@@ -28,10 +28,15 @@ from qcert.bounds import (
 )
 from qcert.certify import THEOREMS
 from qcert.coeffs import COEFF_FAMILIES, bessel_asym_coeff
-from qcert.intervals import Dyadic, Interval
 from qcert.ring import RingElem
 
-mp.mp.prec = 260
+
+@pytest.fixture(autouse=True)
+def _mp_prec():
+    """mpmath's references at 260 bits, set around each test, not at import."""
+    with mp.workprec(260):
+        yield
+
 
 F = Fraction
 
@@ -332,7 +337,7 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("prec", [24, 64, 192])
     def test_prefactor_contains_reference(self, prec):
-        # one exp at the exponent's midpoint, widened by the mean value form
+        # exp of pi sqrt(3n)/3 over the root bracket of 3 n^3, both outward
         ns = list(range(1, 400)) + list(range(400, 20001, 97))
         with mp.workprec(2 * prec + 64):
             for n in ns:
@@ -341,19 +346,13 @@ class TestEnvelopes:
                 assert as_mpf(lo) <= ref <= as_mpf(hi), (n, prec)
 
     @pytest.mark.parametrize("prec", [16, 24, 192])
-    def test_exp_thin_contains_both_ends(self, prec):
-        # the mean value form covers exp on the whole interval, not only
-        # near its midpoint: radii from 2^-200 to 1, and past 1, where
-        # exp is taken at both ends
-        rng = random.Random(f"exp-thin-{prec}")
-        for _ in range(60):
-            m = F(rng.randint(-2**40, 2**48), 2**40)
-            r = F(rng.randint(1, 2**20), 2**rng.choice((20, 21, 40, 200)))
-            x = Interval(Dyadic.from_fraction(m - r, 400, False), Dyadic.from_fraction(m + r, 400, True))
-            lo, hi = _exp_thin(x, prec).to_fractions()
-            with mp.workprec(2 * prec + 464):
-                for end in x.to_fractions():
-                    assert as_mpf(lo) <= mp.exp(as_mpf(end)) <= as_mpf(hi), (prec, m, r)
+    def test_root4_brackets_the_fourth_root(self, prec):
+        # [r, r + 1] 2^-k holds (3 n^3)^{1/4} exactly: r^4 <= 3 n^3 2^{4k} < (r + 1)^4,
+        # with perfect fourth powers (3 n^3 = 3^4 at n = 3) among them
+        for n in list(range(1, 400)) + list(range(400, 20001, 97)) + [3**5, 10**10]:
+            lo, hi = _root4(3 * n**3, prec).to_fractions()
+            assert lo**4 <= 3 * n**3 < hi**4, (n, prec)
+            assert (hi - lo) / lo <= F(1, 2**prec), (n, prec)
 
     def test_prefactor_wide_exponent(self):
         # at 16 bits and n = 10^10 the exponent's radius is 4

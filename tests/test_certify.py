@@ -229,6 +229,21 @@ class TestStatements:
         with pytest.raises(ValueError, match="companion slack 1/100 below"):
             expand_statement(with_slack(F(1, 100)))
 
+    def test_companion_factor_kept_positive(self):
+        # F = 1 + c x^3 - slack x^4 > 0 on (0, x0] needs slack x0^4 < 1; x0 is
+        # the upper end of 5019^(-1/2), so slack = 5019^2 puts F(x0) at or below 0
+        spec = THEOREMS["double-turan-companion"]
+        companion = Companion(_gap(1), F(1, 6), 1, 1, 3, slack=5019**2)
+        toy = replace(spec, statement=Sum((1, Mul(companion, _gap(3))), (-1, Sq(_gap(2)))))
+        with pytest.raises(ValueError, match="times x0\\^4 is not below 1"):
+            expand_statement(toy)
+
+    @pytest.mark.parametrize("r", [F(0), F(-1, 6)])
+    def test_companion_term_positive(self, r):
+        # (1 + t) with t <= 0 is not bounded below by 1 + c x^a - slack x^(a+1)
+        with pytest.raises(ValueError, match="needs r > 0"):
+            Companion(_gap(1), r, 1, 1, 3, slack=1)
+
     def test_negative_operand_blocks_proof(self):
         # (L0 - 2 U1)^2 is positive, but it bounds (q0 - 2 q1)^2 from below
         # only if L0 - 2 U1 >= 0, which is false
@@ -1217,3 +1232,19 @@ class TestVerifyTheorem:
     def test_table_too_small(self, table2k):
         with pytest.raises(ValueError):
             verify_theorem("A", table2k)
+
+    @pytest.mark.parametrize("tid", sorted(THEOREMS))
+    def test_table_n_max_is_the_top_read(self, tid, table20k, monkeypatch):
+        # a table to table_n_max reaches the search; one index short is refused before it
+        class Searched(Exception):
+            pass
+
+        def no_search(*args):
+            raise Searched
+
+        monkeypatch.setattr(certify_module, "find_crossover", no_search)
+        top = THEOREMS[tid].table_n_max
+        with pytest.raises(ValueError, match=rf"scans q\({top}\), past the table 0..{top - 1}"):
+            verify_theorem(tid, QTable(top - 1, table20k.values[:top]))
+        with pytest.raises(Searched):
+            verify_theorem(tid, QTable(top, table20k.values[: top + 1]))

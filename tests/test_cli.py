@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import qcert.cli as cli
 from qcert.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -229,6 +230,27 @@ def test_self_check_flags_removed(capsys, flag, command):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv, built", [
+    (("qtable", "--range", "3..40"), 40),
+    (("bounds", "--n", "300", "--s", "2", "--N", "1", "--count", "3"), 304),
+    (("verify", "double-turan-companion"), 7059),
+    (("reproduce-all", "--theorems", "A", "double-turan"), 5022),
+    (("reproduce-all", "--with-errata"), 18507),
+    (("--n-max", "20000", "verify", "A"), 20000),
+])
+def test_table_built_to_the_top_read(monkeypatch, capsys, argv, built):
+    # without --n-max a command builds q(0..top) for the top index it reads;
+    # --n-max keeps its meaning
+    sizes = []
+
+    def record(n_max):
+        sizes.append(n_max)
+        raise SystemExit(EXIT_FAIL)
+
+    monkeypatch.setattr(cli, "load_or_build", record)
+    assert run(capsys, *argv)[0] == EXIT_FAIL and sizes == [built]
 
 
 def test_precision_floor(capsys):

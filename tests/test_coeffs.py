@@ -16,7 +16,7 @@ from oracles import (
     exp_factor_closed,
     mag,
 )
-from qcert.bounds import error_budget
+from qcert.bounds import error_budget, n_min
 from qcert.certify import THEOREMS
 from qcert.coeffs import (
     COEFF_FAMILIES,
@@ -60,17 +60,15 @@ class TestBasics:
     def test_bessel_asym_matches_i1_at_large_argument(self):
         # sqrt(2 pi x)/e^x I1(x) ~ sum (-1)^m a_m x^-m; the sign/reading
         # of the coefficients is pinned by agreement with I1 itself
-        import mpmath as mp
-
-        mp.mp.prec = 300
-        x = mp.mpf(120)
-        lhs = mp.sqrt(2 * mp.pi * x) / mp.e**x * mp.besseli(1, x)
-        series = sum(
-            (-1) ** m * mp.mpf(bessel_asym_coeff(m).numerator)
-            / bessel_asym_coeff(m).denominator / x**m
-            for m in range(8)
-        )
-        assert abs(lhs - series) < mp.mpf(10) ** -14
+        with mp.workprec(300):
+            x = mp.mpf(120)
+            lhs = mp.sqrt(2 * mp.pi * x) / mp.e**x * mp.besseli(1, x)
+            series = sum(
+                (-1) ** m * mp.mpf(bessel_asym_coeff(m).numerator)
+                / bessel_asym_coeff(m).denominator / x**m
+                for m in range(8)
+            )
+            assert abs(lhs - series) < mp.mpf(10) ** -14
 
 
 class TestAlternatingSumIdentity:
@@ -274,6 +272,68 @@ def test_coefficients_expand_their_functions(lg):
                     residual = rest / x**k - c[k]
                     assert abs(residual - following) <= abs(following) / 2, (family, s, k)
                     rest -= c[k] * x**k
+
+
+# -- every tail constant against its function at finite n ------------------------
+
+TAIL_FIELDS = {"exp": "er_exp", "binom": "er_binom", "expbinom": "er_exp_binom",
+               "bessel": "er_bessel", "full": "er_total"}
+
+
+def _worst_tail_ratios(s: int, top_n: int, functions, families: tuple[str, ...]) -> dict[str, float]:
+    """For each family f of functions(n, x)[family], the largest |f(x) - sum_{k<=N} c_k x^k|
+    / (C x^(N+1)) over 1 <= N <= 30 and n from n_min(N, s) to top_n, x = n^(-1/2),
+    with C the family's field of error_budget(N, s): on every floor, on n = 2^8,
+    2^24, ..., 2^200 as far as top_n, and on top_n.  Precision: with x >= 2^-lg,
+    C x^31 >= 2^-(31 lg + 90) (every C is above 2^-90), so 31 lg + 192 bits keep
+    the rounding of f and of the sum 2^100 below it."""
+    top, w = EXPANDED_DEGREES, 32 * 100 + 384
+    floors = {N: n_min(N, s) for N in range(1, top + 1)}
+    with mp.workprec(w):
+        c = {f: [_mp_value(COEFF_FAMILIES[f](k, s), w) for k in range(top + 1)] for f in families}
+        bound = {f: {N: _mp_value(getattr(error_budget(N, s, 192), TAIL_FIELDS[f]).to_fraction(), w)
+                     for N in floors} for f in families}
+    grid = sorted(n for n in {*floors.values(), *(2**e for e in range(8, 201, 16)), top_n} if n <= top_n)
+    worst = dict.fromkeys(families, 0.0)
+    for n in grid:
+        lg = (n.bit_length() + 1) // 2
+        with mp.workprec((top + 1) * lg + 192):
+            x = 1 / mp.sqrt(n)
+            f = functions(n, x)
+            for family in families:
+                rest, xk = f[family], mp.mpf(1)
+                for N in range(top + 1):
+                    rest -= c[family][N] * xk
+                    xk *= x
+                    if N and n >= floors[N]:
+                        worst[family] = max(worst[family], float(abs(rest) / (bound[family][N] * xk)))
+    return worst
+
+
+@pytest.mark.parametrize("s", range(10))
+def test_tail_constants_bound_their_functions(s):
+    # |f(x) - P_N(x)| <= C x^(N+1) for n >= n_min(N, s), the claim each tail constant
+    # makes, from the floors to n = 2^200, N <= 30.  Worst ratios over s <= 9:
+    # er_exp 0.613 at (N, s, n) = (30, 0, 31967), er_binom 9/16 at N = 1 (its limit
+    # as x -> 0, reached from n = 2^56 on), er_exp_binom 0.284 at (1, 0, 206) and
+    # er_bessel 0.134 at (2, 2, 206)
+    worst = _worst_tail_ratios(s, 2**200, lambda n, x: _expanded_functions(x, s),
+                               ("exp", "binom", "expbinom", "bessel"))
+    assert all(r <= 1 for r in worst.values()), worst
+
+
+@pytest.mark.parametrize("s", range(10))
+def test_total_tail_bounds_q(s, table20k):
+    # er_total claims |q(n + s)/prefactor(n) - P_N(x)| <= er_total x^(N+1), checked
+    # where the table holds q(n + s) exactly: n + s <= 20000, so N <= 24.  Worst
+    # ratio over s <= 9: er_total 0.0927 at (N, s, n) = (9, 0, 1786)
+    def functions(n, x):
+        m = mp.mpf(n)
+        prefactor = mp.exp(mp.pi * mp.sqrt(m / 3)) / (4 * mp.mpf(3) ** (mp.mpf(1) / 4) * m ** (mp.mpf(3) / 4))
+        return {"full": table20k[n + s] / prefactor}
+
+    worst = _worst_tail_ratios(s, 20000 - s, functions, ("full",))
+    assert worst["full"] <= 1, worst
 
 
 def _power_3_4(iv: Interval, prec: int) -> Interval:

@@ -26,7 +26,12 @@ from qcert.enclosures import (
 )
 from qcert.intervals import DomainError, Dyadic, Interval
 
-mp.mp.prec = 300
+
+@pytest.fixture(autouse=True)
+def _mp_prec():
+    """mpmath's references at 300 bits, set around each test, not at import."""
+    with mp.workprec(300):
+        yield
 
 
 def contains_ref(interval: Interval, ref: mp.mpf) -> bool:
@@ -116,6 +121,20 @@ class TestElementary:
             out = enclose_cosh(box, 120)
             for t in (a, b, (a + b) / 2):
                 assert contains_ref(out, mp.cosh(mp.mpf(t.numerator) / t.denominator))
+
+    def test_cosh_even_on_every_interval(self):
+        # cosh on x <= 0 is cosh on -x, end for end; on x straddling 0 its
+        # lower end is cosh(0) = 1 and its upper end cosh at the wider end
+        rng = random.Random(11)
+        for _ in range(25):
+            a = Fraction(rng.randint(1, 300), rng.randint(1, 50))
+            b = a + Fraction(rng.randint(0, 200), 97)
+            box = Interval(Dyadic.from_fraction(a, 200, up=False), Dyadic.from_fraction(b, 200, up=True))
+            pos, neg = enclose_cosh(box, 120), enclose_cosh(Interval(-box.hi, -box.lo), 120)
+            assert (neg.lo, neg.hi) == (pos.lo, pos.hi), (a, b)
+            for lo, hi in ((-box.hi, box.lo), (-box.lo, box.hi)):
+                out = enclose_cosh(Interval(lo, hi), 120)
+                assert out.lo == Dyadic(1) and out.hi == pos.hi, (a, b)
 
 
 class TestBesselI1:
@@ -257,6 +276,7 @@ def test_kernel_contains_reference_and_within_oracle(name, prec):
 @pytest.mark.parametrize("fn, kernel", [
     (enclose_exp, "_exp_point"),
     (enclose_log, "_log_point"),
+    (enclose_cosh, "_cosh_point"),
     (enclose_bessel_i1, "_bessel_i1_point"),
 ])
 def test_point_argument_evaluated_once(monkeypatch, fn, kernel):

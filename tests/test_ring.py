@@ -15,7 +15,12 @@ from qcert.enclosures import enclose_pi
 from qcert.intervals import Interval
 from qcert.ring import RingElem, convolve_terms
 
-mp.mp.prec = 300
+
+@pytest.fixture(autouse=True)
+def _mp_prec():
+    """mpmath's references at 300 bits, set around each test, not at import."""
+    with mp.workprec(300):
+        yield
 
 
 def rand_elem(rng, span=4):

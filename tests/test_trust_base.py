@@ -97,7 +97,10 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            # program, and the recursion is the oracles.node_values reference
            "_prod", "_axpy",
            # the CLI's self-checks of constants that criteria C1 and C4 assert
-           "PAPER_CONSTANTS", "_paper_check")
+           "PAPER_CONSTANTS", "_paper_check",
+           # a second exp rule and a nested root: prefactor takes enclose_exp and
+           # one integer root of 3 n^3
+           "_exp_thin", "_root4_3")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -141,6 +144,8 @@ REMOVED_METHODS = (
     (Mul, "values"),
     (Sq, "values"),
     (Companion, "values"),
+    # cosh's straddle branch took it; cosh goes through _monotone on |x|
+    (Interval, "hull"),
 )
 
 # Every operation that rounds takes its precision from the caller.

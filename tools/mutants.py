@@ -53,6 +53,10 @@ class Mutant(NamedTuple):
 # ring-coefficient-upper-rounded-down, ring-coefficient-lower-rounded-up
 # (the raw rounding chain of RingElem.eval_iv; see ring-fixed-lower-ceiled
 # and pi-power-bracket-rounded-inward).
+# Retired with bounds._exp_thin, prefactor's second exp rule, when prefactor
+# moved to enclose_exp and one integer root of 3 n^3: exp-thin-without-widening
+# (exp at the midpoint alone) and exp-thin-without-second-order (e^r <= 1 + r);
+# see prefactor-root-upper-without-unit.
 
 MUTANTS = [
     # -- interval arithmetic ------------------------------------------------
@@ -171,6 +175,10 @@ MUTANTS = [
            "_atanh_series(q, q + (r > 0), w)",
            "_atanh_series(q, q, w)",
            "u's upper bound may fall below u"),
+    Mutant("cosh-reflection-drops-negative-end", "src/qcert/enclosures.py",
+           "max(-x.lo, x.hi)",
+           "x.hi",
+           "for x.lo < -x.hi, cosh is largest at x.lo: |x|'s upper end is -x.lo, not x.hi"),
     Mutant("log-near-one-route-off", "src/qcert/enclosures.py",
            "    if shift == -1:\n        t, shift = t + 1, 0",
            "    if False:\n        t, shift = t + 1, 0",
@@ -236,14 +244,10 @@ MUTANTS = [
            "",
            "the product tail leaves out its term (pi/(2 sqrt3)) sigma^((N+2)/2)"),
     # -- envelopes ------------------------------------------------------------
-    Mutant("exp-thin-without-widening", "src/qcert/bounds.py",
-           "return mid.add(Interval(-slack, slack), prec)",
-           "return mid",
-           "exp at the midpoint does not enclose exp on the interval"),
-    Mutant("exp-thin-without-second-order", "src/qcert/bounds.py",
-           "slack = radius * mid.hi * (Dyadic(1) + radius.scale(1))",
-           "slack = radius * mid.hi",
-           "e^r <= 1 is false for r > 0: the slack is too small"),
+    Mutant("prefactor-root-upper-without-unit", "src/qcert/bounds.py",
+           "Dyadic(r + 1, -k)",
+           "Dyadic(r, -k)",
+           "r is the floor of the fourth root: [r, r] misses it unless 3 n^3 2^(4k) is a fourth power"),
     # -- expansion and certifier ------------------------------------------
     Mutant("lower-box-on-upper-side", "src/qcert/certify.py",
            "else Interval(-poly.err, Dyadic(0))",
@@ -274,6 +278,10 @@ MUTANTS = [
            "if self.slack < need:",
            "if False:",
            "a slack below c (a/2) shift x0 does not bound the shifted companion factor"),
+    Mutant("companion-factor-sign-unchecked", "src/qcert/certify.py",
+           "if self.slack * x0 ** (self.a + 1) >= 1:",
+           "if False:",
+           "a factor 1 + c x^a - slack x^(a+1) below 0 near x0 does not bound (1 + t) body from below"),
     Mutant("straddling-enclosure-taken-as-zero", "src/qcert/certify.py",
            "return d < self._exact.n and self._exact[d].is_zero",
            "return True",
