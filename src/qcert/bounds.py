@@ -278,7 +278,10 @@ def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
     """e^{pi sqrt(n/3)} / (4 * 3^{1/4} * n^{3/4}) = e^{pi sqrt(3n)/3} / (4 (3n^3)^{1/4})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    exponent = enclose_pi(prec).mul(Interval.point(3 * n).sqrt(prec), prec).div(Interval.point(3), prec)
+    # the exponent's absolute width is the result's relative width: bitlen(3n)/2 + 2 guard bits
+    # keep it near 2^-prec as the exponent grows like sqrt(n)
+    wp = prec + (3 * n).bit_length() // 2 + 2
+    exponent = enclose_pi(wp).mul(Interval.point(3 * n).sqrt(wp), wp).div(Interval.point(3), wp)
     return enclose_exp(exponent, prec).div(_root4(3 * n**3, prec).scale(2), prec)
 
 

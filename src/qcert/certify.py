@@ -15,9 +15,9 @@ no gap:
   same tree prove the factors of every product positive; companion
   slacks are checked in rationals.
 * exact regime: below the certified crossover the same tree, compiled once to
-  a block program, is evaluated in big integers over blocks of indices; a
-  companion factor with pi and square roots is decided in integers against a
-  rational bracket of c^2, never tied.
+  a block program, runs over blocks of indices on the table's top bits under
+  one integer error bound, exactly only where that bound leaves a sign open;
+  a companion sign is decided in integers against a bracket of c^2, never tied.
 
 The certified crossover n_star is searched upward from the envelope
 validity window and is capped by the seam recorded for each theorem
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
+from math import isqrt
 from operator import add, mul, sub
 
 from .bounds import bound_poly, window_max, x_of
@@ -64,6 +65,7 @@ __all__ = [
 
 BLOCK = 128  # indices per exact-scan block: 512 gained no reliable time for 0.6 MB more peak RSS
 _C2_BITS = 32  # the scans' first c^2 bracket: every scanned index has |B^2 c^2 - A^2 n^a| >= 2^-8.6 A^2 n^a
+_SCAN_BITS = 96  # each scan block runs on its table slice's top 96 bits first (_run_truncated)
 
 
 # -- theorem statements ---------------------------------------------------------
@@ -192,6 +194,18 @@ def _nodes(node):
         yield from _nodes(c)
 
 
+def _weight_degree(node) -> tuple[int, int | None]:
+    """(W, d): W bounds the sum of |coefficient| over the node's monomials (leaf 1, sum sum_i |w_i| W_i,
+    product W_1 W_2, companion its body's); d is their degree, None when a sum mixes degrees."""
+    if isinstance(node, (Q, Companion)):
+        return _weight_degree(node.children[0]) if node.children else (1, 1)
+    if isinstance(node, Sum):
+        wd = [(abs(w) * W, d) for w, (W, d) in ((w, _weight_degree(t)) for w, t in node.terms)]
+        return sum(W for W, _ in wd), wd[0][1] if len({d for _, d in wd}) == 1 else None
+    (w1, d1), (w2, d2) = map(_weight_degree, node.children)
+    return w1 * w2, d1 and d2 and d1 + d2
+
+
 def _turan(k: int) -> Sum:
     """q(n0+k)^2 - q(n0+k-1) q(n0+k+1)."""
     return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
@@ -211,6 +225,8 @@ class TheoremSpec:
     def __post_init__(self):  # a t^2 term would not fit the exact value A + B t
         if sum(isinstance(n, Companion) for n in _nodes(self.statement)) > 1:
             raise ValueError(f"{self.id}: at most one companion, and none under a square")
+        if _weight_degree(self.statement)[1] is None:  # the scans' error bound needs one degree
+            raise ValueError(f"{self.id}: the statement is not homogeneous")
 
     @property
     def scan_floor(self) -> int:
@@ -344,20 +360,11 @@ def _c2_bracket(comp: Companion, prec: int) -> tuple[tuple[int, int], tuple[int,
 
 
 def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
-    """A + B t > 0 at index n, t > 0; opposite signs compare B^2 c^2 with A^2 n^a, c2 being
-    _c2_bracket(comp, _C2_BITS).  First on brackets: with s = bitlen|A| - 64 > 0, |A| lies in
-    [ah, ah + 1) 2^s and |B| in [bh, bh + 1) 2^s.  Only when they leave it open are the exact
-    squares compared, c2 refined by doubling the bits only while it does not decide."""
+    """A + B t > 0 at index n, t > 0, decided exactly: opposite signs compare B^2 c^2 with A^2 n^a,
+    c2 = _c2_bracket(comp, _C2_BITS) refined by doubling the bits only while it does not decide."""
     if a >= 0 and b >= 0 or a <= 0 and b <= 0:  # same signs; A = B = 0 is not positive
         return a + b > 0
-    na, ((lo_p, lo_q), (hi_p, hi_q)) = n**comp.a, c2
-    if (s := abs(a).bit_length() - 64) > 0:
-        ah, bh = abs(a) >> s, abs(b) >> s
-        if bh * bh * lo_p > (ah + 1) ** 2 * na * lo_q:  # B t > |A|
-            return b > 0
-        if (bh + 1) ** 2 * hi_p < ah * ah * na * hi_q:  # B t < |A|
-            return a > 0
-    bb, rhs, prec = b * b, a * a * na, _C2_BITS
+    ((lo_p, lo_q), (hi_p, hi_q)), bb, rhs, prec = c2, b * b, a * a * n**comp.a, _C2_BITS
     while True:
         if bb * lo_p > rhs * lo_q:
             return b > 0
@@ -367,6 +374,23 @@ def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
             return False
         prec *= 2
         (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)
+
+
+def _run_truncated(program, q: list[int], m: int, weight: int, degree: int) -> tuple:
+    """(a, b, e, E): _run on h = q >> e, e = max(0, bitlen(max |q|) - _SCAN_BITS).  Each q is
+    (h + delta) 2^e, 0 <= delta < 1, |h| <= Q, so a degree-d monomial moves by at most (Q + 1)^d - Q^d,
+    and A and B (whose monomials are some of A's) lie in [a - E, a + E] 2^(d e) and [b - E, b + E] 2^(d e),
+    E = W ((Q + 1)^d - Q^d), (W, d) = _weight_degree; h = q and E = 0 when e = 0."""
+    e = max(0, max(map(abs, q)).bit_length() - _SCAN_BITS)
+    h = [v >> e for v in q] if e else q
+    top = max(map(abs, h))
+    return *_run(program, h, m), e, e and weight * ((top + 1) ** degree - top**degree)
+
+
+def _t_bound(comp: Companion, c2, ns: range) -> int:
+    """T <= 2^128 t(n) at every n of ns: t = c n^(-a/2) falls as n grows, and c^2 >= lo_p/lo_q."""
+    (lo_p, lo_q), _ = c2
+    return isqrt((lo_p << 256) // (lo_q * ns[-1] ** comp.a))
 
 
 # -- hybrid polynomials (ring part + interval corrections) --------------------
@@ -776,10 +800,11 @@ def find_crossover(theorem_id: str, prec: int = DEFAULT_PRECISION) -> tuple[int,
 
 
 def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: bool = True) -> list[int]:
-    """Indices n in lo..hi where the theorem's statement fails, decided
-    exactly in integers: the statement's program (_program, shifted repeats
-    of a subterm computed once) runs BLOCK indices at a time, and a companion
-    sign is decided on 64-bit brackets of A and B before the exact squares.
+    """Indices n in lo..hi where the theorem's statement fails, decided exactly
+    in integers.  The statement's program runs BLOCK indices at a time on the
+    table slice's top bits (_run_truncated): an index is positive when a > E, or
+    when b > E and (a - E) + (b - E) t > 0 by the block's bound of t (_t_bound)
+    or by c^2 at that n.  Open indices take the exact rule on exact values.
 
     lo/hi are in shifted coordinates (those of the certified polynomial)
     unless shifted=False; returned violations are in statement
@@ -793,15 +818,20 @@ def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: b
     for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
         table.window(n, width + 1)
     c2, program = comp and _c2_bracket(comp, _C2_BITS), _program(spec.statement)  # read once per scan
+    weight, degree = _weight_degree(spec.statement)
     found = []
     for i in range(0, count, BLOCK):
         m = min(BLOCK, count - i)
-        a, b = _run(program, table.values[n0 + i : n0 + i + m + width], m)
-        ns = range(start + i, start + i + m)
+        q, ns = table.values[n0 + i : n0 + i + m + width], range(start + i, start + i + m)
+        a, b, e, err = _run_truncated(program, q, m, weight, degree)
         if b is None:  # no companion: B = 0
-            found += [n for n, x in zip(ns, a, strict=True) if x <= 0]
-        else:
-            found += [n for n, x, y in zip(ns, a, b, strict=True) if not _positive(x, y, n, comp, c2)]
+            left = [k for k, x in zip(range(m), a, strict=True) if x <= err]
+        else:  # A + B t >= (a - E) + (b - E) t, scaled by 2^(d e), whenever b > E
+            t, (lo_p, lo_q) = _t_bound(comp, c2, ns), c2[0]
+            left = [k for k, (n, x, y) in enumerate(zip(ns, a, b, strict=True)) if not (y > err and (
+                ((x - err) << 128) + (y - err) * t > 0 or (y - err) ** 2 * lo_p > (x - err) ** 2 * n**comp.a * lo_q))]
+        a, b = _run(program, q, m) if left and e else (a, b)
+        found += [ns[k] for k in left if not (a[k] > 0 if b is None else _positive(a[k], b[k], ns[k], comp, c2))]
     return found
 
 

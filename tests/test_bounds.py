@@ -367,3 +367,10 @@ class TestEnvelopes:
         ref = mp.e ** (mp.pi * mp.sqrt(mp.mpf(6000) / 3)) / (4 * 3 ** mp.mpf(0.25) * 6000 ** mp.mpf(0.75))
         lo, hi = iv.to_fractions()
         assert as_mpf(lo) <= ref <= as_mpf(hi)
+
+    def test_prefactor_relative_width_does_not_grow_with_n(self):
+        # the exponent pi sqrt(3n)/3, taken at bitlen(3n)/2 + 2 guard bits, is as wide as
+        # the result is relatively: at 192 bits both stay under 2^-188 however large n
+        for n in (1, 206, 20000, 10**10):
+            lo, hi = prefactor(n, 192).to_fractions()
+            assert (hi - lo) / lo <= F(1, 2**188), n

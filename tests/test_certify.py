@@ -22,6 +22,7 @@ from oracles import (
     node_exact,
     node_values,
     pair_interval,
+    pi_bracket,
     positive_untruncated,
     production_pairs,
     replay,
@@ -1101,6 +1102,140 @@ def test_bracket_edge_cases():
         assert not positive_untruncated(a, b, n, comp)
     c2 = certify_module._c2_bracket(sqrt3, certify_module._C2_BITS)
     assert c2[0] == c2[1] == (3, 1)
+
+
+# -- the scans on truncated operands against exact values ------------------------
+
+
+def _scan_blocks(spec, table, lo, hi):
+    """(indices, table slice) per block, as exact_verify cuts lo..hi in statement coordinates."""
+    n0, width = lo - spec.shift, spec.shifts[-1]
+    for i in range(0, hi - lo + 1, BLOCK):
+        m = min(BLOCK, hi - lo + 1 - i)
+        yield range(lo + i, lo + i + m), table.values[n0 + i : n0 + i + m + width]
+
+
+def _brackets_hold(node, q, m) -> tuple[int, int]:
+    """Assert that the program's a and b on the truncated slice lie within E of the exact
+    A and B over 2^(d e); returns (e, E)."""
+    weight, degree = certify_module._weight_degree(node)
+    a, b, e, err = certify_module._run_truncated(certify_module._program(node), q, m, weight, degree)
+    for xs, exact in zip((a, b), node_values(node, q, m)):
+        if exact is not None:
+            for x, v in zip(xs, exact, strict=True):
+                assert (x - err) << degree * e <= v <= (x + err) << degree * e, (x, v, e, err)
+    return e, err
+
+
+def _exact_range_top(tid) -> int:
+    return find_crossover(tid)[0] - 1 + THEOREMS[tid].shift
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_scan_brackets_contain_exact_values(tid, table20k):
+    # every index from the scan floor to the exact range's top, n_star - 1 + shift
+    spec = THEOREMS[tid]
+    truncated = sum(_brackets_hold(spec.statement, q, len(ns))[0] > 0
+                    for ns, q in _scan_blocks(spec, table20k, spec.scan_floor, _exact_range_top(tid)))
+    assert truncated  # q passes 2^96 near n = 1000
+
+
+def _scannable(node) -> bool:
+    try:
+        TheoremSpec("toy", "0", 1, 0, 14, node, "none", 2)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(n for n, node in STATEMENTS.items() if _scannable(node)))
+def test_brackets_hold_on_adversarial_operands(name):
+    # operands whose dropped bits are all ones (delta next to 1) move a monomial of
+    # positive weights by nearly (Q + 1)^d - Q^d; random wide, signed and narrow ones too
+    node, rng = STATEMENTS[name], random.Random(name)
+    width = _width(node)
+    for m in (1, BLOCK):
+        size = m + width
+        vectors = [[2**300 - 1] * size,
+                   [(rng.getrandbits(96) | 1 << 95) << 204 | (1 << 204) - 1 for _ in range(size)],
+                   [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((97, 300, 700))) for _ in range(size)],
+                   [rng.getrandbits(90) for _ in range(size)]]
+        for q in vectors:
+            _brackets_hold(node, q, m)
+
+
+@pytest.mark.parametrize("tid", sorted(COMPANION_ORACLES))
+def test_block_t_bound_below_t(tid):
+    # T 2^-128 <= t(n) = r pi^i sqrt3^j n^(-a/2) at every n of every block, in rationals:
+    # T^2 n^a <= 2^256 r^2 3^j pi^(2i) with pi from below, and T^2 within 2^-24 of that at the block's top
+    spec = THEOREMS[tid]
+    comp = spec.companion
+    c2 = certify_module._c2_bracket(comp, certify_module._C2_BITS)
+    c2_low, top = comp.r**2 * 3**comp.j * pi_bracket(128)[0] ** (2 * comp.i), _exact_range_top(tid)
+    for first in range(spec.scan_floor, top + 1, BLOCK):
+        ns = range(first, min(first + BLOCK, top + 1))
+        t = certify_module._t_bound(comp, c2, ns)
+        assert all(t * t * n**comp.a <= c2_low * 2**256 for n in ns), (tid, ns)
+        assert t * t * ns[-1] ** comp.a > c2_low * 2**256 * (1 - F(1, 2**24)), (tid, ns)
+
+
+def test_spec_refuses_inhomogeneous_statement():
+    with pytest.raises(ValueError, match="not homogeneous"):
+        TheoremSpec("mixed", "0", 10, 0, 14, Sum((1, Q(0)), (-1, Mul(Q(0), Q(1)))), "none", 20)
+    degrees = {tid: certify_module._weight_degree(spec.statement)[1] for tid, spec in THEOREMS.items()}
+    assert degrees == {"A": 2, "A-companion": 2, "B": 3, "B-companion": 3, "double-turan": 4,
+                       "double-turan-companion": 4, "laguerre3": 2, "laguerre3-companion": 2}
+
+
+ZERO = Sum((1, Mul(Q(0), Q(2))), (-1, Mul(Q(2), Q(0))))
+
+
+@pytest.mark.parametrize("statement", [ZERO, Companion(ZERO, F(1, 6), 1, 1, 3)], ids=["plain", "companion"])
+def test_open_blocks_rerun_exactly(statement, table20k, monkeypatch):
+    # A = B = 0 at every index: the brackets [-E, E] decide nothing, so each block, its
+    # q above 2^96, runs its program twice, truncated and then exact, and every index fails
+    spec = TheoremSpec("zero", "0", 1, 0, 14, statement, "none", 2)
+    monkeypatch.setitem(certify_module.THEOREMS, spec.id, spec)
+    runs, run = [], certify_module._run
+    monkeypatch.setattr(certify_module, "_run", lambda program, q, m: runs.append(q) or run(program, q, m))
+    lo, hi = 2000, 2000 + 2 * BLOCK
+    assert exact_verify("zero", table20k, lo, hi, shifted=False) == list(range(lo, hi + 1))
+    assert len(runs) == 6 and runs[1::2] == [table20k.values[n : n + BLOCK + 2][: min(BLOCK, hi + 1 - n) + 2]
+                                             for n in range(lo, hi + 1, BLOCK)]
+
+
+def test_companion_near_margin_decides_like_exact_rule(monkeypatch):
+    # value q(n) ((1 + 1/n) q(n) - q(n + 1)) = q(n) (n + 1) D(n), q(n) = n M(n), D(n) = M(n) - M(n + 1):
+    # D(n) puts the value over 2^(2e) at 0 and +-1, and within one unit of s E (1 + 1/n) for
+    # s = +-1, +-2, E the block's own bound (iterated until the table reproduces it)
+    comp = Companion(Sq(Q(0)), F(1), 0, 0, 2)  # t = 1/n: c^2 = 1, so a tie is exact
+    spec = TheoremSpec("near-margin", "0", 1, 0, 14, Sum((1, comp), (-1, Mul(Q(0), Q(1)))), "none", 2)
+    monkeypatch.setitem(certify_module.THEOREMS, spec.id, spec)
+    lo, hi = 1000, 1000 + 2 * BLOCK
+    targets = [(s, j) for s in (1, -1, 2, -2) for j in (-1, 0, 1)] + [(0, 0), (0, 1), (0, -1)]
+    program, bounds, previous = certify_module._program(spec.statement), {}, None
+    while bounds != previous:
+        previous, big, values = bounds, 2**400, [0] * lo
+        for n in range(lo, hi + 2):
+            values.append(n * big)
+            if n <= hi:
+                e, err = bounds.get(n - lo - (n - lo) % BLOCK, (0, 0))
+                s, j = targets[n % len(targets)]
+                big -= round(F(s * err * (n + 1) + j * n, n) * 2 ** (2 * e) / (values[n] * (n + 1)))
+        bounds = {ns[0] - lo: certify_module._run_truncated(program, q, len(ns), 2, 2)[2:] for ns, q in
+                  _scan_blocks(spec, QTable(hi + 1, tuple(values)), lo, hi)}
+    table = QTable(hi + 1, tuple(values))
+    exact = {n: node_exact(spec.statement, values[n : n + 2]) for n in range(lo, hi + 1)}
+    assert exact_verify(spec.id, table, lo, hi, shifted=False) == \
+        [n for n, (a, b) in exact.items() if not positive_untruncated(a, b, n, comp)]
+    # the margin is met: positives decided on the brackets and positives left to the exact rule
+    decided = {}
+    for ns, q in _scan_blocks(spec, table, lo, hi):
+        a, b, e, err = certify_module._run_truncated(program, q, len(ns), 2, 2)
+        decided.update((n, (x - err) * n + y - err > 0) for n, x, y in zip(ns, a, b))
+    positive = [n for n, (a, b) in exact.items() if a * n + b > 0]
+    assert {decided[n] for n in positive} == {True, False}
+    assert any(a * n + b == 0 for n, (a, b) in exact.items())
 
 
 def _ineq_sign_via_bounds(theorem_id: str, n: int) -> int:

@@ -57,6 +57,11 @@ class Mutant(NamedTuple):
 # moved to enclose_exp and one integer root of 3 n^3: exp-thin-without-widening
 # (exp at the midpoint alone) and exp-thin-without-second-order (e^r <= 1 + r);
 # see prefactor-root-upper-without-unit.
+# Retired with _positive's 64-bit brackets of A and B, when the scans moved their
+# brackets to truncated operands under one error bound (see scan-*):
+# bracket-a-without-unit ((ah + 1)^2 taken as ah^2), bracket-b-without-unit
+# ((bh + 1)^2 hi_p taken as bh^2 hi_p) and bracket-upper-test-on-lower-c2 (B t < |A|
+# tested against the lower end of c^2).
 
 MUTANTS = [
     # -- interval arithmetic ------------------------------------------------
@@ -306,25 +311,34 @@ MUTANTS = [
            "        prec *= 2\n        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)",
            "        return a > 0",
            "a comparison the 32-bit c^2 bracket leaves open is settled by A's sign alone"),
-    Mutant("bracket-a-without-unit", "src/qcert/certify.py",
-           "(ah + 1) ** 2",
-           "ah ** 2",
-           "|A| may lie a unit of 2^s above ah 2^s, so B t above ah 2^s is not above |A|"),
-    Mutant("bracket-b-without-unit", "src/qcert/certify.py",
-           "(bh + 1) ** 2 * hi_p",
-           "bh * bh * hi_p",
-           "|B| may lie a unit of 2^s above bh 2^s, so bh 2^s t below |A| does not put B t below it"),
-    Mutant("bracket-upper-test-on-lower-c2", "src/qcert/certify.py",
-           "hi_p < ah * ah * na * hi_q",
-           "lo_p < ah * ah * na * lo_q",
-           "B t below |A| needs the upper end of c^2: the lower end may put it below when it is not"),
+    # -- exact scans on truncated operands -----------------------------------
+    Mutant("scan-bound-first-order-only", "src/qcert/certify.py",
+           "weight * ((top + 1) ** degree - top**degree)",
+           "weight * degree * top ** (degree - 1)",
+           "a monomial moves by up to (Q + 1)^d - Q^d: the first-order term misses the rest when delta is near 1"),
+    Mutant("scan-weight-signed", "src/qcert/certify.py",
+           "wd = [(abs(w) * W, d)",
+           "wd = [(w * W, d)",
+           "signed weights cancel (A and B have weight 0), so the bound no longer covers every monomial"),
+    Mutant("scan-t-bound-at-block-start", "src/qcert/certify.py",
+           "ns[-1] ** comp.a",
+           "ns[0] ** comp.a",
+           "t falls as n grows: t at the block's first n lies above t at every later n of the block"),
+    Mutant("scan-open-indices-not-rerun", "src/qcert/certify.py",
+           "if left and e else",
+           "if False else",
+           "the exact rule on truncated values decides a sign the bound left open"),
     Mutant("program-operand-offset-off-by-one", "src/qcert/certify.py",
            "ys = regs[y][j:]",
            "ys = regs[y][j + 1:]",
            "a step reads its second operand one index late: a product pairs values of different n"),
     Mutant("exact-scan-accepts-zero", "src/qcert/certify.py",
-           "if x <= 0]",
-           "if x < 0]",
+           "if x <= err]",
+           "if x < err]",
+           "the statement is 'value > 0': a value whose bracket reaches down to zero is not shown positive"),
+    Mutant("exact-rule-accepts-zero", "src/qcert/certify.py",
+           "a[k] > 0 if b is None",
+           "a[k] >= 0 if b is None",
            "the statement is 'value > 0': a zero value is a violation"),
     Mutant("scan-floor-without-companion", "src/qcert/certify.py",
            "return max(self.shift, 1 if self.companion else 0)",
