@@ -1137,7 +1137,7 @@ def test_scan_brackets_contain_exact_values(tid, table20k):
     spec = THEOREMS[tid]
     truncated = sum(_brackets_hold(spec.statement, q, len(ns))[0] > 0
                     for ns, q in _scan_blocks(spec, table20k, spec.scan_floor, _exact_range_top(tid)))
-    assert truncated  # q passes 2^96 near n = 1000
+    assert truncated  # q passes 2^96 near n = 1350
 
 
 def _scannable(node) -> bool:
@@ -1200,8 +1200,7 @@ def test_open_blocks_rerun_exactly(statement, table20k, monkeypatch):
     monkeypatch.setattr(certify_module, "_run", lambda program, q, m: runs.append(q) or run(program, q, m))
     lo, hi = 2000, 2000 + 2 * BLOCK
     assert exact_verify("zero", table20k, lo, hi, shifted=False) == list(range(lo, hi + 1))
-    assert len(runs) == 6 and runs[1::2] == [table20k.values[n : n + BLOCK + 2][: min(BLOCK, hi + 1 - n) + 2]
-                                             for n in range(lo, hi + 1, BLOCK)]
+    assert len(runs) == 6 and runs[1::2] == [q for _, q in _scan_blocks(spec, table20k, lo, hi)]
 
 
 def test_companion_near_margin_decides_like_exact_rule(monkeypatch):

@@ -335,7 +335,7 @@ MUTANTS = [
     Mutant("exact-scan-accepts-zero", "src/qcert/certify.py",
            "if x <= err]",
            "if x < err]",
-           "the statement is 'value > 0': a value whose bracket reaches down to zero is not shown positive"),
+           "at a = E the bracket's lower end is 0, so A may be 0, and the statement is 'value > 0'"),
     Mutant("exact-rule-accepts-zero", "src/qcert/certify.py",
            "a[k] > 0 if b is None",
            "a[k] >= 0 if b is None",
