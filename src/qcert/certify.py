@@ -17,7 +17,7 @@ no gap:
 * exact regime: below the certified crossover the same tree, compiled once to
   a block program, runs over blocks of indices on the table's top bits under
   one integer error bound, exactly only where that bound leaves a sign open;
-  a companion sign is decided in integers against a bracket of c^2, never tied.
+  a companion sign is decided by one exact rule at the box's least corner, never tied.
 
 The certified crossover n_star is searched upward from the envelope
 validity window and is capped by the seam recorded for each theorem
@@ -377,20 +377,19 @@ def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
 
 
 def _run_truncated(program, q: list[int], m: int, weight: int, degree: int) -> tuple:
-    """(a, b, e, E): _run on h = q >> e, e = max(0, bitlen(max |q|) - _SCAN_BITS).  Each q is
-    (h + delta) 2^e, 0 <= delta < 1, |h| <= Q, so a degree-d monomial moves by at most (Q + 1)^d - Q^d,
-    and A and B (whose monomials are some of A's) lie in [a - E, a + E] 2^(d e) and [b - E, b + E] 2^(d e),
-    E = W ((Q + 1)^d - Q^d), (W, d) = _weight_degree; h = q and E = 0 when e = 0."""
-    e = max(0, max(map(abs, q)).bit_length() - _SCAN_BITS)
-    h = [v >> e for v in q] if e else q
-    top = max(map(abs, h))
-    return *_run(program, h, m), e, e and weight * ((top + 1) ** degree - top**degree)
+    """(a, b, e, E): _run on h = q >> e, e = max(0, bitlen(max |q|) - _SCAN_BITS), max |q| and Q = max |h|
+    from q's least and greatest (a shift keeps order).  Each q is (h + delta) 2^e, 0 <= delta < 1, so a degree-d
+    monomial moves by at most (Q + 1)^d - Q^d, and A and B (whose monomials are some of A's) lie in [a - E, a + E]
+    and [b - E, b + E] times 2^(d e), E = W ((Q + 1)^d - Q^d), (W, d) = _weight_degree; h = q, E = 0 when e = 0."""
+    lo, hi = min(q), max(q)
+    e = max(0, max(hi, -lo).bit_length() - _SCAN_BITS)
+    top = max(hi >> e, -(lo >> e))
+    return *_run(program, [v >> e for v in q] if e else q, m), e, e and weight * ((top + 1) ** degree - top**degree)
 
 
 def _t_bound(comp: Companion, c2, ns: range) -> int:
-    """T <= 2^128 t(n) at every n of ns: t = c n^(-a/2) falls as n grows, and c^2 >= lo_p/lo_q."""
-    (lo_p, lo_q), _ = c2
-    return isqrt((lo_p << 256) // (lo_q * ns[-1] ** comp.a))
+    """T <= 2^128 t(n) at every n of ns: t = c n^(-a/2) falls as n grows, and c^2 >= c2's lower end."""
+    return isqrt((c2[0][0] << 256) // (c2[0][1] * ns[-1] ** comp.a))
 
 
 # -- hybrid polynomials (ring part + interval corrections) --------------------
@@ -800,11 +799,11 @@ def find_crossover(theorem_id: str, prec: int = DEFAULT_PRECISION) -> tuple[int,
 
 
 def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: bool = True) -> list[int]:
-    """Indices n in lo..hi where the theorem's statement fails, decided exactly
-    in integers.  The statement's program runs BLOCK indices at a time on the
-    table slice's top bits (_run_truncated): an index is positive when a > E, or
-    when b > E and (a - E) + (b - E) t > 0 by the block's bound of t (_t_bound)
-    or by c^2 at that n.  Open indices take the exact rule on exact values.
+    """Indices n in lo..hi where the theorem's statement fails, decided exactly in integers.  The
+    statement's program runs BLOCK indices at a time on the table slice's top bits (_run_truncated):
+    an index is positive when a > E, or with a companion when A + B t's least on the box, at its
+    corner (a - E, b - E) as t > 0, is positive by the block's bound of t (_t_bound) if b > E, or else
+    by _positive.  Only a truncated block's open indices are decided again, on exact values.
 
     lo/hi are in shifted coordinates (those of the certified polynomial)
     unless shifted=False; returned violations are in statement
@@ -817,21 +816,22 @@ def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: b
     n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
     for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
         table.window(n, width + 1)
-    c2, program = comp and _c2_bracket(comp, _C2_BITS), _program(spec.statement)  # read once per scan
-    weight, degree = _weight_degree(spec.statement)
-    found = []
+    (weight, degree), program, found = _weight_degree(spec.statement), _program(spec.statement), []
+    c2 = comp and _c2_bracket(comp, _C2_BITS)  # read once per scan
     for i in range(0, count, BLOCK):
         m = min(BLOCK, count - i)
         q, ns = table.values[n0 + i : n0 + i + m + width], range(start + i, start + i + m)
         a, b, e, err = _run_truncated(program, q, m, weight, degree)
         if b is None:  # no companion: B = 0
             left = [k for k, x in zip(range(m), a, strict=True) if x <= err]
-        else:  # A + B t >= (a - E) + (b - E) t, scaled by 2^(d e), whenever b > E
-            t, (lo_p, lo_q) = _t_bound(comp, c2, ns), c2[0]
-            left = [k for k, (n, x, y) in enumerate(zip(ns, a, b, strict=True)) if not (y > err and (
-                ((x - err) << 128) + (y - err) * t > 0 or (y - err) ** 2 * lo_p > (x - err) ** 2 * n**comp.a * lo_q))]
-        a, b = _run(program, q, m) if left and e else (a, b)
-        found += [ns[k] for k in left if not (a[k] > 0 if b is None else _positive(a[k], b[k], ns[k], comp, c2))]
+        else:  # A + B t >= (a - E) + (b - E) t on the box, scaled by 2^(d e)
+            t = _t_bound(comp, c2, ns)
+            left = [k for k, (n, x, y) in enumerate(zip(ns, a, b, strict=True)) if not (
+                y > err and ((x - err) << 128) + (y - err) * t > 0 or _positive(x - err, y - err, n, comp, c2))]
+        if left and err:  # E > 0: the open indices' exact values decide
+            a, b = _run(program, q, m)
+            left = [k for k in left if not (a[k] > 0 if b is None else _positive(a[k], b[k], ns[k], comp, c2))]
+        found += [ns[k] for k in left]
     return found
 
 

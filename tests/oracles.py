@@ -749,17 +749,23 @@ def positive_untruncated(a: int, b: int, n: int, comp: Companion) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _pi_power_bracket(i: int, bits: int) -> tuple[Fraction, Fraction]:
+    """pi^i bracketed by the ends of pi_bracket(bits), for i of either sign."""
+    lo_pi, hi_pi = pi_bracket(bits)
+    return (lo_pi**i, hi_pi**i) if i >= 0 else (hi_pi**i, lo_pi**i)
+
+
+@lru_cache(maxsize=None)
 def ring_bracket(e: RingElem, bits: int) -> tuple[Fraction, Fraction]:
     """A Fraction bracket of e's value, on the grid 2^-bits: each term's
-    pi^i from pi_bracket(bits), sqrt3 from an integer square root, every
-    product taken at its lower or upper end by the signs and floored or
-    ceiled to the grid."""
-    lo_pi, hi_pi = pi_bracket(bits)
+    pi^i from pi_bracket(bits) (each power tabled once per bits), sqrt3
+    from an integer square root, every product taken at its lower or upper
+    end by the signs and floored or ceiled to the grid."""
     r = isqrt(3 << (2 * bits))
     roots = {0: (Fraction(1), Fraction(1)), 1: (Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits))}
     lo = hi = 0
     for (i, j), c in e.terms.items():
-        a, b = (lo_pi**i, hi_pi**i) if i >= 0 else (hi_pi**i, lo_pi**i)
+        a, b = _pi_power_bracket(i, bits)
         a, b = a * roots[j][0], b * roots[j][1]
         a, b = (a, b) if c > 0 else (b, a)
         lo += (c.numerator * a.numerator << bits) // (c.denominator * a.denominator)

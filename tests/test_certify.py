@@ -1203,6 +1203,40 @@ def test_open_blocks_rerun_exactly(statement, table20k, monkeypatch):
     assert len(runs) == 6 and runs[1::2] == [q for _, q in _scan_blocks(spec, table20k, lo, hi)]
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["corner-a-negative", "corner-b-negative"])
+def test_corner_refines_c2_without_rerun(sign, monkeypatch):
+    # q(n + 1) (1 + t) > q(n), t = pi sqrt3 / (6 n^(3/2)), on one block whose q has e = 300 and
+    # top bits h chosen from the top index down: each corner (a - E, b - E) = (h1 - h0 - 2, h1 - 2)
+    # has (a - E) + (b - E) t in (0, 1), with a - E < 0 < b - E (q > 0) or b - E < 0 < a - E (q < 0).
+    # The 32-bit c^2 bracket decides no corner; _positive refines it at the corner, so the block
+    # runs once, truncated, and its verdicts are the untruncated rule's
+    comp = Companion(Q(1), F(1, 6), 1, 1, 3)
+    spec = TheoremSpec("corner", "0", 1, 0, 14, Sum((1, comp), (-1, Q(0))), "none", 2)
+    monkeypatch.setitem(certify_module.THEOREMS, spec.id, spec)
+    lo, hi, rng = 1000, 1000 + BLOCK - 1, random.Random(sign)
+    h = {hi + 1: sign * (3 << 94)}
+    with mp.workprec(2000):
+        for n in range(hi, lo - 1, -1):
+            bt = abs(h[n + 1] - 2) * _t(comp, n)  # |b - E| t
+            h[n] = h[n + 1] - 2 + (int(mp.floor(bt)) if sign > 0 else -int(mp.ceil(bt)))
+    values = [0] * lo + [(h[n] << 300) + rng.getrandbits(300) for n in range(lo, hi + 2)]
+    program, q = certify_module._program(spec.statement), values[lo:]
+    a, b, e, err = certify_module._run_truncated(program, q, BLOCK, 2, 1)
+    assert (e, err) == (300, 2)
+    c2 = (lo_p, lo_q), (hi_p, hi_q) = certify_module._c2_bracket(comp, certify_module._C2_BITS)
+    t = certify_module._t_bound(comp, c2, range(lo, hi + 1))
+    for n, x, y in zip(range(lo, hi + 1), a, b, strict=True):
+        x, y = x - err, y - err
+        assert x * y < 0 and (y < 0 or (x << 128) + y * t <= 0), n
+        assert y * y * lo_p <= x * x * n**3 * lo_q and y * y * hi_p >= x * x * n**3 * hi_q, n
+    runs, run = [], certify_module._run
+    monkeypatch.setattr(certify_module, "_run", lambda program, q, m: runs.append(q) or run(program, q, m))
+    exact = {n: node_exact(spec.statement, values[n : n + 2]) for n in range(lo, hi + 1)}
+    assert exact_verify(spec.id, QTable(hi + 1, tuple(values)), lo, hi, shifted=False) == \
+        [n for n, (a, b) in exact.items() if not positive_untruncated(a, b, n, comp)] == []
+    assert runs == [[v >> 300 for v in q]]
+
+
 def test_companion_near_margin_decides_like_exact_rule(monkeypatch):
     # value q(n) ((1 + 1/n) q(n) - q(n + 1)) = q(n) (n + 1) D(n), q(n) = n M(n), D(n) = M(n) - M(n + 1):
     # D(n) puts the value over 2^(2e) at 0 and +-1, and within one unit of s E (1 + 1/n) for

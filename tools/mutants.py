@@ -325,9 +325,13 @@ MUTANTS = [
            "ns[0] ** comp.a",
            "t falls as n grows: t at the block's first n lies above t at every later n of the block"),
     Mutant("scan-open-indices-not-rerun", "src/qcert/certify.py",
-           "if left and e else",
-           "if False else",
-           "the exact rule on truncated values decides a sign the bound left open"),
+           "if left and err:",
+           "if False:",
+           "a truncated block's open indices are reported as violations without their exact values"),
+    Mutant("scan-corner-at-upper-end", "src/qcert/certify.py",
+           "_positive(x - err, y - err, n, comp, c2)",
+           "_positive(x + err, y + err, n, comp, c2)",
+           "A + B t is least on the box at (a - E, b - E): the upper corner overstates the value"),
     Mutant("program-operand-offset-off-by-one", "src/qcert/certify.py",
            "ys = regs[y][j:]",
            "ys = regs[y][j + 1:]",
