@@ -28,7 +28,7 @@ two regimes do not meet.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -74,10 +74,11 @@ _SCAN_BITS = 96  # each scan block runs on its table slice's top 96 bits first (
 # q(n0 + s), n0 = n - shift.  Exactly, its program (_program) gives lists A, B
 # at m indices from the table q at the first n0: the statement's value is
 # A + B t, t = r pi^i sqrt3^j n^{-a/2} the companion term (B None without
-# one).  As an envelope it expands to a hybrid polynomial in x = n0^{-1/2}: a
-# leaf becomes L(s) at positive polarity and U(s) at negative polarity, and a
-# negative weight flips the polarity.  Sums fold left and products evaluate
-# in the order written, which fixes every rounding of the expansion.
+# one).  As an envelope _Expansion walks it to a hybrid polynomial in x = n0^{-1/2}:
+# a leaf becomes L(s) at positive polarity and U(s) at negative polarity, a
+# negative weight flips the polarity, and a node is expanded once per polarity.
+# Sums fold left and products evaluate in the order written, which fixes every
+# rounding of the expansion.
 
 
 def _paren(node, pol: int) -> str:
@@ -93,9 +94,6 @@ class Q:
     def __init__(self, s: int):
         self.s = s
 
-    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
-        return HybridPoly.from_envelope(self.s, ex.N, -pol, ex.prec)
-
     def show(self, pol: int) -> str:
         return f"{'L' if pol > 0 else 'U'}{self.s}"
 
@@ -107,14 +105,6 @@ class Sum:
         self.terms = terms
         self.children = tuple(t for _, t in terms)
 
-    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
-        total = None
-        for w, t in self.terms:
-            p = ex(t, pol if w > 0 else -pol)
-            p = p if w == 1 else p.scale_int(w)
-            total = p if total is None else total.add(p)
-        return total
-
     def show(self, pol: int) -> str:
         parts = []
         for w, t in self.terms:
@@ -124,30 +114,19 @@ class Sum:
 
 
 class Mul:
-    """Binary product, evaluated as written."""
+    """Binary product, evaluated as written; a square is the product of one object with itself."""
 
     def __init__(self, a, b):
         self.children = (a, b)
 
-    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
-        return ex(self.children[0], pol).mul(ex(self.children[1], pol))
-
     def show(self, pol: int) -> str:
-        return " ".join(_paren(c, pol) for c in self.children)
+        a, b = self.children
+        return f"{_paren(a, pol)}^2" if a is b else " ".join(_paren(c, pol) for c in self.children)
 
 
-class Sq(Mul):
-    """Square: the product of a term with itself."""
-
-    def __init__(self, x):
-        super().__init__(x, x)
-
-    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
-        x = ex(self.children[0], pol)
-        return x.mul(x)
-
-    def show(self, pol: int) -> str:
-        return f"{_paren(self.children[0], pol)}^2"
+def Sq(x) -> Mul:
+    """Square: the product of x with itself, which one expansion builds once."""
+    return Mul(x, x)
 
 
 class Companion:
@@ -168,20 +147,6 @@ class Companion:
         self.children = (body,)
         self.r, self.i, self.j, self.a, self.slack = Fraction(r), i, j, a, Fraction(slack)
         self.coeff = RingElem.monomial(i, j, r)
-
-    def envelope(self, pol: int, ex: "_Expansion") -> "HybridPoly":
-        if pol < 0:
-            raise ValueError("a companion factor is bounded from below only")
-        c_hi, x0 = self.coeff.eval_iv(ex.prec).hi.to_fraction(), ex.x0.to_fraction()
-        need = c_hi * self.a * ex.shift * x0 / 2
-        if self.slack < need:
-            raise ValueError(f"companion slack {self.slack} below c (a/2) shift x0 = {float(need):.4g}")
-        if self.slack * x0 ** (self.a + 1) >= 1:
-            raise ValueError(f"companion slack {self.slack} times x0^{self.a + 1} is not below 1")
-        factor = {0: RingElem.from_rational(1), self.a: self.coeff}
-        if self.slack:
-            factor[self.a + 1] = RingElem.from_rational(-self.slack)
-        return HybridPoly.from_ring_monomials(factor, ex.prec).mul(ex(self.children[0], pol))
 
     def show(self, pol: int) -> str:
         slack = f" - {self.slack} x^{self.a + 1}" if self.slack else ""
@@ -450,10 +415,6 @@ class HybridPoly:
         self._exact, self.ring_pairs, self.prec = ring_parts, ring_pairs, prec
         self.errs = {d: e for d, e in errs.items() if e != (0, 0)}
 
-    @property
-    def degree(self) -> int:
-        return len(self.ring_pairs) - 1
-
     def _exact_len(self, n: int) -> int:
         """Length of the exact prefix, as seen from a result of length n."""
         k = self._exact.n
@@ -575,26 +536,58 @@ class IneqPoly:
 
 
 class _Expansion:
-    """One expansion of a statement, collecting the operands whose
-    positivity the products need and the lower envelopes already built
-    for them."""
+    """One expansion of a statement: the walker over its tree, with each node's
+    polynomial kept per (node, polarity) and the operands whose positivity the
+    products need.  The leaves and companion factors come from two hooks."""
 
     def __init__(self, spec: TheoremSpec, prec: int):
         self.N, self.shift, self.prec = spec.N, spec.shift, prec
         self.window = window_max(spec.N, spec.shifts, prec)
         self.x0 = x_of(self.window, prec).hi
         self.operands: dict[str, object] = {}
-        self.lower: dict[str, HybridPoly] = {}
+        self.memo: dict[tuple[int, int], HybridPoly] = {}
 
     def __call__(self, node, pol: int) -> HybridPoly:
-        if isinstance(node, (Mul, Companion)):
+        """The node's lower (pol > 0) or upper (pol < 0) envelope polynomial."""
+        key = id(node), pol
+        if key in self.memo:  # a square's factors, a side lemma's operand at pol > 0
+            return self.memo[key]
+        if isinstance(node, Q):
+            poly = self.leaf(node.s, -pol)
+        elif isinstance(node, Sum):
+            poly = None
+            for w, t in node.terms:
+                p = self(t, pol if w > 0 else -pol)
+                p = p if w == 1 else p.scale_int(w)
+                poly = p if poly is None else poly.add(p)
+        else:
             for c in node.children:
                 if not isinstance(c, Mul):  # a product is positive when its factors are
                     self.operands.setdefault(c.show(1), c)
-        poly = node.envelope(pol, self)
-        if pol > 0 and node.show(1) in self.operands:
-            self.lower[node.show(1)] = poly
+            if isinstance(node, Companion):
+                poly = self.factor(node, pol).mul(self(node.children[0], pol))
+            else:
+                poly = self(node.children[0], pol).mul(self(node.children[1], pol))
+        self.memo[key] = poly
         return poly
+
+    def leaf(self, s: int, side: int) -> HybridPoly:
+        return HybridPoly.from_envelope(s, self.N, side, self.prec)
+
+    def factor(self, comp: Companion, pol: int) -> HybridPoly:
+        """1 + c x^a - slack x^(a+1), a lower bound of 1 + t on (0, x0] that is positive there."""
+        if pol < 0:
+            raise ValueError("a companion factor is bounded from below only")
+        slack, c_hi, x0 = comp.slack, comp.coeff.eval_iv(self.prec).hi.to_fraction(), self.x0.to_fraction()
+        need = c_hi * comp.a * self.shift * x0 / 2
+        if slack < need:
+            raise ValueError(f"companion slack {slack} below c (a/2) shift x0 = {float(need):.4g}")
+        if slack * x0 ** (comp.a + 1) >= 1:
+            raise ValueError(f"companion slack {slack} times x0^{comp.a + 1} is not below 1")
+        monomials = {0: RingElem.from_rational(1), comp.a: comp.coeff}
+        if slack:
+            monomials[comp.a + 1] = RingElem.from_rational(-slack)
+        return HybridPoly.from_ring_monomials(monomials, self.prec)
 
     def side_lemma(self) -> Certificate | None:
         """The first failed side lemma, if any.  A product of bounds bounds
@@ -602,8 +595,7 @@ class _Expansion:
         needs its lower envelope proved positive on (0, x0(window)], which
         covers every trial n_star >= window."""
         for name, op in list(self.operands.items()):
-            poly = self.lower.get(name) or self(op, 1)
-            cert = certify_positive(IneqPoly(poly, self.x0, self.window), self.x0)
+            cert = certify_positive(IneqPoly(self(op, 1), self.x0, self.window), self.x0)
             if not cert.proved:
                 cert.reason = f"side lemma {name} not proved: {cert.reason}"
                 return cert
@@ -654,7 +646,6 @@ class Certificate:
     prec: int
     reason: str = ""
     negative_witness: tuple[float, float] | None = None
-    reduced_coeffs: list[tuple[int, int]] = field(default_factory=list, repr=False)
     subdivision_count = 0  # one range check, no bisection: kept for the report format
 
     @property
@@ -713,7 +704,7 @@ def certify_positive(ineq: IneqPoly, x0: Dyadic) -> Certificate:
     if d >= len(fixed):
         base.reason = "polynomial is identically zero"
         return base
-    fixed = base.reduced_coeffs = fixed[d:]
+    fixed = fixed[d:]
     if fixed[0][0] <= 0:
         base.reason = f"constant term after stripping x^{d} is not certifiably positive"
         return base

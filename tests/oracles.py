@@ -81,8 +81,7 @@ from math import comb, factorial, isqrt
 from operator import add, mul
 
 from qcert.bounds import ErrorBudget, _budget_parts, bound_poly, decay_threshold
-from qcert.certify import (INEQUALITIES, THEOREMS, Companion, HybridPoly, IneqPoly, Mul, Q, Sq, _Expansion,
-                           exact_verify)
+from qcert.certify import INEQUALITIES, THEOREMS, Companion, HybridPoly, IneqPoly, Mul, Q, _Expansion, exact_verify
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _exp_point, enclose_pi
 from qcert.intervals import DEFAULT_PRECISION, GUARD, DomainError, Dyadic, Interval, check_precision
@@ -572,9 +571,6 @@ def node_values(node, q, m: int) -> tuple[list[int], list[int] | None]:
     if isinstance(node, Companion):
         a, _ = node_values(node.children[0], q, m)
         return a, a
-    if isinstance(node, Sq):
-        a, b = node_values(node.children[0], q, m)
-        return [x * x for x in a], axpy(None, 2, prod(a, b))
     if isinstance(node, Mul):
         (a1, b1), (a2, b2) = (node_values(c, q, m) for c in node.children)
         return prod(a1, a2), axpy(prod(a1, b2), 1, prod(b1, a2))
@@ -601,12 +597,10 @@ class _TightExpansion(_Expansion):
     the box [-err, 0] or [0, err]; the rest of the tree expands as in
     production."""
 
-    def __call__(self, node, pol: int) -> HybridPoly:
-        if not isinstance(node, Q):
-            return super().__call__(node, pol)
-        poly = HybridPoly.from_envelope(node.s, self.N, -pol, self.prec)
-        r = _budget_parts(self.N, node.s, self.prec)["er_total"]
-        poly.errs = {self.N + 1: (r if pol < 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}  # U at pol < 0
+    def leaf(self, s: int, side: int) -> HybridPoly:
+        poly = HybridPoly.from_envelope(s, self.N, side, self.prec)
+        r = _budget_parts(self.N, s, self.prec)["er_total"]
+        poly.errs = {self.N + 1: (r if side > 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}
         return poly
 
 
@@ -872,43 +866,26 @@ class _Replay(_Expansion):
         super().__init__(spec, prec)
         self.tight, self.bits = tight, 3 * prec + 64
 
-    def __call__(self, node, pol: int) -> Replayed:
-        if isinstance(node, (Mul, Companion)):
-            for c in node.children:
-                if not isinstance(c, Mul):
-                    self.operands.setdefault(c.show(1), c)
-        if isinstance(node, Q):
-            out = self.leaf(node.s, -pol)
-        elif isinstance(node, Companion):
-            out = self.companion(node, pol)
-        else:
-            out = node.envelope(pol, self)
-        if pol > 0 and node.show(1) in self.operands:
-            self.lower[node.show(1)] = out
-        return out
-
     def leaf(self, s: int, side: int) -> Replayed:
         bound = bound_poly(s, self.N, side, self.prec)
         if self.tight:
-            poly = _TightExpansion.__call__(self, Q(s), -side)
+            poly = _TightExpansion.leaf(self, s, side)
             r = _budget_parts(self.N, s, self.prec)["er_total"].to_fractions()
             err = r if side > 0 else (-r[1], -r[0])
         else:
-            poly = HybridPoly.from_envelope(s, self.N, side, self.prec)
+            poly = super().leaf(s, side)
             e = bound.err.to_fraction()
             err = (Fraction(0), e) if side > 0 else (-e, Fraction(0))
         ring = _leaf_ring(poly, bound.coeffs + (RingElem(),), self.bits)
         return Replayed(poly, ring, {self.N + 1: err})
 
-    def companion(self, node: Companion, pol: int) -> Replayed:
-        assert pol > 0
-        monomials = {0: RingElem.from_rational(1), node.a: node.coeff}
-        if node.slack:
-            monomials[node.a + 1] = RingElem.from_rational(-node.slack)
+    def factor(self, comp: Companion, pol: int) -> Replayed:
+        monomials = {0: RingElem.from_rational(1), comp.a: comp.coeff}
+        if comp.slack:
+            monomials[comp.a + 1] = RingElem.from_rational(-comp.slack)
         elems = [monomials.get(d, RingElem()) for d in range(max(monomials) + 1)]
-        poly = HybridPoly.from_ring_monomials(monomials, self.prec)
-        factor = Replayed(poly, _leaf_ring(poly, elems, self.bits), {})
-        return factor.mul(self(node.children[0], pol))
+        poly = super().factor(comp, pol)
+        return Replayed(poly, _leaf_ring(poly, elems, self.bits), {})
 
 
 def replay(ineq_id: str, prec: int, tight: bool) -> dict[str, Replayed]:
@@ -921,5 +898,5 @@ def replay(ineq_id: str, prec: int, tight: bool) -> dict[str, Replayed]:
     ex = _Replay(spec, prec, tight)
     out = {"": ex(spec.statement, 1)}
     for name, op in list(ex.operands.items()):
-        out[name] = ex.lower.get(name) or ex(op, 1)
+        out[name] = ex(op, 1)
     return out

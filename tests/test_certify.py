@@ -124,7 +124,7 @@ def _pin(ineq: IneqPoly) -> tuple[str, int, int]:
     digest = hashlib.sha256()
     for lo, hi in ineq.poly.coeff_pairs():
         digest.update(f"{lo} {hi};".encode())
-    return digest.hexdigest(), certify_positive(ineq, ineq.x0).leading_zero_degree, ineq.poly.degree
+    return digest.hexdigest(), certify_positive(ineq, ineq.x0).leading_zero_degree, len(ineq.poly.ring_pairs) - 1
 
 
 def _expansion(key, fresh=False):
@@ -206,11 +206,11 @@ class TestStatements:
             assert node_exact(THEOREMS["laguerre3"].statement, w) == (laguerre(3, table2k, n), 0), n
 
     def test_square_values_match_product(self, table2k):
-        # a square evaluates its term once; its value is the product's
-        x = Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2))))
+        # a square is one term read twice; its value is the product of two equal terms'
+        x, y = (Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2)))) for _ in range(2))
         q = table2k.values[100:140]
-        assert _program_values(Sq(x), q, 36) == _program_values(Mul(x, x), q, 36)
-        assert node_exact(Sq(x), q) == node_exact(Mul(x, x), q)
+        assert _program_values(Sq(x), q, 36) == _program_values(Mul(x, y), q, 36)
+        assert node_exact(Sq(x), q) == node_exact(Mul(x, y), q)
 
     def test_zero_value_is_not_positive(self):
         # A = B = 0: the statement "value > 0" is false, decided without refinement
@@ -255,6 +255,75 @@ class TestStatements:
         assert cert.status == "inconclusive" and cert.negative_witness is None
         assert cert.reason.startswith("side lemma L0 - 2 U1 not proved: ")
         assert certify_positive(replace(ineq, side_lemma=None), ineq.x0).proved
+
+
+class TestExpansionWalker:
+    """_Expansion expands each node once per polarity, and a side lemma
+    certifies its operand's lower envelope whatever polarity the statement
+    met it at."""
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_side_lemmas_are_lower_envelopes(self, theorem_id, monkeypatch):
+        # each polynomial side_lemma certifies, pairs and boxes, is a fresh
+        # positive-polarity expansion of its operand
+        spec = THEOREMS[theorem_id]
+        ex = certify_module._Expansion(spec, 192)
+        ex(spec.statement, 1)
+        certified = []
+
+        def record(ineq, x0, _certify=certify_positive):
+            certified.append(ineq.poly)
+            return _certify(ineq, x0)
+
+        monkeypatch.setattr(certify_module, "certify_positive", record)
+        assert ex.side_lemma() is None
+        assert len(certified) == len(ex.operands) >= 3
+        for op, poly in zip(ex.operands.values(), certified, strict=True):
+            fresh = certify_module._Expansion(spec, 192)(op, 1)
+            assert (poly.ring_pairs, poly.errs) == (fresh.ring_pairs, fresh.errs), op.show(1)
+
+    def test_square_operand_met_at_negative_polarity(self):
+        # double-turan-companion meets T(2) under its square at polarity -1
+        # only: its side lemma is T(2)'s lower envelope, not the upper one
+        spec = THEOREMS["double-turan-companion"]
+        t2 = spec.statement.terms[1][1].children[0]
+        ex = certify_module._Expansion(spec, 192)
+        ex(spec.statement, 1)
+        assert (id(t2), -1) in ex.memo and (id(t2), 1) not in ex.memo
+        assert ex.operands[t2.show(1)] is t2
+        assert ex.side_lemma() is None
+        lower, upper = ex.memo[id(t2), 1], ex.memo[id(t2), -1]
+        fresh = certify_module._Expansion(spec, 192)(t2, 1)
+        assert (lower.ring_pairs, lower.errs) == (fresh.ring_pairs, fresh.errs)
+        assert lower.errs != upper.errs
+
+    def test_square_expands_its_term_once(self, monkeypatch):
+        # Mul(x, x) builds x once (one add for a two-term sum) and squares it
+        # through _product_part's square path, both operands one store
+        x = Sum((1, Q(0)), (1, Q(2)))
+        adds, products, parts = [], [], []
+
+        def add(self, other, _add=HybridPoly.add):
+            adds.append(self)
+            return _add(self, other)
+
+        def mul(self, other, _mul=HybridPoly.mul):
+            products.append((self, other))
+            return _mul(self, other)
+
+        def product_part(k, a, b, _part=certify_module._product_part):
+            parts.append(a is b)
+            return _part(k, a, b)
+
+        monkeypatch.setattr(HybridPoly, "add", add)
+        monkeypatch.setattr(HybridPoly, "mul", mul)
+        monkeypatch.setattr(certify_module, "_product_part", product_part)
+        square = certify_module._Expansion(THEOREMS["A"], 192)(Mul(x, x), 1)
+        assert len(adds) == 1 and len(products) == 1
+        (a, b), = products
+        assert a is b and a._exact is b._exact
+        assert [square._exact[k] for k in range(square._exact.n)] and parts and all(parts)
+        assert Mul(x, x).show(1) == "(L0 + L2)^2" and Mul(Q(2), Q(2)).show(1) == "L2 L2"
 
 
 class TestCertifyPositive:
@@ -374,7 +443,7 @@ class TestIneqBuild:
     def test_degree_bound(self):
         # triple products of degree-(N+1) envelopes
         ineq = build_ineq("ineq3")
-        assert ineq.poly.degree <= 3 * 25
+        assert len(ineq.poly.ring_pairs) - 1 <= 3 * 25
 
     def test_window(self):
         assert build_ineq("ineq1").window == 5019
@@ -551,11 +620,11 @@ class TestSharedRingParts:
             return _mul(self, other)
 
         monkeypatch.setattr(HybridPoly, "mul", record)
-        comp.envelope(1, certify_module._Expansion(spec, 192))
+        certify_module._Expansion(spec, 192)(comp, 1)
         count = len(certify_module._RING_PARTS)
         stores = []
         for node in (comp, other):
-            node.envelope(1, certify_module._Expansion(spec, 192))
+            certify_module._Expansion(spec, 192)(node, 1)
             stores.append(factors[-1])
         assert len(certify_module._RING_PARTS) == count
         assert not any(x.shared for x in stores) and stores[0] is not stores[1]
@@ -730,13 +799,14 @@ class TestCrossovers:
         # are; (b) every stripped degree is an exact ring zero with no box
         n_star, cert = find_crossover(theorem_id)
         assert cert.proved
+        ineq = build_ineq(THEOREMS[theorem_id].ineq_id)
+        poly, reduced = ineq.poly, ineq.fixed[0][cert.leading_zero_degree:]
         x0, unit = cert.x_star.to_fraction(), 1 << (cert.prec + 16)
-        lo = [F(a, unit) * x0**k for k, (a, _) in enumerate(cert.reduced_coeffs)]
+        lo = [F(a, unit) * x0**k for k, (a, _) in enumerate(reduced)]
         n = len(lo) - 1
         bernstein = [sum(F(comb(i, k), comb(n, k)) * lo[k] for k in range(i + 1)) for i in range(n + 1)]
         assert all(b > 0 for b in bernstein)
-        poly = build_ineq(THEOREMS[theorem_id].ineq_id).poly
-        assert len(cert.reduced_coeffs) == len(poly.ring_pairs) - cert.leading_zero_degree
+        assert len(reduced) == len(poly.ring_pairs) - cert.leading_zero_degree
         for d in range(cert.leading_zero_degree):
             assert poly._exact[d].is_zero and d not in poly.errs
 
@@ -749,7 +819,7 @@ class TestCrossovers:
             fx = F(rng.randint(1, 10**6), 10**6) * cert.x_star.to_fraction()
             x = Interval.from_fraction(fx, 192)
             acc = Interval.point(0)
-            for c in reversed(cert.reduced_coeffs):
+            for c in reversed(ineq.fixed[0][cert.leading_zero_degree:]):
                 acc = acc.mul(x, 192).add(pair_interval(c, 192), 192)
             assert acc.is_positive
 
@@ -980,12 +1050,12 @@ def _toy_statements() -> dict[str, object]:
     """The toy statements of this file, and trees the theorems do not have: a
     leaf alone, a lowest leaf above 0, a companion alone or weighted -1, and a
     companion under a square (B = 2 A B there)."""
-    x = Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2))))
+    x, y = (Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2)))) for _ in range(2))
     d = Sum((1, Q(0)), (-2, Q(1)))
     slack = Companion(_gap(1), F(1, 6), 1, 1, 3, slack=F(1, 25))
     return {
         "square-of-companion-sum": Sq(x),
-        "product-of-companion-sum": Mul(x, x),
+        "product-of-companion-sum": Mul(x, y),
         "double-turan-slack": Sum((1, Mul(slack, _gap(3))), (-1, Sq(_gap(2)))),
         "negative-operand": Mul(d, d),
         "leaf": Q(3),

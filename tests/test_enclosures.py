@@ -19,6 +19,7 @@ from oracles import (
     log_point_loop,
 )
 from qcert.enclosures import (
+    _atanh_series,
     enclose_cosh,
     enclose_exp,
     enclose_log,
@@ -380,3 +381,34 @@ def test_log_next_to_grid_point(prec):
         assert exp_bracket(g - near)[1] < x < exp_bracket(g + near)[0], (prec, d)
         a, b = enclose_log(Interval.point(d), prec).to_fractions()
         assert exp_bracket(a)[1] <= x <= exp_bracket(b)[0], (prec, d)
+
+
+# -- the atanh series on raw integer bounds ---------------------------------------
+
+
+def _atanh2_bracket(u: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Exact bounds of 2 atanh(u), 0 <= u < 1: twice a partial sum of
+    u^(2j+1)/(2j+1), and that plus twice its tail bound u^(2J+1)/((2J+1)(1 - u^2)),
+    summed until the tail is below 2^-bits."""
+    total, power, j = Fraction(0), u, 0
+    while (tail := power / ((2 * j + 1) * (1 - u * u))) >= Fraction(1, 2**bits):
+        total += power / (2 * j + 1)
+        power, j = power * u * u, j + 1
+    return 2 * total, 2 * (total + tail)
+
+
+@pytest.mark.parametrize("w", [16, 24, 32, 40])
+def test_atanh_series_contains_exact_bracket(w):
+    # [lo, hi] 2^-w holds 2 atanh on [ulo, uhi] 2^-w, checked in Fractions: at
+    # u = 1 unit the series has no term after u, so hi rests on the tail alone
+    # (2 atanh(2^-w) 2^w is above 2); log 2's (third, third + 1) and seeded
+    # intervals up to u = 1/3
+    third, rng = (1 << w) // 3, random.Random(w)
+    cases = [(0, 0), (1, 1), (1, 2), (2, 2), (3, 5), (third - 1, third), (third, third + 1)]
+    for _ in range(40):
+        ulo = rng.randrange(third)
+        cases.append((ulo, min(third, ulo + rng.choice((0, 1, rng.randrange(1 << (w // 2)))))))
+    for ulo, uhi in cases:
+        lo, hi = _atanh_series(ulo, uhi, w)
+        assert Fraction(lo, 1 << w) <= _atanh2_bracket(Fraction(ulo, 1 << w), 3 * w)[0], (w, ulo, uhi)
+        assert Fraction(hi, 1 << w) >= _atanh2_bracket(Fraction(uhi, 1 << w), 3 * w)[1], (w, ulo, uhi)

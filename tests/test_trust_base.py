@@ -17,6 +17,7 @@ import oracles
 import qcert
 from qcert.bounds import ErrorBudget
 from qcert.certify import (
+    Certificate,
     Companion,
     HybridPoly,
     IneqPoly,
@@ -146,6 +147,14 @@ REMOVED_METHODS = (
     (Companion, "values"),
     # cosh's straddle branch took it; cosh goes through _monotone on |x|
     (Interval, "hull"),
+    # the expansion is one walker, certify._Expansion, with two hooks (leaf, factor)
+    (Q, "envelope"),
+    (Sum, "envelope"),
+    (Mul, "envelope"),
+    (Companion, "envelope"),
+    # read only by tests: len(ring_pairs) - 1, and IneqPoly.fixed past the stripped degrees
+    (HybridPoly, "degree"),
+    (Certificate, "reduced_coeffs"),
 )
 
 # Every operation that rounds takes its precision from the caller.
@@ -211,7 +220,14 @@ def test_oracle_lives_in_tests(name):
 
 @pytest.mark.parametrize("cls, name", REMOVED_METHODS)
 def test_method_removed(cls, name):
-    assert not hasattr(cls, name)
+    assert not hasattr(cls, name) and name not in getattr(cls, "__dataclass_fields__", {})
+
+
+@pytest.mark.parametrize("cls", [oracles._TightExpansion, oracles._Replay], ids=lambda c: c.__name__)
+def test_oracle_expansions_override_only_the_hooks(cls):
+    # the walker is production's: an oracle swaps leaves and companion factors only
+    assert {name for name in vars(cls) if not name.startswith("__")} <= {"leaf", "factor"}
+    assert "__call__" not in vars(cls)
 
 
 def test_no_sharpen_knobs():

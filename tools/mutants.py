@@ -275,16 +275,20 @@ MUTANTS = [
            "list(poly.coeff_pairs) + [(0, 0)])\n        exact, ring_pairs = _RING_PARTS[key]",
            "list(poly.coeff_pairs) + [(0, 0)], err_box)\n        exact, ring_pairs, err_box = _RING_PARTS[key]",
            "the box is kept with the ring part, so L is built with U's box [0, err] when U came first"),
+    Mutant("expansion-memo-key-without-polarity", "src/qcert/certify.py",
+           "key = id(node), pol",
+           "key = id(node)",
+           "a side lemma reads its operand's upper envelope when the statement met it at negative polarity"),
     Mutant("side-lemmas-skipped", "src/qcert/certify.py",
            "return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())",
            "return IneqPoly(poly, ex.x0, ex.window, None)",
            "a product of bounds bounds the product only for nonnegative factors"),
     Mutant("companion-slack-unchecked", "src/qcert/certify.py",
-           "if self.slack < need:",
+           "if slack < need:",
            "if False:",
            "a slack below c (a/2) shift x0 does not bound the shifted companion factor"),
     Mutant("companion-factor-sign-unchecked", "src/qcert/certify.py",
-           "if self.slack * x0 ** (self.a + 1) >= 1:",
+           "if slack * x0 ** (comp.a + 1) >= 1:",
            "if False:",
            "a factor 1 + c x^a - slack x^(a+1) below 0 near x0 does not bound (1 + t) body from below"),
     Mutant("straddling-enclosure-taken-as-zero", "src/qcert/certify.py",
@@ -350,7 +354,7 @@ MUTANTS = [
            "laguerre3-companion's scans start at n = 0, where its term n^(-9/2) is undefined"),
     # -- test oracles ---------------------------------------------------------
     Mutant("tight-lower-radius-not-negated", "tests/oracles.py",
-           "(r if pol < 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}",
+           "(r if side > 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}",
            "r.fixed(self.prec)}",
            "L's radius enters with the wrong sign, so the disproof polynomial is not L's"),
 ]
