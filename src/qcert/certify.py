@@ -28,7 +28,7 @@ two regimes do not meet.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -78,7 +78,8 @@ _SCAN_BITS = 96  # each scan block runs on its table slice's top 96 bits first (
 # a leaf becomes L(s) at positive polarity and U(s) at negative polarity, a
 # negative weight flips the polarity, and a node is expanded once per polarity.
 # Sums fold left and products evaluate in the order written, which fixes every
-# rounding of the expansion.
+# rounding of the expansion.  Nodes are frozen values, equal when their structure
+# is: a subterm written twice, in one theorem or in two, is one node.
 
 
 def _paren(node, pol: int) -> str:
@@ -86,24 +87,26 @@ def _paren(node, pol: int) -> str:
     return f"({text})" if isinstance(node, Sum) else text
 
 
+@dataclass(frozen=True)
 class Q:
     """Leaf q(n0 + s)."""
 
+    s: int
     children = ()
-
-    def __init__(self, s: int):
-        self.s = s
 
     def show(self, pol: int) -> str:
         return f"{'L' if pol > 0 else 'U'}{self.s}"
 
 
+@dataclass(frozen=True, init=False)
 class Sum:
     """Integer-weighted terms, left-folded in the order written."""
 
+    terms: tuple[tuple[int, object], ...]
+    children = property(lambda self: tuple(t for _, t in self.terms))
+
     def __init__(self, *terms: tuple[int, object]):
-        self.terms = terms
-        self.children = tuple(t for _, t in terms)
+        object.__setattr__(self, "terms", terms)
 
     def show(self, pol: int) -> str:
         parts = []
@@ -113,15 +116,16 @@ class Sum:
         return " ".join(parts).removeprefix("+ ")
 
 
+@dataclass(frozen=True)
 class Mul:
-    """Binary product, evaluated as written; a square is the product of one object with itself."""
+    """Binary product, evaluated as written; a square is the product of two equal terms."""
 
-    def __init__(self, a, b):
-        self.children = (a, b)
+    a: object
+    b: object
+    children = property(lambda self: (self.a, self.b))
 
     def show(self, pol: int) -> str:
-        a, b = self.children
-        return f"{_paren(a, pol)}^2" if a is b else " ".join(_paren(c, pol) for c in self.children)
+        return f"{_paren(self.a, pol)}^2" if self.a == self.b else f"{_paren(self.a, pol)} {_paren(self.b, pol)}"
 
 
 def Sq(x) -> Mul:
@@ -129,6 +133,7 @@ def Sq(x) -> Mul:
     return Mul(x, x)
 
 
+@dataclass(frozen=True)
 class Companion:
     """body (1 + t), t = r pi^i sqrt3^j n^{-a/2} in statement coordinates.
 
@@ -141,16 +146,23 @@ class Companion:
     < 1, checked in the expansion).
     """
 
-    def __init__(self, body, r: Fraction, i: int, j: int, a: int, slack: Fraction = Fraction(0)):
-        if r <= 0:
-            raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs r > 0, got {r}")
-        self.children = (body,)
-        self.r, self.i, self.j, self.a, self.slack = Fraction(r), i, j, a, Fraction(slack)
-        self.coeff = RingElem.monomial(i, j, r)
+    body: object
+    r: Fraction
+    i: int
+    j: int
+    a: int
+    slack: Fraction = Fraction(0)
+    coeff: RingElem = field(init=False, compare=False, repr=False)  # c, derived from r, i, j
+    children = property(lambda self: (self.body,))
+
+    def __post_init__(self):
+        if self.r <= 0:
+            raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs r > 0, got {self.r}")
+        object.__setattr__(self, "coeff", RingElem.monomial(self.i, self.j, self.r))
 
     def show(self, pol: int) -> str:
         slack = f" - {self.slack} x^{self.a + 1}" if self.slack else ""
-        return f"(1 + {self.coeff.as_string()} x^{self.a}{slack}) {_paren(self.children[0], pol)}"
+        return f"(1 + {self.coeff.as_string()} x^{self.a}{slack}) {_paren(self.body, pol)}"
 
 
 def _nodes(node):
@@ -360,30 +372,38 @@ def _t_bound(comp: Companion, c2, ns: range) -> int:
 # -- hybrid polynomials (ring part + interval corrections) --------------------
 
 
-class _Exact(dict):
-    """The exact ring parts of a HybridPoly below degree n: part d is
-    computed by rule(d) on first request and kept.  A rule reads other
-    stores only, never interval data.  A shared store is kept in _RING_PARTS."""
+class _Parts(dict):
+    """The exact ring parts of a HybridPoly below degree n, part d computed by rule(d) on request: a rule
+    reads other stores only, never interval data.  An operation's store keeps no part: a sum's partial
+    sums and scaled terms are each read once per degree, by the step that folds them."""
 
-    __slots__ = ("n", "rule", "shared")
+    __slots__ = ("n", "rule")
 
-    def __init__(self, n: int, rule, parts=(), shared: bool = False):
+    def __init__(self, n: int, rule, parts=()):
         super().__init__(parts)
-        self.n, self.rule, self.shared = n, rule, shared
+        self.n, self.rule = n, rule
 
     def __missing__(self, d: int) -> RingElem:
         if not 0 <= d < self.n:
             raise IndexError(f"x^{d} outside the exact prefix 0..{self.n - 1}")
-        part = self[d] = self.rule(d)
+        return self.rule(d)
+
+
+class _Exact(_Parts):
+    """A node's store (HybridPoly.keep), which keeps each part it computes for its several readers."""
+
+    __slots__ = ()
+
+    def __missing__(self, d: int) -> RingElem:
+        part = self[d] = super().__missing__(d)
         return part
 
 
-# Every shared ring part (exact store, enclosures) built in this process: a leaf's per
-# (s, N, prec), a product of two shared stores' per (their ids, first box degree, prec).
-_RING_PARTS: dict[tuple, tuple[_Exact, list[tuple[int, int]]]] = {}
+# The ring part (exact store, enclosures) of every node expanded in this process, per (node, N, prec).
+_RINGS: dict[tuple, tuple[_Exact, list[tuple[int, int]]]] = {}
 
 
-def _product_part(k: int, a: _Exact, b: _Exact) -> RingElem:
+def _product_part(k: int, a: _Parts, b: _Parts) -> RingElem:
     """Degree k of a b over one common denominator; a square (b is a)
     pairs each term once, weight 2 off the diagonal.  Operand parts at or
     above n count as zero: the product's length keeps reads of a
@@ -402,18 +422,25 @@ class HybridPoly:
     and errs holds the corrections, all integer pairs at 2^-(prec + 16).
     The exact parts reach a product's first error box, the furthest the
     certifier strips symbolic zeros, and each is computed only when its
-    enclosure cannot decide a zero test.  The ring part (exact store and
-    ring_pairs) is shared, built once per _RING_PARTS key; errs never is."""
+    enclosure cannot decide a zero test.  ring_pairs may be given as the
+    function that makes them on first read.  An expansion keeps one ring
+    part (exact store and ring_pairs) per node (keep); errs it builds per call."""
 
-    __slots__ = ("_exact", "ring_pairs", "errs", "prec")
+    __slots__ = ("_exact", "_pairs", "errs", "prec")
 
-    def __init__(self, ring_parts: list[RingElem] | _Exact, errs: dict[int, tuple[int, int]], prec: int,
-                 ring_pairs: list[tuple[int, int]] | None = None):
-        if not isinstance(ring_parts, _Exact):  # every part given
+    def __init__(self, ring_parts: list[RingElem] | _Parts, errs: dict[int, tuple[int, int]], prec: int,
+                 ring_pairs=None):
+        if not isinstance(ring_parts, _Parts):  # every part given
             ring_pairs = ring_pairs or [r.fixed(prec) for r in ring_parts]
-            ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
-        self._exact, self.ring_pairs, self.prec = ring_parts, ring_pairs, prec
+            ring_parts = _Parts(len(ring_parts), None, enumerate(ring_parts))
+        self._exact, self._pairs, self.prec = ring_parts, ring_pairs, prec
         self.errs = {d: e for d, e in errs.items() if e != (0, 0)}
+
+    @property
+    def ring_pairs(self) -> list[tuple[int, int]]:
+        if callable(self._pairs):
+            self._pairs = self._pairs()
+        return self._pairs
 
     def _exact_len(self, n: int) -> int:
         """Length of the exact prefix, as seen from a result of length n."""
@@ -439,6 +466,19 @@ class HybridPoly:
         """(degree, enclosure) where the ring part may be nonzero."""
         return [(d, p) for d, p in enumerate(self.ring_pairs) if not self._is_zero(d)]
 
+    def keep(self, key) -> "HybridPoly":
+        """This polynomial on the ring part kept for key, (node, N, prec): the first one
+        built, at either polarity or in an earlier expansion.  A node's ring part does
+        not depend on its polarity: leaf boxes sit at degree N + 1 at both, and every box
+        contains 0 and has positive width, so no sum of boxes cancels to (0, 0); the first
+        box degree, and with it the exact prefix length, follows from the structure alone.
+        A prefix too long or too short would not be unsound either: extra parts are still
+        exact, and stripping past a short prefix raises ArithmeticError."""
+        if key not in _RINGS:
+            _RINGS[key] = _Exact(self._exact.n, self._exact.rule, self._exact), self.ring_pairs
+        exact, pairs = _RINGS[key]
+        return HybridPoly(exact, self.errs, self.prec, pairs)
+
     @staticmethod
     def from_envelope(s: int, N: int, side: int, prec: int) -> "HybridPoly":
         """The side (+1 upper, -1 lower) envelope, its radius entered as the
@@ -446,52 +486,40 @@ class HybridPoly:
         positivity of the family implies the exact inequality."""
         poly = bound_poly(s, N, side, prec)
         err_box = Interval(Dyadic(0), poly.err) if side > 0 else Interval(-poly.err, Dyadic(0))
-        key = s, N, prec
-        if key not in _RING_PARTS:  # the sides differ only in the box: one ring part for both
-            _RING_PARTS[key] = (_Exact(N + 2, None, enumerate(poly.coeffs + (ZERO_ELEM,)), True),
-                                list(poly.coeff_pairs) + [(0, 0)])
-        exact, ring_pairs = _RING_PARTS[key]
-        return HybridPoly(exact, {N + 1: err_box.fixed(prec)}, prec, ring_pairs)
+        return HybridPoly(poly.coeffs + (ZERO_ELEM,), {N + 1: err_box.fixed(prec)}, prec,
+                          list(poly.coeff_pairs) + [(0, 0)])
 
     @staticmethod
     def from_ring_monomials(monomials: dict[int, RingElem], prec: int) -> "HybridPoly":
         return HybridPoly([monomials.get(d, ZERO_ELEM) for d in range(max(monomials) + 1)], {}, prec)
 
     def mul(self, other: "HybridPoly") -> "HybridPoly":
-        p, w = self.prec, self.prec + GUARD
-        n_out = len(self.ring_pairs) + len(other.ring_pairs) - 1
+        n_out, w = len(self.ring_pairs) + len(other.ring_pairs) - 1, self.prec + GUARD
         # error boxes: ring x box, box x ring and box x box, summed exactly
         lo, hi = [0] * n_out, [0] * n_out
         convolve(lo, hi, other.errs.items(), self._not_point_zero())
         convolve(lo, hi, self.errs.items(), other._not_point_zero())
         convolve(lo, hi, self.errs.items(), other.errs.items())
         errs_out = {d: e for d, e in enumerate(round_out(lo, hi, w)) if lo[d] or hi[d]}
-        first_box = min(errs_out, default=n_out)
-        # the ring part depends on the operands' and the first box alone, so
-        # both polarities of a subterm share one; the enclosures' convolution
-        # contains the exact ring product, far cheaper than evaluating it
-        a, b = self._exact, other._exact
-        key = id(a), id(b), first_box, p
-        if (part := _RING_PARTS.get(key)) is None:
+
+        def pairs():  # contains the exact ring product, far cheaper than evaluating it
             lo, hi = [0] * n_out, [0] * n_out
             convolve(lo, hi, self._nonzero(), other._nonzero())
-            # exact parts up to the first error box, each convolved on demand;
-            # the rule holds both operand stores, so the ids in key stay theirs
-            exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), first_box + 1),
-                           lambda k: _product_part(k, a, b), (), a.shared and b.shared)
-            part = exact, round_out(lo, hi, w)
-            if exact.shared:  # sums, scalings and companion factors are built per call
-                _RING_PARTS[key] = part
-        exact, pairs_out = part
-        return HybridPoly(exact, errs_out, p, pairs_out)
+            return round_out(lo, hi, w)
+
+        # exact parts up to the first error box, each convolved on demand
+        a, b = self._exact, other._exact
+        exact = _Parts(min(self._exact_len(n_out), other._exact_len(n_out), min(errs_out, default=n_out) + 1),
+                       lambda k: _product_part(k, a, b))
+        return HybridPoly(exact, errs_out, self.prec, pairs)
 
     def add(self, other: "HybridPoly") -> "HybridPoly":
         n = max(len(self.ring_pairs), len(other.ring_pairs))
         a, b = self._exact, other._exact
-        exact = _Exact(min(self._exact_len(n), other._exact_len(n)),
-                       lambda d: (a[d] if d < a.n else ZERO_ELEM) + (b[d] if d < b.n else ZERO_ELEM))
         pairs_out = [(x + u, y + v) for (x, y), (u, v) in
                      zip_longest(self.ring_pairs, other.ring_pairs, fillvalue=(0, 0))]
+        exact = _Parts(min(self._exact_len(n), other._exact_len(n)),
+                       lambda d: (a[d] if d < a.n else ZERO_ELEM) + (b[d] if d < b.n else ZERO_ELEM))
         errs_out = dict(self.errs)
         for d, (u, v) in other.errs.items():
             x, y = errs_out.get(d, (0, 0))
@@ -504,7 +532,7 @@ class HybridPoly:
             return (lo, hi) if c >= 0 else (hi, lo)
 
         a = self._exact
-        return HybridPoly(_Exact(a.n, lambda d: a[d].scale(c)), {d: scaled(e) for d, e in self.errs.items()},
+        return HybridPoly(_Parts(a.n, lambda d: a[d].scale(c)), {d: scaled(e) for d, e in self.errs.items()},
                           self.prec, list(map(scaled, self.ring_pairs)))
 
     def coeff_pairs(self) -> list[tuple[int, int]]:
@@ -537,19 +565,20 @@ class IneqPoly:
 
 class _Expansion:
     """One expansion of a statement: the walker over its tree, with each node's
-    polynomial kept per (node, polarity) and the operands whose positivity the
-    products need.  The leaves and companion factors come from two hooks."""
+    polynomial kept per (node, polarity), on the node's one ring part per
+    (node, N, prec), and the operands whose positivity the products need.
+    The leaves and companion factors come from two hooks."""
 
     def __init__(self, spec: TheoremSpec, prec: int):
         self.N, self.shift, self.prec = spec.N, spec.shift, prec
         self.window = window_max(spec.N, spec.shifts, prec)
         self.x0 = x_of(self.window, prec).hi
         self.operands: dict[str, object] = {}
-        self.memo: dict[tuple[int, int], HybridPoly] = {}
+        self.memo: dict[tuple[object, int], HybridPoly] = {}
 
     def __call__(self, node, pol: int) -> HybridPoly:
         """The node's lower (pol > 0) or upper (pol < 0) envelope polynomial."""
-        key = id(node), pol
+        key = node, pol
         if key in self.memo:  # a square's factors, a side lemma's operand at pol > 0
             return self.memo[key]
         if isinstance(node, Q):
@@ -565,10 +594,10 @@ class _Expansion:
                 if not isinstance(c, Mul):  # a product is positive when its factors are
                     self.operands.setdefault(c.show(1), c)
             if isinstance(node, Companion):
-                poly = self.factor(node, pol).mul(self(node.children[0], pol))
+                poly = self.factor(node, pol).mul(self(node.body, pol))
             else:
-                poly = self(node.children[0], pol).mul(self(node.children[1], pol))
-        self.memo[key] = poly
+                poly = self(node.a, pol).mul(self(node.b, pol))
+        self.memo[key] = poly = poly.keep((node, self.N, self.prec))
         return poly
 
     def leaf(self, s: int, side: int) -> HybridPoly:

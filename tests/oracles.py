@@ -843,6 +843,10 @@ class Replayed:
         return Replayed(self.poly.scale_int(c), list(map(scale, self.ring)),
                         {k: scale(e) for k, e in self.errs.items()})
 
+    def keep(self, key) -> "Replayed":
+        """The production polynomial on the ring part it keeps for key, checked again."""
+        return Replayed(self.poly.keep(key), self.ring, self.errs)
+
 
 def _leaf_ring(poly: HybridPoly, elems, bits: int) -> list:
     """The leaf's ring enclosures as Fractions, each checked to contain a

@@ -51,6 +51,7 @@ from qcert.certify import (
     verify_theorem,
 )
 import qcert.certify as certify_module
+from qcert.cli import ERRATA_THRESHOLDS
 from qcert.certify import HybridPoly
 from qcert.enclosures import enclose_pi
 from qcert.intervals import Dyadic, Interval, horner
@@ -187,6 +188,13 @@ def _toy_ineq(monomials: dict[int, RingElem], x0: Fraction, prec: int = 192) -> 
     return IneqPoly(poly=poly, x0=x0_d, window=1)
 
 
+def _companion_sum_and_swapped() -> tuple[Sum, Sum]:
+    """A sum with a companion and the same sum with its terms swapped: equal values,
+    different nodes, so Mul(x, y) takes the general product and Sq(x) the square."""
+    terms = (1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2)))
+    return Sum(*terms), Sum(*terms[::-1])
+
+
 def _gap(k: int) -> Sum:
     """q(n0+k)^2 - q(n0+k-1) q(n0+k+1)."""
     return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
@@ -206,8 +214,10 @@ class TestStatements:
             assert node_exact(THEOREMS["laguerre3"].statement, w) == (laguerre(3, table2k, n), 0), n
 
     def test_square_values_match_product(self, table2k):
-        # a square is one term read twice; its value is the product of two equal terms'
-        x, y = (Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2)))) for _ in range(2))
+        # a square is one term read twice; its value is the product of two terms
+        # of equal value (y is x with its terms swapped, so not equal to x)
+        x, y = _companion_sum_and_swapped()
+        assert x != y
         q = table2k.values[100:140]
         assert _program_values(Sq(x), q, 36) == _program_values(Mul(x, y), q, 36)
         assert node_exact(Sq(x), q) == node_exact(Mul(x, y), q)
@@ -286,20 +296,22 @@ class TestExpansionWalker:
         # double-turan-companion meets T(2) under its square at polarity -1
         # only: its side lemma is T(2)'s lower envelope, not the upper one
         spec = THEOREMS["double-turan-companion"]
-        t2 = spec.statement.terms[1][1].children[0]
+        t2 = spec.statement.terms[1][1].a
         ex = certify_module._Expansion(spec, 192)
         ex(spec.statement, 1)
-        assert (id(t2), -1) in ex.memo and (id(t2), 1) not in ex.memo
+        assert (t2, -1) in ex.memo and (t2, 1) not in ex.memo
         assert ex.operands[t2.show(1)] is t2
         assert ex.side_lemma() is None
-        lower, upper = ex.memo[id(t2), 1], ex.memo[id(t2), -1]
+        lower, upper = ex.memo[t2, 1], ex.memo[t2, -1]
         fresh = certify_module._Expansion(spec, 192)(t2, 1)
         assert (lower.ring_pairs, lower.errs) == (fresh.ring_pairs, fresh.errs)
         assert lower.errs != upper.errs
 
     def test_square_expands_its_term_once(self, monkeypatch):
         # Mul(x, x) builds x once (one add for a two-term sum) and squares it
-        # through _product_part's square path, both operands one store
+        # through _product_part's square path, both operands one store; two
+        # equal leaves are one node, so their product is a square too
+        monkeypatch.setattr(certify_module, "_RINGS", {})
         x = Sum((1, Q(0)), (1, Q(2)))
         adds, products, parts = [], [], []
 
@@ -323,7 +335,8 @@ class TestExpansionWalker:
         (a, b), = products
         assert a is b and a._exact is b._exact
         assert [square._exact[k] for k in range(square._exact.n)] and parts and all(parts)
-        assert Mul(x, x).show(1) == "(L0 + L2)^2" and Mul(Q(2), Q(2)).show(1) == "L2 L2"
+        assert Mul(x, x).show(1) == "(L0 + L2)^2" and Mul(Q(2), Q(2)).show(1) == "L2^2"
+        assert Mul(Q(2), Q(2)) == Sq(Q(2)) and Mul(Q(2), Q(3)).show(1) == "L2 L3"
 
 
 class TestCertifyPositive:
@@ -564,55 +577,74 @@ class TestRationalReplay:
 
 
 class TestSharedRingParts:
-    """Each ring part is built once per process and shared by both
-    polarities; every box, sum and scaling is built per call."""
+    """Each node's ring part is built once per (node, N, prec) and shared by
+    both polarities and by every expansion that meets the node; every box,
+    and every sum, scaling and companion factor under a node, is built per call."""
 
-    def test_leaf_sides_share_one_ring_part(self):
-        upper, lower = (HybridPoly.from_envelope(2, 14, side, 192) for side in (1, -1))
+    def test_ring_parts_kept_per_order_and_precision(self, monkeypatch):
+        # one cache serves the leaves q(n0 + 0..4) at orders 14 and 24 and at 192
+        # and 64 bits: every node of each expansion, replayed in rationals,
+        # contains its exact counterpart on the ring part it is given
+        monkeypatch.setattr(certify_module, "_RINGS", {})
+        for ineq_id, prec in [("ineq1", 192), ("ineq-L3", 192), ("ineq1", 64)]:
+            assert len(replay(ineq_id, prec, False)) >= 3
+        assert {key[1:] for key in certify_module._RINGS} == {(14, 192), (24, 192), (14, 64)}
+
+    def test_leaf_sides_share_one_ring_part(self, monkeypatch):
+        monkeypatch.setattr(certify_module, "_RINGS", {})
+        ex = certify_module._Expansion(THEOREMS["A"], 192)
+        upper, lower = ex(Q(2), -1), ex(Q(2), 1)  # a leaf is U at polarity -1, L at +1
         assert upper is not lower and upper.errs is not lower.errs
         assert upper._exact is lower._exact and upper.ring_pairs is lower.ring_pairs
         err_u, err_l = (bound_poly(2, 14, side, 192).err for side in (1, -1))
         assert list(upper.errs.items()) == [(15, Interval(Dyadic(0), err_u).fixed(192))]
         assert list(lower.errs.items()) == [(15, Interval(-err_l, Dyadic(0)).fixed(192))]
-        assert HybridPoly.from_envelope(2, 24, 1, 192)._exact is not upper._exact
-        assert HybridPoly.from_envelope(2, 14, 1, 64)._exact is not upper._exact
+        assert certify_module._Expansion(THEOREMS["B"], 192)(Q(2), -1)._exact is not upper._exact
+        assert certify_module._Expansion(THEOREMS["A"], 64)(Q(2), -1)._exact is not upper._exact
 
     def test_companion_reuses_the_theorems_products(self, monkeypatch):
         # ineq4 negates ineq3's five cubic products: after ineq3, its only new
-        # product is the companion factor's, whose factor has no box; the
-        # factor is built per call, so that product is not kept
-        monkeypatch.setattr(certify_module, "_RING_PARTS", {})
+        # product is the companion's, whose factor has no box; each product is
+        # still multiplied per call, for its boxes
+        monkeypatch.setattr(certify_module, "_RINGS", {})
         expand_statement(THEOREMS["B"], 192)
-        built = {id(exact) for exact, _ in certify_module._RING_PARTS.values()}
+        built = {key: exact for key, (exact, _) in certify_module._RINGS.items()}
         made = []
 
         def record(self, other, _mul=HybridPoly.mul):
-            made.append((self, _mul(self, other)))
-            return made[-1][1]
+            made.append(self)
+            return _mul(self, other)
 
         monkeypatch.setattr(HybridPoly, "mul", record)
-        count = len(certify_module._RING_PARTS)
-        expand_statement(THEOREMS["B-companion"], 192)
-        assert len(made) == 11 and len(certify_module._RING_PARTS) == count
-        assert [id(out._exact) in built for _, out in made] == [bool(lhs.errs) for lhs, _ in made]
+        spec = THEOREMS["B-companion"]
+        ex = certify_module._Expansion(spec, 192)
+        ex(spec.statement, 1)
+        assert ex.side_lemma() is None
+        assert len(made) == 11 and [bool(lhs.errs) for lhs in made].count(False) == 1
+        new = sorted(type(node).__name__ for node, *_ in certify_module._RINGS.keys() - built.keys())
+        assert new == ["Companion", "Sum", "Sum"]  # the companion, its body and the statement
+        products = [(node, poly) for (node, _), poly in ex.memo.items() if isinstance(node, (Mul, Companion))]
+        assert len(products) == 11
+        assert [poly._exact is built.get((node, 24, 192)) for node, poly in products] == \
+            [isinstance(node, Mul) for node, _ in products]
 
     @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
     def test_repeated_expansion_adds_no_ring_part(self, theorem_id):
-        # only ring parts a later expansion can name again are kept: a
-        # product with a sum, a scaling or a companion factor (each built per
-        # call) is not
-        expand_statement(THEOREMS[theorem_id], 192)
-        count = len(certify_module._RING_PARTS)
+        # every node's ring part is kept once: a later expansion of the same
+        # statement adds none, and its polynomial sits on the kept ring part
+        first = expand_statement(THEOREMS[theorem_id], 192).poly._exact
+        count = len(certify_module._RINGS)
         for _ in range(2):
-            expand_statement(THEOREMS[theorem_id], 192)
-            assert len(certify_module._RING_PARTS) == count
+            assert expand_statement(THEOREMS[theorem_id], 192).poly._exact is first
+            assert len(certify_module._RINGS) == count
 
     def test_companion_factor_per_call(self, monkeypatch):
         # each expansion builds its own factor, from the companion's own
-        # slack, and keeps neither it nor its product
+        # slack, and keeps none; the product is kept per companion node, and a
+        # companion with another slack is another node
         spec = THEOREMS["A-companion"]
         comp = spec.companion
-        other = Companion(comp.children[0], comp.r, comp.i, comp.j, comp.a, comp.slack + 1)
+        other = Companion(comp.body, comp.r, comp.i, comp.j, comp.a, comp.slack + 1)
         factors = []
 
         def record(self, other, _mul=HybridPoly.mul):
@@ -621,19 +653,49 @@ class TestSharedRingParts:
 
         monkeypatch.setattr(HybridPoly, "mul", record)
         certify_module._Expansion(spec, 192)(comp, 1)
-        count = len(certify_module._RING_PARTS)
+        count = len(certify_module._RINGS)
         stores = []
         for node in (comp, other):
             certify_module._Expansion(spec, 192)(node, 1)
             stores.append(factors[-1])
-        assert len(certify_module._RING_PARTS) == count
-        assert not any(x.shared for x in stores) and stores[0] is not stores[1]
+        assert len(certify_module._RINGS) == count + 1 and other != comp
+        kept = [exact for exact, _ in certify_module._RINGS.values()]
+        assert not any(x is y for x in stores for y in kept) and stores[0] is not stores[1]
         assert [x[comp.a + 1] for x in stores] == [RingElem.from_rational(-comp.slack),
                                                     RingElem.from_rational(-comp.slack - 1)]
 
+    def test_turan_gaps_share_one_ring_part(self, monkeypatch):
+        # double-turan meets T(1) and T(3) at both polarities, and T(2) under its
+        # square; double-turan-companion meets T(2)^2 again at polarity -1: each
+        # T(k) has one ring part across both expansions, and T(2)^2 is convolved
+        # once, each degree once on the square path
+        monkeypatch.setattr(certify_module, "_RINGS", {})
+        squares = []
+
+        def product_part(k, a, b, _part=certify_module._product_part):
+            if a is b:
+                squares.append((a, k))
+            return _part(k, a, b)
+
+        monkeypatch.setattr(certify_module, "_product_part", product_part)
+        walkers = []
+        for theorem_id in ("double-turan", "double-turan-companion"):
+            ex = certify_module._Expansion(THEOREMS[theorem_id], 192)
+            cert = certify_positive(IneqPoly(ex(THEOREMS[theorem_id].statement, 1), ex.x0, ex.window), ex.x0)
+            assert cert.proved or theorem_id.endswith("companion")
+            assert ex.side_lemma() is None
+            walkers.append(ex)
+        for k in (1, 2, 3):
+            met = [(pol, poly._exact) for ex in walkers for (node, pol), poly in ex.memo.items() if node == _gap(k)]
+            assert {pol for pol, _ in met} == {1, -1}, k
+            assert all(ring is certify_module._RINGS[_gap(k), 14, 192][0] for _, ring in met), k
+        t2 = certify_module._RINGS[_gap(2), 14, 192][0]
+        degrees = [k for a, k in squares if a is t2]
+        assert degrees and len(degrees) == len(set(degrees))
+
     def test_results_independent_of_theorem_order(self, monkeypatch):
         def run(order):
-            monkeypatch.setattr(certify_module, "_RING_PARTS", {})
+            monkeypatch.setattr(certify_module, "_RINGS", {})
             build_ineq.cache_clear()
             out = {}
             for theorem_id in order:
@@ -652,7 +714,7 @@ class TestSharedRingParts:
     def test_tight_expansion_first_leaves_production_unchanged(self, monkeypatch):
         # the oracle replaces its leaves' boxes; the ring parts it shares
         # with production carry no box
-        monkeypatch.setattr(certify_module, "_RING_PARTS", {})
+        monkeypatch.setattr(certify_module, "_RINGS", {})
         for ineq_id in sorted(INEQUALITIES):
             tight_expansion.__wrapped__(ineq_id, 192)
         for ineq_id in sorted(INEQUALITIES):
@@ -706,6 +768,7 @@ class TestLazyExactParts:
 
     def test_only_leading_parts_computed(self, monkeypatch):
         # certifying reads no exact part above the first nonzero degree
+        monkeypatch.setattr(certify_module, "_RINGS", {})
         certified = []
         certify = certify_module.certify_positive
         monkeypatch.setattr(certify_module, "certify_positive",
@@ -1050,7 +1113,7 @@ def _toy_statements() -> dict[str, object]:
     """The toy statements of this file, and trees the theorems do not have: a
     leaf alone, a lowest leaf above 0, a companion alone or weighted -1, and a
     companion under a square (B = 2 A B there)."""
-    x, y = (Sum((1, Companion(Mul(Q(1), Q(3)), F(1, 6), 1, 1, 3)), (-2, Sq(Q(2)))) for _ in range(2))
+    x, y = _companion_sum_and_swapped()
     d = Sum((1, Q(0)), (-2, Q(1)))
     slack = Companion(_gap(1), F(1, 6), 1, 1, 3, slack=F(1, 25))
     return {
@@ -1436,6 +1499,32 @@ class TestVerifyTheorem:
         assert rep.status == "pass"
         assert rep.exact_violations == []
         assert rep.sharpness_witness == 348
+
+    def test_threshold_at_a_violation(self, table20k):
+        # the violation at 348 lies at the threshold itself: it belongs to the
+        # stated range, not to the sharpness scan, whose witness is the largest
+        # violation below 348
+        rep = verify_theorem("double-turan-companion", table20k, threshold_override=348)
+        assert rep.exact_violations == [348] and rep.status == "fail"
+        assert rep.holds_from == 349 and rep.sharpness_witness == 345
+
+    @pytest.mark.parametrize("tid, threshold", [(tid, None) for tid in sorted(THEOREMS)]
+                             + sorted(ERRATA_THRESHOLDS.items()))
+    def test_scan_meets_the_certificate(self, tid, threshold, table20k, monkeypatch):
+        # the certificate covers shifted n0 >= n_star, i.e. statement n >= n_star +
+        # shift; the scans cover every statement n from the threshold up to there
+        spec, ranges = THEOREMS[tid], []
+
+        def record(theorem_id, table, lo, hi, *, shifted=True):
+            ranges.append(range(lo + (spec.shift if shifted else 0), hi + (spec.shift if shifted else 0) + 1))
+            return exact_verify(theorem_id, table, lo, hi, shifted=shifted)
+
+        monkeypatch.setattr(certify_module, "exact_verify", record)
+        rep = verify_theorem(tid, table20k, threshold_override=threshold)
+        scanned = {n for r in ranges for n in r}
+        assert ranges and set(range(rep.threshold, rep.n_star + spec.shift)) <= scanned
+        x_star = rep.certificate.x_star.to_fraction()
+        assert rep.certificate.proved and x_star * x_star * rep.n_star >= 1  # x_star >= n_star^(-1/2)
 
     def test_threshold_above_crossover(self, table20k):
         # the exact range is empty; the scan below the threshold still runs

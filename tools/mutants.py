@@ -262,22 +262,26 @@ MUTANTS = [
            "err_box = Interval(Dyadic(0), poly.err) if side > 0",
            "err_box = Interval(-poly.err, Dyadic(0)) if side > 0",
            "the upper envelope's box [-err, 0] lies below U's radius, so U is not an upper bound"),
-    # -- shared ring parts ----------------------------------------------------
+    # -- ring parts per node -------------------------------------------------
     Mutant("leaf-ring-part-keyed-without-N", "src/qcert/certify.py",
-           "key = s, N, prec",
-           "key = s, prec",
-           "an order-14 leaf hands its ring part to the order-24 leaf, or the reverse"),
+           "poly.keep((node, self.N, self.prec))",
+           "poly.keep((node, self.prec))",
+           "an order-14 node hands its ring part to the order-24 node, or the reverse"),
+    Mutant("ring-part-keyed-without-prec", "src/qcert/certify.py",
+           "poly.keep((node, self.N, self.prec))",
+           "poly.keep((node, self.N))",
+           "a node expanded at one precision reads the ring enclosures of another, on another grid"),
     Mutant("product-ring-part-keyed-on-one-operand", "src/qcert/certify.py",
-           "key = id(a), id(b), first_box, p",
-           "key = id(a), first_box, p",
-           "products with one operand in common share the first one's ring part"),
+           "    a: object\n    b: object\n",
+           "    a: object\n    b: object = field(compare=False)\n",
+           "products with the first operand in common are one node and share the first one's ring part"),
     Mutant("box-shared-between-sides", "src/qcert/certify.py",
-           "list(poly.coeff_pairs) + [(0, 0)])\n        exact, ring_pairs = _RING_PARTS[key]",
-           "list(poly.coeff_pairs) + [(0, 0)], err_box)\n        exact, ring_pairs, err_box = _RING_PARTS[key]",
+           "return HybridPoly(exact, self.errs, self.prec, pairs)",
+           "return HybridPoly(exact, _RINGS.setdefault((key, 0), self.errs), self.prec, pairs)",
            "the box is kept with the ring part, so L is built with U's box [0, err] when U came first"),
     Mutant("expansion-memo-key-without-polarity", "src/qcert/certify.py",
-           "key = id(node), pol",
-           "key = id(node)",
+           "key = node, pol",
+           "key = node",
            "a side lemma reads its operand's upper envelope when the statement met it at negative polarity"),
     Mutant("side-lemmas-skipped", "src/qcert/certify.py",
            "return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())",
@@ -315,6 +319,19 @@ MUTANTS = [
            "        prec *= 2\n        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)",
            "        return a > 0",
            "a comparison the 32-bit c^2 bracket leaves open is settled by A's sign alone"),
+    # -- the seam between the certificate and the scans ----------------------
+    Mutant("seam-scan-stops-shift-short", "src/qcert/certify.py",
+           "max(threshold - 1, exact_hi + spec.shift)",
+           "max(threshold - 1, exact_hi)",
+           "statement n = n_star .. n_star + shift - 1 is neither scanned nor certified"),
+    Mutant("violations-skip-threshold", "src/qcert/certify.py",
+           "if n >= threshold]",
+           "if n > threshold]",
+           "a violation at the threshold itself is dropped, and the theorem reads pass"),
+    Mutant("witness-at-or-above-threshold", "src/qcert/certify.py",
+           "if n < threshold), default=None)",
+           "if n <= threshold), default=None)",
+           "a violation at the threshold is reported as the sharpness witness"),
     # -- exact scans on truncated operands -----------------------------------
     Mutant("scan-bound-first-order-only", "src/qcert/certify.py",
            "weight * ((top + 1) ** degree - top**degree)",
