@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 from math import isqrt
 from operator import add, mul, sub
 
@@ -77,7 +76,7 @@ _SCAN_BITS = 96  # each scan block runs on its table slice's top 96 bits first (
 # one).  As an envelope _Expansion walks it to a hybrid polynomial in x = n0^{-1/2}:
 # a leaf becomes L(s) at positive polarity and U(s) at negative polarity, a
 # negative weight flips the polarity, and a node is expanded once per polarity.
-# Sums fold left and products evaluate in the order written, which fixes every
+# A sum is exact and products evaluate in the order written, which fixes every
 # rounding of the expansion.  Nodes are frozen values, equal when their structure
 # is: a subterm written twice, in one theorem or in two, is one node.
 
@@ -100,7 +99,7 @@ class Q:
 
 @dataclass(frozen=True, init=False)
 class Sum:
-    """Integer-weighted terms, left-folded in the order written."""
+    """Integer-weighted terms, summed exactly in one step."""
 
     terms: tuple[tuple[int, object], ...]
     children = property(lambda self: tuple(t for _, t in self.terms))
@@ -372,10 +371,10 @@ def _t_bound(comp: Companion, c2, ns: range) -> int:
 # -- hybrid polynomials (ring part + interval corrections) --------------------
 
 
-class _Parts(dict):
-    """The exact ring parts of a HybridPoly below degree n, part d computed by rule(d) on request: a rule
-    reads other stores only, never interval data.  An operation's store keeps no part: a sum's partial
-    sums and scaled terms are each read once per degree, by the step that folds them."""
+class _Exact(dict):
+    """The exact ring parts of a HybridPoly below degree n, given whole or computed by rule(d) on
+    first request and kept for the node's several readers: a rule reads other stores only, never
+    interval data."""
 
     __slots__ = ("n", "rule")
 
@@ -386,16 +385,7 @@ class _Parts(dict):
     def __missing__(self, d: int) -> RingElem:
         if not 0 <= d < self.n:
             raise IndexError(f"x^{d} outside the exact prefix 0..{self.n - 1}")
-        return self.rule(d)
-
-
-class _Exact(_Parts):
-    """A node's store (HybridPoly.keep), which keeps each part it computes for its several readers."""
-
-    __slots__ = ()
-
-    def __missing__(self, d: int) -> RingElem:
-        part = self[d] = super().__missing__(d)
+        part = self[d] = self.rule(d)
         return part
 
 
@@ -403,7 +393,7 @@ class _Exact(_Parts):
 _RINGS: dict[tuple, tuple[_Exact, list[tuple[int, int]]]] = {}
 
 
-def _product_part(k: int, a: _Parts, b: _Parts) -> RingElem:
+def _product_part(k: int, a: _Exact, b: _Exact) -> RingElem:
     """Degree k of a b over one common denominator; a square (b is a)
     pairs each term once, weight 2 off the diagonal.  Operand parts at or
     above n count as zero: the product's length keeps reads of a
@@ -423,16 +413,19 @@ class HybridPoly:
     The exact parts reach a product's first error box, the furthest the
     certifier strips symbolic zeros, and each is computed only when its
     enclosure cannot decide a zero test.  ring_pairs may be given as the
-    function that makes them on first read.  An expansion keeps one ring
-    part (exact store and ring_pairs) per node (keep); errs it builds per call."""
+    function that makes them on first read.  Every exact store belongs to
+    a node: the one mul or weighted_sum that builds the node's polynomial
+    makes it, and keep holds it, with ring_pairs, once per node; only a
+    companion factor's store, its parts given, is no node's.  An expansion
+    builds errs per call."""
 
     __slots__ = ("_exact", "_pairs", "errs", "prec")
 
-    def __init__(self, ring_parts: list[RingElem] | _Parts, errs: dict[int, tuple[int, int]], prec: int,
+    def __init__(self, ring_parts: list[RingElem] | _Exact, errs: dict[int, tuple[int, int]], prec: int,
                  ring_pairs=None):
-        if not isinstance(ring_parts, _Parts):  # every part given
+        if not isinstance(ring_parts, _Exact):  # every part given
             ring_pairs = ring_pairs or [r.fixed(prec) for r in ring_parts]
-            ring_parts = _Parts(len(ring_parts), None, enumerate(ring_parts))
+            ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
         self._exact, self._pairs, self.prec = ring_parts, ring_pairs, prec
         self.errs = {d: e for d, e in errs.items() if e != (0, 0)}
 
@@ -467,15 +460,16 @@ class HybridPoly:
         return [(d, p) for d, p in enumerate(self.ring_pairs) if not self._is_zero(d)]
 
     def keep(self, key) -> "HybridPoly":
-        """This polynomial on the ring part kept for key, (node, N, prec): the first one
-        built, at either polarity or in an earlier expansion.  A node's ring part does
+        """This polynomial on the ring part kept for key, (node, N, prec): the store and
+        ring_pairs of the first one built, at either polarity or in an earlier expansion,
+        kept as they are, so the parts any reader computes stay.  A node's ring part does
         not depend on its polarity: leaf boxes sit at degree N + 1 at both, and every box
         contains 0 and has positive width, so no sum of boxes cancels to (0, 0); the first
         box degree, and with it the exact prefix length, follows from the structure alone.
         A prefix too long or too short would not be unsound either: extra parts are still
         exact, and stripping past a short prefix raises ArithmeticError."""
         if key not in _RINGS:
-            _RINGS[key] = _Exact(self._exact.n, self._exact.rule, self._exact), self.ring_pairs
+            _RINGS[key] = self._exact, self.ring_pairs
         exact, pairs = _RINGS[key]
         return HybridPoly(exact, self.errs, self.prec, pairs)
 
@@ -509,31 +503,27 @@ class HybridPoly:
 
         # exact parts up to the first error box, each convolved on demand
         a, b = self._exact, other._exact
-        exact = _Parts(min(self._exact_len(n_out), other._exact_len(n_out), min(errs_out, default=n_out) + 1),
+        exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), min(errs_out, default=n_out) + 1),
                        lambda k: _product_part(k, a, b))
         return HybridPoly(exact, errs_out, self.prec, pairs)
 
-    def add(self, other: "HybridPoly") -> "HybridPoly":
-        n = max(len(self.ring_pairs), len(other.ring_pairs))
-        a, b = self._exact, other._exact
-        pairs_out = [(x + u, y + v) for (x, y), (u, v) in
-                     zip_longest(self.ring_pairs, other.ring_pairs, fillvalue=(0, 0))]
-        exact = _Parts(min(self._exact_len(n), other._exact_len(n)),
-                       lambda d: (a[d] if d < a.n else ZERO_ELEM) + (b[d] if d < b.n else ZERO_ELEM))
-        errs_out = dict(self.errs)
-        for d, (u, v) in other.errs.items():
-            x, y = errs_out.get(d, (0, 0))
-            errs_out[d] = x + u, y + v
-        return HybridPoly(exact, errs_out, self.prec, pairs_out)
-
-    def scale_int(self, c: int) -> "HybridPoly":
-        def scaled(pair):
-            lo, hi = c * pair[0], c * pair[1]
-            return (lo, hi) if c >= 0 else (hi, lo)
-
-        a = self._exact
-        return HybridPoly(_Parts(a.n, lambda d: a[d].scale(c)), {d: scaled(e) for d, e in self.errs.items()},
-                          self.prec, list(map(scaled, self.ring_pairs)))
+    @staticmethod
+    def weighted_sum(terms: list[tuple[int, "HybridPoly"]]) -> "HybridPoly":
+        """The sum of w p over the (w, p) terms, all exact: each ring pair and box is the integer
+        sum of w times the terms' (a negative w swaps a pair's ends), and exact part d the ring
+        sum of w times the parts of the terms whose exact prefix reaches d.  The prefix is the
+        shortest of the terms' _exact_len(n), n the longest term, as a fold of two at a time gives."""
+        n = max(len(p.ring_pairs) for _, p in terms)
+        pairs, errs = dict.fromkeys(range(n), (0, 0)), {}
+        for w, p in terms:
+            for out, items in ((pairs, enumerate(p.ring_pairs)), (errs, p.errs.items())):
+                for d, (lo, hi) in items:
+                    x, y = out.get(d, (0, 0))
+                    out[d] = (x + w * lo, y + w * hi) if w >= 0 else (x + w * hi, y + w * lo)
+        stores = [(w, p._exact) for w, p in terms]
+        exact = _Exact(min(p._exact_len(n) for _, p in terms),
+                       lambda d: sum((a[d].scale(w) for w, a in stores if d < a.n), ZERO_ELEM))
+        return HybridPoly(exact, errs, terms[0][1].prec, list(pairs.values()))
 
     def coeff_pairs(self) -> list[tuple[int, int]]:
         """Per-degree enclosure: ring value plus correction box."""
@@ -555,12 +545,10 @@ class IneqPoly:
     side_lemma: Certificate | None = None  # the first side lemma not proved, if any
 
     @cached_property
-    def fixed(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """horner's coefficients (ring part plus box) and the boxes' widths:
-        read once per expansion, not once per certifier trial."""
-        poly = self.poly
-        widths = [(hi - lo, hi - lo) for lo, hi in (poly.errs.get(k, (0, 0)) for k in range(len(poly.ring_pairs)))]
-        return poly.coeff_pairs(), widths
+    def fixed(self) -> list[tuple[int, int]]:
+        """horner's coefficients (ring part plus box): read once per
+        expansion, not once per certifier trial."""
+        return self.poly.coeff_pairs()
 
 
 class _Expansion:
@@ -583,12 +571,9 @@ class _Expansion:
             return self.memo[key]
         if isinstance(node, Q):
             poly = self.leaf(node.s, -pol)
-        elif isinstance(node, Sum):
-            poly = None
-            for w, t in node.terms:
-                p = self(t, pol if w > 0 else -pol)
-                p = p if w == 1 else p.scale_int(w)
-                poly = p if poly is None else poly.add(p)
+        elif isinstance(node, Sum):  # the terms' own type sums them: an oracle's leaves bring its sum
+            terms = [(w, self(t, pol if w > 0 else -pol)) for w, t in node.terms]
+            poly = type(terms[0][1]).weighted_sum(terms)
         else:
             for c in node.children:
                 if not isinstance(c, Mul):  # a product is positive when its factors are
@@ -718,7 +703,7 @@ def certify_positive(ineq: IneqPoly, x0: Dyadic) -> Certificate:
         raise ValueError(f"x0={float(x0)} beyond validity radius {float(ineq.x0)}")
     poly = ineq.poly
     prec = poly.prec
-    fixed, widths = ineq.fixed
+    fixed = ineq.fixed
     d = 0
     while d < len(fixed) and d not in poly.errs:
         if d >= poly._exact.n:
@@ -747,7 +732,8 @@ def certify_positive(ineq: IneqPoly, x0: Dyadic) -> Certificate:
     elif not point.is_positive:
         # The family's values at x0 fill a subinterval of `point` as wide
         # as the boxes make it, so its lowest member is <= point.hi - width.
-        hidden = point.hi > horner(widths[d:], Interval.point(x0), prec).lo
+        widths = [(hi - lo, hi - lo) for lo, hi in (poly.errs.get(k, (0, 0)) for k in range(d, len(poly.ring_pairs)))]
+        hidden = point.hi > horner(widths, Interval.point(x0), prec).lo
         base.reason = f"{'rounding hides the sign' if hidden else 'boxed family not positive'} at x={float(x0)}"
     else:
         base.reason = f"range enclosure not positive on (0, {float(x0)}] though both ends are"

@@ -10,8 +10,9 @@ Nothing is correctly rounded; endpoints are only guaranteed to bracket.
 Precision is the working mantissa width in bits, and every operation
 that rounds takes it as a required argument: ``x.mul(y, prec)``.  There
 is no default and no hidden state, so no rounding can happen at a width
-its caller did not name.  The operators do not round: ``Dyadic``
-arithmetic is exact, and ``Interval`` has none.
+its caller did not name.  Neither type has binary arithmetic operators: a
+``Dyadic`` only negates, scales by a power of 2 and compares, exactly,
+and every sum or product of endpoints is formed on raw mantissas.
 
 Mantissas are plain Python ints, so there is no overflow and no hidden
 rounding anywhere except the explicit directed roundings below.  An
@@ -138,26 +139,12 @@ class Dyadic:
         """Directed conversion of an exact rational to <= prec bits."""
         return Dyadic(*_fraction_raw(value.numerator, value.denominator, prec, up))
 
-    # -- exact arithmetic (mantissa may grow) -------------------------
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        if self.man == 0:
-            return other
-        if other.man == 0:
-            return self
-        e = min(self.exp, other.exp)
-        return Dyadic((self.man << (self.exp - e)) + (other.man << (other.exp - e)), e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
+    # -- negation, scaling and directed rounding ----------------------
 
     def __neg__(self) -> "Dyadic":
         d = Dyadic.__new__(Dyadic)
         d.man, d.exp = -self.man, self.exp
         return d
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.man * other.man, self.exp + other.exp)
 
     def __abs__(self) -> "Dyadic":
         return -self if self.man < 0 else self
@@ -201,19 +188,6 @@ class Dyadic:
 
     def __hash__(self):
         return hash((self.man, self.exp))
-
-    def cmp_fraction(self, value: Fraction | int) -> int:
-        """Exact three-way comparison against a rational."""
-        num = value.numerator if isinstance(value, Fraction) else value
-        den = value.denominator if isinstance(value, Fraction) else 1
-        # self - value has the sign of man*den*2^exp - num  (den > 0)
-        if self.exp >= 0:
-            lhs = self.man * den << self.exp
-            rhs = num
-        else:
-            lhs = self.man * den
-            rhs = num << -self.exp
-        return (lhs > rhs) - (lhs < rhs)
 
     # -- conversions ---------------------------------------------------
 
@@ -457,13 +431,6 @@ class Interval:
         return Interval(self.lo.scale(k), self.hi.scale(k))
 
     # -- queries ---------------------------------------------------------
-
-    def contains(self, value: Fraction | int) -> bool:
-        return self.lo.cmp_fraction(value) <= 0 <= self.hi.cmp_fraction(value)
-
-    @property
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
 
     @property
     def is_positive(self) -> bool:

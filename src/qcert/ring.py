@@ -94,12 +94,6 @@ class RingElem:
             acc[k] = get(k, 0) + v * mb
         return RingElem.from_cleared(den, acc)
 
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
-
-    def __neg__(self) -> "RingElem":
-        return RingElem.from_cleared(self.den, {k: -v for k, v in self.ints.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

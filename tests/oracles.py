@@ -67,8 +67,9 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   disproof twin or a side lemma rebuilt in exact Fraction intervals from
   the leaf enclosures and radii, checked at every node to lie inside
   production's pairs.
-* ``contains_interval`` / ``mag`` / ``budget_fields`` -- interval and
-  budget queries that only the tests ask.
+* ``contains_interval`` / ``contains`` / ``width`` / ``mag`` /
+  ``budget_fields`` -- interval and budget queries that only the tests ask,
+  on exact ``Fraction`` ends where they compute.
 """
 
 from __future__ import annotations
@@ -373,8 +374,8 @@ def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISIO
     while True:
         nu = bessel_arg(n, p)
         thr = decay_threshold(m + 1, p)
-        in_regime = nu.lo.cmp_fraction(26) >= 0 and nu.lo >= thr.hi
-        out_regime = nu.hi.cmp_fraction(26) < 0 or nu.hi < thr.lo
+        in_regime = nu.lo.to_fraction() >= 26 and nu.lo >= thr.hi
+        out_regime = nu.hi.to_fraction() < 26 or nu.hi < thr.lo
         if not in_regime and not out_regime and p < MAX_PRECISION:
             p *= 2
             continue
@@ -385,7 +386,7 @@ def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISIO
         lower = main.mul(Interval.point(1).sub(radius, p), p)
         upper = main.mul(Interval.point(1).add(radius, p), p)
         # conservative side: certified bracket must clear exact q(n)
-        if lower.hi.cmp_fraction(q_n) <= 0 <= upper.lo.cmp_fraction(q_n):
+        if lower.hi.to_fraction() <= q_n <= upper.lo.to_fraction():
             return SandwichResult.HOLDS
         if p < MAX_PRECISION:
             p *= 2
@@ -508,7 +509,7 @@ def bessel_i1_point_loop(d: Dyadic, prec: int) -> Interval:
         total = total.add(term, wp)
         # geometric tail once ratio (d/2)^2/((k+1)(k+2)) < 1/2
         num = half_sq.hi
-        if num.cmp_fraction(Fraction((k + 1) * (k + 2), 2)) < 0:
+        if num.to_fraction() < Fraction((k + 1) * (k + 2), 2):
             ratio_hi = num.to_fraction() / ((k + 1) * (k + 2))
             t = term.hi.to_fraction()
             tail = t * ratio_hi / (1 - ratio_hi)
@@ -698,6 +699,18 @@ def contains_interval(outer: Interval, inner: Interval) -> bool:
     return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
+def contains(x: Interval, value: Fraction | int) -> bool:
+    """Whether the rational value lies in x."""
+    lo, hi = x.to_fractions()
+    return lo <= value <= hi
+
+
+def width(x: Interval) -> Fraction:
+    """hi - lo, exactly."""
+    lo, hi = x.to_fractions()
+    return hi - lo
+
+
 def mag(x: Interval) -> Dyadic:
     """max |t| over the interval."""
     return max(abs(x.lo), abs(x.hi))
@@ -827,21 +840,17 @@ class Replayed:
                     errs[i + j] = _iv_add(errs.get(i + j, _ZERO2), _iv_mul(x, e))
         return Replayed(poly, ring, errs)
 
-    def add(self, other: "Replayed") -> "Replayed":
-        n = max(len(self.ring), len(other.ring))
-        ring = [_iv_add(x, y) for x, y in zip(self.ring + [_ZERO2] * (n - len(self.ring)),
-                                              other.ring + [_ZERO2] * (n - len(other.ring)))]
-        errs = dict(self.errs)
-        for k, e in other.errs.items():
-            errs[k] = _iv_add(errs.get(k, _ZERO2), e)
-        return Replayed(self.poly.add(other.poly), ring, errs)
-
-    def scale_int(self, c: int) -> "Replayed":
-        def scale(x):
-            return (c * x[0], c * x[1]) if c >= 0 else (c * x[1], c * x[0])
-
-        return Replayed(self.poly.scale_int(c), list(map(scale, self.ring)),
-                        {k: scale(e) for k, e in self.errs.items()})
+    @staticmethod
+    def weighted_sum(terms: list[tuple[int, "Replayed"]]) -> "Replayed":
+        """The sum of w r over the (w, r) terms: each term's pairs times the
+        point interval [w, w], added up degree by degree."""
+        ring, errs = [_ZERO2] * max(len(r.ring) for _, r in terms), {}
+        for w, r in terms:
+            for d, x in enumerate(r.ring):
+                ring[d] = _iv_add(ring[d], _iv_mul((w, w), x))
+            for k, e in r.errs.items():
+                errs[k] = _iv_add(errs.get(k, _ZERO2), _iv_mul((w, w), e))
+        return Replayed(HybridPoly.weighted_sum([(w, r.poly) for w, r in terms]), ring, errs)
 
     def keep(self, key) -> "Replayed":
         """The production polynomial on the ring part it keeps for key, checked again."""

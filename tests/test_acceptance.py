@@ -39,7 +39,7 @@ from qcert.bounds import (
     window_max,
     x_of,
 )
-from qcert.intervals import Dyadic, horner
+from qcert.intervals import horner
 from qcert.certify import (
     THEOREMS,
     sharpness_scan,
@@ -127,18 +127,14 @@ def test_c3_envelope_sandwich(table20k):
                 n = rng.randint(floor, 20000 - s)
                 v = table20k[n + s]
                 ok = (
-                    bound_value(n, s, N, -1).hi.cmp_fraction(v) <= 0
-                    and bound_value(n, s, N, +1).lo.cmp_fraction(v) >= 0
+                    bound_value(n, s, N, -1).hi.to_fraction() <= v
+                    and bound_value(n, s, N, +1).lo.to_fraction() >= v
                 )
                 checked += 1
                 if not ok:
                     failures.append((N, s, n))
     assert not failures, failures[:5]
     record(f"C3 PASS  certified sandwich held at all {checked} sampled (N, s, n) points")
-
-
-def _ratio(a: Dyadic, b: Dyadic) -> float:
-    return a.man / b.man * 2.0 ** (a.exp - b.exp)
 
 
 def test_c3_envelope_sandwich_exhaustive(table20k):
@@ -156,15 +152,16 @@ def test_c3_envelope_sandwich_exhaustive(table20k):
         for N, s in pairs:
             if not floors[N, s] <= n <= 20000 - s:
                 continue
-            q = Dyadic(table20k[n + s])
-            lower, upper = bound_value(n, s, N, -1).hi, bound_value(n, s, N, +1).lo
+            q = table20k[n + s]
+            lower, upper = bound_value(n, s, N, -1).hi.to_fraction(), bound_value(n, s, N, +1).lo.to_fraction()
             checked += 1
             if not lower <= q <= upper:
                 failures.append((N, s, n))
                 continue
             m = margins[N, s]
-            m[0] = min(m[0], _ratio(upper - q, upper - lower))
-            m[1] = min(m[1], _ratio(q - lower, upper - lower))
+            w = float(upper - lower)
+            m[0] = min(m[0], float(upper - q) / w)
+            m[1] = min(m[1], float(q - lower) / w)
     assert not failures, failures[:5]
     assert checked == 85372
     shown = ", ".join(f"({N},{s}) {a:.6f}/{b:.6f}" for (N, s), (a, b) in margins.items())
@@ -215,7 +212,7 @@ def test_c5_companion_bound_disproof():
     negative at n = 5019."""
     for ineq_id in ("ineq2", "ineq6"):
         tight = tight_expansion(ineq_id, 192)
-        assert horner(tight.fixed[0], x_of(5019, 192), 192).is_negative, ineq_id
+        assert horner(tight.fixed, x_of(5019, 192), 192).is_negative, ineq_id
     record(
         "C5 NOTE  literal 'n_star <= 5019' for the two N=14 companions is disproved: "
         "their exact polynomials are certifiably negative at n=5019 (crossovers 5845/6929)"

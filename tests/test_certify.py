@@ -308,16 +308,16 @@ class TestExpansionWalker:
         assert lower.errs != upper.errs
 
     def test_square_expands_its_term_once(self, monkeypatch):
-        # Mul(x, x) builds x once (one add for a two-term sum) and squares it
+        # Mul(x, x) builds x once (one weighted_sum for the sum) and squares it
         # through _product_part's square path, both operands one store; two
         # equal leaves are one node, so their product is a square too
         monkeypatch.setattr(certify_module, "_RINGS", {})
         x = Sum((1, Q(0)), (1, Q(2)))
-        adds, products, parts = [], [], []
+        sums, products, parts = [], [], []
 
-        def add(self, other, _add=HybridPoly.add):
-            adds.append(self)
-            return _add(self, other)
+        def weighted_sum(terms, _sum=HybridPoly.weighted_sum):
+            sums.append(terms)
+            return _sum(terms)
 
         def mul(self, other, _mul=HybridPoly.mul):
             products.append((self, other))
@@ -327,11 +327,11 @@ class TestExpansionWalker:
             parts.append(a is b)
             return _part(k, a, b)
 
-        monkeypatch.setattr(HybridPoly, "add", add)
+        monkeypatch.setattr(HybridPoly, "weighted_sum", staticmethod(weighted_sum))
         monkeypatch.setattr(HybridPoly, "mul", mul)
         monkeypatch.setattr(certify_module, "_product_part", product_part)
         square = certify_module._Expansion(THEOREMS["A"], 192)(Mul(x, x), 1)
-        assert len(adds) == 1 and len(products) == 1
+        assert len(sums) == 1 and len(products) == 1
         (a, b), = products
         assert a is b and a._exact is b._exact
         assert [square._exact[k] for k in range(square._exact.n)] and parts and all(parts)
@@ -578,8 +578,8 @@ class TestRationalReplay:
 
 class TestSharedRingParts:
     """Each node's ring part is built once per (node, N, prec) and shared by
-    both polarities and by every expansion that meets the node; every box,
-    and every sum, scaling and companion factor under a node, is built per call."""
+    both polarities and by every expansion that meets the node; every box
+    and every companion factor is built per call."""
 
     def test_ring_parts_kept_per_order_and_precision(self, monkeypatch):
         # one cache serves the leaves q(n0 + 0..4) at orders 14 and 24 and at 192
@@ -727,20 +727,57 @@ class TestLazyExactParts:
 
     @pytest.mark.parametrize("key", sorted(POLY_PINS))
     def test_zero_test_matches_exact_parts(self, key, monkeypatch):
-        # every polynomial that mul, add and scale_int produce while
-        # expanding, side lemmas included, at every degree of its exact prefix
-        made = []
-        for name in ("mul", "add", "scale_int"):
-            def record(self, *args, _op=getattr(HybridPoly, name)):
-                made.append(_op(self, *args))
-                return made[-1]
+        # every polynomial that mul and weighted_sum produce while expanding,
+        # side lemmas included, at every degree of its exact prefix: one per
+        # non-leaf (node, polarity) the walker builds
+        made, walkers = [], []
 
-            monkeypatch.setattr(HybridPoly, name, record)
+        def record(op):
+            def recorded(*args):
+                made.append(op(*args))
+                return made[-1]
+            return recorded
+
+        def init(self, *args, _init=certify_module._Expansion.__init__):
+            walkers.append(self)
+            _init(self, *args)
+
+        monkeypatch.setattr(HybridPoly, "mul", record(HybridPoly.mul))
+        monkeypatch.setattr(HybridPoly, "weighted_sum", staticmethod(record(HybridPoly.weighted_sum)))
+        monkeypatch.setattr(certify_module._Expansion, "__init__", init)
         _expansion(key, fresh=True)
-        assert len(made) >= 7
+        (ex,) = walkers
+        assert len(made) == sum(not isinstance(node, Q) for node, _ in ex.memo)
         for poly in made:
             zeros = [poly._is_zero(d) for d in range(poly._exact.n)]
             assert zeros == [r.is_zero for r in ring_parts(poly)]
+
+    def test_weighted_sum_matches_termwise_loops(self):
+        # weights 1, -1, 3, -4 over three leaves and a product truncated at its
+        # first box: pairs and boxes are the integer sums of w times each pair,
+        # exact parts the ring sums of w times each part its term's prefix holds
+        ex = certify_module._Expansion(THEOREMS["A"], 192)
+        terms = [(1, ex(Q(0), 1)), (-1, ex(Q(2), -1)), (3, ex(Mul(Q(1), Q(3)), 1)), (-4, ex(Q(4), 1))]
+        got = HybridPoly.weighted_sum(terms)
+        n = max(len(p.ring_pairs) for _, p in terms)
+        lo, hi, boxes = [0] * n, [0] * n, {}
+        for w, p in terms:
+            for d, (a, b) in enumerate(p.ring_pairs):
+                lo[d], hi[d] = lo[d] + min(w * a, w * b), hi[d] + max(w * a, w * b)
+            for d, (a, b) in p.errs.items():
+                x, y = boxes.get(d, (0, 0))
+                boxes[d] = x + min(w * a, w * b), y + max(w * a, w * b)
+        assert got.ring_pairs == list(zip(lo, hi)) and got.errs == boxes
+        product = terms[2][1]
+        assert product.errs and product._exact.n == min(product.errs) + 1 < n
+        assert got._exact.n == product._exact.n
+        for d in range(got._exact.n):
+            part = RingElem()
+            for w, p in terms:
+                if d < p._exact.n:
+                    part = part + p._exact[d].scale(w)
+            assert got._exact[d] == part, d
+        assert any(not got._exact[d].is_zero for d in range(got._exact.n))
 
     @pytest.mark.parametrize("part, lo, hi, zero", [
         (RingElem(), 0, 0, True),                        # [0, 0]: zero, no exact part read
@@ -863,7 +900,7 @@ class TestCrossovers:
         n_star, cert = find_crossover(theorem_id)
         assert cert.proved
         ineq = build_ineq(THEOREMS[theorem_id].ineq_id)
-        poly, reduced = ineq.poly, ineq.fixed[0][cert.leading_zero_degree:]
+        poly, reduced = ineq.poly, ineq.fixed[cert.leading_zero_degree:]
         x0, unit = cert.x_star.to_fraction(), 1 << (cert.prec + 16)
         lo = [F(a, unit) * x0**k for k, (a, _) in enumerate(reduced)]
         n = len(lo) - 1
@@ -882,7 +919,7 @@ class TestCrossovers:
             fx = F(rng.randint(1, 10**6), 10**6) * cert.x_star.to_fraction()
             x = Interval.from_fraction(fx, 192)
             acc = Interval.point(0)
-            for c in reversed(ineq.fixed[0][cert.leading_zero_degree:]):
+            for c in reversed(ineq.fixed[cert.leading_zero_degree:]):
                 acc = acc.mul(x, 192).add(pair_interval(c, 192), 192)
             assert acc.is_positive
 
@@ -1468,7 +1505,7 @@ class TestHomogeneity:
         for _ in range(20):
             n = rng.randint(ineq.window, 20000)
             via_bounds = _ineq_sign_via_bounds(tid, n)
-            poly_iv = horner(ineq.fixed[0], x_of(n, 192), 192)
+            poly_iv = horner(ineq.fixed, x_of(n, 192), 192)
             via_poly = 1 if poly_iv.is_positive else (-1 if poly_iv.is_negative else 0)
             if via_bounds and via_poly:
                 assert via_bounds == via_poly, (tid, n)

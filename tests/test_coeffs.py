@@ -140,8 +140,8 @@ class TestCoefficientFamilies:
     def test_expansion_degree1_value(self):
         # frozen: value of the degree-1 coefficient at shift 0
         iv = expansion_coeff(1, 0).eval_iv(192)
-        assert iv.lo.cmp_fraction(F(-16897, 100000)) > 0
-        assert iv.hi.cmp_fraction(F(-16895, 100000)) < 0
+        assert iv.lo.to_fraction() > F(-16897, 100000)
+        assert iv.hi.to_fraction() < F(-16895, 100000)
 
 
 @lru_cache(maxsize=None)
@@ -409,7 +409,7 @@ def test_full_product_consistency(table20k):
         q = table20k[n + s]
         lower = bound_value(n, s, N, -1)
         upper = bound_value(n, s, N, +1)
-        assert lower.hi.cmp_fraction(q) <= 0 <= upper.lo.cmp_fraction(q), (n, s, N)
+        assert lower.hi.to_fraction() <= q <= upper.lo.to_fraction(), (n, s, N)
 
 
 def test_coefficient_sums_match_ring_sums():

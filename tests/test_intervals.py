@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import contains_interval, convolve_termwise
+from oracles import contains, contains_interval, convolve_termwise, width
 from qcert.intervals import (
     DomainError,
     Dyadic,
@@ -43,21 +43,11 @@ class TestDyadic:
         assert lo.to_fraction() <= d.to_fraction() <= hi.to_fraction()
         assert lo.man.bit_length() <= 24 and hi.man.bit_length() <= 25
 
-    def test_exact_add_mul(self):
-        a, b = Dyadic(3, -2), Dyadic(5, -4)
-        assert (a + b).to_fraction() == Fraction(3, 4) + Fraction(5, 16)
-        assert (a * b).to_fraction() == Fraction(15, 64)
-
     def test_comparisons(self):
         assert Dyadic(1, -1) < Dyadic(1)
         assert Dyadic(-3, 5) < Dyadic(1, -10)
         assert Dyadic(0) < Dyadic(1, -100)
         assert Dyadic(5, 2) == Dyadic(20, 0)
-
-    def test_cmp_fraction(self):
-        assert Dyadic(1, -2).cmp_fraction(Fraction(1, 4)) == 0
-        assert Dyadic(1, -2).cmp_fraction(Fraction(1, 3)) < 0
-        assert Dyadic(-1, -2).cmp_fraction(-1) > 0
 
     @given(st.integers(-10**12, 10**12), st.integers(-40, 40), st.integers(2, 30))
     def test_decimal_directed(self, man, exp, digits):
@@ -77,12 +67,12 @@ class TestIntervalArithmetic:
         s = a.add(b, 192)
         assert s.lo == Dyadic(4) and s.hi == Dyadic(6)
         m = Interval(Dyadic(-1), Dyadic(1)).mul(Interval(Dyadic(-1), Dyadic(1)), 192)
-        assert m.contains(-1) and m.contains(1)
+        assert contains(m, -1) and contains(m, 1)
 
     def test_third_width(self):
         q = Interval.point(1).div(Interval.point(3), 53)
-        assert q.contains(Fraction(1, 3))
-        assert q.width.to_fraction() <= Fraction(1, 2**50)
+        assert contains(q, Fraction(1, 3))
+        assert width(q) <= Fraction(1, 2**50)
 
     def test_div_by_zero_interval(self):
         with pytest.raises(DomainError):
@@ -90,16 +80,16 @@ class TestIntervalArithmetic:
 
     def test_pow_straddle_even(self):
         p = Interval(Dyadic(-2), Dyadic(3)).pow_int(2, 192)
-        assert p.lo.sign == 0 and p.contains(9) and p.contains(0)
-        assert Interval(Dyadic(-2), Dyadic(3)).pow_int(3, 192).contains(-8)
+        assert p.lo.sign == 0 and contains(p, 9) and contains(p, 0)
+        assert contains(Interval(Dyadic(-2), Dyadic(3)).pow_int(3, 192), -8)
 
     def test_pow_negative(self):
         p = Interval.point(2).pow_int(-3, 192)
-        assert p.contains(Fraction(1, 8))
+        assert contains(p, Fraction(1, 8))
 
     def test_sqrt_exact_square(self):
         s = Interval.point(4).sqrt(192)
-        assert s.contains(2) and s.width.to_fraction() == 0
+        assert contains(s, 2) and width(s) == 0
 
     @pytest.mark.parametrize("prec", [16, 24, 53, 192])
     @pytest.mark.parametrize("point", [True, False], ids=["point", "range"])
@@ -109,7 +99,7 @@ class TestIntervalArithmetic:
         # to 300 bits, odd and even exponents, points and ranges
         dyadic = st.builds(Dyadic, st.integers(0, 2**300 - 1), st.integers(-300, 60))
         a = data.draw(dyadic)
-        b = a if point else a + data.draw(dyadic)
+        a, b = (a, a) if point else sorted((a, data.draw(dyadic)))
         lo, hi = Interval(a, b).sqrt(prec).to_fractions()
         assert lo * lo <= a.to_fraction() and b.to_fraction() <= hi * hi
 
@@ -137,7 +127,7 @@ class TestIntervalArithmetic:
                 pos = mag.filter(lambda d: not d.is_zero)
                 return Interval(-data.draw(pos), data.draw(pos))
             lo = data.draw(mag)
-            hi = lo + data.draw(st.one_of(st.just(Dyadic(0)), mag))
+            lo, hi = sorted((lo, data.draw(st.one_of(st.just(lo), mag))))
             return Interval(lo, hi) if sign == "+" else Interval(-hi, -lo)
 
         a, b = draw(signs[0]), draw(signs[1])
@@ -161,14 +151,14 @@ class TestIntervalArithmetic:
             if sign == "0":
                 return Interval(-data.draw(pos), data.draw(pos))
             lo = data.draw(ends)
-            hi = lo + data.draw(st.one_of(st.just(Dyadic(0)), mag))
+            lo, hi = sorted((lo, data.draw(st.one_of(st.just(lo), ends))))
             return Interval(lo, hi) if sign == "+" else Interval(-hi, -lo)
 
         a, b = draw(signs[0], mag), draw(signs[1], pos)
         ends = [(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
         hull = [Dyadic(*_div_raw(x.man, x.exp, y.man, y.exp, prec, up)) for x, y in ends for up in (False, True)]
         q = a.div(b, prec)
-        assert all(q.contains(x.to_fraction() / y.to_fraction()) for x, y in ends)
+        assert all(contains(q, x.to_fraction() / y.to_fraction()) for x, y in ends)
         assert min(hull) <= q.lo and q.hi <= max(hull)
 
     @pytest.mark.parametrize("prec", [64, 192])
@@ -204,12 +194,12 @@ class TestIntervalArithmetic:
             b = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
             prec = rng.choice((24, 53, 192))
             ia, ib = iv(a, prec), iv(b, prec)
-            assert ia.add(ib, prec).contains(a + b)
-            assert ia.sub(ib, prec).contains(a - b)
-            assert ia.mul(ib, prec).contains(a * b)
-            if b != 0 and not ib.contains(0):
-                assert ia.div(ib, prec).contains(a / b)
-            assert ia.pow_int(3, prec).contains(a**3)
+            assert contains(ia.add(ib, prec), a + b)
+            assert contains(ia.sub(ib, prec), a - b)
+            assert contains(ia.mul(ib, prec), a * b)
+            if b != 0 and not contains(ib, 0):
+                assert contains(ia.div(ib, prec), a / b)
+            assert contains(ia.pow_int(3, prec), a**3)
 
     def test_monotone_refinement(self):
         # widening precision never widens any enclosure
@@ -223,7 +213,7 @@ class TestIntervalArithmetic:
 
     @given(rationals)
     def test_contains(self, a):
-        assert iv(a).contains(a)
+        assert contains(iv(a), a)
 
 
 class TestConvolveInto:
@@ -346,7 +336,7 @@ class TestHorner:
             box = self.box(rng, prec, point)
             got = self.run(family, box, prec)
             for v in self.members(rng, family, box):
-                assert got.contains(v), (prec, family, box, v)
+                assert contains(got, v), (prec, family, box, v)
 
     @pytest.mark.parametrize("prec", [16, 24])
     def test_zero_and_box_from_zero(self, prec):
@@ -354,11 +344,11 @@ class TestHorner:
         for _ in range(60):
             family = self.family(rng, prec, [rng.choice("+-0p") for _ in range(rng.randint(1, 7))])
             at_zero = self.run(family, (Fraction(0), Fraction(0)), prec)
-            assert at_zero.contains(family[0][0]) and at_zero.contains(family[0][1])
+            assert contains(at_zero, family[0][0]) and contains(at_zero, family[0][1])
             box = (Fraction(0), self.box(rng, prec, True)[1])
             got = self.run(family, box, prec)
             for v in self.members(rng, family, box):
-                assert got.contains(v)
+                assert contains(got, v)
 
     def test_on_grid_values_are_exact(self):
         # coefficients and x on the scale's grid with exact products: the

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 import qcert.ring as ring_module
-from oracles import pi_bracket, ring_bracket, ring_eval_iv_loop, ring_parts
+from oracles import contains, pi_bracket, ring_bracket, ring_eval_iv_loop, ring_parts
 from qcert.certify import INEQUALITIES, build_ineq
 from qcert.coeffs import expansion_coeff
 from qcert.enclosures import enclose_pi
@@ -107,7 +107,7 @@ def test_eval_pi_sqrt3():
 def test_eval_exact_rational():
     e = RingElem.from_rational(Fraction(22, 7))
     iv = e.eval_iv(64)
-    assert iv.contains(Fraction(22, 7))
+    assert contains(iv, Fraction(22, 7))
 
 
 def test_symbolic_zero_vs_numeric():
@@ -115,7 +115,7 @@ def test_symbolic_zero_vs_numeric():
     e = RingElem({(1, 1): Fraction(1)}) * RingElem({(-1, 1): Fraction(1)})
     e = e + RingElem.from_rational(-3)
     assert e.is_zero
-    assert e.eval_iv(64).contains(0)
+    assert contains(e.eval_iv(64), 0)
 
 
 def test_as_string_round_readable():
@@ -247,7 +247,7 @@ def test_eval_iv_matches_interval_loop_on_random_elements(prec):
         e = RingElem({(rng.randint(-6, 6), rng.randint(0, 1)): Fraction(
             rng.randint(-2**70, 2**70), rng.choice((1, 2**rng.randint(1, 90), rng.randint(1, 10**30))))
             for _ in range(rng.randint(0, 6))})
-        e = e + (-e if rng.random() < 0.1 else RingElem())
+        e = e + (e.scale(-1) if rng.random() < 0.1 else RingElem())
         assert _contains_value(e, prec), e
 
 
@@ -278,6 +278,6 @@ def test_one_canonical_form(name):
         again = RingElem(e.terms)
         assert again == e and list(again.ints) == list(e.ints)
         b = rand_elem(rng)
-        for same in ((e + b) - b, e.scale(Fraction(7, 3)).scale(Fraction(3, 7)), -(-e),
+        for same in ((e + b) + b.scale(-1), e.scale(Fraction(7, 3)).scale(Fraction(3, 7)), e.scale(-1).scale(-1),
                      e * RingElem.from_rational(1)):
             assert same == e and hash(same) == hash(e)

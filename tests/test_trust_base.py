@@ -35,7 +35,7 @@ from qcert.certify import (
     verify_theorem,
 )
 from qcert.enclosures import enclose_cosh, enclose_exp, enclose_log, enclose_pi
-from qcert.intervals import Interval, horner
+from qcert.intervals import Dyadic, Interval, horner
 from qcert.ring import RingElem
 
 # Test oracles: defined in tests/oracles.py only.
@@ -101,14 +101,16 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "PAPER_CONSTANTS", "_paper_check",
            # a second exp rule and a nested root: prefactor takes enclose_exp and
            # one integer root of 3 n^3
-           "_exp_thin", "_root4_3")
+           "_exp_thin", "_root4_3",
+           # the store that kept no part: every exact store is a node's, certify._Exact
+           "_Parts")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
     (RingElem, "rational_part"),
     (RingElem, "pi_power"),  # RingElem.monomial(i, 0, c)
     (RingElem, "sqrt3"),     # RingElem.monomial(0, 1, c)
-    (HybridPoly, "neg"),     # HybridPoly.scale_int(-1)
+    (HybridPoly, "neg"),     # HybridPoly.weighted_sum at weight -1
     (HybridPoly, "_cleared_prefix"),  # exact parts are convolved per degree, on demand
     # queries only tests ask: oracles.budget_fields, contains_interval, mag
     (ErrorBudget, "all_fields"),
@@ -155,6 +157,19 @@ REMOVED_METHODS = (
     # read only by tests: len(ring_pairs) - 1, and IneqPoly.fixed past the stripped degrees
     (HybridPoly, "degree"),
     (Certificate, "reduced_coeffs"),
+    # a sum is one n-ary HybridPoly.weighted_sum, not a fold of add and scale_int
+    (HybridPoly, "add"),
+    (HybridPoly, "scale_int"),
+    # members only tests called: oracles.contains and width, Fraction comparisons
+    # and RingElem.scale(-1); Dyadic negates, scales and compares only
+    (Interval, "contains"),
+    (Interval, "width"),
+    (Dyadic, "__add__"),
+    (Dyadic, "__sub__"),
+    (Dyadic, "__mul__"),
+    (Dyadic, "cmp_fraction"),
+    (RingElem, "__sub__"),
+    (RingElem, "__neg__"),
 )
 
 # Every operation that rounds takes its precision from the caller.

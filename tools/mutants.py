@@ -114,10 +114,14 @@ MUTANTS = [
            "p, q = a * c, b * d",
            "p, q = b * d, a * c",
            "for x, y >= 0 the lower end takes the largest product and the upper the smallest"),
-    Mutant("scale-int-negative-ends-not-swapped", "src/qcert/certify.py",
-           "return (lo, hi) if c >= 0 else (hi, lo)",
-           "return lo, hi",
-           "scaled by c < 0 the lower end c lo is the larger one: the pair no longer encloses"),
+    Mutant("weighted-sum-negative-ends-not-swapped", "src/qcert/certify.py",
+           "else (x + w * hi, y + w * lo)",
+           "else (x + w * lo, y + w * hi)",
+           "scaled by w < 0 the lower end w lo is the larger one: the pair no longer encloses"),
+    Mutant("weighted-sum-part-ignores-weight", "src/qcert/certify.py",
+           "a[d].scale(w) for w, a in stores",
+           "a[d] for w, a in stores",
+           "a sum's exact part adds its terms' parts unweighted: 3 q2^2 - 4 q1 q3 is not q2^2 + q1 q3"),
     Mutant("pi-power-bracket-rounded-inward", "src/qcert/ring.py",
            "isqrt(3 * hn * hn << 2 * W) // hd + 1",
            "isqrt(3 * hn * hn << 2 * W) // hd",
