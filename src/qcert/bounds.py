@@ -46,15 +46,11 @@ __all__ = [
 ]
 
 
-def _iv(value: Fraction | int, prec: int) -> Interval:
-    return Interval.from_fraction(Fraction(value), prec)
-
-
 def _half_power(base: Fraction, twice_exp: int, prec: int) -> Interval:
     """base**(twice_exp/2) for base >= 0, exact integer part, sqrt rest."""
-    out = _iv(base ** (twice_exp // 2), prec)
+    out = Interval.from_fraction(base ** (twice_exp // 2), prec)
     if twice_exp % 2:
-        out = out.mul(_iv(base, prec).sqrt(prec), prec)
+        out = out.mul(Interval.from_fraction(base, prec).sqrt(prec), prec)
     return out
 
 
@@ -136,7 +132,7 @@ def _log_int(k: int, prec: int) -> Interval:
 def _cosh_term(s: int, prec: int) -> Interval:
     """Enclosure of cosh(pi sqrt((24s+1)/72)), shared by every order's
     budget at shift s."""
-    arg = _iv(Fraction(24 * s + 1, 72), prec).sqrt(prec)
+    arg = Interval.from_fraction(Fraction(24 * s + 1, 72), prec).sqrt(prec)
     return enclose_cosh(enclose_pi(prec).mul(arg, prec), prec)
 
 
@@ -164,7 +160,7 @@ def _budget_parts(N: int, s: int, prec: int) -> dict[str, Interval]:
         return a.div(b, prec)
 
     def iv(value: Fraction | int) -> Interval:
-        return _iv(value, prec)
+        return Interval.from_fraction(value, prec)
 
     pi = enclose_pi(prec)
     sqrt3 = iv(3).sqrt(prec)

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import inf, isqrt
 from operator import add, mul, sub
 
 from .bounds import bound_poly, window_max, x_of
@@ -281,11 +281,11 @@ INEQUALITIES: dict[str, str] = {t.ineq_id: t.id for t in THEOREMS.values()}
 @lru_cache(maxsize=None)
 def _program(statement) -> tuple[list, tuple, tuple | None]:
     """The statement as a straight-line program over one block, register 0 the
-    table q: each step (op, args, drops) folds its operands (w, register, start)
-    by op into the next register, as far as they all reach, then drops the
-    registers it read last.  A subterm is keyed with its leaves moved down by its
-    lowest, s, so its shifted repeats are one step that readers take at start s.
-    Returns the steps and the (register, start) of A and of B (None: B = 0)."""
+    table q: each step (op, args) folds its operands (w, register, start) by op
+    into the next register, as far as they all reach.  A subterm is keyed with
+    its leaves moved down by its lowest, s, so its shifted repeats are one step
+    that readers take at start s.  Returns the steps and the (register, start)
+    of A and of B (None: B = 0)."""
     reg = {}  # step (op, args) -> its register, each after the steps it reads
 
     def term(op, parts):  # parts (w, (register, s)); a sum of one unit part is that part
@@ -306,24 +306,21 @@ def _program(statement) -> tuple[list, tuple, tuple | None]:
         return term(mul, [(1, a1), (1, a2)]), term(add, [(1, term(mul, [(1, u), (1, v)]))
                                                          for u, v in ((b1, a2), (a1, b2)) if u and v])
 
-    refs, steps = split(statement), list(reg)
-    last, keep = {x: i for i, (_, args) in enumerate(steps) for _, x, _ in args}, {r[0] for r in refs if r}
-    return [st + ([x for x, j in last.items() if j == i and x not in keep],) for i, st in enumerate(steps)], *refs
+    refs = split(statement)
+    return list(reg), *refs
 
 
 def _run(program, q: list[int], m: int) -> tuple[list[int], list[int] | None]:
     """Lists A and B of the statement at m indices, q the table from the first n0."""
     steps, a, b = program
     regs = [q]
-    for op, ((w, x, i), *rest), drops in steps:
+    for op, ((w, x, i), *rest) in steps:
         acc = regs[x][i:] if w == 1 else [w * v for v in regs[x][i:]]
         for w, y, j in rest:  # products have unit weights; a sum subtracts at weight -1
             ys = regs[y][j:]
             acc = (list(map(op, acc, ys)) if w == 1 else list(map(sub, acc, ys)) if w == -1 else
                    [u + w * v for u, v in zip(acc, ys)])
         regs.append(acc)
-        for x in drops:
-            regs[x] = None
     return tuple(r and regs[r[0]][r[1] : r[1] + m] for r in (a, b))
 
 
@@ -371,107 +368,100 @@ def _t_bound(comp: Companion, c2, ns: range) -> int:
 # -- hybrid polynomials (ring part + interval corrections) --------------------
 
 
-class _Exact(dict):
-    """The exact ring parts of a HybridPoly below degree n, given whole or computed by rule(d) on
-    first request and kept for the node's several readers: a rule reads other stores only, never
-    interval data."""
+class _Ring(dict):
+    """A node's ring part: its exact parts below degree n, each given or computed by rule(d) on first
+    request and kept for the node's several readers, and their enclosures pairs, integer pairs at
+    2^-(prec + 16), made on first read when given as a function.  A rule reads other ring parts only,
+    never interval data.  A ring part given whole is exact at every degree (n is infinite): past its
+    given parts every part is zero, as its boxes are kept apart."""
 
-    __slots__ = ("n", "rule")
+    __slots__ = ("n", "rule", "_pairs")
 
-    def __init__(self, n: int, rule, parts=()):
+    def __init__(self, n: float, rule, pairs, parts=()):
         super().__init__(parts)
-        self.n, self.rule = n, rule
+        self.n, self.rule, self._pairs = n, rule, pairs
+
+    @staticmethod
+    def given_whole(parts, pairs) -> "_Ring":
+        """The ring part with parts (degree, part), every other part zero, and enclosures pairs."""
+        return _Ring(inf, None, pairs, parts)
 
     def __missing__(self, d: int) -> RingElem:
         if not 0 <= d < self.n:
             raise IndexError(f"x^{d} outside the exact prefix 0..{self.n - 1}")
+        if self.rule is None:  # given whole
+            return ZERO_ELEM
         part = self[d] = self.rule(d)
         return part
 
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        if callable(self._pairs):
+            self._pairs = self._pairs()
+        return self._pairs
 
-# The ring part (exact store, enclosures) of every node expanded in this process, per (node, N, prec).
-_RINGS: dict[tuple, tuple[_Exact, list[tuple[int, int]]]] = {}
+    def is_zero(self, d: int) -> bool:
+        """Whether part d is zero (False past the exact prefix).  A ring
+        element is zero iff its value is, so an enclosure excluding 0 proves
+        nonzero and (0, 0) zero; only one straddling 0 reads the part."""
+        lo, hi = self.pairs[d]
+        if lo > 0 or hi < 0:
+            return False
+        if lo == hi == 0:
+            return True
+        return d < self.n and self[d].is_zero
+
+    def not_point_zero(self) -> list[tuple[int, tuple[int, int]]]:
+        """(degree, enclosure) where the enclosure is not (0, 0)."""
+        return [(d, p) for d, p in enumerate(self.pairs) if p != (0, 0)]
+
+    def nonzero(self) -> list[tuple[int, tuple[int, int]]]:
+        """(degree, enclosure) where the part may be nonzero."""
+        return [(d, p) for d, p in enumerate(self.pairs) if not self.is_zero(d)]
 
 
-def _product_part(k: int, a: _Exact, b: _Exact) -> RingElem:
+# The ring part of every node expanded in this process, per (node, N, prec).
+_RINGS: dict[tuple, _Ring] = {}
+
+
+def _product_part(k: int, a: _Ring, b: _Ring) -> RingElem:
     """Degree k of a b over one common denominator; a square (b is a)
-    pairs each term once, weight 2 off the diagonal.  Operand parts at or
-    above n count as zero: the product's length keeps reads of a
-    truncated prefix below its n."""
+    pairs each term once, weight 2 off the diagonal."""
     square = a is b
-    top = min(k // 2 + 1 if square else k + 1, a.n)
-    lhs = [i for i in range(max(0, k - b.n + 1), top) if not a[i].is_zero]
+    lhs = [i for i in range(k // 2 + 1 if square else k + 1) if not a[i].is_zero]
     return sum_of_products([(a[i], b[k - i]) for i in lhs], [2 if square and 2 * i != k else 1 for i in lhs])
 
 
 class HybridPoly:
     """Polynomial in x whose coefficient k is ring part k + err(k),
-    err a (possibly zero) interval correction.  Contains the exact
+    err a (possibly zero) interval correction: one ring part (_Ring) and
+    the boxes errs, integer pairs at 2^-(prec + 16).  Contains the exact
     shifted inequality polynomial whenever the corrections contain the
-    exact error radii.  ring_pairs encloses the ring part at every degree
-    and errs holds the corrections, all integer pairs at 2^-(prec + 16).
-    The exact parts reach a product's first error box, the furthest the
-    certifier strips symbolic zeros, and each is computed only when its
-    enclosure cannot decide a zero test.  ring_pairs may be given as the
-    function that makes them on first read.  Every exact store belongs to
-    a node: the one mul or weighted_sum that builds the node's polynomial
-    makes it, and keep holds it, with ring_pairs, once per node; only a
-    companion factor's store, its parts given, is no node's.  An expansion
-    builds errs per call."""
+    exact error radii.  A product's exact parts reach its first error box,
+    the furthest the certifier strips symbolic zeros, and each is computed
+    only when its enclosure cannot decide a zero test.  The one mul or
+    weighted_sum that builds a node's polynomial makes its ring part, and
+    keep holds it once per node; a leaf's and a companion factor's are
+    given whole.  An expansion builds errs per call."""
 
-    __slots__ = ("_exact", "_pairs", "errs", "prec")
+    __slots__ = ("ring", "errs", "prec")
 
-    def __init__(self, ring_parts: list[RingElem] | _Exact, errs: dict[int, tuple[int, int]], prec: int,
-                 ring_pairs=None):
-        if not isinstance(ring_parts, _Exact):  # every part given
-            ring_pairs = ring_pairs or [r.fixed(prec) for r in ring_parts]
-            ring_parts = _Exact(len(ring_parts), None, enumerate(ring_parts))
-        self._exact, self._pairs, self.prec = ring_parts, ring_pairs, prec
+    def __init__(self, ring: _Ring, errs: dict[int, tuple[int, int]], prec: int):
+        self.ring, self.prec = ring, prec
         self.errs = {d: e for d, e in errs.items() if e != (0, 0)}
 
-    @property
-    def ring_pairs(self) -> list[tuple[int, int]]:
-        if callable(self._pairs):
-            self._pairs = self._pairs()
-        return self._pairs
-
-    def _exact_len(self, n: int) -> int:
-        """Length of the exact prefix, as seen from a result of length n."""
-        k = self._exact.n
-        return k if k < len(self.ring_pairs) else n
-
-    def _is_zero(self, d: int) -> bool:
-        """Whether ring part d is zero (False past the exact prefix).  A ring
-        element is zero iff its value is, so an enclosure excluding 0 proves
-        nonzero and (0, 0) zero; only one straddling 0 reads the part."""
-        lo, hi = self.ring_pairs[d]
-        if lo > 0 or hi < 0:
-            return False
-        if lo == hi == 0:
-            return True
-        return d < self._exact.n and self._exact[d].is_zero
-
-    def _not_point_zero(self) -> list[tuple[int, tuple[int, int]]]:
-        """(degree, enclosure) where the enclosure is not (0, 0)."""
-        return [(d, p) for d, p in enumerate(self.ring_pairs) if p != (0, 0)]
-
-    def _nonzero(self) -> list[tuple[int, tuple[int, int]]]:
-        """(degree, enclosure) where the ring part may be nonzero."""
-        return [(d, p) for d, p in enumerate(self.ring_pairs) if not self._is_zero(d)]
+    ring_pairs = property(lambda self: self.ring.pairs)
 
     def keep(self, key) -> "HybridPoly":
-        """This polynomial on the ring part kept for key, (node, N, prec): the store and
-        ring_pairs of the first one built, at either polarity or in an earlier expansion,
-        kept as they are, so the parts any reader computes stay.  A node's ring part does
-        not depend on its polarity: leaf boxes sit at degree N + 1 at both, and every box
-        contains 0 and has positive width, so no sum of boxes cancels to (0, 0); the first
-        box degree, and with it the exact prefix length, follows from the structure alone.
-        A prefix too long or too short would not be unsound either: extra parts are still
-        exact, and stripping past a short prefix raises ArithmeticError."""
-        if key not in _RINGS:
-            _RINGS[key] = self._exact, self.ring_pairs
-        exact, pairs = _RINGS[key]
-        return HybridPoly(exact, self.errs, self.prec, pairs)
+        """This polynomial on the ring part kept for key, (node, N, prec): the ring part of the
+        first one built, at either polarity or in an earlier expansion, kept as it is, so the
+        parts any reader computes stay.  A node's ring part does not depend on its polarity: leaf
+        boxes sit at degree N + 1 at both, and every box contains 0 and has positive width, so no
+        sum of boxes cancels to (0, 0); the first box degree, and with it the exact prefix length,
+        follows from the structure alone.  A prefix too long or too short would not be unsound
+        either: extra parts are still exact, and stripping past a short prefix raises
+        ArithmeticError."""
+        return HybridPoly(_RINGS.setdefault(key, self.ring), self.errs, self.prec)
 
     @staticmethod
     def from_envelope(s: int, N: int, side: int, prec: int) -> "HybridPoly":
@@ -480,50 +470,50 @@ class HybridPoly:
         positivity of the family implies the exact inequality."""
         poly = bound_poly(s, N, side, prec)
         err_box = Interval(Dyadic(0), poly.err) if side > 0 else Interval(-poly.err, Dyadic(0))
-        return HybridPoly(poly.coeffs + (ZERO_ELEM,), {N + 1: err_box.fixed(prec)}, prec,
-                          list(poly.coeff_pairs) + [(0, 0)])
+        ring = _Ring.given_whole(enumerate(poly.coeffs), poly.coeff_pairs + ((0, 0),))
+        return HybridPoly(ring, {N + 1: err_box.fixed(prec)}, prec)
 
     @staticmethod
     def from_ring_monomials(monomials: dict[int, RingElem], prec: int) -> "HybridPoly":
-        return HybridPoly([monomials.get(d, ZERO_ELEM) for d in range(max(monomials) + 1)], {}, prec)
+        pairs = [(0, 0)] * (max(monomials) + 1)
+        for d, r in monomials.items():
+            pairs[d] = r.fixed(prec)
+        return HybridPoly(_Ring.given_whole(monomials, pairs), {}, prec)
 
     def mul(self, other: "HybridPoly") -> "HybridPoly":
-        n_out, w = len(self.ring_pairs) + len(other.ring_pairs) - 1, self.prec + GUARD
+        a, b = self.ring, other.ring
+        n_out, w = len(a.pairs) + len(b.pairs) - 1, self.prec + GUARD
         # error boxes: ring x box, box x ring and box x box, summed exactly
         lo, hi = [0] * n_out, [0] * n_out
-        convolve(lo, hi, other.errs.items(), self._not_point_zero())
-        convolve(lo, hi, self.errs.items(), other._not_point_zero())
+        convolve(lo, hi, other.errs.items(), a.not_point_zero())
+        convolve(lo, hi, self.errs.items(), b.not_point_zero())
         convolve(lo, hi, self.errs.items(), other.errs.items())
         errs_out = {d: e for d, e in enumerate(round_out(lo, hi, w)) if lo[d] or hi[d]}
 
         def pairs():  # contains the exact ring product, far cheaper than evaluating it
             lo, hi = [0] * n_out, [0] * n_out
-            convolve(lo, hi, self._nonzero(), other._nonzero())
+            convolve(lo, hi, a.nonzero(), b.nonzero())
             return round_out(lo, hi, w)
 
         # exact parts up to the first error box, each convolved on demand
-        a, b = self._exact, other._exact
-        exact = _Exact(min(self._exact_len(n_out), other._exact_len(n_out), min(errs_out, default=n_out) + 1),
-                       lambda k: _product_part(k, a, b))
-        return HybridPoly(exact, errs_out, self.prec, pairs)
+        ring = _Ring(min(a.n, b.n, min(errs_out, default=inf) + 1), lambda k: _product_part(k, a, b), pairs)
+        return HybridPoly(ring, errs_out, self.prec)
 
     @staticmethod
     def weighted_sum(terms: list[tuple[int, "HybridPoly"]]) -> "HybridPoly":
         """The sum of w p over the (w, p) terms, all exact: each ring pair and box is the integer
         sum of w times the terms' (a negative w swaps a pair's ends), and exact part d the ring
-        sum of w times the parts of the terms whose exact prefix reaches d.  The prefix is the
-        shortest of the terms' _exact_len(n), n the longest term, as a fold of two at a time gives."""
-        n = max(len(p.ring_pairs) for _, p in terms)
-        pairs, errs = dict.fromkeys(range(n), (0, 0)), {}
+        sum of w times the terms' parts, below the shortest of their exact prefixes."""
+        pairs, errs = dict.fromkeys(range(max(len(p.ring_pairs) for _, p in terms)), (0, 0)), {}
         for w, p in terms:
             for out, items in ((pairs, enumerate(p.ring_pairs)), (errs, p.errs.items())):
                 for d, (lo, hi) in items:
                     x, y = out.get(d, (0, 0))
                     out[d] = (x + w * lo, y + w * hi) if w >= 0 else (x + w * hi, y + w * lo)
-        stores = [(w, p._exact) for w, p in terms]
-        exact = _Exact(min(p._exact_len(n) for _, p in terms),
-                       lambda d: sum((a[d].scale(w) for w, a in stores if d < a.n), ZERO_ELEM))
-        return HybridPoly(exact, errs, terms[0][1].prec, list(pairs.values()))
+        rings = [(w, p.ring) for w, p in terms]
+        ring = _Ring(min(r.n for _, r in rings), lambda d: sum((r[d].scale(w) for w, r in rings), ZERO_ELEM),
+                     list(pairs.values()))
+        return HybridPoly(ring, errs, terms[0][1].prec)
 
     def coeff_pairs(self) -> list[tuple[int, int]]:
         """Per-degree enclosure: ring value plus correction box."""
@@ -706,9 +696,9 @@ def certify_positive(ineq: IneqPoly, x0: Dyadic) -> Certificate:
     fixed = ineq.fixed
     d = 0
     while d < len(fixed) and d not in poly.errs:
-        if d >= poly._exact.n:
+        if d >= poly.ring.n:
             raise ArithmeticError(f"symbolic zeros run past the exact prefix at x^{d}")
-        if not poly._is_zero(d):
+        if not poly.ring.is_zero(d):
             break
         d += 1
     base = Certificate(status="inconclusive", x_star=x0, n_star=_n_of_x(x0), leading_zero_degree=d, prec=prec)

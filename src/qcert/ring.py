@@ -113,7 +113,7 @@ class RingElem:
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        """{(i, j): c_{i,j}}, nonzero c only, in key order."""
+        """{(i, j): c_{i,j}}, nonzero c only, in the insertion order of ints (not sorted)."""
         return {(k >> 2, k & 1): Fraction(v, self.den) for k, v in self.ints.items()}
 
     @property

@@ -617,8 +617,10 @@ def tight_expansion(ineq_id: str, prec: int) -> IneqPoly:
 
 
 def ring_parts(poly: HybridPoly) -> list[RingElem]:
-    """Every exact part of poly's prefix, computed now."""
-    return [poly._exact[d] for d in range(poly._exact.n)]
+    """Every exact part of poly's prefix, computed now; a ring part given
+    whole, exact at every degree, up to its length."""
+    ring = poly.ring
+    return [ring[d] for d in range(min(ring.n, len(ring.pairs)))]
 
 
 # -- the termwise interval convolution ------------------------------------
@@ -650,11 +652,11 @@ def mul_termwise(a, b, prec: int) -> tuple[list[Interval], dict[int, Interval]]:
         return [(d, pair_interval(p, a.prec)) for d, p in pairs]
 
     errs: dict[int, Interval] = {}
-    convolve_termwise(errs, ivs(b.errs.items()), ivs(a._not_point_zero()), prec)
-    convolve_termwise(errs, ivs(a.errs.items()), ivs(b._not_point_zero()), prec)
+    convolve_termwise(errs, ivs(b.errs.items()), ivs(a.ring.not_point_zero()), prec)
+    convolve_termwise(errs, ivs(a.errs.items()), ivs(b.ring.not_point_zero()), prec)
     convolve_termwise(errs, ivs(a.errs.items()), ivs(b.errs.items()), prec)
     ring = dict.fromkeys(range(len(a.ring_pairs) + len(b.ring_pairs) - 1), Interval.point(0))
-    convolve_termwise(ring, ivs(a._nonzero()), ivs(b._nonzero()), prec)
+    convolve_termwise(ring, ivs(a.ring.nonzero()), ivs(b.ring.nonzero()), prec)
     return list(ring.values()), errs
 
 
@@ -826,9 +828,9 @@ class Replayed:
     def mul(self, other: "Replayed") -> "Replayed":
         poly = self.poly.mul(other.poly)
         ring = [_ZERO2] * (len(self.ring) + len(other.ring) - 1)
-        rhs = [(j, y) for j, y in enumerate(other.ring) if not other.poly._is_zero(j)]
+        rhs = [(j, y) for j, y in enumerate(other.ring) if not other.poly.ring.is_zero(j)]
         for i, x in enumerate(self.ring):
-            if not self.poly._is_zero(i):
+            if not self.poly.ring.is_zero(i):
                 for j, y in rhs:
                     ring[i + j] = _iv_add(ring[i + j], _iv_mul(x, y))
         errs: dict = {}

@@ -309,7 +309,7 @@ class TestExpansionWalker:
 
     def test_square_expands_its_term_once(self, monkeypatch):
         # Mul(x, x) builds x once (one weighted_sum for the sum) and squares it
-        # through _product_part's square path, both operands one store; two
+        # through _product_part's square path, both operands one ring part; two
         # equal leaves are one node, so their product is a square too
         monkeypatch.setattr(certify_module, "_RINGS", {})
         x = Sum((1, Q(0)), (1, Q(2)))
@@ -333,8 +333,8 @@ class TestExpansionWalker:
         square = certify_module._Expansion(THEOREMS["A"], 192)(Mul(x, x), 1)
         assert len(sums) == 1 and len(products) == 1
         (a, b), = products
-        assert a is b and a._exact is b._exact
-        assert [square._exact[k] for k in range(square._exact.n)] and parts and all(parts)
+        assert a is b and a.ring is b.ring
+        assert [square.ring[k] for k in range(square.ring.n)] and parts and all(parts)
         assert Mul(x, x).show(1) == "(L0 + L2)^2" and Mul(Q(2), Q(2)).show(1) == "L2^2"
         assert Mul(Q(2), Q(2)) == Sq(Q(2)) and Mul(Q(2), Q(3)).show(1) == "L2 L3"
 
@@ -367,10 +367,13 @@ class TestCertifyPositive:
         cert = certify_positive(ineq, ineq.x0)
         assert not cert.proved and "identically zero" in cert.reason
 
-    def test_negative_constant(self):
-        ineq = _toy_ineq({0: RingElem.from_rational(-2)}, F(1))
+    @pytest.mark.parametrize("degree, value", [(0, -2), (2, -1)])
+    def test_negative_constant(self, degree, value):
+        # -x^2 has its two symbolic zeros stripped first: -1 is its constant term
+        ineq = _toy_ineq({degree: RingElem.from_rational(value)}, F(1))
         cert = certify_positive(ineq, ineq.x0)
-        assert not cert.proved
+        assert not cert.proved and cert.leading_zero_degree == degree
+        assert cert.reason == f"constant term after stripping x^{degree} is not certifiably positive"
 
     def test_boxed_family_stops_without_escalating(self):
         # ineq2 is negative near its window for the whole boxed family:
@@ -401,7 +404,7 @@ class TestCertifyPositive:
 
     def test_stripping_past_exact_prefix_raises(self):
         # exact part kept for x^0 only, nothing known about x^1
-        poly = HybridPoly([RingElem()], {}, 192, [(0, 0), (1, 1)])
+        poly = HybridPoly(certify_module._Ring(1, None, [(0, 0), (1, 1)], {0: RingElem()}), {}, 192)
         ineq = IneqPoly(poly, Dyadic(1), 1)
         with pytest.raises(ArithmeticError):
             certify_positive(ineq, Dyadic(1))
@@ -490,7 +493,7 @@ class TestPolynomialPins:
         # the first box, and not equal everywhere above it
         box, tight = build_ineq(ineq_id, 192).poly, tight_expansion(ineq_id, 192).poly
         assert sorted(tight.errs) == sorted(box.errs)
-        assert tight._exact.n == box._exact.n
+        assert tight.ring.n == box.ring.n
         outer, inner = box.coeff_pairs(), tight.coeff_pairs()
         assert len(outer) == len(inner)
         same = [o == i for o, i in zip(outer, inner)]
@@ -518,7 +521,8 @@ class TestPolynomialPins:
         # x.mul(x) pairs each exact term once; a copy of x takes the
         # ordered path, and every field must agree bit for bit
         def copy(x):
-            return HybridPoly(ring_parts(x), dict(x.errs), x.prec, list(x.ring_pairs))
+            return HybridPoly(certify_module._Ring(x.ring.n, x.ring.rule, list(x.ring_pairs), enumerate(ring_parts(x))),
+                              dict(x.errs), x.prec)
 
         def fields(x):
             return ([list(r.terms.items()) for r in ring_parts(x)],
@@ -595,12 +599,12 @@ class TestSharedRingParts:
         ex = certify_module._Expansion(THEOREMS["A"], 192)
         upper, lower = ex(Q(2), -1), ex(Q(2), 1)  # a leaf is U at polarity -1, L at +1
         assert upper is not lower and upper.errs is not lower.errs
-        assert upper._exact is lower._exact and upper.ring_pairs is lower.ring_pairs
+        assert upper.ring is lower.ring
         err_u, err_l = (bound_poly(2, 14, side, 192).err for side in (1, -1))
         assert list(upper.errs.items()) == [(15, Interval(Dyadic(0), err_u).fixed(192))]
         assert list(lower.errs.items()) == [(15, Interval(-err_l, Dyadic(0)).fixed(192))]
-        assert certify_module._Expansion(THEOREMS["B"], 192)(Q(2), -1)._exact is not upper._exact
-        assert certify_module._Expansion(THEOREMS["A"], 64)(Q(2), -1)._exact is not upper._exact
+        assert certify_module._Expansion(THEOREMS["B"], 192)(Q(2), -1).ring is not upper.ring
+        assert certify_module._Expansion(THEOREMS["A"], 64)(Q(2), -1).ring is not upper.ring
 
     def test_companion_reuses_the_theorems_products(self, monkeypatch):
         # ineq4 negates ineq3's five cubic products: after ineq3, its only new
@@ -608,7 +612,7 @@ class TestSharedRingParts:
         # still multiplied per call, for its boxes
         monkeypatch.setattr(certify_module, "_RINGS", {})
         expand_statement(THEOREMS["B"], 192)
-        built = {key: exact for key, (exact, _) in certify_module._RINGS.items()}
+        built = dict(certify_module._RINGS)
         made = []
 
         def record(self, other, _mul=HybridPoly.mul):
@@ -625,17 +629,17 @@ class TestSharedRingParts:
         assert new == ["Companion", "Sum", "Sum"]  # the companion, its body and the statement
         products = [(node, poly) for (node, _), poly in ex.memo.items() if isinstance(node, (Mul, Companion))]
         assert len(products) == 11
-        assert [poly._exact is built.get((node, 24, 192)) for node, poly in products] == \
+        assert [poly.ring is built.get((node, 24, 192)) for node, poly in products] == \
             [isinstance(node, Mul) for node, _ in products]
 
     @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
     def test_repeated_expansion_adds_no_ring_part(self, theorem_id):
         # every node's ring part is kept once: a later expansion of the same
         # statement adds none, and its polynomial sits on the kept ring part
-        first = expand_statement(THEOREMS[theorem_id], 192).poly._exact
+        first = expand_statement(THEOREMS[theorem_id], 192).poly.ring
         count = len(certify_module._RINGS)
         for _ in range(2):
-            assert expand_statement(THEOREMS[theorem_id], 192).poly._exact is first
+            assert expand_statement(THEOREMS[theorem_id], 192).poly.ring is first
             assert len(certify_module._RINGS) == count
 
     def test_companion_factor_per_call(self, monkeypatch):
@@ -648,7 +652,7 @@ class TestSharedRingParts:
         factors = []
 
         def record(self, other, _mul=HybridPoly.mul):
-            factors.append(self._exact)  # the factor is the last left operand
+            factors.append(self.ring)  # the factor is the last left operand
             return _mul(self, other)
 
         monkeypatch.setattr(HybridPoly, "mul", record)
@@ -659,7 +663,7 @@ class TestSharedRingParts:
             certify_module._Expansion(spec, 192)(node, 1)
             stores.append(factors[-1])
         assert len(certify_module._RINGS) == count + 1 and other != comp
-        kept = [exact for exact, _ in certify_module._RINGS.values()]
+        kept = list(certify_module._RINGS.values())
         assert not any(x is y for x in stores for y in kept) and stores[0] is not stores[1]
         assert [x[comp.a + 1] for x in stores] == [RingElem.from_rational(-comp.slack),
                                                     RingElem.from_rational(-comp.slack - 1)]
@@ -686,10 +690,10 @@ class TestSharedRingParts:
             assert ex.side_lemma() is None
             walkers.append(ex)
         for k in (1, 2, 3):
-            met = [(pol, poly._exact) for ex in walkers for (node, pol), poly in ex.memo.items() if node == _gap(k)]
+            met = [(pol, poly.ring) for ex in walkers for (node, pol), poly in ex.memo.items() if node == _gap(k)]
             assert {pol for pol, _ in met} == {1, -1}, k
-            assert all(ring is certify_module._RINGS[_gap(k), 14, 192][0] for _, ring in met), k
-        t2 = certify_module._RINGS[_gap(2), 14, 192][0]
+            assert all(ring is certify_module._RINGS[_gap(k), 14, 192] for _, ring in met), k
+        t2 = certify_module._RINGS[_gap(2), 14, 192]
         degrees = [k for a, k in squares if a is t2]
         assert degrees and len(degrees) == len(set(degrees))
 
@@ -749,8 +753,8 @@ class TestLazyExactParts:
         (ex,) = walkers
         assert len(made) == sum(not isinstance(node, Q) for node, _ in ex.memo)
         for poly in made:
-            zeros = [poly._is_zero(d) for d in range(poly._exact.n)]
-            assert zeros == [r.is_zero for r in ring_parts(poly)]
+            parts = ring_parts(poly)
+            assert [poly.ring.is_zero(d) for d in range(len(parts))] == [r.is_zero for r in parts]
 
     def test_weighted_sum_matches_termwise_loops(self):
         # weights 1, -1, 3, -4 over three leaves and a product truncated at its
@@ -769,15 +773,15 @@ class TestLazyExactParts:
                 boxes[d] = x + min(w * a, w * b), y + max(w * a, w * b)
         assert got.ring_pairs == list(zip(lo, hi)) and got.errs == boxes
         product = terms[2][1]
-        assert product.errs and product._exact.n == min(product.errs) + 1 < n
-        assert got._exact.n == product._exact.n
-        for d in range(got._exact.n):
+        assert product.errs and product.ring.n == min(product.errs) + 1 < n
+        assert got.ring.n == product.ring.n
+        for d in range(got.ring.n):
             part = RingElem()
             for w, p in terms:
-                if d < p._exact.n:
-                    part = part + p._exact[d].scale(w)
-            assert got._exact[d] == part, d
-        assert any(not got._exact[d].is_zero for d in range(got._exact.n))
+                if d < p.ring.n:
+                    part = part + p.ring[d].scale(w)
+            assert got.ring[d] == part, d
+        assert any(not got.ring[d].is_zero for d in range(got.ring.n))
 
     @pytest.mark.parametrize("part, lo, hi, zero", [
         (RingElem(), 0, 0, True),                        # [0, 0]: zero, no exact part read
@@ -791,17 +795,14 @@ class TestLazyExactParts:
     ], ids=["point-zero", "straddle-zero", "straddle-nonzero", "touch-lo-zero", "touch-hi-zero",
             "touch-lo-nonzero", "touch-hi-nonzero", "excludes-zero"])
     def test_zero_test_cases(self, part, lo, hi, zero):
-        poly = HybridPoly([part], {}, 192, [(lo, hi)])
-        assert poly._is_zero(0) is zero
+        assert certify_module._Ring.given_whole({0: part}, [(lo, hi)]).is_zero(0) is zero
 
     def test_enclosure_decides_without_exact_part(self):
-        # the store is never read when the enclosure decides; past the
-        # exact prefix a straddling enclosure may hold a nonzero part
-        pairs = [(0, 0), (1, 1), (-1, 1)]
-        poly = HybridPoly([RingElem()] * 2, {}, 192, pairs)
-        poly._exact.clear()
-        assert poly._is_zero(0) and not poly._is_zero(1) and not poly._is_zero(2)
-        assert not poly._exact
+        # no part is read when the enclosure decides; past the exact
+        # prefix a straddling enclosure may hold a nonzero part
+        ring = certify_module._Ring(2, lambda d: pytest.fail(f"part {d} read"), [(0, 0), (1, 1), (-1, 1)])
+        assert ring.is_zero(0) and not ring.is_zero(1) and not ring.is_zero(2)
+        assert not ring
 
     def test_only_leading_parts_computed(self, monkeypatch):
         # certifying reads no exact part above the first nonzero degree
@@ -814,7 +815,7 @@ class TestLazyExactParts:
         for ineq_id, lead in LEADING_DEGREES.items():
             cert = certify_inequality(ineq_id)
             assert cert.leading_zero_degree == lead and cert.prec == 192
-            computed = certified[-1].poly._exact  # the last one certified is the statement's
+            computed = certified[-1].poly.ring  # the last one certified is the statement's
             assert computed and max(computed) <= lead, ineq_id
         build_ineq.cache_clear()
 
@@ -908,7 +909,7 @@ class TestCrossovers:
         assert all(b > 0 for b in bernstein)
         assert len(reduced) == len(poly.ring_pairs) - cert.leading_zero_degree
         for d in range(cert.leading_zero_degree):
-            assert poly._exact[d].is_zero and d not in poly.errs
+            assert poly.ring[d].is_zero and d not in poly.errs
 
     def test_soundness_random_points(self):
         # proved certificate: reduced polynomial positive at random x
@@ -1195,21 +1196,13 @@ def test_shifted_repeats_are_one_step():
     # three offsets, and q^2 of B and B-companion one square step; the companion
     # product of double-turan-companion is its own B: four products in all
     steps = {tid: certify_module._program(spec.statement)[0] for tid, spec in THEOREMS.items()}
-    products = {tid: [args for op, args, _ in s if op is mul] for tid, s in steps.items()}
+    products = {tid: [args for op, args in s if op is mul] for tid, s in steps.items()}
     assert len(products["double-turan"]) == len(products["double-turan-companion"]) == 4
     for tid in ("B", "B-companion"):
         assert sum(args == ((1, 0, 0), (1, 0, 0)) for args in products[tid]) == 1
     _, (ra, _), (rb, _) = certify_module._program(THEOREMS["double-turan-companion"].statement)
     assert rb in [x for _, x, _ in steps["double-turan-companion"][ra - 1][1]]
 
-
-@pytest.mark.parametrize("name", sorted(STATEMENTS))
-def test_program_drops_each_register_after_its_last_reader(name):
-    steps, a, b = certify_module._program(STATEMENTS[name])
-    kept = {r[0] for r in (a, b) if r}
-    for i, (_, args, drops) in enumerate(steps):
-        later = {x for _, later_args, _ in steps[i + 1 :] for _, x, _ in later_args}
-        assert set(drops) == {x for _, x, _ in args} - later - kept, (name, i)
 
 
 # -- the companion sign on brackets against the untruncated rule --------------
@@ -1562,6 +1555,28 @@ class TestVerifyTheorem:
         assert ranges and set(range(rep.threshold, rep.n_star + spec.shift)) <= scanned
         x_star = rep.certificate.x_star.to_fraction()
         assert rep.certificate.proved and x_star * x_star * rep.n_star >= 1  # x_star >= n_star^(-1/2)
+
+    def test_unproved_at_the_seam_reads_inconclusive(self, table20k, monkeypatch):
+        # with its seam below the crossover 5847, A-companion is certified
+        # nowhere: the search returns the seam with the failed certificate, and
+        # the report is inconclusive, never pass, though the scan finds nothing
+        monkeypatch.setitem(THEOREMS, "A-companion", replace(THEOREMS["A-companion"], seam=5100))
+        n_star, cert = find_crossover("A-companion")
+        assert n_star == 5100 and cert.status == "inconclusive" and cert.negative_witness is None
+        assert cert.reason.startswith("not certifiable even at the seam 5100: boxed family not positive at x=")
+        rep = verify_theorem("A-companion", QTable(5110, table20k.values[:5111]))
+        assert rep.status == "inconclusive" and rep.exact_violations == []
+        assert rep.n_star == 5100 and rep.exact_range == (278, 5099)
+
+    def test_negative_witness_reads_fail(self, table20k, monkeypatch):
+        # a certificate with a certified negative value refutes the family: the
+        # report fails, though the scan finds no violation
+        n_star, cert = find_crossover("A")
+        x = float(cert.x_star)
+        refuted = replace(cert, status="inconclusive", reason=f"certified negative at x={x}", negative_witness=(x, x))
+        monkeypatch.setattr(certify_module, "find_crossover", lambda theorem_id, prec=192: (n_star, refuted))
+        rep = verify_theorem("A", table20k)
+        assert rep.status == "fail" and rep.exact_violations == [] and rep.certificate is refuted
 
     def test_threshold_above_crossover(self, table20k):
         # the exact range is empty; the scan below the threshold still runs

@@ -102,8 +102,11 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            # a second exp rule and a nested root: prefactor takes enclose_exp and
            # one integer root of 3 n^3
            "_exp_thin", "_root4_3",
-           # the store that kept no part: every exact store is a node's, certify._Exact
-           "_Parts")
+           # the store that kept no part, and the store apart from its enclosures:
+           # a node's exact parts and enclosures are one ring part, certify._Ring
+           "_Parts", "_Exact",
+           # Interval.from_fraction under another name: it takes an int or a Fraction
+           "_iv")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -160,6 +163,15 @@ REMOVED_METHODS = (
     # a sum is one n-ary HybridPoly.weighted_sum, not a fold of add and scale_int
     (HybridPoly, "add"),
     (HybridPoly, "scale_int"),
+    # a HybridPoly is one ring part (certify._Ring) plus its boxes: the ring part holds
+    # the store, the enclosures and the zero tests, and one given whole is exact at
+    # every degree, so no prefix is read "as seen from a result of length n"
+    (HybridPoly, "_exact"),
+    (HybridPoly, "_pairs"),
+    (HybridPoly, "_exact_len"),
+    (HybridPoly, "_is_zero"),
+    (HybridPoly, "_nonzero"),
+    (HybridPoly, "_not_point_zero"),
     # members only tests called: oracles.contains and width, Fraction comparisons
     # and RingElem.scale(-1); Dyadic negates, scales and compares only
     (Interval, "contains"),

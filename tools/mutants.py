@@ -119,8 +119,8 @@ MUTANTS = [
            "else (x + w * lo, y + w * hi)",
            "scaled by w < 0 the lower end w lo is the larger one: the pair no longer encloses"),
     Mutant("weighted-sum-part-ignores-weight", "src/qcert/certify.py",
-           "a[d].scale(w) for w, a in stores",
-           "a[d] for w, a in stores",
+           "r[d].scale(w) for w, r in rings",
+           "r[d] for w, r in rings",
            "a sum's exact part adds its terms' parts unweighted: 3 q2^2 - 4 q1 q3 is not q2^2 + q1 q3"),
     Mutant("pi-power-bracket-rounded-inward", "src/qcert/ring.py",
            "isqrt(3 * hn * hn << 2 * W) // hd + 1",
@@ -280,8 +280,8 @@ MUTANTS = [
            "    a: object\n    b: object = field(compare=False)\n",
            "products with the first operand in common are one node and share the first one's ring part"),
     Mutant("box-shared-between-sides", "src/qcert/certify.py",
-           "return HybridPoly(exact, self.errs, self.prec, pairs)",
-           "return HybridPoly(exact, _RINGS.setdefault((key, 0), self.errs), self.prec, pairs)",
+           "return HybridPoly(_RINGS.setdefault(key, self.ring), self.errs, self.prec)",
+           "return HybridPoly(_RINGS.setdefault(key, self.ring), _RINGS.setdefault((key, 0), self.errs), self.prec)",
            "the box is kept with the ring part, so L is built with U's box [0, err] when U came first"),
     Mutant("expansion-memo-key-without-polarity", "src/qcert/certify.py",
            "key = node, pol",
@@ -300,7 +300,7 @@ MUTANTS = [
            "if False:",
            "a factor 1 + c x^a - slack x^(a+1) below 0 near x0 does not bound (1 + t) body from below"),
     Mutant("straddling-enclosure-taken-as-zero", "src/qcert/certify.py",
-           "return d < self._exact.n and self._exact[d].is_zero",
+           "return d < self.n and self[d].is_zero",
            "return True",
            "a nonzero leading part is stripped as a symbolic zero"),
     Mutant("certifier-range-read-from-upper-end", "src/qcert/certify.py",
@@ -336,6 +336,10 @@ MUTANTS = [
            "if n < threshold), default=None)",
            "if n <= threshold), default=None)",
            "a violation at the threshold is reported as the sharpness witness"),
+    Mutant("unproved-certificate-reads-pass", "src/qcert/certify.py",
+           'status = "inconclusive" if cert.negative_witness is None else "fail"',
+           'status = "pass" if cert.negative_witness is None else "fail"',
+           "a certificate that proves nothing leaves n >= n_star unchecked: the theorem is not verified"),
     # -- exact scans on truncated operands -----------------------------------
     Mutant("scan-bound-first-order-only", "src/qcert/certify.py",
            "weight * ((top + 1) ** degree - top**degree)",
