@@ -15,7 +15,10 @@ recorded constants (q(n) by enumeration, q(9) = 8, the window maxima 5019
 and 18502) are tests, in tests/oracles.py and acceptance criteria C1, C4.
 
 Exit codes: 0 pass, 1 verification failure, 2 inconclusive certification,
-64 usage error.
+64 usage error.  ``reproduce-all`` exits with the worst over its theorems (2
+above 1); its summary status is "pass" only if every theorem passes.  A
+request the library rejects (a ``ValueError``) exits 64 from ``main``, with
+the library's message.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import sys
 import time
 
-from .bounds import bound_value, n_min
+from .bounds import bound_value
 from .certify import (
     INEQUALITIES,
     THEOREMS,
@@ -83,25 +86,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qtable", help="exact q(n) values", parents=[common])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--range", dest="range_", default=None, metavar="A..B")
+    p.set_defaults(run=cmd_qtable)
 
     p = sub.add_parser("bounds", help="certified envelope values around q(n+s)", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--N", type=int, default=14)
     p.add_argument("--count", type=int, default=1, help="number of consecutive n rows")
+    p.set_defaults(run=cmd_bounds)
 
     p = sub.add_parser("coeffs", help="exact expansion coefficients", parents=[common])
     p.add_argument("--family", choices=sorted(COEFF_FAMILIES), default="full")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--s", type=int, default=0)
+    p.set_defaults(run=cmd_coeffs)
 
     p = sub.add_parser("verify", help="verify one theorem end to end", parents=[common])
     p.add_argument("theorem", choices=sorted(THEOREMS))
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("certify", help="positivity certificate for one inequality", parents=[common])
     p.add_argument("ineq", choices=sorted(INEQUALITIES))
     p.add_argument("--n-star", type=int, default=None,
                    help="certify for all n >= this (default: envelope window)")
+    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("reproduce-all", help="run the whole verification suite", parents=[common])
     p.add_argument("--with-errata", action="store_true",
@@ -109,68 +117,63 @@ def _build_parser() -> argparse.ArgumentParser:
                    "double-turan-companion (349) instead of the stated 346")
     p.add_argument("--theorems", nargs="+", choices=sorted(THEOREMS), default=None,
                    metavar="THEOREMS", help="subset of theorem ids")
+    p.set_defaults(run=cmd_reproduce_all)
 
     return parser
 
 
+def _usage(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"bad range {text!r} (expected A..B)") from None
 
 
 def _get_table(args, needed: int):
     n_max = getattr(args, "n_max", needed)  # without --n-max, the top index the command reads
     if n_max < needed:
-        print(f"error: --n-max {n_max} is below the required {needed}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"--n-max {n_max} is below the required {needed}")
     return load_or_build(n_max)
 
 
 def cmd_qtable(args) -> int:
     if (args.n is None) == (args.range_ is None):
-        print("error: qtable needs exactly one of --n or --range", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        lo, hi = (args.n, args.n) if args.n is not None else _parse_range(args.range_)
-    except ValueError:
-        print(f"error: bad range {args.range_!r} (expected A..B)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("qtable needs exactly one of --n or --range")
+    lo, hi = (args.n, args.n) if args.n is not None else _parse_range(args.range_)
     if lo < 0 or hi < lo:
-        print(f"error: bad range {lo}..{hi}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad range {lo}..{hi}")
     table = _get_table(args, hi)
-    values = [table[n] for n in range(lo, hi + 1)]
     if args.format == "json":
-        print(json.dumps({str(n): str(v) for n, v in zip(range(lo, hi + 1), values)}))
+        print(json.dumps({str(n): str(table[n]) for n in range(lo, hi + 1)}))
     elif args.format == "csv":
         print("n,q")
-        for n, v in zip(range(lo, hi + 1), values):
-            print(f"{n},{v}")
+        for n in range(lo, hi + 1):
+            print(f"{n},{table[n]}")
     else:
-        print(",".join(str(v) for v in values))
+        print(",".join(str(table[n]) for n in range(lo, hi + 1)))
     return EXIT_PASS
 
 
 def cmd_bounds(args) -> int:
-    if args.s < 0 or args.N < 1 or args.count < 1:
-        print("error: need s >= 0, N >= 1, count >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    floor = n_min(args.N, args.s, args.precision)
-    if args.n < floor:
-        print(f"error: n={args.n} below the validity floor {floor} for (N={args.N}, s={args.s})",
-              file=sys.stderr)
-        return EXIT_USAGE
-    table = _get_table(args, args.n + args.count - 1 + args.s)
-    rows = []
-    for n in range(args.n, args.n + args.count):
-        lower = bound_value(n, args.s, args.N, -1, args.precision)
-        upper = bound_value(n, args.s, args.N, +1, args.precision)
-        rows.append({
-            "n": n, "s": args.s, "N": args.N,
-            "q_exact": str(table[n + args.s]),
-            "lower": lower.lo.decimal(30, up=False),
-            "upper": upper.hi.decimal(30, up=True),
-        })
+    if args.count < 1:
+        raise ValueError("need count >= 1")
+    # the bounds first: bound_value rejects s, N and a below-floor n before any table is built
+    ns = range(args.n, args.n + args.count)
+    sides = [(bound_value(n, args.s, args.N, -1, args.precision),
+              bound_value(n, args.s, args.N, +1, args.precision)) for n in ns]
+    table = _get_table(args, ns[-1] + args.s)
+    rows = [{
+        "n": n, "s": args.s, "N": args.N,
+        "q_exact": str(table[n + args.s]),
+        "lower": lower.lo.decimal(30, up=False),
+        "upper": upper.hi.decimal(30, up=True),
+    } for n, (lower, upper) in zip(ns, sides)]
     if args.format == "csv" or args.format == "text":
         print("n,s,N,q_exact,lower,upper")
         for r in rows:
@@ -181,9 +184,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    if args.index < 0 or args.s < 0:
-        print("error: need index >= 0 and s >= 0", file=sys.stderr)
-        return EXIT_USAGE
     value = COEFF_FAMILIES[args.family](args.index, args.s)
     if isinstance(value, RingElem):
         text = value.as_string()
@@ -194,23 +194,14 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = THEOREMS[args.theorem]
-    table = _get_table(args, spec.table_n_max)
-    try:
-        report = verify_theorem(args.theorem, table, prec=args.precision)
-    except ValueError as exc:  # envelope window above the seam
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    table = _get_table(args, THEOREMS[args.theorem].table_n_max)
+    report = verify_theorem(args.theorem, table, prec=args.precision)
     print(json.dumps(report.to_json_dict(include_timing=not args.no_timing), indent=2))
     return STATUS_EXIT[report.status]
 
 
 def cmd_certify(args) -> int:
-    try:
-        cert = certify_inequality(args.ineq, n_star=args.n_star, prec=args.precision)
-    except ValueError as exc:  # n_star below the window
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = certify_inequality(args.ineq, n_star=args.n_star, prec=args.precision)
     out = cert.to_json_dict()
     out["ineq"] = args.ineq
     out["theorem"] = INEQUALITIES[args.ineq]
@@ -226,16 +217,12 @@ def cmd_reproduce_all(args) -> int:
     worst = EXIT_PASS
     for tid in ids:
         threshold_override = ERRATA_THRESHOLDS.get(tid) if args.with_errata else None
-        try:
-            report = verify_theorem(
-                tid,
-                table,
-                prec=args.precision,
-                threshold_override=threshold_override,
-            )
-        except ValueError as exc:  # envelope window above the seam
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        report = verify_theorem(
+            tid,
+            table,
+            prec=args.precision,
+            threshold_override=threshold_override,
+        )
         reports[tid] = report.to_json_dict(include_timing=not args.no_timing)
         note = ""
         if threshold_override:
@@ -255,29 +242,18 @@ def cmd_reproduce_all(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    for key, default in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
     if args.precision < MIN_PRECISION:
-        print(f"error: --precision must be >= {MIN_PRECISION}", file=sys.stderr)
-        return EXIT_USAGE
-    handlers = {
-        "qtable": cmd_qtable,
-        "bounds": cmd_bounds,
-        "coeffs": cmd_coeffs,
-        "verify": cmd_verify,
-        "certify": cmd_certify,
-        "reproduce-all": cmd_reproduce_all,
-    }
+        return _usage(f"--precision must be >= {MIN_PRECISION}")
     try:
-        return handlers[args.command](args)
+        return args.run(args)
+    except ValueError as exc:  # a request the library, or a check of a CLI-only input, rejects
+        return _usage(str(exc))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """CLI contract: outputs, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qcert.cli as cli
+from qcert.certify import THEOREMS
 from qcert.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -199,6 +201,30 @@ class TestReproduceAll:
         blob = json.loads(out)
         assert blob["theorems"]["double-turan-companion"]["threshold"] == 349
 
+    def test_as_stated_summary(self, capsys):
+        # README: without --with-errata the suite exits 1; the erratum is the
+        # only failure, so the worst status must be taken over all eight
+        code, out, _ = run(capsys, "--no-timing", "reproduce-all")
+        assert code == EXIT_FAIL
+        blob = json.loads(out)
+        assert blob["status"] == "fail" and list(blob["theorems"]) == sorted(THEOREMS)
+        assert blob["theorems"]["double-turan-companion"]["exact_violations"] == [348]
+        assert {tid: r["status"] for tid, r in blob["theorems"].items()} == {
+            tid: "fail" if tid == "double-turan-companion" else "pass" for tid in THEOREMS}
+
+    def test_inconclusive_outranks_pass(self, capsys, monkeypatch):
+        # with its seam below the crossover 5847, A-companion is certified
+        # nowhere: it reads inconclusive, the run exits 2 though the last
+        # theorem passes, and the summary is not "pass"
+        monkeypatch.setitem(THEOREMS, "A-companion",
+                            dataclasses.replace(THEOREMS["A-companion"], seam=5100))
+        code, out, _ = run(capsys, "--no-timing", "reproduce-all", "--theorems", "A-companion", "A")
+        assert code == EXIT_INCONCLUSIVE
+        blob = json.loads(out)
+        assert blob["status"] == "fail"
+        assert {tid: r["status"] for tid, r in blob["theorems"].items()} == {
+            "A-companion": "inconclusive", "A": "pass"}
+
     def test_window_above_seam_usage_error(self, capsys):
         code, out, err = run(capsys, "--precision", "16", "--n-max", "18509",
                              "reproduce-all", "--theorems", "laguerre3")
@@ -230,6 +256,26 @@ def test_self_check_flags_removed(capsys, flag, command):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coeffs", "--index", "-1"), "need k >= 0 and a nonnegative shift, got k=-1, s=0"),
+    (("coeffs", "--index", "2", "--s", "-1"), "need k >= 0 and a nonnegative shift, got k=2, s=-1"),
+    (("bounds", "--n", "6000", "--s", "-1"), "need k >= 0 and a nonnegative shift, got k=0, s=-1"),
+    (("bounds", "--n", "6000", "--N", "0"), "need N >= 1 and s >= 0"),
+    (("bounds", "--n", "6000", "--count", "0"), "need count >= 1"),
+    (("bounds", "--n", "100"), "n=100 below the validity floor 5019 for (N=14, s=0)"),
+    # the floor is checked before the table size
+    (("--n-max", "50", "bounds", "--n", "100"), "n=100 below the validity floor 5019 for (N=14, s=0)"),
+    (("qtable", "--range", "9..3"), "bad range 9..3"),
+    (("qtable", "--range", "x..3"), "bad range 'x..3' (expected A..B)"),
+])
+def test_rejected_request_exits_usage(capsys, argv, message):
+    # one error path: what the library (or a check of a CLI-only input)
+    # rejects exits 64 from main with one line naming the reason, no output
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, built", [

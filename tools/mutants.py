@@ -377,6 +377,23 @@ MUTANTS = [
            "return max(self.shift, 1 if self.companion else 0)",
            "return self.shift",
            "laguerre3-companion's scans start at n = 0, where its term n^(-9/2) is undefined"),
+    # -- the command line -----------------------------------------------------
+    Mutant("reproduce-all-last-theorem-wins", "src/qcert/cli.py",
+           "worst = max(worst, STATUS_EXIT[report.status])",
+           "worst = STATUS_EXIT[report.status]",
+           "a failing theorem followed by a passing one exits 0: the suite reports what it did not prove"),
+    Mutant("reproduce-all-summary-pass-unless-fail", "src/qcert/cli.py",
+           '"pass" if worst == EXIT_PASS else "fail"',
+           '"pass" if worst != EXIT_FAIL else "fail"',
+           "an inconclusive theorem leaves the summary reading pass: inconclusive reported as proved"),
+    Mutant("reproduce-all-inconclusive-exits-0", "src/qcert/cli.py",
+           "worst = max(worst, STATUS_EXIT[report.status])",
+           "worst = max(worst, STATUS_EXIT[report.status] % 2)",
+           "an inconclusive theorem counts as a pass in the exit status"),
+    Mutant("cli-rejected-request-escapes", "src/qcert/cli.py",
+           "except ValueError as exc:",
+           "except ArithmeticError as exc:",
+           "a request the library rejects ends in a traceback, not exit 64 with its message"),
     # -- test oracles ---------------------------------------------------------
     Mutant("tight-lower-radius-not-negated", "tests/oracles.py",
            "(r if side > 0 else Interval(-r.hi, -r.lo)).fixed(self.prec)}",
