@@ -23,7 +23,6 @@ slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
@@ -102,7 +101,10 @@ def window_max(N: int, shifts: tuple[int, ...], prec: int = DEFAULT_PRECISION) -
     return max(n_min(N, s, prec) for s in shifts)
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
+
+
 class ErrorBudget:
     """Certified upper bounds for every truncation constant at (N, s).
 
@@ -110,16 +112,23 @@ class ErrorBudget:
     degree-(N+1) error term of L/U.
     """
 
-    N: int
-    s: int
-    er_i1_asym: Dyadic      # I1 large-argument series remainder constant
-    er_exp: Dyadic          # exponential-factor tail
-    er_binom: Dyadic        # binomial-factor tail
-    er_exp_binom: Dyadic    # tail of the product of those two factors
-    er_bessel_shift: Dyadic # tail of the shifted Bessel polynomial factor
-    er_bessel: Dyadic       # Bessel factor combined with series remainder
-    growth_const: Dyadic    # the coefficient-growth envelope constant
-    er_total: Dyadic        # final two-sided radius
+    def __init__(self, N: int, s: int, er_i1_asym: Dyadic, er_exp: Dyadic, er_binom: Dyadic,
+                 er_exp_binom: Dyadic, er_bessel_shift: Dyadic, er_bessel: Dyadic, growth_const: Dyadic,
+                 er_total: Dyadic):
+        vars(self).update(
+            N=N,
+            s=s,
+            er_i1_asym=er_i1_asym,            # I1 large-argument series remainder constant
+            er_exp=er_exp,                    # exponential-factor tail
+            er_binom=er_binom,                # binomial-factor tail
+            er_exp_binom=er_exp_binom,        # tail of the product of those two factors
+            er_bessel_shift=er_bessel_shift,  # tail of the shifted Bessel polynomial factor
+            er_bessel=er_bessel,              # Bessel factor combined with series remainder
+            growth_const=growth_const,        # the coefficient-growth envelope constant
+            er_total=er_total,                # final two-sided radius
+        )
+
+    __setattr__ = __delattr__ = _read_only
 
 
 @lru_cache(maxsize=None)
@@ -281,22 +290,27 @@ def prefactor(n: int, prec: int = DEFAULT_PRECISION) -> Interval:
     return enclose_exp(exponent, prec).div(_root4(3 * n**3, prec).scale(2), prec)
 
 
-@dataclass(frozen=True)
 class BoundPoly:
     """One side of the envelope: sum of exact ring coefficients for
     degrees 0..N plus a signed error radius at degree N+1, valid for
     0 < x <= x_max (i.e. n >= floor).  coeff_pairs encloses each
     coefficient by ``RingElem.fixed``: integers at scale 2^-(prec + 16)."""
 
-    s: int
-    N: int
-    side: int  # +1 for the upper envelope U, -1 for the lower envelope L
-    coeffs: tuple[RingElem, ...]
-    coeff_pairs: tuple[tuple[int, int], ...]
-    err: Dyadic  # certified upper bound of the radius (always positive)
-    x_max: Dyadic
-    floor: int
-    prec: int
+    def __init__(self, s: int, N: int, side: int, coeffs: tuple[RingElem, ...],
+                 coeff_pairs: tuple[tuple[int, int], ...], err: Dyadic, x_max: Dyadic, floor: int, prec: int):
+        vars(self).update(
+            s=s,
+            N=N,
+            side=side,  # +1 for the upper envelope U, -1 for the lower envelope L
+            coeffs=coeffs,
+            coeff_pairs=coeff_pairs,
+            err=err,  # certified upper bound of the radius (always positive)
+            x_max=x_max,
+            floor=floor,
+            prec=prec,
+        )
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def _fixed(self) -> tuple[tuple[int, int], ...]:

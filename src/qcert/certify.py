@@ -28,7 +28,6 @@ two regimes do not meet.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf, isqrt
@@ -86,26 +85,45 @@ def _paren(node, pol: int) -> str:
     return f"({text})" if isinstance(node, Sum) else text
 
 
-@dataclass(frozen=True)
-class Q:
+def _read_only(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
+
+
+class _Node:
+    """Base of the statement nodes: each __init__ sets its fields once, with their
+    tuple (the key) that equality and hashing read, the hash computed once."""
+
+    def _set(self, key: tuple, **fields) -> None:
+        vars(self).update(fields, _key=key, _hash=hash(key))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+
+class Q(_Node):
     """Leaf q(n0 + s)."""
 
-    s: int
     children = ()
+
+    def __init__(self, s: int):
+        self._set((s,), s=s)
 
     def show(self, pol: int) -> str:
         return f"{'L' if pol > 0 else 'U'}{self.s}"
 
 
-@dataclass(frozen=True, init=False)
-class Sum:
+class Sum(_Node):
     """Integer-weighted terms, summed exactly in one step."""
 
-    terms: tuple[tuple[int, object], ...]
     children = property(lambda self: tuple(t for _, t in self.terms))
 
     def __init__(self, *terms: tuple[int, object]):
-        object.__setattr__(self, "terms", terms)
+        self._set((terms,), terms=terms)
 
     def show(self, pol: int) -> str:
         parts = []
@@ -115,13 +133,13 @@ class Sum:
         return " ".join(parts).removeprefix("+ ")
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     """Binary product, evaluated as written; a square is the product of two equal terms."""
 
-    a: object
-    b: object
     children = property(lambda self: (self.a, self.b))
+
+    def __init__(self, a, b):
+        self._set((a, b), a=a, b=b)
 
     def show(self, pol: int) -> str:
         return f"{_paren(self.a, pol)}^2" if self.a == self.b else f"{_paren(self.a, pol)} {_paren(self.b, pol)}"
@@ -132,8 +150,7 @@ def Sq(x) -> Mul:
     return Mul(x, x)
 
 
-@dataclass(frozen=True)
-class Companion:
+class Companion(_Node):
     """body (1 + t), t = r pi^i sqrt3^j n^{-a/2} in statement coordinates.
 
     In the envelope variable n = n0 + shift, so t = c x^a (1 + shift x^2)^{-a/2}
@@ -142,22 +159,17 @@ class Companion:
     slack >= c (a/2) shift x0, which the expansion checks in rationals.
     F = 1 + c x^a - slack x^{a+1} times body's lower envelope bounds (1 + t) body
     below only if c > 0 (r > 0, checked here) and F > 0 on (0, x0] (slack x0^{a+1}
-    < 1, checked in the expansion).
+    < 1, checked in the expansion).  coeff is c, derived from r, i and j: not
+    part of the key.
     """
 
-    body: object
-    r: Fraction
-    i: int
-    j: int
-    a: int
-    slack: Fraction = Fraction(0)
-    coeff: RingElem = field(init=False, compare=False, repr=False)  # c, derived from r, i, j
     children = property(lambda self: (self.body,))
 
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs r > 0, got {self.r}")
-        object.__setattr__(self, "coeff", RingElem.monomial(self.i, self.j, self.r))
+    def __init__(self, body, r: Fraction, i: int, j: int, a: int, slack: Fraction = Fraction(0)):
+        if r <= 0:
+            raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs r > 0, got {r}")
+        self._set((body, r, i, j, a, slack), body=body, r=r, i=i, j=j, a=a, slack=slack,
+                  coeff=RingElem.monomial(i, j, r))
 
     def show(self, pol: int) -> str:
         slack = f" - {self.slack} x^{self.a + 1}" if self.slack else ""
@@ -187,22 +199,25 @@ def _turan(k: int) -> Sum:
     return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
 
 
-@dataclass(frozen=True)
 class TheoremSpec:
-    id: str
-    label: str               # e.g. "1.2" -- used only in reports
-    threshold: int           # stated bound: the statement holds for n >= threshold
-    shift: int               # reindex used by the certified form (n -> n+shift)
-    N: int                   # truncation order of the envelopes
-    statement: object        # expression tree: the statement is "value > 0"
-    ineq_id: str
-    seam: int                # cap for the certified crossover: one past the recorded exact range
+    def __init__(self, id: str, label: str, threshold: int, shift: int, N: int, statement, ineq_id: str,
+                 seam: int):
+        if sum(isinstance(n, Companion) for n in _nodes(statement)) > 1:  # a t^2 term would not fit A + B t
+            raise ValueError(f"{id}: at most one companion, and none under a square")
+        if _weight_degree(statement)[1] is None:  # the scans' error bound needs one degree
+            raise ValueError(f"{id}: the statement is not homogeneous")
+        vars(self).update(
+            id=id,
+            label=label,          # e.g. "1.2" -- used only in reports
+            threshold=threshold,  # stated bound: the statement holds for n >= threshold
+            shift=shift,          # reindex used by the certified form (n -> n+shift)
+            N=N,                  # truncation order of the envelopes
+            statement=statement,  # expression tree: the statement is "value > 0"
+            ineq_id=ineq_id,
+            seam=seam,            # cap for the certified crossover: one past the recorded exact range
+        )
 
-    def __post_init__(self):  # a t^2 term would not fit the exact value A + B t
-        if sum(isinstance(n, Companion) for n in _nodes(self.statement)) > 1:
-            raise ValueError(f"{self.id}: at most one companion, and none under a square")
-        if _weight_degree(self.statement)[1] is None:  # the scans' error bound needs one degree
-            raise ValueError(f"{self.id}: the statement is not homogeneous")
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def scan_floor(self) -> int:
@@ -527,12 +542,16 @@ class HybridPoly:
 # -- inequality construction ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IneqPoly:
-    poly: HybridPoly
-    x0: Dyadic          # validity radius: round-up of window^{-1/2}
-    window: int         # largest envelope floor among the shifts involved
-    side_lemma: Certificate | None = None  # the first side lemma not proved, if any
+    def __init__(self, poly: HybridPoly, x0: Dyadic, window: int, side_lemma: Certificate | None = None):
+        vars(self).update(
+            poly=poly,
+            x0=x0,                  # validity radius: round-up of window^{-1/2}
+            window=window,          # largest envelope floor among the shifts involved
+            side_lemma=side_lemma,  # the first side lemma not proved, if any
+        )
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def fixed(self) -> list[tuple[int, int]]:
@@ -641,16 +660,18 @@ build_ineq.cache_clear = _built.cache_clear
 # -- positivity certification --------------------------------------------------
 
 
-@dataclass
 class Certificate:
-    status: str                       # "proved" or "inconclusive"
-    x_star: Dyadic
-    n_star: int
-    leading_zero_degree: int
-    prec: int
-    reason: str = ""
-    negative_witness: tuple[float, float] | None = None
     subdivision_count = 0  # one range check, no bisection: kept for the report format
+
+    def __init__(self, status: str, x_star: Dyadic, n_star: int, leading_zero_degree: int, prec: int,
+                 reason: str = "", negative_witness: tuple[float, float] | None = None):
+        self.status = status  # "proved" or "inconclusive"
+        self.x_star = x_star
+        self.n_star = n_star
+        self.leading_zero_degree = leading_zero_degree
+        self.prec = prec
+        self.reason = reason
+        self.negative_witness = negative_witness
 
     @property
     def proved(self) -> bool:
@@ -840,21 +861,24 @@ def sharpness_scan(theorem_id: str, table: QTable) -> list[int]:
 # -- full verification -------------------------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    theorem: str
-    label: str
-    threshold: int
-    shift: int
-    n_star: int
-    exact_range: tuple[int, int]          # shifted coordinates, as certified
-    exact_violations: list[int]           # statement coordinates
-    sharpness_witness: int | None
-    status: str                            # pass / fail / inconclusive
-    precision_bits: int
-    certificate: Certificate
-    seconds: float
-    holds_from: int | None = None          # when violations exist: verified fresh start
+    def __init__(self, theorem: str, label: str, threshold: int, shift: int, n_star: int,
+                 exact_range: tuple[int, int], exact_violations: list[int], sharpness_witness: int | None,
+                 status: str, precision_bits: int, certificate: Certificate, seconds: float,
+                 holds_from: int | None = None):
+        self.theorem = theorem
+        self.label = label
+        self.threshold = threshold
+        self.shift = shift
+        self.n_star = n_star
+        self.exact_range = exact_range              # shifted coordinates, as certified
+        self.exact_violations = exact_violations    # statement coordinates
+        self.sharpness_witness = sharpness_witness
+        self.status = status                        # pass / fail / inconclusive
+        self.precision_bits = precision_bits
+        self.certificate = certificate
+        self.seconds = seconds
+        self.holds_from = holds_from                # when violations exist: verified fresh start
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {

@@ -252,8 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ValueError as exc:  # a request the library, or a check of a CLI-only input, rejects
         return _usage(str(exc))
-    except SystemExit as exc:
-        return exc.code
 
 
 if __name__ == "__main__":

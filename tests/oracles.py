@@ -70,11 +70,13 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
 * ``contains_interval`` / ``contains`` / ``width`` / ``mag`` /
   ``budget_fields`` -- interval and budget queries that only the tests ask,
   on exact ``Fraction`` ends where they compute.
+* ``replace`` -- a copy of a qcert record with some fields changed, its
+  fields being its constructor's parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+import inspect
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -718,9 +720,19 @@ def mag(x: Interval) -> Dyadic:
     return max(abs(x.lo), abs(x.hi))
 
 
+def _fields(record) -> dict[str, object]:
+    """A qcert record's fields by name: its constructor's parameters, in order."""
+    return {name: getattr(record, name) for name in inspect.signature(type(record)).parameters}
+
+
 def budget_fields(budget: ErrorBudget) -> dict[str, Dyadic]:
     """Every bound of an ErrorBudget by name (all fields but N and s)."""
-    return {f.name: getattr(budget, f.name) for f in fields(budget) if f.name not in ("N", "s")}
+    return {name: value for name, value in _fields(budget).items() if name not in ("N", "s")}
+
+
+def replace(record, **changes):
+    """A new record of record's type, with the given fields changed and the rest copied."""
+    return type(record)(**{**_fields(record), **changes})
 
 
 # -- the rational replay of the expansion -----------------------------------

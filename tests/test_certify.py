@@ -4,7 +4,6 @@ crossover search, and agreement between the certified and exact regimes.
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -25,6 +24,7 @@ from oracles import (
     pi_bracket,
     positive_untruncated,
     production_pairs,
+    replace,
     replay,
     ring_parts,
     theorem_predicate,

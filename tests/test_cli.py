@@ -1,6 +1,5 @@
 """CLI contract: outputs, exit codes, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qcert.cli as cli
+from oracles import replace
 from qcert.certify import THEOREMS
 from qcert.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
 
@@ -171,6 +171,15 @@ class TestReproduceAll:
                              capture_output=True, env=env, check=True)
         assert hashlib.sha256(run.stdout).hexdigest() == REPRODUCE_ALL_SHA256
 
+    def test_import_skips_code_introspection(self):
+        # every qcert process pays its imports: importing the CLI loads none of
+        # dataclasses, inspect and ast
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import qcert.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+        run = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
+
     def test_subset_pass(self, capsys, table20k):
         code, out, err = run(capsys, "--no-timing", "reproduce-all",
                              "--theorems", "A", "double-turan")
@@ -217,7 +226,7 @@ class TestReproduceAll:
         # nowhere: it reads inconclusive, the run exits 2 though the last
         # theorem passes, and the summary is not "pass"
         monkeypatch.setitem(THEOREMS, "A-companion",
-                            dataclasses.replace(THEOREMS["A-companion"], seam=5100))
+                            replace(THEOREMS["A-companion"], seam=5100))
         code, out, _ = run(capsys, "--no-timing", "reproduce-all", "--theorems", "A-companion", "A")
         assert code == EXIT_INCONCLUSIVE
         blob = json.loads(out)
@@ -286,17 +295,22 @@ def test_rejected_request_exits_usage(capsys, argv, message):
     (("reproduce-all", "--with-errata"), 18507),
     (("--n-max", "20000", "verify", "A"), 20000),
 ])
-def test_table_built_to_the_top_read(monkeypatch, capsys, argv, built):
+def test_table_built_to_the_top_read(monkeypatch, argv, built):
     # without --n-max a command builds q(0..top) for the top index it reads;
     # --n-max keeps its meaning
     sizes = []
 
+    class Stop(Exception):
+        """Raised by the stand-in builder, so that no table is built."""
+
     def record(n_max):
         sizes.append(n_max)
-        raise SystemExit(EXIT_FAIL)
+        raise Stop
 
     monkeypatch.setattr(cli, "load_or_build", record)
-    assert run(capsys, *argv)[0] == EXIT_FAIL and sizes == [built]
+    with pytest.raises(Stop):
+        main(list(argv))
+    assert sizes == [built]
 
 
 def test_precision_floor(capsys):

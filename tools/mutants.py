@@ -276,9 +276,14 @@ MUTANTS = [
            "poly.keep((node, self.N))",
            "a node expanded at one precision reads the ring enclosures of another, on another grid"),
     Mutant("product-ring-part-keyed-on-one-operand", "src/qcert/certify.py",
-           "    a: object\n    b: object\n",
-           "    a: object\n    b: object = field(compare=False)\n",
+           "self._set((a, b), a=a, b=b)",
+           "self._set((a,), a=a, b=b)",
            "products with the first operand in common are one node and share the first one's ring part"),
+    Mutant("node-key-drops-companion-slack", "src/qcert/certify.py",
+           "self._set((body, r, i, j, a, slack),",
+           "self._set((body, r, i, j, a),",
+           "companions that differ only in slack are one node: the second reads the first one's product, "
+           "built with the other slack term"),
     Mutant("box-shared-between-sides", "src/qcert/certify.py",
            "return HybridPoly(_RINGS.setdefault(key, self.ring), self.errs, self.prec)",
            "return HybridPoly(_RINGS.setdefault(key, self.ring), _RINGS.setdefault((key, 0), self.errs), self.prec)",
@@ -377,6 +382,11 @@ MUTANTS = [
            "return max(self.shift, 1 if self.companion else 0)",
            "return self.shift",
            "laguerre3-companion's scans start at n = 0, where its term n^(-9/2) is undefined"),
+    # -- the exact q-table ----------------------------------------------------
+    Mutant("qtable-near-term-sign-flipped", "src/qcert/qtable.py",
+           "- v[n - 36]",
+           "+ v[n - 36]",
+           "q(n - 36) enters Gauss's recurrence with the sign of an odd k: every q(n) from n = 36 on is wrong"),
     # -- the command line -----------------------------------------------------
     Mutant("reproduce-all-last-theorem-wins", "src/qcert/cli.py",
            "worst = max(worst, STATUS_EXIT[report.status])",
