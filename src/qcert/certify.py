@@ -14,10 +14,11 @@ no gap:
   "inconclusive" is never reported as proved.  Side lemmas from the
   same tree prove the factors of every product positive; companion
   slacks are checked in rationals.
-* exact regime: below the certified crossover the same tree, compiled once to
-  a block program, runs over blocks of indices on the table's top bits under
-  one integer error bound, exactly only where that bound leaves a sign open;
-  a companion sign is decided by one exact rule at the box's least corner, never tied.
+* exact regime: below the certified crossover the same tree, written out once as
+  one generated comprehension per block, runs over blocks of indices on the table's
+  top bits under one integer error bound, exactly only where that bound leaves a
+  sign open; a companion sign is decided by one exact rule at the box's least corner,
+  never tied.
 
 The certified crossover n_star is searched upward from the envelope
 validity window and is capped by the seam recorded for each theorem
@@ -31,7 +32,6 @@ import time
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf, isqrt
-from operator import add, mul, sub
 
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
@@ -40,37 +40,21 @@ from .qtable import QTable
 from .ring import ZERO_ELEM, RingElem, sum_of_products
 
 __all__ = [
-    "Q",
-    "Sum",
-    "Mul",
-    "Sq",
-    "Companion",
-    "TheoremSpec",
-    "THEOREMS",
-    "INEQUALITIES",
-    "IneqPoly",
-    "expand_statement",
-    "build_ineq",
-    "Certificate",
-    "certify_positive",
-    "certify_inequality",
-    "find_crossover",
-    "exact_verify",
-    "sharpness_scan",
-    "VerificationReport",
-    "verify_theorem",
+    "Q", "Sum", "Mul", "Sq", "Companion", "TheoremSpec", "THEOREMS", "INEQUALITIES",
+    "IneqPoly", "expand_statement", "build_ineq", "Certificate", "certify_positive", "certify_inequality",
+    "find_crossover", "exact_verify", "sharpness_scan", "VerificationReport", "verify_theorem",
 ]
 
 BLOCK = 128  # indices per exact-scan block: 512 gained no reliable time for 0.6 MB more peak RSS
 _C2_BITS = 32  # the scans' first c^2 bracket: every scanned index has |B^2 c^2 - A^2 n^a| >= 2^-8.6 A^2 n^a
-_SCAN_BITS = 96  # each scan block runs on its table slice's top 96 bits first (_run_truncated)
+_SCAN_BITS = 96  # each scan block runs on its table slice's top 96 bits first (_truncation)
 
 
 # -- theorem statements ---------------------------------------------------------
 
 # Each theorem is written once, as an expression tree over the leaves
-# q(n0 + s), n0 = n - shift.  Exactly, its program (_program) gives lists A, B
-# at m indices from the table q at the first n0: the statement's value is
+# q(n0 + s), n0 = n - shift.  Exactly, its kernel (_source) gives A and B at the
+# indices of a block of the table q from the first n0: the statement's value is
 # A + B t, t = r pi^i sqrt3^j n^{-a/2} the companion term (B None without
 # one).  As an envelope _Expansion walks it to a hybrid polynomial in x = n0^{-1/2}:
 # a leaf becomes L(s) at positive polarity and U(s) at negative polarity, a
@@ -290,53 +274,87 @@ THEOREMS: dict[str, TheoremSpec] = {
 INEQUALITIES: dict[str, str] = {t.ineq_id: t.id for t in THEOREMS.values()}
 
 
-# -- the exact predicate: one block program, integer sign decisions --------------
+# -- the exact predicate: one generated kernel per statement, integer sign decisions --
+
+
+def _shape(node, d: int):
+    """node with its leaves moved down by d, its companion's coefficient left out (a kernel reads A and B)."""
+    if isinstance(node, Q):
+        return node.s - d
+    if isinstance(node, Sum):
+        return tuple((w, _shape(t, d)) for w, t in node.terms)
+    return type(node), *(_shape(c, d) for c in node.children)
+
+
+def _low(node) -> int:
+    return min(n.s for n in _nodes(node) if isinstance(n, Q))
+
+
+def _text(terms: list, lead: bool = False) -> str:
+    """(weight, factor) terms as source, 'x + 2*y - z'; with lead each term carries its sign, ' - z'."""
+    out = "".join(f" + {w}*{f}" for w, f in terms).replace("+ -", "- ").replace(" 1*", " ")
+    return out if lead else out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def _source(statement) -> str:
+    """The statement's scan kernel as source: kernel(q, m, E, T), q the table or its top bits from the
+    block's first n0, returns the open entries (k, a, b) of m indices, a and b the values of A and B (b None
+    without a companion): a <= E, or with one not both b > E and a 2^128 + b T > K = E (2^128 + T).  A subterm
+    read at two or more positions (of its lowest leaf) is one register list over the positions its readers
+    take; all else is inlined in one comprehension, where B is bound once and read again in A."""
+    todo, regs = {None: (statement, {(_low(statement), 0)})}, {}
+    while todo:  # larger subterms first: a subterm's readers are all known when it is reached
+        key = max(todo, key=lambda s: len(list(_nodes(todo[s][0]))))
+        node, uses = todo.pop(key)  # uses: (position, extra length past m) of each reader
+        if node.children and len({p for p, _ in uses}) > 1:  # holds no companion: a statement has one at most
+            start = min(p for p, _ in uses)
+            uses = {(start, max(p + x for p, x in uses) - start)}
+            regs[key] = (f"r{len(regs)}", start, node, *uses)
+        for c in node.children:
+            todo.setdefault(_shape(c, _low(c)), (c, set()))[1].update((p - _low(node) + _low(c), x) for p, x in uses)
+
+    def unit(node, d: int, extra: int) -> tuple[list, list, str, str]:  # (B, R), A = B + R; targets, operands
+        reads = {}  # each slice read, over m + extra positions with q(s) at s + d -> its loop variable
+
+        def mul(xs, ys):  # one term, a sum of several in parentheses
+            if not xs or not ys:
+                return []
+            (u, f), (v, g) = (x[0] if len(x) == 1 else (1, f"({_text(x)})") for x in (xs, ys))
+            return [(u * v, f"{f}*{g}")]
+
+        def split(x, d):
+            reg = x is not node and regs.get(_shape(x, _low(x)))
+            if reg or isinstance(x, Q):
+                src, at = reg[:2] if reg else ("q", 0)
+                at = _low(x) + d - at
+                return [], [(1, reads.setdefault(f"{src}[{at}:{at + extra}+m]", f"v{len(reads)}"))]
+            if isinstance(x, Companion):
+                return sum(split(x.body, d), []), []
+            if isinstance(x, Sum):
+                parts = [(w, split(t, d)) for w, t in x.terms]
+                return tuple([(w * u, f) for w, p in parts for u, f in p[i]] for i in (0, 1))
+            (b1, r1), (b2, r2) = split(x.a, d), split(x.b, d)  # B drops the t^2 term b1 b2
+            return mul(b1, b2 + r2) + mul(b1 + r1, b2), mul(r1, r2) + [(-w, f) for w, f in mul(b1, b2)]
+
+        b, r = split(node, d)
+        return b, r, f"({', '.join(reads.values())},)", f"zip({', '.join(reads)})"
+
+    out = "def kernel(q, m, E, T):\n"
+    for name, start, node, (_, extra) in reversed(regs.values()):  # each after the registers it reads
+        _, r, vs, zs = unit(node, start - _low(node), extra)
+        out += f"    {name} = [{_text(r)} for {vs} in {zs}]\n"
+    b, r, vs, zs = unit(statement, 0, 0)
+    test = f"not ((x := (y := {_text(b)}){_text(r, True)}) << 128) + y*T > K or y <= E" if b else \
+        f"(x := {_text(r)}) <= E"
+    return out + "    K = E * ((1 << 128) + T)\n" * bool(b) + \
+        f"    return [(k, x, {'y' if b else 'None'}) for k, {vs} in enumerate({zs}) if {test}]\n"
 
 
 @lru_cache(maxsize=None)
-def _program(statement) -> tuple[list, tuple, tuple | None]:
-    """The statement as a straight-line program over one block, register 0 the
-    table q: each step (op, args) folds its operands (w, register, start) by op
-    into the next register, as far as they all reach.  A subterm is keyed with
-    its leaves moved down by its lowest, s, so its shifted repeats are one step
-    that readers take at start s.  Returns the steps and the (register, start)
-    of A and of B (None: B = 0)."""
-    reg = {}  # step (op, args) -> its register, each after the steps it reads
-
-    def term(op, parts):  # parts (w, (register, s)); a sum of one unit part is that part
-        if op is add and [w for w, _ in parts] in ([], [1]):
-            return parts[0][1] if parts else None
-        s = min(o for _, (_, o) in parts)
-        return reg.setdefault((op, tuple((w, x, o - s) for w, (x, o) in parts)), len(reg) + 1), s
-
-    def split(x):  # (A, B) of node x
-        if isinstance(x, Q):
-            return (0, x.s), None
-        if isinstance(x, Companion):
-            return (split(x.children[0])[0],) * 2
-        if isinstance(x, Sum):
-            ab = [(w, split(c)) for w, c in x.terms]
-            return term(add, [(w, a) for w, (a, _) in ab]), term(add, [(w, b) for w, (_, b) in ab if b])
-        (a1, b1), (a2, b2) = map(split, x.children)  # B = b1 a2 + a1 b2, A's own step when b1 is a1
-        return term(mul, [(1, a1), (1, a2)]), term(add, [(1, term(mul, [(1, u), (1, v)]))
-                                                         for u, v in ((b1, a2), (a1, b2)) if u and v])
-
-    refs = split(statement)
-    return list(reg), *refs
-
-
-def _run(program, q: list[int], m: int) -> tuple[list[int], list[int] | None]:
-    """Lists A and B of the statement at m indices, q the table from the first n0."""
-    steps, a, b = program
-    regs = [q]
-    for op, ((w, x, i), *rest) in steps:
-        acc = regs[x][i:] if w == 1 else [w * v for v in regs[x][i:]]
-        for w, y, j in rest:  # products have unit weights; a sum subtracts at weight -1
-            ys = regs[y][j:]
-            acc = (list(map(op, acc, ys)) if w == 1 else list(map(sub, acc, ys)) if w == -1 else
-                   [u + w * v for u, v in zip(acc, ys)])
-        regs.append(acc)
-    return tuple(r and regs[r[0]][r[1] : r[1] + m] for r in (a, b))
+def _kernel(statement):
+    """The statement's kernel (_source), compiled once."""
+    exec(compile(_source(statement), "<scan kernel>", "exec"), scope := {})
+    return scope["kernel"]
 
 
 @lru_cache(maxsize=None)
@@ -364,15 +382,16 @@ def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
         (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)
 
 
-def _run_truncated(program, q: list[int], m: int, weight: int, degree: int) -> tuple:
-    """(a, b, e, E): _run on h = q >> e, e = max(0, bitlen(max |q|) - _SCAN_BITS), max |q| and Q = max |h|
-    from q's least and greatest (a shift keeps order).  Each q is (h + delta) 2^e, 0 <= delta < 1, so a degree-d
-    monomial moves by at most (Q + 1)^d - Q^d, and A and B (whose monomials are some of A's) lie in [a - E, a + E]
-    and [b - E, b + E] times 2^(d e), E = W ((Q + 1)^d - Q^d), (W, d) = _weight_degree; h = q, E = 0 when e = 0."""
+def _truncation(q: list[int], weight: int, degree: int) -> tuple[int, int]:
+    """(e, E): a block's kernel runs on h = q >> e, e = max(0, bitlen(max |q|) - _SCAN_BITS), max |q| and
+    Q = max |h| from q's least and greatest (a shift keeps order).  Each q is (h + delta) 2^e, 0 <= delta < 1,
+    so a degree-d monomial moves by at most (Q + 1)^d - Q^d, and A and B (whose monomials are some of A's) lie
+    in [a - E, a + E] and [b - E, b + E] times 2^(d e), a and b the kernel's values on h,
+    E = W ((Q + 1)^d - Q^d), (W, d) = _weight_degree; h = q, E = 0 when e = 0."""
     lo, hi = min(q), max(q)
     e = max(0, max(hi, -lo).bit_length() - _SCAN_BITS)
     top = max(hi >> e, -(lo >> e))
-    return *_run(program, [v >> e for v in q] if e else q, m), e, e and weight * ((top + 1) ** degree - top**degree)
+    return e, e and weight * ((top + 1) ** degree - top**degree)
 
 
 def _t_bound(comp: Companion, c2, ns: range) -> int:
@@ -665,13 +684,9 @@ class Certificate:
 
     def __init__(self, status: str, x_star: Dyadic, n_star: int, leading_zero_degree: int, prec: int,
                  reason: str = "", negative_witness: tuple[float, float] | None = None):
-        self.status = status  # "proved" or "inconclusive"
-        self.x_star = x_star
-        self.n_star = n_star
-        self.leading_zero_degree = leading_zero_degree
-        self.prec = prec
-        self.reason = reason
-        self.negative_witness = negative_witness
+        vars(self).update(status=status,  # "proved" or "inconclusive"
+                          x_star=x_star, n_star=n_star, leading_zero_degree=leading_zero_degree, prec=prec,
+                          reason=reason, negative_witness=negative_witness)
 
     @property
     def proved(self) -> bool:
@@ -817,15 +832,12 @@ def find_crossover(theorem_id: str, prec: int = DEFAULT_PRECISION) -> tuple[int,
 
 def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: bool = True) -> list[int]:
     """Indices n in lo..hi where the theorem's statement fails, decided exactly in integers.  The
-    statement's program runs BLOCK indices at a time on the table slice's top bits (_run_truncated):
-    an index is positive when a > E, or with a companion when A + B t's least on the box, at its
-    corner (a - E, b - E) as t > 0, is positive by the block's bound of t (_t_bound) if b > E, or else
-    by _positive.  Only a truncated block's open indices are decided again, on exact values.
-
-    lo/hi are in shifted coordinates (those of the certified polynomial)
-    unless shifted=False; returned violations are in statement
-    coordinates.
-    """
+    statement's kernel runs BLOCK indices at a time on the table slice's top bits (_truncation): an
+    index is positive when a > E, or with a companion when A + B t's least on the box, at its corner
+    (a - E, b - E) as t > 0, is positive by the block's bound of t (_t_bound) if b > E, or else by
+    _positive.  Only a truncated block's open indices are decided again, on exact values.  lo/hi are
+    in shifted coordinates (the certified polynomial's) unless shifted=False; returned violations are
+    in statement coordinates."""
     spec = THEOREMS[theorem_id]
     start, count = lo + (spec.shift if shifted else 0), hi - lo + 1
     if count <= 0:
@@ -833,21 +845,17 @@ def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: b
     n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
     for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
         table.window(n, width + 1)
-    (weight, degree), program, found = _weight_degree(spec.statement), _program(spec.statement), []
+    (weight, degree), kernel, found = _weight_degree(spec.statement), _kernel(spec.statement), []
     c2 = comp and _c2_bracket(comp, _C2_BITS)  # read once per scan
     for i in range(0, count, BLOCK):
         m = min(BLOCK, count - i)
         q, ns = table.values[n0 + i : n0 + i + m + width], range(start + i, start + i + m)
-        a, b, e, err = _run_truncated(program, q, m, weight, degree)
-        if b is None:  # no companion: B = 0
-            left = [k for k, x in zip(range(m), a, strict=True) if x <= err]
-        else:  # A + B t >= (a - E) + (b - E) t on the box, scaled by 2^(d e)
-            t = _t_bound(comp, c2, ns)
-            left = [k for k, (n, x, y) in enumerate(zip(ns, a, b, strict=True)) if not (
-                y > err and ((x - err) << 128) + (y - err) * t > 0 or _positive(x - err, y - err, n, comp, c2))]
+        (e, err), t = _truncation(q, weight, degree), comp and _t_bound(comp, c2, ns)
+        left = [k for k, x, y in kernel([v >> e for v in q] if e else q, m, err, t)
+                if not (comp and _positive(x - err, y - err, ns[k], comp, c2))]
         if left and err:  # E > 0: the open indices' exact values decide
-            a, b = _run(program, q, m)
-            left = [k for k in left if not (a[k] > 0 if b is None else _positive(a[k], b[k], ns[k], comp, c2))]
+            left = [k for k, x, y in kernel(q, m, 0, t)
+                    if k in left and not (comp and _positive(x, y, ns[k], comp, c2))]
         found += [ns[k] for k in left]
     return found
 
@@ -939,17 +947,8 @@ def verify_theorem(
     else:
         status = "pass" if not violations else "fail"
     return VerificationReport(
-        theorem=theorem_id,
-        label=spec.label,
-        threshold=threshold,
-        shift=spec.shift,
-        n_star=n_star,
-        exact_range=(exact_lo, exact_hi),
-        exact_violations=violations,
-        sharpness_witness=witness,
-        status=status,
-        precision_bits=cert.prec,
-        certificate=cert,
-        seconds=time.perf_counter() - t0,
+        theorem=theorem_id, label=spec.label, threshold=threshold, shift=spec.shift, n_star=n_star,
+        exact_range=(exact_lo, exact_hi), exact_violations=violations, sharpness_witness=witness,
+        status=status, precision_bits=cert.prec, certificate=cert, seconds=time.perf_counter() - t0,
         holds_from=max(violations) + 1 if violations else None,
     )

@@ -6,8 +6,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
-from math import comb
-from operator import mul
+from math import comb, inf
 
 import mpmath as mp
 import pytest
@@ -200,9 +199,17 @@ def _gap(k: int) -> Sum:
     return Sum((1, Sq(Q(k))), (-1, Mul(Q(k - 1), Q(k + 1))))
 
 
-def _program_values(node, q, m):
-    """Lists A, B of a statement node at m indices from the scans' compiled program."""
-    return certify_module._run(certify_module._program(node), q, m)
+def _kernel_values(node, q, m):
+    """Lists A, B of a statement node at m indices from its scan kernel, which leaves every index open at
+    E = inf, in order (B None without a companion)."""
+    ks, a, b = zip(*certify_module._kernel(node)(q, m, inf, 0))
+    assert ks == tuple(range(m))
+    return list(a), None if b[0] is None else list(b)
+
+
+def _oracle_values(node, q, m):
+    """oracles.node_values with A and B as lists (a leaf's is a slice of q)."""
+    return tuple(None if v is None else list(v) for v in node_values(node, q, m))
 
 
 class TestStatements:
@@ -219,7 +226,7 @@ class TestStatements:
         x, y = _companion_sum_and_swapped()
         assert x != y
         q = table2k.values[100:140]
-        assert _program_values(Sq(x), q, 36) == _program_values(Mul(x, y), q, 36)
+        assert _kernel_values(Sq(x), q, 36) == _kernel_values(Mul(x, y), q, 36)
         assert node_exact(Sq(x), q) == node_exact(Mul(x, y), q)
 
     def test_zero_value_is_not_positive(self):
@@ -1144,7 +1151,7 @@ def test_scan_floor_derived_from_statement():
     assert {tid: spec.scan_floor for tid, spec in THEOREMS.items()} == recorded
 
 
-# -- the block program against the recursive oracle -----------------------------
+# -- the scan kernels against the recursive oracle -------------------------------
 
 
 def _toy_statements() -> dict[str, object]:
@@ -1175,7 +1182,7 @@ def _width(node) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
-def test_program_matches_recursive_oracle(name, table2k):
+def test_kernel_matches_recursive_oracle(name, table2k):
     # exactly in (A, B), B None included, at the block lengths the scans and
     # their edges use, on random leaves (0, -1, 1-bit and signed wide values)
     # and on windows of the real table
@@ -1188,20 +1195,94 @@ def test_program_matches_recursive_oracle(name, table2k):
                    [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 64, 700))) for _ in range(m + width)],
                    table2k.values[1000 : 1000 + m + width], table2k.values[2001 - m - width :]]
         for q in vectors:
-            assert _program_values(node, q, m) == node_values(node, q, m), (name, m)
+            assert _kernel_values(node, q, m) == _oracle_values(node, q, m), (name, m)
 
 
-def test_shifted_repeats_are_one_step():
-    # T(1), T(2), T(3) of both double-Turan statements are one T step read at
-    # three offsets, and q^2 of B and B-companion one square step; the companion
-    # product of double-turan-companion is its own B: four products in all
-    steps = {tid: certify_module._program(spec.statement)[0] for tid, spec in THEOREMS.items()}
-    products = {tid: [args for op, args in s if op is mul] for tid, s in steps.items()}
-    assert len(products["double-turan"]) == len(products["double-turan-companion"]) == 4
-    for tid in ("B", "B-companion"):
-        assert sum(args == ((1, 0, 0), (1, 0, 0)) for args in products[tid]) == 1
-    _, (ra, _), (rb, _) = certify_module._program(THEOREMS["double-turan-companion"].statement)
-    assert rb in [x for _, x, _ in steps["double-turan-companion"][ra - 1][1]]
+_WEIGHTS = (-5, -3, -2, -1, 1, 2, 3, 4)
+
+
+def _moved(node, d: int):
+    """node, which has no companion, with its leaves moved up by d."""
+    if isinstance(node, Q):
+        return Q(node.s + d)
+    if isinstance(node, Sum):
+        return Sum(*((w, _moved(t, d)) for w, t in node.terms))
+    return Mul(_moved(node.a, d), _moved(node.b, d))
+
+
+def _random_companion(rng: random.Random, body) -> Companion:
+    return Companion(body, F(rng.randint(1, 9), rng.randint(1, 9)), rng.randint(0, 3), rng.randint(0, 1),
+                     rng.randint(0, 9))
+
+
+def _random_tree(rng: random.Random, degree: int, companion: bool = False, depth: int = 0):
+    """A random homogeneous tree of the degree: leaves at shifts 0-6, sums of small integer weights,
+    products and squares, and with companion exactly one Companion, never under a square."""
+    if companion and rng.random() < 0.3:
+        return _random_companion(rng, _random_tree(rng, degree, False, depth + 1))
+    if depth <= 3 and rng.random() < 0.5:  # one to three terms, one with the companion, some shifted repeats
+        n = rng.randint(1, 3)
+        at = rng.randrange(n) if companion else -1
+        terms = []
+        for i in range(n):
+            term = _random_tree(rng, degree, i == at, depth + 1)
+            if terms and at not in (i, i - 1) and rng.random() < 0.7:
+                term = _moved(terms[-1][1], rng.randint(-certify_module._low(terms[-1][1]), 6 - _width(terms[-1][1])))
+            terms.append((rng.choice(_WEIGHTS), term))
+        return Sum(*terms)
+    if degree == 1:
+        leaf = Q(rng.randint(0, 6))
+        return _random_companion(rng, leaf) if companion else leaf
+    if degree % 2 == 0 and not companion and rng.random() < 0.3:
+        return Sq(_random_tree(rng, degree // 2, False, depth + 1))
+    k, left = rng.randint(1, degree - 1), rng.random() < 0.5
+    return Mul(_random_tree(rng, k, companion and left, depth + 1),
+               _random_tree(rng, degree - k, companion and not left, depth + 1))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_kernels_match_oracles(seed):
+    # random trees against the recursive oracle: every value at the block lengths the scans use,
+    # and on exact values (E = 0) and within a bound E > 0 the open entries are the fused rule's,
+    # which leaves open every index oracles.positive_untruncated finds not positive
+    rng = random.Random(seed)
+    for tree in [_random_tree(rng, rng.randint(1, 4), companion) for companion in (False, True) * 4]:
+        width, comp = _width(tree), next((n for n in certify_module._nodes(tree) if isinstance(n, Companion)), None)
+        assert certify_module._weight_degree(tree)[1] is not None
+        for m in (1, BLOCK - 1, BLOCK, BLOCK + width):
+            q = [rng.choice((-1, 1, 1)) * rng.getrandbits(rng.choice((1, 8, 64, 200))) for _ in range(m + width)]
+            values = _oracle_values(tree, q, m)
+            assert _kernel_values(tree, q, m) == values, tree.show(1)
+            ns = range(1000, 1000 + m)
+            t = comp and certify_module._t_bound(comp, certify_module._c2_bracket(comp, certify_module._C2_BITS), ns)
+            for err in (0, rng.getrandbits(rng.choice((1, 8, 64, 200)))):
+                entries = certify_module._kernel(tree)(q, m, err, t)
+                a, b = values[0], values[1] or [None] * m
+                assert entries == [(k, a[k], b[k]) for k in range(m) if (
+                    a[k] <= err if comp is None else not (b[k] > err and ((a[k] - err) << 128) + (b[k] - err) * t > 0))]
+                if err == 0:
+                    shut = set(range(m)) - {k for k, _, _ in entries}
+                    assert all(a[k] > 0 if comp is None else positive_untruncated(a[k], b[k], ns[k], comp)
+                               for k in shut)
+
+
+def test_registers_are_the_shifted_repeats():
+    # a subterm read at two or more offsets is one register list over the positions its readers
+    # take: q^2 of B and B-companion, read at q(1)..q(3), and T of both double-Turan statements,
+    # read at T(1)..T(3); every other term is inlined, each kernel is one comprehension per block
+    square = "r0 = [v0*v0 for (v0,) in zip(q[1:3+m])]"
+    gap = "r0 = [v0*v0 - v1*v2 for (v0, v1, v2,) in zip(q[1:3+m], q[0:2+m], q[2:4+m])]"
+    expected = {"B": [square], "B-companion": [square], "double-turan": [gap], "double-turan-companion": [gap]}
+    for tid, spec in THEOREMS.items():
+        lines = certify_module._source(spec.statement).splitlines()
+        assert [ln.strip() for ln in lines if ln.startswith("    r") and " = [" in ln] == expected.get(tid, []), tid
+        assert sum("for " in ln for ln in lines) == 1 + len(expected.get(tid, [])), tid
+
+
+def test_companion_term_bound_once():
+    # B is computed once per index and read again as A's companion term: q1 q3 scaled by 4 once
+    source = certify_module._source(THEOREMS["A-companion"].statement)
+    assert "(x := (y := 4*v0*v1) - v2*v3 - 3*v4*v4)" in source and source.count(" 4*") == 1
 
 
 
@@ -1279,11 +1360,11 @@ def _scan_blocks(spec, table, lo, hi):
 
 
 def _brackets_hold(node, q, m) -> tuple[int, int]:
-    """Assert that the program's a and b on the truncated slice lie within E of the exact
+    """Assert that the kernel's a and b on the truncated slice lie within E of the exact
     A and B over 2^(d e); returns (e, E)."""
     weight, degree = certify_module._weight_degree(node)
-    a, b, e, err = certify_module._run_truncated(certify_module._program(node), q, m, weight, degree)
-    for xs, exact in zip((a, b), node_values(node, q, m)):
+    e, err = certify_module._truncation(q, weight, degree)
+    for xs, exact in zip(_kernel_values(node, [v >> e for v in q], m), node_values(node, q, m)):
         if exact is not None:
             for x, v in zip(xs, exact, strict=True):
                 assert (x - err) << degree * e <= v <= (x + err) << degree * e, (x, v, e, err)
@@ -1353,14 +1434,21 @@ def test_spec_refuses_inhomogeneous_statement():
 ZERO = Sum((1, Mul(Q(0), Q(2))), (-1, Mul(Q(2), Q(0))))
 
 
+def _kernel_runs(monkeypatch) -> list:
+    """The q of every kernel run from here on, truncated or exact, in order."""
+    runs, kernel = [], certify_module._kernel
+    monkeypatch.setattr(certify_module, "_kernel", lambda statement: lambda q, *args: runs.append(q) or
+                        kernel(statement)(q, *args))
+    return runs
+
+
 @pytest.mark.parametrize("statement", [ZERO, Companion(ZERO, F(1, 6), 1, 1, 3)], ids=["plain", "companion"])
 def test_open_blocks_rerun_exactly(statement, table20k, monkeypatch):
     # A = B = 0 at every index: the brackets [-E, E] decide nothing, so each block, its
-    # q above 2^96, runs its program twice, truncated and then exact, and every index fails
+    # q above 2^96, runs its kernel twice, truncated and then exact, and every index fails
     spec = TheoremSpec("zero", "0", 1, 0, 14, statement, "none", 2)
     monkeypatch.setitem(certify_module.THEOREMS, spec.id, spec)
-    runs, run = [], certify_module._run
-    monkeypatch.setattr(certify_module, "_run", lambda program, q, m: runs.append(q) or run(program, q, m))
+    runs = _kernel_runs(monkeypatch)
     lo, hi = 2000, 2000 + 2 * BLOCK
     assert exact_verify("zero", table20k, lo, hi, shifted=False) == list(range(lo, hi + 1))
     assert len(runs) == 6 and runs[1::2] == [q for _, q in _scan_blocks(spec, table20k, lo, hi)]
@@ -1383,8 +1471,9 @@ def test_corner_refines_c2_without_rerun(sign, monkeypatch):
             bt = abs(h[n + 1] - 2) * _t(comp, n)  # |b - E| t
             h[n] = h[n + 1] - 2 + (int(mp.floor(bt)) if sign > 0 else -int(mp.ceil(bt)))
     values = [0] * lo + [(h[n] << 300) + rng.getrandbits(300) for n in range(lo, hi + 2)]
-    program, q = certify_module._program(spec.statement), values[lo:]
-    a, b, e, err = certify_module._run_truncated(program, q, BLOCK, 2, 1)
+    q = values[lo:]
+    e, err = certify_module._truncation(q, 2, 1)
+    a, b = _kernel_values(spec.statement, [v >> e for v in q], BLOCK)
     assert (e, err) == (300, 2)
     c2 = (lo_p, lo_q), (hi_p, hi_q) = certify_module._c2_bracket(comp, certify_module._C2_BITS)
     t = certify_module._t_bound(comp, c2, range(lo, hi + 1))
@@ -1392,8 +1481,7 @@ def test_corner_refines_c2_without_rerun(sign, monkeypatch):
         x, y = x - err, y - err
         assert x * y < 0 and (y < 0 or (x << 128) + y * t <= 0), n
         assert y * y * lo_p <= x * x * n**3 * lo_q and y * y * hi_p >= x * x * n**3 * hi_q, n
-    runs, run = [], certify_module._run
-    monkeypatch.setattr(certify_module, "_run", lambda program, q, m: runs.append(q) or run(program, q, m))
+    runs = _kernel_runs(monkeypatch)
     exact = {n: node_exact(spec.statement, values[n : n + 2]) for n in range(lo, hi + 1)}
     assert exact_verify(spec.id, QTable(hi + 1, tuple(values)), lo, hi, shifted=False) == \
         [n for n, (a, b) in exact.items() if not positive_untruncated(a, b, n, comp)] == []
@@ -1409,7 +1497,7 @@ def test_companion_near_margin_decides_like_exact_rule(monkeypatch):
     monkeypatch.setitem(certify_module.THEOREMS, spec.id, spec)
     lo, hi = 1000, 1000 + 2 * BLOCK
     targets = [(s, j) for s in (1, -1, 2, -2) for j in (-1, 0, 1)] + [(0, 0), (0, 1), (0, -1)]
-    program, bounds, previous = certify_module._program(spec.statement), {}, None
+    bounds, previous = {}, None
     while bounds != previous:
         previous, big, values = bounds, 2**400, [0] * lo
         for n in range(lo, hi + 2):
@@ -1418,7 +1506,7 @@ def test_companion_near_margin_decides_like_exact_rule(monkeypatch):
                 e, err = bounds.get(n - lo - (n - lo) % BLOCK, (0, 0))
                 s, j = targets[n % len(targets)]
                 big -= round(F(s * err * (n + 1) + j * n, n) * 2 ** (2 * e) / (values[n] * (n + 1)))
-        bounds = {ns[0] - lo: certify_module._run_truncated(program, q, len(ns), 2, 2)[2:] for ns, q in
+        bounds = {ns[0] - lo: certify_module._truncation(q, 2, 2) for ns, q in
                   _scan_blocks(spec, QTable(hi + 1, tuple(values)), lo, hi)}
     table = QTable(hi + 1, tuple(values))
     exact = {n: node_exact(spec.statement, values[n : n + 2]) for n in range(lo, hi + 1)}
@@ -1427,7 +1515,8 @@ def test_companion_near_margin_decides_like_exact_rule(monkeypatch):
     # the margin is met: positives decided on the brackets and positives left to the exact rule
     decided = {}
     for ns, q in _scan_blocks(spec, table, lo, hi):
-        a, b, e, err = certify_module._run_truncated(program, q, len(ns), 2, 2)
+        e, err = certify_module._truncation(q, 2, 2)
+        a, b = _kernel_values(spec.statement, [v >> e for v in q], len(ns))
         decided.update((n, (x - err) * n + y - err > 0) for n, x, y in zip(ns, a, b))
     positive = [n for n, (a, b) in exact.items() if a * n + b > 0]
     assert {decided[n] for n in positive} == {True, False}

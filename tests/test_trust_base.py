@@ -1,20 +1,25 @@
 """The trust path holds one definition per quantity and no test oracle:
 names that only tests call live in tests/oracles.py, and removed dead
 code and duplicates do not come back under any ``qcert`` module.  The
-enclosure kernels, the fixed-point Horner, the ring evaluation and the exact
-scans' program runner and companion sign use no floating point, and nothing
-in ``qcert`` imports mpmath."""
+enclosure kernels, the fixed-point Horner, the ring evaluation, the exact
+scans' kernel generator, the kernels it writes and their companion sign use no
+floating point, and nothing in ``qcert`` imports mpmath."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracles
 import qcert
+import qcert.certify as certify_module
 from qcert.bounds import ErrorBudget
 from qcert.certify import (
     Certificate,
@@ -25,6 +30,7 @@ from qcert.certify import (
     Q,
     Sq,
     Sum,
+    THEOREMS,
     build_ineq,
     certify_inequality,
     certify_positive,
@@ -106,7 +112,10 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            # a node's exact parts and enclosures are one ring part, certify._Ring
            "_Parts", "_Exact",
            # Interval.from_fraction under another name: it takes an int or a Fraction
-           "_iv")
+           "_iv",
+           # the register machine of the scans: each statement is one generated kernel
+           # (certify._source), with one comprehension per block
+           "_program", "_run", "_run_truncated")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -143,8 +152,8 @@ REMOVED_METHODS = (
     # coefficients and error boxes are integer pairs at 2^-w, not Intervals
     (HybridPoly, "ring_ivs"),
     (HybridPoly, "coeff_intervals"),
-    # the per-node exact values: the scans run one compiled program per
-    # statement (certify._program), the recursion is oracles.node_values
+    # the per-node exact values: the scans run one generated kernel per
+    # statement (certify._source), the recursion is oracles.node_values
     (Q, "values"),
     (Sum, "values"),
     (Mul, "values"),
@@ -333,11 +342,43 @@ def test_enclosures_use_no_floating_point():
     ("ring.py", "RingElem.eval_iv"),
     ("ring.py", "RingElem.fixed"),
     ("ring.py", "_power"),
-    ("certify.py", "_run"),
+    ("certify.py", "_source"),
     ("certify.py", "_positive"),
 ])
 def test_evaluation_kernels_use_no_floating_point(module, qualname):
     assert _float_uses(_function(Path(qcert.__file__).parent / module, qualname)) == []
+
+
+# the names a generated kernel may read besides its own: the table, the block length,
+# the bound, the block's bound of t and the two builtins of its loop
+KERNEL_NAMES = {"q", "m", "E", "T", "enumerate", "zip"}
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_generated_kernels_are_integer_only(tid):
+    # no float literal, no true division, and no name but its arguments, registers, loop
+    # variables, K, enumerate and zip: each kernel is exact integer arithmetic on q
+    tree = ast.parse(certify_module._source(THEOREMS[tid].statement))
+    assert _float_uses(tree) == []
+    (kernel,) = tree.body
+    assert [a.arg for a in kernel.args.args] == ["q", "m", "E", "T"]
+    assert not any(isinstance(n, ast.Div) for n in ast.walk(tree))
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+    assert all(re.fullmatch(r"r\d+|v\d+|[kxyK]", name) for name in bound), bound
+    assert {n.id for n in names} <= KERNEL_NAMES | bound
+
+
+def test_generated_kernels_deterministic():
+    # each theorem's kernel source is the same text under two hash seeds and two theorem orders
+    src = str(Path(qcert.__file__).resolve().parents[1])
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); from qcert.certify import THEOREMS, _source; "
+            "ids = sorted(THEOREMS)[::int(sys.argv[2])]; "
+            "print(json.dumps({t: _source(THEOREMS[t].statement) for t in ids}, sort_keys=True))")
+    runs = {subprocess.run([sys.executable, "-c", code, src, order], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "1") for order in ("1", "-1")}
+    assert len(runs) == 1 and runs.pop().count("def kernel") == len(THEOREMS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -363,21 +363,31 @@ MUTANTS = [
            "if False:",
            "a truncated block's open indices are reported as violations without their exact values"),
     Mutant("scan-corner-at-upper-end", "src/qcert/certify.py",
-           "_positive(x - err, y - err, n, comp, c2)",
-           "_positive(x + err, y + err, n, comp, c2)",
+           "_positive(x - err, y - err, ns[k], comp, c2)",
+           "_positive(x + err, y + err, ns[k], comp, c2)",
            "A + B t is least on the box at (a - E, b - E): the upper corner overstates the value"),
     Mutant("program-operand-offset-off-by-one", "src/qcert/certify.py",
-           "ys = regs[y][j:]",
-           "ys = regs[y][j + 1:]",
-           "a step reads its second operand one index late: a product pairs values of different n"),
+           "split(x.a, d), split(x.b, d)",
+           "split(x.a, d), split(x.b, d + 1)",
+           "a product reads its second operand one index late: it pairs values of different n"),
     Mutant("exact-scan-accepts-zero", "src/qcert/certify.py",
-           "if x <= err]",
-           "if x < err]",
+           "kernel([v >> e for v in q] if e else q, m, err, t)",
+           "kernel([v >> e for v in q] if e else q, m, err - 1, t)",
            "at a = E the bracket's lower end is 0, so A may be 0, and the statement is 'value > 0'"),
     Mutant("exact-rule-accepts-zero", "src/qcert/certify.py",
-           "a[k] > 0 if b is None",
-           "a[k] >= 0 if b is None",
+           "kernel(q, m, 0, t)",
+           "kernel(q, m, -1, t)",
            "the statement is 'value > 0': a zero value is a violation"),
+    # The generator's own: its companion test y <= E as y < E has no mutant, as it is
+    # equivalent (at b = E the fused test reads a > E, a positive corner (a - E, 0)).
+    Mutant("kernel-register-read-at-offset-0", "src/qcert/certify.py",
+           'src, at = reg[:2] if reg else ("q", 0)',
+           'src, at = (reg[0], _low(x) + d) if reg else ("q", 0)',
+           "every reader of a register takes its first m values: T(1), T(2), T(3) all read as T(1)"),
+    Mutant("kernel-open-test-strict", "src/qcert/certify.py",
+           'f"(x := {_text(r)}) <= E"',
+           'f"(x := {_text(r)}) < E"',
+           "a fused a <= E as a < E accepts a = E, where A may be 0, and a = 0 on exact values"),
     Mutant("scan-floor-without-companion", "src/qcert/certify.py",
            "return max(self.shift, 1 if self.companion else 0)",
            "return self.shift",
