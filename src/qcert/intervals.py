@@ -11,7 +11,7 @@ Precision is the working mantissa width in bits, and every operation
 that rounds takes it as a required argument: ``x.mul(y, prec)``.  There
 is no default and no hidden state, so no rounding can happen at a width
 its caller did not name.  Neither type has binary arithmetic operators: a
-``Dyadic`` only negates, scales by a power of 2 and compares, exactly,
+``Dyadic`` only negates, scales by a power of 2 and compares (== and >),
 and every sum or product of endpoints is formed on raw mantissas.
 
 Mantissas are plain Python ints, so there is no overflow and no hidden
@@ -58,7 +58,7 @@ GUARD = 16  # the fixed-point scale of polynomial coefficients is 2^-(prec + GUA
 
 class DomainError(ValueError):
     """Raised when an operation's input leaves its mathematical domain
-    (division by an interval containing zero, sqrt/log of negatives)."""
+    (division by an interval that is not positive, sqrt/log of negatives)."""
 
 
 def check_precision(prec: int) -> None:
@@ -74,8 +74,6 @@ def _round_mantissa(man: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
     Rounds toward +inf when up is true, toward -inf otherwise, so the
     result brackets the exact value from the requested side.
     """
-    if man == 0:
-        return 0, 0
     excess = man.bit_length() - prec
     if excess <= 0:
         return man, exp
@@ -146,9 +144,6 @@ class Dyadic:
         d.man, d.exp = -self.man, self.exp
         return d
 
-    def __abs__(self) -> "Dyadic":
-        return -self if self.man < 0 else self
-
     def scale(self, k: int) -> "Dyadic":
         """Exact multiplication by 2**k."""
         if self.man == 0:
@@ -174,20 +169,8 @@ class Dyadic:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Dyadic) and self.man == other.man and self.exp == other.exp
 
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
-
     def __gt__(self, other: "Dyadic") -> bool:
         return self._cmp(other) > 0
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
-
-    def __hash__(self):
-        return hash((self.man, self.exp))
 
     # -- conversions ---------------------------------------------------
 
@@ -245,14 +228,9 @@ class Dyadic:
         return (self.man > 0) - (self.man < 0)
 
 
-ZERO = Dyadic(0)
-
-
 def _div_raw(ma: int, ea: int, mb: int, eb: int, prec: int, up: bool) -> tuple[int, int]:
     """Directed rounding of (ma*2**ea)/(mb*2**eb) toward +inf (up) or -inf,
-    as a raw (man, exp) pair, the quotient carrying prec + 2 bits."""
-    if mb < 0:
-        ma, mb = -ma, -mb
+    as a raw (man, exp) pair, the quotient carrying prec + 2 bits; mb > 0."""
     # scale numerator so the integer quotient carries prec+2 significant bits
     shift = prec + 2 - (ma.bit_length() - mb.bit_length())
     if shift >= 0:
@@ -387,11 +365,9 @@ class Interval:
 
     def div(self, other: "Interval", prec: int) -> "Interval":
         check_precision(prec)
-        if other.lo.sign <= 0 <= other.hi.sign:
-            raise DomainError(f"division by interval containing zero: {other}")
+        if other.lo.sign <= 0:
+            raise DomainError(f"division needs a positive divisor, got {other}")
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if c.sign < 0:  # x/y = (-x)/(-y): make the divisor positive
-            a, b, c, d = -b, -a, -d, -c
         # for y > 0, x/y rises with x, and with y where x < 0: the sign of
         # each end of the numerator picks its divisor
         lo_den = d if a.sign >= 0 else c
@@ -400,15 +376,10 @@ class Interval:
                         Dyadic(*_div_raw(b.man, b.exp, hi_den.man, hi_den.exp, prec, True)))
 
     def pow_int(self, k: int, prec: int) -> "Interval":
-        """Integer power; even powers of straddling intervals floor at 0."""
+        """Power k >= 0 by square-and-multiply: it encloses x^k for every x in self."""
         check_precision(prec)
-        if k == 0:
-            return Interval.point(1)
         if k < 0:
-            return Interval.point(1).div(self.pow_int(-k, prec), prec)
-        if k % 2 == 0 and self.lo.sign < 0 <= self.hi.sign:
-            m = max(abs(self.lo), abs(self.hi))
-            return Interval(ZERO, (Interval(m, m).pow_int(k, prec)).hi)
+            raise ValueError(f"pow_int needs k >= 0, got {k}")
         result = Interval.point(1)
         base = self
         e = k

@@ -94,14 +94,10 @@ class RingElem:
             acc[k] = get(k, 0) + v * mb
         return RingElem.from_cleared(den, acc)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "RingElem") -> "RingElem":
         if not self.ints or not other.ints:
             return ZERO_ELEM
         return sum_of_products([(self, other)])
-
-    __rmul__ = __mul__
 
     def scale(self, c: Fraction | int) -> "RingElem":
         c = Fraction(c)

@@ -376,8 +376,9 @@ def check_main_term_sandwich(table, n: int, m: int, prec: int = DEFAULT_PRECISIO
     while True:
         nu = bessel_arg(n, p)
         thr = decay_threshold(m + 1, p)
-        in_regime = nu.lo.to_fraction() >= 26 and nu.lo >= thr.hi
-        out_regime = nu.hi.to_fraction() < 26 or nu.hi < thr.lo
+        (nu_lo, nu_hi), (thr_lo, thr_hi) = nu.to_fractions(), thr.to_fractions()
+        in_regime = nu_lo >= 26 and nu_lo >= thr_hi
+        out_regime = nu_hi < 26 or nu_hi < thr_lo
         if not in_regime and not out_regime and p < MAX_PRECISION:
             p *= 2
             continue
@@ -468,7 +469,7 @@ def atanh_series_loop(u: Interval, prec: int) -> Interval:
         # with u <= 1/3 the factor 1/((2j+1)(1-u^2)) is below 2
         bound = power.hi
         if bound.sign <= 0 or bound.exp + bound.man.bit_length() < -wp:
-            tail_hi = abs(bound).round(prec, up=True).scale(1)
+            tail_hi = (-bound if bound.sign < 0 else bound).round(prec, up=True).scale(1)
             total = total.add(Interval(Dyadic(0), tail_hi), wp)
             break
         total = total.add(power.div(Interval.point(2 * j + 1), wp), wp)
@@ -700,7 +701,8 @@ def ring_eval_iv_loop(e: RingElem, prec: int) -> Interval:
 
 
 def contains_interval(outer: Interval, inner: Interval) -> bool:
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
+    (a, b), (c, d) = outer.to_fractions(), inner.to_fractions()
+    return a <= c and d <= b
 
 
 def contains(x: Interval, value: Fraction | int) -> bool:
@@ -716,8 +718,8 @@ def width(x: Interval) -> Fraction:
 
 
 def mag(x: Interval) -> Dyadic:
-    """max |t| over the interval."""
-    return max(abs(x.lo), abs(x.hi))
+    """max |t| over the interval: the larger of -lo and hi."""
+    return max(-x.lo, x.hi)
 
 
 def _fields(record) -> dict[str, object]:

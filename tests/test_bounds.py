@@ -283,7 +283,8 @@ class TestEnvelopes:
         lo_poly = bound_poly(s, N, -1)
         direct = prefactor(n).mul(lo_poly.eval_iv(x_of(n)), 192)
         via = bound_value(n, s, N, -1)
-        assert direct.lo <= via.hi and via.lo <= direct.hi  # overlapping enclosures
+        (d_lo, d_hi), (v_lo, v_hi) = direct.to_fractions(), via.to_fractions()
+        assert d_lo <= v_hi and v_lo <= d_hi  # overlapping enclosures
 
     def test_sandwich_sampled(self, table20k):
         rng = random.Random(2718)

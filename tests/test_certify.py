@@ -361,6 +361,13 @@ class TestCertifyPositive:
         assert not cert.proved
         assert cert.negative_witness is not None
 
+    def test_negative_witness_in_json(self):
+        # x - x^2 is -2 at x0 = 2: the report carries the witness
+        ineq = _toy_ineq({1: RingElem.from_rational(1), 2: RingElem.from_rational(-1)}, F(2))
+        out = certify_positive(ineq, ineq.x0).to_json_dict()
+        assert out["status"] == "inconclusive" and out["negative_witness_x"] == [2.0, 2.0]
+        assert out["reason"] == "certified negative at x=2.0"
+
     def test_positive_on_smaller_radius(self):
         # the same polynomial is certifiable on (0, 1/2]
         ineq = _toy_ineq(

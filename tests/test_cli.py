@@ -105,6 +105,14 @@ class TestVerifyAndCertify:
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["status"] == "inconclusive"
 
+    def test_wide_x_star_reads_as_at_192_bits(self, capsys):
+        # at 1536 bits x_star's mantissa is too wide for a float: it is rounded
+        # to 53 bits first, and reads as the 192-bit report's
+        _, out192, _ = run(capsys, "certify", "ineq1")
+        code, out1536, _ = run(capsys, "--precision", "1536", "certify", "ineq1")
+        assert code == EXIT_PASS and json.loads(out1536)["precision_bits"] == 1536
+        assert json.loads(out1536)["x_star"] == json.loads(out192)["x_star"] == 0.014115341904011565
+
     def test_certify_below_window_usage_error(self, capsys):
         code, out, err = run(capsys, "certify", "ineq1", "--n-star", "100")
         assert code == EXIT_USAGE and out == ""
@@ -240,6 +248,12 @@ class TestReproduceAll:
         assert code == EXIT_USAGE and out == ""
         assert err == ("error: envelope validity window 18505 of laguerre3 at 16 bits "
                        "lies above its seam 18502\n")
+
+    def test_seconds_only_with_timing(self, capsys):
+        # the summary's wall time is reported unless --no-timing drops it
+        _, timed, _ = run(capsys, "reproduce-all", "--theorems", "A")
+        _, untimed, _ = run(capsys, "--no-timing", "reproduce-all", "--theorems", "A")
+        assert json.loads(timed)["seconds"] >= 0 and "seconds" not in json.loads(untimed)
 
     def test_unknown_id(self, capsys):
         code, _, _ = run(capsys, "reproduce-all", "--theorems", "bogus")

@@ -192,8 +192,7 @@ class TestRefinementAndSubdivision:
             whole = fn(Interval(da, db), 100)
             left = fn(Interval(da, dm), 100)
             right = fn(Interval(dm, db), 100)
-            assert whole.lo <= left.lo and right.hi <= whole.hi
-            assert whole.lo <= right.lo and left.hi <= whole.hi
+            assert contains_interval(whole, left) and contains_interval(whole, right)
 
 
 # -- the integer kernels against mpmath and the Interval-loop oracles ---------

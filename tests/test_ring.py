@@ -66,6 +66,11 @@ def test_invalid_sqrt3_exponent():
         RingElem({(0, 2): Fraction(1)})
 
 
+def test_repr_shows_the_exact_form():
+    e = RingElem({(0, 0): Fraction(1, 2), (-1, 1): Fraction(-3)})
+    assert repr(e) == "RingElem<-3 pi^-1 sqrt3 + 1/2>" and repr(RingElem()) == "RingElem<0>"
+
+
 def test_distributivity_randomized():
     rng = random.Random(31415)
     for _ in range(1000):

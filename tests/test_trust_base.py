@@ -115,7 +115,9 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            "_iv",
            # the register machine of the scans: each statement is one generated kernel
            # (certify._source), with one comprehension per block
-           "_program", "_run", "_run_truncated")
+           "_program", "_run", "_run_truncated",
+           # the zero of pow_int's floor for even powers of a straddling interval
+           "ZERO")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),
@@ -191,7 +193,15 @@ REMOVED_METHODS = (
     (Dyadic, "cmp_fraction"),
     (RingElem, "__sub__"),
     (RingElem, "__neg__"),
+    # members only tests reached: pow_int's floor read |x|, and nothing multiplies
+    # a ring element by a scalar with * (RingElem.scale does)
+    (Dyadic, "__abs__"),
+    (RingElem, "__rmul__"),
 )
+
+# Dyadic compares with == and > only (Interval.__init__, certify_positive, max in
+# enclose_cosh); <, <= and >= and the hash were for tests, which compare to_fraction()
+DYADIC_REMOVED_COMPARISONS = ("__lt__", "__le__", "__ge__")
 
 # Every operation that rounds takes its precision from the caller.
 PRECISION_REQUIRED = (
@@ -257,6 +267,15 @@ def test_oracle_lives_in_tests(name):
 @pytest.mark.parametrize("cls, name", REMOVED_METHODS)
 def test_method_removed(cls, name):
     assert not hasattr(cls, name) and name not in inspect.signature(cls).parameters  # nor a field
+
+
+@pytest.mark.parametrize("name", DYADIC_REMOVED_COMPARISONS)
+def test_dyadic_comparison_removed(name):
+    assert name not in vars(Dyadic)
+
+
+def test_dyadic_unhashable():
+    assert vars(Dyadic)["__hash__"] is None
 
 
 @pytest.mark.parametrize("cls", [oracles._TightExpansion, oracles._Replay], ids=lambda c: c.__name__)

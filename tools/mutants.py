@@ -18,6 +18,11 @@ mutant was killed.
 A killed mutant costs seconds to a minute; a survivor costs a full tier-1
 run.  A PR that touches ``intervals``, ``enclosures``, ``ring``, ``bounds``
 or the certifier adds its own mutants here and reports the output.
+
+SIGINT or SIGTERM stops the run: the queued mutants are cancelled, the
+running pytest processes (each in its own session, with any children) are
+terminated, and their temporary trees are removed before the tool exits
+with 128 + the signal's number.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -97,6 +105,14 @@ MUTANTS = [
            "    if up and r:\n        q += 1\n    return q, ea - eb - shift",
            "    return q, ea - eb - shift",
            "an upward quotient is truncated, below the exact quotient"),
+    Mutant("div-accepts-negative-divisor", "src/qcert/intervals.py",
+           "if other.lo.sign <= 0:",
+           "if other.lo.sign == 0:",
+           "each end's divisor is picked for y > 0: for y < 0 the ends are not the least and greatest quotients"),
+    Mutant("pow-int-drops-top-bit", "src/qcert/intervals.py",
+           "while e:  # square-and-multiply",
+           "while e > 1:  # square-and-multiply",
+           "the top bit of k is never multiplied in: x^2 reads 1 and x^3 reads x"),
     Mutant("div-lower-end-divides-by-c", "src/qcert/intervals.py",
            "lo_den = d if a.sign >= 0 else c",
            "lo_den = c",
@@ -422,7 +438,52 @@ MUTANTS = [
 ]
 
 
-def run(mutant: Mutant) -> tuple[str, str]:
+class Interrupted(Exception):
+    """SIGINT or SIGTERM, raised in the main thread."""
+
+    def __init__(self, signum: int):
+        self.signum = signum
+
+
+def _interrupt(signum, frame):
+    raise Interrupted(signum)
+
+
+class Children:
+    """The running pytest processes, each in its own session; after stop() no more start."""
+
+    def __init__(self):
+        self.running: set[subprocess.Popen] = set()
+        self.lock = threading.Lock()
+        self.stopped = False
+
+    def run(self, args: list[str], cwd: str, env: dict) -> tuple[int, str, str] | None:
+        """(exit code, stdout, stderr) of one run, or None once stopped."""
+        with self.lock:
+            if self.stopped:
+                return None
+            proc = subprocess.Popen(args, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, start_new_session=True)
+            self.running.add(proc)
+        try:
+            out, err = proc.communicate()
+        finally:
+            with self.lock:
+                self.running.discard(proc)
+        return proc.returncode, out, err
+
+    def stop(self) -> None:
+        """Start no process from now on, and terminate the running ones with their children."""
+        with self.lock:
+            self.stopped = True
+            for proc in self.running:
+                try:
+                    os.killpg(proc.pid, signal.SIGTERM)
+                except ProcessLookupError:
+                    pass
+
+
+def run(mutant: Mutant, children: Children) -> tuple[str, str]:
     """(verdict, detail) for one mutant, run in its own temporary tree: the
     tests without the pins first, the pins only if those pass."""
     with tempfile.TemporaryDirectory(prefix="qcert-mutant-") as tmp:
@@ -439,17 +500,18 @@ def run(mutant: Mutant) -> tuple[str, str]:
         target.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         for marks, verdict in (("not pin", "killed (containment)"), ("pin", "killed (pin only)")):
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-m", marks],
-                cwd=tmp, env=env, capture_output=True, text=True,
-            )
-            lines = proc.stdout.splitlines()
-            if proc.returncode == 0:
+            result = children.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-m", marks],
+                                  tmp, env)
+            if result is None:
+                return "stopped", ""
+            code, out, err = result
+            lines = out.splitlines()
+            if code == 0:
                 continue
             first = next((ln.split()[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))), None)
-            if proc.returncode == 1 and first:
+            if code == 1 and first:
                 return verdict, first
-            return "error", f"pytest exit {proc.returncode}: {lines[-1] if lines else proc.stderr[-200:]}"
+            return "error", f"pytest exit {code}: {lines[-1] if lines else err[-200:]}"
     return "survived", lines[-1] if lines else ""
 
 
@@ -463,10 +525,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("no mutant selected" if not chosen else "--jobs must be >= 1")
     width = max(len(m.name) for m in chosen)
     verdicts = []
-    with ThreadPoolExecutor(args.jobs) as pool:
-        for m, (verdict, detail) in zip(chosen, pool.map(run, chosen)):
+    signal.signal(signal.SIGINT, _interrupt)
+    signal.signal(signal.SIGTERM, _interrupt)
+    pool, children = ThreadPoolExecutor(args.jobs), Children()
+    try:
+        for m, (verdict, detail) in zip(chosen, pool.map(partial(run, children=children), chosen)):
             verdicts.append(verdict)
             print(f"{m.name:<{width}}  {verdict:<20}  {detail}", flush=True)
+    except Interrupted as stop:
+        pool.shutdown(wait=False, cancel_futures=True)
+        children.stop()
+        pool.shutdown()  # the running mutants remove their trees
+        print(f"stopped by signal {stop.signum} after {len(verdicts)} of {len(chosen)} mutants", file=sys.stderr)
+        return 128 + stop.signum
+    pool.shutdown()
     killed = sum(v.startswith("killed") for v in verdicts)
     print(f"{killed} killed ({verdicts.count('killed (pin only)')} by a pin only), "
           f"{verdicts.count('survived')} survived, {len(verdicts) - killed - verdicts.count('survived')} other "
