@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache, reduce
 from .coeffs import bessel_asym_coeff, expansion_coeff, shift_sigma
 from .enclosures import enclose_cosh, enclose_exp, enclose_log, enclose_pi
 from .intervals import DEFAULT_PRECISION, Dyadic, Interval, horner
+from .qtable import _read_only
 from .ring import RingElem
 
 __all__ = [
@@ -99,10 +100,6 @@ def n_min(N: int, s: int, prec: int = DEFAULT_PRECISION) -> int:
 def window_max(N: int, shifts: tuple[int, ...], prec: int = DEFAULT_PRECISION) -> int:
     """Largest validity floor over a set of shifts."""
     return max(n_min(N, s, prec) for s in shifts)
-
-
-def _read_only(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
 
 
 class ErrorBudget:

@@ -36,7 +36,7 @@ from math import inf, isqrt
 from .bounds import bound_poly, window_max, x_of
 from .enclosures import enclose_pi
 from .intervals import DEFAULT_PRECISION, GUARD, Dyadic, Interval, convolve, horner, round_out
-from .qtable import QTable
+from .qtable import QTable, _read_only
 from .ring import ZERO_ELEM, RingElem, sum_of_products
 
 __all__ = [
@@ -69,10 +69,6 @@ def _paren(node, pol: int) -> str:
     return f"({text})" if isinstance(node, Sum) else text
 
 
-def _read_only(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
-
-
 class _Node:
     """Base of the statement nodes: each __init__ sets its fields once, with their
     tuple (the key) that equality and hashing read, the hash computed once."""
@@ -95,6 +91,8 @@ class Q(_Node):
     children = ()
 
     def __init__(self, s: int):
+        if s < 0:  # a kernel slice q[s:s+m] would read from the end of the block
+            raise ValueError(f"a leaf q(n0 + s) needs s >= 0, got {s}")
         self._set((s,), s=s)
 
     def show(self, pol: int) -> str:
@@ -107,6 +105,8 @@ class Sum(_Node):
     children = property(lambda self: tuple(t for _, t in self.terms))
 
     def __init__(self, *terms: tuple[int, object]):
+        if bad := [w for w, _ in terms if not isinstance(w, int)]:  # the kernels compute in integers
+            raise ValueError(f"a Sum weight must be an int, got {bad[0]!r}")
         self._set((terms,), terms=terms)
 
     def show(self, pol: int) -> str:
@@ -152,6 +152,8 @@ class Companion(_Node):
     def __init__(self, body, r: Fraction, i: int, j: int, a: int, slack: Fraction = Fraction(0)):
         if r <= 0:
             raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs r > 0, got {r}")
+        if a < 0:
+            raise ValueError(f"a companion term r pi^i sqrt3^j n^(-a/2) needs a >= 0, got {a}")
         self._set((body, r, i, j, a, slack), body=body, r=r, i=i, j=j, a=a, slack=slack,
                   coeff=RingElem.monomial(i, j, r))
 
@@ -535,19 +537,19 @@ class HybridPoly:
 
     @staticmethod
     def weighted_sum(terms: list[tuple[int, "HybridPoly"]]) -> "HybridPoly":
-        """The sum of w p over the (w, p) terms, all exact: each ring pair and box is the integer
-        sum of w times the terms' (a negative w swaps a pair's ends), and exact part d the ring
-        sum of w times the terms' parts, below the shortest of their exact prefixes."""
-        pairs, errs = dict.fromkeys(range(max(len(p.ring_pairs) for _, p in terms)), (0, 0)), {}
+        """The sum of w p over the (w, p) terms, all exact: each ring pair and box is convolve's
+        one-term case with the point weight (w, w), summed in integers, and exact part d one
+        sum_of_products of the terms' parts paired with their weights, below the shortest of
+        their exact prefixes."""
+        n = max(len(p.ring_pairs) for _, p in terms)
+        lo, hi, err_lo, err_hi = [0] * n, [0] * n, [0] * n, [0] * n
         for w, p in terms:
-            for out, items in ((pairs, enumerate(p.ring_pairs)), (errs, p.errs.items())):
-                for d, (lo, hi) in items:
-                    x, y = out.get(d, (0, 0))
-                    out[d] = (x + w * lo, y + w * hi) if w >= 0 else (x + w * hi, y + w * lo)
-        rings = [(w, p.ring) for w, p in terms]
-        ring = _Ring(min(r.n for _, r in rings), lambda d: sum((r[d].scale(w) for w, r in rings), ZERO_ELEM),
-                     list(pairs.values()))
-        return HybridPoly(ring, errs, terms[0][1].prec)
+            convolve(lo, hi, [(0, (w, w))], enumerate(p.ring_pairs))
+            convolve(err_lo, err_hi, [(0, (w, w))], p.errs.items())
+        rings = [(RingElem.from_rational(w), p.ring) for w, p in terms]
+        ring = _Ring(min(r.n for _, r in rings), lambda d: sum_of_products((w, r[d]) for w, r in rings),
+                     list(zip(lo, hi)))
+        return HybridPoly(ring, dict(enumerate(zip(err_lo, err_hi))), terms[0][1].prec)
 
     def coeff_pairs(self) -> list[tuple[int, int]]:
         """Per-degree enclosure: ring value plus correction box."""
@@ -620,6 +622,8 @@ class _Expansion:
         """1 + c x^a - slack x^(a+1), a lower bound of 1 + t on (0, x0] that is positive there."""
         if pol < 0:
             raise ValueError("a companion factor is bounded from below only")
+        if not comp.a:  # 1 + c x^0 would take the place of the constant 1
+            raise ValueError("a companion factor needs a >= 1, got a = 0")
         slack, c_hi, x0 = comp.slack, comp.coeff.eval_iv(self.prec).hi.to_fraction(), self.x0.to_fraction()
         need = c_hi * comp.a * self.shift * x0 / 2
         if slack < need:

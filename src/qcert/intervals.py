@@ -276,7 +276,9 @@ def convolve(lo: list[int], hi: list[int], xs, ys) -> None:
     with a <= b.  Nothing is rounded: for pairs at scale 2^-w the sums are
     exact at 2^-2w.  Moore's sign cases are written here only, inline on
     plain integers: this is the inner loop of every product, and
-    ``Interval.mul`` calls it with one term on each side."""
+    ``Interval.mul`` calls it with one term on each side.  A point weight
+    (w, w) is its one-term case too: ``certify.HybridPoly.weighted_sum``
+    scales each term's pairs by it, exact for integer w."""
     ys = list(ys)
     for i, (a, b) in xs:
         for j, (c, d) in ys:

@@ -23,6 +23,7 @@ _NEAR = tuple(k * k for k in range(1, isqrt(BLOCK - 1) + 1))  # k^2 < BLOCK: 1, 
 
 
 def _read_only(self, name, value=None):
+    """__setattr__ and __delattr__ of every record of the package (QTable, bounds' and certify's)."""
     raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
 
 

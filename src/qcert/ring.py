@@ -17,8 +17,11 @@ with hundreds of terms per operand this is roughly an order of magnitude
 faster than Fraction products and is exactly equal.  ``from_cleared`` is
 the one normalising path: it folds the sqrt3^2 keys (j = 2) into 3, drops
 every key that sums to zero and divides by one gcd.  The weighted
-``sum_of_products`` serves each exact part of a ``certify.HybridPoly``
-product, computed only when a zero test needs it.  ``terms`` is the
+``sum_of_products`` is the one accumulation: ``*`` is its one-pair case,
+and it makes each exact part of a ``certify.HybridPoly`` product or
+weighted sum, computed only when a zero test needs it.  There is no ``+``
+and no ``scale``: a sum of elements is a sum of products, each element
+paired with its weight as a rational element.  ``terms`` is the
 {(i, j): Fraction} view, built on demand.
 
 ``fixed`` encloses an element's value by an integer pair at scale 2^-w,
@@ -85,25 +88,10 @@ class RingElem:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other: "RingElem") -> "RingElem":
-        den = lcm(self.den, other.den)
-        ma, mb = den // self.den, den // other.den
-        acc = {k: v * ma for k, v in self.ints.items()}
-        get = acc.get
-        for k, v in other.ints.items():
-            acc[k] = get(k, 0) + v * mb
-        return RingElem.from_cleared(den, acc)
-
     def __mul__(self, other: "RingElem") -> "RingElem":
         if not self.ints or not other.ints:
             return ZERO_ELEM
         return sum_of_products([(self, other)])
-
-    def scale(self, c: Fraction | int) -> "RingElem":
-        c = Fraction(c)
-        if not c:
-            return ZERO_ELEM
-        return RingElem.from_cleared(self.den * c.denominator, {k: v * c.numerator for k, v in self.ints.items()})
 
     # -- queries -----------------------------------------------------------
 

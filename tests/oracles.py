@@ -58,6 +58,10 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   as the box, so a certified negative value refutes the inequality.
 * ``ring_parts`` -- every exact ring part of a ``HybridPoly``, computed
   now, for the pins.
+* ``ring_sum`` -- the sum of w e over (w, e) pairs of ring elements with
+  rational weights, on their ``terms`` in Fractions: the reference for
+  ``sum_of_products`` and every sum the ring accumulates, which never
+  leaves its cleared integers.
 * ``pair_interval`` / ``production_pairs`` -- a fixed-point pair at
   2^-(prec + 16) as an Interval, and a ``HybridPoly``'s pairs as exact
   Fractions.
@@ -624,6 +628,16 @@ def ring_parts(poly: HybridPoly) -> list[RingElem]:
     whole, exact at every degree, up to its length."""
     ring = poly.ring
     return [ring[d] for d in range(min(ring.n, len(ring.pairs)))]
+
+
+def ring_sum(terms) -> RingElem:
+    """The sum of w e over the (w, e) pairs, w rational: each (i, j) of the
+    elements' ``terms`` summed in Fractions, returned as a new element."""
+    total: dict[tuple[int, int], Fraction] = {}
+    for w, e in terms:
+        for k, c in e.terms.items():
+            total[k] = total.get(k, 0) + w * c
+    return RingElem(total)
 
 
 # -- the termwise interval convolution ------------------------------------

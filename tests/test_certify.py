@@ -26,6 +26,7 @@ from oracles import (
     replace,
     replay,
     ring_parts,
+    ring_sum,
     theorem_predicate,
     tight_expansion,
 )
@@ -441,7 +442,7 @@ class TestCertifyPositive:
 
     def test_tight_ring_cancellation(self):
         # (pi sqrt3)(pi^-1 sqrt3) - 3 + x^2: symbolic zero at degree 0
-        c0 = RingElem({(1, 1): F(1)}) * RingElem({(-1, 1): F(1)}) + RingElem.from_rational(-3)
+        c0 = ring_sum([(1, RingElem({(1, 1): F(1)}) * RingElem({(-1, 1): F(1)})), (-3, RingElem.from_rational(1))])
         ineq = _toy_ineq({0: c0, 2: RingElem.from_rational(1)}, F(1))
         cert = certify_positive(ineq, ineq.x0)
         assert cert.proved and cert.leading_zero_degree == 2
@@ -524,10 +525,7 @@ class TestPolynomialPins:
             out, a, b = (ring_parts(x) for x in (lhs.mul(rhs), lhs, rhs))
             assert len(out) > 10
             for k, got in enumerate(out):
-                want = RingElem()
-                for i in range(k + 1):
-                    if k - i < len(b):
-                        want = want + a[i] * b[k - i]
+                want = ring_sum((1, a[i] * b[k - i]) for i in range(k + 1) if k - i < len(b))
                 assert got == want, k
 
 
@@ -790,12 +788,44 @@ class TestLazyExactParts:
         assert product.errs and product.ring.n == min(product.errs) + 1 < n
         assert got.ring.n == product.ring.n
         for d in range(got.ring.n):
-            part = RingElem()
-            for w, p in terms:
-                if d < p.ring.n:
-                    part = part + p.ring[d].scale(w)
-            assert got.ring[d] == part, d
+            assert got.ring[d] == ring_sum((w, p.ring[d]) for w, p in terms if d < p.ring.n), d
         assert any(not got.ring[d].is_zero for d in range(got.ring.n))
+
+    # Hand-made terms: every pair sign (c >= 0, d <= 0, straddling 0, (0, 0)) at some degree,
+    # pairs of different lengths, and each box at a degree where no other term has one.
+    WEIGHTED_TERMS = [
+        ([(2, 5), (-7, -3), (-4, 6), (0, 0)], {3: (-2, 0)}),
+        ([(0, 0), (3, 3), (-9, 1)], {1: (0, 4)}),
+        ([(-5, -5), (0, 8), (0, 0), (1, 2), (-6, -1)], {0: (-3, 5), 4: (-1, 0)}),
+        ([(-1, 4)], {}),
+        ([(6, 9), (-2, 0), (-8, -8), (0, 0), (4, 7), (-3, 3)], {5: (0, 2)}),
+    ]
+
+    @pytest.mark.parametrize("turn", range(5))
+    def test_weighted_sum_of_hand_made_terms(self, turn):
+        # the weights -3, -1, 0, 1, 2, turned so each term takes each weight once over the
+        # cases: pairs and boxes are the termwise sums of min and max of w times the ends,
+        # and exact part d the Fraction sum of w times the terms' parts (the pair's midpoint
+        # plus a pi^(d-1) sqrt3 term: the sum reads no part's pair)
+        weights, prec = [-3, -1, 0, 1, 2][turn:] + [-3, -1, 0, 1, 2][:turn], 16
+        w_scale, terms = 2 ** (prec + 16), []
+        for w, (pairs, errs) in zip(weights, self.WEIGHTED_TERMS):
+            parts = {d: RingElem({(0, 0): F(a + b, 2 * w_scale), (d - 1, 1): F(1, d + 3)})
+                     for d, (a, b) in enumerate(pairs)}
+            terms.append((w, HybridPoly(certify_module._Ring.given_whole(parts, pairs), errs, prec)))
+        got = HybridPoly.weighted_sum(terms)
+        n = max(len(pairs) for pairs, _ in self.WEIGHTED_TERMS)
+        lo, hi, boxes = [0] * n, [0] * n, {}
+        for w, p in terms:
+            for d, (a, b) in enumerate(p.ring_pairs):
+                lo[d], hi[d] = lo[d] + min(w * a, w * b), hi[d] + max(w * a, w * b)
+            for d, (a, b) in p.errs.items():
+                x, y = boxes.get(d, (0, 0))
+                boxes[d] = x + min(w * a, w * b), y + max(w * a, w * b)
+        assert got.ring_pairs == list(zip(lo, hi))
+        assert got.errs == {d: e for d, e in boxes.items() if e != (0, 0)} and got.prec == prec
+        for d in range(n):
+            assert got.ring[d] == ring_sum((w, p.ring[d]) for w, p in terms), d
 
     @pytest.mark.parametrize("part, lo, hi, zero", [
         (RingElem(), 0, 0, True),                        # [0, 0]: zero, no exact part read

@@ -15,6 +15,7 @@ from oracles import (
     binom_factor_closed,
     exp_factor_closed,
     mag,
+    ring_sum,
 )
 from qcert.bounds import error_budget, n_min
 from qcert.certify import THEOREMS
@@ -124,7 +125,7 @@ class TestCoefficientFamilies:
     def test_exp_binom_convolution(self):
         assert exp_binom_coeff(0, 2).terms == {(0, 0): F(1)}
         assert exp_binom_coeff(1, 3).terms == exp_factor_coeff(1, 3).terms
-        expected = exp_factor_coeff(2, 0) + RingElem.from_rational(F(-1, 32))
+        expected = ring_sum([(1, exp_factor_coeff(2, 0)), (F(-1, 32), RingElem.from_rational(1))])
         assert exp_binom_coeff(2, 0).terms == expected.terms
 
     def test_bessel_factor(self):
@@ -134,7 +135,7 @@ class TestCoefficientFamilies:
 
     def test_expansion_low(self):
         assert expansion_coeff(0, 6).terms == {(0, 0): F(1)}
-        expected = exp_binom_coeff(1, 0) + bessel_factor_coeff(1, 0)
+        expected = ring_sum([(1, exp_binom_coeff(1, 0)), (1, bessel_factor_coeff(1, 0))])
         assert expansion_coeff(1, 0).terms == expected.terms
 
     def test_expansion_degree1_value(self):
@@ -199,7 +200,7 @@ def test_rescale_rejects_inhomogeneous_terms():
     # pi^1 in degree 2 (k + i odd), pi^-4 in degree 2 (i < -k)
     for i in (1, -4):
         with pytest.raises(ArithmeticError):
-            _at_shift(RingElem.from_rational(1) + RingElem.monomial(i, 0, 1), 2, 1)
+            _at_shift(RingElem({(0, 0): F(1), (i, 0): F(1)}), 2, 1)
     # a homogeneous element: pi^0 takes t^1 and pi^-2 takes t^0, t = 25
     got = _at_shift(RingElem({(0, 0): F(1, 5), (-2, 1): F(7)}), 2, 1)
     assert list(got.terms.items()) == [((0, 0), F(5)), ((-2, 1), F(7))]
@@ -413,17 +414,13 @@ def test_full_product_consistency(table20k):
 
 
 def test_coefficient_sums_match_ring_sums():
-    # the integer Cauchy sums equal the RingElem sums they replaced, with
-    # the same enclosures, for every (k, s) the theorems use
+    # the integer Cauchy sums equal the Fraction sums of the same products,
+    # with the same enclosures, for every (k, s) the theorems use
     pairs = sorted({(t.N, s) for t in THEOREMS.values() for s in t.shifts})
     for N, s in pairs:
         for k in range(N + 1):
-            eb, full = RingElem(), RingElem()
-            for l in range(k + 1):
-                c = binom_factor_coeff(k - l, s)
-                if c:
-                    eb = eb + exp_factor_coeff(l, s).scale(c)
-                full = full + exp_binom_coeff(l, s) * bessel_factor_coeff(k - l, s)
+            eb = ring_sum((binom_factor_coeff(k - l, s), exp_factor_coeff(l, s)) for l in range(k + 1))
+            full = ring_sum((1, exp_binom_coeff(l, s) * bessel_factor_coeff(k - l, s)) for l in range(k + 1))
             for got, want in [(exp_binom_coeff(k, s), eb), (expansion_coeff(k, s), full)]:
                 assert got == want, (k, s)
                 g, w = got.eval_iv(192), want.eval_iv(192)

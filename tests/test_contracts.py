@@ -8,7 +8,7 @@ import pytest
 
 import qcert.certify as certify_module
 from qcert.bounds import bound_poly, decay_threshold, error_budget, n_min, prefactor
-from qcert.certify import THEOREMS, Companion, Q, build_ineq, certify_positive
+from qcert.certify import THEOREMS, Companion, Q, Sum, build_ineq, certify_positive
 from qcert.coeffs import bessel_asym_coeff, gen_binomial, rising_factorial, shift_sigma
 from qcert.enclosures import _log_point
 from qcert.intervals import DomainError, Dyadic, Interval
@@ -25,12 +25,23 @@ def _factor_at_negative_polarity():
     return expansion.factor(Companion(Q(0), F(1), 0, 0, 1), -1)
 
 
+def _factor_without_power():
+    expansion = certify_module._Expansion(THEOREMS["A-companion"], 192)
+    return expansion.factor(Companion(Q(0), F(1), 0, 0, 0), 1)
+
+
 CHECKS = {
     "interval-lo-above-hi": (lambda: Interval(Dyadic(1), Dyadic(0)), ValueError,
                              r"invalid interval endpoints: \[1, 0\]"),
     "certify-past-radius": (_past_the_radius, ValueError, r"x0=.* beyond validity radius "),
     "factor-negative-polarity": (_factor_at_negative_polarity, ValueError,
                                  "a companion factor is bounded from below only"),
+    "factor-exponent-0": (_factor_without_power, ValueError, "a companion factor needs a >= 1, got a = 0"),
+    "leaf-negative-shift": (lambda: Q(-1), ValueError, r"a leaf q\(n0 \+ s\) needs s >= 0, got -1"),
+    "sum-weight-not-int": (lambda: Sum((F(1, 2), Q(0)), (-1, Q(1))), ValueError,
+                           r"a Sum weight must be an int, got Fraction\(1, 2\)"),
+    "companion-negative-exponent": (lambda: Companion(Q(0), F(1), 0, 0, -1), ValueError,
+                                    r"a companion term r pi\^i sqrt3\^j n\^\(-a/2\) needs a >= 0, got -1"),
     "ring-past-prefix": (lambda: certify_module._Ring(2, None, ())[2], IndexError,
                          r"x\^2 outside the exact prefix 0\.\.1"),
     "decay-threshold-0": (lambda: decay_threshold(0), ValueError, "m must be >= 1"),

@@ -8,12 +8,14 @@ import mpmath as mp
 import pytest
 
 import qcert.ring as ring_module
-from oracles import contains, pi_bracket, ring_bracket, ring_eval_iv_loop, ring_parts
+from oracles import contains, pi_bracket, ring_bracket, ring_eval_iv_loop, ring_parts, ring_sum
 from qcert.certify import INEQUALITIES, build_ineq
 from qcert.coeffs import expansion_coeff
 from qcert.enclosures import enclose_pi
 from qcert.intervals import Interval
-from qcert.ring import RingElem, convolve_terms
+from qcert.ring import RingElem, convolve_terms, sum_of_products
+
+ONE = RingElem.from_rational(1)
 
 
 @pytest.fixture(autouse=True)
@@ -56,7 +58,7 @@ def test_pi_powers_cancel():
 def test_zero_detection():
     a = RingElem({(1, 1): Fraction(2, 3)})
     b = RingElem({(1, 1): Fraction(-2, 3)})
-    assert (a + b).is_zero
+    assert sum_of_products([(a, ONE), (b, ONE)]).is_zero
     assert not a.is_zero
     assert RingElem().is_zero
 
@@ -75,7 +77,8 @@ def test_distributivity_randomized():
     rng = random.Random(31415)
     for _ in range(1000):
         a, b, c = rand_elem(rng), rand_elem(rng), rand_elem(rng)
-        assert ((a + b) * c).terms == (a * c + b * c).terms
+        lhs = ring_sum([(1, a), (1, b)]) * c
+        assert lhs.terms == sum_of_products([(a, c), (b, c)]).terms == ring_sum([(1, a * c), (1, b * c)]).terms
 
 
 def test_mul_commutes_and_associates():
@@ -86,10 +89,11 @@ def test_mul_commutes_and_associates():
         assert ((a * b) * c).terms == (a * (b * c)).terms
 
 
-def test_scale():
+def test_rational_weight():
+    # a rational weight is a factor of its own: the product renormalises, and weight 0 is zero
     a = RingElem({(2, 1): Fraction(3, 7)})
-    assert a.scale(Fraction(7, 3)).terms == {(2, 1): Fraction(1)}
-    assert a.scale(0).is_zero
+    assert sum_of_products([(a, RingElem.from_rational(Fraction(7, 3)))]).terms == {(2, 1): Fraction(1)}
+    assert sum_of_products([(a, RingElem.from_rational(0))]).is_zero
 
 
 def test_eval_contains_reference():
@@ -117,8 +121,8 @@ def test_eval_exact_rational():
 
 def test_symbolic_zero_vs_numeric():
     # pi*sqrt3 * pi^-1*sqrt3 - 3 is exactly zero in the ring
-    e = RingElem({(1, 1): Fraction(1)}) * RingElem({(-1, 1): Fraction(1)})
-    e = e + RingElem.from_rational(-3)
+    e = sum_of_products([(RingElem({(1, 1): Fraction(1)}), RingElem({(-1, 1): Fraction(1)})),
+                         (RingElem.from_rational(-3), ONE)])
     assert e.is_zero
     assert contains(e.eval_iv(64), 0)
 
@@ -252,7 +256,7 @@ def test_eval_iv_matches_interval_loop_on_random_elements(prec):
         e = RingElem({(rng.randint(-6, 6), rng.randint(0, 1)): Fraction(
             rng.randint(-2**70, 2**70), rng.choice((1, 2**rng.randint(1, 90), rng.randint(1, 10**30))))
             for _ in range(rng.randint(0, 6))})
-        e = e + (e.scale(-1) if rng.random() < 0.1 else RingElem())
+        e = ring_sum([(1, e), (-1 if rng.random() < 0.1 else 0, e)])
         assert _contains_value(e, prec), e
 
 
@@ -283,6 +287,8 @@ def test_one_canonical_form(name):
         again = RingElem(e.terms)
         assert again == e and list(again.ints) == list(e.ints)
         b = rand_elem(rng)
-        for same in ((e + b) + b.scale(-1), e.scale(Fraction(7, 3)).scale(Fraction(3, 7)), e.scale(-1).scale(-1),
-                     e * RingElem.from_rational(1)):
+        seven_thirds, three_sevenths = RingElem.from_rational(Fraction(7, 3)), RingElem.from_rational(Fraction(3, 7))
+        for same in (sum_of_products([(e, ONE), (b, ONE), (b, ONE)], [1, 1, -1]),
+                     sum_of_products([(sum_of_products([(e, seven_thirds)]), three_sevenths)]),
+                     sum_of_products([(sum_of_products([(e, ONE)], [-1]), ONE)], [-1]), e * ONE, ring_sum([(1, e)])):
             assert same == e and hash(same) == hash(e)

@@ -66,6 +66,7 @@ ORACLES = (
     "positive_untruncated",
     "tight_expansion",
     "ring_parts",
+    "ring_sum",
     "invariant_a",
     "invariant_b",
     "invariant_i",
@@ -194,9 +195,13 @@ REMOVED_METHODS = (
     (RingElem, "__sub__"),
     (RingElem, "__neg__"),
     # members only tests reached: pow_int's floor read |x|, and nothing multiplies
-    # a ring element by a scalar with * (RingElem.scale does)
+    # a ring element by a scalar with *
     (Dyadic, "__abs__"),
     (RingElem, "__rmul__"),
+    # the pairwise ring sum and scalar multiple: a weighted sum is one
+    # sum_of_products, each part paired with its weight as a ring element
+    (RingElem, "__add__"),
+    (RingElem, "scale"),
 )
 
 # Dyadic compares with == and > only (Interval.__init__, certify_positive, max in

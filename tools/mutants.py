@@ -70,6 +70,9 @@ class Mutant(NamedTuple):
 # bracket-a-without-unit ((ah + 1)^2 taken as ah^2), bracket-b-without-unit
 # ((bh + 1)^2 hi_p taken as bh^2 hi_p) and bracket-upper-test-on-lower-c2 (B t < |A|
 # tested against the lower end of c^2).
+# Retired with RingElem.__add__, when a weighted sum's exact part became one
+# sum_of_products (see weighted-sum-part-ignores-weight): ring-add-keeps-positive-sums
+# (a negative sum of two elements dropped as zero).
 
 MUTANTS = [
     # -- interval arithmetic ------------------------------------------------
@@ -131,12 +134,12 @@ MUTANTS = [
            "p, q = b * d, a * c",
            "for x, y >= 0 the lower end takes the largest product and the upper the smallest"),
     Mutant("weighted-sum-negative-ends-not-swapped", "src/qcert/certify.py",
-           "else (x + w * hi, y + w * lo)",
-           "else (x + w * lo, y + w * hi)",
-           "scaled by w < 0 the lower end w lo is the larger one: the pair no longer encloses"),
+           "convolve(lo, hi, [(0, (w, w))], enumerate(p.ring_pairs))",
+           "convolve(lo, hi, [(0, (abs(w), abs(w)))], enumerate(p.ring_pairs))",
+           "a negative weight's point pair is taken as |w|: -4 [a, b] enters as [4a, 4b], not [-4b, -4a]"),
     Mutant("weighted-sum-part-ignores-weight", "src/qcert/certify.py",
-           "r[d].scale(w) for w, r in rings",
-           "r[d] for w, r in rings",
+           "RingElem.from_rational(w), p.ring",
+           "RingElem.from_rational(1), p.ring",
            "a sum's exact part adds its terms' parts unweighted: 3 q2^2 - 4 q1 q3 is not q2^2 + q1 q3"),
     Mutant("pi-power-bracket-rounded-inward", "src/qcert/ring.py",
            "isqrt(3 * hn * hn << 2 * W) // hd + 1",
@@ -213,10 +216,6 @@ MUTANTS = [
            "            if k & 2:\n                k, v = k - 2, 3 * v\n",
            "",
            "a sqrt3^2 key stays unfolded and is read as sqrt3^0: the term loses its factor 3"),
-    Mutant("ring-add-keeps-positive-sums", "src/qcert/ring.py",
-           "acc[k] = get(k, 0) + v * mb",
-           "acc[k] = max(get(k, 0) + v * mb, 0)",
-           "a negative sum is dropped as zero, so the element is not a + b"),
     Mutant("ring-gcd-not-applied-to-den", "src/qcert/ring.py",
            "e.den, e.ints = den // g, ",
            "e.den, e.ints = den, ",
@@ -312,6 +311,22 @@ MUTANTS = [
            "return IneqPoly(poly, ex.x0, ex.window, ex.side_lemma())",
            "return IneqPoly(poly, ex.x0, ex.window, None)",
            "a product of bounds bounds the product only for nonnegative factors"),
+    Mutant("leaf-accepts-negative-shift", "src/qcert/certify.py",
+           "if s < 0:  # a kernel slice",
+           "if False:  # a kernel slice",
+           "q(n0 - 1) reads the slice q[-1:m-1], the end of the block, not the index before each n0"),
+    Mutant("sum-accepts-fraction-weight", "src/qcert/certify.py",
+           "if not isinstance(w, int)]",
+           "if False]",
+           "a weight 1/2 writes the kernel in floats: the exact scans round"),
+    Mutant("companion-accepts-negative-exponent", "src/qcert/certify.py",
+           "        if a < 0:\n",
+           "        if False:\n",
+           "for a < 0, t rises with n: t at a block's last n is above t at its earlier n, and x^a is no term"),
+    Mutant("factor-accepts-exponent-0", "src/qcert/certify.py",
+           "if not comp.a:",
+           "if False:",
+           "c x^0 takes the place of the constant 1: the factor's constant part is c, not 1 + c"),
     Mutant("companion-slack-unchecked", "src/qcert/certify.py",
            "if slack < need:",
            "if False:",
