@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 from math import inf, isqrt
 
 from .bounds import bound_poly, window_max, x_of
-from .enclosures import enclose_pi
 from .intervals import DEFAULT_PRECISION, GUARD, Dyadic, Interval, convolve, horner, round_out
 from .qtable import QTable, _read_only
 from .ring import ZERO_ELEM, RingElem, sum_of_products
@@ -105,6 +104,8 @@ class Sum(_Node):
     children = property(lambda self: tuple(t for _, t in self.terms))
 
     def __init__(self, *terms: tuple[int, object]):
+        if not terms:  # no degree for the scans' error bound, no term for weighted_sum
+            raise ValueError("a Sum needs at least one term")
         if bad := [w for w, _ in terms if not isinstance(w, int)]:  # the kernels compute in integers
             raise ValueError(f"a Sum weight must be an int, got {bad[0]!r}")
         self._set((terms,), terms=terms)
@@ -361,10 +362,10 @@ def _kernel(statement):
 
 @lru_cache(maxsize=None)
 def _c2_bracket(comp: Companion, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Rational bracket of c^2 = r^2 3^j pi^{2i} as integer ratios: only pi^{2i} needs an enclosure."""
-    k = comp.r * comp.r * 3**comp.j
-    pi_2i = enclose_pi(prec).pow_int(2 * comp.i, prec)
-    return tuple((k * f).as_integer_ratio() for f in pi_2i.to_fractions())
+    """Bracket of c^2 = r^2 3^j pi^{2i} as integer ratios (p, q): the ring's pair of pi^{2i} at 2^-w,
+    w = prec + 16 (RingElem.fixed), times the rational r^2 3^j; for i = 0 the pair is (2^w, 2^w)."""
+    k, pair = comp.r * comp.r * 3**comp.j, RingElem.monomial(2 * comp.i, 0, 1).fixed(prec)
+    return tuple((k.numerator * v, k.denominator << prec + GUARD) for v in pair)
 
 
 def _positive(a: int, b: int, n: int, comp: Companion, c2) -> bool:
@@ -834,26 +835,28 @@ def find_crossover(theorem_id: str, prec: int = DEFAULT_PRECISION) -> tuple[int,
 # -- exact verification ----------------------------------------------------------
 
 
-def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: bool = True) -> list[int]:
-    """Indices n in lo..hi where the theorem's statement fails, decided exactly in integers.  The
-    statement's kernel runs BLOCK indices at a time on the table slice's top bits (_truncation): an
-    index is positive when a > E, or with a companion when A + B t's least on the box, at its corner
-    (a - E, b - E) as t > 0, is positive by the block's bound of t (_t_bound) if b > E, or else by
-    _positive.  Only a truncated block's open indices are decided again, on exact values.  lo/hi are
-    in shifted coordinates (the certified polynomial's) unless shifted=False; returned violations are
-    in statement coordinates."""
+def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int) -> list[int]:
+    """Statement indices n = n0 + shift, n0 in lo..hi (the certified polynomial's index), where the
+    theorem's statement fails, decided exactly in integers.  A nonempty range starting below
+    n0 = scan_floor - shift, where the statement is undefined, is a ValueError; reads past the table
+    are an IndexError.  The statement's kernel runs BLOCK indices at a time on the table slice's top
+    bits (_truncation): an index is positive when a > E, or with a companion when A + B t's least on
+    the box, at its corner (a - E, b - E) as t > 0, is positive by the block's bound of t (_t_bound)
+    if b > E, or else by _positive.  Only a truncated block's open indices are decided again, on
+    exact values."""
     spec = THEOREMS[theorem_id]
-    start, count = lo + (spec.shift if shifted else 0), hi - lo + 1
+    start, count = lo + spec.shift, hi - lo + 1
     if count <= 0:
         return []
-    n0, width, comp = start - spec.shift, spec.shifts[-1], spec.companion
-    for n in (n0, n0 + count - 1):  # the first and last windows: reads outside the table raise here
-        table.window(n, width + 1)
+    if start < spec.scan_floor:
+        raise ValueError(f"{theorem_id}: n0 = {lo} is n = {start}, below the scan floor {spec.scan_floor}")
+    width, comp = spec.shifts[-1], spec.companion
+    table.window(hi, width + 1)  # the last window (lo >= 0 above): a read past the table raises here
     (weight, degree), kernel, found = _weight_degree(spec.statement), _kernel(spec.statement), []
     c2 = comp and _c2_bracket(comp, _C2_BITS)  # read once per scan
     for i in range(0, count, BLOCK):
         m = min(BLOCK, count - i)
-        q, ns = table.values[n0 + i : n0 + i + m + width], range(start + i, start + i + m)
+        q, ns = table.values[lo + i : lo + i + m + width], range(start + i, start + i + m)
         (e, err), t = _truncation(q, weight, degree), comp and _t_bound(comp, c2, ns)
         left = [k for k, x, y in kernel([v >> e for v in q] if e else q, m, err, t)
                 if not (comp and _positive(x - err, y - err, ns[k], comp, c2))]
@@ -867,7 +870,7 @@ def exact_verify(theorem_id: str, table: QTable, lo: int, hi: int, *, shifted: b
 def sharpness_scan(theorem_id: str, table: QTable) -> list[int]:
     """All violations of the statement strictly below its stated threshold."""
     spec = THEOREMS[theorem_id]
-    return exact_verify(theorem_id, table, spec.scan_floor, spec.threshold - 1, shifted=False)
+    return exact_verify(theorem_id, table, spec.scan_floor - spec.shift, spec.threshold - 1 - spec.shift)
 
 
 # -- full verification -------------------------------------------------------------
@@ -923,7 +926,7 @@ def verify_theorem(
     """End-to-end verification: certified crossover, exact range up to
     it with no gap, and the sharpness scan below the threshold.
 
-    Both exact parts come from one scan in statement coordinates, split
+    Both exact parts come from one scan up from the scan floor, split
     at the threshold: the violations at or above it are the exact
     range's, the largest one below it is the sharpness witness.
     threshold_override replaces the stated threshold in that split
@@ -942,8 +945,7 @@ def verify_theorem(
     n_star, cert = find_crossover(theorem_id, prec)
     exact_lo = threshold - spec.shift
     exact_hi = n_star - 1
-    found = exact_verify(theorem_id, table, spec.scan_floor, max(threshold - 1, exact_hi + spec.shift),
-                         shifted=False)
+    found = exact_verify(theorem_id, table, spec.scan_floor - spec.shift, max(exact_lo - 1, exact_hi))
     violations = [n for n in found if n >= threshold]
     witness = max((n for n in found if n < threshold), default=None)
     if not cert.proved:

@@ -68,8 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="table size (default: the top index the command reads)")
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
                         help=f"working precision in bits (default {DEFAULT_PRECISION})")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS,
+                        help="output of qtable (json, csv or text) and bounds (json or csv; text "
+                        "prints csv); verify, certify, reproduce-all and coeffs ignore it")
     common.add_argument("--no-timing", action="store_true", default=argparse.SUPPRESS,
                         help="omit wall times from reports")
 

@@ -29,6 +29,7 @@ are increasing, and cosh, even, is increasing on |x|.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .intervals import (
     DomainError,
@@ -44,9 +45,6 @@ __all__ = [
     "enclose_log",
     "enclose_cosh",
 ]
-
-_PI_CACHE: dict[int, Interval] = {}
-_LOG2_CACHE: dict[int, tuple[int, int]] = {}
 
 
 def _atan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -70,19 +68,16 @@ def _atan_inv_bounds(x: int, bits: int) -> tuple[Fraction, Fraction]:
         k += 1
 
 
+@lru_cache(maxsize=None)
 def enclose_pi(prec: int) -> Interval:
     """Interval containing pi, width <= 2**(4-prec)."""
     check_precision(prec)
-    cached = _PI_CACHE.get(prec)
-    if cached is None:
-        lo5, hi5 = _atan_inv_bounds(5, prec)
-        lo239, hi239 = _atan_inv_bounds(239, prec)
-        cached = Interval(
-            Dyadic.from_fraction(16 * lo5 - 4 * hi239, prec, up=False),
-            Dyadic.from_fraction(16 * hi5 - 4 * lo239, prec, up=True),
-        )
-        _PI_CACHE[prec] = cached
-    return cached
+    lo5, hi5 = _atan_inv_bounds(5, prec)
+    lo239, hi239 = _atan_inv_bounds(239, prec)
+    return Interval(
+        Dyadic.from_fraction(16 * lo5 - 4 * hi239, prec, up=False),
+        Dyadic.from_fraction(16 * hi5 - 4 * lo239, prec, up=True),
+    )
 
 
 def _exp_point(d: Dyadic, prec: int) -> Interval:
@@ -154,13 +149,11 @@ def _atanh_series(ulo: int, uhi: int, w: int) -> tuple[int, int]:
     return 2 * lo, 2 * (hi + phi)
 
 
+@lru_cache(maxsize=None)
 def _log2_bounds(w: int) -> tuple[int, int]:
     """Bounds at scale 2^-w of log 2 = 2*atanh(1/3)."""
-    cached = _LOG2_CACHE.get(w)
-    if cached is None:
-        third = (1 << w) // 3
-        cached = _LOG2_CACHE[w] = _atanh_series(third, third + 1, w)
-    return cached
+    third = (1 << w) // 3
+    return _atanh_series(third, third + 1, w)
 
 
 def _log_point(d: Dyadic, prec: int) -> Interval:

@@ -28,14 +28,16 @@ paired with its weight as a rational element.  ``terms`` is the
 w = prec + 16, the scale of every polynomial coefficient: the exact sum
 of v * [P_lo, P_hi] over its terms, [P_lo, P_hi] a bracket of pi^i
 sqrt3^j at the finer scale 2^-(w + 64) taken at the end v's sign picks,
-divided by den and floored (lower end) or ceiled (upper end) once.  The
-brackets are tabled per precision, each from one enclosure of pi by one
-floor and one ceiling.
+divided by den and floored (lower end) or ceiled (upper end) once.  Each
+bracket is made once per (key, precision) by ``lru_cache``, from one
+enclosure of pi by one floor and one ceiling; the scans' bracket of c^2
+is ``fixed`` of the monomial pi^{2i}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .enclosures import enclose_pi
@@ -171,26 +173,22 @@ def sum_of_products(pairs, weights=None) -> RingElem:
 
 
 _FINE = 64  # the power brackets' scale is 2^-(prec + 16 + _FINE)
-_POWERS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
+@lru_cache(maxsize=None)
 def _power(k: int, prec: int) -> tuple[int, int]:
     """Integers P_lo <= pi^i sqrt3^j 2^W <= P_hi, k = 4i + j and W = prec +
     16 + _FINE: the floor and the ceiling of the exact powers of one
     enclosure [a, b] of pi at W + _FINE bits, a^i and b^i (swapped for
-    i < 0), times sqrt3 by an integer square root.  Tabled per precision."""
-    table = _POWERS.setdefault(prec, {})
-    if k not in table:
-        W = prec + GUARD + _FINE
-        pi = enclose_pi(W + _FINE)
-        (ln, ld), (hn, hd) = ((f ** (k >> 2)).as_integer_ratio() for f in pi.to_fractions())
-        if k < 0:
-            (ln, ld), (hn, hd) = (hn, hd), (ln, ld)
-        if k & 1:  # sqrt(3 t^2 4^W) = sqrt3 t 2^W
-            table[k] = isqrt(3 * ln * ln << 2 * W) // ld, isqrt(3 * hn * hn << 2 * W) // hd + 1
-        else:
-            table[k] = (ln << W) // ld, -((-hn << W) // hd)
-    return table[k]
+    i < 0), times sqrt3 by an integer square root."""
+    W = prec + GUARD + _FINE
+    pi = enclose_pi(W + _FINE)
+    (ln, ld), (hn, hd) = ((f ** (k >> 2)).as_integer_ratio() for f in pi.to_fractions())
+    if k < 0:
+        (ln, ld), (hn, hd) = (hn, hd), (ln, ld)
+    if k & 1:  # sqrt(3 t^2 4^W) = sqrt3 t 2^W
+        return isqrt(3 * ln * ln << 2 * W) // ld, isqrt(3 * hn * hn << 2 * W) // hd + 1
+    return (ln << W) // ld, -((-hn << W) // hd)
 
 
 ZERO_ELEM = RingElem()

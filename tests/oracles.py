@@ -559,8 +559,9 @@ def laguerre(m: int, table: QTable, n: int) -> Fraction:
 
 
 def theorem_predicate(theorem_id: str, table: QTable, n: int) -> bool:
-    """Exact truth of the statement at n (statement coordinates): a length-1 exact_verify."""
-    return not exact_verify(theorem_id, table, n, n, shifted=False)
+    """Exact truth of the statement at n (statement coordinates): a length-1 exact_verify at n0 = n - shift."""
+    n0 = n - THEOREMS[theorem_id].shift
+    return not exact_verify(theorem_id, table, n0, n0)
 
 
 def node_values(node, q, m: int) -> tuple[list[int], list[int] | None]:

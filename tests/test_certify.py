@@ -979,11 +979,14 @@ class TestExactRegime:
         assert exact_verify("double-turan-companion", table20k, 344, 400) == [348]
 
     def test_reads_outside_table_raise(self, table2k):
-        # n = 0 and n = 1 need q(-2) and q(-1), which must not wrap to the table's end
-        with pytest.raises(IndexError):
+        # n = 0 and n = 1 need q(-2) and q(-1): below the scan floor 2 the statement is
+        # undefined, and a negative index must not wrap to the table's end
+        with pytest.raises(ValueError, match="below the scan floor 2"):
             exact_verify("double-turan", table2k, -2, 3)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="below the scan floor 2"):
             theorem_predicate("double-turan", table2k, 1)
+        with pytest.raises(IndexError):  # n0 = n_max - 3 reads q(n_max + 1)
+            theorem_predicate("double-turan", table2k, table2k.n_max - 1)
         with pytest.raises(IndexError):
             table2k[-1]
 
@@ -1142,7 +1145,8 @@ def test_block_scan_matches_oracles(tid, table20k):
     else:
         expected = [n for n in range(floor, 2001) if PLAIN_ORACLES[tid](table20k, n) <= 0]
     assert expected  # every statement fails somewhere below 2001
-    assert exact_verify(tid, table20k, floor, 2000, shifted=False) == expected
+    shift = THEOREMS[tid].shift
+    assert exact_verify(tid, table20k, floor - shift, 2000 - shift) == expected
 
 
 BLOCK = certify_module.BLOCK
@@ -1152,23 +1156,37 @@ BLOCK = certify_module.BLOCK
 def test_block_edges_match_single_indices(tid, table20k):
     # ranges from 220 = 348 - BLOCK: the length BLOCK + 1 range ends at 348,
     # the first index of its second block, and 2 BLOCK + 1 straddles it
-    lo = 348 - BLOCK
+    lo, shift = 348 - BLOCK, THEOREMS[tid].shift
     for length in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
         hi = lo + length - 1
         expected = [n for n in range(lo, hi + 1) if not theorem_predicate(tid, table20k, n)]
-        assert exact_verify(tid, table20k, lo, hi, shifted=False) == expected, (tid, length)
+        assert exact_verify(tid, table20k, lo - shift, hi - shift) == expected, (tid, length)
     if tid == "double-turan-companion":
-        assert 348 in exact_verify(tid, table20k, lo, lo + BLOCK, shifted=False)
+        assert 348 in exact_verify(tid, table20k, lo - shift, lo + BLOCK - shift)
 
 
 @pytest.mark.parametrize("tid", sorted(THEOREMS))
 def test_scan_reading_past_table_raises(tid, table2k):
     spec = THEOREMS[tid]
-    top = table2k.n_max + spec.shift - spec.shifts[-1]  # the last index that reads only q(<= n_max)
-    expected = [n for n in range(top - 2 * BLOCK, top + 1) if not theorem_predicate(tid, table2k, n)]
-    assert exact_verify(tid, table2k, top - 2 * BLOCK, top, shifted=False) == expected
+    top = table2k.n_max - spec.shifts[-1]  # the last n0 that reads only q(<= n_max)
+    ns = range(top - 2 * BLOCK + spec.shift, top + spec.shift + 1)
+    assert exact_verify(tid, table2k, top - 2 * BLOCK, top) == [n for n in ns if not theorem_predicate(tid, table2k, n)]
     with pytest.raises(IndexError):
-        exact_verify(tid, table2k, top - 2 * BLOCK, top + 1, shifted=False)
+        exact_verify(tid, table2k, top - 2 * BLOCK, top + 1)
+
+
+@pytest.mark.parametrize("tid", sorted(THEOREMS))
+def test_scan_below_floor_raises(tid, table2k):
+    # one index below scan_floor the statement is undefined: a leaf reads q(n0 < 0), or the
+    # companion n^(-a/2) at n = 0 (laguerre3-companion, shift 0, at n0 = 0 inside the table).
+    # A range starting there is refused; the empty range and the range from the floor are not
+    spec = THEOREMS[tid]
+    lo = spec.scan_floor - spec.shift - 1
+    with pytest.raises(ValueError, match=f"n = {spec.scan_floor - 1}, below the scan floor {spec.scan_floor}"):
+        exact_verify(tid, table2k, lo, lo + BLOCK)
+    assert exact_verify(tid, table2k, lo, lo - 1) == []
+    assert exact_verify(tid, table2k, lo + 1, lo + BLOCK) == \
+        [n for n in range(spec.scan_floor, spec.scan_floor + BLOCK) if not theorem_predicate(tid, table2k, n)]
 
 
 @pytest.mark.parametrize("tid", sorted(THEOREMS))
@@ -1177,7 +1195,8 @@ def test_zero_table_fails_everywhere(tid):
     spec = THEOREMS[tid]
     zeros = QTable(40, (0,) * 41)
     top = zeros.n_max + spec.shift - spec.shifts[-1]
-    assert exact_verify(tid, zeros, spec.scan_floor, top, shifted=False) == list(range(spec.scan_floor, top + 1))
+    assert exact_verify(tid, zeros, spec.scan_floor - spec.shift, top - spec.shift) == \
+        list(range(spec.scan_floor, top + 1))
 
 
 def test_scan_floor_derived_from_statement():
@@ -1382,14 +1401,15 @@ def test_bracket_edge_cases():
         assert not certify_module._positive(a, b, n, comp, c2), (a, b)
         assert not positive_untruncated(a, b, n, comp)
     c2 = certify_module._c2_bracket(sqrt3, certify_module._C2_BITS)
-    assert c2[0] == c2[1] == (3, 1)
+    assert F(*c2[0]) == F(*c2[1]) == 3
 
 
 # -- the scans on truncated operands against exact values ------------------------
 
 
 def _scan_blocks(spec, table, lo, hi):
-    """(indices, table slice) per block, as exact_verify cuts lo..hi in statement coordinates."""
+    """(statement indices, table slice) per block of statement indices lo..hi, as exact_verify cuts
+    n0 = lo - shift .. hi - shift."""
     n0, width = lo - spec.shift, spec.shifts[-1]
     for i in range(0, hi - lo + 1, BLOCK):
         m = min(BLOCK, hi - lo + 1 - i)
@@ -1487,7 +1507,7 @@ def test_open_blocks_rerun_exactly(statement, table20k, monkeypatch):
     monkeypatch.setitem(certify_module.THEOREMS, spec.id, spec)
     runs = _kernel_runs(monkeypatch)
     lo, hi = 2000, 2000 + 2 * BLOCK
-    assert exact_verify("zero", table20k, lo, hi, shifted=False) == list(range(lo, hi + 1))
+    assert exact_verify("zero", table20k, lo, hi) == list(range(lo, hi + 1))
     assert len(runs) == 6 and runs[1::2] == [q for _, q in _scan_blocks(spec, table20k, lo, hi)]
 
 
@@ -1520,7 +1540,7 @@ def test_corner_refines_c2_without_rerun(sign, monkeypatch):
         assert y * y * lo_p <= x * x * n**3 * lo_q and y * y * hi_p >= x * x * n**3 * hi_q, n
     runs = _kernel_runs(monkeypatch)
     exact = {n: node_exact(spec.statement, values[n : n + 2]) for n in range(lo, hi + 1)}
-    assert exact_verify(spec.id, QTable(hi + 1, tuple(values)), lo, hi, shifted=False) == \
+    assert exact_verify(spec.id, QTable(hi + 1, tuple(values)), lo, hi) == \
         [n for n, (a, b) in exact.items() if not positive_untruncated(a, b, n, comp)] == []
     assert runs == [[v >> 300 for v in q]]
 
@@ -1547,7 +1567,7 @@ def test_companion_near_margin_decides_like_exact_rule(monkeypatch):
                   _scan_blocks(spec, QTable(hi + 1, tuple(values)), lo, hi)}
     table = QTable(hi + 1, tuple(values))
     exact = {n: node_exact(spec.statement, values[n : n + 2]) for n in range(lo, hi + 1)}
-    assert exact_verify(spec.id, table, lo, hi, shifted=False) == \
+    assert exact_verify(spec.id, table, lo, hi) == \
         [n for n, (a, b) in exact.items() if not positive_untruncated(a, b, n, comp)]
     # the margin is met: positives decided on the brackets and positives left to the exact rule
     decided = {}
@@ -1671,9 +1691,9 @@ class TestVerifyTheorem:
         # shift; the scans cover every statement n from the threshold up to there
         spec, ranges = THEOREMS[tid], []
 
-        def record(theorem_id, table, lo, hi, *, shifted=True):
-            ranges.append(range(lo + (spec.shift if shifted else 0), hi + (spec.shift if shifted else 0) + 1))
-            return exact_verify(theorem_id, table, lo, hi, shifted=shifted)
+        def record(theorem_id, table, lo, hi):
+            ranges.append(range(lo + spec.shift, hi + spec.shift + 1))
+            return exact_verify(theorem_id, table, lo, hi)
 
         monkeypatch.setattr(certify_module, "exact_verify", record)
         rep = verify_theorem(tid, table20k, threshold_override=threshold)

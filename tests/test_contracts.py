@@ -38,6 +38,7 @@ CHECKS = {
                                  "a companion factor is bounded from below only"),
     "factor-exponent-0": (_factor_without_power, ValueError, "a companion factor needs a >= 1, got a = 0"),
     "leaf-negative-shift": (lambda: Q(-1), ValueError, r"a leaf q\(n0 \+ s\) needs s >= 0, got -1"),
+    "sum-no-terms": (lambda: Sum(), ValueError, "a Sum needs at least one term"),
     "sum-weight-not-int": (lambda: Sum((F(1, 2), Q(0)), (-1, Q(1))), ValueError,
                            r"a Sum weight must be an int, got Fraction\(1, 2\)"),
     "companion-negative-exponent": (lambda: Companion(Q(0), F(1), 0, 0, -1), ValueError,

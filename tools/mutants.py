@@ -221,8 +221,8 @@ MUTANTS = [
            "e.den, e.ints = den, ",
            "the terms are divided by the gcd but the denominator is not: the value shrinks by it"),
     Mutant("ring-eval-sqrt3-bit-from-k-and-2", "src/qcert/ring.py",
-           "        if k & 1:  # sqrt(3 t^2 4^W)",
-           "        if k & 2:  # sqrt(3 t^2 4^W)",
+           "    if k & 1:  # sqrt(3 t^2 4^W)",
+           "    if k & 2:  # sqrt(3 t^2 4^W)",
            "a sqrt3 term is enclosed without its factor sqrt3"),
     Mutant("expbinom-weight-without-binomial-denominator", "src/qcert/coeffs.py",
            "RingElem.from_rational(c)",
@@ -315,6 +315,10 @@ MUTANTS = [
            "if s < 0:  # a kernel slice",
            "if False:  # a kernel slice",
            "q(n0 - 1) reads the slice q[-1:m-1], the end of the block, not the index before each n0"),
+    Mutant("sum-accepts-no-terms", "src/qcert/certify.py",
+           "if not terms:  # no degree",
+           "if False:  # no degree",
+           "an empty Sum has no degree for the scans' error bound and no term for weighted_sum's max()"),
     Mutant("sum-accepts-fraction-weight", "src/qcert/certify.py",
            "if not isinstance(w, int)]",
            "if False]",
@@ -355,15 +359,23 @@ MUTANTS = [
            "        base.negative_witness = (float(x0), float(x0))\n",
            "",
            "a certified negative value leaves no witness, so a failing theorem reads inconclusive"),
+    Mutant("c2-bracket-upper-end-floored", "src/qcert/certify.py",
+           "RingElem.monomial(2 * comp.i, 0, 1).fixed(prec)",
+           "RingElem.monomial(2 * comp.i, 0, 1).fixed(prec)[:1] * 2",
+           "pi^{2i}'s upper end is its floor, below pi^{2i}: B^2 c^2 < A^2 n^a is read where it does not hold"),
     Mutant("c2-refinement-skipped", "src/qcert/certify.py",
            "        prec *= 2\n        (lo_p, lo_q), (hi_p, hi_q) = _c2_bracket(comp, prec)",
            "        return a > 0",
            "a comparison the 32-bit c^2 bracket leaves open is settled by A's sign alone"),
     # -- the seam between the certificate and the scans ----------------------
     Mutant("seam-scan-stops-shift-short", "src/qcert/certify.py",
-           "max(threshold - 1, exact_hi + spec.shift)",
-           "max(threshold - 1, exact_hi)",
+           "max(exact_lo - 1, exact_hi)",
+           "max(exact_lo - 1, exact_hi - spec.shift)",
            "statement n = n_star .. n_star + shift - 1 is neither scanned nor certified"),
+    Mutant("scan-accepts-index-below-floor", "src/qcert/certify.py",
+           "if start < spec.scan_floor:",
+           "if False:",
+           "below scan_floor the statement is undefined: laguerre3-companion's n = 0 reads as holding"),
     Mutant("violations-skip-threshold", "src/qcert/certify.py",
            "if n >= threshold]",
            "if n > threshold]",
