@@ -1652,6 +1652,13 @@ class TestHomogeneity:
         assert checked >= 10, tid
 
 
+def _without_precision(report) -> dict:
+    """A report's JSON without the fields that state or show its precision."""
+    d = report.to_json_dict(include_timing=False)
+    del d["precision_bits"], d["certificate"]["precision_bits"], d["certificate"]["x_star"]
+    return d
+
+
 class TestVerifyTheorem:
     def test_pass_with_report_fields(self, table20k):
         rep = verify_theorem("A", table20k)
@@ -1701,6 +1708,18 @@ class TestVerifyTheorem:
         assert ranges and set(range(rep.threshold, rep.n_star + spec.shift)) <= scanned
         x_star = rep.certificate.x_star.to_fraction()
         assert rep.certificate.proved and x_star * x_star * rep.n_star >= 1  # x_star >= n_star^(-1/2)
+
+    @pytest.mark.parametrize("prec", [24, 1536])
+    def test_reports_do_not_rest_on_rounding(self, prec, table20k):
+        # the eight theorems and the erratum report at 24 and 1536 bits what they
+        # report at 192, field for field, but for the precision and x_star, which
+        # still bounds n_star^(-1/2) from above
+        for tid, threshold in [(tid, None) for tid in sorted(THEOREMS)] + sorted(ERRATA_THRESHOLDS.items()):
+            rep = verify_theorem(tid, table20k, prec, threshold)
+            x_star = rep.certificate.x_star.to_fraction()
+            assert rep.precision_bits == rep.certificate.prec == prec and x_star * x_star * rep.n_star >= 1, tid
+            got, want = (_without_precision(r) for r in (rep, verify_theorem(tid, table20k, 192, threshold)))
+            assert got == want, (tid, prec)
 
     def test_unproved_at_the_seam_reads_inconclusive(self, table20k, monkeypatch):
         # with its seam below the crossover 5847, A-companion is certified
