@@ -8,17 +8,18 @@ remainder bounds are provable by inspection:
                rational partial sums; alternating-series tails bracket.
 * exp       -- halve the argument k times until |r| < 1/2 (exact dyadic
                shifts), Taylor sum with factorial tail, square k times.
-* log       -- reduce to [1,2) by exact powers of two (to [1/2, 1) for
-               an argument there), atanh series in u = (m-1)/(m+1),
-               |u| <= 1/3, with a geometric tail; log 2 itself is
-               2*atanh(1/3).
+* log       -- the inverse of exp, checked: Newton's iteration on exp
+               guesses log d, and the prec-bit cell [g, h] around the
+               guess is returned only when exp's brackets give
+               exp(g) <= d <= exp(h), so it is the tightest bracket;
+               otherwise the guess is widened (Ziv's strategy).
 * cosh      -- (exp(x) + exp(-x))/2 on certified exponentials.
 
-The exp and log series are summed on plain integers at a fixed
-scale 2^-w: a floor chain of the terms gives the lower bound and a
-ceiling chain the upper one, the tails are integer comparisons, and the
-result is rounded outward to prec bits once, at the end.  The squarings
-that undo exp's halvings round the pair outward to the working width.
+The exp series is summed on plain integers at a fixed scale 2^-w: a
+floor chain of the terms gives the lower bound and a ceiling chain the
+upper one, the tail is an integer comparison, and the squarings that
+undo the halvings round the pair outward to the working width.  That raw
+bracket is rounded outward to prec bits once, at the end.
 
 All point kernels take an exact Dyadic and return an Interval.  Every
 function takes interval arguments through ``_monotone``, the dispatch of
@@ -80,10 +81,11 @@ def enclose_pi(prec: int) -> Interval:
     )
 
 
-def _exp_point(d: Dyadic, prec: int) -> Interval:
-    """Enclosure of exp(d) for an exact dyadic d."""
+def _exp_raw(d: Dyadic, prec: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= exp(d) <= hi 2^e for an exact dyadic d, at
+    the working scale: lo carries about prec + 12 bits."""
     if d.is_zero:
-        return Interval.point(1)
+        return 1, 1, 0
     # k halvings give r = d / 2^k = +-m / 2^sh with |r| < 1/2; each later
     # squaring doubles the relative error, so work with k extra guard bits
     k = max(0, d.exp + d.man.bit_length() + 1)
@@ -122,6 +124,12 @@ def _exp_point(d: Dyadic, prec: int) -> Interval:
             lo >>= n
             hi = -(-hi >> n)
             e += n
+    return lo, hi, e
+
+
+def _exp_point(d: Dyadic, prec: int) -> Interval:
+    """Enclosure of exp(d) for an exact dyadic d."""
+    lo, hi, e = _exp_raw(d, prec)
     return Interval(Dyadic(lo, e).round(prec, up=False), Dyadic(hi, e).round(prec, up=True))
 
 
@@ -130,57 +138,37 @@ def enclose_exp(x: Interval, prec: int) -> Interval:
     return _monotone(_exp_point, x, prec)
 
 
-def _atanh_series(ulo: int, uhi: int, w: int) -> tuple[int, int]:
-    """Bounds at scale 2^-w of 2*atanh(u) = 2 sum_j u^(2j+1)/(2j+1) for
-    ulo * 2^-w <= u <= uhi * 2^-w, 0 <= u <= 1/3, by a floor and a ceiling
-    chain of the powers."""
-    lo, hi = ulo, uhi
-    slo, shi = ulo * ulo >> w, -(-(uhi * uhi) >> w)
-    plo, phi = ulo, uhi  # bounds of u^(2j+1)
-    j = 0
-    while phi > 1:
-        j += 1
-        plo = plo * slo >> w
-        phi = -(-(phi * shi) >> w)
-        lo += plo // (2 * j + 1)
-        hi -= -phi // (2 * j + 1)
-    # the terms after j sum to at most u^(2j+3) / ((2j+3)(1-u^2)) <= u^(2j+1),
-    # at most phi <= 1 unit
-    return 2 * lo, 2 * (hi + phi)
-
-
-@lru_cache(maxsize=None)
-def _log2_bounds(w: int) -> tuple[int, int]:
-    """Bounds at scale 2^-w of log 2 = 2*atanh(1/3)."""
-    third = (1 << w) // 3
-    return _atanh_series(third, third + 1, w)
-
-
 def _log_point(d: Dyadic, prec: int) -> Interval:
+    """The prec-bit cell [g, h] that holds log d: a guess l 2^-v from
+    Newton's iteration l <- l + d e^-l - 1, proved by exp(g) <= d <= exp(h)."""
     if d.sign <= 0:
         raise DomainError("log domain requires positive argument")
-    # d = m * 2^shift with m = man / 2^t in [1, 2), u = (m-1)/(m+1) <= 1/3;
-    # d in [1/2, 1) is m = d, shift = 0 and u in [-1/3, 0), so that nothing
-    # cancels just below 1
-    t = d.man.bit_length() - 1
-    shift = d.exp + t
-    if shift == -1:
-        t, shift = t + 1, 0
-    w = prec + 24
-    num = d.man - (1 << t)
-    if not shift:  # log d is about 2u: keep the bits of u below 2^-w
-        w += max(0, t - abs(num).bit_length())
-    q, r = divmod(abs(num) << w, d.man + (1 << t))
-    lo, hi = _atanh_series(q, q + (r > 0), w)
-    if num < 0:  # atanh is odd
-        lo, hi = -hi, -lo
-    if shift:
-        l2lo, l2hi = _log2_bounds(w)
-        if shift < 0:
-            l2lo, l2hi = l2hi, l2lo
-        lo += shift * l2lo
-        hi += shift * l2hi
-    return Interval(Dyadic(lo, -w).round(prec, up=False), Dyadic(hi, -w).round(prec, up=True))
+    if d == Dyadic(1):
+        return Interval.point(0)
+    # Newton's l <- l + d e^-l - 1 at the scale 2^-v, from an untrusted start:
+    # (n - 1/2) log 2 for 2^(n-1) <= d < 2^n, with log 2 to 64 bits
+    v, l = 16, (2 * (d.man.bit_length() + d.exp) - 1) * 0xB17217F7D1CF79AC >> 49
+    while True:
+        lo, _, e = _exp_raw(Dyadic(-l, -v), v)
+        s = d.exp + e + v
+        c = (d.man * lo << s if s >= 0 else d.man * lo >> -s) - (1 << v)
+        l += c
+        if abs(c) >> (v // 2 + 2):  # l was off by more than about 2^-(v/2): step again
+            continue
+        # l is now good to a few units: with prec + 9 bits it names a cell [g, h],
+        # which exp proves or refuses
+        short = prec + 9 - abs(l).bit_length()
+        if short <= 0:
+            x = Dyadic(l, -v)
+            g, h = x.round(prec, up=False), x.round(prec, up=True)
+            _, hi, e = _exp_raw(g, v)
+            lo, _, f = _exp_raw(h, v)
+            if not Dyadic(hi, e) > d and not d > Dyadic(lo, f):
+                return Interval(g, h)
+        # widen (Ziv): by the bits l lacks, or twice as wide after a refusal
+        grow = min(v, short) if short > 0 else v
+        l <<= grow
+        v += grow
 
 
 def enclose_log(x: Interval, prec: int) -> Interval:

@@ -26,7 +26,8 @@ Nothing in ``qcert`` calls these; they live here so that the trust path
   ``_bessel_i1_point`` -- the main-term (Bessel) sandwich of criterion C7
   and the certified I1 it needs; nothing in ``qcert`` uses them.
 * ``exp_bracket`` -- an exact ``Fraction`` bracket of exp(x): a Taylor
-  partial sum and a Lagrange remainder, for the kernels' near-grid checks.
+  partial sum and a Lagrange remainder, for the kernels' near-grid checks
+  and the check that log's ends are log d rounded down and up.
 * ``exp_point_loop`` / ``atanh_series_loop`` / ``log_point_loop`` /
   ``bessel_i1_point_loop`` -- the exp, log and I1 point kernels as
   Taylor loops over ``Interval`` objects, rounding at every step, whose
@@ -415,16 +416,20 @@ def exp_bracket(x: Fraction, bits: int = 256) -> tuple[Fraction, Fraction]:
     """Fractions lo <= exp(x) <= hi, about 2^-bits apart relatively: x is
     halved s times to |r| <= 1/2, e^|r| lies between a Taylor partial sum
     and that sum plus twice its first omitted term (the remainder is at
-    most that term times e^|r| < 2), inverted for x < 0, then squared s
-    times, each square rounded outward to bits + s + 16 bits."""
+    most that term times e^|r| < 2), the terms floored for the lower sum
+    and ceiled for the upper one at 2^-w, inverted for x < 0, then squared
+    s times, each square rounded outward to w = bits + s + 16 bits."""
     s = (abs(x.numerator) // x.denominator).bit_length() + 1
     r, w = abs(x) / 2**s, bits + s + 16
-    total, term, j = Fraction(0), Fraction(1), 0
-    while term > Fraction(1, 1 << w):
-        total += term
+    p, q = r.numerator, r.denominator
+    lo = hi = 0
+    a = b = 1 << w  # a <= 2^w r^j / j! <= b
+    j = 0
+    while b > 1:
+        lo, hi = lo + a, hi + b
         j += 1
-        term = term * r / j
-    lo, hi = total, total + 2 * term
+        a, b = a * p // (q * j), -(-b * p // (q * j))
+    lo, hi = Fraction(lo, 1 << w), Fraction(hi + 2 * b, 1 << w)
     if x < 0:
         lo, hi = 1 / hi, 1 / lo
     for _ in range(s):

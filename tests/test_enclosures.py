@@ -21,7 +21,6 @@ from oracles import (
     width,
 )
 from qcert.enclosures import (
-    _atanh_series,
     enclose_cosh,
     enclose_exp,
     enclose_log,
@@ -304,8 +303,8 @@ def test_point_argument_evaluated_once(monkeypatch, fn, kernel):
 
 @pytest.mark.parametrize("prec", [24, 64, 192])
 def test_log_just_below_one_keeps_relative_accuracy(prec):
-    # log(1 - 2^-k) is about -2^-k: in [1/2, 1) the atanh argument is
-    # negative, and nothing cancels against log 2
+    # log(1 - 2^-k) is about -2^-k: the bracket is relative to it, not an
+    # absolute width at the scale of log 2
     for k in (1, 2, 3, 20, 60, 110, 300):
         d = Dyadic((1 << k) - 1, -k)
         iv = enclose_log(Interval.point(d), prec)
@@ -385,32 +384,34 @@ def test_log_next_to_grid_point(prec):
         assert exp_bracket(a)[1] <= x <= exp_bracket(b)[0], (prec, d)
 
 
-# -- the atanh series on raw integer bounds ---------------------------------------
+# -- log is the tightest prec-bit bracket ------------------------------------------
 
 
-def _atanh2_bracket(u: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact bounds of 2 atanh(u), 0 <= u < 1: twice a partial sum of
-    u^(2j+1)/(2j+1), and that plus twice its tail bound u^(2J+1)/((2J+1)(1 - u^2)),
-    summed until the tail is below 2^-bits."""
-    total, power, j = Fraction(0), u, 0
-    while (tail := power / ((2 * j + 1) * (1 - u * u))) >= Fraction(1, 2**bits):
-        total += power / (2 * j + 1)
-        power, j = power * u * u, j + 1
-    return 2 * total, 2 * (total + tail)
+def _log_tight_args(prec: int) -> list[Dyadic]:
+    """1 +- 2^-k, powers of two, 3, 15 and 25, and the production points: log m
+    and the two ends of log m whose logs bound log log m, for m = 16 and 26,
+    and log 15 and log 25."""
+    args = [Dyadic((1 << k) + sign, -k) for k in (1, 60, 134, 300) for sign in (1, -1)]
+    args += [Dyadic(1, k) for k in (-300, -60, 1, 60, 300)] + [Dyadic(3), Dyadic(15), Dyadic(25)]
+    for m in (16, 26):
+        log_m = enclose_log(Interval.point(m), prec)
+        args += [Dyadic(m), log_m.lo, log_m.hi]
+    return args
 
 
-@pytest.mark.parametrize("w", [16, 24, 32, 40])
-def test_atanh_series_contains_exact_bracket(w):
-    # [lo, hi] 2^-w holds 2 atanh on [ulo, uhi] 2^-w, checked in Fractions: at
-    # u = 1 unit the series has no term after u, so hi rests on the tail alone
-    # (2 atanh(2^-w) 2^w is above 2); log 2's (third, third + 1) and seeded
-    # intervals up to u = 1/3
-    third, rng = (1 << w) // 3, random.Random(w)
-    cases = [(0, 0), (1, 1), (1, 2), (2, 2), (3, 5), (third - 1, third), (third, third + 1)]
-    for _ in range(40):
-        ulo = rng.randrange(third)
-        cases.append((ulo, min(third, ulo + rng.choice((0, 1, rng.randrange(1 << (w // 2)))))))
-    for ulo, uhi in cases:
-        lo, hi = _atanh_series(ulo, uhi, w)
-        assert Fraction(lo, 1 << w) <= _atanh2_bracket(Fraction(ulo, 1 << w), 3 * w)[0], (w, ulo, uhi)
-        assert Fraction(hi, 1 << w) >= _atanh2_bracket(Fraction(uhi, 1 << w), 3 * w)[1], (w, ulo, uhi)
+def _successor(a: Fraction, prec: int) -> Fraction:
+    """The least prec-bit number above a, a nonzero prec-bit number."""
+    return Dyadic.from_fraction(a + abs(a) / 2 ** (prec + 2), prec, up=True).to_fraction()
+
+
+@pytest.mark.parametrize("prec", [24, 64, 192, 1536])
+def test_log_is_the_tightest_bracket(prec):
+    # each end is log d rounded to prec bits, down and up: a <= log d <= b and b is
+    # the prec-bit number after a, checked exactly on Fraction brackets of exp
+    # (log(1 + 2^-300) lies 2^-601 below the grid point 2^-300, hence the bits)
+    bits = 2 * prec + 700
+    for d in _log_tight_args(prec):
+        a, b = enclose_log(Interval.point(d), prec).to_fractions()
+        x = d.to_fraction()
+        assert exp_bracket(a, bits)[1] <= x <= exp_bracket(b, bits)[0], (prec, d)
+        assert b == _successor(a, prec), (prec, d)

@@ -120,7 +120,9 @@ REMOVED = ("eval_coeff", "ONE_ELEM", "ZERO_D", "DEFAULT_PREC", "MAX_PREC",
            # the zero of pow_int's floor for even powers of a straddling interval
            "ZERO",
            # hand-made memo dicts: every function memo is functools.lru_cache
-           "_PI_CACHE", "_LOG2_CACHE", "_POWERS")
+           "_PI_CACHE", "_LOG2_CACHE", "_POWERS",
+           # log's own series and its log 2: log is Newton's iteration on exp, checked by exp
+           "_atanh_series", "_log2_bounds")
 
 REMOVED_METHODS = (
     (Interval, "midpoint"),

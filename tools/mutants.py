@@ -73,6 +73,11 @@ class Mutant(NamedTuple):
 # Retired with RingElem.__add__, when a weighted sum's exact part became one
 # sum_of_products (see weighted-sum-part-ignores-weight): ring-add-keeps-positive-sums
 # (a negative sum of two elements dropped as zero).
+# Retired with log's atanh series, when log became Newton's iteration on exp with
+# each cell proved by exp (see log-*-check-* and log-ziv-*): atanh-without-tail
+# (_atanh_series' upper sum without its tail), log-u-ceiling-dropped (the floor of
+# u = (m-1)/(m+1) taken for its upper bound) and log-near-one-route-off (the
+# [1/2, 1) remap that kept log d just below 1 from cancelling against log 2).
 
 MUTANTS = [
     # -- interval arithmetic ------------------------------------------------
@@ -195,22 +200,22 @@ MUTANTS = [
            "            hi = -(-hi >> n)\n            e += n",
            "            hi >>= n\n            e += n",
            "each squaring may lose a unit from the upper end"),
-    Mutant("atanh-without-tail", "src/qcert/enclosures.py",
-           "return 2 * lo, 2 * (hi + phi)",
-           "return 2 * lo, 2 * hi",
-           "the upper sum leaves out the series tail"),
-    Mutant("log-u-ceiling-dropped", "src/qcert/enclosures.py",
-           "_atanh_series(q, q + (r > 0), w)",
-           "_atanh_series(q, q, w)",
-           "u's upper bound may fall below u"),
     Mutant("cosh-reflection-drops-negative-end", "src/qcert/enclosures.py",
            "max(-x.lo, x.hi)",
            "x.hi",
            "for x.lo < -x.hi, cosh is largest at x.lo: |x|'s upper end is -x.lo, not x.hi"),
-    Mutant("log-near-one-route-off", "src/qcert/enclosures.py",
-           "    if shift == -1:\n        t, shift = t + 1, 0",
-           "    if False:\n        t, shift = t + 1, 0",
-           "log d just below 1 cancels against log 2 and loses its relative accuracy"),
+    Mutant("log-lower-check-reads-exp-lo", "src/qcert/enclosures.py",
+           "            _, hi, e = _exp_raw(g, v)",
+           "            hi, _, e = _exp_raw(g, v)",
+           "exp(g) is tested below d by its lower end: g may lie above log d"),
+    Mutant("log-upper-check-reads-exp-hi", "src/qcert/enclosures.py",
+           "            lo, _, f = _exp_raw(h, v)",
+           "            _, lo, f = _exp_raw(h, v)",
+           "exp(h) is tested above d by its upper end: h may lie below log d"),
+    Mutant("log-ziv-stops-one-widening-early", "src/qcert/enclosures.py",
+           "                return Interval(g, h)\n",
+           "                return Interval(g, h)\n            return Interval(g, h)\n",
+           "a cell the check refused is returned instead of widening once more: the guess is trusted"),
     # -- ring form ------------------------------------------------------------
     Mutant("ring-sqrt3-square-not-folded", "src/qcert/ring.py",
            "            if k & 2:\n                k, v = k - 2, 3 * v\n",
