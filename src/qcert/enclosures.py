@@ -140,7 +140,9 @@ def enclose_exp(x: Interval, prec: int) -> Interval:
 
 def _log_point(d: Dyadic, prec: int) -> Interval:
     """The prec-bit cell [g, h] that holds log d: a guess l 2^-v from
-    Newton's iteration l <- l + d e^-l - 1, proved by exp(g) <= d <= exp(h)."""
+    Newton's iteration l <- l + d e^-l - 1, proved by exp(g) <= d <= exp(h).
+    The widening ends: for d != 1, log d is not a dyadic, so it lies inside
+    its cell, and a wide enough guess and exp prove that cell."""
     if d.sign <= 0:
         raise DomainError("log domain requires positive argument")
     if d == Dyadic(1):
