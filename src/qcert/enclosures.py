@@ -83,7 +83,7 @@ def enclose_pi(prec: int) -> Interval:
 
 def _exp_raw(d: Dyadic, prec: int) -> tuple[int, int, int]:
     """(lo, hi, e) with lo 2^e <= exp(d) <= hi 2^e for an exact dyadic d, at
-    the working scale: lo carries at least prec + 12 bits."""
+    the working scale, finer than prec bits (exact for d = 0)."""
     if d.is_zero:
         return 1, 1, 0
     # k halvings give r = d / 2^k = +-m / 2^sh with |r| < 1/2; each later
